@@ -1,6 +1,7 @@
 """Epidemic-control planning with distribution-ambiguous transition models."""
 
 from .errors import (
+    CacheError,
     ConfigError,
     DomainError,
     EpiplanError,
@@ -22,6 +23,7 @@ from .seir import (
 
 __all__ = [
     "Action",
+    "CacheError",
     "CompiledRates",
     "ConfigError",
     "ContinuousState",

@@ -19,3 +19,7 @@ class ConfigError(EpiplanError):
 
 class SolverError(EpiplanError):
     """The optimization engine hit an internal inconsistency (not infeasibility)."""
+
+
+class CacheError(EpiplanError):
+    """A persisted kernel cache is truncated, corrupt, or off the model's grid."""

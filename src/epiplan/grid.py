@@ -6,6 +6,10 @@ diagonals, so any interior point is a convex combination of at most four cell
 corners.  Transition laws over continuous atoms are pushed onto the corners
 through those weights, giving a finite kernel.  Corners whose fractions exceed
 1 are unreachable population mixes and absorb with probability one.
+
+The push runs once per state and vaccination level: the intervention level
+only reweights the exposure count, so the atoms of every exposure count are
+pushed once and each action's row is a weighted sum of those pushes.
 """
 
 from __future__ import annotations
@@ -16,12 +20,42 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .seir import Action, ContinuousState, EpidemicParams, nominal_reward, transition_pmf
+from .seir import (
+    ENTRY_TOL,
+    JOINT_TOL,
+    MARGINAL_TOL,
+    Action,
+    ContinuousState,
+    EpidemicParams,
+    binomial_row,
+    compile_rates,
+    nominal_reward,
+    transition_pmf,  # noqa: F401  perfbench/layers.py traces grid.transition_pmf
+    vaccination_trials,
+)
 
 # The six axis orderings in lexicographic order; labels 0..5 name the simplexes.
 _PERMUTATIONS = np.array(
     [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]], dtype=np.int64
 )
+
+
+def _label_of_code() -> np.ndarray:
+    """Simplex label of each comparison code 4*(f0>=f1) + 2*(f0>=f2) + (f1>=f2).
+
+    Codes 2 and 5 would be cyclic orders and never occur; they map to -1.
+    """
+    lut = np.full(8, -1, dtype=np.int64)
+    for label, order in enumerate(_PERMUTATIONS):
+        rank = np.argsort(order)
+        lut[4 * (rank[0] < rank[1]) + 2 * (rank[0] < rank[2]) + (rank[1] < rank[2])] = label
+    return lut
+
+
+_LABEL_OF_CODE = _label_of_code()
+
+# Points pushed per locate_many call, bounding the push's working arrays.
+_PUSH_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -75,7 +109,7 @@ class SparseDistribution:
             if total <= 0:
                 raise DomainError("cannot normalize empty distribution")
             probs = probs / total
-        elif abs(total - 1.0) > 1e-9:
+        elif not abs(total - 1.0) <= 1e-9:  # NaN fails too
             raise DomainError(f"probabilities sum to {total}, not 1")
         self.indices = indices
         self.probs = probs
@@ -104,6 +138,13 @@ class Grid:
         self.lattice = np.stack([ii.ravel(), jj.ravel(), kk.ravel()], axis=1)
         self.coords = self.lattice / Y
         self.in_S = self.lattice.sum(axis=1) <= Y
+        # Index offsets of the four simplex vertices from a cell's low corner,
+        # per comparison code: one axis stride more at each step of the path.
+        strides = np.array([side * side, side, 1], dtype=np.int64)
+        self._vertex_offsets = np.zeros((8, 4), dtype=np.int64)
+        for code, label in enumerate(_LABEL_OF_CODE):
+            if label >= 0:
+                self._vertex_offsets[code, 1:] = np.cumsum(strides[_PERMUTATIONS[label]])
 
     @property
     def Y(self) -> int:
@@ -144,40 +185,32 @@ class Grid:
         """Vectorized barycentric location of points inside the unit cube.
 
         Returns (corner_indices (n,4), weights (n,4), simplex_labels (n,)).
+        The simplex follows the fractional parts sorted in descending order,
+        ties going to the lower axis.
         """
         pts = np.asarray(points, dtype=np.float64)
         if np.any(pts < -1e-12) or np.any(pts > 1.0 + 1e-12):
             raise DomainError("point outside the unit cube")
-        pts = np.clip(pts, 0.0, 1.0)
         Y = self.Y
-        scaled = pts * Y
+        side = Y + 1
+        scaled = np.clip(pts, 0.0, 1.0) * Y
         cell = np.minimum(scaled.astype(np.int64), Y - 1)
         frac = scaled - cell
+        f0, f1, f2 = frac[:, 0], frac[:, 1], frac[:, 2]
 
-        # Descending coordinate order; stable so ties resolve by axis index.
-        order = np.argsort(-frac, axis=1, kind="stable")
-        fs = np.take_along_axis(frac, order, axis=1)
+        code = 4 * (f0 >= f1) + 2 * (f0 >= f2) + (f1 >= f2)
+        hi = np.maximum(f0, np.maximum(f1, f2))
+        lo = np.minimum(f0, np.minimum(f1, f2))
+        mid = np.maximum(np.minimum(f0, f1), np.minimum(np.maximum(f0, f1), f2))
         weights = np.empty((len(pts), 4))
-        weights[:, 0] = 1.0 - fs[:, 0]
-        weights[:, 1] = fs[:, 0] - fs[:, 1]
-        weights[:, 2] = fs[:, 1] - fs[:, 2]
-        weights[:, 3] = fs[:, 2]
+        weights[:, 0] = 1.0 - hi
+        weights[:, 1] = hi - mid
+        weights[:, 2] = mid - lo
+        weights[:, 3] = lo
 
-        # Vertex path: start at the cell's low corner, add one axis at a time.
-        verts = np.empty((len(pts), 4, 3), dtype=np.int64)
-        verts[:, 0] = cell
-        step = np.zeros_like(verts)
-        rows = np.arange(len(pts))
-        for j in range(3):
-            step[rows, j + 1, order[:, j]] = 1
-        verts = cell[:, None, :] + np.cumsum(step, axis=1)
-
-        side = Y + 1
-        idx = (verts[:, :, 0] * side + verts[:, :, 1]) * side + verts[:, :, 2]
-
-        # Label = lexicographic rank of the axis ordering.
-        label = _perm_rank(order)
-        return idx, weights, label
+        base = (cell[:, 0] * side + cell[:, 1]) * side + cell[:, 2]
+        idx = base[:, None] + self._vertex_offsets[code]
+        return idx, weights, _LABEL_OF_CODE[code]
 
     def locate(self, point) -> BarycentricWeights:
         """Barycentric weights for one point; zero-weight corners are dropped."""
@@ -190,17 +223,6 @@ class Grid:
                 corners.append(int(i))
                 weights.append(float(w))
         return BarycentricWeights(tuple(corners), tuple(weights), int(label[0]))
-
-
-def _perm_rank(order: np.ndarray) -> np.ndarray:
-    """Lexicographic rank of each row among the 6 permutations of (0,1,2)."""
-    key = order[:, 0] * 9 + order[:, 1] * 3 + order[:, 2]
-    table = {0 * 9 + 1 * 3 + 2: 0, 0 * 9 + 2 * 3 + 1: 1, 1 * 9 + 0 * 3 + 2: 2,
-             1 * 9 + 2 * 3 + 0: 3, 2 * 9 + 0 * 3 + 1: 4, 2 * 9 + 1 * 3 + 0: 5}
-    lut = np.zeros(27, dtype=np.int64)
-    for k, v in table.items():
-        lut[k] = v
-    return lut[key]
 
 
 def build_grid(spec: GridSpec) -> Grid:
@@ -219,29 +241,72 @@ def simplex_corners(permutation: int) -> list[tuple[int, int, int]]:
 
 
 def discretize_kernel(
-    grid: Grid,
-    params: EpidemicParams,
-    corner_index: int,
-    action: Action,
-    entry_tol: float = 1e-12,
-) -> SparseDistribution:
-    """One finite kernel row: push the exact atom law onto grid corners.
+    grid: Grid, params: EpidemicParams, corner_index: int
+) -> list[SparseDistribution]:
+    """All kernel rows of one corner, one per action in ``params.actions()`` order.
 
-    Invalid corners (fractions summing past 1) self-loop with probability one.
-    Aggregated corner masses below entry_tol are dropped and the row is
-    renormalized.
+    Each row is the exact atom law of ``seir.transition_pmf`` pushed onto the
+    grid corners, computed once per vaccination level y_V: the atoms of every
+    exposure count b that some y_R can draw are pushed once into K[b, corner],
+    and the row of (y_V, y_R) is pB(y_R) @ K.  JOINT_TOL applies to the
+    action-free (C, D) factor, so the atoms kept are a superset of the
+    per-action table's.  Corner masses below ENTRY_TOL are dropped and each
+    row is renormalized.  Invalid corners (fractions summing past 1)
+    self-loop with probability one.
     """
+    n_rows = (params.L + 1) * (params.M + 1)
     if not grid.in_S[corner_index]:
-        return SparseDistribution(np.array([corner_index]), np.array([1.0]))
+        row = SparseDistribution(np.array([corner_index]), np.array([1.0]))
+        return [row] * n_rows
     state = grid.state_of(corner_index)
-    tbl = transition_pmf(params, state, action)
-    idx, wts, _ = grid.locate_many(tbl.points)
-    mass = np.bincount(
-        idx.ravel(), weights=(wts * tbl.probs[:, None]).ravel(),
-        minlength=grid.n_corners,
-    )
-    support = np.nonzero(mass >= entry_tol)[0]
-    return SparseDistribution(support, mass[support], normalize=True)
+    N, n_corners = params.N, grid.n_corners
+    n_S, n_E, n_I = state.counts(N)
+
+    kC, pC = binomial_row(n_E, params.rho_C)
+    kD, pD = binomial_row(n_I, params.rho_D)
+    p_cd = pC[:, None] * pD[None, :]
+    keep = p_cd >= JOINT_TOL
+    p_cd = p_cd[keep] / p_cd[keep].sum()
+    C = np.broadcast_to(kC[:, None], keep.shape)[keep]
+    D = np.broadcast_to(kD[None, :], keep.shape)[keep]
+    E_base = n_E - C          # successor E count before adding b
+    I_next = n_I + C - D
+    n_cd = len(p_cd)
+    # Exposure counts per push, so that both the points and the K block stay
+    # within _PUSH_CHUNK entries.
+    per_chunk = max(1, _PUSH_CHUNK // max(n_cd, n_corners))
+
+    # The exposure probability of each y_R; it does not depend on y_V.
+    phis = [compile_rates(params, state, Action(0, y_R)).phi
+            for y_R in range(params.M + 1)]
+    rows: list[SparseDistribution] = []
+    for y_V in range(params.L + 1):
+        trials = vaccination_trials(params, n_S, y_V)
+        marginals = [binomial_row(trials, phi) for phi in phis]
+        kB = np.unique(np.concatenate([k for k, _ in marginals]))
+        pB = np.zeros((len(phis), len(kB)))
+        for r, (k, p) in enumerate(marginals):
+            pB[r, np.searchsorted(kB, k)] = p / p.sum()
+
+        mass = np.zeros((len(phis), n_corners))
+        for lo in range(0, len(kB), per_chunk):
+            b = kB[lo:lo + per_chunk]
+            points = np.empty((len(b), n_cd, 3))
+            points[:, :, 0] = ((trials - b) / N)[:, None]
+            points[:, :, 1] = (E_base[None, :] + b[:, None]) / N
+            points[:, :, 2] = (I_next / N)[None, :]
+            idx, wts, _ = grid.locate_many(points.reshape(-1, 3))
+            offset = np.repeat(np.arange(len(b)) * n_corners, n_cd)
+            K = np.bincount(
+                (idx + offset[:, None]).ravel(),
+                weights=(wts * np.tile(p_cd, len(b))[:, None]).ravel(),
+                minlength=len(b) * n_corners,
+            ).reshape(len(b), n_corners)
+            mass += pB[:, lo:lo + per_chunk] @ K
+        for row_mass in mass:
+            support = np.nonzero(row_mass >= ENTRY_TOL)[0]
+            rows.append(SparseDistribution(support, row_mass[support], normalize=True))
+    return rows
 
 
 def discrete_reward(
@@ -259,24 +324,6 @@ def terminal_reward(grid: Grid, corner_index: int) -> float:
     return 0.0
 
 
-def successor_support(
-    grid: Grid,
-    params: EpidemicParams,
-    corner_index: int,
-    actions: list[Action] | None = None,
-) -> np.ndarray:
-    """Union of kernel-row supports over the action set, ascending indices."""
-    if not grid.in_S[corner_index]:
-        raise DomainError("successor support is defined for corners inside S")
-    if actions is None:
-        actions = params.actions()
-    seen: set[int] = set()
-    for a in actions:
-        row = discretize_kernel(grid, params, corner_index, a)
-        seen.update(int(i) for i in row.indices)
-    return np.array(sorted(seen), dtype=np.int64)
-
-
 def cache_key(params: EpidemicParams, Y: int, delta: float) -> str:
     """Content hash identifying a compiled kernel/rule cache."""
     payload = "|".join(
@@ -285,4 +332,5 @@ def cache_key(params: EpidemicParams, Y: int, delta: float) -> str:
                   "L", "M", "lam", "T")
     )
     payload += f"|Y={Y}|delta={delta!r}"
+    payload += f"|tols={MARGINAL_TOL!r},{JOINT_TOL!r},{ENTRY_TOL!r}"
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

@@ -14,10 +14,13 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .backup import worst_case_shift
-from .errors import DomainError
+from .errors import CacheError, DomainError
 from .grid import Grid, GridSpec, SparseDistribution, build_grid, cache_key, discretize_kernel
 from .rules import AmbiguityConfig, DecisionRuleCoefficients, fit_rules, reward_rule
 from .seir import Action, EpidemicParams, nominal_reward
+
+
+_KERNEL_HEADER = ["state", "y_V", "y_R", "successor", "prob"]
 
 
 class EpidemicModel:
@@ -51,7 +54,7 @@ class EpidemicModel:
     def compile_state(self, idx: int) -> None:
         if idx in self._rows:
             return
-        rows = [discretize_kernel(self.grid, self.params, idx, a) for a in self.actions]
+        rows = discretize_kernel(self.grid, self.params, idx)
         self._rows[idx] = rows
         self._rewards[idx] = self._reward_vector(idx)
         self._rules[idx] = fit_rules(self.actions, rows,
@@ -128,7 +131,11 @@ class EpidemicModel:
         return worst
 
     def compile_states(self, indices, workers: int = 1) -> None:
-        """Compile many states, optionally across processes."""
+        """Compile many states, optionally across processes.
+
+        Each worker builds its own model once and runs compile_state on the
+        states it is handed, so both routes produce the same rows and rules.
+        """
         todo = [int(i) for i in indices if int(i) not in self._rows]
         if not todo:
             return
@@ -136,9 +143,9 @@ class EpidemicModel:
             for i in todo:
                 self.compile_state(i)
             return
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(_compile_one,
-                              [(self.params, self.grid.Y, self.acfg, i) for i in todo],
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                                 initargs=(self.params, self.grid.Y, self.acfg)) as pool:
+            chunks = pool.map(_compile_in_worker, todo,
                               chunksize=max(1, len(todo) // (4 * workers)))
             for idx, rows, rewards, rules in chunks:
                 self._rows[idx] = rows
@@ -158,7 +165,7 @@ class EpidemicModel:
         rpath = os.path.join(directory, f"rules_{key}.csv")
         with open(kpath, "w", newline="") as fh:
             wr = csv.writer(fh)
-            wr.writerow(["state", "y_V", "y_R", "successor", "prob"])
+            wr.writerow(_KERNEL_HEADER)
             for idx in sorted(self._rows):
                 for a, row in zip(self.actions, self._rows[idx]):
                     for s, p in zip(row.indices, row.probs):
@@ -177,25 +184,46 @@ class EpidemicModel:
         return [kpath, rpath]
 
     def load_cache(self, directory: str) -> bool:
-        """Load a matching cache if present; returns True when hydrated."""
+        """Load a matching cache if present; returns True when hydrated.
+
+        Raises CacheError naming the file when it is truncated or corrupt:
+        a malformed line, a state or successor off the grid, a state missing
+        an action, or a row that is not a distribution (a repeated successor,
+        a negative entry, or a sum off one by more than 1e-9).
+        """
         key = self.key()
         kpath = os.path.join(directory, f"kernels_{key}.csv")
         if not os.path.exists(kpath):
             return False
         per_state: dict[int, dict[tuple[int, int], list[tuple[int, float]]]] = {}
+        n = self.grid.n_corners
         with open(kpath, newline="") as fh:
             rd = csv.reader(fh)
-            next(rd)
-            for state, y_V, y_R, succ, prob in rd:
-                per_state.setdefault(int(state), {}).setdefault(
-                    (int(y_V), int(y_R)), []).append((int(succ), float(prob)))
+            if next(rd, None) != _KERNEL_HEADER:
+                raise CacheError(f"{kpath}: missing header {','.join(_KERNEL_HEADER)}")
+            for line in rd:
+                try:
+                    state, y_V, y_R, succ, prob = line
+                    state, succ, prob = int(state), int(succ), float(prob)
+                    action = (int(y_V), int(y_R))
+                except ValueError:
+                    raise CacheError(
+                        f"{kpath}:{rd.line_num}: malformed line {line!r}") from None
+                if not (0 <= state < n and 0 <= succ < n):
+                    raise CacheError(f"{kpath}:{rd.line_num}: corner index off the grid")
+                per_state.setdefault(state, {}).setdefault(action, []).append((succ, prob))
+        expected = {(a.y_V, a.y_R) for a in self.actions}
         for idx, by_action in per_state.items():
+            if set(by_action) != expected:
+                raise CacheError(f"{kpath}: state {idx} does not list every action")
             rows = []
             for a in self.actions:
-                entries = by_action[(a.y_V, a.y_R)]
-                arr = np.array(entries)
-                rows.append(SparseDistribution(arr[:, 0].astype(np.int64),
-                                               arr[:, 1], normalize=True))
+                arr = np.array(by_action[(a.y_V, a.y_R)])
+                try:
+                    rows.append(SparseDistribution(arr[:, 0].astype(np.int64), arr[:, 1]))
+                except DomainError as exc:
+                    raise CacheError(f"{kpath}: row of state {idx}, action "
+                                     f"({a.y_V}, {a.y_R}): {exc}") from None
             self._rows[idx] = rows
             self._rewards[idx] = self._reward_vector(idx)
             self._rules[idx] = fit_rules(self.actions, rows,
@@ -203,18 +231,19 @@ class EpidemicModel:
         return True
 
 
-def _compile_one(args):
-    params, Y, acfg, idx = args
-    grid = build_grid(GridSpec(Y))
-    actions = params.actions()
-    rows = [discretize_kernel(grid, params, idx, a) for a in actions]
-    if grid.in_S[idx]:
-        state = grid.state_of(idx)
-        rewards = np.array([nominal_reward(params, state, a) for a in actions])
-    else:
-        rewards = np.zeros(len(actions))
-    rules = fit_rules(actions, rows, list(rewards), acfg)
-    return idx, rows, rewards, rules
+# The model a pool worker compiles with, built once by _init_worker.
+_worker_model: EpidemicModel | None = None
+
+
+def _init_worker(params: EpidemicParams, Y: int, acfg: AmbiguityConfig) -> None:
+    global _worker_model
+    _worker_model = EpidemicModel(params, Y, acfg)
+
+
+def _compile_in_worker(idx: int):
+    m = _worker_model
+    m.compile_state(idx)
+    return idx, m._rows.pop(idx), m._rewards.pop(idx), m._rules.pop(idx)
 
 
 def lattice_state_index(model: EpidemicModel, p_S: float, p_E: float, p_I: float) -> int:

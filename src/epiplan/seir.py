@@ -6,6 +6,12 @@ independent binomial counts (new exposures, new infectious, new recoveries)
 whose success probabilities depend on the control action: a vaccination level
 y_V that immediately removes susceptibles, and an intervention level y_R that
 scales the contact rate down.
+
+Only the exposure count B depends on the action: y_V sets its number of trials
+and y_R its success probability.  The (C, D) counts have the same law under
+every action, which is what lets ``grid.discretize_kernel`` push all rows of a
+state at once.  ``transition_pmf`` gives the per-action atom table and is the
+reference that push is tested against.
 """
 
 from __future__ import annotations
@@ -17,6 +23,14 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError
+
+# Kernel truncation tolerances, hashed into the cache key.  Binomial entries
+# below MARGINAL_TOL and joint atom masses below JOINT_TOL are dropped before
+# the push; pushed corner masses below ENTRY_TOL are dropped after it.  Each
+# drop is followed by renormalization; the discarded mass is far below 1e-9.
+MARGINAL_TOL = 1e-12
+JOINT_TOL = 1e-15
+ENTRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -174,8 +188,8 @@ def binomial_pmf(n: int, p: float, k: int) -> float:
     return float(math.exp(log_pmf))
 
 
-def _binomial_row(n: int, p: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Support values and pmf of Bin(n, p), keeping entries with mass >= tol."""
+def binomial_row(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Support values and pmf of Bin(n, p), keeping entries with mass >= MARGINAL_TOL."""
     ks = np.arange(n + 1)
     if p == 0.0:
         return np.array([0]), np.array([1.0])
@@ -189,7 +203,7 @@ def _binomial_row(n: int, p: float, tol: float) -> tuple[np.ndarray, np.ndarray]
         + (n - ks) * math.log1p(-p)
     )
     pmf = np.exp(log_pmf)
-    keep = pmf >= tol
+    keep = pmf >= MARGINAL_TOL
     if not keep.any():
         keep[int(np.argmax(pmf))] = True
     return ks[keep], pmf[keep]
@@ -209,41 +223,36 @@ class TransitionTable:
     def __len__(self) -> int:
         return len(self.probs)
 
-    def atoms(self):
-        """Iterate (ContinuousState, probability) pairs."""
-        for row, pr in zip(self.points, self.probs):
-            yield ContinuousState(*map(float, row)), float(pr)
+
+def vaccination_trials(params: EpidemicParams, n_S: int, y_V: int) -> int:
+    """Susceptibles left to draw exposures from after vaccinating at level y_V."""
+    return round(n_S * (1.0 - y_V / params.L))
 
 
 def transition_pmf(
-    params: EpidemicParams,
-    state: ContinuousState,
-    action: Action,
-    marginal_tol: float = 1e-12,
-    joint_tol: float = 1e-15,
+    params: EpidemicParams, state: ContinuousState, action: Action
 ) -> TransitionTable:
-    """Exact one-period transition law as a sparse atom table.
+    """Exact one-period transition law of one action as a sparse atom table.
 
-    Marginal binomial entries below marginal_tol and joint products below
-    joint_tol are dropped, then the table is renormalized; the discarded mass
-    is far below 1e-9.
+    Marginal binomial entries below MARGINAL_TOL and joint products below
+    JOINT_TOL are dropped, then the table is renormalized.
     """
     _check_action(params, action)
     N = params.N
     n_S, n_E, n_I = state.counts(N)
     rates = compile_rates(params, state, action)
-    trials_B = round(n_S * (1.0 - action.y_V / params.L))
+    trials_B = vaccination_trials(params, n_S, action.y_V)
 
-    kB, pB = _binomial_row(trials_B, rates.phi, marginal_tol)
-    kC, pC = _binomial_row(n_E, rates.rho_C, marginal_tol)
-    kD, pD = _binomial_row(n_I, rates.rho_D, marginal_tol)
+    kB, pB = binomial_row(trials_B, rates.phi)
+    kC, pC = binomial_row(n_E, rates.rho_C)
+    kD, pD = binomial_row(n_I, rates.rho_D)
 
     prob = pB[:, None, None] * pC[None, :, None] * pD[None, None, :]
     B = np.broadcast_to(kB[:, None, None], prob.shape)
     C = np.broadcast_to(kC[None, :, None], prob.shape)
     D = np.broadcast_to(kD[None, None, :], prob.shape)
 
-    keep = prob >= joint_tol
+    keep = prob >= JOINT_TOL
     prob = prob[keep]
     B, C, D = B[keep], C[keep], D[keep]
 
@@ -267,7 +276,7 @@ def sample_transition(
     _check_action(params, action)
     n_S, n_E, n_I = state.counts(params.N)
     rates = compile_rates(params, state, action)
-    trials_B = round(n_S * (1.0 - action.y_V / params.L))
+    trials_B = vaccination_trials(params, n_S, action.y_V)
     n_B = int(rng.binomial(trials_B, rates.phi)) if trials_B > 0 else 0
     n_C = int(rng.binomial(n_E, rates.rho_C)) if n_E > 0 else 0
     n_D = int(rng.binomial(n_I, rates.rho_D)) if n_I > 0 else 0
@@ -280,7 +289,7 @@ def apply_draw(
     """Successor state implied by a draw."""
     N = params.N
     n_S, n_E, n_I = state.counts(N)
-    trials_B = round(n_S * (1.0 - action.y_V / params.L))
+    trials_B = vaccination_trials(params, n_S, action.y_V)
     return ContinuousState(
         (trials_B - draw.n_B) / N,
         (n_E + draw.n_B - draw.n_C) / N,

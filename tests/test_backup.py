@@ -360,7 +360,7 @@ class TestFullSpaceCheck:
                                 lam=0.95, T=4)
         idx = grid.index_of(1, 1, 0)
         actions = params.actions()
-        kernels = [discretize_kernel(grid, params, idx, a) for a in actions]
+        kernels = discretize_kernel(grid, params, idx)
         rewards = [discrete_reward(grid, params, idx, a) for a in actions]
         return grid, params, actions, kernels, rewards
 

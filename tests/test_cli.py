@@ -142,6 +142,17 @@ class TestDispatch:
         assert kernel_files
         assert dispatch(["--config", path, "--out", out, "solve"]) == 0
 
+    def test_truncated_cache_exits_1(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, TOY)
+        out = tmp_path / "out"
+        assert dispatch(["--config", path, "--out", str(out), "compile"]) == 0
+        kernels = next(out.glob("kernels_*.csv"))
+        lines = kernels.read_text().splitlines(keepends=True)
+        kernels.write_text("".join(lines[: len(lines) // 2]))
+        capsys.readouterr()
+        assert dispatch(["--config", path, "--out", str(out), "solve"]) == 1
+        assert str(kernels) in capsys.readouterr().err
+
     def test_simulate(self, tmp_path):
         path = write_cfg(tmp_path, TOY)
         out = str(tmp_path / "sim")

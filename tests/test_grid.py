@@ -10,10 +10,9 @@ from epiplan.grid import (
     discrete_reward,
     discretize_kernel,
     simplex_corners,
-    successor_support,
     terminal_reward,
 )
-from epiplan.seir import nominal_reward
+from epiplan.seir import ENTRY_TOL, nominal_reward, transition_pmf
 
 
 def toy_params(**kw):
@@ -21,6 +20,50 @@ def toy_params(**kw):
                 Q=2.0, k_R=3.0, W=1.0, L=2, M=2, lam=0.95, T=4)
     base.update(kw)
     return EpidemicParams(**base)
+
+
+def row_of(grid, params, idx, action):
+    """The kernel row of one action, from the per-state push."""
+    return discretize_kernel(grid, params, idx)[params.actions().index(action)]
+
+
+def per_action_push(grid, params, idx):
+    """Reference rows: each action's atom table located and accumulated alone."""
+    rows = []
+    for a in params.actions():
+        if not grid.in_S[idx]:
+            rows.append((np.array([idx]), np.array([1.0])))
+            continue
+        tbl = transition_pmf(params, grid.state_of(idx), a)
+        corners, wts, _ = grid.locate_many(tbl.points)
+        mass = np.bincount(corners.ravel(), weights=(wts * tbl.probs[:, None]).ravel(),
+                           minlength=grid.n_corners)
+        support = np.nonzero(mass >= ENTRY_TOL)[0]
+        rows.append((support, mass[support] / mass[support].sum()))
+    return rows
+
+
+def locate_by_argsort(grid, pts):
+    """Reference point location: stable descending argsort of the fractional
+    parts, vertex path by cumulative sum of unit steps, label by rank lookup."""
+    Y = grid.Y
+    scaled = np.clip(pts, 0.0, 1.0) * Y
+    cell = np.minimum(scaled.astype(np.int64), Y - 1)
+    frac = scaled - cell
+    order = np.argsort(-frac, axis=1, kind="stable")
+    fs = np.take_along_axis(frac, order, axis=1)
+    weights = np.stack([1.0 - fs[:, 0], fs[:, 0] - fs[:, 1], fs[:, 1] - fs[:, 2],
+                        fs[:, 2]], axis=1)
+    step = np.zeros((len(pts), 4, 3), dtype=np.int64)
+    rows = np.arange(len(pts))
+    for j in range(3):
+        step[rows, j + 1, order[:, j]] = 1
+    verts = cell[:, None, :] + np.cumsum(step, axis=1)
+    side = Y + 1
+    idx = (verts[:, :, 0] * side + verts[:, :, 1]) * side + verts[:, :, 2]
+    perms = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]]
+    label = np.array([perms.index(list(o)) for o in order])
+    return idx, weights, label
 
 
 class TestBuildGrid:
@@ -108,6 +151,19 @@ class TestLocate:
             if ones in (1, 2):
                 assert len(owners) == 2, v
 
+    def test_matches_argsort_formula_on_ties(self):
+        # Fractional parts tying on two or three axes, or equal to 0, on
+        # interior cells and on the top cell, where the cell index is clamped.
+        g = build_grid(GridSpec(4))
+        levels = [0.0, 0.125, 0.5, 0.875]
+        fracs = np.array([(a, b, c) for a in levels for b in levels for c in levels])
+        pts = np.concatenate([(cell + fracs) / 4 for cell in
+                              ((0, 0, 0), (1, 2, 3), (3, 3, 3))] + [np.ones((1, 3))])
+        got = g.locate_many(pts)
+        want = locate_by_argsort(g, pts)
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
     def test_outside_cube_rejected(self):
         g = build_grid(GridSpec(2))
         with pytest.raises(DomainError):
@@ -139,15 +195,15 @@ class TestDiscretizeKernel:
         g = build_grid(GridSpec(2))
         p = toy_params()
         idx = g.index_of(2, 2, 2)  # fractions sum to 3
-        row = discretize_kernel(g, p, idx, Action(0, 0))
-        assert row.as_dict() == {idx: 1.0}
+        rows = discretize_kernel(g, p, idx)
+        assert len(rows) == len(p.actions())
+        assert all(row.as_dict() == {idx: 1.0} for row in rows)
 
     def test_disease_free_self_loop(self):
         g = build_grid(GridSpec(2))
         p = toy_params()
         idx = g.index_of(0, 0, 0)
-        row = discretize_kernel(g, p, idx, Action(0, 0))
-        assert row.as_dict() == {idx: 1.0}
+        assert all(row.as_dict() == {idx: 1.0} for row in discretize_kernel(g, p, idx))
 
     def test_row_matches_atom_enumeration(self):
         # Oracle: enumerate atoms with scalar pmfs, locate each one, accumulate.
@@ -168,19 +224,47 @@ class TestDiscretizeKernel:
                 bw = g.locate(pt)
                 for c, w in zip(bw.corners, bw.weights):
                     expect[c] = expect.get(c, 0.0) + w * pr
-        row = discretize_kernel(g, p, idx, a)
+        row = row_of(g, p, idx, a)
         got = row.as_dict()
         for c, v in expect.items():
             if v > 1e-12:
                 assert got[c] == pytest.approx(v, rel=1e-9), c
         assert sum(got.values()) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("N, Y, lattice", [
+        pytest.param(4, 2, (2, 2, 2), id="absorbing"),          # outside S
+        pytest.param(9, 3, (3, 0, 0), id="disease-free"),       # only susceptibles
+        pytest.param(9, 3, (1, 2, 0), id="no-infectives"),      # p_I = 0, phi = 0
+        pytest.param(9, 3, (1, 1, 1), id="all-random"),         # B, C, D all drawn
+        pytest.param(1000, 10, (7, 1, 2), id="default-initial"),  # (0.7, 0.1, 0.2)
+    ])
+    def test_rows_match_per_action_push(self, N, Y, lattice):
+        g = build_grid(GridSpec(Y))
+        p = EpidemicParams(N=N)
+        idx = g.index_of(*lattice)
+        rows = discretize_kernel(g, p, idx)
+        ref = per_action_push(g, p, idx)
+        assert len(rows) == len(ref) == len(p.actions())
+        for a, row, (support, probs) in zip(p.actions(), rows, ref):
+            np.testing.assert_array_equal(row.indices, support, err_msg=str(a))
+            assert np.abs(row.probs - probs).sum() <= 1e-9, a
+
+    def test_full_vaccination_rows_equal(self):
+        # y_V = L leaves no susceptible to expose, so y_R changes nothing.
+        g = build_grid(GridSpec(3))
+        p = toy_params(N=9)
+        rows = discretize_kernel(g, p, g.index_of(1, 1, 1))
+        full = [r for a, r in zip(p.actions(), rows) if a.y_V == p.L]
+        assert len(full) == p.M + 1
+        for r in full[1:]:
+            np.testing.assert_array_equal(r.indices, full[0].indices)
+            np.testing.assert_allclose(r.probs, full[0].probs, rtol=0, atol=1e-15)
+
     def test_rows_sum_to_one_random_states(self):
         g = build_grid(GridSpec(3))
         p = toy_params(N=9)
         for idx in g.in_S_indices():
-            for a in (Action(0, 0), Action(2, 1)):
-                row = discretize_kernel(g, p, int(idx), a)
+            for row in discretize_kernel(g, p, int(idx)):
                 assert row.probs.sum() == pytest.approx(1.0, abs=1e-9)
                 assert np.all(row.probs >= 0)
 
@@ -190,7 +274,7 @@ class TestDiscretizeKernel:
         g = build_grid(GridSpec(2))
         p = toy_params(N=4)
         idx = g.index_of(1, 0, 1)  # (0.5, 0, 0.5)
-        row = discretize_kernel(g, p, idx, Action(0, 0))
+        row = row_of(g, p, idx, Action(0, 0))
         outside = [i for i in row.indices if not g.in_S[i]]
         inside_mass = sum(pr for i, pr in row.as_dict().items() if g.in_S[i])
         assert inside_mass > 0.5
@@ -216,24 +300,15 @@ class TestRewardAndSupport:
         g = build_grid(GridSpec(2))
         assert terminal_reward(g, 3) == 0.0
 
-    def test_successor_support_superset_of_rows(self):
-        g = build_grid(GridSpec(2))
-        p = toy_params(N=4)
-        idx = g.index_of(1, 1, 0)
-        supp = set(successor_support(g, p, idx))
-        for a in p.actions():
-            row = discretize_kernel(g, p, idx, a)
-            assert set(row.indices) <= supp
-
     def test_disease_free_support_is_self(self):
         g = build_grid(GridSpec(2))
         p = toy_params()
         idx = g.index_of(1, 0, 0)
-        supp = successor_support(g, p, idx)
         # No exposed/infectious: every action leaves a point mass on p_E=p_I=0.
-        for s in supp:
-            lat = g.corner(int(s)).lattice
-            assert lat[1] == 0 and lat[2] == 0
+        for row in discretize_kernel(g, p, idx):
+            for s in row.indices:
+                lat = g.corner(int(s)).lattice
+                assert lat[1] == 0 and lat[2] == 0
 
 
 class TestCacheKey:

@@ -1,7 +1,9 @@
+import re
+
 import numpy as np
 import pytest
 
-from epiplan import Action, DomainError, EpidemicParams
+from epiplan import Action, CacheError, DomainError, EpidemicParams
 from epiplan.model import EpidemicModel, lattice_state_index
 from epiplan.plan import (
     PlannerConfig,
@@ -250,6 +252,26 @@ class TestModelBundle:
         model.save_cache(str(tmp_path))
         other = toy_model(N=8, T=3)
         assert not other.load_cache(str(tmp_path))
+
+    @pytest.mark.parametrize("corrupt", [
+        pytest.param(lambda lines: lines[:-1], id="row-cut-short"),
+        pytest.param(lambda lines: lines[:-1] + [lines[-1][: len(lines[-1]) // 2]],
+                     id="line-cut"),
+        pytest.param(lambda lines: lines[:-1] + ["0,0,0,999,1.0"],
+                     id="successor-off-grid"),
+        pytest.param(lambda lines: lines + ["0,9,9,0,1.0"], id="unknown-action"),
+        pytest.param(lambda lines: [], id="emptied"),
+    ])
+    def test_corrupt_cache_raises(self, tmp_path, corrupt):
+        model = toy_model(N=4, T=3)
+        model.compile_state(model.grid.index_of(1, 1, 0))
+        kpath = model.save_cache(str(tmp_path))[0]
+        with open(kpath) as fh:
+            lines = fh.read().splitlines()
+        with open(kpath, "w") as fh:
+            fh.write("".join(line + "\n" for line in corrupt(lines)))
+        with pytest.raises(CacheError, match=re.escape(kpath)):
+            toy_model(N=4, T=3).load_cache(str(tmp_path))
 
     def test_parallel_compile_matches_serial(self):
         serial = toy_model(N=6, Y=2, T=3)

@@ -6,8 +6,9 @@ charged at k per unit.  Three equivalent routes compute it:
 
 * a small LP in (q, w, u), the dual of the penalized mean problem;
 * the penalized mean problem itself (the primal oracle);
-* a closed-form parametric solve used on hot paths, exact because the dual
-  objective is concave piecewise-linear in q with enumerable breakpoints.
+* a closed-form parametric solve used on hot paths, batched over all actions
+  of a state, exact because the dual objective is concave piecewise-linear
+  in q with kinks at 2m+1 points every action shares.
 
 Action selection is then either explicit enumeration, or a single
 mixed-integer program linearizing the action-times-multiplier products with
@@ -21,10 +22,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import SolverError
+from .errors import DomainError, SolverError
 from .grid import Grid, SparseDistribution
 from .lp import LinearProgram, MixedIntegerProgram, solve_lp, solve_mip
-from .rules import AmbiguityConfig, DecisionRuleCoefficients, eta_bounds, fit_rules, reward_rule
+from .rules import (
+    AmbiguityConfig,
+    DecisionRuleCoefficients,
+    design_matrix,
+    eta_bounds,
+    fit_rules,
+    reward_rule,
+)
 from .seir import Action
 
 ValueLookup = Callable[[int], float]
@@ -124,7 +132,7 @@ def robust_backup(
 
 
 # ---------------------------------------------------------------------------
-# Inner (per-action) problem: LP route, primal oracle, and parametric route
+# Inner problem: LP route, primal oracle, and batched parametric route
 
 
 def inner_dual_lp(
@@ -133,7 +141,6 @@ def inner_dual_lp(
     v_next: np.ndarray | ValueLookup,
     lam: float,
     k: float,
-    method: str = "lp",
     want_mean: bool = False,
     _v_aligned: np.ndarray | None = None,
 ) -> tuple[float, DualSolution]:
@@ -153,16 +160,11 @@ def inner_dual_lp(
     v = lam * _v_aligned
     m = len(v)
 
-    if method == "parametric":
-        fut, q, w, u = inner_value_parametric(eb.eta_L, eb.eta_U, v, k)
-        sol = DualSolution(q=q, w=w, u=u)
-    else:
-        lp = inner_dual_program(eb.eta_L, eb.eta_U, v, k)
-        res = solve_lp(lp)
-        if res.status != "optimal":
-            raise SolverError(f"inner LP unexpectedly {res.status}")
-        fut = res.objective
-        sol = DualSolution(q=float(res.x[0]), w=res.x[1:1 + m], u=res.x[1 + m:])
+    res = solve_lp(inner_dual_program(eb.eta_L, eb.eta_U, v, k))
+    if res.status != "optimal":
+        raise SolverError(f"inner LP unexpectedly {res.status}")
+    fut = res.objective
+    sol = DualSolution(q=float(res.x[0]), w=res.x[1:1 + m], u=res.x[1 + m:])
 
     if want_mean:
         _, mean, slack = inner_primal_oracle(coeffs, action, v_next, lam, k,
@@ -241,85 +243,49 @@ def inner_primal_oracle(
 
 def inner_value_parametric(
     eta_L: np.ndarray, eta_U: np.ndarray, v: np.ndarray, k: float
-) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Exact closed-form solve of the multiplier LP (without the reward term).
+) -> np.ndarray:
+    """Exact solve of the multiplier LP (without the reward term) for a batch.
 
-    For fixed q the problem separates per successor into a two-variable LP
-    over a triangle, so the total objective is concave piecewise-linear in q.
-    Its kinks lie where a per-successor optimal vertex changes; all such q are
-    enumerated and the best is taken.  Returns (value, q, w, u).
+    eta_L / eta_U are (n, m): one row of mean bounds per action over the same
+    support, and v (m,) carries the discount.  Returns the n optimal values.
+
+    For fixed q the problem separates per successor j into a two-variable LP
+    whose value g_j(d), d = q - v_j, is concave in d and, being a max of
+    vertex values on each of [-k, 0] and [0, k], affine on each; it is
+    constant below -k and infeasible above k.  The objective q + sum_j g_j is
+    therefore concave piecewise-linear with kinks only at v_j - k and v_j,
+    the same points for every action, and is maximized at the first kink
+    where its slope turns nonpositive, or at the right end min(v) + k.
     """
+    A = -np.asarray(eta_U, dtype=np.float64)  # coefficient of w
+    B = np.asarray(eta_L, dtype=np.float64)   # coefficient of u
     v = np.asarray(v, dtype=np.float64)
-    m = len(v)
-    if k <= 0.0:
-        q = float(v.min())
-        return q, q, np.zeros(m), np.zeros(m)
 
-    A = -np.asarray(eta_U, dtype=np.float64)  # objective coefficient of w
-    B = np.asarray(eta_L, dtype=np.float64)   # objective coefficient of u
-    vmin = float(v.min())
+    # Per unit of k: g(0) = k*g0, g(-k) = k*max(0, A, B), g(k) = k*A, so the
+    # slopes on [-k, 0] and [0, k] are s1 and s2 whatever k is.
+    g0 = np.maximum(np.maximum(A, 0.5 * (A + B)), 0.0)
+    s1 = g0 - np.maximum(np.maximum(A, B), 0.0)
+    s2 = A - g0
+    kinks = np.concatenate([v - k, v])
+    order = np.argsort(kinks, kind="stable")
+    steps = np.concatenate([s1, s2 - s1], axis=1)[:, order]
+    slope = 1.0 + np.cumsum(steps, axis=1)  # right slope after each kink
+    down = slope <= 0.0
+    q = np.where(down.any(axis=1), kinks[order][np.argmax(down, axis=1)], np.inf)
+    q = np.minimum(q, v.min() + k)[:, None]
 
-    cands = [v, v - k, np.array([vmin + k])]
-    # Interior vertex crossings exist only when the offset lands inside the
-    # crossing pair's feasibility window; filter by sign conditions.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ok1 = (A * B > 0) & (np.abs(A) <= np.abs(B))
-        cross1 = np.where(ok1, v - A * k / B, np.nan)
-        ok2 = (A * B <= 0) & (np.abs(A - B) > 1e-12)
-        cross2 = np.where(ok2, v - k * (A + B) / (A - B), np.nan)
-    cands.append(cross1[np.isfinite(cross1)])
-    cands.append(cross2[np.isfinite(cross2)])
-    q_cand = np.unique(np.minimum(np.concatenate(cands), vmin + k))
-
-    Ak = A * k
-    Bk = B * k
-
-    def total_at(q: float) -> float:
-        # Clamp d at k: beyond it the problem is infeasible, and the clamp
-        # also absorbs the one-ulp overshoot of (vmin + k) - v_j at the edge.
-        d = np.minimum(q - v, k)
-        g = np.where(d <= 0.0, 0.0, -np.inf)
-        g = np.maximum(g, np.where(d >= 0.0, A * d, -np.inf))
-        g = np.maximum(g, Ak)
-        g = np.maximum(g, np.where((d >= -k) & (d <= 0.0), -B * d, -np.inf))
-        g = np.maximum(g, np.where(d <= -k, Bk, -np.inf))
-        g = np.maximum(g, np.where(d >= -k, 0.5 * (A * (k + d) + B * (k - d)),
-                                   -np.inf))
-        return float(q + g.sum())
-
-    # The objective is concave piecewise-linear in q and every kink is a
-    # candidate, so ternary search over the sorted candidates is exact.
-    lo, hi = 0, len(q_cand) - 1
-    while hi - lo > 3:
-        m1 = lo + (hi - lo) // 3
-        m2 = hi - (hi - lo) // 3
-        if total_at(q_cand[m1]) < total_at(q_cand[m2]):
-            lo = m1 + 1
-        else:
-            hi = m2
-    vals = [total_at(q_cand[i]) for i in range(lo, hi + 1)]
-    best = lo + int(np.argmax(vals))
-    q = float(q_cand[best])
-    value = float(vals[best - lo])
-
-    # Reconstruct (w, u) at the optimal q, first feasible argmax per successor.
-    dd = np.minimum(q - v, k)
-    wv = np.stack([np.zeros(m), np.clip(dd, 0.0, None), np.full(m, k),
-                   np.zeros(m), np.zeros(m), 0.5 * (k + dd)])
-    uv = np.stack([np.zeros(m), np.zeros(m), np.zeros(m),
-                   np.clip(-dd, 0.0, None), np.full(m, k), 0.5 * (k - dd)])
-    feas = np.stack([
-        dd <= 0.0,
-        (dd >= 0.0) & (dd <= k),
-        dd <= k,
-        (dd >= -k) & (dd <= 0.0),
-        dd <= -k,
-        np.abs(dd) <= k,
-    ])
-    vals = np.where(feas, A[None, :] * wv + B[None, :] * uv, -np.inf)
-    pick = np.argmax(vals, axis=0)
-    cols = np.arange(m)
-    return value, q, wv[pick, cols], uv[pick, cols]
+    # Vertex values at the chosen q.  Clamp d at k: beyond it the problem is
+    # infeasible, and the clamp also absorbs the one-ulp overshoot of
+    # (vmin + k) - v_j at the edge.
+    d = np.minimum(q - v, k)
+    g = np.where(d <= 0.0, 0.0, -np.inf)
+    g = np.maximum(g, np.where(d >= 0.0, A * d, -np.inf))
+    g = np.maximum(g, A * k)
+    g = np.maximum(g, np.where((d >= -k) & (d <= 0.0), -B * d, -np.inf))
+    g = np.maximum(g, np.where(d <= -k, B * k, -np.inf))
+    g = np.maximum(g, np.where(d >= -k, 0.5 * (A * (k + d) + B * (k - d)),
+                               -np.inf))
+    return q[:, 0] + g.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -332,35 +298,26 @@ def drmdp_backup_enumerate(
     v_next: np.ndarray | ValueLookup,
     lam: float,
     k: float,
-    method: str = "lp",
+    method: str,
 ) -> tuple[float, Action]:
-    """Reference backup: evaluate the inner problem for every action."""
-    v = values_over(coeffs.support, v_next)
-    best_val, best_a = -np.inf, None
-    for a in _sorted_actions(actions):
-        q_val, _ = inner_dual_lp(coeffs, a, v_next, lam, k, method=method,
-                                 _v_aligned=v)
-        if q_val > best_val:
-            best_val, best_a = q_val, a
-    return best_val, best_a
+    """Reference backup: the inner problem for every action, then the best.
 
-
-def ldr_nominal_backup(
-    coeffs: DecisionRuleCoefficients,
-    actions: Sequence[Action],
-    v_next: np.ndarray | ValueLookup,
-    lam: float,
-) -> tuple[float, Action]:
-    """Nominal backup using the fitted rules: reward rule plus midpoint row."""
+    method "parametric" solves every action in one batched call; "lp" solves
+    the multiplier LP per action.  Ties go to the lowest (y_V, y_R).
+    """
+    acts = _sorted_actions(actions)
     v = values_over(coeffs.support, v_next)
-    best_val, best_a = -np.inf, None
-    for a in _sorted_actions(actions):
-        eb = eta_bounds(coeffs, a)
-        mid = 0.5 * (eb.eta_L + eb.eta_U)
-        val = reward_rule(coeffs, a) + lam * float(mid @ v)
-        if val > best_val:
-            best_val, best_a = val, a
-    return best_val, best_a
+    if method == "parametric":
+        X = design_matrix(acts)
+        vals = X @ coeffs.eps + inner_value_parametric(
+            X @ coeffs.sigma, X @ coeffs.rho, lam * v, k)
+    elif method == "lp":
+        vals = np.array([inner_dual_lp(coeffs, a, v_next, lam, k, _v_aligned=v)[0]
+                         for a in acts])
+    else:
+        raise DomainError(f"unknown inner method {method!r}")
+    best = int(np.argmax(vals))
+    return float(vals[best]), acts[best]
 
 
 def _mccormick_rows(n_vars, zi, ai, wi, a_lo, a_hi, w_hi):

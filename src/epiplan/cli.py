@@ -228,9 +228,10 @@ def _cmd_selftest(cfg: RunConfig, outdir: str, verbose: bool) -> int:
         drmdp_backup_unary,
         inner_dual_lp,
         inner_primal_oracle,
+        inner_value_parametric,
     )
     from .lp import LinearProgram, lp_duality_check
-    from .rules import DecisionRuleCoefficients
+    from .rules import DecisionRuleCoefficients, design_matrix, reward_rule
     from .seir import Action
 
     rng = np.random.default_rng(0)
@@ -253,11 +254,22 @@ def _cmd_selftest(cfg: RunConfig, outdir: str, verbose: bool) -> int:
         dual, _ = inner_dual_lp(coeffs, Action(0, 0), v, 0.95, k, _v_aligned=v)
         primal = inner_primal_oracle(coeffs, Action(0, 0), v, 0.95, k,
                                      _v_aligned=v)
-        fast, _ = inner_dual_lp(coeffs, Action(0, 0), v, 0.95, k,
-                                method="parametric", _v_aligned=v)
-        scale = 1.0 + abs(dual)
-        if abs(dual - primal) > 1e-6 * scale or abs(dual - fast) > 1e-6 * scale:
+        if abs(dual - primal) > 1e-6 * (1.0 + abs(dual)):
             failures += 1
+
+    # The batched parametric solve against the LP route, action by action.
+    batch_actions = [Action(a, b) for a in range(3) for b in range(3)]
+    X = design_matrix(batch_actions)
+    for trial in range(10):
+        m = int(rng.integers(1, 8))
+        coeffs = coeffs_of(m)
+        v = -rng.random(m) * 50
+        k = float(rng.choice([0.0, 1.0, 1e3, 1e6]))
+        fast = inner_value_parametric(X @ coeffs.sigma, X @ coeffs.rho, 0.95 * v, k)
+        for a, f in zip(batch_actions, fast):
+            dual, _ = inner_dual_lp(coeffs, a, v, 0.95, k, _v_aligned=v)
+            if abs(dual - reward_rule(coeffs, a) - f) > 1e-6 * (1.0 + abs(dual)):
+                failures += 1
 
     actions = [Action(a, b) for a in range(2) for b in range(2)]
     for trial in range(15):
@@ -265,7 +277,8 @@ def _cmd_selftest(cfg: RunConfig, outdir: str, verbose: bool) -> int:
         coeffs = coeffs_of(m)
         v = -rng.random(m) * 30
         k = float(rng.choice([1.0, 1e3]))
-        e, _ = drmdp_backup_enumerate(coeffs, actions, v, 0.95, k)
+        e, _ = drmdp_backup_enumerate(coeffs, actions, v, 0.95, k,
+                                      method="parametric")
         un, _ = drmdp_backup_unary(coeffs, v, 0.95, k, L=1, M=1)
         mc, _ = drmdp_backup_mccormick(coeffs, v, 0.95, k, L=1, M=1)
         scale = 1.0 + abs(e)

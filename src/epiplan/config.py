@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError, DomainError
-from .plan import BACKENDS
+from .plan import PlannerConfig
 from .rules import AmbiguityConfig
 from .seir import EpidemicParams
 
@@ -43,6 +43,8 @@ class RunConfig:
     seed: int = 0
     inner_method: str = "parametric"
     early_stop: bool = True
+    stop_tol: float = 1e-7
+    stop_patience: int = 10
     robust_budget: float = 0.5
     mccormick_lower_one: bool = False
     # simulation scenarios
@@ -68,6 +70,7 @@ class RunConfig:
     def planner_kwargs(self) -> dict:
         return dict(backend=self.backend, niter=self.niter, seed=self.seed,
                     inner_method=self.inner_method, early_stop=self.early_stop,
+                    stop_tol=self.stop_tol, stop_patience=self.stop_patience,
                     robust_budget=self.robust_budget,
                     mccormick_lower=(1, 1) if self.mccormick_lower_one else (0, 0))
 
@@ -76,7 +79,8 @@ _KEY_TO_FIELD = {"lambda": "lam"}
 _FIELD_TO_KEY = {"lam": "lambda"}
 
 _BOOL_KEYS = {"early_stop", "mccormick_lower_one"}
-_INT_KEYS = {"N", "L", "M", "T", "Y", "niter", "seed", "nseeds", "threads"}
+_INT_KEYS = {"N", "L", "M", "T", "Y", "niter", "seed", "stop_patience", "nseeds",
+             "threads"}
 _LIST_KEYS = {"p_S1_list", "sweep_values"}
 _STR_KEYS = {"backend", "inner_method", "perturb_direction", "sweep_param"}
 
@@ -137,16 +141,11 @@ def _validate(cfg: RunConfig, source: str) -> None:
     try:
         cfg.params()
         cfg.ambiguity()
+        PlannerConfig(**cfg.planner_kwargs())
     except DomainError as exc:
         raise ConfigError(f"{source}: {exc}")
     if cfg.Y < 1:
         raise ConfigError(f"{source}: Y must be >= 1, got {cfg.Y}")
-    if cfg.backend not in BACKENDS:
-        raise ConfigError(f"{source}: unknown backend {cfg.backend!r}")
-    if cfg.inner_method not in ("parametric", "lp"):
-        raise ConfigError(f"{source}: inner_method must be parametric or lp")
-    if cfg.niter < 1:
-        raise ConfigError(f"{source}: niter must be >= 1")
     if not 0.0 <= cfg.radius <= 2.0:
         raise ConfigError(f"{source}: radius must be in [0, 2]")
     if cfg.perturb_direction not in ("high-infective", "random"):

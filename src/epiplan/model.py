@@ -16,7 +16,7 @@ import numpy as np
 from .backup import worst_case_shift
 from .errors import CacheError, DomainError
 from .grid import Grid, GridSpec, SparseDistribution, build_grid, cache_key, discretize_kernel
-from .rules import AmbiguityConfig, DecisionRuleCoefficients, fit_rules, reward_rule
+from .rules import AmbiguityConfig, DecisionRuleCoefficients, design_matrix, fit_rules, reward_rule
 from .seir import Action, EpidemicParams, nominal_reward
 
 
@@ -103,7 +103,7 @@ class EpidemicModel:
             val = max(reward_rule(coeffs, a) for a in self.actions)
         else:
             rewards = self._reward_vector(idx)
-            X = np.array([[1.0, a.y_V, a.y_R] for a in self.actions])
+            X = design_matrix(self.actions)
             beta = np.linalg.solve(X.T @ X + 1e-10 * np.eye(3), X.T @ rewards)
             val = float((X @ beta).max())
         self._stage_h[idx] = val
@@ -118,17 +118,12 @@ class EpidemicModel:
         guarantees assume this is zero (the ambiguity set is nonempty).
         """
         from .backup import inner_value_parametric
-        from .rules import eta_bounds
 
         coeffs = self.rules(idx)
-        zeros = np.zeros(len(coeffs.support))
-        worst = 0.0
-        for a in self.actions:
-            eb = eta_bounds(coeffs, a)
-            val, _, _, _ = inner_value_parametric(eb.eta_L, eb.eta_U, zeros,
-                                                  self.acfg.k)
-            worst = max(worst, val)
-        return worst
+        X = design_matrix(self.actions)
+        vals = inner_value_parametric(X @ coeffs.sigma, X @ coeffs.rho,
+                                      np.zeros(len(coeffs.support)), self.acfg.k)
+        return max(0.0, float(vals.max()))
 
     def compile_states(self, indices, workers: int = 1) -> None:
         """Compile many states, optionally across processes.

@@ -47,8 +47,14 @@ class PlannerConfig:
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
             raise DomainError(f"unknown backend {self.backend!r}")
+        if self.inner_method not in ("parametric", "lp"):
+            raise DomainError("inner_method must be parametric or lp")
         if self.niter < 1:
             raise DomainError("niter must be >= 1")
+        if not self.stop_tol >= 0.0:
+            raise DomainError(f"stop_tol must be >= 0, got {self.stop_tol}")
+        if self.stop_patience < 1:
+            raise DomainError(f"stop_patience must be >= 1, got {self.stop_patience}")
 
 
 @dataclass

@@ -67,7 +67,8 @@ class EtaBounds:
     eta_U: np.ndarray
 
 
-def _design(actions: list[Action]) -> np.ndarray:
+def design_matrix(actions: list[Action]) -> np.ndarray:
+    """Rows (1, y_V, y_R) per action: the affine rules are X @ coefficients."""
     return np.array([[1.0, a.y_V, a.y_R] for a in actions])
 
 
@@ -90,7 +91,7 @@ def fit_rules(
     """
     if len(kernels) != len(actions) or len(rewards) != len(actions):
         raise DomainError("kernels and rewards must align with actions")
-    X = _design(actions)
+    X = design_matrix(actions)
     if len({(a.y_V, a.y_R) for a in actions}) < 3 or np.linalg.matrix_rank(X) < 3:
         raise UnderdeterminedError(
             "need at least 3 distinct, non-collinear actions to fit rules"

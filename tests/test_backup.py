@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from epiplan import Action
+from epiplan.errors import DomainError
 from epiplan.backup import (
     drmdp_backup_enumerate,
     drmdp_backup_mccormick,
@@ -9,14 +10,22 @@ from epiplan.backup import (
     full_space_check,
     inner_dual_lp,
     inner_primal_oracle,
+    inner_dual_program,
     inner_value_parametric,
-    ldr_nominal_backup,
     nominal_backup,
     robust_backup,
     worst_case_shift,
 )
 from epiplan.grid import GridSpec, SparseDistribution, build_grid
-from epiplan.rules import AmbiguityConfig, DecisionRuleCoefficients, fit_rules
+from epiplan.lp import solve_lp
+from epiplan.rules import (
+    AmbiguityConfig,
+    DecisionRuleCoefficients,
+    design_matrix,
+    eta_bounds,
+    fit_rules,
+    reward_rule,
+)
 
 
 def make_coeffs(support, rho0, rho1, rho2, sigma0, sigma1, sigma2, eps):
@@ -55,6 +64,57 @@ def random_coeffs(rng, m, adversarial=False):
 
 def grid_actions(L, M):
     return [Action(v, r) for v in range(L + 1) for r in range(M + 1)]
+
+
+def ldr_nominal_backup(coeffs, actions, v, lam):
+    """Nominal backup using the fitted rules: reward rule plus midpoint row."""
+    best_val, best_a = -np.inf, None
+    for a in sorted(actions, key=lambda a: (a.y_V, a.y_R)):
+        eb = eta_bounds(coeffs, a)
+        val = reward_rule(coeffs, a) + lam * float(0.5 * (eb.eta_L + eb.eta_U) @ v)
+        if val > best_val:
+            best_val, best_a = val, a
+    return best_val, best_a
+
+
+def best_kink_solution(eta_L, eta_U, v, k):
+    """(q, w, u) maximizing the multiplier LP over the shared kink set.
+
+    Tries every q in {v_j, v_j - k, min v + k} (clipped at min v + k) and, at
+    each, the best feasible vertex per successor; returns the best triple.
+    """
+    A, B = -eta_U, eta_L
+    m = len(v)
+    best = None
+    for q in np.minimum(np.concatenate([v, v - k, [v.min() + k]]), v.min() + k):
+        d = np.minimum(q - v, k)
+        wv = np.stack([np.zeros(m), np.clip(d, 0.0, None), np.full(m, k),
+                       np.zeros(m), np.zeros(m), 0.5 * (k + d)])
+        uv = np.stack([np.zeros(m), np.zeros(m), np.zeros(m),
+                       np.clip(-d, 0.0, None), np.full(m, k), 0.5 * (k - d)])
+        feas = np.stack([d <= 0.0, (d >= 0.0) & (d <= k), d <= k,
+                         (d >= -k) & (d <= 0.0), d <= -k, np.abs(d) <= k])
+        vals = np.where(feas, A * wv + B * uv, -np.inf)
+        pick = np.argmax(vals, axis=0)
+        w, u = wv[pick, np.arange(m)], uv[pick, np.arange(m)]
+        total = q + A @ w + B @ u
+        if best is None or total > best[0]:
+            best = (total, float(q), w, u)
+    return best[1:]
+
+
+def random_batch(rng, n, m):
+    """(eta_L, eta_U, v) with crossing bounds, and on half the draws
+    quantized entries so that values and bounds tie."""
+    if rng.random() < 0.5:
+        eta_U = np.round(rng.normal(scale=0.5, size=(n, m)) * 4) / 4
+        eta_L = np.round(rng.normal(scale=0.5, size=(n, m)) * 4) / 4
+        v = -np.round(rng.random(m) * 4) * 2.5
+    else:
+        eta_U = rng.normal(scale=0.5, size=(n, m))
+        eta_L = eta_U - rng.normal(scale=0.3, size=(n, m))
+        v = -rng.random(m) * 10.0 ** rng.integers(0, 4)
+    return eta_L, eta_U, v
 
 
 class TestWorstCaseShift:
@@ -181,12 +241,37 @@ class TestInnerProblem:
             v = -rng.random(m) * 10 ** rng.integers(0, 4)
             k = float(rng.choice([0.0, 0.37, 1.0, 55.0, 1e3, 1e6]))
             a = Action(0, 0)
-            lp_val, _ = inner_dual_lp(coeffs, a, v, 0.95, k, method="lp",
-                                      _v_aligned=v)
-            fast_val, _ = inner_dual_lp(coeffs, a, v, 0.95, k, method="parametric",
-                                        _v_aligned=v)
+            lp_val, _ = inner_dual_lp(coeffs, a, v, 0.95, k, _v_aligned=v)
+            eb = eta_bounds(coeffs, a)
+            fast_val = reward_rule(coeffs, a) + inner_value_parametric(
+                eb.eta_L[None], eb.eta_U[None], 0.95 * v, k)[0]
             scale = 1.0 + abs(lp_val)
             assert abs(lp_val - fast_val) <= 1e-7 * scale, (trial, lp_val, fast_val)
+
+    def test_batched_parametric_matches_lp(self):
+        rng = np.random.default_rng(5)
+        for trial in range(60):
+            n, m = int(rng.integers(1, 37)), int(rng.integers(1, 61))
+            eta_L, eta_U, v = random_batch(rng, n, m)
+            k = float(rng.choice([0.0, 0.25, 1.0, 1e3, 1e6]))
+            got = inner_value_parametric(eta_L, eta_U, v, k)
+            assert got.shape == (n,)
+            for i in rng.choice(n, size=min(n, 3), replace=False):
+                res = solve_lp(inner_dual_program(eta_L[i], eta_U[i], v, k))
+                assert res.status == "optimal"
+                assert abs(got[i] - res.objective) <= 1e-9 * (1.0 + abs(res.objective)), \
+                    (trial, i, got[i], res.objective)
+
+    def test_batch_rows_equal_rows_alone(self):
+        rng = np.random.default_rng(6)
+        for trial in range(100):
+            n, m = int(rng.integers(1, 37)), int(rng.integers(1, 61))
+            eta_L, eta_U, v = random_batch(rng, n, m)
+            k = float(rng.choice([0.0, 0.25, 1.0, 1e3, 1e6]))
+            got = inner_value_parametric(eta_L, eta_U, v, k)
+            alone = [inner_value_parametric(eta_L[i:i + 1], eta_U[i:i + 1], v, k)[0]
+                     for i in range(n)]
+            np.testing.assert_array_equal(got, alone)
 
     def test_parametric_solution_is_dual_feasible(self):
         rng = np.random.default_rng(11)
@@ -196,7 +281,8 @@ class TestInnerProblem:
             eta_L = eta_U - np.abs(rng.normal(scale=0.2, size=m))
             v = -rng.random(m) * 20
             k = float(rng.choice([0.5, 10.0, 1e3]))
-            val, q, w, u = inner_value_parametric(eta_L, eta_U, v, k)
+            val = inner_value_parametric(eta_L[None], eta_U[None], v, k)[0]
+            q, w, u = best_kink_solution(eta_L, eta_U, v, k)
             assert np.all(w >= -1e-12) and np.all(u >= -1e-12)
             assert np.all(w + u <= k + 1e-9)
             assert np.all(q <= v + w - u + 1e-9)
@@ -265,7 +351,7 @@ class TestActionBackends:
         coeffs = random_coeffs(rng, 4)
         v = -rng.random(4) * 10
         lam, k = 0.95, 100.0
-        e, _ = drmdp_backup_enumerate(coeffs, actions, v, lam, k)
+        e, _ = drmdp_backup_enumerate(coeffs, actions, v, lam, k, method="lp")
         mc, _ = drmdp_backup_mccormick(coeffs, v, lam, k, L=0, M=0)
         un, _ = drmdp_backup_unary(coeffs, v, lam, k, L=0, M=0)
         assert mc == pytest.approx(e, abs=1e-6)
@@ -282,7 +368,7 @@ class TestActionBackends:
             lam = 0.95
             k = float(rng.choice([1.0, 50.0, 1e3]))
             actions = grid_actions(L, M)
-            e, _ = drmdp_backup_enumerate(coeffs, actions, v, lam, k)
+            e, _ = drmdp_backup_enumerate(coeffs, actions, v, lam, k, method="lp")
             un, _ = drmdp_backup_unary(coeffs, v, lam, k, L=L, M=M)
             mc, _ = drmdp_backup_mccormick(coeffs, v, lam, k, L=L, M=M)
             scale = 1.0 + abs(e)
@@ -297,12 +383,13 @@ class TestActionBackends:
         v = -rng.random(m) * 10
         lam = 0.9
         actions = grid_actions(L, M)
-        e, _ = drmdp_backup_enumerate(coeffs, actions, v, lam, 0.0)
         expected = max(
             coeffs.eps[0] + coeffs.eps[1] * a.y_V + coeffs.eps[2] * a.y_R
             for a in actions
         ) + lam * v.min()
-        assert e == pytest.approx(expected, abs=1e-8)
+        for method in ("parametric", "lp"):
+            e, _ = drmdp_backup_enumerate(coeffs, actions, v, lam, 0.0, method=method)
+            assert e == pytest.approx(expected, abs=1e-8), method
         mc, _ = drmdp_backup_mccormick(coeffs, v, lam, 0.0, L=L, M=M)
         un, _ = drmdp_backup_unary(coeffs, v, lam, 0.0, L=L, M=M)
         assert mc == pytest.approx(e, abs=1e-6)
@@ -317,7 +404,8 @@ class TestActionBackends:
             v = -rng.random(4) * 50
             lam, k = 0.95, 1000.0
             nominal_val, nominal_act = ldr_nominal_backup(coeffs, actions, v, lam)
-            e, _ = drmdp_backup_enumerate(coeffs, actions, v, lam, k)
+            e, _ = drmdp_backup_enumerate(coeffs, actions, v, lam, k,
+                                          method="parametric")
             un, _ = drmdp_backup_unary(coeffs, v, lam, k, L=1, M=2)
             mc, _ = drmdp_backup_mccormick(coeffs, v, lam, k, L=1, M=2)
             scale = 1.0 + abs(nominal_val)
@@ -332,8 +420,10 @@ class TestActionBackends:
             v = -rng.random(4) * 50
             lam, k = 0.95, 1000.0
             nominal_val, _ = ldr_nominal_backup(coeffs, actions, v, lam)
-            e, _ = drmdp_backup_enumerate(coeffs, actions, v, lam, k)
-            assert e <= nominal_val + 1e-6 * (1.0 + abs(nominal_val)), trial
+            for method in ("parametric", "lp"):
+                e, _ = drmdp_backup_enumerate(coeffs, actions, v, lam, k,
+                                              method=method)
+                assert e <= nominal_val + 1e-6 * (1.0 + abs(nominal_val)), (trial, method)
 
     def test_enumerate_parametric_method_agrees(self):
         rng = np.random.default_rng(88)
@@ -347,6 +437,23 @@ class TestActionBackends:
                                        method="parametric")
             assert a[0] == pytest.approx(b[0], rel=1e-9, abs=1e-9)
             assert a[1] == b[1]
+
+    def test_enumerate_ties_go_to_lowest_action(self):
+        # Zero slopes: every action has the same value on both routes.
+        coeffs = constant_coeffs(np.arange(3), np.array([0.2, 0.3, 0.1]),
+                                 np.array([0.4, 0.5, 0.3]), reward=-4.0)
+        actions = list(reversed(grid_actions(2, 2)))
+        v = np.array([-1.0, -6.0, -3.0])
+        for method in ("parametric", "lp"):
+            _, act = drmdp_backup_enumerate(coeffs, actions, v, 0.95, 10.0,
+                                            method=method)
+            assert act == Action(0, 0), method
+
+    def test_enumerate_rejects_unknown_method(self):
+        coeffs = constant_coeffs([0], np.array([1.0]), np.array([1.0]))
+        with pytest.raises(DomainError):
+            drmdp_backup_enumerate(coeffs, [Action(0, 0)], np.zeros(1), 0.9, 1.0,
+                                   method="ternary")
 
 
 class TestFullSpaceCheck:

@@ -274,17 +274,10 @@ def inner_value_parametric(
     q = np.where(down.any(axis=1), kinks[order][np.argmax(down, axis=1)], np.inf)
     q = np.minimum(q, v.min() + k)[:, None]
 
-    # Vertex values at the chosen q.  Clamp d at k: beyond it the problem is
-    # infeasible, and the clamp also absorbs the one-ulp overshoot of
-    # (vmin + k) - v_j at the edge.
-    d = np.minimum(q - v, k)
-    g = np.where(d <= 0.0, 0.0, -np.inf)
-    g = np.maximum(g, np.where(d >= 0.0, A * d, -np.inf))
-    g = np.maximum(g, A * k)
-    g = np.maximum(g, np.where((d >= -k) & (d <= 0.0), -B * d, -np.inf))
-    g = np.maximum(g, np.where(d <= -k, B * k, -np.inf))
-    g = np.maximum(g, np.where(d >= -k, 0.5 * (A * (k + d) + B * (k - d)),
-                               -np.inf))
+    # g_j at the chosen q from its two affine pieces; clipping d at k also
+    # absorbs the one-ulp overshoot of (vmin + k) - v_j at the right end.
+    d = q - v
+    g = k * g0 + s1 * np.clip(d, -k, 0.0) + s2 * np.clip(d, 0.0, k)
     return q[:, 0] + g.sum(axis=1)
 
 

@@ -43,8 +43,6 @@ class RunConfig:
     seed: int = 0
     inner_method: str = "parametric"
     early_stop: bool = True
-    stop_tol: float = 1e-7
-    stop_patience: int = 10
     robust_budget: float = 0.5
     mccormick_lower_one: bool = False
     # simulation scenarios
@@ -70,7 +68,6 @@ class RunConfig:
     def planner_kwargs(self) -> dict:
         return dict(backend=self.backend, niter=self.niter, seed=self.seed,
                     inner_method=self.inner_method, early_stop=self.early_stop,
-                    stop_tol=self.stop_tol, stop_patience=self.stop_patience,
                     robust_budget=self.robust_budget,
                     mccormick_lower=(1, 1) if self.mccormick_lower_one else (0, 0))
 
@@ -79,8 +76,7 @@ _KEY_TO_FIELD = {"lambda": "lam"}
 _FIELD_TO_KEY = {"lam": "lambda"}
 
 _BOOL_KEYS = {"early_stop", "mccormick_lower_one"}
-_INT_KEYS = {"N", "L", "M", "T", "Y", "niter", "seed", "stop_patience", "nseeds",
-             "threads"}
+_INT_KEYS = {"N", "L", "M", "T", "Y", "niter", "seed", "nseeds", "threads"}
 _LIST_KEYS = {"p_S1_list", "sweep_values"}
 _STR_KEYS = {"backend", "inner_method", "perturb_direction", "sweep_param"}
 

@@ -51,10 +51,6 @@ class PlannerConfig:
             raise DomainError("inner_method must be parametric or lp")
         if self.niter < 1:
             raise DomainError("niter must be >= 1")
-        if not self.stop_tol >= 0.0:
-            raise DomainError(f"stop_tol must be >= 0, got {self.stop_tol}")
-        if self.stop_patience < 1:
-            raise DomainError(f"stop_patience must be >= 1, got {self.stop_patience}")
 
 
 @dataclass

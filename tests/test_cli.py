@@ -54,21 +54,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config_text("backend = magic\n")
 
-    def test_stop_keys_reach_planner_and_echo(self):
-        cfg = parse_config_text("stop_tol = 1e-5\nstop_patience = 3\n")
-        kw = cfg.planner_kwargs()
-        assert kw["stop_tol"] == 1e-5 and kw["stop_patience"] == 3
-        echoed = resolved_text(cfg)
-        assert "stop_tol = 1e-05" in echoed
-        assert "stop_patience = 3" in echoed
-
-    @pytest.mark.parametrize("line", ["stop_tol = -1e-9", "stop_tol = nan",
-                                      "stop_patience = 0", "stop_patience = 1.5"])
-    def test_bad_stop_keys_rejected(self, line):
-        with pytest.raises(ConfigError) as err:
-            parse_config_text(line + "\n")
-        assert line.split(" ")[0] in str(err.value)
-
     def test_hash_changes_iff_config_changes(self):
         a = parse_config_text("Y = 5\n")
         b = parse_config_text("Y = 5\n")
@@ -131,10 +116,6 @@ class TestDispatch:
 
     def test_bad_config_exit_code(self, tmp_path):
         path = write_cfg(tmp_path, "lambda = 7\n")
-        assert dispatch(["--config", path, "--out", str(tmp_path), "solve"]) == 1
-
-    def test_bad_stop_patience_exit_code(self, tmp_path):
-        path = write_cfg(tmp_path, "stop_patience = 0\n")
         assert dispatch(["--config", path, "--out", str(tmp_path), "solve"]) == 1
 
     def test_selftest_passes(self, tmp_path):

@@ -29,8 +29,8 @@ from .rules import (
     AmbiguityConfig,
     DecisionRuleCoefficients,
     design_matrix,
-    eta_bounds,
     fit_rules,
+    mean_bounds,
     reward_rule,
 )
 from .seir import Action
@@ -153,14 +153,14 @@ def inner_dual_lp(
     v_next is a lookup or an array over all grid corners; _v_aligned may carry
     the support-aligned values when the caller already extracted them.
     """
-    eb = eta_bounds(coeffs, action)
+    eta_L, eta_U = mean_bounds(coeffs, design_matrix([action]))
     r = reward_rule(coeffs, action)
     if _v_aligned is None:
         _v_aligned = values_over(coeffs.support, v_next)
     v = lam * _v_aligned
     m = len(v)
 
-    res = solve_lp(inner_dual_program(eb.eta_L, eb.eta_U, v, k))
+    res = solve_lp(inner_dual_program(eta_L[0], eta_U[0], v, k))
     if res.status != "optimal":
         raise SolverError(f"inner LP unexpectedly {res.status}")
     fut = res.objective
@@ -210,7 +210,7 @@ def inner_primal_oracle(
     minimizing over means in the simplex is exact:
     minimize r(a) + lam*m'V + k*1'x  s.t.  m in simplex, |m - eta band| <= x.
     """
-    eb = eta_bounds(coeffs, action)
+    eta_L, eta_U = mean_bounds(coeffs, design_matrix([action]))
     r = reward_rule(coeffs, action)
     if _v_aligned is None:
         _v_aligned = values_over(coeffs.support, v_next)
@@ -227,10 +227,10 @@ def inner_primal_oracle(
     for j in range(m):
         A[1 + j, j] = 1.0
         A[1 + j, m + j] = -1.0
-        b[1 + j] = eb.eta_U[j]
+        b[1 + j] = eta_U[0, j]
         A[1 + m + j, j] = -1.0
         A[1 + m + j, m + j] = -1.0
-        b[1 + m + j] = -eb.eta_L[j]
+        b[1 + m + j] = -eta_L[0, j]
     lp = LinearProgram("min", c, A, rel, b)
     res = solve_lp(lp)
     if res.status != "optimal":
@@ -303,7 +303,7 @@ def drmdp_backup_enumerate(
     if method == "parametric":
         X = design_matrix(acts)
         vals = X @ coeffs.eps + inner_value_parametric(
-            X @ coeffs.sigma, X @ coeffs.rho, lam * v, k)
+            *mean_bounds(coeffs, X), lam * v, k)
     elif method == "lp":
         vals = np.array([inner_dual_lp(coeffs, a, v_next, lam, k, _v_aligned=v)[0]
                          for a in acts])
@@ -313,17 +313,18 @@ def drmdp_backup_enumerate(
     return float(vals[best]), acts[best]
 
 
-def _mccormick_rows(n_vars, zi, ai, wi, a_lo, a_hi, w_hi):
-    """Four box-envelope rows tying column zi to the product of ai and wi."""
+def _mccormick_rows(n_vars, zi, ai, wi, a_hi, w_hi):
+    """Four box-envelope rows tying column zi to the product of ai in
+    [0, a_hi] and wi in [0, w_hi]."""
     rows, rhs = [], []
-    r = np.zeros(n_vars); r[wi] = a_lo; r[zi] = -1.0
+    r = np.zeros(n_vars); r[zi] = -1.0
     rows.append(r); rhs.append(0.0)
     r = np.zeros(n_vars); r[wi] = a_hi; r[ai] = w_hi; r[zi] = -1.0
     rows.append(r); rhs.append(a_hi * w_hi)
     r = np.zeros(n_vars); r[zi] = 1.0; r[wi] = -a_hi
     rows.append(r); rhs.append(0.0)
-    r = np.zeros(n_vars); r[zi] = 1.0; r[wi] = -a_lo; r[ai] = -w_hi
-    rows.append(r); rhs.append(-a_lo * w_hi)
+    r = np.zeros(n_vars); r[zi] = 1.0; r[ai] = -w_hi
+    rows.append(r); rhs.append(0.0)
     return rows, rhs
 
 
@@ -334,12 +335,14 @@ def drmdp_backup_mccormick(
     k: float,
     L: int,
     M: int,
-    a_lower: tuple[int, int] = (0, 0),
 ) -> tuple[float, Action]:
     """One MIP over integer action levels with box-envelope bilinear terms.
 
-    The envelopes relax the products, so the optimum is an upper bound on the
-    enumeration backup; it is exact when an action axis has a single level.
+    The objective is q - w'(mean(a) + delta) + u'(mean(a) - delta) + r(a);
+    the products of each action level with w and with u get their own
+    envelope columns.  The envelopes relax the products, so the optimum is an
+    upper bound on the enumeration backup; it is exact when an action axis
+    has a single level.
     """
     v = lam * values_over(coeffs.support, v_next)
     m = len(v)
@@ -351,16 +354,15 @@ def drmdp_backup_mccormick(
     iz0 = lambda i, j: 2 * m + 3 + i * m + j           # a_i * w_j stand-ins
     iz1 = lambda i, j: 2 * m + 3 + 2 * m + i * m + j   # a_i * u_j stand-ins
 
+    mean = coeffs.mean
     c = np.zeros(n)
     c[iq] = 1.0
-    c[1:1 + m] = -coeffs.rho[0]
-    c[1 + m:1 + 2 * m] = coeffs.sigma[0]
+    c[1:1 + m] = -(mean[0] + coeffs.delta)
+    c[1 + m:1 + 2 * m] = mean[0] - coeffs.delta
     c[ia[0]] = coeffs.eps[1]
     c[ia[1]] = coeffs.eps[2]
-    for i in range(2):
-        for j in range(m):
-            c[iz0(i, j)] = -coeffs.rho[1 + i, j]
-            c[iz1(i, j)] = coeffs.sigma[1 + i, j]
+    c[iz0(0, 0):iz1(0, 0)] = -mean[1:].ravel()
+    c[iz1(0, 0):] = mean[1:].ravel()
 
     rows, rhs = [], []
     for j in range(m):
@@ -371,11 +373,9 @@ def drmdp_backup_mccormick(
     bounds_hi = (float(L), float(M))
     for i in range(2):
         for j in range(m):
-            rr, bb = _mccormick_rows(n, iz0(i, j), ia[i], iw(j),
-                                     float(a_lower[i]), bounds_hi[i], k)
+            rr, bb = _mccormick_rows(n, iz0(i, j), ia[i], iw(j), bounds_hi[i], k)
             rows += rr; rhs += bb
-            rr, bb = _mccormick_rows(n, iz1(i, j), ia[i], iu(j),
-                                     float(a_lower[i]), bounds_hi[i], k)
+            rr, bb = _mccormick_rows(n, iz1(i, j), ia[i], iu(j), bounds_hi[i], k)
             rows += rr; rhs += bb
 
     lb = np.zeros(n)
@@ -405,12 +405,15 @@ def drmdp_backup_unary(
 ) -> tuple[float, Action]:
     """Exact MIP: one indicator per action level linearizes each product.
 
-    Each product of a level indicator with a multiplier gets the two envelope
-    rows that bind in its objective direction, so the optimum equals the
-    enumeration backup.
+    With d = u - w in [-k, k], the objective is
+    q + mean(a)'d - delta*1'(w + u) + r(a), and mean(a)'d is affine in the
+    products psi * d_j of each level indicator psi with each d_j.  Each
+    product gets the two rows that bind in its objective direction, so it
+    equals psi * d_j at the optimum and the MIP equals the enumeration backup.
     """
     v = lam * values_over(coeffs.support, v_next)
     m = len(v)
+    mean = coeffs.mean
     levels = (list(range(L + 1)), list(range(M + 1)))
 
     cols_c: list[float] = []
@@ -423,12 +426,11 @@ def drmdp_backup_unary(
         return len(cols_c) - 1
 
     iq = new_var(cost=1.0, lo=-np.inf)
-    iw = [new_var(cost=-coeffs.rho[0][j]) for j in range(m)]
-    iu = [new_var(cost=coeffs.sigma[0][j]) for j in range(m)]
+    iw = [new_var(cost=-(mean[0, j] + coeffs.delta)) for j in range(m)]
+    iu = [new_var(cost=mean[0, j] - coeffs.delta) for j in range(m)]
     ia = [new_var(cost=coeffs.eps[1], hi=float(L)),
           new_var(cost=coeffs.eps[2], hi=float(M))]
-    ipsi0 = [[new_var(lo=0.0, hi=1.0, is_int=True) for _ in levels[i]] for i in range(2)]
-    ipsi1 = [[new_var(lo=0.0, hi=1.0, is_int=True) for _ in levels[i]] for i in range(2)]
+    ipsi = [[new_var(lo=0.0, hi=1.0, is_int=True) for _ in levels[i]] for i in range(2)]
 
     # rows accumulated as (coeffs dict, rel, rhs); densified at the end
     rows: list[tuple[dict[int, float], str, float]] = []
@@ -437,38 +439,29 @@ def drmdp_backup_unary(
         rows.append(({iq: 1.0, iw[j]: -1.0, iu[j]: 1.0}, "<=", float(v[j])))
         rows.append(({iw[j]: 1.0, iu[j]: 1.0}, "<=", k))
     for i in range(2):
-        rows.append(({p: 1.0 for p in ipsi0[i]}, "==", 1.0))
-        rows.append(({p: 1.0 for p in ipsi1[i]}, "==", 1.0))
-        link0 = {ipsi0[i][l]: float(tau) for l, tau in enumerate(levels[i])}
-        link0[ia[i]] = -1.0
-        rows.append((link0, "==", 0.0))
-        link1 = {ipsi1[i][l]: float(tau) for l, tau in enumerate(levels[i])}
-        link1[ia[i]] = -1.0
-        rows.append((link1, "==", 0.0))
+        rows.append(({p: 1.0 for p in ipsi[i]}, "==", 1.0))
+        link = {ipsi[i][l]: float(tau) for l, tau in enumerate(levels[i])}
+        link[ia[i]] = -1.0
+        rows.append((link, "==", 0.0))
 
     for i in range(2):
         for l, tau in enumerate(levels[i]):
             if tau == 0:
                 continue
+            psi = ipsi[i][l]
             for j in range(m):
-                coef0 = -coeffs.rho[1 + i, j] * tau
-                if coef0 != 0.0:
-                    z = new_var(cost=coef0)
-                    if coef0 < 0.0:
-                        # pushed down: z >= w - k(1 - psi)
-                        rows.append(({iw[j]: 1.0, ipsi0[i][l]: k, z: -1.0}, "<=", k))
-                    else:
-                        # pushed up: z <= w, z <= k psi
-                        rows.append(({z: 1.0, iw[j]: -1.0}, "<=", 0.0))
-                        rows.append(({z: 1.0, ipsi0[i][l]: -k}, "<=", 0.0))
-                coef1 = coeffs.sigma[1 + i, j] * tau
-                if coef1 != 0.0:
-                    z = new_var(cost=coef1)
-                    if coef1 < 0.0:
-                        rows.append(({iu[j]: 1.0, ipsi1[i][l]: k, z: -1.0}, "<=", k))
-                    else:
-                        rows.append(({z: 1.0, iu[j]: -1.0}, "<=", 0.0))
-                        rows.append(({z: 1.0, ipsi1[i][l]: -k}, "<=", 0.0))
+                cost = mean[1 + i, j] * tau
+                if cost == 0.0:
+                    continue
+                z = new_var(cost=cost, lo=-np.inf)
+                if cost > 0.0:
+                    # pushed up: z <= d + k(1 - psi), z <= k psi
+                    rows.append(({z: 1.0, iu[j]: -1.0, iw[j]: 1.0, psi: k}, "<=", k))
+                    rows.append(({z: 1.0, psi: -k}, "<=", 0.0))
+                else:
+                    # pushed down: z >= d - k(1 - psi), z >= -k psi
+                    rows.append(({iu[j]: 1.0, iw[j]: -1.0, psi: k, z: -1.0}, "<=", k))
+                    rows.append(({z: -1.0, psi: -k}, "<=", 0.0))
 
     n = len(cols_c)
     A = np.zeros((len(rows), n))
@@ -514,23 +507,22 @@ def full_space_check(
 ) -> FullSpaceReport:
     """Compare the support-restricted inner LP against the full-corner LP.
 
-    Off-support successors carry zero mean bounds in both. With k = 0 the two
-    need not agree (each reduces to the minimum value over its own support);
-    the report flags any difference instead of hiding it.
+    Off-support successors carry zero mean bounds in the full LP, not
+    -/+ delta. With k = 0 the two need not agree (each reduces to the minimum
+    value over its own support); the report flags any difference instead of
+    hiding it.
     """
     restricted = fit_rules(list(actions), list(kernels), list(rewards), cfg)
     val_r, _ = inner_dual_lp(restricted, action, v_full, lam, cfg.k)
 
-    full_support = np.arange(grid.n_corners, dtype=np.int64)
-    pos = {int(s): i for i, s in enumerate(restricted.support)}
-    rho = np.zeros((3, grid.n_corners))
-    sigma = np.zeros((3, grid.n_corners))
-    for s, i in pos.items():
-        rho[:, s] = restricted.rho[:, i]
-        sigma[:, s] = restricted.sigma[:, i]
-    full = DecisionRuleCoefficients(support=full_support, rho=rho, sigma=sigma,
-                                    eps=restricted.eps)
-    val_f, _ = inner_dual_lp(full, action, v_full, lam, cfg.k)
+    eta_L, eta_U = np.zeros(grid.n_corners), np.zeros(grid.n_corners)
+    lo, hi = mean_bounds(restricted, design_matrix([action]))
+    eta_L[restricted.support] = lo[0]
+    eta_U[restricted.support] = hi[0]
+    res = solve_lp(inner_dual_program(eta_L, eta_U, lam * v_full, cfg.k))
+    if res.status != "optimal":
+        raise SolverError(f"inner LP unexpectedly {res.status}")
+    val_f = reward_rule(restricted, action) + res.objective
 
     gap = abs(val_r - val_f)
     note = "k=0 reduces to per-support minima" if cfg.k == 0.0 else ""

@@ -1,11 +1,10 @@
 """Command-line surface: config ingestion, subcommands, artifact emission.
 
-Subcommands: compile (build and persist kernel/rule caches), solve (run a
+Subcommands: compile (build and persist the kernel cache), solve (run a
 planner and write the value table), simulate (episodes for one backend),
-compare (backends x kernels grid), sensitivity (parameter sweeps), bench
-(per-backup timing of the two MIP back-ends), selftest (quick property
-suites).  Exit codes: 0 success, 1 domain or configuration error, 2 internal
-error.
+compare (backends x kernels grid), sensitivity (parameter sweeps), selftest
+(quick property suites).  Exit codes: 0 success, 1 domain or configuration
+error, 2 internal error.
 """
 
 from __future__ import annotations
@@ -182,44 +181,6 @@ def _cmd_sensitivity(cfg: RunConfig, outdir: str, verbose: bool) -> int:
     return 0
 
 
-def _cmd_bench(cfg: RunConfig, outdir: str, reps: int, verbose: bool) -> int:
-    from .backup import drmdp_backup_mccormick, drmdp_backup_unary, inner_dual_program
-    from .rules import eta_bounds, reward_rule
-
-    model = _model(cfg)
-    init = _init_index(cfg, model)
-    coeffs = model.rules(init)
-    v = np.zeros(model.grid.n_corners)
-    for j in coeffs.support:
-        v[j] = model.stage_heuristic(int(j))
-    if verbose:
-        eb = eta_bounds(coeffs, model.actions[0])
-        lp = inner_dual_program(eb.eta_L, eb.eta_U,
-                                model.lam * v[coeffs.support], model.acfg.k)
-        with open(os.path.join(outdir, "bench_inner_lp.txt"), "w") as fh:
-            fh.write(lp.to_text("inner_dual"))
-
-    results = []
-    for name, fn in (("mccormick", drmdp_backup_mccormick),
-                     ("unary", drmdp_backup_unary)):
-        best = None
-        t0 = time.time()
-        for _ in range(reps):
-            val, act = fn(coeffs, v, model.lam, model.acfg.k,
-                          L=model.params.L, M=model.params.M)
-            best = val
-        elapsed = (time.time() - t0) / reps
-        results.append({"backend": name, "support": len(coeffs.support),
-                        "seconds_per_backup": elapsed, "value": best})
-        print(f"{name:>10}: {elapsed:.3f}s per backup "
-              f"(support {len(coeffs.support)}, value {best:.4f})")
-    header = ["backend", "support", "seconds_per_backup", "value"]
-    emit_results({"bench": (header, results)}, outdir, cfg, [cfg.seed])
-    ratio = results[1]["seconds_per_backup"] / max(results[0]["seconds_per_backup"], 1e-12)
-    print(f"unary / mccormick time ratio: {ratio:.2f}")
-    return 0
-
-
 def _cmd_selftest(cfg: RunConfig, outdir: str, verbose: bool) -> int:
     """Quick duality and ordering property checks on randomized instances."""
     from .backup import (
@@ -231,7 +192,7 @@ def _cmd_selftest(cfg: RunConfig, outdir: str, verbose: bool) -> int:
         inner_value_parametric,
     )
     from .lp import LinearProgram, lp_duality_check
-    from .rules import DecisionRuleCoefficients, design_matrix, reward_rule
+    from .rules import DecisionRuleCoefficients, design_matrix, mean_bounds, reward_rule
     from .seir import Action
 
     rng = np.random.default_rng(0)
@@ -240,11 +201,10 @@ def _cmd_selftest(cfg: RunConfig, outdir: str, verbose: bool) -> int:
     def coeffs_of(m):
         base = rng.random(m)
         base /= base.sum()
-        rho = np.vstack([base + 0.05, rng.normal(scale=0.1, size=m),
-                         rng.normal(scale=0.1, size=m)])
-        sigma = rho - 0.1
+        mean = np.vstack([base, rng.normal(scale=0.1, size=m),
+                          rng.normal(scale=0.1, size=m)])
         eps = np.array([-rng.random() * 20, -rng.random(), -rng.random()])
-        return DecisionRuleCoefficients(np.arange(m), rho, sigma, eps)
+        return DecisionRuleCoefficients(np.arange(m), mean, 0.05, eps)
 
     for trial in range(40):
         m = int(rng.integers(1, 8))
@@ -265,7 +225,7 @@ def _cmd_selftest(cfg: RunConfig, outdir: str, verbose: bool) -> int:
         coeffs = coeffs_of(m)
         v = -rng.random(m) * 50
         k = float(rng.choice([0.0, 1.0, 1e3, 1e6]))
-        fast = inner_value_parametric(X @ coeffs.sigma, X @ coeffs.rho, 0.95 * v, k)
+        fast = inner_value_parametric(*mean_bounds(coeffs, X), 0.95 * v, k)
         for a, f in zip(batch_actions, fast):
             dual, _ = inner_dual_lp(coeffs, a, v, 0.95, k, _v_aligned=v)
             if abs(dual - reward_rule(coeffs, a) - f) > 1e-6 * (1.0 + abs(dual)):
@@ -317,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("simulate")
     sub.add_parser("compare")
     sub.add_parser("sensitivity")
-    bench = sub.add_parser("bench")
-    bench.add_argument("--reps", type=int, default=1)
     sub.add_parser("selftest")
     return parser
 
@@ -353,8 +311,6 @@ def dispatch(argv: list[str]) -> int:
             return _cmd_compare(cfg, args.out, args.verbose)
         if args.command == "sensitivity":
             return _cmd_sensitivity(cfg, args.out, args.verbose)
-        if args.command == "bench":
-            return _cmd_bench(cfg, args.out, args.reps, args.verbose)
         if args.command == "selftest":
             return _cmd_selftest(cfg, args.out, args.verbose)
         parser.error(f"unknown command {args.command!r}")

@@ -44,7 +44,6 @@ class RunConfig:
     inner_method: str = "parametric"
     early_stop: bool = True
     robust_budget: float = 0.5
-    mccormick_lower_one: bool = False
     # simulation scenarios
     radius: float = 0.5
     perturb_direction: str = "high-infective"
@@ -68,14 +67,13 @@ class RunConfig:
     def planner_kwargs(self) -> dict:
         return dict(backend=self.backend, niter=self.niter, seed=self.seed,
                     inner_method=self.inner_method, early_stop=self.early_stop,
-                    robust_budget=self.robust_budget,
-                    mccormick_lower=(1, 1) if self.mccormick_lower_one else (0, 0))
+                    robust_budget=self.robust_budget)
 
 
 _KEY_TO_FIELD = {"lambda": "lam"}
 _FIELD_TO_KEY = {"lam": "lambda"}
 
-_BOOL_KEYS = {"early_stop", "mccormick_lower_one"}
+_BOOL_KEYS = {"early_stop"}
 _INT_KEYS = {"N", "L", "M", "T", "Y", "niter", "seed", "nseeds", "threads"}
 _LIST_KEYS = {"p_S1_list", "sweep_values"}
 _STR_KEYS = {"backend", "inner_method", "perturb_direction", "sweep_param"}

@@ -1,8 +1,9 @@
 """Compiled planning model: grid, kernel rows, rewards, and fitted rules.
 
 Compilation is per state and on demand, since trajectory-driven planners only
-touch a sliver of the grid.  Everything compiled is cached in memory and can
-be persisted to CSV artifacts keyed by a content hash of the configuration.
+touch a sliver of the grid.  Everything compiled is cached in memory; the
+kernel rows can be persisted to a CSV cache keyed by a content hash of the
+configuration, and the rules are refit when it is loaded.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 from .backup import worst_case_shift
 from .errors import CacheError, DomainError
 from .grid import Grid, GridSpec, SparseDistribution, build_grid, cache_key, discretize_kernel
-from .rules import AmbiguityConfig, DecisionRuleCoefficients, design_matrix, fit_rules, reward_rule
+from .rules import AmbiguityConfig, DecisionRuleCoefficients, design_matrix, fit_affine, fit_rules, mean_bounds
 from .seir import Action, EpidemicParams, nominal_reward
 
 
@@ -98,14 +99,9 @@ class EpidemicModel:
             return self._stage_h[idx]
         if not self.grid.in_S[idx]:
             val = 0.0
-        elif idx in self._rules:
-            coeffs = self._rules[idx]
-            val = max(reward_rule(coeffs, a) for a in self.actions)
         else:
-            rewards = self._reward_vector(idx)
             X = design_matrix(self.actions)
-            beta = np.linalg.solve(X.T @ X + 1e-10 * np.eye(3), X.T @ rewards)
-            val = float((X @ beta).max())
+            val = float((X @ fit_affine(X, self._reward_vector(idx))).max())
         self._stage_h[idx] = val
         return val
 
@@ -120,9 +116,9 @@ class EpidemicModel:
         from .backup import inner_value_parametric
 
         coeffs = self.rules(idx)
-        X = design_matrix(self.actions)
-        vals = inner_value_parametric(X @ coeffs.sigma, X @ coeffs.rho,
-                                      np.zeros(len(coeffs.support)), self.acfg.k)
+        eta_L, eta_U = mean_bounds(coeffs, design_matrix(self.actions))
+        vals = inner_value_parametric(eta_L, eta_U, np.zeros(len(coeffs.support)),
+                                      self.acfg.k)
         return max(0.0, float(vals.max()))
 
     def compile_states(self, indices, workers: int = 1) -> None:
@@ -153,11 +149,12 @@ class EpidemicModel:
     # -- persistence ---------------------------------------------------------
 
     def save_cache(self, directory: str) -> list[str]:
-        """Write kernels and fitted rules as CSV artifacts named by config hash."""
+        """Write the kernel rows as a CSV artifact named by config hash.
+
+        The rules are not stored: load_cache refits them from the rows.
+        """
         os.makedirs(directory, exist_ok=True)
-        key = self.key()
-        kpath = os.path.join(directory, f"kernels_{key}.csv")
-        rpath = os.path.join(directory, f"rules_{key}.csv")
+        kpath = os.path.join(directory, f"kernels_{self.key()}.csv")
         with open(kpath, "w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(_KERNEL_HEADER)
@@ -165,18 +162,7 @@ class EpidemicModel:
                 for a, row in zip(self.actions, self._rows[idx]):
                     for s, p in zip(row.indices, row.probs):
                         wr.writerow([idx, a.y_V, a.y_R, int(s), f"{p:.17g}"])
-        with open(rpath, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["state", "kind", "coef", "successor", "value"])
-            for idx in sorted(self._rules):
-                c = self._rules[idx]
-                for name, arr in (("rho", c.rho), ("sigma", c.sigma)):
-                    for ci in range(3):
-                        for s, val in zip(c.support, arr[ci]):
-                            wr.writerow([idx, name, ci, int(s), f"{val:.17g}"])
-                for ci in range(3):
-                    wr.writerow([idx, "eps", ci, -1, f"{c.eps[ci]:.17g}"])
-        return [kpath, rpath]
+        return [kpath]
 
     def load_cache(self, directory: str) -> bool:
         """Load a matching cache if present; returns True when hydrated.

@@ -42,7 +42,6 @@ class PlannerConfig:
     stop_tol: float = 1e-7
     stop_patience: int = 10
     robust_budget: float = 0.5
-    mccormick_lower: tuple[int, int] = (0, 0)
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -122,8 +121,7 @@ def backup_state(model: EpidemicModel, idx: int, t: int, v_next, cfg: PlannerCon
                                       method=cfg.inner_method)
     if cfg.backend == "drmdp-mccormick":
         return drmdp_backup_mccormick(coeffs, v_next, lam, k,
-                                      L=model.params.L, M=model.params.M,
-                                      a_lower=cfg.mccormick_lower)
+                                      L=model.params.L, M=model.params.M)
     if cfg.backend == "drmdp-unary":
         return drmdp_backup_unary(coeffs, v_next, lam, k,
                                   L=model.params.L, M=model.params.M)

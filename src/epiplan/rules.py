@@ -1,10 +1,10 @@
 """Action-dependent mean bounds via least-squares decision rules.
 
 For one grid state, every action's kernel row and stage reward are summarized
-by affine maps of the action: an upper and lower bound on each successor's
-mean probability (the nominal row widened by +/- delta) and an affine stage
-reward.  The fits are ordinary least squares over the full action set, solved
-by normal equations with a tiny ridge for conditioning.
+by affine maps of the action: a nominal mean for each successor, widened by
++/- delta into the ambiguity set's lower and upper mean bounds, and an affine
+stage reward.  The fits are ordinary least squares over the full action set,
+solved by normal equations with a tiny ridge for conditioning.
 """
 
 from __future__ import annotations
@@ -39,32 +39,25 @@ class AmbiguityConfig:
 class DecisionRuleCoefficients:
     """Affine coefficients over a state's successor support.
 
-    rho / sigma are (3, m): intercept, y_V slope, y_R slope per successor for
-    the upper / lower mean bound.  eps is the (3,) reward rule.
+    mean is (3, m): intercept, y_V slope, y_R slope of each successor's
+    nominal mean; the mean bounds are mean -/+ delta.  eps is the (3,) reward
+    rule.
     """
 
     support: np.ndarray
-    rho: np.ndarray
-    sigma: np.ndarray
+    mean: np.ndarray
+    delta: float
     eps: np.ndarray
 
     def __post_init__(self) -> None:
-        m = len(self.support)
-        if self.rho.shape != (3, m) or self.sigma.shape != (3, m):
-            raise DomainError("coefficient arrays must be (3, |support|)")
+        if self.mean.shape != (3, len(self.support)):
+            raise DomainError("mean rule must be (3, |support|)")
         if self.eps.shape != (3,):
             raise DomainError("reward coefficients must have shape (3,)")
-        if not (np.isfinite(self.rho).all() and np.isfinite(self.sigma).all()
-                and np.isfinite(self.eps).all()):
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.eps).all()):
             raise DomainError("coefficients must be finite")
-
-
-@dataclass(frozen=True)
-class EtaBounds:
-    """Evaluated mean bounds for one action, aligned with the support."""
-
-    eta_L: np.ndarray
-    eta_U: np.ndarray
+        if not 0.0 <= self.delta < np.inf:
+            raise DomainError(f"delta must be finite and >= 0, got {self.delta}")
 
 
 def design_matrix(actions: list[Action]) -> np.ndarray:
@@ -72,9 +65,11 @@ def design_matrix(actions: list[Action]) -> np.ndarray:
     return np.array([[1.0, a.y_V, a.y_R] for a in actions])
 
 
-def _ols(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def fit_affine(X: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Coefficients (3, ...) of the least-squares affine rule for targets,
+    whose first axis runs over the actions whose design_matrix is X."""
     XtX = X.T @ X + _RIDGE * np.eye(X.shape[1])
-    return np.linalg.solve(XtX, X.T @ Y)
+    return np.linalg.solve(XtX, X.T @ np.asarray(targets, dtype=np.float64))
 
 
 def fit_rules(
@@ -84,7 +79,7 @@ def fit_rules(
     cfg: AmbiguityConfig,
     support: np.ndarray | None = None,
 ) -> DecisionRuleCoefficients:
-    """Fit the three affine rules for one state from its per-action rows.
+    """Fit the mean and reward rules for one state from its per-action rows.
 
     kernels and rewards are aligned with actions.  Rows are zero-padded onto
     the union support (or a caller-supplied superset of it).
@@ -111,16 +106,16 @@ def fit_rules(
         for s, pr in zip(row.indices, row.probs):
             P[i, pos[int(s)]] = pr
 
-    rho = _ols(X, P + cfg.delta)
-    sigma = _ols(X, P - cfg.delta)
-    eps = _ols(X, np.asarray(rewards, dtype=np.float64))
-    return DecisionRuleCoefficients(support=support, rho=rho, sigma=sigma, eps=eps)
+    return DecisionRuleCoefficients(support=support, mean=fit_affine(X, P),
+                                    delta=cfg.delta, eps=fit_affine(X, rewards))
 
 
-def eta_bounds(coeffs: DecisionRuleCoefficients, action: Action) -> EtaBounds:
-    """Evaluate the affine mean bounds at one action (no clamping)."""
-    x = np.array([1.0, action.y_V, action.y_R])
-    return EtaBounds(eta_L=x @ coeffs.sigma, eta_U=x @ coeffs.rho)
+def mean_bounds(coeffs: DecisionRuleCoefficients,
+                X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(eta_L, eta_U), each (n, m): the fitted mean -/+ delta at the n actions
+    whose design_matrix is X, aligned with the support (no clamping)."""
+    center = X @ coeffs.mean
+    return center - coeffs.delta, center + coeffs.delta
 
 
 def reward_rule(coeffs: DecisionRuleCoefficients, action: Action) -> float:

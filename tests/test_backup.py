@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from epiplan import Action
+from epiplan import Action, EpidemicParams
 from epiplan.errors import DomainError
 from epiplan.backup import (
     drmdp_backup_enumerate,
@@ -18,48 +18,41 @@ from epiplan.backup import (
 )
 from epiplan.grid import GridSpec, SparseDistribution, build_grid
 from epiplan.lp import solve_lp
+from epiplan.model import EpidemicModel
 from epiplan.rules import (
     AmbiguityConfig,
     DecisionRuleCoefficients,
     design_matrix,
-    eta_bounds,
     fit_rules,
+    mean_bounds,
     reward_rule,
 )
 
 
-def make_coeffs(support, rho0, rho1, rho2, sigma0, sigma1, sigma2, eps):
-    return DecisionRuleCoefficients(
-        support=np.asarray(support, dtype=np.int64),
-        rho=np.vstack([rho0, rho1, rho2]).astype(float),
-        sigma=np.vstack([sigma0, sigma1, sigma2]).astype(float),
-        eps=np.asarray(eps, dtype=float),
-    )
-
-
-def constant_coeffs(support, eta_L, eta_U, reward=0.0):
+def constant_coeffs(support, center, delta, reward=0.0):
     """Rules with zero slopes: the same bounds for every action."""
-    m = len(support)
-    z = np.zeros(m)
-    return make_coeffs(support, eta_U, z, z, eta_L, z, z, [reward, 0.0, 0.0])
+    mean = np.zeros((3, len(support)))
+    mean[0] = center
+    return DecisionRuleCoefficients(support=np.asarray(support, dtype=np.int64),
+                                    mean=mean, delta=delta,
+                                    eps=np.array([reward, 0.0, 0.0]))
 
 
 def random_coeffs(rng, m, adversarial=False):
+    """Rules around a random distribution; adversarial ones have means off
+    the simplex, negative upper bounds and steep slopes.  Crossed bounds
+    (eta_L > eta_U) need no coefficients: random_batch draws them."""
     base = rng.random(m)
     base /= base.sum()
-    width = rng.random(m) * 0.1
-    rho0, sigma0 = base + width, base - width
-    rho1 = rng.normal(scale=0.05, size=m)
-    rho2 = rng.normal(scale=0.05, size=m)
-    sigma1, sigma2 = rho1.copy(), rho2.copy()
+    mean = np.vstack([base, rng.normal(scale=0.05, size=(2, m))])
+    delta = rng.random() * 0.1
     if adversarial:
-        # regression artifacts: crossed bounds, negative uppers, odd slopes
-        rho0 = rng.normal(scale=0.6, size=m)
-        sigma0 = rng.normal(scale=0.6, size=m)
-        rho1, rho2 = rng.normal(scale=0.3, size=m), rng.normal(scale=0.3, size=m)
-        sigma1, sigma2 = rng.normal(scale=0.3, size=m), rng.normal(scale=0.3, size=m)
+        mean = np.vstack([rng.normal(scale=0.6, size=m),
+                          rng.normal(scale=0.3, size=(2, m))])
+        delta = rng.random() * 0.6
     eps = np.array([-rng.random() * 50, -rng.random(), -rng.random()])
-    return make_coeffs(np.arange(m), rho0, rho1, rho2, sigma0, sigma1, sigma2, eps)
+    return DecisionRuleCoefficients(support=np.arange(m), mean=mean, delta=delta,
+                                    eps=eps)
 
 
 def grid_actions(L, M):
@@ -70,8 +63,8 @@ def ldr_nominal_backup(coeffs, actions, v, lam):
     """Nominal backup using the fitted rules: reward rule plus midpoint row."""
     best_val, best_a = -np.inf, None
     for a in sorted(actions, key=lambda a: (a.y_V, a.y_R)):
-        eb = eta_bounds(coeffs, a)
-        val = reward_rule(coeffs, a) + lam * float(0.5 * (eb.eta_L + eb.eta_U) @ v)
+        center = design_matrix([a])[0] @ coeffs.mean
+        val = reward_rule(coeffs, a) + lam * float(center @ v)
         if val > best_val:
             best_val, best_a = val, a
     return best_val, best_a
@@ -215,7 +208,7 @@ class TestLevelBackups:
 
 class TestInnerProblem:
     def test_singleton_support_pins_value(self):
-        coeffs = constant_coeffs([4], np.array([1.0]), np.array([1.0]), reward=-2.0)
+        coeffs = constant_coeffs([4], [1.0], 0.0, reward=-2.0)
         for k in (0.5, 1000.0):
             q_val, sol = inner_dual_lp(coeffs, Action(0, 0), np.full(9, -7.0), 0.9, k)
             assert q_val == pytest.approx(-2.0 + 0.9 * -7.0, abs=1e-8)
@@ -224,7 +217,7 @@ class TestInnerProblem:
     def test_two_successors_tight_band_and_free_nature(self):
         # eta pinned at (0.5, 0.5): worst mean is nominal when k is huge.
         support = [0, 1]
-        coeffs = constant_coeffs(support, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+        coeffs = constant_coeffs(support, [0.5, 0.5], 0.0)
         v = np.array([0.0, -10.0])
         lam = 0.95
         big, _ = inner_dual_lp(coeffs, Action(0, 0), v, lam, 1e6)
@@ -242,9 +235,8 @@ class TestInnerProblem:
             k = float(rng.choice([0.0, 0.37, 1.0, 55.0, 1e3, 1e6]))
             a = Action(0, 0)
             lp_val, _ = inner_dual_lp(coeffs, a, v, 0.95, k, _v_aligned=v)
-            eb = eta_bounds(coeffs, a)
             fast_val = reward_rule(coeffs, a) + inner_value_parametric(
-                eb.eta_L[None], eb.eta_U[None], 0.95 * v, k)[0]
+                *mean_bounds(coeffs, design_matrix([a])), 0.95 * v, k)[0]
             scale = 1.0 + abs(lp_val)
             assert abs(lp_val - fast_val) <= 1e-7 * scale, (trial, lp_val, fast_val)
 
@@ -376,6 +368,23 @@ class TestActionBackends:
             assert mc >= un - 1e-6 * scale, trial
             assert mc >= e - 1e-6 * scale, trial
 
+    def test_relaxation_ordering_on_fitted_rules(self):
+        # Rules fitted from compiled kernel rows rather than drawn at random;
+        # several of these states have positive penalty slack.
+        model = EpidemicModel(EpidemicParams(N=60, L=2, M=2), 4, AmbiguityConfig())
+        rng = np.random.default_rng(12)
+        lam, k = model.lam, model.acfg.k
+        for idx in model.grid.in_S_indices()[::2]:
+            coeffs = model.rules(int(idx))
+            v = -rng.random(model.grid.n_corners) * 1e3
+            e, _ = drmdp_backup_enumerate(coeffs, model.actions, v, lam, k,
+                                          method="parametric")
+            un, _ = drmdp_backup_unary(coeffs, v, lam, k, L=2, M=2)
+            mc, _ = drmdp_backup_mccormick(coeffs, v, lam, k, L=2, M=2)
+            scale = 1.0 + abs(e)
+            assert abs(un - e) <= 1e-6 * scale, (idx, un, e)
+            assert mc >= e - 1e-6 * scale, (idx, mc, e)
+
     def test_k_zero_collapses_to_support_minimum(self):
         rng = np.random.default_rng(7)
         m, L, M = 5, 2, 2
@@ -440,8 +449,7 @@ class TestActionBackends:
 
     def test_enumerate_ties_go_to_lowest_action(self):
         # Zero slopes: every action has the same value on both routes.
-        coeffs = constant_coeffs(np.arange(3), np.array([0.2, 0.3, 0.1]),
-                                 np.array([0.4, 0.5, 0.3]), reward=-4.0)
+        coeffs = constant_coeffs(np.arange(3), [0.3, 0.4, 0.2], 0.1, reward=-4.0)
         actions = list(reversed(grid_actions(2, 2)))
         v = np.array([-1.0, -6.0, -3.0])
         for method in ("parametric", "lp"):
@@ -450,7 +458,7 @@ class TestActionBackends:
             assert act == Action(0, 0), method
 
     def test_enumerate_rejects_unknown_method(self):
-        coeffs = constant_coeffs([0], np.array([1.0]), np.array([1.0]))
+        coeffs = constant_coeffs([0], [1.0], 0.0)
         with pytest.raises(DomainError):
             drmdp_backup_enumerate(coeffs, [Action(0, 0)], np.zeros(1), 0.9, 1.0,
                                    method="ternary")

@@ -34,6 +34,14 @@ class TestParseConfig:
         assert "gamma" in str(err.value)
         assert ":1:" in str(err.value)
 
+    def test_mccormick_lower_one_rejected(self):
+        # The key set the envelopes' lower action bound to 1 while level 0
+        # stayed feasible, so the McCormick "upper bound" could fall below
+        # enumeration; it was removed.
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("mccormick_lower_one = true\n")
+        assert "unknown key 'mccormick_lower_one'" in str(err.value)
+
     def test_malformed_line(self):
         with pytest.raises(ConfigError) as err:
             parse_config_text("Y 30\n")
@@ -173,12 +181,6 @@ class TestDispatch:
         out = str(tmp_path / "sens")
         assert dispatch(["--config", path, "--out", out, "sensitivity"]) == 0
         assert os.path.exists(os.path.join(out, "sensitivity.csv"))
-
-    def test_bench_smoke(self, tmp_path):
-        path = write_cfg(tmp_path, TOY)
-        out = str(tmp_path / "bench")
-        assert dispatch(["--config", path, "--out", out, "bench"]) == 0
-        assert os.path.exists(os.path.join(out, "bench.csv"))
 
     def test_cli_overrides(self, tmp_path):
         path = write_cfg(tmp_path, TOY)

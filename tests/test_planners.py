@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -236,15 +237,17 @@ class TestModelBundle:
         idx = model.grid.index_of(1, 1, 0)
         model.compile_state(idx)
         files = model.save_cache(str(tmp_path))
-        assert len(files) == 2
+        assert len(files) == 1
+        assert os.listdir(tmp_path) == [os.path.basename(files[0])]
 
         fresh = toy_model(N=4, T=3)
         assert fresh.load_cache(str(tmp_path))
         for a_row, b_row in zip(model.rows(idx), fresh.rows(idx)):
             np.testing.assert_array_equal(a_row.indices, b_row.indices)
             np.testing.assert_allclose(a_row.probs, b_row.probs, atol=1e-15)
-        np.testing.assert_allclose(model.rules(idx).rho, fresh.rules(idx).rho,
+        np.testing.assert_allclose(model.rules(idx).mean, fresh.rules(idx).mean,
                                    atol=1e-12)
+        assert model.rules(idx).delta == fresh.rules(idx).delta
 
     def test_load_cache_misses_on_other_config(self, tmp_path):
         model = toy_model(N=4, T=3)

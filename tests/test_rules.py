@@ -3,7 +3,14 @@ import pytest
 
 from epiplan import Action, DomainError, UnderdeterminedError
 from epiplan.grid import SparseDistribution
-from epiplan.rules import AmbiguityConfig, DecisionRuleCoefficients, eta_bounds, fit_rules, reward_rule
+from epiplan.rules import (
+    AmbiguityConfig,
+    DecisionRuleCoefficients,
+    design_matrix,
+    fit_rules,
+    mean_bounds,
+    reward_rule,
+)
 
 
 def grid_actions(L=2, M=2):
@@ -30,10 +37,10 @@ class TestFitRules:
         rewards = [-(1.0 + 2.0 * a.y_V + 3.0 * a.y_R) for a in actions]
         cfg = AmbiguityConfig(delta=0.0, k=10.0)
         coeffs = fit_rules(actions, kernels, rewards, cfg)
-        np.testing.assert_allclose(coeffs.rho[0], c0, atol=1e-8)
-        np.testing.assert_allclose(coeffs.rho[1], c1, atol=1e-8)
-        np.testing.assert_allclose(coeffs.rho[2], c2, atol=1e-8)
-        np.testing.assert_allclose(coeffs.sigma, coeffs.rho, atol=1e-10)
+        np.testing.assert_allclose(coeffs.mean[0], c0, atol=1e-8)
+        np.testing.assert_allclose(coeffs.mean[1], c1, atol=1e-8)
+        np.testing.assert_allclose(coeffs.mean[2], c2, atol=1e-8)
+        assert coeffs.delta == 0.0
         np.testing.assert_allclose(coeffs.eps, [-1.0, -2.0, -3.0], atol=1e-8)
 
     def test_constant_targets_zero_slopes(self):
@@ -42,8 +49,8 @@ class TestFitRules:
         kernels = [SparseDistribution(support, np.array([0.4, 0.6])) for _ in actions]
         rewards = [-7.0] * len(actions)
         coeffs = fit_rules(actions, kernels, rewards, AmbiguityConfig(0.05, 1.0))
-        np.testing.assert_allclose(coeffs.rho[1:], 0.0, atol=1e-8)
-        np.testing.assert_allclose(coeffs.sigma[1:], 0.0, atol=1e-8)
+        np.testing.assert_allclose(coeffs.mean[1:], 0.0, atol=1e-8)
+        assert coeffs.delta == 0.05
         np.testing.assert_allclose(coeffs.eps[1:], 0.0, atol=1e-8)
         assert coeffs.eps[0] == pytest.approx(-7.0, abs=1e-8)
 
@@ -60,7 +67,7 @@ class TestFitRules:
             kernels.append(SparseDistribution(support, row))
         rewards = list(-rng.random(len(actions)) * 100)
         coeffs = fit_rules(actions, kernels, rewards, AmbiguityConfig(0.02, 1.0))
-        resid = (raw + 0.02) - X @ coeffs.rho
+        resid = raw - X @ coeffs.mean
         np.testing.assert_allclose(X.T @ resid, 0.0, atol=1e-7)
         resid_r = np.asarray(rewards) - X @ coeffs.eps
         np.testing.assert_allclose(X.T @ resid_r, 0.0, atol=1e-7)
@@ -93,7 +100,7 @@ class TestFitRules:
         perm = rng.permutation(len(actions))
         b = fit_rules([actions[i] for i in perm], [kernels[i] for i in perm],
                       [rewards[i] for i in perm], cfg)
-        np.testing.assert_allclose(a.rho, b.rho, atol=1e-10)
+        np.testing.assert_allclose(a.mean, b.mean, atol=1e-10)
         np.testing.assert_allclose(a.eps, b.eps, atol=1e-10)
 
 
@@ -107,10 +114,10 @@ class TestEtaBounds:
         kernels = affine_instance(actions, support, c0, c1, c2)
         coeffs = fit_rules(actions, kernels, [0.0] * len(actions),
                            AmbiguityConfig(0.0, 1.0))
-        for a, row in zip(actions, kernels):
-            eb = eta_bounds(coeffs, a)
-            np.testing.assert_allclose(eb.eta_L, row.probs, atol=1e-8)
-            np.testing.assert_allclose(eb.eta_U, row.probs, atol=1e-8)
+        eta_L, eta_U = mean_bounds(coeffs, design_matrix(actions))
+        rows = np.array([row.probs for row in kernels])
+        np.testing.assert_allclose(eta_L, rows, atol=1e-8)
+        np.testing.assert_allclose(eta_U, rows, atol=1e-8)
 
     def test_band_width_is_two_delta(self):
         actions = grid_actions()
@@ -119,21 +126,28 @@ class TestEtaBounds:
                                   np.array([0.01, -0.01]), np.array([0.0, 0.0]))
         coeffs = fit_rules(actions, kernels, [0.0] * len(actions),
                            AmbiguityConfig(0.1, 1.0))
-        for a in actions:
-            eb = eta_bounds(coeffs, a)
-            np.testing.assert_allclose(eb.eta_U - eb.eta_L, 0.2, atol=1e-8)
+        eta_L, eta_U = mean_bounds(coeffs, design_matrix(actions))
+        assert eta_U.shape == (len(actions), 2)
+        np.testing.assert_allclose(eta_U - eta_L, 0.2, atol=1e-12)
+        np.testing.assert_allclose(0.5 * (eta_L + eta_U),
+                                   [r.probs for r in kernels], atol=1e-8)
 
     def test_general_affine_evaluation(self):
-        rho = np.array([[0.5, 0.1], [0.02, 0.0], [-0.01, 0.03]])
-        sigma = rho - 0.08
+        mean = np.array([[0.5, 0.1], [0.02, 0.0], [-0.01, 0.03]])
         coeffs = DecisionRuleCoefficients(
-            support=np.array([0, 1]), rho=rho, sigma=sigma, eps=np.zeros(3))
-        a = Action(2, 3)
-        eb = eta_bounds(coeffs, a)
-        np.testing.assert_allclose(
-            eb.eta_U, rho[0] + 2 * rho[1] + 3 * rho[2], atol=1e-12)
-        np.testing.assert_allclose(
-            eb.eta_L, sigma[0] + 2 * sigma[1] + 3 * sigma[2], atol=1e-12)
+            support=np.array([0, 1]), mean=mean, delta=0.04, eps=np.zeros(3))
+        actions = [Action(2, 3), Action(0, 1)]
+        eta_L, eta_U = mean_bounds(coeffs, design_matrix(actions))
+        for i, a in enumerate(actions):
+            center = mean[0] + a.y_V * mean[1] + a.y_R * mean[2]
+            np.testing.assert_allclose(eta_U[i], center + 0.04, atol=1e-12)
+            np.testing.assert_allclose(eta_L[i], center - 0.04, atol=1e-12)
+
+    @pytest.mark.parametrize("delta", [-0.01, np.inf, np.nan])
+    def test_rejects_bad_delta(self, delta):
+        with pytest.raises(DomainError):
+            DecisionRuleCoefficients(support=np.array([0]), mean=np.ones((3, 1)),
+                                     delta=delta, eps=np.zeros(3))
 
 
 class TestRewardRule:

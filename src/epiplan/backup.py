@@ -18,7 +18,7 @@ box envelopes (a relaxation) or with per-level indicator variables (exact).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,38 +26,22 @@ from .errors import DomainError, SolverError
 from .grid import Grid, SparseDistribution
 from .lp import LinearProgram, MixedIntegerProgram, solve_lp, solve_mip
 from .rules import (
-    AmbiguityConfig,
     DecisionRuleCoefficients,
     design_matrix,
-    fit_rules,
+    fit_rules,  # noqa: F401  perfbench/layers.py traces backup.fit_rules
     mean_bounds,
     reward_rule,
 )
 from .seir import Action
 
-ValueLookup = Callable[[int], float]
-
 
 @dataclass
 class DualSolution:
-    """Optimal multipliers of the inner problem; mean and slack when requested."""
+    """Optimal multipliers of the inner problem."""
 
     q: float
     w: np.ndarray
     u: np.ndarray
-    x: np.ndarray | None = None
-    m: np.ndarray | None = None
-
-
-def values_over(support: np.ndarray, v: ValueLookup | np.ndarray) -> np.ndarray:
-    """Successor values aligned with a support, from an array or a lookup."""
-    if isinstance(v, np.ndarray):
-        return v[support]
-    return np.array([v(int(j)) for j in support], dtype=np.float64)
-
-
-def _sorted_actions(actions: Sequence[Action]) -> list[Action]:
-    return sorted(actions, key=lambda a: (a.y_V, a.y_R))
 
 
 # ---------------------------------------------------------------------------
@@ -68,24 +52,17 @@ def best_action_over_rows(
     actions: Sequence[Action],
     rows: Sequence[SparseDistribution],
     rewards: Sequence[float],
-    v: ValueLookup | np.ndarray,
+    v: np.ndarray,
     lam: float,
 ) -> tuple[float, Action]:
-    """max_a r(a) + lam * E_row(a)[V]; ties go to the lowest (y_V, y_R)."""
-    order = sorted(range(len(actions)), key=lambda i: (actions[i].y_V, actions[i].y_R))
+    """max_a r(a) + lam * E_row(a)[V] over corner values v; ties go to the
+    first of the given actions."""
     best_val, best_a = -np.inf, None
-    for i in order:
-        row = rows[i]
-        ev = float(np.dot(row.probs, values_over(row.indices, v)))
-        val = rewards[i] + lam * ev
+    for a, row, r in zip(actions, rows, rewards):
+        val = r + lam * row.dot(v)
         if val > best_val:
-            best_val, best_a = val, actions[i]
+            best_val, best_a = val, a
     return best_val, best_a
-
-
-def nominal_backup(actions, rows, rewards, v, lam) -> tuple[float, Action]:
-    """Classic expected-value backup on the nominal kernel rows."""
-    return best_action_over_rows(actions, rows, rewards, v, lam)
 
 
 def worst_case_shift(row: SparseDistribution, grid: Grid, budget: float) -> SparseDistribution:
@@ -123,14 +100,6 @@ def worst_case_shift(row: SparseDistribution, grid: Grid, budget: float) -> Spar
     return SparseDistribution(row.indices.copy(), probs, normalize=True)
 
 
-def robust_backup(
-    actions, rows, rewards, v, lam, grid: Grid, budget: float = 0.5
-) -> tuple[float, Action]:
-    """Nominal backup evaluated on adversarially shifted kernel rows."""
-    shifted = [worst_case_shift(r, grid, budget) for r in rows]
-    return best_action_over_rows(actions, shifted, rewards, v, lam)
-
-
 # ---------------------------------------------------------------------------
 # Inner problem: LP route, primal oracle, and batched parametric route
 
@@ -138,11 +107,9 @@ def robust_backup(
 def inner_dual_lp(
     coeffs: DecisionRuleCoefficients,
     action: Action,
-    v_next: np.ndarray | ValueLookup,
+    v_next: np.ndarray,
     lam: float,
     k: float,
-    want_mean: bool = False,
-    _v_aligned: np.ndarray | None = None,
 ) -> tuple[float, DualSolution]:
     """Action value under the worst admissible mean, via the multiplier LP.
 
@@ -150,27 +117,16 @@ def inner_dual_lp(
     s.t.      q <= lam*V(s') + w(s') - u(s')   for every supported successor
               w + u <= k,  w, u >= 0.
 
-    v_next is a lookup or an array over all grid corners; _v_aligned may carry
-    the support-aligned values when the caller already extracted them.
+    v_next holds the values over all grid corners.
     """
     eta_L, eta_U = mean_bounds(coeffs, design_matrix([action]))
-    r = reward_rule(coeffs, action)
-    if _v_aligned is None:
-        _v_aligned = values_over(coeffs.support, v_next)
-    v = lam * _v_aligned
+    v = lam * v_next[coeffs.support]
     m = len(v)
-
     res = solve_lp(inner_dual_program(eta_L[0], eta_U[0], v, k))
     if res.status != "optimal":
         raise SolverError(f"inner LP unexpectedly {res.status}")
-    fut = res.objective
     sol = DualSolution(q=float(res.x[0]), w=res.x[1:1 + m], u=res.x[1 + m:])
-
-    if want_mean:
-        _, mean, slack = inner_primal_oracle(coeffs, action, v_next, lam, k,
-                                             return_solution=True)
-        sol.m, sol.x = mean, slack
-    return r + fut, sol
+    return reward_rule(coeffs, action) + res.objective, sol
 
 
 def inner_dual_program(eta_L: np.ndarray, eta_U: np.ndarray, v: np.ndarray,
@@ -198,11 +154,10 @@ def inner_dual_program(eta_L: np.ndarray, eta_U: np.ndarray, v: np.ndarray,
 def inner_primal_oracle(
     coeffs: DecisionRuleCoefficients,
     action: Action,
-    v_next: np.ndarray | ValueLookup,
+    v_next: np.ndarray,
     lam: float,
     k: float,
     return_solution: bool = False,
-    _v_aligned: np.ndarray | None = None,
 ):
     """Penalized worst-mean problem solved directly over mean vectors.
 
@@ -211,10 +166,7 @@ def inner_primal_oracle(
     minimize r(a) + lam*m'V + k*1'x  s.t.  m in simplex, |m - eta band| <= x.
     """
     eta_L, eta_U = mean_bounds(coeffs, design_matrix([action]))
-    r = reward_rule(coeffs, action)
-    if _v_aligned is None:
-        _v_aligned = values_over(coeffs.support, v_next)
-    v = lam * _v_aligned
+    v = lam * v_next[coeffs.support]
     m = len(v)
 
     n = 2 * m  # mean vector then slack vector
@@ -235,7 +187,7 @@ def inner_primal_oracle(
     res = solve_lp(lp)
     if res.status != "optimal":
         raise SolverError(f"inner primal unexpectedly {res.status}")
-    value = r + res.objective
+    value = reward_rule(coeffs, action) + res.objective
     if return_solution:
         return value, res.x[:m], res.x[m:]
     return value
@@ -288,7 +240,7 @@ def inner_value_parametric(
 def drmdp_backup_enumerate(
     coeffs: DecisionRuleCoefficients,
     actions: Sequence[Action],
-    v_next: np.ndarray | ValueLookup,
+    v_next: np.ndarray,
     lam: float,
     k: float,
     method: str,
@@ -296,21 +248,18 @@ def drmdp_backup_enumerate(
     """Reference backup: the inner problem for every action, then the best.
 
     method "parametric" solves every action in one batched call; "lp" solves
-    the multiplier LP per action.  Ties go to the lowest (y_V, y_R).
+    the multiplier LP per action.  Ties go to the first of the given actions.
     """
-    acts = _sorted_actions(actions)
-    v = values_over(coeffs.support, v_next)
     if method == "parametric":
-        X = design_matrix(acts)
+        X = design_matrix(actions)
         vals = X @ coeffs.eps + inner_value_parametric(
-            *mean_bounds(coeffs, X), lam * v, k)
+            *mean_bounds(coeffs, X), lam * v_next[coeffs.support], k)
     elif method == "lp":
-        vals = np.array([inner_dual_lp(coeffs, a, v_next, lam, k, _v_aligned=v)[0]
-                         for a in acts])
+        vals = np.array([inner_dual_lp(coeffs, a, v_next, lam, k)[0] for a in actions])
     else:
         raise DomainError(f"unknown inner method {method!r}")
     best = int(np.argmax(vals))
-    return float(vals[best]), acts[best]
+    return float(vals[best]), actions[best]
 
 
 def _mccormick_rows(n_vars, zi, ai, wi, a_hi, w_hi):
@@ -330,7 +279,7 @@ def _mccormick_rows(n_vars, zi, ai, wi, a_hi, w_hi):
 
 def drmdp_backup_mccormick(
     coeffs: DecisionRuleCoefficients,
-    v_next: np.ndarray | ValueLookup,
+    v_next: np.ndarray,
     lam: float,
     k: float,
     L: int,
@@ -344,7 +293,7 @@ def drmdp_backup_mccormick(
     upper bound on the enumeration backup; it is exact when an action axis
     has a single level.
     """
-    v = lam * values_over(coeffs.support, v_next)
+    v = lam * v_next[coeffs.support]
     m = len(v)
     n = 6 * m + 3
     iq = 0
@@ -397,7 +346,7 @@ def drmdp_backup_mccormick(
 
 def drmdp_backup_unary(
     coeffs: DecisionRuleCoefficients,
-    v_next: np.ndarray | ValueLookup,
+    v_next: np.ndarray,
     lam: float,
     k: float,
     L: int,
@@ -411,7 +360,7 @@ def drmdp_backup_unary(
     product gets the two rows that bind in its objective direction, so it
     equals psi * d_j at the optimum and the MIP equals the enumeration backup.
     """
-    v = lam * values_over(coeffs.support, v_next)
+    v = lam * v_next[coeffs.support]
     m = len(v)
     mean = coeffs.mean
     levels = (list(range(L + 1)), list(range(M + 1)))
@@ -479,52 +428,3 @@ def drmdp_backup_unary(
         raise SolverError(f"indicator MIP unexpectedly {sol.status}")
     action = Action(int(round(sol.x[ia[0]])), int(round(sol.x[ia[1]])))
     return float(sol.objective + coeffs.eps[0]), action
-
-
-# ---------------------------------------------------------------------------
-# Support-restriction guard
-
-
-@dataclass
-class FullSpaceReport:
-    value_restricted: float
-    value_full: float
-    gap: float
-    agree: bool
-    note: str = ""
-
-
-def full_space_check(
-    grid: Grid,
-    actions: Sequence[Action],
-    kernels: Sequence[SparseDistribution],
-    rewards: Sequence[float],
-    action: Action,
-    v_full: np.ndarray,
-    cfg: AmbiguityConfig,
-    lam: float,
-    tol: float = 1e-6,
-) -> FullSpaceReport:
-    """Compare the support-restricted inner LP against the full-corner LP.
-
-    Off-support successors carry zero mean bounds in the full LP, not
-    -/+ delta. With k = 0 the two need not agree (each reduces to the minimum
-    value over its own support); the report flags any difference instead of
-    hiding it.
-    """
-    restricted = fit_rules(list(actions), list(kernels), list(rewards), cfg)
-    val_r, _ = inner_dual_lp(restricted, action, v_full, lam, cfg.k)
-
-    eta_L, eta_U = np.zeros(grid.n_corners), np.zeros(grid.n_corners)
-    lo, hi = mean_bounds(restricted, design_matrix([action]))
-    eta_L[restricted.support] = lo[0]
-    eta_U[restricted.support] = hi[0]
-    res = solve_lp(inner_dual_program(eta_L, eta_U, lam * v_full, cfg.k))
-    if res.status != "optimal":
-        raise SolverError(f"inner LP unexpectedly {res.status}")
-    val_f = reward_rule(restricted, action) + res.objective
-
-    gap = abs(val_r - val_f)
-    note = "k=0 reduces to per-support minima" if cfg.k == 0.0 else ""
-    return FullSpaceReport(value_restricted=val_r, value_full=val_f,
-                           gap=float(gap), agree=bool(gap <= tol), note=note)

@@ -22,9 +22,11 @@ from .errors import EpiplanError
 from .model import EpidemicModel, lattice_state_index
 from .plan import PlannerConfig, backward_dp, rtdp, table_rows
 from .sim import (
-    PerturbationSpec,
+    EPISODE_HEADER,
+    aggregate_infectives,
     build_true_kernel,
     compare_models,
+    episode_rows,
     run_episode,
     sensitivity_sweep,
 )
@@ -113,25 +115,13 @@ def _cmd_simulate(cfg: RunConfig, outdir: str, verbose: bool) -> int:
     pcfg = PlannerConfig(**cfg.planner_kwargs())
     init = _init_index(cfg, model)
     table, _ = rtdp(model, init, pcfg)
-    pspec = PerturbationSpec(radius=cfg.radius, direction=cfg.perturb_direction,
-                             seed=cfg.seed)
-    kern = build_true_kernel(model, pspec)
+    kern = build_true_kernel(model, cfg.perturbation())
+    kernel_name = "perturbed" if cfg.radius else "nominal"
     rows = []
     for seed in range(cfg.nseeds):
         rec = run_episode(model, table, pcfg, kern, init, seed)
-        for t in range(1, model.T):
-            rows.append({
-                "backend": cfg.backend, "kernel": "perturbed" if cfg.radius else "nominal",
-                "p_S1": cfg.p_S1_list[0], "seed": seed, "stage": t,
-                "y_V": rec.actions[t - 1].y_V, "y_R": rec.actions[t - 1].y_R,
-                "reward": rec.rewards[t - 1],
-                "pct_infective": rec.pct_infective[t - 1],
-                "pct_recovered": rec.pct_recovered[t - 1],
-                "total_reward": rec.total_reward,
-            })
-    header = ["backend", "kernel", "p_S1", "seed", "stage", "y_V", "y_R",
-              "reward", "pct_infective", "pct_recovered", "total_reward"]
-    emit_results({"episodes": (header, rows)}, outdir, cfg,
+        rows += episode_rows(rec, cfg.backend, kernel_name, cfg.p_S1_list[0], seed)
+    emit_results({"episodes": (EPISODE_HEADER, rows)}, outdir, cfg,
                  list(range(cfg.nseeds)))
     totals = sorted({r["seed"]: r["total_reward"] for r in rows}.values())
     print(f"mean total reward {np.mean(totals):.3f} over {cfg.nseeds} seeds")
@@ -139,20 +129,16 @@ def _cmd_simulate(cfg: RunConfig, outdir: str, verbose: bool) -> int:
 
 
 def _cmd_compare(cfg: RunConfig, outdir: str, verbose: bool) -> int:
-    pspec = PerturbationSpec(radius=cfg.radius, direction=cfg.perturb_direction,
-                             seed=cfg.seed)
     episodes, summary = compare_models(
         cfg.params(), cfg.Y, cfg.ambiguity(),
         backends=("drmdp-enumerate", "nominal", "robust"),
         p_S1_list=cfg.p_S1_list, p_E1=cfg.p_E1,
-        kernels=("nominal", "perturbed"), pspec=pspec,
+        kernels=("nominal", "perturbed"), pspec=cfg.perturbation(),
         nseeds=cfg.nseeds, niter=cfg.niter, plan_seed=cfg.seed)
-    ep_header = ["backend", "kernel", "p_S1", "seed", "stage", "y_V", "y_R",
-                 "reward", "pct_infective", "pct_recovered", "total_reward"]
     sm_header = ["backend", "kernel", "p_S1", "stage", "mean_y_V", "mean_y_R",
                  "mean_pct_infective", "mean_pct_recovered",
                  "mean_total_reward", "std_total_reward"]
-    emit_results({"comparison_episodes": (ep_header, episodes),
+    emit_results({"comparison_episodes": (EPISODE_HEADER, episodes),
                   "comparison_summary": (sm_header, summary)},
                  outdir, cfg, list(range(cfg.nseeds)))
     cells = {(r["backend"], r["kernel"]): r["mean_total_reward"] for r in summary}
@@ -162,19 +148,15 @@ def _cmd_compare(cfg: RunConfig, outdir: str, verbose: bool) -> int:
 
 
 def _cmd_sensitivity(cfg: RunConfig, outdir: str, verbose: bool) -> int:
-    pspec = PerturbationSpec(radius=cfg.radius, direction=cfg.perturb_direction,
-                             seed=cfg.seed)
     p_S1 = cfg.p_S1_list[0]
     scenario = (p_S1, cfg.p_E1, round(1.0 - p_S1 - cfg.p_E1, 12))
     rows = sensitivity_sweep(cfg.params(), cfg.Y, cfg.ambiguity(),
                              cfg.sweep_param, cfg.sweep_values,
-                             nseeds=cfg.nseeds, pspec=pspec, scenario=scenario,
-                             niter=cfg.niter, plan_seed=cfg.seed)
+                             nseeds=cfg.nseeds, pspec=cfg.perturbation(),
+                             scenario=scenario, niter=cfg.niter, plan_seed=cfg.seed)
     header = ["param", "value", "seed", "stage", "pct_infective"]
     emit_results({"sensitivity": (header, rows)}, outdir, cfg,
                  list(range(cfg.nseeds)))
-    from .sim import aggregate_infectives
-
     for value in cfg.sweep_values:
         agg = aggregate_infectives(rows, cfg.sweep_param, value)
         print(f"{cfg.sweep_param} = {value:g}: aggregate infectives {agg:.4f}")
@@ -211,9 +193,8 @@ def _cmd_selftest(cfg: RunConfig, outdir: str, verbose: bool) -> int:
         coeffs = coeffs_of(m)
         v = -rng.random(m) * 50
         k = float(rng.choice([0.0, 1.0, 1e3, 1e6]))
-        dual, _ = inner_dual_lp(coeffs, Action(0, 0), v, 0.95, k, _v_aligned=v)
-        primal = inner_primal_oracle(coeffs, Action(0, 0), v, 0.95, k,
-                                     _v_aligned=v)
+        dual, _ = inner_dual_lp(coeffs, Action(0, 0), v, 0.95, k)
+        primal = inner_primal_oracle(coeffs, Action(0, 0), v, 0.95, k)
         if abs(dual - primal) > 1e-6 * (1.0 + abs(dual)):
             failures += 1
 
@@ -227,7 +208,7 @@ def _cmd_selftest(cfg: RunConfig, outdir: str, verbose: bool) -> int:
         k = float(rng.choice([0.0, 1.0, 1e3, 1e6]))
         fast = inner_value_parametric(*mean_bounds(coeffs, X), 0.95 * v, k)
         for a, f in zip(batch_actions, fast):
-            dual, _ = inner_dual_lp(coeffs, a, v, 0.95, k, _v_aligned=v)
+            dual, _ = inner_dual_lp(coeffs, a, v, 0.95, k)
             if abs(dual - reward_rule(coeffs, a) - f) > 1e-6 * (1.0 + abs(dual)):
                 failures += 1
 

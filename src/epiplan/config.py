@@ -9,12 +9,15 @@ so a run can always be reproduced.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError, DomainError
+from .grid import GridSpec
 from .plan import PlannerConfig
 from .rules import AmbiguityConfig
 from .seir import EpidemicParams
+from .sim import SWEEPABLE, PerturbationSpec
 
 
 @dataclass
@@ -69,6 +72,10 @@ class RunConfig:
                     inner_method=self.inner_method, early_stop=self.early_stop,
                     robust_budget=self.robust_budget)
 
+    def perturbation(self) -> PerturbationSpec:
+        return PerturbationSpec(radius=self.radius, direction=self.perturb_direction,
+                                seed=self.seed)
+
 
 _KEY_TO_FIELD = {"lambda": "lam"}
 _FIELD_TO_KEY = {"lam": "lambda"}
@@ -86,6 +93,13 @@ def _parse_bool(raw: str) -> bool:
     if low in ("false", "no", "0", "off"):
         return False
     raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw.strip()!r} is not finite")
+    return value
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
@@ -113,11 +127,11 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             elif name in _INT_KEYS:
                 values[name] = int(raw)
             elif name in _LIST_KEYS:
-                values[name] = tuple(float(v) for v in raw.split(",") if v.strip())
+                values[name] = tuple(_parse_float(v) for v in raw.split(",") if v.strip())
             elif name in _STR_KEYS:
                 values[name] = raw
             else:
-                values[name] = float(raw)
+                values[name] = _parse_float(raw)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}")
 
@@ -136,14 +150,10 @@ def _validate(cfg: RunConfig, source: str) -> None:
         cfg.params()
         cfg.ambiguity()
         PlannerConfig(**cfg.planner_kwargs())
+        cfg.perturbation()
+        GridSpec(cfg.Y)
     except DomainError as exc:
         raise ConfigError(f"{source}: {exc}")
-    if cfg.Y < 1:
-        raise ConfigError(f"{source}: Y must be >= 1, got {cfg.Y}")
-    if not 0.0 <= cfg.radius <= 2.0:
-        raise ConfigError(f"{source}: radius must be in [0, 2]")
-    if cfg.perturb_direction not in ("high-infective", "random"):
-        raise ConfigError(f"{source}: bad perturb_direction")
     if cfg.nseeds < 1:
         raise ConfigError(f"{source}: nseeds must be >= 1")
     if cfg.threads < 1:
@@ -153,8 +163,6 @@ def _validate(cfg: RunConfig, source: str) -> None:
     for v in cfg.p_S1_list:
         if not 0.0 <= v <= 1.0 or v + cfg.p_E1 > 1.0 + 1e-12:
             raise ConfigError(f"{source}: initial p_S1 {v} out of range")
-    from .sim import SWEEPABLE
-
     if cfg.sweep_param not in SWEEPABLE:
         raise ConfigError(f"{source}: sweep_param must be one of {SWEEPABLE}")
 

@@ -29,7 +29,6 @@ from .seir import (
     EpidemicParams,
     binomial_row,
     compile_rates,
-    nominal_reward,
     transition_pmf,  # noqa: F401  perfbench/layers.py traces grid.transition_pmf
     vaccination_trials,
 )
@@ -69,25 +68,6 @@ class GridSpec:
             raise DomainError(f"Y must be >= 1, got {self.Y}")
 
 
-@dataclass(frozen=True)
-class CornerState:
-    """One lattice corner: dense index, fractional coordinates, validity flag."""
-
-    index: int
-    coords: tuple[float, float, float]
-    lattice: tuple[int, int, int]
-    in_S: bool
-
-
-@dataclass(frozen=True)
-class BarycentricWeights:
-    """Convex combination of simplex corners reconstructing a point."""
-
-    corners: tuple[int, ...]
-    weights: tuple[float, ...]
-    simplex: int  # 0..5, lexicographic rank of the axis ordering
-
-
 class SparseDistribution:
     """Probability mass over corner indices; indices unique and ascending."""
 
@@ -121,9 +101,6 @@ class SparseDistribution:
         """Expectation of per-corner values under this distribution."""
         return float(np.dot(self.probs, values[self.indices]))
 
-    def as_dict(self) -> dict[int, float]:
-        return {int(i): float(p) for i, p in zip(self.indices, self.probs)}
-
 
 class Grid:
     """Immutable corner-state lattice with vectorized point location."""
@@ -153,15 +130,6 @@ class Grid:
     def index_of(self, i: int, j: int, k: int) -> int:
         side = self.Y + 1
         return (i * side + j) * side + k
-
-    def corner(self, index: int) -> CornerState:
-        i, j, k = (int(v) for v in self.lattice[index])
-        return CornerState(
-            index=int(index),
-            coords=tuple(float(v) for v in self.coords[index]),
-            lattice=(i, j, k),
-            in_S=bool(self.in_S[index]),
-        )
 
     def state_of(self, index: int) -> ContinuousState:
         if not self.in_S[index]:
@@ -212,32 +180,9 @@ class Grid:
         idx = base[:, None] + self._vertex_offsets[code]
         return idx, weights, _LABEL_OF_CODE[code]
 
-    def locate(self, point) -> BarycentricWeights:
-        """Barycentric weights for one point; zero-weight corners are dropped."""
-        if isinstance(point, ContinuousState):
-            point = (point.p_S, point.p_E, point.p_I)
-        idx, wts, label = self.locate_many(np.asarray([point], dtype=np.float64))
-        corners, weights = [], []
-        for i, w in zip(idx[0], wts[0]):
-            if w > 0.0:
-                corners.append(int(i))
-                weights.append(float(w))
-        return BarycentricWeights(tuple(corners), tuple(weights), int(label[0]))
-
 
 def build_grid(spec: GridSpec) -> Grid:
     return Grid(spec)
-
-
-def simplex_corners(permutation: int) -> list[tuple[int, int, int]]:
-    """Lattice offsets of the four corners of one unit-cell simplex."""
-    order = _PERMUTATIONS[permutation]
-    verts = [(0, 0, 0)]
-    cur = [0, 0, 0]
-    for axis in order:
-        cur[axis] += 1
-        verts.append(tuple(cur))
-    return verts
 
 
 def discretize_kernel(
@@ -307,21 +252,6 @@ def discretize_kernel(
             support = np.nonzero(row_mass >= ENTRY_TOL)[0]
             rows.append(SparseDistribution(support, row_mass[support], normalize=True))
     return rows
-
-
-def discrete_reward(
-    grid: Grid, params: EpidemicParams, corner_index: int, action: Action
-) -> float:
-    """Stage reward at a corner: the SEIR reward inside S, zero outside."""
-    if not grid.in_S[corner_index]:
-        return 0.0
-    return nominal_reward(params, grid.state_of(corner_index), action)
-
-
-def terminal_reward(grid: Grid, corner_index: int) -> float:
-    """Terminal payoff; identically zero (bounded, and the heuristic at the
-    horizon is zero as well)."""
-    return 0.0
 
 
 def cache_key(params: EpidemicParams, Y: int, delta: float) -> str:

@@ -69,19 +69,6 @@ class LinearProgram:
     def n_rows(self) -> int:
         return len(self.b)
 
-    def to_text(self, name: str = "lp") -> str:
-        """Plain-text listing for external cross-checking."""
-        lines = [f"{self.sense} {name}:"]
-        lines.append("  obj: " + " + ".join(
-            f"{v:.12g} x{j}" for j, v in enumerate(self.c) if v != 0.0) or "0")
-        for i in range(self.n_rows):
-            terms = " + ".join(
-                f"{v:.12g} x{j}" for j, v in enumerate(self.A[i]) if v != 0.0)
-            lines.append(f"  r{i}: {terms or '0'} {self.rel[i]} {self.b[i]:.12g}")
-        for j in range(self.n_vars):
-            lines.append(f"  x{j} in [{self.lb[j]:.12g}, {self.ub[j]:.12g}]")
-        return "\n".join(lines)
-
 
 @dataclass
 class MixedIntegerProgram:

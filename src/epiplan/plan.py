@@ -23,7 +23,6 @@ from .backup import (
     drmdp_backup_enumerate,
     drmdp_backup_mccormick,
     drmdp_backup_unary,
-    nominal_backup,
 )
 from .errors import DomainError
 from .model import EpidemicModel
@@ -89,27 +88,29 @@ class ValueTable:
         stored = self.values.get((idx, t))
         if stored is not None:
             return stored
-        if not model.grid.in_S[idx]:
-            return 0.0
-        return admissible_heuristic(model, idx, t)
+        return model.stage_heuristic(idx)
 
     def lookup_fn(self, model: EpidemicModel, t: int):
         return lambda idx: self.lookup(model, idx, t)
 
 
-def admissible_heuristic(model: EpidemicModel, idx: int, t: int) -> float:
-    """Stage-reward bound: zero at the horizon, else the best fitted reward."""
-    if t >= model.T:
-        return 0.0
-    return model.stage_heuristic(idx)
-
-
 def backup_state(model: EpidemicModel, idx: int, t: int, v_next, cfg: PlannerConfig):
-    """One-stage backup of a single state under the configured back-end."""
+    """One-stage backup of a single state under the configured back-end.
+
+    v_next gives the stage t+1 values as an array over all grid corners, or
+    as a lookup of one corner (ValueTable.lookup_fn) that is read on the
+    state's successor support only.  Ties go to the first action of
+    model.actions, the lowest (y_V, y_R).
+    """
+    if callable(v_next):
+        support = model.support(idx)
+        values = np.zeros(model.grid.n_corners)
+        values[support] = [v_next(int(j)) for j in support]
+        v_next = values
     lam = model.lam
     if cfg.backend == "nominal":
-        return nominal_backup(model.actions, model.rows(idx), model.rewards(idx),
-                              v_next, lam)
+        return best_action_over_rows(model.actions, model.rows(idx),
+                                     model.rewards(idx), v_next, lam)
     if cfg.backend == "robust":
         rows = model.shifted_rows(idx, cfg.robust_budget)
         return best_action_over_rows(model.actions, rows, model.rewards(idx),
@@ -210,13 +211,13 @@ def table_rows(model: EpidemicModel, table: ValueTable, cfg: PlannerConfig):
             action = Action(0, 0)
         else:
             action, _ = greedy_action(model, table, idx, t, cfg)
-        c = model.grid.corner(idx)
+        p_S, p_E, p_I = model.grid.coords[idx]
         out.append({
             "stage": t,
             "state": idx,
-            "p_S": c.coords[0],
-            "p_E": c.coords[1],
-            "p_I": c.coords[2],
+            "p_S": p_S,
+            "p_E": p_E,
+            "p_I": p_I,
             "value": table.get(idx, t),
             "y_V": action.y_V,
             "y_R": action.y_R,

@@ -29,10 +29,10 @@ class AmbiguityConfig:
     k: float = 1000.0
 
     def __post_init__(self) -> None:
-        if self.delta < 0:
-            raise DomainError(f"delta must be >= 0, got {self.delta}")
-        if self.k < 0:
-            raise DomainError(f"k must be >= 0, got {self.k}")
+        if not 0.0 <= self.delta < np.inf:  # NaN fails too
+            raise DomainError(f"delta must be finite and >= 0, got {self.delta}")
+        if not 0.0 <= self.k < np.inf:
+            raise DomainError(f"k must be finite and >= 0, got {self.k}")
 
 
 @dataclass

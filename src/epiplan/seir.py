@@ -117,10 +117,6 @@ class ContinuousState:
         """Integer compartment counts, rounding N*p to the nearest person."""
         return (round(N * self.p_S), round(N * self.p_E), round(N * self.p_I))
 
-    @classmethod
-    def from_counts(cls, N: int, n_S: int, n_E: int, n_I: int) -> "ContinuousState":
-        return cls(n_S / N, n_E / N, n_I / N)
-
 
 @dataclass(frozen=True)
 class Action:
@@ -281,20 +277,6 @@ def sample_transition(
     n_C = int(rng.binomial(n_E, rates.rho_C)) if n_E > 0 else 0
     n_D = int(rng.binomial(n_I, rates.rho_D)) if n_I > 0 else 0
     return TransitionDraw(n_B=n_B, n_C=n_C, n_D=n_D)
-
-
-def apply_draw(
-    params: EpidemicParams, state: ContinuousState, action: Action, draw: TransitionDraw
-) -> ContinuousState:
-    """Successor state implied by a draw."""
-    N = params.N
-    n_S, n_E, n_I = state.counts(N)
-    trials_B = vaccination_trials(params, n_S, action.y_V)
-    return ContinuousState(
-        (trials_B - draw.n_B) / N,
-        (n_E + draw.n_B - draw.n_C) / N,
-        (n_I + draw.n_C - draw.n_D) / N,
-    )
 
 
 def nominal_reward(

@@ -136,11 +136,26 @@ def run_episode(
     )
 
 
-def plan_for_backend(model: EpidemicModel, backend: str, init_idx: int,
-                     niter: int, seed: int) -> tuple[ValueTable, PlannerConfig]:
-    cfg = PlannerConfig(backend=backend, niter=niter, seed=seed)
-    table, _ = rtdp(model, init_idx, cfg)
-    return table, cfg
+EPISODE_HEADER = ["backend", "kernel", "p_S1", "seed", "stage", "y_V", "y_R",
+                  "reward", "pct_infective", "pct_recovered", "total_reward"]
+
+
+def episode_rows(rec: EpisodeRecord, backend: str, kernel: str, p_S1: float,
+                 seed: int) -> list[dict]:
+    """One row per decision stage of an episode, keyed by EPISODE_HEADER."""
+    return [{
+        "backend": backend,
+        "kernel": kernel,
+        "p_S1": p_S1,
+        "seed": seed,
+        "stage": t,
+        "y_V": a.y_V,
+        "y_R": a.y_R,
+        "reward": rec.rewards[t - 1],
+        "pct_infective": rec.pct_infective[t - 1],
+        "pct_recovered": rec.pct_recovered[t - 1],
+        "total_reward": rec.total_reward,
+    } for t, a in enumerate(rec.actions, start=1)]
 
 
 def compare_models(
@@ -172,26 +187,14 @@ def compare_models(
         p_I1 = round(1.0 - p_S1 - p_E1, 12)
         init = lattice_state_index(model, p_S1, p_E1, p_I1)
         for backend in backends:
-            table, cfg = plan_for_backend(model, backend, init, niter, plan_seed)
+            cfg = PlannerConfig(backend=backend, niter=niter, seed=plan_seed)
+            table, _ = rtdp(model, init, cfg)
             for kernel_name in kernels:
                 kern = true_kernels[kernel_name]
                 records = [run_episode(model, table, cfg, kern, init, seed)
                            for seed in range(nseeds)]
                 for seed, rec in enumerate(records):
-                    for t in range(1, model.T):
-                        episodes.append({
-                            "backend": backend,
-                            "kernel": kernel_name,
-                            "p_S1": p_S1,
-                            "seed": seed,
-                            "stage": t,
-                            "y_V": rec.actions[t - 1].y_V,
-                            "y_R": rec.actions[t - 1].y_R,
-                            "reward": rec.rewards[t - 1],
-                            "pct_infective": rec.pct_infective[t - 1],
-                            "pct_recovered": rec.pct_recovered[t - 1],
-                            "total_reward": rec.total_reward,
-                        })
+                    episodes += episode_rows(rec, backend, kernel_name, p_S1, seed)
                 totals = np.array([r.total_reward for r in records])
                 for t in range(1, model.T):
                     summary.append({
@@ -242,7 +245,8 @@ def sensitivity_sweep(
             p = replace(params, **{param: float(value)})
         model = EpidemicModel(p, Y, acfg)
         init = lattice_state_index(model, *scenario)
-        table, cfg = plan_for_backend(model, backend, init, niter, plan_seed)
+        cfg = PlannerConfig(backend=backend, niter=niter, seed=plan_seed)
+        table, _ = rtdp(model, init, cfg)
         kern = build_true_kernel(model, pspec)
         for seed in range(nseeds):
             rec = run_episode(model, table, cfg, kern, init, seed)

@@ -1,22 +1,22 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from epiplan import Action, EpidemicParams
-from epiplan.errors import DomainError
+from epiplan.errors import DomainError, SolverError
 from epiplan.backup import (
+    best_action_over_rows,
     drmdp_backup_enumerate,
     drmdp_backup_mccormick,
     drmdp_backup_unary,
-    full_space_check,
     inner_dual_lp,
     inner_primal_oracle,
     inner_dual_program,
     inner_value_parametric,
-    nominal_backup,
-    robust_backup,
     worst_case_shift,
 )
-from epiplan.grid import GridSpec, SparseDistribution, build_grid
+from epiplan.grid import GridSpec, SparseDistribution, build_grid, discretize_kernel
 from epiplan.lp import solve_lp
 from epiplan.model import EpidemicModel
 from epiplan.rules import (
@@ -27,6 +27,7 @@ from epiplan.rules import (
     mean_bounds,
     reward_rule,
 )
+from epiplan.seir import nominal_reward
 
 
 def constant_coeffs(support, center, delta, reward=0.0):
@@ -59,10 +60,20 @@ def grid_actions(L, M):
     return [Action(v, r) for v in range(L + 1) for r in range(M + 1)]
 
 
+def as_dict(row):
+    return dict(zip(row.indices.tolist(), row.probs.tolist()))
+
+
+def robust_backup(actions, rows, rewards, v, lam, grid, budget=0.5):
+    """Nominal backup evaluated on adversarially shifted kernel rows."""
+    shifted = [worst_case_shift(r, grid, budget) for r in rows]
+    return best_action_over_rows(actions, shifted, rewards, v, lam)
+
+
 def ldr_nominal_backup(coeffs, actions, v, lam):
     """Nominal backup using the fitted rules: reward rule plus midpoint row."""
     best_val, best_a = -np.inf, None
-    for a in sorted(actions, key=lambda a: (a.y_V, a.y_R)):
+    for a in actions:
         center = design_matrix([a])[0] @ coeffs.mean
         val = reward_rule(coeffs, a) + lam * float(center @ v)
         if val > best_val:
@@ -124,12 +135,12 @@ class TestWorstCaseShift:
     def test_mass_already_at_top(self):
         row = SparseDistribution(np.array([self.high]), np.array([1.0]))
         out = worst_case_shift(row, self.grid, 0.5)
-        assert out.as_dict() == {self.high: 1.0}
+        assert as_dict(out) == {self.high: 1.0}
 
     def test_greedy_transfer(self):
         row = SparseDistribution(np.array([self.low, self.high]), np.array([0.6, 0.4]))
         out = worst_case_shift(row, self.grid, 0.5)
-        got = out.as_dict()
+        got = as_dict(out)
         assert got[self.low] == pytest.approx(0.35, abs=1e-12)
         assert got[self.high] == pytest.approx(0.65, abs=1e-12)
         l1 = abs(0.6 - 0.35) + abs(0.65 - 0.4)
@@ -148,9 +159,9 @@ class TestWorstCaseShift:
             out = worst_case_shift(row, g, budget)
             assert out.probs.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(out.probs >= -1e-15)
-            base = row.as_dict()
-            l1 = sum(abs(out.as_dict().get(i, 0.0) - base.get(i, 0.0))
-                     for i in set(base) | set(out.as_dict()))
+            base, got = as_dict(row), as_dict(out)
+            l1 = sum(abs(got.get(i, 0.0) - base.get(i, 0.0))
+                     for i in set(base) | set(got))
             assert l1 <= budget + 1e-9
 
 
@@ -164,9 +175,10 @@ class TestLevelBackups:
             SparseDistribution(np.array([i1, i2]), np.array([0.25, 0.75])),
         ]
         rewards = [-1.0, -3.0]
-        v = {i0: 0.0, i1: -10.0, i2: -2.0}
+        v = np.zeros(g.n_corners)
+        v[[i0, i1, i2]] = [0.0, -10.0, -2.0]
         lam = 0.9
-        val, act = nominal_backup(actions, rows, rewards, lambda j: v[j], lam)
+        val, act = best_action_over_rows(actions, rows, rewards, v, lam)
         hand = [
             -1.0 + lam * (0.5 * 0.0 + 0.5 * -10.0),
             -3.0 + lam * (0.25 * -10.0 + 0.75 * -2.0),
@@ -175,18 +187,20 @@ class TestLevelBackups:
         assert act == Action(0, 0)
 
     def test_ties_break_lexicographically(self):
-        actions = [Action(1, 0), Action(0, 0)]
+        # Ties go to the first given action: the lowest (y_V, y_R) when the
+        # actions come in model order.
         row = SparseDistribution(np.array([0]), np.array([1.0]))
-        val, act = nominal_backup(actions, [row, row], [-5.0, -5.0],
-                                  lambda j: 0.0, 0.9)
-        assert act == Action(0, 0)
+        for actions in ([Action(0, 0), Action(1, 0)], [Action(1, 0), Action(0, 0)]):
+            val, act = best_action_over_rows(actions, [row, row], [-5.0, -5.0],
+                                             np.zeros(1), 0.9)
+            assert act == actions[0]
 
     def test_robust_budget_zero_equals_nominal(self):
         g = build_grid(GridSpec(1))
         actions = [Action(0, 0)]
         rows = [SparseDistribution(np.array([0, 1]), np.array([0.7, 0.3]))]
-        v = lambda j: -float(j)
-        a = nominal_backup(actions, rows, [-1.0], v, 0.9)
+        v = -np.arange(float(g.n_corners))
+        a = best_action_over_rows(actions, rows, [-1.0], v, 0.9)
         b = robust_backup(actions, rows, [-1.0], v, 0.9, g, budget=0.0)
         assert a == b
 
@@ -200,9 +214,10 @@ class TestLevelBackups:
             SparseDistribution(np.array([lo, hi]), np.array([0.9, 0.1])),
         ]
         rewards = [-1.0, -2.0]
-        v = {lo: -1.0, hi: -30.0}
-        nom, _ = nominal_backup(actions, rows, rewards, lambda j: v[j], 0.95)
-        rob, _ = robust_backup(actions, rows, rewards, lambda j: v[j], 0.95, g)
+        v = np.zeros(g.n_corners)
+        v[[lo, hi]] = [-1.0, -30.0]
+        nom, _ = best_action_over_rows(actions, rows, rewards, v, 0.95)
+        rob, _ = robust_backup(actions, rows, rewards, v, 0.95, g)
         assert rob <= nom + 1e-12
 
 
@@ -234,7 +249,7 @@ class TestInnerProblem:
             v = -rng.random(m) * 10 ** rng.integers(0, 4)
             k = float(rng.choice([0.0, 0.37, 1.0, 55.0, 1e3, 1e6]))
             a = Action(0, 0)
-            lp_val, _ = inner_dual_lp(coeffs, a, v, 0.95, k, _v_aligned=v)
+            lp_val, _ = inner_dual_lp(coeffs, a, v, 0.95, k)
             fast_val = reward_rule(coeffs, a) + inner_value_parametric(
                 *mean_bounds(coeffs, design_matrix([a])), 0.95 * v, k)[0]
             scale = 1.0 + abs(lp_val)
@@ -288,8 +303,8 @@ class TestInnerProblem:
             v = -rng.random(m) * 100
             k = float(rng.choice([0.0, 1.0, 1e3, 1e6]))
             a = Action(0, 0)
-            dual_val, _ = inner_dual_lp(coeffs, a, v, 0.95, k, _v_aligned=v)
-            primal_val = inner_primal_oracle(coeffs, a, v, 0.95, k, _v_aligned=v)
+            dual_val, _ = inner_dual_lp(coeffs, a, v, 0.95, k)
+            primal_val = inner_primal_oracle(coeffs, a, v, 0.95, k)
             scale = 1.0 + abs(dual_val)
             assert abs(dual_val - primal_val) <= 1e-6 * scale, trial
 
@@ -299,7 +314,7 @@ class TestInnerProblem:
         v = -rng.random(6) * 40
         vals = []
         for k in (0.0, 1.0, 10.0, 1e3, 1e6):
-            val, _ = inner_dual_lp(coeffs, Action(0, 0), v, 0.95, k, _v_aligned=v)
+            val, _ = inner_dual_lp(coeffs, Action(0, 0), v, 0.95, k)
             vals.append(val)
         assert all(a <= b + 1e-8 for a, b in zip(vals, vals[1:]))
 
@@ -307,12 +322,11 @@ class TestInnerProblem:
         rng = np.random.default_rng(13)
         coeffs = random_coeffs(rng, 5)
         v = -rng.random(5) * 10
-        _, sol = inner_dual_lp(coeffs, Action(0, 0), v, 0.95, 100.0,
-                               want_mean=True, _v_aligned=v)
-        assert sol.m is not None
-        assert sol.m.sum() == pytest.approx(1.0, abs=1e-8)
-        assert np.all(sol.m >= -1e-9)
-        assert np.all(sol.x >= -1e-9)
+        _, mean, slack = inner_primal_oracle(coeffs, Action(0, 0), v, 0.95, 100.0,
+                                             return_solution=True)
+        assert mean.sum() == pytest.approx(1.0, abs=1e-8)
+        assert np.all(mean >= -1e-9)
+        assert np.all(slack >= -1e-9)
 
 
 class TestActionBackends:
@@ -448,14 +462,16 @@ class TestActionBackends:
             assert a[1] == b[1]
 
     def test_enumerate_ties_go_to_lowest_action(self):
-        # Zero slopes: every action has the same value on both routes.
+        # Zero slopes: every action has the same value on both routes, and
+        # the first given action wins: the lowest in model order, the highest
+        # when the order is reversed.
         coeffs = constant_coeffs(np.arange(3), [0.3, 0.4, 0.2], 0.1, reward=-4.0)
-        actions = list(reversed(grid_actions(2, 2)))
         v = np.array([-1.0, -6.0, -3.0])
-        for method in ("parametric", "lp"):
-            _, act = drmdp_backup_enumerate(coeffs, actions, v, 0.95, 10.0,
-                                            method=method)
-            assert act == Action(0, 0), method
+        for actions in (grid_actions(2, 2), list(reversed(grid_actions(2, 2)))):
+            for method in ("parametric", "lp"):
+                _, act = drmdp_backup_enumerate(coeffs, actions, v, 0.95, 10.0,
+                                                method=method)
+                assert act == actions[0], (method, actions[0])
 
     def test_enumerate_rejects_unknown_method(self):
         coeffs = constant_coeffs([0], [1.0], 0.0)
@@ -464,21 +480,54 @@ class TestActionBackends:
                                    method="ternary")
 
 
+@dataclass
+class FullSpaceReport:
+    value_restricted: float
+    value_full: float
+    gap: float
+    agree: bool
+    note: str = ""
+
+
+def full_space_check(grid, actions, kernels, rewards, action, v_full, cfg, lam,
+                     tol=1e-6):
+    """Support-restriction oracle: the inner LP over the fitted support against
+    the same LP over every grid corner.
+
+    Off-support successors carry zero mean bounds in the full LP, not
+    -/+ delta. With k = 0 the two need not agree (each reduces to the minimum
+    value over its own support); the report flags any difference instead of
+    hiding it.
+    """
+    restricted = fit_rules(list(actions), list(kernels), list(rewards), cfg)
+    val_r, _ = inner_dual_lp(restricted, action, v_full, lam, cfg.k)
+
+    eta_L, eta_U = np.zeros(grid.n_corners), np.zeros(grid.n_corners)
+    lo, hi = mean_bounds(restricted, design_matrix([action]))
+    eta_L[restricted.support] = lo[0]
+    eta_U[restricted.support] = hi[0]
+    res = solve_lp(inner_dual_program(eta_L, eta_U, lam * v_full, cfg.k))
+    if res.status != "optimal":
+        raise SolverError(f"inner LP unexpectedly {res.status}")
+    val_f = reward_rule(restricted, action) + res.objective
+
+    gap = abs(val_r - val_f)
+    note = "k=0 reduces to per-support minima" if cfg.k == 0.0 else ""
+    return FullSpaceReport(value_restricted=val_r, value_full=val_f,
+                           gap=float(gap), agree=bool(gap <= tol), note=note)
+
+
 class TestFullSpaceCheck:
     def build_toy(self):
         grid = build_grid(GridSpec(2))
-        from epiplan import EpidemicParams
-        from epiplan.grid import discrete_reward, discretize_kernel
-
         params = EpidemicParams(N=4, mu=10.0, beta=0.025, alpha0=0.9, l_C=0.5,
                                 l_D=1 / 3, Q=0.5, k_R=0.5, W=1.0, L=2, M=2,
                                 lam=0.95, T=4)
         idx = grid.index_of(1, 1, 0)
         actions = params.actions()
         kernels = discretize_kernel(grid, params, idx)
-        rewards = [discrete_reward(grid, params, idx, a) for a in actions]
+        rewards = [nominal_reward(params, grid.state_of(idx), a) for a in actions]
         return grid, params, actions, kernels, rewards
-
     def test_agreement_with_moderate_penalty(self):
         grid, params, actions, kernels, rewards = self.build_toy()
         rng = np.random.default_rng(3)

@@ -58,6 +58,28 @@ class TestParseConfig:
         assert cfg.early_stop is False
         assert cfg.sweep_values == (1.0, 2.0, 3.0)
 
+    @pytest.mark.parametrize("text, key", [
+        ("k = nan", "'k'"),
+        ("l_C = nan", "'l_C'"),
+        ("W = inf", "'W'"),
+        ("sweep_values = 1, nan", "'sweep_values'"),
+    ])
+    def test_non_finite_float_rejected(self, text, key):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("Y = 5\n" + text + "\n")
+        assert str(err.value).startswith("<config>:2: ")
+        assert key in str(err.value)
+        assert "not finite" in str(err.value)
+
+    @pytest.mark.parametrize("text, word", [
+        ("radius = 3", "radius"),
+        ("perturb_direction = sideways", "direction"),
+    ])
+    def test_bad_perturbation_rejected(self, text, word):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text + "\n")
+        assert word in str(err.value)
+
     def test_bad_backend(self):
         with pytest.raises(ConfigError):
             parse_config_text("backend = magic\n")
@@ -125,6 +147,15 @@ class TestDispatch:
     def test_bad_config_exit_code(self, tmp_path):
         path = write_cfg(tmp_path, "lambda = 7\n")
         assert dispatch(["--config", path, "--out", str(tmp_path), "solve"]) == 1
+
+    @pytest.mark.parametrize("line", ["k = nan", "l_C = nan"])
+    def test_non_finite_config_exits_1_before_compiling(self, tmp_path, capsys, line):
+        path = write_cfg(tmp_path, TOY + line + "\n")
+        out = tmp_path / "out"
+        assert dispatch(["--config", path, "--out", str(out), "solve"]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:" in err and repr(line.split()[0]) in err
+        assert not out.exists()
 
     def test_selftest_passes(self, tmp_path):
         assert dispatch(["--out", str(tmp_path), "selftest"]) == 0

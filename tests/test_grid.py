@@ -7,11 +7,10 @@ from epiplan.grid import (
     SparseDistribution,
     build_grid,
     cache_key,
-    discrete_reward,
     discretize_kernel,
-    simplex_corners,
-    terminal_reward,
 )
+from epiplan.model import EpidemicModel
+from epiplan.rules import AmbiguityConfig
 from epiplan.seir import ENTRY_TOL, nominal_reward, transition_pmf
 
 
@@ -20,6 +19,28 @@ def toy_params(**kw):
                 Q=2.0, k_R=3.0, W=1.0, L=2, M=2, lam=0.95, T=4)
     base.update(kw)
     return EpidemicParams(**base)
+
+
+def as_dict(row):
+    return dict(zip(row.indices.tolist(), row.probs.tolist()))
+
+
+def locate_one(grid, point):
+    """Corners and weights of one point, zero-weight corners dropped."""
+    idx, wts, _ = grid.locate_many(np.array([point], dtype=np.float64))
+    return [(int(c), float(w)) for c, w in zip(idx[0], wts[0]) if w > 0.0]
+
+
+def simplex_vertices(grid, n_points=6_000, seed=0):
+    """Lattice offsets of each simplex's corners from its cell's low corner,
+    collected from locate_many on random points of the Y = 1 grid."""
+    assert grid.Y == 1
+    idx, _, labels = grid.locate_many(np.random.default_rng(seed).random((n_points, 3)))
+    verts = {}
+    for corners, label in zip(idx, labels):
+        verts.setdefault(int(label), set()).update(
+            tuple(int(x) for x in grid.lattice[c]) for c in corners)
+    return verts
 
 
 def row_of(grid, params, idx, action):
@@ -80,7 +101,7 @@ class TestBuildGrid:
     def test_index_bijection(self):
         g = build_grid(GridSpec(3))
         for idx in range(g.n_corners):
-            i, j, k = g.corner(idx).lattice
+            i, j, k = g.lattice[idx]
             assert g.index_of(i, j, k) == idx
 
     def test_invalid_spec(self):
@@ -90,7 +111,7 @@ class TestBuildGrid:
     def test_state_index_roundtrip(self):
         g = build_grid(GridSpec(10))
         idx = g.state_index(ContinuousState(0.7, 0.1, 0.2))
-        assert g.corner(idx).coords == (0.7, 0.1, 0.2)
+        assert tuple(g.coords[idx]) == (0.7, 0.1, 0.2)
         with pytest.raises(DomainError):
             g.state_index(ContinuousState(0.65, 0.1, 0.2))
 
@@ -98,14 +119,13 @@ class TestBuildGrid:
 class TestLocate:
     def test_exact_corner(self):
         g = build_grid(GridSpec(2))
-        bw = g.locate((0.5, 0.5, 0.0))
-        assert bw.weights == (1.0,)
-        assert g.corner(bw.corners[0]).coords == (0.5, 0.5, 0.0)
+        [(corner, weight)] = locate_one(g, (0.5, 0.5, 0.0))
+        assert weight == 1.0
+        assert tuple(g.coords[corner]) == (0.5, 0.5, 0.0)
 
     def test_known_weight_path(self):
         g = build_grid(GridSpec(1))
-        bw = g.locate((0.5, 0.25, 0.125))
-        got = {tuple(g.corner(c).lattice): w for c, w in zip(bw.corners, bw.weights)}
+        got = {tuple(g.lattice[c]): w for c, w in locate_one(g, (0.5, 0.25, 0.125))}
         assert got == pytest.approx(
             {(0, 0, 0): 0.5, (1, 0, 0): 0.25, (1, 1, 0): 0.125, (1, 1, 1): 0.125}
         )
@@ -132,18 +152,19 @@ class TestLocate:
     def test_cube_diagonal_corners_shared_by_all_simplexes(self):
         # The cell's low and high corners sit on every one of the six simplexes;
         # each simplex has exactly four distinct corners.
-        for perm in range(6):
-            verts = simplex_corners(perm)
-            assert len(set(verts)) == 4
+        simplexes = simplex_vertices(build_grid(GridSpec(1)))
+        assert sorted(simplexes) == list(range(6))
+        for verts in simplexes.values():
+            assert len(verts) == 4
             assert (0, 0, 0) in verts
             assert (1, 1, 1) in verts
 
     def test_vertex_membership_counts(self):
         # Face-diagonal corners belong to exactly two of the six simplexes.
         memberships = {}
-        for perm in range(6):
-            for v in simplex_corners(perm):
-                memberships.setdefault(v, set()).add(perm)
+        for label, verts in simplex_vertices(build_grid(GridSpec(1))).items():
+            for v in verts:
+                memberships.setdefault(v, set()).add(label)
         assert len(memberships[(0, 0, 0)]) == 6
         assert len(memberships[(1, 1, 1)]) == 6
         for v, owners in memberships.items():
@@ -167,7 +188,7 @@ class TestLocate:
     def test_outside_cube_rejected(self):
         g = build_grid(GridSpec(2))
         with pytest.raises(DomainError):
-            g.locate((1.2, 0.0, 0.0))
+            g.locate_many(np.array([[1.2, 0.0, 0.0]]))
 
 
 class TestSparseDistribution:
@@ -197,13 +218,13 @@ class TestDiscretizeKernel:
         idx = g.index_of(2, 2, 2)  # fractions sum to 3
         rows = discretize_kernel(g, p, idx)
         assert len(rows) == len(p.actions())
-        assert all(row.as_dict() == {idx: 1.0} for row in rows)
+        assert all(as_dict(row) == {idx: 1.0} for row in rows)
 
     def test_disease_free_self_loop(self):
         g = build_grid(GridSpec(2))
         p = toy_params()
         idx = g.index_of(0, 0, 0)
-        assert all(row.as_dict() == {idx: 1.0} for row in discretize_kernel(g, p, idx))
+        assert all(as_dict(row) == {idx: 1.0} for row in discretize_kernel(g, p, idx))
 
     def test_row_matches_atom_enumeration(self):
         # Oracle: enumerate atoms with scalar pmfs, locate each one, accumulate.
@@ -221,11 +242,10 @@ class TestDiscretizeKernel:
             for nC in range(2 + 1):
                 pr = binomial_pmf(trials, rates.phi, nB) * binomial_pmf(2, rates.rho_C, nC)
                 pt = ((trials - nB) / 4, (2 + nB - nC) / 4, nC / 4)
-                bw = g.locate(pt)
-                for c, w in zip(bw.corners, bw.weights):
+                for c, w in locate_one(g, pt):
                     expect[c] = expect.get(c, 0.0) + w * pr
         row = row_of(g, p, idx, a)
-        got = row.as_dict()
+        got = as_dict(row)
         for c, v in expect.items():
             if v > 1e-12:
                 assert got[c] == pytest.approx(v, rel=1e-9), c
@@ -276,29 +296,25 @@ class TestDiscretizeKernel:
         idx = g.index_of(1, 0, 1)  # (0.5, 0, 0.5)
         row = row_of(g, p, idx, Action(0, 0))
         outside = [i for i in row.indices if not g.in_S[i]]
-        inside_mass = sum(pr for i, pr in row.as_dict().items() if g.in_S[i])
+        inside_mass = sum(pr for i, pr in as_dict(row).items() if g.in_S[i])
         assert inside_mass > 0.5
         for i in outside:
-            assert row.as_dict()[i] >= 0
+            assert as_dict(row)[i] >= 0
 
 
 class TestRewardAndSupport:
+    # The discrete stage reward of a corner is the model's reward vector.
     def test_discrete_reward_outside_S_zero(self):
-        g = build_grid(GridSpec(2))
-        p = toy_params()
-        idx = g.index_of(2, 2, 1)
-        assert discrete_reward(g, p, idx, Action(2, 2)) == 0.0
+        model = EpidemicModel(toy_params(), 2, AmbiguityConfig())
+        idx = model.grid.index_of(2, 2, 1)
+        assert np.all(model.rewards(idx) == 0.0)
 
     def test_discrete_reward_matches_seir(self):
-        g = build_grid(GridSpec(2))
-        p = toy_params()
-        idx = g.index_of(1, 1, 0)
-        a = Action(1, 2)
-        assert discrete_reward(g, p, idx, a) == nominal_reward(p, g.state_of(idx), a)
-
-    def test_terminal_reward_zero(self):
-        g = build_grid(GridSpec(2))
-        assert terminal_reward(g, 3) == 0.0
+        model = EpidemicModel(toy_params(), 2, AmbiguityConfig())
+        idx = model.grid.index_of(1, 1, 0)
+        state = model.grid.state_of(idx)
+        assert list(model.rewards(idx)) == [nominal_reward(model.params, state, a)
+                                            for a in model.actions]
 
     def test_disease_free_support_is_self(self):
         g = build_grid(GridSpec(2))
@@ -307,7 +323,7 @@ class TestRewardAndSupport:
         # No exposed/infectious: every action leaves a point mass on p_E=p_I=0.
         for row in discretize_kernel(g, p, idx):
             for s in row.indices:
-                lat = g.corner(int(s)).lattice
+                lat = g.lattice[s]
                 assert lat[1] == 0 and lat[2] == 0
 
 

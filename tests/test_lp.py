@@ -146,12 +146,6 @@ class TestSolveLp:
             LinearProgram("max", [1.0], [[1.0]], ["<="], [1.0],
                           lb=[2.0], ub=[1.0])
 
-    def test_to_text_dump(self):
-        lp = LinearProgram("max", [1.0, 0.0], [[1.0, 2.0]], ["<="], [3.0])
-        text = lp.to_text("demo")
-        assert "max demo:" in text
-        assert "r0:" in text and "<= 3" in text
-
 
 class TestSolveMip:
     def test_all_continuous_equals_lp(self):

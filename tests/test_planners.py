@@ -9,7 +9,6 @@ from epiplan.model import EpidemicModel, lattice_state_index
 from epiplan.plan import (
     PlannerConfig,
     ValueTable,
-    admissible_heuristic,
     backup_state,
     backward_dp,
     greedy_action,
@@ -31,19 +30,19 @@ class TestHeuristic:
     def test_zero_at_horizon(self):
         model = toy_model()
         idx = model.grid.index_of(1, 1, 0)
-        assert admissible_heuristic(model, idx, model.T) == 0.0
+        assert ValueTable(model.T).lookup(model, idx, model.T) == 0.0
 
     def test_disease_free_is_free(self):
         model = toy_model()
         idx = model.grid.index_of(2, 0, 0)
-        assert admissible_heuristic(model, idx, 1) == pytest.approx(0.0, abs=1e-8)
+        assert model.stage_heuristic(idx) == pytest.approx(0.0, abs=1e-8)
 
     def test_matches_best_fitted_reward(self):
         model = toy_model(L=2, M=2)
         idx = model.grid.index_of(1, 1, 0)
         coeffs = model.rules(idx)
         expect = max(reward_rule(coeffs, a) for a in model.actions)
-        assert admissible_heuristic(model, idx, 1) == pytest.approx(expect, abs=1e-9)
+        assert model.stage_heuristic(idx) == pytest.approx(expect, abs=1e-9)
 
     def test_cheap_path_matches_fitted_path(self):
         a = toy_model(L=2, M=2)
@@ -57,7 +56,7 @@ class TestHeuristic:
     def test_off_simplex_zero(self):
         model = toy_model()
         idx = model.grid.index_of(2, 2, 2)
-        assert admissible_heuristic(model, idx, 1) == 0.0
+        assert model.stage_heuristic(idx) == 0.0
 
 
 class TestRtdp:
@@ -82,7 +81,7 @@ class TestRtdp:
             key = (step.state, step.stage)
             if key in last:
                 assert step.value <= last[key] + 1e-9
-            h = admissible_heuristic(model, step.state, step.stage)
+            h = model.stage_heuristic(step.state)
             assert step.value <= h + 1e-9
             last[key] = step.value
 
@@ -203,8 +202,7 @@ class TestTableHelpers:
         table = ValueTable(model.T)
         idx = model.grid.index_of(1, 1, 0)
         assert table.lookup(model, idx, model.T) == 0.0
-        assert table.lookup(model, idx, 1) == pytest.approx(
-            admissible_heuristic(model, idx, 1))
+        assert table.lookup(model, idx, 1) == pytest.approx(model.stage_heuristic(idx))
         table.set(idx, 1, -4.5)
         assert table.lookup(model, idx, 1) == -4.5
         off = model.grid.index_of(2, 2, 2)
@@ -220,6 +218,23 @@ class TestTableHelpers:
                                               table.lookup_fn(model, 2), cfg)
         assert act == expect_act
         assert val == pytest.approx(expect_val)
+
+    @pytest.mark.parametrize("backend", ["nominal", "robust", "drmdp-enumerate",
+                                         "drmdp-mccormick", "drmdp-unary"])
+    def test_lookup_and_dense_values_back_up_identically(self, backend):
+        # A lookup is read on the successor support only, so it must give
+        # the same backup as the dense array over every corner.
+        model = toy_model(N=8, T=3)
+        cfg = PlannerConfig(backend=backend)
+        table = ValueTable(model.T)
+        rng = np.random.default_rng(4)
+        for idx in model.grid.in_S_indices():
+            table.set(int(idx), 2, -float(rng.random() * 10))
+        dense = np.array([table.lookup(model, j, 2) for j in range(model.grid.n_corners)])
+        for idx in model.grid.in_S_indices():
+            a = backup_state(model, int(idx), 1, table.lookup_fn(model, 2), cfg)
+            b = backup_state(model, int(idx), 1, dense, cfg)
+            assert a == b, (backend, idx)
 
     def test_table_rows_schema(self):
         model = toy_model(T=2)
@@ -290,6 +305,6 @@ class TestModelBundle:
     def test_lattice_state_index(self):
         model = toy_model(Y=10)
         idx = lattice_state_index(model, 0.7, 0.1, 0.2)
-        assert model.grid.corner(idx).coords == (0.7, 0.1, 0.2)
+        assert tuple(model.grid.coords[idx]) == (0.7, 0.1, 0.2)
         with pytest.raises(DomainError):
             lattice_state_index(model, 0.65, 0.1, 0.2)

@@ -180,3 +180,9 @@ class TestAmbiguityConfig:
             AmbiguityConfig(delta=-0.1)
         with pytest.raises(DomainError):
             AmbiguityConfig(k=-1.0)
+
+    @pytest.mark.parametrize("field", ["delta", "k"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            AmbiguityConfig(**{field: value})

@@ -14,7 +14,6 @@ from epiplan import (
     sample_transition,
     transition_pmf,
 )
-from epiplan.seir import apply_draw
 
 
 def small_params(**kw):
@@ -212,17 +211,6 @@ class TestSampleTransition:
         stat = float(((obs - exp) ** 2 / exp).sum())
         dof = len(obs) - 1
         assert stat < chi2.ppf(0.99, dof)
-
-    def test_apply_draw_consistent(self):
-        p = small_params(N=20)
-        s = ContinuousState(0.5, 0.25, 0.25)
-        a = Action(2, 1)
-        rng = np.random.default_rng(5)
-        d = sample_transition(p, s, a, rng)
-        nxt = apply_draw(p, s, a, d)
-        total_before = s.p_S + s.p_E + s.p_I
-        total_after = nxt.p_S + nxt.p_E + nxt.p_I
-        assert total_after <= total_before + 1e-12
 
 
 class TestNominalReward:

@@ -46,8 +46,8 @@ class TestTrueKernel:
                     nominal = model.rows(idx)[model.action_index(a)]
                     assert row.probs.sum() == pytest.approx(1.0, abs=1e-9)
                     assert np.all(row.probs >= -1e-15)
-                    base = nominal.as_dict()
-                    got = row.as_dict()
+                    base = dict(zip(nominal.indices.tolist(), nominal.probs.tolist()))
+                    got = dict(zip(row.indices.tolist(), row.probs.tolist()))
                     l1 = sum(abs(got.get(i, 0.0) - base.get(i, 0.0))
                              for i in set(base) | set(got))
                     assert l1 <= 0.5 + 1e-9

@@ -244,14 +244,18 @@ def drmdp_backup_enumerate(
     lam: float,
     k: float,
     method: str,
+    X: np.ndarray | None = None,
 ) -> tuple[float, Action]:
     """Reference backup: the inner problem for every action, then the best.
 
     method "parametric" solves every action in one batched call; "lp" solves
-    the multiplier LP per action.  Ties go to the first of the given actions.
+    the multiplier LP per action.  X is the design_matrix of actions, built
+    here when the caller does not hold it.  Ties go to the first of the given
+    actions.
     """
     if method == "parametric":
-        X = design_matrix(actions)
+        if X is None:
+            X = design_matrix(actions)
         vals = X @ coeffs.eps + inner_value_parametric(
             *mean_bounds(coeffs, X), lam * v_next[coeffs.support], k)
     elif method == "lp":

@@ -9,7 +9,10 @@ through those weights, giving a finite kernel.  Corners whose fractions exceed
 
 The push runs once per state and vaccination level: the intervention level
 only reweights the exposure count, so the atoms of every exposure count are
-pushed once and each action's row is a weighted sum of those pushes.
+pushed once and each action's row is a weighted sum of those pushes.  The
+weights are affine inside each simplex, so the atoms that share one, which
+differ only in their recovery count, are pushed together as their total mass
+at their mean point.
 """
 
 from __future__ import annotations
@@ -52,10 +55,6 @@ def _label_of_code() -> np.ndarray:
 
 
 _LABEL_OF_CODE = _label_of_code()
-
-# Points pushed per locate_many call, bounding the push's working arrays.
-_PUSH_CHUNK = 1 << 16
-
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -185,6 +184,13 @@ def build_grid(spec: GridSpec) -> Grid:
     return Grid(spec)
 
 
+def _frac_numerator(counts: np.ndarray, N: int, Y: int) -> np.ndarray:
+    """N times the fractional part locate_many gives the fractions counts/N,
+    exactly: (counts*Y) mod N, except N where the cell index is clamped at Y-1."""
+    scaled = counts * Y
+    return scaled - np.minimum(scaled // N, Y - 1) * N
+
+
 def discretize_kernel(
     grid: Grid, params: EpidemicParams, corner_index: int
 ) -> list[SparseDistribution]:
@@ -192,34 +198,52 @@ def discretize_kernel(
 
     Each row is the exact atom law of ``seir.transition_pmf`` pushed onto the
     grid corners, computed once per vaccination level y_V: the atoms of every
-    exposure count b that some y_R can draw are pushed once into K[b, corner],
-    and the row of (y_V, y_R) is pB(y_R) @ K.  JOINT_TOL applies to the
+    exposure count b that some y_R can draw are pushed into K[b, corner], and
+    the row of (y_V, y_R) is pB(y_R) @ K.  JOINT_TOL applies to the
     action-free (C, D) factor, so the atoms kept are a superset of the
-    per-action table's.  Corner masses below ENTRY_TOL are dropped and each
-    row is renormalized.  Invalid corners (fractions summing past 1)
-    self-loop with probability one.
+    per-action table's.
+
+    The atoms are pushed as segment moments.  For fixed (y_V, b, C) only the
+    recovery count D varies, and the successor moves along the p_I axis with
+    its p_S and p_E fractional parts (f0, f1) fixed, so it changes simplex
+    only where p_I crosses j, j + f0 or j + f1 (in units of 1/Y).  The
+    barycentric weights are affine on each closed simplex, so the atoms
+    between two such breakpoints push as their total mass placed at their
+    mean; prefix sums over D of the mass and of its first moment give both.
+    The breakpoints are found in integer arithmetic, so an atom on one is
+    assigned to a side exactly (either side is right: the interpolation is
+    continuous), and each mean is clamped into its segment, where prefix
+    differences of tiny masses could move it.
+
+    Corner masses below ENTRY_TOL are dropped and each row is renormalized.
+    Invalid corners (fractions summing past 1) self-loop with probability one.
     """
     n_rows = (params.L + 1) * (params.M + 1)
     if not grid.in_S[corner_index]:
         row = SparseDistribution(np.array([corner_index]), np.array([1.0]))
         return [row] * n_rows
     state = grid.state_of(corner_index)
-    N, n_corners = params.N, grid.n_corners
+    N, Y = params.N, grid.Y
     n_S, n_E, n_I = state.counts(N)
 
     kC, pC = binomial_row(n_E, params.rho_C)
     kD, pD = binomial_row(n_I, params.rho_D)
+    n_C, n_D = len(kC), len(kD)
     p_cd = pC[:, None] * pD[None, :]
-    keep = p_cd >= JOINT_TOL
-    p_cd = p_cd[keep] / p_cd[keep].sum()
-    C = np.broadcast_to(kC[:, None], keep.shape)[keep]
-    D = np.broadcast_to(kD[None, :], keep.shape)[keep]
-    E_base = n_E - C          # successor E count before adding b
-    I_next = n_I + C - D
-    n_cd = len(p_cd)
-    # Exposure counts per push, so that both the points and the K block stay
-    # within _PUSH_CHUNK entries.
-    per_chunk = max(1, _PUSH_CHUNK // max(n_cd, n_corners))
+    p_cd[p_cd < JOINT_TOL] = 0.0
+    p_cd /= p_cd.sum()
+    # Successor I counts, descending along D; prefix mass and first moment.
+    I_next = n_I + kC[:, None] - kD[None, :]
+    mass_upto = np.zeros((n_C, n_D + 1))
+    moment_upto = np.zeros((n_C, n_D + 1))
+    np.cumsum(p_cd, axis=1, out=mass_upto[:, 1:])
+    np.cumsum(p_cd * I_next, axis=1, out=moment_upto[:, 1:])
+    # The p_I cells each C's D range spans, padded to a common count; each
+    # cell [j, j+1) splits at j + min(f0, f1) and j + max(f0, f1).
+    cell_lo = np.minimum(I_next[:, -1] * Y // N, Y - 1)
+    cell_hi = np.minimum(I_next[:, 0] * Y // N, Y - 1)
+    cell_start = (cell_lo[:, None] + np.arange(int((cell_hi - cell_lo).max()) + 1)) * N
+    c_axis = np.arange(n_C)[None, :, None]
 
     # The exposure probability of each y_R; it does not depend on y_V.
     phis = [compile_rates(params, state, Action(0, y_R)).phi
@@ -233,29 +257,49 @@ def discretize_kernel(
         for r, (k, p) in enumerate(marginals):
             pB[r, np.searchsorted(kB, k)] = p / p.sum()
 
-        mass = np.zeros((len(phis), n_corners))
-        for lo in range(0, len(kB), per_chunk):
-            b = kB[lo:lo + per_chunk]
-            points = np.empty((len(b), n_cd, 3))
-            points[:, :, 0] = ((trials - b) / N)[:, None]
-            points[:, :, 1] = (E_base[None, :] + b[:, None]) / N
-            points[:, :, 2] = (I_next / N)[None, :]
-            idx, wts, _ = grid.locate_many(points.reshape(-1, 3))
-            offset = np.repeat(np.arange(len(b)) * n_corners, n_cd)
-            K = np.bincount(
-                (idx + offset[:, None]).ravel(),
-                weights=(wts * np.tile(p_cd, len(b))[:, None]).ravel(),
-                minlength=len(b) * n_corners,
-            ).reshape(len(b), n_corners)
-            mass += pB[:, lo:lo + per_chunk] @ K
-        for row_mass in mass:
+        S_next = trials - kB                          # (nB,)
+        E_next = n_E + kB[:, None] - kC[None, :]      # (nB, nC)
+        # N times the p_S and p_E fractional parts, fixed along each line.
+        f0 = _frac_numerator(S_next, N, Y)[:, None, None]
+        f1 = _frac_numerator(E_next, N, Y)[:, :, None]
+        # Segment bounds on N*Y*p_I, ascending along the last axis; a last
+        # count of zero atoms above closes the top segment.
+        start = np.broadcast_to(cell_start, E_next.shape + cell_start.shape[1:])
+        bounds = np.stack([start, start + np.minimum(f0, f1), start + np.maximum(f0, f1)],
+                          axis=-1).reshape(*E_next.shape, -1)
+        # The atoms at or above a bound are those with I_next * Y >= bound,
+        # that is D <= n_I + C - ceil(bound / Y): a prefix of kD.
+        d_max = n_I + kC[None, :, None] + (-bounds // Y)
+        above = np.searchsorted(kD, d_max.ravel(), side="right").reshape(d_max.shape)
+        above = np.concatenate([above, np.zeros_like(above[..., :1])], axis=-1)
+        hi, lo = above[..., :-1], above[..., 1:]   # segment atoms: D index in [lo, hi)
+        seg_mass = mass_upto[c_axis, hi] - mass_upto[c_axis, lo]
+        b, c, s = np.nonzero(seg_mass > 0.0)
+        lo, hi, seg_mass = lo[b, c, s], hi[b, c, s], seg_mass[b, c, s]
+        mean_I = np.clip((moment_upto[c, hi] - moment_upto[c, lo]) / seg_mass,
+                         I_next[c, hi - 1], I_next[c, lo])
+
+        points = np.stack([S_next[b], E_next[b, c], mean_I], axis=1) / N
+        idx, wts = grid.locate_many(points)[:2]
+        # K spans only the corner indices reached, from first to last.
+        first = int(idx.min())
+        width = int(idx.max()) - first + 1
+        K = np.bincount((idx - first + (b * width)[:, None]).ravel(),
+                        weights=(wts * seg_mass[:, None]).ravel(),
+                        minlength=len(kB) * width).reshape(len(kB), width)
+        for row_mass in pB @ K:
             support = np.nonzero(row_mass >= ENTRY_TOL)[0]
-            rows.append(SparseDistribution(support, row_mass[support], normalize=True))
+            rows.append(SparseDistribution(first + support, row_mass[support],
+                                           normalize=True))
     return rows
 
 
 def cache_key(params: EpidemicParams, Y: int, delta: float) -> str:
-    """Content hash identifying a compiled kernel/rule cache."""
+    """Content hash identifying a compiled kernel/rule cache.
+
+    The payload names the push scheme, so that rows written by an earlier
+    push, which differ from a fresh compile in their last bits, miss.
+    """
     payload = "|".join(
         f"{k}={getattr(params, k)!r}"
         for k in ("N", "mu", "beta", "alpha0", "l_C", "l_D", "Q", "k_R", "W",
@@ -263,4 +307,5 @@ def cache_key(params: EpidemicParams, Y: int, delta: float) -> str:
     )
     payload += f"|Y={Y}|delta={delta!r}"
     payload += f"|tols={MARGINAL_TOL!r},{JOINT_TOL!r},{ENTRY_TOL!r}"
+    payload += "|push=segment-moments"
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

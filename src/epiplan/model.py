@@ -32,6 +32,7 @@ class EpidemicModel:
         self.grid: Grid = build_grid(GridSpec(Y))
         self.acfg = acfg
         self.actions: list[Action] = params.actions()
+        self.design = design_matrix(self.actions)  # (n_actions, 3) rows (1, y_V, y_R)
         self._rows: dict[int, list[SparseDistribution]] = {}
         self._rewards: dict[int, np.ndarray] = {}
         self._rules: dict[int, DecisionRuleCoefficients] = {}
@@ -100,7 +101,7 @@ class EpidemicModel:
         if not self.grid.in_S[idx]:
             val = 0.0
         else:
-            X = design_matrix(self.actions)
+            X = self.design
             val = float((X @ fit_affine(X, self._reward_vector(idx))).max())
         self._stage_h[idx] = val
         return val
@@ -116,7 +117,7 @@ class EpidemicModel:
         from .backup import inner_value_parametric
 
         coeffs = self.rules(idx)
-        eta_L, eta_U = mean_bounds(coeffs, design_matrix(self.actions))
+        eta_L, eta_U = mean_bounds(coeffs, self.design)
         vals = inner_value_parametric(eta_L, eta_U, np.zeros(len(coeffs.support)),
                                       self.acfg.k)
         return max(0.0, float(vals.max()))

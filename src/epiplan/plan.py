@@ -119,7 +119,7 @@ def backup_state(model: EpidemicModel, idx: int, t: int, v_next, cfg: PlannerCon
     k = model.acfg.k
     if cfg.backend == "drmdp-enumerate":
         return drmdp_backup_enumerate(coeffs, model.actions, v_next, lam, k,
-                                      method=cfg.inner_method)
+                                      method=cfg.inner_method, X=model.design)
     if cfg.backend == "drmdp-mccormick":
         return drmdp_backup_mccormick(coeffs, v_next, lam, k,
                                       L=model.params.L, M=model.params.M)

@@ -65,6 +65,9 @@ class EpidemicParams:
     def __post_init__(self) -> None:
         if self.N < 1:
             raise DomainError(f"N must be >= 1, got {self.N}")
+        for name in ("mu", "l_C", "l_D", "Q", "k_R", "W"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mu < 0:
             raise DomainError(f"mu must be >= 0, got {self.mu}")
         if not 0.0 <= self.beta <= 1.0:

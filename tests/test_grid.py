@@ -3,6 +3,7 @@ import pytest
 
 from epiplan import Action, ContinuousState, DomainError, EpidemicParams
 from epiplan.grid import (
+    Grid,
     GridSpec,
     SparseDistribution,
     build_grid,
@@ -11,7 +12,15 @@ from epiplan.grid import (
 )
 from epiplan.model import EpidemicModel
 from epiplan.rules import AmbiguityConfig
-from epiplan.seir import ENTRY_TOL, nominal_reward, transition_pmf
+from epiplan.seir import (
+    ENTRY_TOL,
+    JOINT_TOL,
+    binomial_row,
+    compile_rates,
+    nominal_reward,
+    transition_pmf,
+    vaccination_trials,
+)
 
 
 def toy_params(**kw):
@@ -48,20 +57,67 @@ def row_of(grid, params, idx, action):
     return discretize_kernel(grid, params, idx)[params.actions().index(action)]
 
 
-def per_action_push(grid, params, idx):
-    """Reference rows: each action's atom table located and accumulated alone."""
+def transition_atoms(params, state, action):
+    """Successor points and masses of one action's atom table."""
+    tbl = transition_pmf(params, state, action)
+    return tbl.points, tbl.probs
+
+
+def action_free_atoms(params, state, action):
+    """The atoms of transition_atoms, with JOINT_TOL applied to the
+    action-free factor pC*pD instead of the joint mass: the law that
+    discretize_kernel pushes."""
+    N = params.N
+    n_S, n_E, n_I = state.counts(N)
+    trials = vaccination_trials(params, n_S, action.y_V)
+    kB, pB = binomial_row(trials, compile_rates(params, state, action).phi)
+    kC, pC = binomial_row(n_E, params.rho_C)
+    kD, pD = binomial_row(n_I, params.rho_D)
+    p_cd = np.outer(pC, pD)
+    c, d = np.nonzero(p_cd >= JOINT_TOL)
+    C, D = kC[c], kD[d]
+    B = kB[:, None]
+    points = np.stack(np.broadcast_arrays((trials - B) / N, (n_E + B - C) / N,
+                                          (n_I + C - D) / N), axis=-1).reshape(-1, 3)
+    probs = np.outer(pB / pB.sum(), p_cd[c, d] / p_cd[c, d].sum()).ravel()
+    return points, probs
+
+
+def per_action_push(grid, params, idx, atoms=transition_atoms):
+    """Reference rows: each action's atoms located one by one and accumulated."""
     rows = []
     for a in params.actions():
         if not grid.in_S[idx]:
             rows.append((np.array([idx]), np.array([1.0])))
             continue
-        tbl = transition_pmf(params, grid.state_of(idx), a)
-        corners, wts, _ = grid.locate_many(tbl.points)
-        mass = np.bincount(corners.ravel(), weights=(wts * tbl.probs[:, None]).ravel(),
+        points, probs = atoms(params, grid.state_of(idx), a)
+        corners, wts, _ = grid.locate_many(points)
+        mass = np.bincount(corners.ravel(), weights=(wts * probs[:, None]).ravel(),
                            minlength=grid.n_corners)
         support = np.nonzero(mass >= ENTRY_TOL)[0]
         rows.append((support, mass[support] / mass[support].sum()))
     return rows
+
+
+def successor_counts(grid, params, idx):
+    """Integer (S, E, I) successor counts of every atom of every action."""
+    state = grid.state_of(idx)
+    return np.concatenate([np.rint(transition_pmf(params, state, a).points * params.N)
+                           for a in params.actions()]).astype(np.int64)
+
+
+def has_p_I_ties(counts, N, Y):
+    """Some atom's p_I fractional part equals a nonzero p_S or p_E one exactly,
+    computed in integers as N times the fractional part locate_many takes."""
+    scaled = counts * Y
+    frac = scaled - np.minimum(scaled // N, Y - 1) * N
+    tie = (frac[:, 2:] == frac[:, :2]) & (frac[:, :2] > 0)
+    return bool(tie.any())
+
+
+def reaches_top_cell_clamp(counts, N, Y):
+    """Some atom has a fraction equal to 1, located in the clamped cell Y - 1."""
+    return bool((counts == N).any())
 
 
 def locate_by_argsort(grid, pts):
@@ -251,23 +307,63 @@ class TestDiscretizeKernel:
                 assert got[c] == pytest.approx(v, rel=1e-9), c
         assert sum(got.values()) == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("N, Y, lattice", [
-        pytest.param(4, 2, (2, 2, 2), id="absorbing"),          # outside S
-        pytest.param(9, 3, (3, 0, 0), id="disease-free"),       # only susceptibles
-        pytest.param(9, 3, (1, 2, 0), id="no-infectives"),      # p_I = 0, phi = 0
-        pytest.param(9, 3, (1, 1, 1), id="all-random"),         # B, C, D all drawn
-        pytest.param(1000, 10, (7, 1, 2), id="default-initial"),  # (0.7, 0.1, 0.2)
+    @pytest.mark.parametrize("N, Y, lattice, exercises", [
+        pytest.param(4, 2, (2, 2, 2), None, id="absorbing"),       # outside S
+        pytest.param(9, 3, (3, 0, 0), reaches_top_cell_clamp,    # only susceptibles,
+                     id="disease-free"),                          # p_S = 1
+        pytest.param(9, 3, (1, 2, 0), None, id="no-infectives"),   # p_I = 0, phi = 0
+        pytest.param(9, 3, (1, 1, 1), None, id="all-random"),      # B, C, D all drawn
+        pytest.param(1000, 10, (7, 1, 2), None, id="default-initial"),  # (0.7, 0.1, 0.2)
+        pytest.param(997, 7, (4, 1, 2), None, id="N-not-multiple-of-Y"),
+        pytest.param(60, 6, (2, 2, 2), has_p_I_ties, id="p_I-ties-p_S-or-p_E"),
+        pytest.param(1000, 10, (6, 0, 4), None, id="no-exposed"),  # one C
+        pytest.param(8, 4, (0, 0, 4), reaches_top_cell_clamp, id="p_I-reaches-1"),
+        pytest.param(8, 4, (0, 4, 0), reaches_top_cell_clamp, id="p_E-reaches-1"),
     ])
-    def test_rows_match_per_action_push(self, N, Y, lattice):
+    def test_rows_match_per_action_push(self, N, Y, lattice, exercises):
         g = build_grid(GridSpec(Y))
         p = EpidemicParams(N=N)
         idx = g.index_of(*lattice)
+        if exercises is not None:
+            assert exercises(successor_counts(g, p, idx), N, Y)
         rows = discretize_kernel(g, p, idx)
-        ref = per_action_push(g, p, idx)
-        assert len(rows) == len(ref) == len(p.actions())
-        for a, row, (support, probs) in zip(p.actions(), rows, ref):
-            np.testing.assert_array_equal(row.indices, support, err_msg=str(a))
-            assert np.abs(row.probs - probs).sum() <= 1e-9, a
+        # Against the same law pushed atom by atom, only the segment moments
+        # differ; against the per-action tables the truncation differs too
+        # (the README bounds that at 1.75e-11 over the rtdp-default states).
+        for atoms, tol in ((action_free_atoms, 1e-12), (transition_atoms, 1.7e-11)):
+            ref = per_action_push(g, p, idx, atoms)
+            assert len(rows) == len(ref) == len(p.actions())
+            for a, row, (support, probs) in zip(p.actions(), rows, ref):
+                np.testing.assert_array_equal(row.indices, support, err_msg=str(a))
+                assert np.abs(row.probs - probs).sum() <= tol, (atoms.__name__, a)
+
+    def test_push_locates_far_fewer_points_than_atoms(self, monkeypatch):
+        # The default initial state pushes about 1.5 M atoms; they must reach
+        # locate_many as segment means, not one by one.
+        g = build_grid(GridSpec(10))
+        p = EpidemicParams()
+        idx = g.index_of(7, 1, 2)
+        located = []
+        locate = Grid.locate_many
+
+        def counting_locate(self, points):
+            located.append(len(points))
+            return locate(self, points)
+
+        monkeypatch.setattr(Grid, "locate_many", counting_locate)
+        discretize_kernel(g, p, idx)
+        # Atoms of a per-level push: each exposure count some y_R draws,
+        # paired with each (C, D) pair whose action-free mass is kept.
+        state = g.state_of(idx)
+        _, n_E, n_I = state.counts(p.N)
+        p_cd = np.outer(binomial_row(n_E, p.rho_C)[1], binomial_row(n_I, p.rho_D)[1])
+        n_cd = np.count_nonzero(p_cd >= JOINT_TOL)
+        atoms = sum(
+            len(np.unique(np.concatenate([transition_pmf(p, state, Action(y_V, y_R)).draws[:, 0]
+                                          for y_R in range(p.M + 1)]))) * n_cd
+            for y_V in range(p.L + 1))
+        assert atoms > 1_000_000
+        assert 0 < sum(located) < atoms / 20
 
     def test_full_vaccination_rows_equal(self):
         # y_V = L leaves no susceptible to expose, so y_R changes nothing.
@@ -337,3 +433,8 @@ class TestCacheKey:
 
     def test_stable(self):
         assert cache_key(toy_params(), 5, 0.05) == cache_key(toy_params(), 5, 0.05)
+
+    def test_per_atom_push_caches_miss(self):
+        # The key the per-atom push gave this configuration: its rows differ
+        # from the segment push's in their last bits, so they must not load.
+        assert cache_key(toy_params(), 2, 0.05) != "286f24f0de12e5d6"

@@ -255,3 +255,11 @@ class TestStateValidation:
         s = ContinuousState(1 / 3, 1 / 3, 1 / 3)
         assert s.counts(30) == (10, 10, 10)
         assert s.counts(10) == (3, 3, 3)
+
+
+class TestParamsValidation:
+    @pytest.mark.parametrize("field", ["mu", "l_C", "l_D", "Q", "k_R", "W"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(DomainError, match=f"^{field} must be finite"):
+            small_params(**{field: value})

@@ -13,11 +13,8 @@ from .seir import (
     CompiledRates,
     ContinuousState,
     EpidemicParams,
-    TransitionDraw,
-    binomial_pmf,
     compile_rates,
     nominal_reward,
-    sample_transition,
     transition_pmf,
 )
 
@@ -31,11 +28,8 @@ __all__ = [
     "EpidemicParams",
     "EpiplanError",
     "SolverError",
-    "TransitionDraw",
     "UnderdeterminedError",
-    "binomial_pmf",
     "compile_rates",
     "nominal_reward",
-    "sample_transition",
     "transition_pmf",
 ]

@@ -2,13 +2,15 @@
 
 The mean-ambiguous backup prices one action against the worst transition
 distribution whose mean lies near action-dependent bounds, with violations
-charged at k per unit.  Three equivalent routes compute it:
+charged at k per unit.  Two runtime routes compute it:
 
 * a small LP in (q, w, u), the dual of the penalized mean problem;
-* the penalized mean problem itself (the primal oracle);
 * a closed-form parametric solve used on hot paths, batched over all actions
   of a state, exact because the dual objective is concave piecewise-linear
   in q with kinks at 2m+1 points every action shares.
+
+The penalized mean problem itself is the test oracle both are checked
+against (tests/oracles.py, tests/test_acceptance.py).
 
 Action selection is then either explicit enumeration, or a single
 mixed-integer program linearizing the action-times-multiplier products with
@@ -17,7 +19,6 @@ box envelopes (a relaxation) or with per-level indicator variables (exact).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -33,15 +34,6 @@ from .rules import (
     reward_rule,
 )
 from .seir import Action
-
-
-@dataclass
-class DualSolution:
-    """Optimal multipliers of the inner problem."""
-
-    q: float
-    w: np.ndarray
-    u: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +93,7 @@ def worst_case_shift(row: SparseDistribution, grid: Grid, budget: float) -> Spar
 
 
 # ---------------------------------------------------------------------------
-# Inner problem: LP route, primal oracle, and batched parametric route
+# Inner problem: LP route and batched parametric route
 
 
 def inner_dual_lp(
@@ -110,7 +102,7 @@ def inner_dual_lp(
     v_next: np.ndarray,
     lam: float,
     k: float,
-) -> tuple[float, DualSolution]:
+) -> float:
     """Action value under the worst admissible mean, via the multiplier LP.
 
     maximize  r(a) + q - w'etaU(a) + u'etaL(a)
@@ -121,12 +113,10 @@ def inner_dual_lp(
     """
     eta_L, eta_U = mean_bounds(coeffs, design_matrix([action]))
     v = lam * v_next[coeffs.support]
-    m = len(v)
     res = solve_lp(inner_dual_program(eta_L[0], eta_U[0], v, k))
     if res.status != "optimal":
         raise SolverError(f"inner LP unexpectedly {res.status}")
-    sol = DualSolution(q=float(res.x[0]), w=res.x[1:1 + m], u=res.x[1 + m:])
-    return reward_rule(coeffs, action) + res.objective, sol
+    return reward_rule(coeffs, action) + res.objective
 
 
 def inner_dual_program(eta_L: np.ndarray, eta_U: np.ndarray, v: np.ndarray,
@@ -149,48 +139,6 @@ def inner_dual_program(eta_L: np.ndarray, eta_U: np.ndarray, v: np.ndarray,
     lb[0] = -np.inf
     return LinearProgram("max", c, A, ["<="] * (2 * m), b,
                          lb=lb, ub=np.full(n, np.inf))
-
-
-def inner_primal_oracle(
-    coeffs: DecisionRuleCoefficients,
-    action: Action,
-    v_next: np.ndarray,
-    lam: float,
-    k: float,
-    return_solution: bool = False,
-):
-    """Penalized worst-mean problem solved directly over mean vectors.
-
-    The inner objective depends on the distribution only through its mean, so
-    minimizing over means in the simplex is exact:
-    minimize r(a) + lam*m'V + k*1'x  s.t.  m in simplex, |m - eta band| <= x.
-    """
-    eta_L, eta_U = mean_bounds(coeffs, design_matrix([action]))
-    v = lam * v_next[coeffs.support]
-    m = len(v)
-
-    n = 2 * m  # mean vector then slack vector
-    c = np.concatenate([v, np.full(m, k)])
-    A = np.zeros((1 + 2 * m, n))
-    b = np.empty(1 + 2 * m)
-    rel = ["=="] + ["<="] * (2 * m)
-    A[0, :m] = 1.0
-    b[0] = 1.0
-    for j in range(m):
-        A[1 + j, j] = 1.0
-        A[1 + j, m + j] = -1.0
-        b[1 + j] = eta_U[0, j]
-        A[1 + m + j, j] = -1.0
-        A[1 + m + j, m + j] = -1.0
-        b[1 + m + j] = -eta_L[0, j]
-    lp = LinearProgram("min", c, A, rel, b)
-    res = solve_lp(lp)
-    if res.status != "optimal":
-        raise SolverError(f"inner primal unexpectedly {res.status}")
-    value = reward_rule(coeffs, action) + res.objective
-    if return_solution:
-        return value, res.x[:m], res.x[m:]
-    return value
 
 
 def inner_value_parametric(
@@ -259,7 +207,7 @@ def drmdp_backup_enumerate(
         vals = X @ coeffs.eps + inner_value_parametric(
             *mean_bounds(coeffs, X), lam * v_next[coeffs.support], k)
     elif method == "lp":
-        vals = np.array([inner_dual_lp(coeffs, a, v_next, lam, k)[0] for a in actions])
+        vals = np.array([inner_dual_lp(coeffs, a, v_next, lam, k) for a in actions])
     else:
         raise DomainError(f"unknown inner method {method!r}")
     best = int(np.argmax(vals))

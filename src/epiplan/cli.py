@@ -2,9 +2,10 @@
 
 Subcommands: compile (build and persist the kernel cache), solve (run a
 planner and write the value table), simulate (episodes for one backend),
-compare (backends x kernels grid), sensitivity (parameter sweeps), selftest
-(quick property suites).  Exit codes: 0 success, 1 domain or configuration
-error, 2 internal error.
+compare (backends x kernels grid), sensitivity (parameter sweeps).  The
+duality and ordering property checks are tests (tests/test_acceptance.py),
+not a subcommand.  Exit codes: 0 success, 1 domain or configuration error,
+2 internal error.
 """
 
 from __future__ import annotations
@@ -130,11 +131,11 @@ def _cmd_simulate(cfg: RunConfig, outdir: str, verbose: bool) -> int:
 
 def _cmd_compare(cfg: RunConfig, outdir: str, verbose: bool) -> int:
     episodes, summary = compare_models(
-        cfg.params(), cfg.Y, cfg.ambiguity(),
+        cfg.params(), cfg.Y, cfg.ambiguity(), PlannerConfig(**cfg.planner_kwargs()),
         backends=("drmdp-enumerate", "nominal", "robust"),
         p_S1_list=cfg.p_S1_list, p_E1=cfg.p_E1,
         kernels=("nominal", "perturbed"), pspec=cfg.perturbation(),
-        nseeds=cfg.nseeds, niter=cfg.niter, plan_seed=cfg.seed)
+        nseeds=cfg.nseeds)
     sm_header = ["backend", "kernel", "p_S1", "stage", "mean_y_V", "mean_y_R",
                  "mean_pct_infective", "mean_pct_recovered",
                  "mean_total_reward", "std_total_reward"]
@@ -151,9 +152,10 @@ def _cmd_sensitivity(cfg: RunConfig, outdir: str, verbose: bool) -> int:
     p_S1 = cfg.p_S1_list[0]
     scenario = (p_S1, cfg.p_E1, round(1.0 - p_S1 - cfg.p_E1, 12))
     rows = sensitivity_sweep(cfg.params(), cfg.Y, cfg.ambiguity(),
+                             PlannerConfig(**cfg.planner_kwargs()),
                              cfg.sweep_param, cfg.sweep_values,
                              nseeds=cfg.nseeds, pspec=cfg.perturbation(),
-                             scenario=scenario, niter=cfg.niter, plan_seed=cfg.seed)
+                             scenario=scenario)
     header = ["param", "value", "seed", "stage", "pct_infective"]
     emit_results({"sensitivity": (header, rows)}, outdir, cfg,
                  list(range(cfg.nseeds)))
@@ -161,82 +163,6 @@ def _cmd_sensitivity(cfg: RunConfig, outdir: str, verbose: bool) -> int:
         agg = aggregate_infectives(rows, cfg.sweep_param, value)
         print(f"{cfg.sweep_param} = {value:g}: aggregate infectives {agg:.4f}")
     return 0
-
-
-def _cmd_selftest(cfg: RunConfig, outdir: str, verbose: bool) -> int:
-    """Quick duality and ordering property checks on randomized instances."""
-    from .backup import (
-        drmdp_backup_enumerate,
-        drmdp_backup_mccormick,
-        drmdp_backup_unary,
-        inner_dual_lp,
-        inner_primal_oracle,
-        inner_value_parametric,
-    )
-    from .lp import LinearProgram, lp_duality_check
-    from .rules import DecisionRuleCoefficients, design_matrix, mean_bounds, reward_rule
-    from .seir import Action
-
-    rng = np.random.default_rng(0)
-    failures = 0
-
-    def coeffs_of(m):
-        base = rng.random(m)
-        base /= base.sum()
-        mean = np.vstack([base, rng.normal(scale=0.1, size=m),
-                          rng.normal(scale=0.1, size=m)])
-        eps = np.array([-rng.random() * 20, -rng.random(), -rng.random()])
-        return DecisionRuleCoefficients(np.arange(m), mean, 0.05, eps)
-
-    for trial in range(40):
-        m = int(rng.integers(1, 8))
-        coeffs = coeffs_of(m)
-        v = -rng.random(m) * 50
-        k = float(rng.choice([0.0, 1.0, 1e3, 1e6]))
-        dual, _ = inner_dual_lp(coeffs, Action(0, 0), v, 0.95, k)
-        primal = inner_primal_oracle(coeffs, Action(0, 0), v, 0.95, k)
-        if abs(dual - primal) > 1e-6 * (1.0 + abs(dual)):
-            failures += 1
-
-    # The batched parametric solve against the LP route, action by action.
-    batch_actions = [Action(a, b) for a in range(3) for b in range(3)]
-    X = design_matrix(batch_actions)
-    for trial in range(10):
-        m = int(rng.integers(1, 8))
-        coeffs = coeffs_of(m)
-        v = -rng.random(m) * 50
-        k = float(rng.choice([0.0, 1.0, 1e3, 1e6]))
-        fast = inner_value_parametric(*mean_bounds(coeffs, X), 0.95 * v, k)
-        for a, f in zip(batch_actions, fast):
-            dual, _ = inner_dual_lp(coeffs, a, v, 0.95, k)
-            if abs(dual - reward_rule(coeffs, a) - f) > 1e-6 * (1.0 + abs(dual)):
-                failures += 1
-
-    actions = [Action(a, b) for a in range(2) for b in range(2)]
-    for trial in range(15):
-        m = int(rng.integers(2, 6))
-        coeffs = coeffs_of(m)
-        v = -rng.random(m) * 30
-        k = float(rng.choice([1.0, 1e3]))
-        e, _ = drmdp_backup_enumerate(coeffs, actions, v, 0.95, k,
-                                      method="parametric")
-        un, _ = drmdp_backup_unary(coeffs, v, 0.95, k, L=1, M=1)
-        mc, _ = drmdp_backup_mccormick(coeffs, v, 0.95, k, L=1, M=1)
-        scale = 1.0 + abs(e)
-        if abs(un - e) > 1e-6 * scale or mc < un - 1e-6 * scale:
-            failures += 1
-
-    for trial in range(10):
-        n, mrows = int(rng.integers(2, 5)), int(rng.integers(2, 5))
-        lp = LinearProgram("max", rng.normal(size=n),
-                           rng.normal(size=(mrows, n)), ["<="] * mrows,
-                           rng.random(mrows) + 0.5)
-        rep = lp_duality_check(lp)
-        if rep.status == "checked" and not rep.ok:
-            failures += 1
-
-    print(f"selftest: {'PASS' if failures == 0 else f'FAIL ({failures})'}")
-    return 0 if failures == 0 else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,7 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("simulate")
     sub.add_parser("compare")
     sub.add_parser("sensitivity")
-    sub.add_parser("selftest")
     return parser
 
 
@@ -292,8 +217,6 @@ def dispatch(argv: list[str]) -> int:
             return _cmd_compare(cfg, args.out, args.verbose)
         if args.command == "sensitivity":
             return _cmd_sensitivity(cfg, args.out, args.verbose)
-        if args.command == "selftest":
-            return _cmd_selftest(cfg, args.out, args.verbose)
         parser.error(f"unknown command {args.command!r}")
     except EpiplanError as exc:
         print(f"error: {exc}", file=sys.stderr)

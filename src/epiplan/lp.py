@@ -11,7 +11,7 @@ pivot identically.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -374,71 +374,3 @@ def _with(arr: np.ndarray, j: int, val: float) -> np.ndarray:
     out = arr.copy()
     out[j] = val
     return out
-
-
-@dataclass
-class DualityReport:
-    status: str                     # checked | skipped-<primal status>
-    primal_objective: float | None = None
-    dual_objective: float | None = None
-    gap: float | None = None
-    ok: bool = False
-
-
-def lp_duality_check(lp: LinearProgram, tol: float = 1e-6) -> DualityReport:
-    """Build the textbook dual and verify both optima agree.
-
-    The primal is first folded to max c'x, Ax <= b, x >= 0 (shifting bounds,
-    splitting free variables, doubling equalities), whose dual is
-    min b'y, A'y >= c, y >= 0.
-    """
-    primal = solve_lp(lp)
-    if primal.status != "optimal":
-        return DualityReport(status=f"skipped-{primal.status}")
-
-    can = _Canonical(lp)  # min form: c_can = sign * original
-    A_rows = []
-    b_rows = []
-    for i, r in enumerate(can.rel):
-        if r == "<=":
-            A_rows.append(can.A[i])
-            b_rows.append(can.b[i])
-        elif r == ">=":
-            A_rows.append(-can.A[i])
-            b_rows.append(-can.b[i])
-        else:
-            A_rows.append(can.A[i])
-            b_rows.append(can.b[i])
-            A_rows.append(-can.A[i])
-            b_rows.append(-can.b[i])
-    A = np.vstack(A_rows)
-    b = np.array(b_rows)
-    c_max = -can.c  # canonical is min; the folded primal maximizes -c_can
-
-    dual = LinearProgram(
-        sense="min",
-        c=b,
-        A=A.T,
-        rel=[">="] * len(c_max),
-        b=c_max,
-        lb=np.zeros(len(b)),
-        ub=np.full(len(b), np.inf),
-    )
-    dual_sol = solve_lp(dual)
-    if dual_sol.status != "optimal":
-        return DualityReport(status=f"skipped-dual-{dual_sol.status}",
-                             primal_objective=primal.objective)
-
-    # Map the folded optima back to the original objective scale.
-    sign = can.sign  # +1 if original was min
-    primal_folded = dual_folded = None
-    primal_folded = sign * (primal.objective - can.offset) * -1.0
-    dual_folded = dual_sol.objective
-    gap = abs(primal_folded - dual_folded)
-    return DualityReport(
-        status="checked",
-        primal_objective=primal.objective,
-        dual_objective=float(sign * -dual_sol.objective + can.offset),
-        gap=float(gap),
-        ok=bool(gap <= tol * (1.0 + abs(primal_folded))),
-    )

@@ -30,6 +30,11 @@ from .seir import Action
 
 BACKENDS = ("nominal", "robust", "drmdp-enumerate", "drmdp-mccormick", "drmdp-unary")
 
+# Early stop: RTDP ends once the root value has moved by less than STOP_TOL
+# for STOP_PATIENCE consecutive sweeps.
+STOP_TOL = 1e-7
+STOP_PATIENCE = 10
+
 
 @dataclass
 class PlannerConfig:
@@ -38,8 +43,6 @@ class PlannerConfig:
     seed: int = 0
     inner_method: str = "parametric"   # enumerate back-end: parametric | lp
     early_stop: bool = True
-    stop_tol: float = 1e-7
-    stop_patience: int = 10
     robust_budget: float = 0.5
 
     def __post_init__(self) -> None:
@@ -163,8 +166,8 @@ def rtdp(model: EpidemicModel, init_idx: int, cfg: PlannerConfig):
                 idx = _sample_next(model, idx, action, rng)
         root = table.get(init_idx, 1)
         if cfg.early_stop and prev_root is not None:
-            stable = stable + 1 if abs(root - prev_root) < cfg.stop_tol else 0
-            if stable >= cfg.stop_patience:
+            stable = stable + 1 if abs(root - prev_root) < STOP_TOL else 0
+            if stable >= STOP_PATIENCE:
                 break
         prev_root = root
     return table, trace

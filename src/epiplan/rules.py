@@ -77,12 +77,11 @@ def fit_rules(
     kernels: list[SparseDistribution],
     rewards: list[float],
     cfg: AmbiguityConfig,
-    support: np.ndarray | None = None,
 ) -> DecisionRuleCoefficients:
     """Fit the mean and reward rules for one state from its per-action rows.
 
     kernels and rewards are aligned with actions.  Rows are zero-padded onto
-    the union support (or a caller-supplied superset of it).
+    the union support.
     """
     if len(kernels) != len(actions) or len(rewards) != len(actions):
         raise DomainError("kernels and rewards must align with actions")
@@ -92,13 +91,10 @@ def fit_rules(
             "need at least 3 distinct, non-collinear actions to fit rules"
         )
 
-    if support is None:
-        seen: set[int] = set()
-        for row in kernels:
-            seen.update(int(i) for i in row.indices)
-        support = np.array(sorted(seen), dtype=np.int64)
-    else:
-        support = np.asarray(support, dtype=np.int64)
+    seen: set[int] = set()
+    for row in kernels:
+        seen.update(int(i) for i in row.indices)
+    support = np.array(sorted(seen), dtype=np.int64)
 
     pos = {int(s): j for j, s in enumerate(support)}
     P = np.zeros((len(actions), len(support)))

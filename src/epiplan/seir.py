@@ -143,15 +143,6 @@ class CompiledRates:
     alpha_t: float  # realized contact reduction
 
 
-@dataclass(frozen=True)
-class TransitionDraw:
-    """One realization of the three binomial counts."""
-
-    n_B: int
-    n_C: int
-    n_D: int
-
-
 def _check_action(params: EpidemicParams, action: Action) -> None:
     if action.y_V > params.L or action.y_R > params.M:
         raise DomainError(f"action {action} outside bounds L={params.L}, M={params.M}")
@@ -165,26 +156,6 @@ def compile_rates(
     alpha_t = params.alpha0 * action.y_R / params.M
     phi = 1.0 - math.exp(-(1.0 - alpha_t) * params.mu * state.p_I * params.beta)
     return CompiledRates(phi=phi, rho_C=params.rho_C, rho_D=params.rho_D, alpha_t=alpha_t)
-
-
-def binomial_pmf(n: int, p: float, k: int) -> float:
-    """P[Bin(n, p) = k], computed in log space so large n stays finite."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must be in [0, 1], got {p}")
-    if k < 0 or k > n:
-        raise DomainError(f"k must be in [0, n], got k={k}, n={n}")
-    if p == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if k == n else 0.0
-    log_pmf = (
-        gammaln(n + 1)
-        - gammaln(k + 1)
-        - gammaln(n - k + 1)
-        + k * math.log(p)
-        + (n - k) * math.log1p(-p)
-    )
-    return float(math.exp(log_pmf))
 
 
 def binomial_row(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -263,23 +234,6 @@ def transition_pmf(
     prob = prob / prob.sum()
     draws = np.stack([B, C, D], axis=1)
     return TransitionTable(draws=draws, points=points, probs=prob)
-
-
-def sample_transition(
-    params: EpidemicParams,
-    state: ContinuousState,
-    action: Action,
-    rng: np.random.Generator,
-) -> TransitionDraw:
-    """Draw the three binomial counts from a caller-owned random stream."""
-    _check_action(params, action)
-    n_S, n_E, n_I = state.counts(params.N)
-    rates = compile_rates(params, state, action)
-    trials_B = vaccination_trials(params, n_S, action.y_V)
-    n_B = int(rng.binomial(trials_B, rates.phi)) if trials_B > 0 else 0
-    n_C = int(rng.binomial(n_E, rates.rho_C)) if n_E > 0 else 0
-    n_D = int(rng.binomial(n_I, rates.rho_D)) if n_I > 0 else 0
-    return TransitionDraw(n_B=n_B, n_C=n_C, n_D=n_D)
 
 
 def nominal_reward(

@@ -162,18 +162,18 @@ def compare_models(
     params: EpidemicParams,
     Y: int,
     acfg: AmbiguityConfig,
+    pcfg: PlannerConfig,
     backends: tuple[str, ...] = ("drmdp-enumerate", "nominal", "robust"),
     p_S1_list: tuple[float, ...] = (0.6, 0.7),
     p_E1: float = 0.1,
     kernels: tuple[str, ...] = ("nominal", "perturbed"),
     pspec: PerturbationSpec = PerturbationSpec(),
     nseeds: int = 10,
-    niter: int = 50,
-    plan_seed: int = 0,
 ):
     """Backends x initial conditions x kernels, every cell seeded and averaged.
 
-    Returns (episode_rows, summary_rows); the initial infective share is the
+    Each backend plans with pcfg, its backend replaced.  Returns
+    (episode_rows, summary_rows); the initial infective share is the
     remainder 1 - p_S(1) - p_E(1).
     """
     model = EpidemicModel(params, Y, acfg)
@@ -187,7 +187,7 @@ def compare_models(
         p_I1 = round(1.0 - p_S1 - p_E1, 12)
         init = lattice_state_index(model, p_S1, p_E1, p_I1)
         for backend in backends:
-            cfg = PlannerConfig(backend=backend, niter=niter, seed=plan_seed)
+            cfg = replace(pcfg, backend=backend)
             table, _ = rtdp(model, init, cfg)
             for kernel_name in kernels:
                 kern = true_kernels[kernel_name]
@@ -220,16 +220,15 @@ def sensitivity_sweep(
     params: EpidemicParams,
     Y: int,
     acfg: AmbiguityConfig,
+    pcfg: PlannerConfig,
     param: str,
     values: tuple[float, ...],
     nseeds: int = 5,
     pspec: PerturbationSpec = PerturbationSpec(),
     scenario: tuple[float, float, float] = (0.7, 0.1, 0.2),
-    backend: str = "drmdp-enumerate",
-    niter: int = 50,
-    plan_seed: int = 0,
 ):
-    """Stage-wise infection shares as one model constant sweeps over values.
+    """Stage-wise infection shares as one model constant sweeps over values,
+    each planned with pcfg.
 
     mu_beta sweeps the product mu*beta (dynamics depend only on it); other
     names sweep the matching cost or effectiveness constant.
@@ -245,11 +244,10 @@ def sensitivity_sweep(
             p = replace(params, **{param: float(value)})
         model = EpidemicModel(p, Y, acfg)
         init = lattice_state_index(model, *scenario)
-        cfg = PlannerConfig(backend=backend, niter=niter, seed=plan_seed)
-        table, _ = rtdp(model, init, cfg)
+        table, _ = rtdp(model, init, pcfg)
         kern = build_true_kernel(model, pspec)
         for seed in range(nseeds):
-            rec = run_episode(model, table, cfg, kern, init, seed)
+            rec = run_episode(model, table, pcfg, kern, init, seed)
             for t in range(1, model.T + 1):
                 rows.append({
                     "param": param,

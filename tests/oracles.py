@@ -1,0 +1,155 @@
+"""Reference implementations the tests compare the runtime routes against.
+
+None of these runs in the package: each is a slower, more literal statement
+of a quantity that `epiplan` computes another way.
+
+* `binomial_pmf` — the scalar binomial law that `seir.binomial_row`
+  vectorizes and truncates.
+* `inner_primal_oracle` — the penalized worst-mean problem solved over mean
+  vectors, the primal of the multiplier LP (`backup.inner_dual_lp`) and of
+  its closed-form solve (`backup.inner_value_parametric`).
+* `lp_duality_check` — the textbook dual of any LP, solved with the same
+  simplex, to check strong duality of `lp.solve_lp`.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.special import gammaln
+
+from epiplan.errors import DomainError, SolverError
+from epiplan.lp import LinearProgram, _Canonical, solve_lp
+from epiplan.rules import DecisionRuleCoefficients, design_matrix, mean_bounds, reward_rule
+from epiplan.seir import Action
+
+
+def binomial_pmf(n: int, p: float, k: int) -> float:
+    """P[Bin(n, p) = k], computed in log space so large n stays finite."""
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"p must be in [0, 1], got {p}")
+    if k < 0 or k > n:
+        raise DomainError(f"k must be in [0, n], got k={k}, n={n}")
+    if p == 0.0:
+        return 1.0 if k == 0 else 0.0
+    if p == 1.0:
+        return 1.0 if k == n else 0.0
+    log_pmf = (
+        gammaln(n + 1)
+        - gammaln(k + 1)
+        - gammaln(n - k + 1)
+        + k * math.log(p)
+        + (n - k) * math.log1p(-p)
+    )
+    return float(math.exp(log_pmf))
+
+
+def inner_primal_oracle(
+    coeffs: DecisionRuleCoefficients,
+    action: Action,
+    v_next: np.ndarray,
+    lam: float,
+    k: float,
+    return_solution: bool = False,
+):
+    """Penalized worst-mean problem solved directly over mean vectors.
+
+    The inner objective depends on the distribution only through its mean, so
+    minimizing over means in the simplex is exact:
+    minimize r(a) + lam*m'V + k*1'x  s.t.  m in simplex, |m - eta band| <= x.
+    """
+    eta_L, eta_U = mean_bounds(coeffs, design_matrix([action]))
+    v = lam * v_next[coeffs.support]
+    m = len(v)
+
+    n = 2 * m  # mean vector then slack vector
+    c = np.concatenate([v, np.full(m, k)])
+    A = np.zeros((1 + 2 * m, n))
+    b = np.empty(1 + 2 * m)
+    rel = ["=="] + ["<="] * (2 * m)
+    A[0, :m] = 1.0
+    b[0] = 1.0
+    for j in range(m):
+        A[1 + j, j] = 1.0
+        A[1 + j, m + j] = -1.0
+        b[1 + j] = eta_U[0, j]
+        A[1 + m + j, j] = -1.0
+        A[1 + m + j, m + j] = -1.0
+        b[1 + m + j] = -eta_L[0, j]
+    lp = LinearProgram("min", c, A, rel, b)
+    res = solve_lp(lp)
+    if res.status != "optimal":
+        raise SolverError(f"inner primal unexpectedly {res.status}")
+    value = reward_rule(coeffs, action) + res.objective
+    if return_solution:
+        return value, res.x[:m], res.x[m:]
+    return value
+
+
+@dataclass
+class DualityReport:
+    status: str                     # checked | skipped-<primal status>
+    primal_objective: float | None = None
+    dual_objective: float | None = None
+    gap: float | None = None
+    ok: bool = False
+
+
+def lp_duality_check(lp: LinearProgram, tol: float = 1e-6) -> DualityReport:
+    """Build the textbook dual and verify both optima agree.
+
+    The primal is first folded to max c'x, Ax <= b, x >= 0 (shifting bounds,
+    splitting free variables, doubling equalities), whose dual is
+    min b'y, A'y >= c, y >= 0.
+    """
+    primal = solve_lp(lp)
+    if primal.status != "optimal":
+        return DualityReport(status=f"skipped-{primal.status}")
+
+    can = _Canonical(lp)  # min form: c_can = sign * original
+    A_rows = []
+    b_rows = []
+    for i, r in enumerate(can.rel):
+        if r == "<=":
+            A_rows.append(can.A[i])
+            b_rows.append(can.b[i])
+        elif r == ">=":
+            A_rows.append(-can.A[i])
+            b_rows.append(-can.b[i])
+        else:
+            A_rows.append(can.A[i])
+            b_rows.append(can.b[i])
+            A_rows.append(-can.A[i])
+            b_rows.append(-can.b[i])
+    A = np.vstack(A_rows)
+    b = np.array(b_rows)
+    c_max = -can.c  # canonical is min; the folded primal maximizes -c_can
+
+    dual = LinearProgram(
+        sense="min",
+        c=b,
+        A=A.T,
+        rel=[">="] * len(c_max),
+        b=c_max,
+        lb=np.zeros(len(b)),
+        ub=np.full(len(b), np.inf),
+    )
+    dual_sol = solve_lp(dual)
+    if dual_sol.status != "optimal":
+        return DualityReport(status=f"skipped-dual-{dual_sol.status}",
+                             primal_objective=primal.objective)
+
+    # Map the folded optima back to the original objective scale.
+    sign = can.sign  # +1 if original was min
+    primal_folded = sign * (primal.objective - can.offset) * -1.0
+    dual_folded = dual_sol.objective
+    gap = abs(primal_folded - dual_folded)
+    return DualityReport(
+        status="checked",
+        primal_objective=primal.objective,
+        dual_objective=float(sign * -dual_sol.objective + can.offset),
+        gap=float(gap),
+        ok=bool(gap <= tol * (1.0 + abs(primal_folded))),
+    )

@@ -1,0 +1,112 @@
+"""Acceptance properties of the inner problem and the action back-ends.
+
+Randomized instances, all drawn in one fixed order from one
+`default_rng(0)` stream, so each property sees the same instances on every
+run:
+
+* the multiplier LP equals the penalized-mean primal (strong duality of the
+  inner problem);
+* the batched parametric solve equals the LP route, action by action;
+* at L = M = 1 the unary MIP equals enumeration and McCormick bounds both
+  from above;
+* random LPs pass the textbook strong-duality check.
+
+All tolerances are 1e-6 relative to 1 + |value|.
+"""
+
+from functools import cache
+
+import numpy as np
+
+from epiplan.backup import (
+    drmdp_backup_enumerate,
+    drmdp_backup_mccormick,
+    drmdp_backup_unary,
+    inner_dual_lp,
+    inner_value_parametric,
+)
+from epiplan.lp import LinearProgram
+from epiplan.rules import DecisionRuleCoefficients, design_matrix, mean_bounds, reward_rule
+from epiplan.seir import Action
+from oracles import inner_primal_oracle, lp_duality_check
+
+TOL = 1e-6
+LAM = 0.95
+
+
+def _coeffs(rng, m):
+    base = rng.random(m)
+    base /= base.sum()
+    mean = np.vstack([base, rng.normal(scale=0.1, size=m),
+                      rng.normal(scale=0.1, size=m)])
+    eps = np.array([-rng.random() * 20, -rng.random(), -rng.random()])
+    return DecisionRuleCoefficients(np.arange(m), mean, 0.05, eps)
+
+
+def _inner_instance(rng, m_range, v_scale, ks):
+    m = int(rng.integers(*m_range))
+    coeffs = _coeffs(rng, m)
+    v = -rng.random(m) * v_scale
+    k = float(rng.choice(ks))
+    return coeffs, v, k
+
+
+@cache
+def instances():
+    """Every property's instances, drawn in order from one stream."""
+    rng = np.random.default_rng(0)
+    out = {}
+    out["dual_primal"] = [_inner_instance(rng, (1, 8), 50, [0.0, 1.0, 1e3, 1e6])
+                          for _ in range(40)]
+    out["parametric_lp"] = [_inner_instance(rng, (1, 8), 50, [0.0, 1.0, 1e3, 1e6])
+                            for _ in range(10)]
+    out["unary_mccormick"] = [_inner_instance(rng, (2, 6), 30, [1.0, 1e3])
+                              for _ in range(15)]
+    lps = []
+    for _ in range(10):
+        n, mrows = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        c = rng.normal(size=n)
+        A = rng.normal(size=(mrows, n))
+        b = rng.random(mrows) + 0.5
+        lps.append(LinearProgram("max", c, A, ["<="] * mrows, b))
+    out["lps"] = lps
+    return out
+
+
+def test_dual_equals_primal():
+    for trial, (coeffs, v, k) in enumerate(instances()["dual_primal"]):
+        dual = inner_dual_lp(coeffs, Action(0, 0), v, LAM, k)
+        primal = inner_primal_oracle(coeffs, Action(0, 0), v, LAM, k)
+        assert abs(dual - primal) <= TOL * (1.0 + abs(dual)), (trial, dual, primal)
+
+
+def test_batched_parametric_equals_lp_route():
+    actions = [Action(a, b) for a in range(3) for b in range(3)]
+    X = design_matrix(actions)
+    for trial, (coeffs, v, k) in enumerate(instances()["parametric_lp"]):
+        fast = inner_value_parametric(*mean_bounds(coeffs, X), LAM * v, k)
+        for a, f in zip(actions, fast):
+            dual = inner_dual_lp(coeffs, a, v, LAM, k)
+            got = reward_rule(coeffs, a) + f
+            assert abs(dual - got) <= TOL * (1.0 + abs(dual)), (trial, a, dual, got)
+
+
+def test_unary_equals_enumeration_below_mccormick():
+    actions = [Action(a, b) for a in range(2) for b in range(2)]
+    for trial, (coeffs, v, k) in enumerate(instances()["unary_mccormick"]):
+        e, _ = drmdp_backup_enumerate(coeffs, actions, v, LAM, k, method="parametric")
+        un, _ = drmdp_backup_unary(coeffs, v, LAM, k, L=1, M=1)
+        mc, _ = drmdp_backup_mccormick(coeffs, v, LAM, k, L=1, M=1)
+        scale = 1.0 + abs(e)
+        assert abs(un - e) <= TOL * scale, (trial, un, e)
+        assert mc >= un - TOL * scale, (trial, mc, un)
+
+
+def test_strong_duality_of_random_lps():
+    checked = 0
+    for trial, lp in enumerate(instances()["lps"]):
+        rep = lp_duality_check(lp, tol=TOL)
+        if rep.status == "checked":
+            assert rep.ok, (trial, rep)
+            checked += 1
+    assert checked == 6  # the other four draws are unbounded

@@ -11,7 +11,6 @@ from epiplan.backup import (
     drmdp_backup_mccormick,
     drmdp_backup_unary,
     inner_dual_lp,
-    inner_primal_oracle,
     inner_dual_program,
     inner_value_parametric,
     worst_case_shift,
@@ -28,6 +27,7 @@ from epiplan.rules import (
     reward_rule,
 )
 from epiplan.seir import nominal_reward
+from oracles import inner_primal_oracle
 
 
 def constant_coeffs(support, center, delta, reward=0.0):
@@ -225,9 +225,8 @@ class TestInnerProblem:
     def test_singleton_support_pins_value(self):
         coeffs = constant_coeffs([4], [1.0], 0.0, reward=-2.0)
         for k in (0.5, 1000.0):
-            q_val, sol = inner_dual_lp(coeffs, Action(0, 0), np.full(9, -7.0), 0.9, k)
+            q_val = inner_dual_lp(coeffs, Action(0, 0), np.full(9, -7.0), 0.9, k)
             assert q_val == pytest.approx(-2.0 + 0.9 * -7.0, abs=1e-8)
-            assert sol.w.shape == (1,)
 
     def test_two_successors_tight_band_and_free_nature(self):
         # eta pinned at (0.5, 0.5): worst mean is nominal when k is huge.
@@ -235,10 +234,10 @@ class TestInnerProblem:
         coeffs = constant_coeffs(support, [0.5, 0.5], 0.0)
         v = np.array([0.0, -10.0])
         lam = 0.95
-        big, _ = inner_dual_lp(coeffs, Action(0, 0), v, lam, 1e6)
+        big = inner_dual_lp(coeffs, Action(0, 0), v, lam, 1e6)
         assert big == pytest.approx(lam * -5.0, abs=1e-6)
         # k = 0 removes the penalty entirely: nature dives to the worst value.
-        free, _ = inner_dual_lp(coeffs, Action(0, 0), v, lam, 0.0)
+        free = inner_dual_lp(coeffs, Action(0, 0), v, lam, 0.0)
         assert free == pytest.approx(lam * -10.0, abs=1e-9)
 
     def test_parametric_matches_lp_on_random_instances(self):
@@ -249,7 +248,7 @@ class TestInnerProblem:
             v = -rng.random(m) * 10 ** rng.integers(0, 4)
             k = float(rng.choice([0.0, 0.37, 1.0, 55.0, 1e3, 1e6]))
             a = Action(0, 0)
-            lp_val, _ = inner_dual_lp(coeffs, a, v, 0.95, k)
+            lp_val = inner_dual_lp(coeffs, a, v, 0.95, k)
             fast_val = reward_rule(coeffs, a) + inner_value_parametric(
                 *mean_bounds(coeffs, design_matrix([a])), 0.95 * v, k)[0]
             scale = 1.0 + abs(lp_val)
@@ -303,7 +302,7 @@ class TestInnerProblem:
             v = -rng.random(m) * 100
             k = float(rng.choice([0.0, 1.0, 1e3, 1e6]))
             a = Action(0, 0)
-            dual_val, _ = inner_dual_lp(coeffs, a, v, 0.95, k)
+            dual_val = inner_dual_lp(coeffs, a, v, 0.95, k)
             primal_val = inner_primal_oracle(coeffs, a, v, 0.95, k)
             scale = 1.0 + abs(dual_val)
             assert abs(dual_val - primal_val) <= 1e-6 * scale, trial
@@ -314,7 +313,7 @@ class TestInnerProblem:
         v = -rng.random(6) * 40
         vals = []
         for k in (0.0, 1.0, 10.0, 1e3, 1e6):
-            val, _ = inner_dual_lp(coeffs, Action(0, 0), v, 0.95, k)
+            val = inner_dual_lp(coeffs, Action(0, 0), v, 0.95, k)
             vals.append(val)
         assert all(a <= b + 1e-8 for a, b in zip(vals, vals[1:]))
 
@@ -500,7 +499,7 @@ def full_space_check(grid, actions, kernels, rewards, action, v_full, cfg, lam,
     hiding it.
     """
     restricted = fit_rules(list(actions), list(kernels), list(rewards), cfg)
-    val_r, _ = inner_dual_lp(restricted, action, v_full, lam, cfg.k)
+    val_r = inner_dual_lp(restricted, action, v_full, lam, cfg.k)
 
     eta_L, eta_U = np.zeros(grid.n_corners), np.zeros(grid.n_corners)
     lo, hi = mean_bounds(restricted, design_matrix([action]))

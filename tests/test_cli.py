@@ -1,10 +1,16 @@
+import argparse
 import os
+import re
 
 import pytest
 
-from epiplan import ConfigError
-from epiplan.cli import dispatch, emit_results
+from epiplan import ConfigError, sim
+from epiplan.cli import build_parser, dispatch, emit_results
 from epiplan.config import RunConfig, config_hash, parse_config_text, resolved_text
+from epiplan.plan import PlannerConfig
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "README.md")
 
 
 class TestParseConfig:
@@ -141,8 +147,10 @@ p_E1 = 0.5
 
 
 class TestDispatch:
-    def test_unknown_subcommand_usage(self, capsys):
-        assert dispatch(["frobnicate"]) == 1
+    @pytest.mark.parametrize("command", ["frobnicate", "selftest"])
+    def test_unknown_subcommand_usage(self, capsys, command):
+        assert dispatch([command]) == 1
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_bad_config_exit_code(self, tmp_path):
         path = write_cfg(tmp_path, "lambda = 7\n")
@@ -156,9 +164,6 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert f"{path}:" in err and repr(line.split()[0]) in err
         assert not out.exists()
-
-    def test_selftest_passes(self, tmp_path):
-        assert dispatch(["--out", str(tmp_path), "selftest"]) == 0
 
     def test_solve_and_artifacts(self, tmp_path):
         path = write_cfg(tmp_path, TOY)
@@ -213,6 +218,29 @@ class TestDispatch:
         assert dispatch(["--config", path, "--out", out, "sensitivity"]) == 0
         assert os.path.exists(os.path.join(out, "sensitivity.csv"))
 
+    @pytest.mark.parametrize("command, backends", [
+        ("compare", ["drmdp-enumerate", "nominal", "robust"]),
+        ("sensitivity", ["nominal", "nominal"]),
+    ])
+    def test_sweeps_plan_with_the_run_planner_keys(self, tmp_path, monkeypatch,
+                                                   command, backends):
+        planner = ("backend = nominal\nrobust_budget = 0.25\nearly_stop = false\n"
+                   "inner_method = lp\nseed = 3\nsweep_param = W\n"
+                   "sweep_values = 1, 4\n")
+        path = write_cfg(tmp_path, TOY + planner)
+        seen = []
+        rtdp = sim.rtdp
+
+        def recording_rtdp(model, init, cfg):
+            seen.append(cfg)
+            return rtdp(model, init, cfg)
+
+        monkeypatch.setattr(sim, "rtdp", recording_rtdp)
+        assert dispatch(["--config", path, "--out", str(tmp_path / "o"), command]) == 0
+        assert seen == [PlannerConfig(backend=b, niter=5, seed=3, inner_method="lp",
+                                      early_stop=False, robust_budget=0.25)
+                        for b in backends]
+
     def test_cli_overrides(self, tmp_path):
         path = write_cfg(tmp_path, TOY)
         out = str(tmp_path / "ovr")
@@ -230,3 +258,13 @@ class TestDispatch:
         a = open(os.path.join(out_a, "episodes.csv"), "rb").read()
         b = open(os.path.join(out_b, "episodes.csv"), "rb").read()
         assert a == b
+
+
+def test_readme_command_line_lists_every_subcommand():
+    text = open(README).read()
+    block = re.search(r"## Command line\n.*?```\n(.*?)```", text, re.S).group(1)
+    documented = [line.split("#")[0].split()[-1]
+                  for line in block.splitlines() if line.startswith("epiplan ")]
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert documented == list(sub.choices)

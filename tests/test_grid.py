@@ -21,6 +21,7 @@ from epiplan.seir import (
     transition_pmf,
     vaccination_trials,
 )
+from oracles import binomial_pmf
 
 
 def toy_params(**kw):
@@ -288,8 +289,6 @@ class TestDiscretizeKernel:
         p = toy_params(N=4)
         idx = g.index_of(1, 1, 0)  # state (0.5, 0.5, 0)
         a = Action(1, 0)
-        from epiplan import binomial_pmf, compile_rates
-
         state = g.state_of(idx)
         rates = compile_rates(p, state, a)
         trials = round(2 * (1 - a.y_V / p.L))

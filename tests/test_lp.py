@@ -8,10 +8,10 @@ from epiplan.lp import (
     LinearProgram,
     MixedIntegerProgram,
     Solution,
-    lp_duality_check,
     solve_lp,
     solve_mip,
 )
+from oracles import lp_duality_check
 
 
 def vertex_enumeration_max(c, A, b):

@@ -8,12 +8,13 @@ from epiplan import (
     ContinuousState,
     DomainError,
     EpidemicParams,
-    binomial_pmf,
     compile_rates,
     nominal_reward,
-    sample_transition,
     transition_pmf,
 )
+from epiplan import seir
+from epiplan.seir import MARGINAL_TOL, binomial_row
+from oracles import binomial_pmf
 
 
 def small_params(**kw):
@@ -85,6 +86,39 @@ class TestBinomialPmf:
         for n, p in [(17, 0.3), (40, 0.05), (8, 0.9)]:
             total = sum(binomial_pmf(n, p, k) for k in range(n + 1))
             assert total == pytest.approx(1.0, abs=1e-12)
+
+
+class TestBinomialRow:
+    """The truncated marginal the kernel push uses, against the scalar oracle."""
+
+    CASES = [(1, 0.3), (17, 0.3), (40, 0.05), (8, 0.9), (1000, 0.5),
+             (1000, 0.001), (100_000, 0.3), (100_000, 0.97)]
+
+    @pytest.mark.parametrize("p, k", [(0.0, 0), (1.0, 25)])
+    def test_certain_outcome_is_one_atom(self, p, k):
+        ks, probs = binomial_row(25, p)
+        assert ks.tolist() == [k]
+        assert probs.tolist() == [1.0]
+
+    @pytest.mark.parametrize("n, p", CASES)
+    def test_kept_entries_match_oracle(self, n, p):
+        ks, probs = binomial_row(n, p)
+        assert np.all(probs >= MARGINAL_TOL)
+        expect = np.array([binomial_pmf(n, p, int(k)) for k in ks])
+        np.testing.assert_allclose(probs, expect, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n, p", CASES)
+    def test_kept_mass_sums_to_one(self, n, p):
+        assert abs(binomial_row(n, p)[1].sum() - 1.0) <= 1e-9
+
+    def test_fallback_keeps_the_mode(self, monkeypatch):
+        # With a tolerance above every entry, only the most likely count stays.
+        monkeypatch.setattr(seir, "MARGINAL_TOL", 1.0)
+        n, p = 40, 0.3
+        ks, probs = binomial_row(n, p)
+        pmf = [binomial_pmf(n, p, k) for k in range(n + 1)]
+        assert ks.tolist() == [int(np.argmax(pmf))]
+        assert probs[0] == pytest.approx(max(pmf), rel=1e-12)
 
 
 class TestTransitionPmf:
@@ -166,51 +200,6 @@ class TestTransitionPmf:
             nxt = expected_exposures(Action(0, r))
             assert nxt <= base + 1e-9
             base = nxt
-
-
-class TestSampleTransition:
-    def test_degenerate_always_zero(self):
-        p = small_params()
-        s = ContinuousState(0.4, 0.0, 0.0)
-        rng = np.random.default_rng(0)
-        d = sample_transition(p, s, Action(0, 0), rng)
-        assert (d.n_B, d.n_C, d.n_D) == (0, 0, 0)
-
-    def test_deterministic_under_seed(self):
-        p = small_params(N=100)
-        s = ContinuousState(0.5, 0.2, 0.2)
-        a = Action(1, 1)
-        d1 = sample_transition(p, s, a, np.random.default_rng(42))
-        d2 = sample_transition(p, s, a, np.random.default_rng(42))
-        assert d1 == d2
-
-    def test_empirical_matches_pmf(self):
-        # Monte Carlo frequencies vs the exact law, chi-square at the 0.01 level.
-        from scipy.stats import chi2
-
-        p = small_params(N=12)
-        s = ContinuousState(0.5, 0.25, 0.25)
-        a = Action(1, 2)
-        tbl = transition_pmf(p, s, a)
-        rng = np.random.default_rng(123)
-        n_draws = 100_000
-        counts = {}
-        for _ in range(n_draws):
-            d = sample_transition(p, s, a, rng)
-            key = (d.n_B, d.n_C, d.n_D)
-            counts[key] = counts.get(key, 0) + 1
-
-        keys = [tuple(map(int, d)) for d in tbl.draws]
-        probs = tbl.probs
-        mask = probs * n_draws >= 5.0  # standard cell-count floor
-        obs = np.array([counts.get(k, 0) for k in keys])
-        rest_obs = n_draws - obs[mask].sum()
-        rest_p = 1.0 - probs[mask].sum()
-        exp = np.append(probs[mask] * n_draws, max(rest_p, 1e-300) * n_draws)
-        obs = np.append(obs[mask], rest_obs)
-        stat = float(((obs - exp) ** 2 / exp).sum())
-        dof = len(obs) - 1
-        assert stat < chi2.ppf(0.99, dof)
 
 
 class TestNominalReward:

@@ -128,9 +128,10 @@ class TestCompare:
         acfg = AmbiguityConfig(0.05, 1000.0)
         kwargs = dict(backends=("nominal", "drmdp-enumerate"),
                       p_S1_list=(0.5,), p_E1=0.5, kernels=("nominal", "perturbed"),
-                      nseeds=3, niter=8)
-        eps1, sum1 = compare_models(params, 2, acfg, **kwargs)
-        eps2, sum2 = compare_models(params, 2, acfg, **kwargs)
+                      nseeds=3)
+        pcfg = PlannerConfig(niter=8)
+        eps1, sum1 = compare_models(params, 2, acfg, pcfg, **kwargs)
+        eps2, sum2 = compare_models(params, 2, acfg, pcfg, **kwargs)
         assert eps1 == eps2
         assert sum1 == sum2
         assert {r["backend"] for r in eps1} == {"nominal", "drmdp-enumerate"}
@@ -146,8 +147,8 @@ class TestCompare:
         params = EpidemicParams(N=10, T=3, L=1, M=1)
         with pytest.raises(DomainError):
             compare_models(params, 2, AmbiguityConfig(0.05, 1000.0),
-                           backends=("nominal",), p_S1_list=(0.61,),
-                           p_E1=0.1, nseeds=1, niter=1)
+                           PlannerConfig(niter=1), backends=("nominal",),
+                           p_S1_list=(0.61,), p_E1=0.1, nseeds=1)
 
 
 def decision_stages(T: int) -> int:
@@ -159,19 +160,20 @@ class TestSensitivity:
         params = EpidemicParams(N=10, T=3, L=1, M=1)
         with pytest.raises(DomainError):
             sensitivity_sweep(params, 2, AmbiguityConfig(0.05, 1000.0),
-                              "sigma", (1.0,), nseeds=1)
+                              PlannerConfig(), "sigma", (1.0,), nseeds=1)
 
     def test_rows_and_aggregate(self):
         params = EpidemicParams(N=10, mu=10.0, beta=0.025, alpha0=0.9, l_C=0.5,
                                 l_D=1 / 3, Q=0.5, k_R=0.5, W=2.0, L=1, M=1,
                                 lam=0.95, T=3)
         acfg = AmbiguityConfig(0.05, 1000.0)
-        rows = sensitivity_sweep(params, 5, acfg, "W", (0.5, 5.0), nseeds=2,
-                                 scenario=(0.6, 0.2, 0.2), niter=5)
+        rows = sensitivity_sweep(params, 5, acfg, PlannerConfig(niter=5), "W",
+                                 (0.5, 5.0), nseeds=2, scenario=(0.6, 0.2, 0.2))
         assert {r["value"] for r in rows} == {0.5, 5.0}
         agg = aggregate_infectives(rows, "W", 0.5)
         assert agg >= 0.0
         # mu_beta sweep runs through the product path
-        rows2 = sensitivity_sweep(params, 5, acfg, "mu_beta", (0.25,), nseeds=1,
-                                  scenario=(0.6, 0.2, 0.2), niter=3)
+        rows2 = sensitivity_sweep(params, 5, acfg, PlannerConfig(niter=3),
+                                  "mu_beta", (0.25,), nseeds=1,
+                                  scenario=(0.6, 0.2, 0.2))
         assert rows2

@@ -214,21 +214,6 @@ def drmdp_backup_enumerate(
     return float(vals[best]), actions[best]
 
 
-def _mccormick_rows(n_vars, zi, ai, wi, a_hi, w_hi):
-    """Four box-envelope rows tying column zi to the product of ai in
-    [0, a_hi] and wi in [0, w_hi]."""
-    rows, rhs = [], []
-    r = np.zeros(n_vars); r[zi] = -1.0
-    rows.append(r); rhs.append(0.0)
-    r = np.zeros(n_vars); r[wi] = a_hi; r[ai] = w_hi; r[zi] = -1.0
-    rows.append(r); rhs.append(a_hi * w_hi)
-    r = np.zeros(n_vars); r[zi] = 1.0; r[wi] = -a_hi
-    rows.append(r); rhs.append(0.0)
-    r = np.zeros(n_vars); r[zi] = 1.0; r[ai] = -w_hi
-    rows.append(r); rhs.append(0.0)
-    return rows, rhs
-
-
 def drmdp_backup_mccormick(
     coeffs: DecisionRuleCoefficients,
     v_next: np.ndarray,
@@ -240,55 +225,77 @@ def drmdp_backup_mccormick(
     """One MIP over integer action levels with box-envelope bilinear terms.
 
     The objective is q - w'(mean(a) + delta) + u'(mean(a) - delta) + r(a);
-    the products of each action level with w and with u get their own
-    envelope columns.  The envelopes relax the products, so the optimum is an
-    upper bound on the enumeration backup; it is exact when an action axis
-    has a single level.
+    the products of each action level a_i in [0, a_hi] with w_j and with u_j
+    (both in [0, k] through w + u <= k) get their own envelope columns z.
+    Each z appears only in the objective and in its own rows, so only the
+    envelope side its cost pushes against can bind: a positive cost keeps
+    z <= a_hi*w and z <= k*a, a negative cost keeps
+    z >= a_hi*w + k*a - a_hi*k (z >= 0 is its bound), and a zero cost drops
+    the column.  On the box the lower envelope never exceeds the upper one,
+    so this has the optimum of the full four-row relaxation.  The envelopes
+    relax the products, so the optimum is an upper bound on the enumeration
+    backup; it is exact when an action axis has a single level.
     """
     v = lam * v_next[coeffs.support]
     m = len(v)
-    n = 6 * m + 3
-    iq = 0
-    iw = lambda j: 1 + j
-    iu = lambda j: 1 + m + j
-    ia = (2 * m + 1, 2 * m + 2)
-    iz0 = lambda i, j: 2 * m + 3 + i * m + j           # a_i * w_j stand-ins
-    iz1 = lambda i, j: 2 * m + 3 + 2 * m + i * m + j   # a_i * u_j stand-ins
-
     mean = coeffs.mean
+    iq = 0
+    ia = (2 * m + 1, 2 * m + 2)
+    a_hi = (float(L), float(M))
+    # z_cost[s, i, j]: cost of a_i * w_j (s = 0) or of a_i * u_j (s = 1).
+    z_cost = np.stack([-mean[1:], mean[1:]])
+    used = z_cost != 0.0
+    iz = np.full(z_cost.shape, -1)
+    iz[used] = 2 * m + 3 + np.arange(int(used.sum()))
+    n = 2 * m + 3 + int(used.sum())
+
     c = np.zeros(n)
     c[iq] = 1.0
     c[1:1 + m] = -(mean[0] + coeffs.delta)
     c[1 + m:1 + 2 * m] = mean[0] - coeffs.delta
     c[ia[0]] = coeffs.eps[1]
     c[ia[1]] = coeffs.eps[2]
-    c[iz0(0, 0):iz1(0, 0)] = -mean[1:].ravel()
-    c[iz1(0, 0):] = mean[1:].ravel()
+    c[iz[used]] = z_cost[used]
 
-    rows, rhs = [], []
-    for j in range(m):
-        r = np.zeros(n); r[iq] = 1.0; r[iw(j)] = -1.0; r[iu(j)] = 1.0
-        rows.append(r); rhs.append(v[j])
-        r = np.zeros(n); r[iw(j)] = 1.0; r[iu(j)] = 1.0
-        rows.append(r); rhs.append(k)
-    bounds_hi = (float(L), float(M))
+    n_rows = 2 * m + 2 * int((z_cost > 0.0).sum()) + int((z_cost < 0.0).sum())
+    A = np.zeros((n_rows, n))
+    b = np.zeros(n_rows)
+    js = np.arange(m)
+    A[2 * js, iq] = 1.0           # q - w_j + u_j <= v_j
+    A[2 * js, 1 + js] = -1.0
+    A[2 * js, 1 + m + js] = 1.0
+    b[2 * js] = v
+    A[2 * js + 1, 1 + js] = 1.0   # w_j + u_j <= k
+    A[2 * js + 1, 1 + m + js] = 1.0
+    b[2 * js + 1] = k
+    r = 2 * m
     for i in range(2):
         for j in range(m):
-            rr, bb = _mccormick_rows(n, iz0(i, j), ia[i], iw(j), bounds_hi[i], k)
-            rows += rr; rhs += bb
-            rr, bb = _mccormick_rows(n, iz1(i, j), ia[i], iu(j), bounds_hi[i], k)
-            rows += rr; rhs += bb
+            for s, imult in ((0, 1 + j), (1, 1 + m + j)):
+                z = iz[s, i, j]
+                if z < 0:
+                    continue
+                if z_cost[s, i, j] > 0.0:  # pushed up: z <= a_hi*w, z <= k*a
+                    A[r, z] = 1.0
+                    A[r, imult] = -a_hi[i]
+                    A[r + 1, z] = 1.0
+                    A[r + 1, ia[i]] = -k
+                    r += 2
+                else:  # pushed down: z >= a_hi*w + k*a - a_hi*k
+                    A[r, imult] = a_hi[i]
+                    A[r, ia[i]] = k
+                    A[r, z] = -1.0
+                    b[r] = a_hi[i] * k
+                    r += 1
 
     lb = np.zeros(n)
     lb[iq] = -np.inf
     ub = np.full(n, np.inf)
-    ub[ia[0]] = float(L)
-    ub[ia[1]] = float(M)
+    ub[list(ia)] = a_hi
     integer = np.zeros(n, dtype=bool)
     integer[list(ia)] = True
 
-    lp = LinearProgram("max", c, np.vstack(rows), ["<="] * len(rhs),
-                       np.array(rhs), lb=lb, ub=ub)
+    lp = LinearProgram("max", c, A, ["<="] * n_rows, b, lb=lb, ub=ub)
     sol = solve_mip(MixedIntegerProgram(lp, integer))
     if sol.status != "optimal":
         raise SolverError(f"envelope MIP unexpectedly {sol.status}")

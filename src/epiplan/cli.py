@@ -130,8 +130,10 @@ def _cmd_simulate(cfg: RunConfig, outdir: str, verbose: bool) -> int:
 
 
 def _cmd_compare(cfg: RunConfig, outdir: str, verbose: bool) -> int:
+    model = _model(cfg)
+    model.load_cache(outdir)
     episodes, summary = compare_models(
-        cfg.params(), cfg.Y, cfg.ambiguity(), PlannerConfig(**cfg.planner_kwargs()),
+        model, PlannerConfig(**cfg.planner_kwargs()),
         backends=("drmdp-enumerate", "nominal", "robust"),
         p_S1_list=cfg.p_S1_list, p_E1=cfg.p_E1,
         kernels=("nominal", "perturbed"), pspec=cfg.perturbation(),

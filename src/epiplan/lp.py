@@ -4,8 +4,10 @@ The LP solver is a two-phase primal simplex on a dense tableau.  Entering
 columns follow Dantzig's rule with ties broken by lowest index, switching to
 Bland's rule after 10*(rows+cols) iterations so cycling cannot occur.  The MIP
 solver wraps it in best-first branch and bound, branching on the most
-fractional integer variable.  Everything is deterministic: identical inputs
-pivot identically.
+fractional integer variable.  The root LP is solved once and is the first
+node, so a MIP makes one LP solve per node: `Solution.nodes` counts them and
+`Solution.iterations` sums their pivots.  Everything is deterministic:
+identical inputs pivot identically.
 """
 
 from __future__ import annotations
@@ -322,15 +324,17 @@ def solve_mip(mip: MixedIntegerProgram) -> Solution:
     incumbent: Solution | None = None
     inc_score = -np.inf
     nodes = 0
-    iterations = root.iterations
+    iterations = 0
 
     while heap:
         neg_bound, _, lo, hi = heapq.heappop(heap)
         bound = -neg_bound
         if incumbent is not None and bound <= inc_score + _GAP_TOL:
             break
-        node_lp = LinearProgram(lp.sense, lp.c, lp.A, lp.rel, lp.b, lo, hi)
-        sol = solve_lp(node_lp)
+        if nodes == 0:
+            sol = root  # the first node popped is the root, already solved
+        else:
+            sol = solve_lp(LinearProgram(lp.sense, lp.c, lp.A, lp.rel, lp.b, lo, hi))
         nodes += 1
         iterations += sol.iterations
         if nodes > 200_000:

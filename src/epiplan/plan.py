@@ -73,11 +73,16 @@ class PolicyTrace:
 
 class ValueTable:
     """Values keyed by (state index, stage); missing entries fall back to the
-    stage-reward bound, absorbing states and the terminal stage to zero."""
+    stage-reward bound, absorbing states and the terminal stage to zero.
+
+    actions holds the argmax action backward_dp chose for each simplex
+    entry; RTDP, whose entries are backed up against values that later
+    change, records none."""
 
     def __init__(self, T: int):
         self.T = T
         self.values: dict[tuple[int, int], float] = {}
+        self.actions: dict[tuple[int, int], Action] = {}
 
     def set(self, idx: int, t: int, value: float) -> None:
         self.values[(idx, t)] = value
@@ -186,7 +191,8 @@ def _sample_next(model: EpidemicModel, idx: int, action: Action,
 
 
 def backward_dp(model: EpidemicModel, cfg: PlannerConfig) -> ValueTable:
-    """Stage-by-stage backup of every simplex state from the horizon down.
+    """Stage-by-stage backup of every simplex state from the horizon down,
+    recording each simplex entry's value and argmax action.
 
     States outside the simplex keep value zero at every stage.
     """
@@ -197,9 +203,11 @@ def backward_dp(model: EpidemicModel, cfg: PlannerConfig) -> ValueTable:
     for t in range(model.T - 1, 0, -1):
         new_dense = np.zeros(model.grid.n_corners)
         for idx in in_s:
-            value, _ = backup_state(model, int(idx), t, dense, cfg)
-            table.set(int(idx), t, value)
-            new_dense[idx] = value
+            i = int(idx)
+            value, action = backup_state(model, i, t, dense, cfg)
+            table.set(i, t, value)
+            table.actions[(i, t)] = action
+            new_dense[i] = value
         for idx in off_s:
             table.set(int(idx), t, 0.0)
         dense = new_dense
@@ -207,11 +215,18 @@ def backward_dp(model: EpidemicModel, cfg: PlannerConfig) -> ValueTable:
 
 
 def table_rows(model: EpidemicModel, table: ValueTable, cfg: PlannerConfig):
-    """Serialize stored values (with greedy actions) as CSV-ready rows."""
+    """Serialize stored values as CSV-ready rows, each with its action.
+
+    The action is the one recorded at backup time when the table holds it
+    (backward_dp: the greedy action against the final stage t+1 values, ties
+    included), else the greedy action against the stored values (RTDP).
+    """
     out = []
     for (idx, t) in sorted(table.values):
         if t >= model.T or not model.grid.in_S[idx]:
             action = Action(0, 0)
+        elif (idx, t) in table.actions:
+            action = table.actions[(idx, t)]
         else:
             action, _ = greedy_action(model, table, idx, t, cfg)
         p_S, p_E, p_I = model.grid.coords[idx]

@@ -159,9 +159,7 @@ def episode_rows(rec: EpisodeRecord, backend: str, kernel: str, p_S1: float,
 
 
 def compare_models(
-    params: EpidemicParams,
-    Y: int,
-    acfg: AmbiguityConfig,
+    model: EpidemicModel,
     pcfg: PlannerConfig,
     backends: tuple[str, ...] = ("drmdp-enumerate", "nominal", "robust"),
     p_S1_list: tuple[float, ...] = (0.6, 0.7),
@@ -172,11 +170,12 @@ def compare_models(
 ):
     """Backends x initial conditions x kernels, every cell seeded and averaged.
 
-    Each backend plans with pcfg, its backend replaced.  Returns
-    (episode_rows, summary_rows); the initial infective share is the
-    remainder 1 - p_S(1) - p_E(1).
+    Every cell plans and rolls out on the one given model, so the states it
+    compiles (or loaded from a kernel cache) serve them all.  Each backend
+    plans with pcfg, its backend replaced.  Returns (episode_rows,
+    summary_rows); the initial infective share is the remainder
+    1 - p_S(1) - p_E(1).
     """
-    model = EpidemicModel(params, Y, acfg)
     true_kernels = {
         "nominal": build_true_kernel(model, replace(pspec, radius=0.0)),
         "perturbed": build_true_kernel(model, pspec),

@@ -10,6 +10,9 @@ of a quantity that `epiplan` computes another way.
   its closed-form solve (`backup.inner_value_parametric`).
 * `lp_duality_check` — the textbook dual of any LP, solved with the same
   simplex, to check strong duality of `lp.solve_lp`.
+* `mccormick_four_row_backup` — the McCormick MIP with all four box-envelope
+  rows per product, which `backup.drmdp_backup_mccormick` writes on the
+  binding side only.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from epiplan.errors import DomainError, SolverError
-from epiplan.lp import LinearProgram, _Canonical, solve_lp
+from epiplan.lp import LinearProgram, MixedIntegerProgram, _Canonical, solve_lp, solve_mip
 from epiplan.rules import DecisionRuleCoefficients, design_matrix, mean_bounds, reward_rule
 from epiplan.seir import Action
 
@@ -153,3 +156,83 @@ def lp_duality_check(lp: LinearProgram, tol: float = 1e-6) -> DualityReport:
         gap=float(gap),
         ok=bool(gap <= tol * (1.0 + abs(primal_folded))),
     )
+
+
+def _mccormick_rows(n_vars, zi, ai, wi, a_hi, w_hi):
+    """Four box-envelope rows tying column zi to the product of ai in
+    [0, a_hi] and wi in [0, w_hi]."""
+    rows, rhs = [], []
+    r = np.zeros(n_vars); r[zi] = -1.0
+    rows.append(r); rhs.append(0.0)
+    r = np.zeros(n_vars); r[wi] = a_hi; r[ai] = w_hi; r[zi] = -1.0
+    rows.append(r); rhs.append(a_hi * w_hi)
+    r = np.zeros(n_vars); r[zi] = 1.0; r[wi] = -a_hi
+    rows.append(r); rhs.append(0.0)
+    r = np.zeros(n_vars); r[zi] = 1.0; r[ai] = -w_hi
+    rows.append(r); rhs.append(0.0)
+    return rows, rhs
+
+
+def mccormick_four_row_backup(
+    coeffs: DecisionRuleCoefficients,
+    v_next: np.ndarray,
+    lam: float,
+    k: float,
+    L: int,
+    M: int,
+) -> tuple[float, Action]:
+    """The McCormick MIP with every product's four envelope rows.
+
+    The objective is q - w'(mean(a) + delta) + u'(mean(a) - delta) + r(a);
+    the products of each action level with w and with u get their own
+    envelope columns, zero-cost ones included.
+    """
+    v = lam * v_next[coeffs.support]
+    m = len(v)
+    n = 6 * m + 3
+    iq = 0
+    iw = lambda j: 1 + j
+    iu = lambda j: 1 + m + j
+    ia = (2 * m + 1, 2 * m + 2)
+    iz0 = lambda i, j: 2 * m + 3 + i * m + j           # a_i * w_j stand-ins
+    iz1 = lambda i, j: 2 * m + 3 + 2 * m + i * m + j   # a_i * u_j stand-ins
+
+    mean = coeffs.mean
+    c = np.zeros(n)
+    c[iq] = 1.0
+    c[1:1 + m] = -(mean[0] + coeffs.delta)
+    c[1 + m:1 + 2 * m] = mean[0] - coeffs.delta
+    c[ia[0]] = coeffs.eps[1]
+    c[ia[1]] = coeffs.eps[2]
+    c[iz0(0, 0):iz1(0, 0)] = -mean[1:].ravel()
+    c[iz1(0, 0):] = mean[1:].ravel()
+
+    rows, rhs = [], []
+    for j in range(m):
+        r = np.zeros(n); r[iq] = 1.0; r[iw(j)] = -1.0; r[iu(j)] = 1.0
+        rows.append(r); rhs.append(v[j])
+        r = np.zeros(n); r[iw(j)] = 1.0; r[iu(j)] = 1.0
+        rows.append(r); rhs.append(k)
+    bounds_hi = (float(L), float(M))
+    for i in range(2):
+        for j in range(m):
+            rr, bb = _mccormick_rows(n, iz0(i, j), ia[i], iw(j), bounds_hi[i], k)
+            rows += rr; rhs += bb
+            rr, bb = _mccormick_rows(n, iz1(i, j), ia[i], iu(j), bounds_hi[i], k)
+            rows += rr; rhs += bb
+
+    lb = np.zeros(n)
+    lb[iq] = -np.inf
+    ub = np.full(n, np.inf)
+    ub[ia[0]] = float(L)
+    ub[ia[1]] = float(M)
+    integer = np.zeros(n, dtype=bool)
+    integer[list(ia)] = True
+
+    lp = LinearProgram("max", c, np.vstack(rows), ["<="] * len(rhs),
+                       np.array(rhs), lb=lb, ub=ub)
+    sol = solve_mip(MixedIntegerProgram(lp, integer))
+    if sol.status != "optimal":
+        raise SolverError(f"envelope MIP unexpectedly {sol.status}")
+    action = Action(int(round(sol.x[ia[0]])), int(round(sol.x[ia[1]])))
+    return float(sol.objective + coeffs.eps[0]), action

@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from epiplan import Action, EpidemicParams
+from epiplan import Action, EpidemicParams, backup
 from epiplan.errors import DomainError, SolverError
 from epiplan.backup import (
     best_action_over_rows,
@@ -27,7 +27,7 @@ from epiplan.rules import (
     reward_rule,
 )
 from epiplan.seir import nominal_reward
-from oracles import inner_primal_oracle
+from oracles import inner_primal_oracle, mccormick_four_row_backup
 
 
 def constant_coeffs(support, center, delta, reward=0.0):
@@ -397,6 +397,38 @@ class TestActionBackends:
             scale = 1.0 + abs(e)
             assert abs(un - e) <= 1e-6 * scale, (idx, un, e)
             assert mc >= e - 1e-6 * scale, (idx, mc, e)
+
+    def test_one_sided_envelopes_equal_four_row_oracle(self, monkeypatch):
+        # Fitted rules with some slopes exactly zero, and action axes with a
+        # single level: the binding-side MIP has the four-row optimum, and
+        # its LP has two base rows per successor plus two rows per
+        # positive-cost and one per negative-cost envelope column.
+        lps = []
+        real_solve_mip = backup.solve_mip
+
+        def capture(mip):
+            lps.append(mip.lp)
+            return real_solve_mip(mip)
+
+        monkeypatch.setattr(backup, "solve_mip", capture)
+        rng = np.random.default_rng(41)
+        zero_slopes = 0
+        for trial in range(24):
+            m = int(rng.integers(2, 7))
+            _, coeffs = self.affine_fitted(rng, m, L=2, M=2, delta=rng.random() * 0.1)
+            coeffs.mean[1:][rng.random((2, m)) < 0.3] = 0.0
+            zero_slopes += int((coeffs.mean[1:] == 0.0).sum())
+            L, M = [(2, 2), (0, 2), (2, 0), (1, 3)][trial % 4]
+            v = -rng.random(m) * 10.0 ** rng.integers(0, 4)
+            k = float(rng.choice([1.0, 50.0, 1e3]))
+            got, _ = drmdp_backup_mccormick(coeffs, v, 0.95, k, L=L, M=M)
+            want, _ = mccormick_four_row_backup(coeffs, v, 0.95, k, L=L, M=M)
+            assert abs(got - want) <= 1e-9 * (1.0 + abs(want)), trial
+            slopes = int((coeffs.mean[1:] != 0.0).sum())
+            assert lps[-1].n_rows == 2 * m + 3 * slopes <= 8 * m + 2, trial
+            assert lps[-1].n_vars == 2 * m + 3 + 2 * slopes, trial
+        assert len(lps) == 24
+        assert zero_slopes > 0
 
     def test_k_zero_collapses_to_support_minimum(self):
         rng = np.random.default_rng(7)

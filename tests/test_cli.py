@@ -7,6 +7,7 @@ import pytest
 from epiplan import ConfigError, sim
 from epiplan.cli import build_parser, dispatch, emit_results
 from epiplan.config import RunConfig, config_hash, parse_config_text, resolved_text
+from epiplan.model import EpidemicModel
 from epiplan.plan import PlannerConfig
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
@@ -211,6 +212,22 @@ class TestDispatch:
         out = str(tmp_path / "cmp")
         assert dispatch(["--config", path, "--out", out, "compare"]) == 0
         assert os.path.exists(os.path.join(out, "comparison_summary.csv"))
+
+    def test_compare_loads_the_kernel_cache(self, tmp_path, monkeypatch):
+        path = write_cfg(tmp_path, TOY)
+        out = str(tmp_path / "out")
+        assert dispatch(["--config", path, "--out", out, "compile"]) == 0
+        loaded = []
+        load_cache = EpidemicModel.load_cache
+
+        def recording_load_cache(model, outdir):
+            hit = load_cache(model, outdir)
+            loaded.append((outdir, hit))
+            return hit
+
+        monkeypatch.setattr(EpidemicModel, "load_cache", recording_load_cache)
+        assert dispatch(["--config", path, "--out", out, "compare"]) == 0
+        assert loaded == [(out, True)]
 
     def test_sensitivity_smoke(self, tmp_path):
         path = write_cfg(tmp_path, TOY + "sweep_param = W\nsweep_values = 1, 4\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from epiplan import DomainError
+from epiplan import lp as lp_module
 from epiplan.lp import (
     LinearProgram,
     MixedIntegerProgram,
@@ -30,6 +31,22 @@ def vertex_enumeration_max(c, A, b):
             if best is None or val > best:
                 best = val
     return best
+
+
+def random_mip(rng):
+    """max c'x, Ax <= b over a box, with 1-4 integer then 0-2 continuous
+    variables; the origin is feasible."""
+    n_int = int(rng.integers(1, 5))
+    n_cont = int(rng.integers(0, 3))
+    n = n_int + n_cont
+    m = int(rng.integers(1, 5))
+    A = rng.normal(size=(m, n))
+    b = rng.random(m) * 4.0 + 1.0
+    c = rng.normal(size=n)
+    ub = np.concatenate([rng.integers(1, 4, n_int).astype(float),
+                         np.full(n_cont, 3.0)])
+    lp = LinearProgram("max", c, A, ["<="] * m, b, lb=np.zeros(n), ub=ub)
+    return MixedIntegerProgram(lp, np.array([True] * n_int + [False] * n_cont))
 
 
 class TestSolveLp:
@@ -182,19 +199,12 @@ class TestSolveMip:
     def test_random_mips_against_bruteforce(self):
         rng = np.random.default_rng(29)
         for trial in range(25):
-            n_int = int(rng.integers(1, 5))
-            n_cont = int(rng.integers(0, 3))
-            n = n_int + n_cont
-            m = int(rng.integers(1, 5))
-            A = rng.normal(size=(m, n))
-            b = rng.random(m) * 4.0 + 1.0
-            c = rng.normal(size=n)
-            ub = np.concatenate([rng.integers(1, 4, n_int).astype(float),
-                                 np.full(n_cont, 3.0)])
-            lp = LinearProgram("max", c, A, ["<="] * m, b,
-                               lb=np.zeros(n), ub=ub)
-            mask = np.array([True] * n_int + [False] * n_cont)
-            sol = solve_mip(MixedIntegerProgram(lp, mask))
+            mip = random_mip(rng)
+            c, A, b, ub = mip.lp.c, mip.lp.A, mip.lp.b, mip.lp.ub
+            m = mip.lp.n_rows
+            n_int = int(mip.integer.sum())
+            n_cont = mip.lp.n_vars - n_int
+            sol = solve_mip(mip)
 
             # Oracle: enumerate the integer lattice, solve the continuous rest.
             best = None
@@ -220,6 +230,31 @@ class TestSolveMip:
             else:
                 assert sol.status == "optimal", trial
                 assert sol.objective == pytest.approx(best, abs=1e-6), trial
+
+    def test_each_node_solves_one_lp(self, monkeypatch):
+        # The root is the first node: every LP solve is a distinct node, and
+        # the reported pivots are those of these solves.
+        boxes, pivots = [], {}
+        real_solve_lp = lp_module.solve_lp
+
+        def counting_solve_lp(lp):
+            sol = real_solve_lp(lp)
+            box = (lp.lb.tobytes(), lp.ub.tobytes())
+            boxes.append(box)
+            pivots[box] = sol.iterations
+            return sol
+
+        monkeypatch.setattr(lp_module, "solve_lp", counting_solve_lp)
+        rng = np.random.default_rng(29)
+        branched = 0
+        for trial in range(25):
+            boxes.clear()
+            pivots.clear()
+            sol = solve_mip(random_mip(rng))
+            assert sol.iterations == sum(pivots.values()), trial
+            assert len(boxes) == sol.nodes, trial
+            branched += sol.nodes > 1
+        assert branched >= 5
 
     def test_incumbent_is_feasible(self):
         rng = np.random.default_rng(5)

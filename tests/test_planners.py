@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from epiplan import Action, CacheError, DomainError, EpidemicParams
+from epiplan import plan
 from epiplan.model import EpidemicModel, lattice_state_index
 from epiplan.plan import (
+    BACKENDS,
     PlannerConfig,
     ValueTable,
     backup_state,
@@ -235,6 +237,41 @@ class TestTableHelpers:
             a = backup_state(model, int(idx), 1, table.lookup_fn(model, 2), cfg)
             b = backup_state(model, int(idx), 1, dense, cfg)
             assert a == b, (backend, idx)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_table_rows_read_the_dp_policy(self, backend, monkeypatch):
+        # backward_dp records every simplex entry's action; table_rows writes
+        # it without another backup, and it is the greedy action.
+        model = toy_model(N=8, T=3)
+        cfg = PlannerConfig(backend=backend)
+        dp = backward_dp(model, cfg)
+        in_s = [int(i) for i in model.grid.in_S_indices()]
+        assert set(dp.actions) == {(i, t) for i in in_s for t in range(1, model.T)}
+        greedy = {key: greedy_action(model, dp, *key, cfg)[0] for key in dp.actions}
+        assert dp.actions == greedy
+
+        def no_backup(*args):
+            raise AssertionError("table_rows backed up a recorded entry")
+
+        monkeypatch.setattr(plan, "greedy_action", no_backup)
+        for row in table_rows(model, dp, cfg):
+            key = (row["state"], row["stage"])
+            expect = dp.actions.get(key, Action(0, 0))
+            assert (row["y_V"], row["y_R"]) == (expect.y_V, expect.y_R), key
+
+    def test_rtdp_table_rows_use_greedy_actions(self):
+        model = toy_model(N=8, T=3)
+        cfg = PlannerConfig(backend="nominal", niter=3)
+        init = model.grid.index_of(1, 0, 1)
+        table, _ = rtdp(model, init, cfg)
+        assert not table.actions
+        checked = 0
+        for row in table_rows(model, table, cfg):
+            if model.grid.in_S[row["state"]] and row["stage"] < model.T:
+                act, _ = greedy_action(model, table, row["state"], row["stage"], cfg)
+                assert (row["y_V"], row["y_R"]) == (act.y_V, act.y_R)
+                checked += 1
+        assert checked >= model.T - 1
 
     def test_table_rows_schema(self):
         model = toy_model(T=2)

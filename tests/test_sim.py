@@ -130,8 +130,8 @@ class TestCompare:
                       p_S1_list=(0.5,), p_E1=0.5, kernels=("nominal", "perturbed"),
                       nseeds=3)
         pcfg = PlannerConfig(niter=8)
-        eps1, sum1 = compare_models(params, 2, acfg, pcfg, **kwargs)
-        eps2, sum2 = compare_models(params, 2, acfg, pcfg, **kwargs)
+        eps1, sum1 = compare_models(EpidemicModel(params, 2, acfg), pcfg, **kwargs)
+        eps2, sum2 = compare_models(EpidemicModel(params, 2, acfg), pcfg, **kwargs)
         assert eps1 == eps2
         assert sum1 == sum2
         assert {r["backend"] for r in eps1} == {"nominal", "drmdp-enumerate"}
@@ -146,7 +146,7 @@ class TestCompare:
     def test_rejects_off_lattice_initials(self):
         params = EpidemicParams(N=10, T=3, L=1, M=1)
         with pytest.raises(DomainError):
-            compare_models(params, 2, AmbiguityConfig(0.05, 1000.0),
+            compare_models(EpidemicModel(params, 2, AmbiguityConfig(0.05, 1000.0)),
                            PlannerConfig(niter=1), backends=("nominal",),
                            p_S1_list=(0.61,), p_E1=0.1, nseeds=1)
 

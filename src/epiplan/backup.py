@@ -2,9 +2,11 @@
 
 The mean-ambiguous backup prices one action against the worst transition
 distribution whose mean lies near action-dependent bounds, with violations
-charged at k per unit.  Two runtime routes compute it:
+charged at k per unit.  Dualizing that inner problem gives a small LP in the
+multipliers (q, w, u), and one function writes its block of columns, costs,
+bounds and rows.  Two inner solvers use the block:
 
-* a small LP in (q, w, u), the dual of the penalized mean problem;
+* the simplex, on the block alone, once per action;
 * a closed-form parametric solve used on hot paths, batched over all actions
   of a state, exact because the dual objective is concave piecewise-linear
   in q with kinks at 2m+1 points every action shares.
@@ -13,8 +15,9 @@ The penalized mean problem itself is the test oracle both are checked
 against (tests/oracles.py, tests/test_acceptance.py).
 
 Action selection is then either explicit enumeration, or a single
-mixed-integer program linearizing the action-times-multiplier products with
-box envelopes (a relaxation) or with per-level indicator variables (exact).
+mixed-integer program that appends action columns to the same block and
+linearizes the action-times-multiplier products with box envelopes (a
+relaxation) or with per-level indicator variables (exact).
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .rules import (
     design_matrix,
     fit_rules,  # noqa: F401  perfbench/layers.py traces backup.fit_rules
     mean_bounds,
-    reward_rule,
 )
 from .seir import Action
 
@@ -93,52 +95,49 @@ def worst_case_shift(row: SparseDistribution, grid: Grid, budget: float) -> Spar
 
 
 # ---------------------------------------------------------------------------
-# Inner problem: LP route and batched parametric route
+# Inner problem: the multiplier block, its LP and its batched parametric solve
 
 
-def inner_dual_lp(
-    coeffs: DecisionRuleCoefficients,
-    action: Action,
-    v_next: np.ndarray,
-    lam: float,
-    k: float,
-) -> float:
-    """Action value under the worst admissible mean, via the multiplier LP.
+def _multiplier_block(eta_L: np.ndarray, eta_U: np.ndarray, v: np.ndarray,
+                      k: float, n: int, n_rows: int) -> tuple[np.ndarray, ...]:
+    """(c, A, b, lb, ub) of an n-column, n_rows-row program holding the
+    multiplier LP's (q, w_1..w_m, u_1..u_m) block in its first 1 + 2m columns
+    and 2m rows:
 
-    maximize  r(a) + q - w'etaU(a) + u'etaL(a)
-    s.t.      q <= lam*V(s') + w(s') - u(s')   for every supported successor
-              w + u <= k,  w, u >= 0.
+    maximize  q - w'eta_U + u'eta_L
+    s.t.      q - w_j + u_j <= v_j,  w_j + u_j <= k   (rows 2j and 2j + 1)
+              q free,  w, u >= 0.
 
-    v_next holds the values over all grid corners.
+    v already carries the discount.  Every other entry is zero, with bounds
+    [0, inf), for the caller to fill.
     """
-    eta_L, eta_U = mean_bounds(coeffs, design_matrix([action]))
-    v = lam * v_next[coeffs.support]
-    res = solve_lp(inner_dual_program(eta_L[0], eta_U[0], v, k))
-    if res.status != "optimal":
-        raise SolverError(f"inner LP unexpectedly {res.status}")
-    return reward_rule(coeffs, action) + res.objective
+    m = len(v)
+    c = np.zeros(n)
+    c[0] = 1.0
+    c[1:1 + m] = -eta_U
+    c[1 + m:1 + 2 * m] = eta_L
+    A = np.zeros((n_rows, n))
+    b = np.zeros(n_rows)
+    js = np.arange(m)
+    A[2 * js, 0] = 1.0
+    A[2 * js, 1 + js] = -1.0
+    A[2 * js, 1 + m + js] = 1.0
+    b[2 * js] = v
+    A[2 * js + 1, 1 + js] = 1.0
+    A[2 * js + 1, 1 + m + js] = 1.0
+    b[2 * js + 1] = k
+    lb = np.zeros(n)
+    lb[0] = -np.inf
+    return c, A, b, lb, np.full(n, np.inf)
 
 
 def inner_dual_program(eta_L: np.ndarray, eta_U: np.ndarray, v: np.ndarray,
                        k: float) -> LinearProgram:
-    """The multiplier LP over (q, w, u); v already carries the discount."""
+    """The multiplier LP over (q, w, u) alone: the dual of the penalized mean
+    problem at one action's mean bounds, without its reward term."""
     m = len(v)
-    n = 1 + 2 * m
-    c = np.concatenate([[1.0], -eta_U, eta_L])
-    A = np.zeros((2 * m, n))
-    b = np.empty(2 * m)
-    for j in range(m):
-        A[j, 0] = 1.0
-        A[j, 1 + j] = -1.0
-        A[j, 1 + m + j] = 1.0
-        b[j] = v[j]
-        A[m + j, 1 + j] = 1.0
-        A[m + j, 1 + m + j] = 1.0
-        b[m + j] = k
-    lb = np.zeros(n)
-    lb[0] = -np.inf
-    return LinearProgram("max", c, A, ["<="] * (2 * m), b,
-                         lb=lb, ub=np.full(n, np.inf))
+    c, A, b, lb, ub = _multiplier_block(eta_L, eta_U, v, k, 1 + 2 * m, 2 * m)
+    return LinearProgram("max", c, A, ["<="] * (2 * m), b, lb=lb, ub=ub)
 
 
 def inner_value_parametric(
@@ -197,19 +196,26 @@ def drmdp_backup_enumerate(
     """Reference backup: the inner problem for every action, then the best.
 
     method "parametric" solves every action in one batched call; "lp" solves
-    the multiplier LP per action.  X is the design_matrix of actions, built
-    here when the caller does not hold it.  Ties go to the first of the given
-    actions.
+    the multiplier LP once per action.  X is the design_matrix of actions,
+    built here when the caller does not hold it.  Ties go to the first of the
+    given actions.
     """
+    if X is None:
+        X = design_matrix(actions)
+    eta_L, eta_U = mean_bounds(coeffs, X)
+    v = lam * v_next[coeffs.support]
     if method == "parametric":
-        if X is None:
-            X = design_matrix(actions)
-        vals = X @ coeffs.eps + inner_value_parametric(
-            *mean_bounds(coeffs, X), lam * v_next[coeffs.support], k)
+        inner = inner_value_parametric(eta_L, eta_U, v, k)
     elif method == "lp":
-        vals = np.array([inner_dual_lp(coeffs, a, v_next, lam, k) for a in actions])
+        inner = np.empty(len(X))
+        for i, (lo, hi) in enumerate(zip(eta_L, eta_U)):
+            sol = solve_lp(inner_dual_program(lo, hi, v, k))
+            if sol.status != "optimal":
+                raise SolverError(f"inner LP unexpectedly {sol.status}")
+            inner[i] = sol.objective
     else:
         raise DomainError(f"unknown inner method {method!r}")
+    vals = X @ coeffs.eps + inner
     best = int(np.argmax(vals))
     return float(vals[best]), actions[best]
 
@@ -239,7 +245,6 @@ def drmdp_backup_mccormick(
     v = lam * v_next[coeffs.support]
     m = len(v)
     mean = coeffs.mean
-    iq = 0
     ia = (2 * m + 1, 2 * m + 2)
     a_hi = (float(L), float(M))
     # z_cost[s, i, j]: cost of a_i * w_j (s = 0) or of a_i * u_j (s = 1).
@@ -248,26 +253,12 @@ def drmdp_backup_mccormick(
     iz = np.full(z_cost.shape, -1)
     iz[used] = 2 * m + 3 + np.arange(int(used.sum()))
     n = 2 * m + 3 + int(used.sum())
-
-    c = np.zeros(n)
-    c[iq] = 1.0
-    c[1:1 + m] = -(mean[0] + coeffs.delta)
-    c[1 + m:1 + 2 * m] = mean[0] - coeffs.delta
-    c[ia[0]] = coeffs.eps[1]
-    c[ia[1]] = coeffs.eps[2]
-    c[iz[used]] = z_cost[used]
-
     n_rows = 2 * m + 2 * int((z_cost > 0.0).sum()) + int((z_cost < 0.0).sum())
-    A = np.zeros((n_rows, n))
-    b = np.zeros(n_rows)
-    js = np.arange(m)
-    A[2 * js, iq] = 1.0           # q - w_j + u_j <= v_j
-    A[2 * js, 1 + js] = -1.0
-    A[2 * js, 1 + m + js] = 1.0
-    b[2 * js] = v
-    A[2 * js + 1, 1 + js] = 1.0   # w_j + u_j <= k
-    A[2 * js + 1, 1 + m + js] = 1.0
-    b[2 * js + 1] = k
+
+    c, A, b, lb, ub = _multiplier_block(mean[0] - coeffs.delta, mean[0] + coeffs.delta,
+                                        v, k, n, n_rows)
+    c[list(ia)] = coeffs.eps[1:]
+    c[iz[used]] = z_cost[used]
     r = 2 * m
     for i in range(2):
         for j in range(m):
@@ -287,10 +278,6 @@ def drmdp_backup_mccormick(
                     A[r, z] = -1.0
                     b[r] = a_hi[i] * k
                     r += 1
-
-    lb = np.zeros(n)
-    lb[iq] = -np.inf
-    ub = np.full(n, np.inf)
     ub[list(ia)] = a_hi
     integer = np.zeros(n, dtype=bool)
     integer[list(ia)] = True
@@ -322,67 +309,56 @@ def drmdp_backup_unary(
     v = lam * v_next[coeffs.support]
     m = len(v)
     mean = coeffs.mean
-    levels = (list(range(L + 1)), list(range(M + 1)))
-
-    cols_c: list[float] = []
-    lbs: list[float] = []
-    ubs: list[float] = []
-    ints: list[bool] = []
-
-    def new_var(cost=0.0, lo=0.0, hi=np.inf, is_int=False) -> int:
-        cols_c.append(cost); lbs.append(lo); ubs.append(hi); ints.append(is_int)
-        return len(cols_c) - 1
-
-    iq = new_var(cost=1.0, lo=-np.inf)
-    iw = [new_var(cost=-(mean[0, j] + coeffs.delta)) for j in range(m)]
-    iu = [new_var(cost=mean[0, j] - coeffs.delta) for j in range(m)]
-    ia = [new_var(cost=coeffs.eps[1], hi=float(L)),
-          new_var(cost=coeffs.eps[2], hi=float(M))]
-    ipsi = [[new_var(lo=0.0, hi=1.0, is_int=True) for _ in levels[i]] for i in range(2)]
-
-    # rows accumulated as (coeffs dict, rel, rhs); densified at the end
-    rows: list[tuple[dict[int, float], str, float]] = []
-
-    for j in range(m):
-        rows.append(({iq: 1.0, iw[j]: -1.0, iu[j]: 1.0}, "<=", float(v[j])))
-        rows.append(({iw[j]: 1.0, iu[j]: 1.0}, "<=", k))
+    ia = (2 * m + 1, 2 * m + 2)
+    a_hi = (L, M)
+    # Indicator columns of the levels 0..a_hi of each action follow the
+    # actions; the product columns z follow them from column iz0.
+    ipsi = (2 * m + 3 + np.arange(L + 1), 2 * m + 4 + L + np.arange(M + 1))
+    iz0 = 2 * m + 5 + L + M
+    # Products psi(i, tau) * d_j for tau >= 1 with nonzero cost mean[1+i, j]*tau,
+    # ordered by action, level, successor.
+    cost, psi, js = [], [], []
     for i in range(2):
-        rows.append(({p: 1.0 for p in ipsi[i]}, "==", 1.0))
-        link = {ipsi[i][l]: float(tau) for l, tau in enumerate(levels[i])}
-        link[ia[i]] = -1.0
-        rows.append((link, "==", 0.0))
+        z_cost = np.arange(1, a_hi[i] + 1)[:, None] * mean[1 + i]
+        lvl, j = np.nonzero(z_cost)
+        cost.append(z_cost[lvl, j])
+        psi.append(ipsi[i][1 + lvl])
+        js.append(j)
+    cost, psi, js = (np.concatenate(x) for x in (cost, psi, js))
+    iz = iz0 + np.arange(len(cost))
+    n = iz0 + len(cost)
+    n_rows = 2 * m + 4 + 2 * len(cost)
 
+    c, A, b, lb, ub = _multiplier_block(mean[0] - coeffs.delta, mean[0] + coeffs.delta,
+                                        v, k, n, n_rows)
+    c[list(ia)] = coeffs.eps[1:]
+    c[iz] = cost
     for i in range(2):
-        for l, tau in enumerate(levels[i]):
-            if tau == 0:
-                continue
-            psi = ipsi[i][l]
-            for j in range(m):
-                cost = mean[1 + i, j] * tau
-                if cost == 0.0:
-                    continue
-                z = new_var(cost=cost, lo=-np.inf)
-                if cost > 0.0:
-                    # pushed up: z <= d + k(1 - psi), z <= k psi
-                    rows.append(({z: 1.0, iu[j]: -1.0, iw[j]: 1.0, psi: k}, "<=", k))
-                    rows.append(({z: 1.0, psi: -k}, "<=", 0.0))
-                else:
-                    # pushed down: z >= d - k(1 - psi), z >= -k psi
-                    rows.append(({iu[j]: 1.0, iw[j]: -1.0, psi: k, z: -1.0}, "<=", k))
-                    rows.append(({z: -1.0, psi: -k}, "<=", 0.0))
+        r = 2 * m + 2 * i
+        A[r, ipsi[i]] = 1.0         # one level per action
+        b[r] = 1.0
+        A[r + 1, ipsi[i]] = np.arange(a_hi[i] + 1)  # a_i = sum of tau * psi
+        A[r + 1, ia[i]] = -1.0
+    # A positive cost pushes z up: z <= d_j + k(1 - psi) and z <= k psi; a
+    # negative one pushes it down: z >= d_j - k(1 - psi) and z >= -k psi.
+    r = 2 * m + 4 + 2 * np.arange(len(cost))
+    sign = np.sign(cost)
+    A[r, iz] = sign
+    A[r, 1 + m + js] = -sign
+    A[r, 1 + js] = sign
+    A[r, psi] = k
+    b[r] = k
+    A[r + 1, iz] = sign
+    A[r + 1, psi] = -k
+    ub[list(ia)] = a_hi
+    lb[iz] = -np.inf
+    ub[2 * m + 3:iz0] = 1.0
+    integer = np.zeros(n, dtype=bool)
+    integer[2 * m + 3:iz0] = True
 
-    n = len(cols_c)
-    A = np.zeros((len(rows), n))
-    rel = []
-    b = np.empty(len(rows))
-    for r, (cmap, rl, rv) in enumerate(rows):
-        for idx, val in cmap.items():
-            A[r, idx] = val
-        rel.append(rl)
-        b[r] = rv
-    lp = LinearProgram("max", np.array(cols_c), A, rel, b,
-                       lb=np.array(lbs), ub=np.array(ubs))
-    sol = solve_mip(MixedIntegerProgram(lp, np.array(ints)))
+    rel = ["<="] * (2 * m) + ["=="] * 4 + ["<="] * (2 * len(cost))
+    lp = LinearProgram("max", c, A, rel, b, lb=lb, ub=ub)
+    sol = solve_mip(MixedIntegerProgram(lp, integer))
     if sol.status != "optimal":
         raise SolverError(f"indicator MIP unexpectedly {sol.status}")
     action = Action(int(round(sol.x[ia[0]])), int(round(sol.x[ia[1]])))

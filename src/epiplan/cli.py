@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .config import RunConfig, config_hash, parse_config, resolved_text
-from .errors import EpiplanError
+from .errors import ConfigError, EpiplanError
 from .model import EpidemicModel, lattice_state_index
 from .plan import PlannerConfig, backward_dp, rtdp, table_rows
 from .sim import (
@@ -66,6 +66,16 @@ def emit_results(tables: dict[str, tuple[list[str], list[dict]]], outdir: str,
             fh.write(f"file {os.path.basename(path)}\n")
     written.append(manifest)
     return written
+
+
+def _check_out(outdir: str) -> None:
+    """The output directory, or its nearest existing ancestor, must be a
+    directory."""
+    probe = os.path.abspath(outdir)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise ConfigError(f"--out {outdir}: {probe} is not a directory")
 
 
 def _model(cfg: RunConfig) -> EpidemicModel:
@@ -208,6 +218,7 @@ def dispatch(argv: list[str]) -> int:
         from .config import _validate
 
         _validate(cfg, "<cli>")
+        _check_out(args.out)
 
         if args.command == "compile":
             return _cmd_compile(cfg, args.out, args.verbose)

@@ -102,6 +102,13 @@ def _parse_float(raw: str) -> float:
     return value
 
 
+def _parse_list(raw: str) -> tuple[float, ...]:
+    values = tuple(_parse_float(v) for v in raw.split(",") if v.strip())
+    if not values:
+        raise ValueError("expected at least one comma-separated value")
+    return values
+
+
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     """Parse key = value lines into a validated RunConfig."""
     known = {f.name for f in fields(RunConfig)}
@@ -127,7 +134,7 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
             elif name in _INT_KEYS:
                 values[name] = int(raw)
             elif name in _LIST_KEYS:
-                values[name] = tuple(_parse_float(v) for v in raw.split(",") if v.strip())
+                values[name] = _parse_list(raw)
             elif name in _STR_KEYS:
                 values[name] = raw
             else:

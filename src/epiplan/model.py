@@ -125,12 +125,14 @@ class EpidemicModel:
     def compile_states(self, indices, workers: int = 1) -> None:
         """Compile many states, optionally across processes.
 
+        The pool starts at most one worker per state to compile and per CPU.
         Each worker builds its own model once and runs compile_state on the
         states it is handed, so both routes produce the same rows and rules.
         """
         todo = [int(i) for i in indices if int(i) not in self._rows]
         if not todo:
             return
+        workers = min(workers, len(todo), os.cpu_count() or 1)
         if workers <= 1:
             for i in todo:
                 self.compile_state(i)

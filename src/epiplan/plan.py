@@ -52,6 +52,8 @@ class PlannerConfig:
             raise DomainError("inner_method must be parametric or lp")
         if self.niter < 1:
             raise DomainError("niter must be >= 1")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -112,8 +112,3 @@ def mean_bounds(coeffs: DecisionRuleCoefficients,
     whose design_matrix is X, aligned with the support (no clamping)."""
     center = X @ coeffs.mean
     return center - coeffs.delta, center + coeffs.delta
-
-
-def reward_rule(coeffs: DecisionRuleCoefficients, action: Action) -> float:
-    """Evaluate the affine stage-reward rule at one action."""
-    return float(coeffs.eps[0] + coeffs.eps[1] * action.y_V + coeffs.eps[2] * action.y_R)

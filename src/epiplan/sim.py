@@ -37,6 +37,8 @@ class PerturbationSpec:
             raise DomainError(f"radius must be in [0, 2], got {self.radius}")
         if self.direction not in ("high-infective", "random"):
             raise DomainError(f"unknown direction {self.direction!r}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 class TrueKernel:

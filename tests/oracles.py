@@ -6,8 +6,9 @@ of a quantity that `epiplan` computes another way.
 * `binomial_pmf` — the scalar binomial law that `seir.binomial_row`
   vectorizes and truncates.
 * `inner_primal_oracle` — the penalized worst-mean problem solved over mean
-  vectors, the primal of the multiplier LP (`backup.inner_dual_lp`) and of
-  its closed-form solve (`backup.inner_value_parametric`).
+  vectors, the primal of the multiplier LP (`backup.inner_dual_program`,
+  solved by `backup.drmdp_backup_enumerate` with method "lp") and of its
+  closed-form solve (`backup.inner_value_parametric`).
 * `lp_duality_check` — the textbook dual of any LP, solved with the same
   simplex, to check strong duality of `lp.solve_lp`.
 * `mccormick_four_row_backup` — the McCormick MIP with all four box-envelope
@@ -25,7 +26,7 @@ from scipy.special import gammaln
 
 from epiplan.errors import DomainError, SolverError
 from epiplan.lp import LinearProgram, MixedIntegerProgram, _Canonical, solve_lp, solve_mip
-from epiplan.rules import DecisionRuleCoefficients, design_matrix, mean_bounds, reward_rule
+from epiplan.rules import DecisionRuleCoefficients, design_matrix, mean_bounds
 from epiplan.seir import Action
 
 
@@ -63,7 +64,8 @@ def inner_primal_oracle(
     minimizing over means in the simplex is exact:
     minimize r(a) + lam*m'V + k*1'x  s.t.  m in simplex, |m - eta band| <= x.
     """
-    eta_L, eta_U = mean_bounds(coeffs, design_matrix([action]))
+    X = design_matrix([action])
+    eta_L, eta_U = mean_bounds(coeffs, X)
     v = lam * v_next[coeffs.support]
     m = len(v)
 
@@ -85,7 +87,7 @@ def inner_primal_oracle(
     res = solve_lp(lp)
     if res.status != "optimal":
         raise SolverError(f"inner primal unexpectedly {res.status}")
-    value = reward_rule(coeffs, action) + res.objective
+    value = float(X[0] @ coeffs.eps) + res.objective
     if return_solution:
         return value, res.x[:m], res.x[m:]
     return value

@@ -22,11 +22,10 @@ from epiplan.backup import (
     drmdp_backup_enumerate,
     drmdp_backup_mccormick,
     drmdp_backup_unary,
-    inner_dual_lp,
     inner_value_parametric,
 )
 from epiplan.lp import LinearProgram
-from epiplan.rules import DecisionRuleCoefficients, design_matrix, mean_bounds, reward_rule
+from epiplan.rules import DecisionRuleCoefficients, design_matrix, mean_bounds
 from epiplan.seir import Action
 from oracles import inner_primal_oracle, lp_duality_check
 
@@ -75,7 +74,7 @@ def instances():
 
 def test_dual_equals_primal():
     for trial, (coeffs, v, k) in enumerate(instances()["dual_primal"]):
-        dual = inner_dual_lp(coeffs, Action(0, 0), v, LAM, k)
+        dual, _ = drmdp_backup_enumerate(coeffs, [Action(0, 0)], v, LAM, k, method="lp")
         primal = inner_primal_oracle(coeffs, Action(0, 0), v, LAM, k)
         assert abs(dual - primal) <= TOL * (1.0 + abs(dual)), (trial, dual, primal)
 
@@ -84,10 +83,9 @@ def test_batched_parametric_equals_lp_route():
     actions = [Action(a, b) for a in range(3) for b in range(3)]
     X = design_matrix(actions)
     for trial, (coeffs, v, k) in enumerate(instances()["parametric_lp"]):
-        fast = inner_value_parametric(*mean_bounds(coeffs, X), LAM * v, k)
-        for a, f in zip(actions, fast):
-            dual = inner_dual_lp(coeffs, a, v, LAM, k)
-            got = reward_rule(coeffs, a) + f
+        fast = X @ coeffs.eps + inner_value_parametric(*mean_bounds(coeffs, X), LAM * v, k)
+        for a, got in zip(actions, fast):
+            dual, _ = drmdp_backup_enumerate(coeffs, [a], v, LAM, k, method="lp")
             assert abs(dual - got) <= TOL * (1.0 + abs(dual)), (trial, a, dual, got)
 
 

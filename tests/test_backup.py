@@ -1,4 +1,4 @@
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from epiplan.backup import (
     drmdp_backup_enumerate,
     drmdp_backup_mccormick,
     drmdp_backup_unary,
-    inner_dual_lp,
     inner_dual_program,
     inner_value_parametric,
     worst_case_shift,
@@ -24,7 +23,6 @@ from epiplan.rules import (
     design_matrix,
     fit_rules,
     mean_bounds,
-    reward_rule,
 )
 from epiplan.seir import nominal_reward
 from oracles import inner_primal_oracle, mccormick_four_row_backup
@@ -70,12 +68,17 @@ def robust_backup(actions, rows, rewards, v, lam, grid, budget=0.5):
     return best_action_over_rows(actions, shifted, rewards, v, lam)
 
 
+def inner_lp_value(coeffs, action, v, lam, k):
+    """One action's value through the multiplier-LP route."""
+    return drmdp_backup_enumerate(coeffs, [action], v, lam, k, method="lp")[0]
+
+
 def ldr_nominal_backup(coeffs, actions, v, lam):
     """Nominal backup using the fitted rules: reward rule plus midpoint row."""
     best_val, best_a = -np.inf, None
     for a in actions:
-        center = design_matrix([a])[0] @ coeffs.mean
-        val = reward_rule(coeffs, a) + lam * float(center @ v)
+        x = design_matrix([a])[0]
+        val = x @ coeffs.eps + lam * float(x @ coeffs.mean @ v)
         if val > best_val:
             best_val, best_a = val, a
     return best_val, best_a
@@ -225,7 +228,7 @@ class TestInnerProblem:
     def test_singleton_support_pins_value(self):
         coeffs = constant_coeffs([4], [1.0], 0.0, reward=-2.0)
         for k in (0.5, 1000.0):
-            q_val = inner_dual_lp(coeffs, Action(0, 0), np.full(9, -7.0), 0.9, k)
+            q_val = inner_lp_value(coeffs, Action(0, 0), np.full(9, -7.0), 0.9, k)
             assert q_val == pytest.approx(-2.0 + 0.9 * -7.0, abs=1e-8)
 
     def test_two_successors_tight_band_and_free_nature(self):
@@ -234,10 +237,10 @@ class TestInnerProblem:
         coeffs = constant_coeffs(support, [0.5, 0.5], 0.0)
         v = np.array([0.0, -10.0])
         lam = 0.95
-        big = inner_dual_lp(coeffs, Action(0, 0), v, lam, 1e6)
+        big = inner_lp_value(coeffs, Action(0, 0), v, lam, 1e6)
         assert big == pytest.approx(lam * -5.0, abs=1e-6)
         # k = 0 removes the penalty entirely: nature dives to the worst value.
-        free = inner_dual_lp(coeffs, Action(0, 0), v, lam, 0.0)
+        free = inner_lp_value(coeffs, Action(0, 0), v, lam, 0.0)
         assert free == pytest.approx(lam * -10.0, abs=1e-9)
 
     def test_parametric_matches_lp_on_random_instances(self):
@@ -248,9 +251,10 @@ class TestInnerProblem:
             v = -rng.random(m) * 10 ** rng.integers(0, 4)
             k = float(rng.choice([0.0, 0.37, 1.0, 55.0, 1e3, 1e6]))
             a = Action(0, 0)
-            lp_val = inner_dual_lp(coeffs, a, v, 0.95, k)
-            fast_val = reward_rule(coeffs, a) + inner_value_parametric(
-                *mean_bounds(coeffs, design_matrix([a])), 0.95 * v, k)[0]
+            lp_val = inner_lp_value(coeffs, a, v, 0.95, k)
+            X = design_matrix([a])
+            fast_val = X[0] @ coeffs.eps + inner_value_parametric(
+                *mean_bounds(coeffs, X), 0.95 * v, k)[0]
             scale = 1.0 + abs(lp_val)
             assert abs(lp_val - fast_val) <= 1e-7 * scale, (trial, lp_val, fast_val)
 
@@ -302,7 +306,7 @@ class TestInnerProblem:
             v = -rng.random(m) * 100
             k = float(rng.choice([0.0, 1.0, 1e3, 1e6]))
             a = Action(0, 0)
-            dual_val = inner_dual_lp(coeffs, a, v, 0.95, k)
+            dual_val = inner_lp_value(coeffs, a, v, 0.95, k)
             primal_val = inner_primal_oracle(coeffs, a, v, 0.95, k)
             scale = 1.0 + abs(dual_val)
             assert abs(dual_val - primal_val) <= 1e-6 * scale, trial
@@ -313,7 +317,7 @@ class TestInnerProblem:
         v = -rng.random(6) * 40
         vals = []
         for k in (0.0, 1.0, 10.0, 1e3, 1e6):
-            val = inner_dual_lp(coeffs, Action(0, 0), v, 0.95, k)
+            val = inner_lp_value(coeffs, Action(0, 0), v, 0.95, k)
             vals.append(val)
         assert all(a <= b + 1e-8 for a, b in zip(vals, vals[1:]))
 
@@ -511,6 +515,44 @@ class TestActionBackends:
                                    method="ternary")
 
 
+def test_mips_write_the_inner_lp_block(monkeypatch):
+    """Both MIPs open with the multiplier LP at the intercept bounds: the same
+    (q, w, u) costs and bounds, and the same first 2m rows and right sides."""
+    model = EpidemicModel(EpidemicParams(N=60, L=2, M=2), 4, AmbiguityConfig())
+    coeffs = model.rules(int(model.grid.in_S_indices()[7]))
+    mean = coeffs.mean.copy()
+    mean[1, ::2] = 0.0   # zero slopes drop McCormick and unary product columns
+    mean[2, 1::3] = 0.0
+    coeffs = replace(coeffs, mean=mean)
+    m = len(coeffs.support)
+    v = -np.random.default_rng(4).random(model.grid.n_corners) * 1e3
+    lam, k = model.lam, model.acfg.k
+    programs = []
+    solve_mip = backup.solve_mip
+
+    def recording_solve_mip(mip):
+        programs.append(mip.lp)
+        return solve_mip(mip)
+
+    monkeypatch.setattr(backup, "solve_mip", recording_solve_mip)
+    drmdp_backup_mccormick(coeffs, v, lam, k, L=2, M=2)
+    drmdp_backup_unary(coeffs, v, lam, k, L=2, M=2)
+    inner = inner_dual_program(mean[0] - coeffs.delta, mean[0] + coeffs.delta,
+                               lam * v[coeffs.support], k)
+    n = 1 + 2 * m
+    assert len(programs) == 2
+    for lp in programs:
+        assert lp.n_vars > n and lp.n_rows > 2 * m
+        np.testing.assert_array_equal(lp.c[:n], inner.c)
+        np.testing.assert_array_equal(lp.lb[:n], inner.lb)
+        np.testing.assert_array_equal(lp.ub[:n], inner.ub)
+        np.testing.assert_array_equal(lp.A[:2 * m, :n], inner.A)
+        assert not lp.A[:2 * m, n:].any()
+        np.testing.assert_array_equal(lp.b[:2 * m], inner.b)
+        assert lp.rel[:2 * m] == inner.rel
+    assert (inner.lb[0], inner.ub[0]) == (-np.inf, np.inf)
+
+
 @dataclass
 class FullSpaceReport:
     value_restricted: float
@@ -531,7 +573,7 @@ def full_space_check(grid, actions, kernels, rewards, action, v_full, cfg, lam,
     hiding it.
     """
     restricted = fit_rules(list(actions), list(kernels), list(rewards), cfg)
-    val_r = inner_dual_lp(restricted, action, v_full, lam, cfg.k)
+    val_r = inner_lp_value(restricted, action, v_full, lam, cfg.k)
 
     eta_L, eta_U = np.zeros(grid.n_corners), np.zeros(grid.n_corners)
     lo, hi = mean_bounds(restricted, design_matrix([action]))
@@ -540,7 +582,7 @@ def full_space_check(grid, actions, kernels, rewards, action, v_full, cfg, lam,
     res = solve_lp(inner_dual_program(eta_L, eta_U, lam * v_full, cfg.k))
     if res.status != "optimal":
         raise SolverError(f"inner LP unexpectedly {res.status}")
-    val_f = reward_rule(restricted, action) + res.objective
+    val_f = float(design_matrix([action])[0] @ restricted.eps) + res.objective
 
     gap = abs(val_r - val_f)
     note = "k=0 reduces to per-support minima" if cfg.k == 0.0 else ""

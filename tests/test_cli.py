@@ -166,6 +166,38 @@ class TestDispatch:
         assert f"{path}:" in err and repr(line.split()[0]) in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["p_S1_list", "sweep_values"])
+    def test_empty_list_key_exits_1(self, tmp_path, capsys, key):
+        path = write_cfg(tmp_path, f"Y = 2\n{key} =\n")
+        assert dispatch(["--config", path, "--out", str(tmp_path / "o"), "solve"]) == 1
+        assert f"{path}:2: bad value for '{key}': " in capsys.readouterr().err
+
+    def test_negative_seed_key_exits_1(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, TOY + "seed = -1\n")
+        out = tmp_path / "out"
+        assert dispatch(["--config", path, "--out", str(out), "solve"]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["solve", "simulate", "compare"])
+    def test_negative_seed_override_exits_1(self, tmp_path, capsys, command):
+        path = write_cfg(tmp_path, TOY)
+        out = tmp_path / "out"
+        assert dispatch(["--config", path, "--out", str(out), "--seed", "-1",
+                         command]) == 1
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_out_naming_a_file_exits_1(self, tmp_path, capsys, below):
+        path = write_cfg(tmp_path, TOY)
+        target = tmp_path / "plain.txt"
+        target.write_text("keep\n")
+        out = os.path.join(str(target), below) if below else str(target)
+        assert dispatch(["--config", path, "--out", out, "solve"]) == 1
+        assert f"{target} is not a directory" in capsys.readouterr().err
+        assert target.read_text() == "keep\n"
+
     def test_solve_and_artifacts(self, tmp_path):
         path = write_cfg(tmp_path, TOY)
         out = str(tmp_path / "out")

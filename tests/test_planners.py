@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from epiplan import Action, CacheError, DomainError, EpidemicParams
+from epiplan import model as model_module
 from epiplan import plan
 from epiplan.model import EpidemicModel, lattice_state_index
 from epiplan.plan import (
@@ -17,7 +18,7 @@ from epiplan.plan import (
     rtdp,
     table_rows,
 )
-from epiplan.rules import AmbiguityConfig, reward_rule
+from epiplan.rules import AmbiguityConfig, design_matrix
 
 
 def toy_model(N=4, Y=2, T=3, L=1, M=1, delta=0.02, k=1000.0, **kw):
@@ -43,7 +44,7 @@ class TestHeuristic:
         model = toy_model(L=2, M=2)
         idx = model.grid.index_of(1, 1, 0)
         coeffs = model.rules(idx)
-        expect = max(reward_rule(coeffs, a) for a in model.actions)
+        expect = (design_matrix(model.actions) @ coeffs.eps).max()
         assert model.stage_heuristic(idx) == pytest.approx(expect, abs=1e-9)
 
     def test_cheap_path_matches_fitted_path(self):
@@ -339,6 +340,44 @@ class TestModelBundle:
             for ra, rb in zip(serial.rows(i), parallel.rows(i)):
                 np.testing.assert_array_equal(ra.indices, rb.indices)
                 np.testing.assert_allclose(ra.probs, rb.probs, atol=0)
+
+    def test_compile_pool_is_capped(self, monkeypatch):
+        # The pool is faked: it records its size and compiles in-process.
+        started = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                started.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(model_module, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(model_module, "_worker_model", None)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        serial = toy_model(N=6, Y=2, T=3)
+        pooled = toy_model(N=6, Y=2, T=3)
+        idxs = [int(i) for i in serial.grid.in_S_indices()]
+        assert len(idxs) > 3
+        serial.compile_states(idxs)
+        pooled.compile_states(idxs[:2], workers=5000)   # capped by the states
+        pooled.compile_states(idxs, workers=5000)       # capped by the CPUs
+        pooled.compile_states(idxs, workers=5000)       # nothing left to do
+        assert started == [2, 3]
+        for i in idxs:
+            for ra, rb in zip(serial.rows(i), pooled.rows(i)):
+                np.testing.assert_array_equal(ra.indices, rb.indices)
+                np.testing.assert_array_equal(ra.probs, rb.probs)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        toy_model(N=6, Y=2, T=3).compile_states(idxs, workers=2)  # serial
+        assert started == [2, 3]
 
     def test_lattice_state_index(self):
         model = toy_model(Y=10)

@@ -9,7 +9,6 @@ from epiplan.rules import (
     design_matrix,
     fit_rules,
     mean_bounds,
-    reward_rule,
 )
 
 
@@ -157,8 +156,8 @@ class TestRewardRule:
         kernels = [SparseDistribution(support, np.array([1.0]))] * len(actions)
         rewards = [-(10.0 + 4.0 * a.y_V + 6.0 * a.y_R) for a in actions]
         coeffs = fit_rules(actions, kernels, rewards, AmbiguityConfig(0.0, 1.0))
-        for a, r in zip(actions, rewards):
-            assert reward_rule(coeffs, a) == pytest.approx(r, abs=1e-8)
+        np.testing.assert_allclose(design_matrix(actions) @ coeffs.eps, rewards,
+                                   rtol=0, atol=1e-8)
 
     def test_prediction_matches_manual_ols(self):
         rng = np.random.default_rng(8)
@@ -169,9 +168,7 @@ class TestRewardRule:
         kernels = [SparseDistribution(support, np.array([1.0]))] * len(actions)
         coeffs = fit_rules(actions, kernels, list(y), AmbiguityConfig(0.0, 1.0))
         beta = np.linalg.lstsq(X, y, rcond=None)[0]
-        for a in actions:
-            manual = beta @ np.array([1.0, a.y_V, a.y_R])
-            assert reward_rule(coeffs, a) == pytest.approx(manual, abs=1e-6)
+        np.testing.assert_allclose(X @ coeffs.eps, X @ beta, rtol=0, atol=1e-6)
 
 
 class TestAmbiguityConfig:

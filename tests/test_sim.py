@@ -69,6 +69,8 @@ class TestTrueKernel:
             PerturbationSpec(radius=3.0)
         with pytest.raises(DomainError):
             PerturbationSpec(direction="sideways")
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            PerturbationSpec(seed=-1)
 
 
 class TestRunEpisode:

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from .config import RunConfig, config_hash, parse_config, resolved_text
+from .config import RunConfig, _validate, config_hash, parse_config, resolved_text
 from .errors import ConfigError, EpiplanError
 from .model import EpidemicModel, lattice_state_index
 from .plan import PlannerConfig, backward_dp, rtdp, table_rows
@@ -215,8 +215,6 @@ def dispatch(argv: list[str]) -> int:
             cfg.Y = args.Y
         if args.threads is not None:
             cfg.threads = args.threads
-        from .config import _validate
-
         _validate(cfg, "<cli>")
         _check_out(args.out)
 

@@ -17,7 +17,7 @@ from .grid import GridSpec
 from .plan import PlannerConfig
 from .rules import AmbiguityConfig
 from .seir import EpidemicParams
-from .sim import SWEEPABLE, PerturbationSpec
+from .sim import SWEEPABLE, PerturbationSpec, sweep_params
 
 
 @dataclass
@@ -80,11 +80,6 @@ class RunConfig:
 _KEY_TO_FIELD = {"lambda": "lam"}
 _FIELD_TO_KEY = {"lam": "lambda"}
 
-_BOOL_KEYS = {"early_stop"}
-_INT_KEYS = {"N", "L", "M", "T", "Y", "niter", "seed", "nseeds", "threads"}
-_LIST_KEYS = {"p_S1_list", "sweep_values"}
-_STR_KEYS = {"backend", "inner_method", "perturb_direction", "sweep_param"}
-
 
 def _parse_bool(raw: str) -> bool:
     low = raw.strip().lower()
@@ -109,9 +104,13 @@ def _parse_list(raw: str) -> tuple[float, ...]:
     return values
 
 
+# Each key is parsed by the type of its default (type() tells bool from int).
+_PARSERS = {f.name: {bool: _parse_bool, int: int, float: _parse_float, str: str,
+                     tuple: _parse_list}[type(f.default)] for f in fields(RunConfig)}
+
+
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     """Parse key = value lines into a validated RunConfig."""
-    known = {f.name for f in fields(RunConfig)}
     values: dict[str, object] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -124,21 +123,12 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         key = key.strip()
         raw = raw.strip()
         name = _KEY_TO_FIELD.get(key, key)
-        if name not in known:
+        if name not in _PARSERS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         if name in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
         try:
-            if name in _BOOL_KEYS:
-                values[name] = _parse_bool(raw)
-            elif name in _INT_KEYS:
-                values[name] = int(raw)
-            elif name in _LIST_KEYS:
-                values[name] = _parse_list(raw)
-            elif name in _STR_KEYS:
-                values[name] = raw
-            else:
-                values[name] = _parse_float(raw)
+            values[name] = _PARSERS[name](raw)
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}")
 
@@ -154,7 +144,7 @@ def parse_config(path: str) -> RunConfig:
 
 def _validate(cfg: RunConfig, source: str) -> None:
     try:
-        cfg.params()
+        params = cfg.params()
         cfg.ambiguity()
         PlannerConfig(**cfg.planner_kwargs())
         cfg.perturbation()
@@ -172,20 +162,29 @@ def _validate(cfg: RunConfig, source: str) -> None:
             raise ConfigError(f"{source}: initial p_S1 {v} out of range")
     if cfg.sweep_param not in SWEEPABLE:
         raise ConfigError(f"{source}: sweep_param must be one of {SWEEPABLE}")
+    for value in cfg.sweep_values:
+        try:
+            sweep_params(params, cfg.sweep_param, value)
+        except DomainError as exc:
+            raise ConfigError(f"{source}: sweep_values entry {cfg.sweep_param} = "
+                              f"{value!r}: {exc}")
 
 
 def resolved_text(cfg: RunConfig) -> str:
-    """Every key with its resolved value, one per line, stable order."""
+    """Every key with its resolved value, one per line, stable order.
+
+    Floats are written with repr, so parse_config_text reads back the same
+    configuration."""
     lines = []
     for f in fields(RunConfig):
         key = _FIELD_TO_KEY.get(f.name, f.name)
         val = getattr(cfg, f.name)
         if isinstance(val, tuple):
-            val = ",".join(f"{v:.12g}" for v in val)
+            val = ",".join(repr(float(v)) for v in val)
         elif isinstance(val, bool):
             val = "true" if val else "false"
         elif isinstance(val, float):
-            val = f"{val:.12g}"
+            val = repr(float(val))
         lines.append(f"{key} = {val}")
     return "\n".join(lines) + "\n"
 

@@ -2,13 +2,12 @@
 
 Compilation is per state and on demand, since trajectory-driven planners only
 touch a sliver of the grid.  Everything compiled is cached in memory; the
-kernel rows can be persisted to a CSV cache keyed by a content hash of the
-configuration, and the rules are refit when it is loaded.
+kernel rows can be persisted to a NumPy record array keyed by a content hash
+of the configuration, and the rules are refit when it is loaded.
 """
 
 from __future__ import annotations
 
-import csv
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -21,7 +20,10 @@ from .rules import AmbiguityConfig, DecisionRuleCoefficients, design_matrix, fit
 from .seir import Action, EpidemicParams, nominal_reward
 
 
-_KERNEL_HEADER = ["state", "y_V", "y_R", "successor", "prob"]
+# One record per stored kernel entry; action indexes model.actions.  A cache
+# lists its records in strictly increasing (state, action, successor) order.
+_RECORD = np.dtype([("state", "<i4"), ("action", "<i4"), ("successor", "<i4"),
+                    ("prob", "<f8")])
 
 
 class EpidemicModel:
@@ -54,9 +56,11 @@ class EpidemicModel:
         return action.y_V * (self.params.M + 1) + action.y_R
 
     def compile_state(self, idx: int) -> None:
-        if idx in self._rows:
-            return
-        rows = discretize_kernel(self.grid, self.params, idx)
+        if idx not in self._rows:
+            self._store(idx, discretize_kernel(self.grid, self.params, idx))
+
+    def _store(self, idx: int, rows: list[SparseDistribution]) -> None:
+        """Hydrate one state from its kernel rows: rewards and fitted rules."""
         self._rows[idx] = rows
         self._rewards[idx] = self._reward_vector(idx)
         self._rules[idx] = fit_rules(self.actions, rows,
@@ -126,8 +130,9 @@ class EpidemicModel:
         """Compile many states, optionally across processes.
 
         The pool starts at most one worker per state to compile and per CPU.
-        Each worker builds its own model once and runs compile_state on the
-        states it is handed, so both routes produce the same rows and rules.
+        Each worker builds its own model once and returns only the kernel rows
+        of the states it is handed; this process stores them through _store,
+        as compile_state does, so both routes give the same rows and rules.
         """
         todo = [int(i) for i in indices if int(i) not in self._rows]
         if not todo:
@@ -141,77 +146,80 @@ class EpidemicModel:
                                  initargs=(self.params, self.grid.Y, self.acfg)) as pool:
             chunks = pool.map(_compile_in_worker, todo,
                               chunksize=max(1, len(todo) // (4 * workers)))
-            for idx, rows, rewards, rules in chunks:
-                self._rows[idx] = rows
-                self._rewards[idx] = rewards
-                self._rules[idx] = rules
+            for idx, rows in chunks:
+                self._store(idx, rows)
 
     def compile_all(self, workers: int = 1) -> None:
         self.compile_states(self.grid.in_S_indices(), workers=workers)
 
     # -- persistence ---------------------------------------------------------
 
+    def _cache_path(self, directory: str) -> str:
+        return os.path.join(directory, f"kernels_{self.key()}.npy")
+
     def save_cache(self, directory: str) -> list[str]:
-        """Write the kernel rows as a CSV artifact named by config hash.
+        """Write the kernel rows as one record array named by config hash.
 
         The rules are not stored: load_cache refits them from the rows.
         """
         os.makedirs(directory, exist_ok=True)
-        kpath = os.path.join(directory, f"kernels_{self.key()}.csv")
-        with open(kpath, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(_KERNEL_HEADER)
-            for idx in sorted(self._rows):
-                for a, row in zip(self.actions, self._rows[idx]):
-                    for s, p in zip(row.indices, row.probs):
-                        wr.writerow([idx, a.y_V, a.y_R, int(s), f"{p:.17g}"])
+        kpath = self._cache_path(directory)
+        states, n_a = sorted(self._rows), len(self.actions)
+        rows = [row for idx in states for row in self._rows[idx]]
+        lens = [len(row) for row in rows]
+        rec = np.zeros(sum(lens), dtype=_RECORD)
+        if rows:
+            rec["state"] = np.repeat(np.repeat(states, n_a), lens)
+            rec["action"] = np.repeat(np.tile(np.arange(n_a), len(states)), lens)
+            rec["successor"] = np.concatenate([row.indices for row in rows])
+            rec["prob"] = np.concatenate([row.probs for row in rows])
+        np.save(kpath, rec)
         return [kpath]
 
     def load_cache(self, directory: str) -> bool:
         """Load a matching cache if present; returns True when hydrated.
 
-        Raises CacheError naming the file when it is truncated or corrupt:
-        a malformed line, a state or successor off the grid, a state missing
-        an action, or a row that is not a distribution (a repeated successor,
-        a negative entry, or a sum off one by more than 1e-9).
+        Raises CacheError naming the file when it is not a 1-d array of
+        _RECORD (nothing in it is unpickled), or an index is off its range,
+        the records are out of order, a state misses an action, or a row is
+        not a distribution (a negative entry, or a sum off one by > 1e-9).
         """
-        key = self.key()
-        kpath = os.path.join(directory, f"kernels_{key}.csv")
+        kpath = self._cache_path(directory)
         if not os.path.exists(kpath):
             return False
-        per_state: dict[int, dict[tuple[int, int], list[tuple[int, float]]]] = {}
-        n = self.grid.n_corners
-        with open(kpath, newline="") as fh:
-            rd = csv.reader(fh)
-            if next(rd, None) != _KERNEL_HEADER:
-                raise CacheError(f"{kpath}: missing header {','.join(_KERNEL_HEADER)}")
-            for line in rd:
-                try:
-                    state, y_V, y_R, succ, prob = line
-                    state, succ, prob = int(state), int(succ), float(prob)
-                    action = (int(y_V), int(y_R))
-                except ValueError:
-                    raise CacheError(
-                        f"{kpath}:{rd.line_num}: malformed line {line!r}") from None
-                if not (0 <= state < n and 0 <= succ < n):
-                    raise CacheError(f"{kpath}:{rd.line_num}: corner index off the grid")
-                per_state.setdefault(state, {}).setdefault(action, []).append((succ, prob))
-        expected = {(a.y_V, a.y_R) for a in self.actions}
-        for idx, by_action in per_state.items():
-            if set(by_action) != expected:
-                raise CacheError(f"{kpath}: state {idx} does not list every action")
+        try:
+            with open(kpath, "rb") as fh:
+                rec = np.load(fh, allow_pickle=False)
+                if not isinstance(rec, np.ndarray) or rec.dtype != _RECORD or rec.ndim != 1:
+                    raise CacheError(f"{kpath}: not a 1-d record array of {_RECORD}")
+        except (OSError, ValueError, EOFError) as exc:
+            raise CacheError(f"{kpath}: unreadable: {exc}") from None
+        n, n_a = self.grid.n_corners, len(self.actions)
+        state, action, succ = rec["state"], rec["action"], rec["successor"]
+        for name, col, hi in (("state", state, n), ("action", action, n_a),
+                              ("successor", succ, n)):
+            if np.any((col < 0) | (col >= hi)):
+                raise CacheError(f"{kpath}: {name} index off its range [0, {hi})")
+        row_id = state.astype(np.int64) * n_a + action
+        d_row, d_succ = np.diff(row_id), np.diff(succ)
+        if np.any((d_row < 0) | ((d_row == 0) & (d_succ <= 0))):
+            raise CacheError(f"{kpath}: records not in strictly increasing "
+                             "(state, action, successor) order")
+        ids, starts = np.unique(row_id, return_index=True)
+        states = np.unique(row_id // n_a)
+        if not np.array_equal(ids, (states[:, None] * n_a + np.arange(n_a)).ravel()):
+            raise CacheError(f"{kpath}: a state does not list every action")
+        bounds, prob = np.append(starts, len(rec)).tolist(), rec["prob"]
+        for b, idx in enumerate(states.tolist()):
             rows = []
-            for a in self.actions:
-                arr = np.array(by_action[(a.y_V, a.y_R)])
+            for ai, a in enumerate(self.actions):
+                lo, hi = bounds[b * n_a + ai], bounds[b * n_a + ai + 1]
                 try:
-                    rows.append(SparseDistribution(arr[:, 0].astype(np.int64), arr[:, 1]))
+                    rows.append(SparseDistribution(succ[lo:hi], prob[lo:hi]))
                 except DomainError as exc:
                     raise CacheError(f"{kpath}: row of state {idx}, action "
                                      f"({a.y_V}, {a.y_R}): {exc}") from None
-            self._rows[idx] = rows
-            self._rewards[idx] = self._reward_vector(idx)
-            self._rules[idx] = fit_rules(self.actions, rows,
-                                         list(self._rewards[idx]), self.acfg)
+            self._store(idx, rows)
         return True
 
 
@@ -224,10 +232,9 @@ def _init_worker(params: EpidemicParams, Y: int, acfg: AmbiguityConfig) -> None:
     _worker_model = EpidemicModel(params, Y, acfg)
 
 
-def _compile_in_worker(idx: int):
+def _compile_in_worker(idx: int) -> tuple[int, list[SparseDistribution]]:
     m = _worker_model
-    m.compile_state(idx)
-    return idx, m._rows.pop(idx), m._rewards.pop(idx), m._rules.pop(idx)
+    return idx, discretize_kernel(m.grid, m.params, idx)
 
 
 def lattice_state_index(model: EpidemicModel, p_S: float, p_E: float, p_I: float) -> int:

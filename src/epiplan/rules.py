@@ -91,16 +91,11 @@ def fit_rules(
             "need at least 3 distinct, non-collinear actions to fit rules"
         )
 
-    seen: set[int] = set()
-    for row in kernels:
-        seen.update(int(i) for i in row.indices)
-    support = np.array(sorted(seen), dtype=np.int64)
-
-    pos = {int(s): j for j, s in enumerate(support)}
+    succ = np.concatenate([row.indices for row in kernels])
+    support = np.unique(succ)
     P = np.zeros((len(actions), len(support)))
-    for i, row in enumerate(kernels):
-        for s, pr in zip(row.indices, row.probs):
-            P[i, pos[int(s)]] = pr
+    P[np.repeat(np.arange(len(kernels)), [len(row) for row in kernels]),
+      np.searchsorted(support, succ)] = np.concatenate([row.probs for row in kernels])
 
     return DecisionRuleCoefficients(support=support, mean=fit_affine(X, P),
                                     delta=cfg.delta, eps=fit_affine(X, rewards))

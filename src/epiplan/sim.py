@@ -126,7 +126,6 @@ def run_episode(
         idx = int(rng.choice(row.indices, p=row.probs))
         states.append(idx)
     total = sum(lam ** (t - 1) * r for t, r in enumerate(rewards, start=1))
-    total += lam ** (model.T - 1) * 0.0  # terminal reward is identically zero
     coords = model.grid.coords[states]
     return EpisodeRecord(
         states=states,
@@ -217,6 +216,17 @@ def compare_models(
     return episodes, summary
 
 
+def sweep_params(params: EpidemicParams, param: str, value: float) -> EpidemicParams:
+    """params with one sweepable constant set to value, validated; mu_beta
+    sets the product mu*beta, on which alone the dynamics depend."""
+    if param not in SWEEPABLE:
+        raise DomainError(f"unknown sweep parameter {param!r}; "
+                          f"expected one of {SWEEPABLE}")
+    if param == "mu_beta":
+        return replace(params, mu=float(value), beta=1.0)
+    return replace(params, **{param: float(value)})
+
+
 def sensitivity_sweep(
     params: EpidemicParams,
     Y: int,
@@ -228,22 +238,11 @@ def sensitivity_sweep(
     pspec: PerturbationSpec = PerturbationSpec(),
     scenario: tuple[float, float, float] = (0.7, 0.1, 0.2),
 ):
-    """Stage-wise infection shares as one model constant sweeps over values,
-    each planned with pcfg.
-
-    mu_beta sweeps the product mu*beta (dynamics depend only on it); other
-    names sweep the matching cost or effectiveness constant.
-    """
-    if param not in SWEEPABLE:
-        raise DomainError(f"unknown sweep parameter {param!r}; "
-                          f"expected one of {SWEEPABLE}")
+    """Stage-wise infection shares as one model constant sweeps over values
+    (see sweep_params), each planned with pcfg."""
     rows = []
     for value in values:
-        if param == "mu_beta":
-            p = replace(params, mu=float(value), beta=1.0)
-        else:
-            p = replace(params, **{param: float(value)})
-        model = EpidemicModel(p, Y, acfg)
+        model = EpidemicModel(sweep_params(params, param, value), Y, acfg)
         init = lattice_state_index(model, *scenario)
         table, _ = rtdp(model, init, pcfg)
         kern = build_true_kernel(model, pspec)

@@ -91,6 +91,21 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config_text("backend = magic\n")
 
+    @pytest.mark.parametrize("text", [
+        "",
+        f"l_D = {1 / 3!r}\nQ = {0.1 + 0.2!r}\nW = 1e-300\nmu = 12345.678901234567\n"
+        f"p_S1_list = {1 / 3!r}, {0.1 + 0.2!r}\nsweep_values = 0.1, {2 / 3!r}, 1e20\n"
+        "early_stop = no\nbackend = robust\nN = 7\nlambda = 0.9\n",
+    ], ids=["defaults", "awkward-floats"])
+    def test_resolved_text_round_trips(self, text):
+        cfg = parse_config_text(text)
+        assert parse_config_text(resolved_text(cfg)) == cfg
+
+    def test_hash_sees_the_last_float_digit(self):
+        a = parse_config_text("l_D = 0.3333333333333333\n")
+        b = parse_config_text("l_D = 0.3333333333333\n")
+        assert config_hash(a) != config_hash(b)
+
     def test_hash_changes_iff_config_changes(self):
         a = parse_config_text("Y = 5\n")
         b = parse_config_text("Y = 5\n")
@@ -223,12 +238,40 @@ class TestDispatch:
         path = write_cfg(tmp_path, TOY)
         out = tmp_path / "out"
         assert dispatch(["--config", path, "--out", str(out), "compile"]) == 0
-        kernels = next(out.glob("kernels_*.csv"))
-        lines = kernels.read_text().splitlines(keepends=True)
-        kernels.write_text("".join(lines[: len(lines) // 2]))
+        kernels = next(out.glob("kernels_*.npy"))
+        data = kernels.read_bytes()
+        kernels.write_bytes(data[: len(data) // 2])
         capsys.readouterr()
         assert dispatch(["--config", path, "--out", str(out), "solve"]) == 1
         assert str(kernels) in capsys.readouterr().err
+
+    def test_stale_csv_cache_is_ignored(self, tmp_path, monkeypatch):
+        # Caches were once CSV files; one left in --out is neither read nor
+        # touched, and the run compiles what it needs.
+        path = write_cfg(tmp_path, TOY)
+        out = tmp_path / "out"
+        out.mkdir()
+        cfg = parse_config_text(TOY)
+        key = EpidemicModel(cfg.params(), cfg.Y, cfg.ambiguity()).key()
+        stale, text = out / f"kernels_{key}.csv", "state,y_V,y_R,successor,prob\n0,0,0,0,1.0\n"
+        stale.write_text(text)
+        loaded, compiled = [], []
+        load_cache, compile_state = EpidemicModel.load_cache, EpidemicModel.compile_state
+
+        def recording_load_cache(model, outdir):
+            hit = load_cache(model, outdir)
+            loaded.append(hit)
+            return hit
+
+        def recording_compile_state(model, idx):
+            compiled.append(idx)
+            compile_state(model, idx)
+
+        monkeypatch.setattr(EpidemicModel, "load_cache", recording_load_cache)
+        monkeypatch.setattr(EpidemicModel, "compile_state", recording_compile_state)
+        assert dispatch(["--config", path, "--out", str(out), "solve"]) == 0
+        assert loaded == [False] and compiled
+        assert stale.read_text() == text
 
     def test_simulate(self, tmp_path):
         path = write_cfg(tmp_path, TOY)
@@ -260,6 +303,19 @@ class TestDispatch:
         monkeypatch.setattr(EpidemicModel, "load_cache", recording_load_cache)
         assert dispatch(["--config", path, "--out", out, "compare"]) == 0
         assert loaded == [(out, True)]
+
+    def test_bad_sweep_value_exits_1_before_compiling(self, tmp_path, capsys,
+                                                       monkeypatch):
+        path = write_cfg(tmp_path, TOY + "sweep_param = alpha0\nsweep_values = 0.5, 1.5\n")
+        out = tmp_path / "out"
+        compiled = []
+        monkeypatch.setattr(EpidemicModel, "compile_state",
+                            lambda model, idx: compiled.append(idx))
+        assert dispatch(["--config", path, "--out", str(out), "sensitivity"]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: " in err and "sweep_values" in err
+        assert "alpha0 must be in [0, 1]" in err
+        assert not compiled and not out.exists()
 
     def test_sensitivity_smoke(self, tmp_path):
         path = write_cfg(tmp_path, TOY + "sweep_param = W\nsweep_values = 1, 4\n")

@@ -284,24 +284,91 @@ class TestTableHelpers:
                                 "value", "y_V", "y_R"}
 
 
+UNPICKLED = []
+
+
+def _record_unpickling():
+    UNPICKLED.append(True)
+
+
+class _Tripwire:
+    """Pickles to a call that records it was unpickled."""
+
+    def __reduce__(self):
+        return _record_unpickling, ()
+
+
+def _records(edit):
+    """A corruption that rewrites the saved record array as edit(records)."""
+    def corrupt(kpath):
+        np.save(kpath, edit(np.load(kpath)))
+    return corrupt
+
+
+def _raw(edit):
+    """A corruption that rewrites the cache file's bytes as edit(bytes)."""
+    def corrupt(kpath):
+        with open(kpath, "rb") as fh:
+            data = fh.read()
+        with open(kpath, "wb") as fh:
+            fh.write(edit(data))
+    return corrupt
+
+
+def _set_last(field, value):
+    def edit(rec):
+        rec[field][-1] = value
+        return rec
+    return edit
+
+
+def _cut_row_short(rec):
+    """Drop the second entry of the first row that has several."""
+    row = rec["state"].astype(np.int64) * 1000 + rec["action"]
+    return np.delete(rec, int(np.flatnonzero(row[1:] == row[:-1])[0]) + 1)
+
+
+def _save_archive(kpath):
+    rec = np.load(kpath)
+    with open(kpath, "wb") as fh:
+        np.savez(fh, records=rec)
+
+
+def _save_objects(kpath):
+    np.save(kpath, np.array([_Tripwire()], dtype=object), allow_pickle=True)
+
+
+def assert_same_state(a, b, idx):
+    """Rows, rewards and rules of one state agree bit for bit."""
+    for ra, rb in zip(a.rows(idx), b.rows(idx)):
+        np.testing.assert_array_equal(ra.indices, rb.indices)
+        np.testing.assert_array_equal(ra.probs, rb.probs)
+    np.testing.assert_array_equal(a.rewards(idx), b.rewards(idx))
+    ca, cb = a.rules(idx), b.rules(idx)
+    np.testing.assert_array_equal(ca.support, cb.support)
+    np.testing.assert_array_equal(ca.mean, cb.mean)
+    np.testing.assert_array_equal(ca.eps, cb.eps)
+    assert ca.delta == cb.delta
+
+
 class TestModelBundle:
     def test_cache_roundtrip(self, tmp_path):
-        # Rows are written with 17 significant digits, so they and the rules
-        # refit from them load back bit for bit.
+        # Rows are stored as float64 records, so they and the rules refit
+        # from them load back bit for bit, and a save is deterministic.
         model = toy_model(N=4, T=3)
         model.compile_all()
-        files = model.save_cache(str(tmp_path))
+        files = model.save_cache(str(tmp_path / "a"))
         assert len(files) == 1
-        assert os.listdir(tmp_path) == [os.path.basename(files[0])]
+        assert os.listdir(tmp_path / "a") == [os.path.basename(files[0])]
+        again = model.save_cache(str(tmp_path / "b"))[0]
+        with open(files[0], "rb") as fa, open(again, "rb") as fb:
+            assert fa.read() == fb.read()
 
         fresh = toy_model(N=4, T=3)
-        assert fresh.load_cache(str(tmp_path))
+        assert fresh.load_cache(str(tmp_path / "a"))
+        assert sorted(fresh._rows) == sorted(model._rows)
         for idx in model.grid.in_S_indices():
-            for a_row, b_row in zip(model.rows(idx), fresh.rows(idx)):
-                np.testing.assert_array_equal(a_row.indices, b_row.indices)
-                np.testing.assert_array_equal(a_row.probs, b_row.probs)
-            np.testing.assert_array_equal(model.rules(idx).mean, fresh.rules(idx).mean)
-            assert model.rules(idx).delta == fresh.rules(idx).delta
+            assert_same_state(model, fresh, idx)
 
     def test_load_cache_misses_on_other_config(self, tmp_path):
         model = toy_model(N=4, T=3)
@@ -311,35 +378,38 @@ class TestModelBundle:
         assert not other.load_cache(str(tmp_path))
 
     @pytest.mark.parametrize("corrupt", [
-        pytest.param(lambda lines: lines[:-1], id="row-cut-short"),
-        pytest.param(lambda lines: lines[:-1] + [lines[-1][: len(lines[-1]) // 2]],
-                     id="line-cut"),
-        pytest.param(lambda lines: lines[:-1] + ["0,0,0,999,1.0"],
-                     id="successor-off-grid"),
-        pytest.param(lambda lines: lines + ["0,9,9,0,1.0"], id="unknown-action"),
-        pytest.param(lambda lines: [], id="emptied"),
+        pytest.param(_records(_cut_row_short), id="row-cut-short"),
+        pytest.param(_raw(lambda data: data[:-7]), id="line-cut"),
+        pytest.param(_records(_set_last("successor", 999)), id="successor-off-grid"),
+        pytest.param(_records(_set_last("action", 99)), id="unknown-action"),
+        pytest.param(_raw(lambda data: b""), id="emptied"),
+        pytest.param(_records(lambda rec: rec[rec["action"] != 1]), id="missing-action"),
+        pytest.param(_records(lambda rec: rec[::-1]), id="out-of-order"),
+        pytest.param(_raw(lambda data: b"state,y_V,y_R,successor,prob\n0,0,0,0,1.0\n"),
+                     id="plain-text"),
+        pytest.param(_save_objects, id="object-dtype"),
+        pytest.param(_save_archive, id="npz-archive"),
     ])
     def test_corrupt_cache_raises(self, tmp_path, corrupt):
         model = toy_model(N=4, T=3)
         model.compile_state(model.grid.index_of(1, 1, 0))
+        model.compile_state(model.grid.index_of(2, 0, 0))
         kpath = model.save_cache(str(tmp_path))[0]
-        with open(kpath) as fh:
-            lines = fh.read().splitlines()
-        with open(kpath, "w") as fh:
-            fh.write("".join(line + "\n" for line in corrupt(lines)))
+        corrupt(kpath)
         with pytest.raises(CacheError, match=re.escape(kpath)):
             toy_model(N=4, T=3).load_cache(str(tmp_path))
+        assert UNPICKLED == []
 
     def test_parallel_compile_matches_serial(self):
+        # Pool workers return only rows; this process refits rewards and
+        # rules, which must match a serial compile bit for bit.
         serial = toy_model(N=6, Y=2, T=3)
         parallel = toy_model(N=6, Y=2, T=3)
         idxs = [int(i) for i in serial.grid.in_S_indices()]
         serial.compile_states(idxs, workers=1)
         parallel.compile_states(idxs, workers=2)
         for i in idxs:
-            for ra, rb in zip(serial.rows(i), parallel.rows(i)):
-                np.testing.assert_array_equal(ra.indices, rb.indices)
-                np.testing.assert_allclose(ra.probs, rb.probs, atol=0)
+            assert_same_state(serial, parallel, i)
 
     def test_compile_pool_is_capped(self, monkeypatch):
         # The pool is faked: it records its size and compiles in-process.

@@ -7,6 +7,7 @@ from epiplan.rules import (
     AmbiguityConfig,
     DecisionRuleCoefficients,
     design_matrix,
+    fit_affine,
     fit_rules,
     mean_bounds,
 )
@@ -101,6 +102,27 @@ class TestFitRules:
                       [rewards[i] for i in perm], cfg)
         np.testing.assert_allclose(a.mean, b.mean, atol=1e-10)
         np.testing.assert_allclose(a.eps, b.eps, atol=1e-10)
+
+
+    def test_union_support_matches_entry_loop(self):
+        # Rows over different, overlapping supports: the union support and the
+        # zero-padded mean fit equal the per-entry loop's bit for bit.
+        rng = np.random.default_rng(8)
+        actions = grid_actions()
+        kernels = []
+        for _ in actions:
+            idx = rng.choice(40, size=int(rng.integers(1, 8)), replace=False)
+            kernels.append(SparseDistribution(idx, rng.random(len(idx)), normalize=True))
+        coeffs = fit_rules(actions, kernels, [0.0] * len(actions),
+                           AmbiguityConfig(0.0, 1.0))
+        support = sorted({int(s) for row in kernels for s in row.indices})
+        pos = {s: j for j, s in enumerate(support)}
+        P = np.zeros((len(actions), len(support)))
+        for i, row in enumerate(kernels):
+            for s, pr in zip(row.indices, row.probs):
+                P[i, pos[int(s)]] = pr
+        np.testing.assert_array_equal(coeffs.support, support)
+        np.testing.assert_array_equal(coeffs.mean, fit_affine(design_matrix(actions), P))
 
 
 class TestEtaBounds:

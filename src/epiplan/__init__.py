@@ -10,10 +10,8 @@ from .errors import (
 )
 from .seir import (
     Action,
-    CompiledRates,
     ContinuousState,
     EpidemicParams,
-    compile_rates,
     nominal_reward,
     transition_pmf,
 )
@@ -21,7 +19,6 @@ from .seir import (
 __all__ = [
     "Action",
     "CacheError",
-    "CompiledRates",
     "ConfigError",
     "ContinuousState",
     "DomainError",
@@ -29,7 +26,6 @@ __all__ = [
     "EpiplanError",
     "SolverError",
     "UnderdeterminedError",
-    "compile_rates",
     "nominal_reward",
     "transition_pmf",
 ]

@@ -31,7 +31,7 @@ from .seir import (
     ContinuousState,
     EpidemicParams,
     binomial_row,
-    compile_rates,
+    exposure_prob,
     transition_pmf,  # noqa: F401  perfbench/layers.py traces grid.transition_pmf
     vaccination_trials,
 )
@@ -246,8 +246,7 @@ def discretize_kernel(
     c_axis = np.arange(n_C)[None, :, None]
 
     # The exposure probability of each y_R; it does not depend on y_V.
-    phis = [compile_rates(params, state, Action(0, y_R)).phi
-            for y_R in range(params.M + 1)]
+    phis = [exposure_prob(params, state, Action(0, y_R)) for y_R in range(params.M + 1)]
     rows: list[SparseDistribution] = []
     for y_V in range(params.L + 1):
         trials = vaccination_trials(params, n_S, y_V)
@@ -297,8 +296,9 @@ def discretize_kernel(
 def cache_key(params: EpidemicParams, Y: int, delta: float) -> str:
     """Content hash identifying a compiled kernel/rule cache.
 
-    The payload names the push scheme, so that rows written by an earlier
-    push, which differ from a fresh compile in their last bits, miss.
+    The payload names the push and pmf schemes, so that rows written by an
+    earlier push or binomial law, which differ from a fresh compile in their
+    last bits, miss.
     """
     payload = "|".join(
         f"{k}={getattr(params, k)!r}"
@@ -307,5 +307,5 @@ def cache_key(params: EpidemicParams, Y: int, delta: float) -> str:
     )
     payload += f"|Y={Y}|delta={delta!r}"
     payload += f"|tols={MARGINAL_TOL!r},{JOINT_TOL!r},{ENTRY_TOL!r}"
-    payload += "|push=segment-moments"
+    payload += "|push=segment-moments|pmf=mode-ratio"
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

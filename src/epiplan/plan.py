@@ -54,6 +54,8 @@ class PlannerConfig:
             raise DomainError("niter must be >= 1")
         if self.seed < 0:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
+        if not 0.0 <= self.robust_budget <= 2.0:
+            raise DomainError(f"robust_budget must be in [0, 2], got {self.robust_budget}")
 
 
 @dataclass

@@ -5,7 +5,8 @@ recovered fraction is implicit.  One period of disease progression draws three
 independent binomial counts (new exposures, new infectious, new recoveries)
 whose success probabilities depend on the control action: a vaccination level
 y_V that immediately removes susceptibles, and an intervention level y_R that
-scales the contact rate down.
+scales the contact rate down.  ``binomial_row`` evaluates each binomial law by
+its term ratio outwards from the mode, which needs no log-factorials.
 
 Only the exposure count B depends on the action: y_V sets its number of trials
 and y_R its success probability.  The (C, D) counts have the same law under
@@ -20,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 
@@ -133,50 +133,42 @@ class Action:
             raise DomainError(f"action levels must be nonnegative, got {self}")
 
 
-@dataclass(frozen=True)
-class CompiledRates:
-    """Per-period probabilities implied by (params, state, action)."""
-
-    phi: float      # susceptible -> exposed, per remaining susceptible
-    rho_C: float    # exposed -> infectious
-    rho_D: float    # infectious -> recovered
-    alpha_t: float  # realized contact reduction
-
-
 def _check_action(params: EpidemicParams, action: Action) -> None:
     if action.y_V > params.L or action.y_R > params.M:
         raise DomainError(f"action {action} outside bounds L={params.L}, M={params.M}")
 
 
-def compile_rates(
-    params: EpidemicParams, state: ContinuousState, action: Action
-) -> CompiledRates:
-    """Evaluate the closed-form per-period probabilities for one state-action pair."""
+def exposure_prob(params: EpidemicParams, state: ContinuousState, action: Action) -> float:
+    """Per-period probability that a remaining susceptible becomes exposed."""
     _check_action(params, action)
     alpha_t = params.alpha0 * action.y_R / params.M
-    phi = 1.0 - math.exp(-(1.0 - alpha_t) * params.mu * state.p_I * params.beta)
-    return CompiledRates(phi=phi, rho_C=params.rho_C, rho_D=params.rho_D, alpha_t=alpha_t)
+    return 1.0 - math.exp(-(1.0 - alpha_t) * params.mu * state.p_I * params.beta)
 
 
 def binomial_row(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Support values and pmf of Bin(n, p), keeping entries with mass >= MARGINAL_TOL."""
-    ks = np.arange(n + 1)
+    """Support values and pmf of Bin(n, p), keeping entries with mass >= MARGINAL_TOL.
+
+    The row is built from the ratio pmf[k+1]/pmf[k] = (n-k)/(k+1) * p/(1-p),
+    starting at 1.0 on the mode and multiplying outwards, then divided by its
+    sum.  Every factor away from the mode is at most 1, so nothing overflows.
+    """
     if p == 0.0:
         return np.array([0]), np.array([1.0])
     if p == 1.0:
         return np.array([n]), np.array([1.0])
-    log_pmf = (
-        gammaln(n + 1)
-        - gammaln(ks + 1)
-        - gammaln(n - ks + 1)
-        + ks * math.log(p)
-        + (n - ks) * math.log1p(-p)
-    )
-    pmf = np.exp(log_pmf)
+    mode = min(n, math.floor((n + 1) * p))
+    k = np.arange(1.0, n + 1)
+    ratio = (n + 1 - k) / k * (p / (1.0 - p))  # pmf[k] / pmf[k-1], k = 1..n
+    pmf = np.ones(n + 1)
+    np.cumprod(ratio[mode:], out=pmf[mode + 1:])
+    if mode:
+        np.cumprod(1.0 / ratio[mode - 1::-1], out=pmf[mode - 1::-1])
+    pmf /= pmf.sum()
     keep = pmf >= MARGINAL_TOL
     if not keep.any():
         keep[int(np.argmax(pmf))] = True
-    return ks[keep], pmf[keep]
+    ks = np.flatnonzero(keep)
+    return ks, pmf[ks]
 
 
 @dataclass
@@ -210,12 +202,11 @@ def transition_pmf(
     _check_action(params, action)
     N = params.N
     n_S, n_E, n_I = state.counts(N)
-    rates = compile_rates(params, state, action)
     trials_B = vaccination_trials(params, n_S, action.y_V)
 
-    kB, pB = binomial_row(trials_B, rates.phi)
-    kC, pC = binomial_row(n_E, rates.rho_C)
-    kD, pD = binomial_row(n_I, rates.rho_D)
+    kB, pB = binomial_row(trials_B, exposure_prob(params, state, action))
+    kC, pC = binomial_row(n_E, params.rho_C)
+    kD, pD = binomial_row(n_I, params.rho_D)
 
     prob = pB[:, None, None] * pC[None, :, None] * pD[None, None, :]
     B = np.broadcast_to(kB[:, None, None], prob.shape)

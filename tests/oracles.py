@@ -3,8 +3,9 @@
 None of these runs in the package: each is a slower, more literal statement
 of a quantity that `epiplan` computes another way.
 
-* `binomial_pmf` — the scalar binomial law that `seir.binomial_row`
-  vectorizes and truncates.
+* `binomial_pmf` — the exact scalar binomial law, in 50-digit decimal
+  arithmetic, that `seir.binomial_row` computes by a ratio recurrence and
+  truncates.
 * `inner_primal_oracle` — the penalized worst-mean problem solved over mean
   vectors, the primal of the multiplier LP (`backup.inner_dual_program`,
   solved by `backup.drmdp_backup_enumerate` with method "lp") and of its
@@ -20,9 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
 
 import numpy as np
-from scipy.special import gammaln
 
 from epiplan.errors import DomainError, SolverError
 from epiplan.lp import LinearProgram, MixedIntegerProgram, _Canonical, solve_lp, solve_mip
@@ -31,7 +32,11 @@ from epiplan.seir import Action
 
 
 def binomial_pmf(n: int, p: float, k: int) -> float:
-    """P[Bin(n, p) = k], computed in log space so large n stays finite."""
+    """P[Bin(n, p) = k], rounded once from 50 significant digits.
+
+    p is taken at its exact binary value and comb(n, k) is an exact integer,
+    so the only errors are the decimal roundings, far below double precision.
+    """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p must be in [0, 1], got {p}")
     if k < 0 or k > n:
@@ -40,14 +45,10 @@ def binomial_pmf(n: int, p: float, k: int) -> float:
         return 1.0 if k == 0 else 0.0
     if p == 1.0:
         return 1.0 if k == n else 0.0
-    log_pmf = (
-        gammaln(n + 1)
-        - gammaln(k + 1)
-        - gammaln(n - k + 1)
-        + k * math.log(p)
-        + (n - k) * math.log1p(-p)
-    )
-    return float(math.exp(log_pmf))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        q = Decimal(p)
+        return float(math.comb(n, k) * q**k * (1 - q) ** (n - k))
 
 
 def inner_primal_oracle(

@@ -1,6 +1,8 @@
 import argparse
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +14,29 @@ from epiplan.plan import PlannerConfig
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "README.md")
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+
+def test_runtime_imports_no_third_party_module_but_numpy():
+    # A fresh interpreter, so no test module has imported anything before it;
+    # modules loaded at start-up and private helpers (_name, __mp_main__) are
+    # not counted.
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import epiplan.cli\n"
+            "from epiplan.model import EpidemicModel\n"
+            "from epiplan.rules import AmbiguityConfig\n"
+            "from epiplan.seir import EpidemicParams\n"
+            "EpidemicModel(EpidemicParams(N=40), 2, AmbiguityConfig()).compile_all()\n"
+            "added = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "print(sorted(m for m in added - set(sys.stdlib_module_names)\n"
+            "             if not m.startswith('_')))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "['epiplan', 'numpy']"
 
 
 class TestParseConfig:
@@ -192,6 +217,15 @@ class TestDispatch:
         out = tmp_path / "out"
         assert dispatch(["--config", path, "--out", str(out), "solve"]) == 1
         assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-3", "7"])
+    def test_robust_budget_out_of_range_exits_1(self, tmp_path, capsys, value):
+        path = write_cfg(tmp_path, TOY + f"robust_budget = {value}\n")
+        out = tmp_path / "out"
+        assert dispatch(["--config", path, "--out", str(out), "solve"]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}: robust_budget must be in [0, 2], got {float(value)}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["solve", "simulate", "compare"])

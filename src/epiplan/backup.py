@@ -59,39 +59,33 @@ def best_action_over_rows(
     return best_val, best_a
 
 
-def worst_case_shift(row: SparseDistribution, grid: Grid, budget: float) -> SparseDistribution:
-    """Move up to budget/2 mass from low-infective to high-infective successors.
+def shift_mass(row: SparseDistribution, donors: np.ndarray, receiver: int,
+               budget: float) -> SparseDistribution:
+    """Take up to budget/2 mass from the entries `donors` of row, in order,
+    and add all of it to entry `receiver`.
 
-    The result stays within L1 distance `budget` of the input and remains a
-    distribution; per-entry mass is capped at 1.
+    The receiver's room, 1 - p_receiver, is the mass of every other entry, so
+    it takes whatever is moved; the result stays a distribution within L1
+    distance `budget` of the input.
     """
+    probs = row.probs.copy()
+    have = probs[donors]
+    before = np.concatenate(([0.0], np.cumsum(have)[:-1]))  # taken by earlier donors
+    take = np.minimum(have, np.maximum(budget / 2.0 - before, 0.0))
+    probs[donors] -= take
+    probs[receiver] += take.sum()
+    return SparseDistribution(row.indices.copy(), probs, normalize=True)
+
+
+def worst_case_shift(row: SparseDistribution, grid: Grid, budget: float) -> SparseDistribution:
+    """Move up to budget/2 mass from low-infective successors, lowest p_I
+    first, to the highest-infective one (lowest index among ties)."""
     if budget <= 0.0 or len(row) <= 1:
         return row
     p_I = grid.coords[row.indices][:, 2]
-    probs = row.probs.copy()
-    donors = sorted(range(len(probs)), key=lambda i: (p_I[i], row.indices[i]))
-    receivers = sorted(range(len(probs)), key=lambda i: (-p_I[i], row.indices[i]))
-    move = budget / 2.0
-    di, ri = 0, 0
-    while move > 1e-15 and di < len(donors) and ri < len(receivers):
-        d, r = donors[di], receivers[ri]
-        if p_I[d] >= p_I[r]:
-            break
-        take = min(move, probs[d], 1.0 - probs[r])
-        if take <= 1e-18:
-            if probs[d] <= 1e-18:
-                di += 1
-            else:
-                ri += 1
-            continue
-        probs[d] -= take
-        probs[r] += take
-        move -= take
-        if probs[d] <= 1e-18:
-            di += 1
-        if probs[r] >= 1.0 - 1e-18:
-            ri += 1
-    return SparseDistribution(row.indices.copy(), probs, normalize=True)
+    order = np.argsort(p_I, kind="stable")  # by (p_I, index): indices ascend
+    n_low = int(np.searchsorted(p_I[order], p_I.max()))
+    return shift_mass(row, order[:n_low], order[n_low], budget)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Command-line surface: config ingestion, subcommands, artifact emission.
 
 Subcommands: compile (build and persist the kernel cache), solve (run a
-planner and write the value table), simulate (episodes for one backend),
-compare (backends x kernels grid), sensitivity (parameter sweeps).  The
-duality and ordering property checks are tests (tests/test_acceptance.py),
-not a subcommand.  Exit codes: 0 success, 1 domain or configuration error,
-2 internal error.
+planner and write the value table), simulate (the compare cell of one
+backend, initial state and kernel), compare (backends x kernels grid),
+sensitivity (parameter sweeps).  The duality and ordering property checks
+are tests (tests/test_acceptance.py), not a subcommand.  Exit codes: 0
+success, 1 domain or configuration error, 2 internal error.
 """
 
 from __future__ import annotations
@@ -15,22 +15,13 @@ import csv
 import os
 import sys
 import time
-
-import numpy as np
+from dataclasses import replace
 
 from .config import RunConfig, _validate, config_hash, parse_config, resolved_text
-from .errors import ConfigError, EpiplanError
+from .errors import ConfigError, DomainError, EpiplanError
 from .model import EpidemicModel, lattice_state_index
-from .plan import PlannerConfig, backward_dp, rtdp, table_rows
-from .sim import (
-    EPISODE_HEADER,
-    aggregate_infectives,
-    build_true_kernel,
-    compare_models,
-    episode_rows,
-    run_episode,
-    sensitivity_sweep,
-)
+from .plan import backward_dp, rtdp, table_rows
+from .sim import EPISODE_HEADER, aggregate_infectives, compare_models, sensitivity_sweep
 
 _FANCY = "%.12g"
 
@@ -79,7 +70,7 @@ def _check_out(outdir: str) -> None:
 
 
 def _model(cfg: RunConfig) -> EpidemicModel:
-    return EpidemicModel(cfg.params(), cfg.Y, cfg.ambiguity())
+    return EpidemicModel(cfg.params, cfg.Y, cfg.ambiguity)
 
 
 def _init_index(cfg: RunConfig, model: EpidemicModel) -> int:
@@ -101,10 +92,10 @@ def _cmd_compile(cfg: RunConfig, outdir: str, verbose: bool) -> int:
     return 0
 
 
-def _cmd_solve(cfg: RunConfig, outdir: str, use_dp: bool, verbose: bool) -> int:
+def _cmd_solve(cfg: RunConfig, outdir: str, use_dp: bool) -> int:
     model = _model(cfg)
     model.load_cache(outdir)
-    pcfg = PlannerConfig(**cfg.planner_kwargs())
+    pcfg = cfg.planner
     init = _init_index(cfg, model)
     t0 = time.time()
     if use_dp:
@@ -113,37 +104,33 @@ def _cmd_solve(cfg: RunConfig, outdir: str, use_dp: bool, verbose: bool) -> int:
         table, _ = rtdp(model, init, pcfg)
     rows = table_rows(model, table, pcfg)
     header = ["stage", "state", "p_S", "p_E", "p_I", "value", "y_V", "y_R"]
-    emit_results({"values": (header, rows)}, outdir, cfg, [cfg.seed])
+    emit_results({"values": (header, rows)}, outdir, cfg, [pcfg.seed])
     root = table.lookup(model, init, 1)
     print(f"root value {root:.6f} ({'dp' if use_dp else 'rtdp'}, "
           f"{time.time() - t0:.1f}s, {len(rows)} entries)")
     return 0
 
 
-def _cmd_simulate(cfg: RunConfig, outdir: str, verbose: bool) -> int:
-    model = _model(cfg)
-    model.load_cache(outdir)
-    pcfg = PlannerConfig(**cfg.planner_kwargs())
-    init = _init_index(cfg, model)
-    table, _ = rtdp(model, init, pcfg)
-    kern = build_true_kernel(model, cfg.perturbation())
-    kernel_name = "perturbed" if cfg.radius else "nominal"
-    rows = []
-    for seed in range(cfg.nseeds):
-        rec = run_episode(model, table, pcfg, kern, init, seed)
-        rows += episode_rows(rec, cfg.backend, kernel_name, cfg.p_S1_list[0], seed)
-    emit_results({"episodes": (EPISODE_HEADER, rows)}, outdir, cfg,
-                 list(range(cfg.nseeds)))
-    totals = sorted({r["seed"]: r["total_reward"] for r in rows}.values())
-    print(f"mean total reward {np.mean(totals):.3f} over {cfg.nseeds} seeds")
-    return 0
-
-
-def _cmd_compare(cfg: RunConfig, outdir: str, verbose: bool) -> int:
+def _cmd_simulate(cfg: RunConfig, outdir: str) -> int:
     model = _model(cfg)
     model.load_cache(outdir)
     episodes, summary = compare_models(
-        model, PlannerConfig(**cfg.planner_kwargs()),
+        model, cfg.planner, backends=(cfg.planner.backend,),
+        p_S1_list=cfg.p_S1_list[:1], p_E1=cfg.p_E1,
+        kernels=("perturbed" if cfg.radius else "nominal",),
+        pspec=cfg.perturbation(), nseeds=cfg.nseeds)
+    emit_results({"episodes": (EPISODE_HEADER, episodes)}, outdir, cfg,
+                 list(range(cfg.nseeds)))
+    print(f"mean total reward {summary[0]['mean_total_reward']:.3f} "
+          f"over {cfg.nseeds} seeds")
+    return 0
+
+
+def _cmd_compare(cfg: RunConfig, outdir: str) -> int:
+    model = _model(cfg)
+    model.load_cache(outdir)
+    episodes, summary = compare_models(
+        model, cfg.planner,
         backends=("drmdp-enumerate", "nominal", "robust"),
         p_S1_list=cfg.p_S1_list, p_E1=cfg.p_E1,
         kernels=("nominal", "perturbed"), pspec=cfg.perturbation(),
@@ -160,11 +147,10 @@ def _cmd_compare(cfg: RunConfig, outdir: str, verbose: bool) -> int:
     return 0
 
 
-def _cmd_sensitivity(cfg: RunConfig, outdir: str, verbose: bool) -> int:
+def _cmd_sensitivity(cfg: RunConfig, outdir: str) -> int:
     p_S1 = cfg.p_S1_list[0]
     scenario = (p_S1, cfg.p_E1, round(1.0 - p_S1 - cfg.p_E1, 12))
-    rows = sensitivity_sweep(cfg.params(), cfg.Y, cfg.ambiguity(),
-                             PlannerConfig(**cfg.planner_kwargs()),
+    rows = sensitivity_sweep(cfg.params, cfg.Y, cfg.ambiguity, cfg.planner,
                              cfg.sweep_param, cfg.sweep_values,
                              nseeds=cfg.nseeds, pspec=cfg.perturbation(),
                              scenario=scenario)
@@ -207,10 +193,13 @@ def dispatch(argv: list[str]) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         cfg = parse_config(args.config) if args.config else RunConfig()
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.backend is not None:
-            cfg.backend = args.backend
+        try:
+            if args.seed is not None:
+                cfg.planner = replace(cfg.planner, seed=args.seed)
+            if args.backend is not None:
+                cfg.planner = replace(cfg.planner, backend=args.backend)
+        except DomainError as exc:
+            raise ConfigError(f"<cli>: {exc}")
         if args.Y is not None:
             cfg.Y = args.Y
         if args.threads is not None:
@@ -221,13 +210,13 @@ def dispatch(argv: list[str]) -> int:
         if args.command == "compile":
             return _cmd_compile(cfg, args.out, args.verbose)
         if args.command == "solve":
-            return _cmd_solve(cfg, args.out, args.dp, args.verbose)
+            return _cmd_solve(cfg, args.out, args.dp)
         if args.command == "simulate":
-            return _cmd_simulate(cfg, args.out, args.verbose)
+            return _cmd_simulate(cfg, args.out)
         if args.command == "compare":
-            return _cmd_compare(cfg, args.out, args.verbose)
+            return _cmd_compare(cfg, args.out)
         if args.command == "sensitivity":
-            return _cmd_sensitivity(cfg, args.out, args.verbose)
+            return _cmd_sensitivity(cfg, args.out)
         parser.error(f"unknown command {args.command!r}")
     except EpiplanError as exc:
         print(f"error: {exc}", file=sys.stderr)

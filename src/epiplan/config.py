@@ -1,16 +1,20 @@
 """Run configuration: key = value files with strict validation.
 
 One key per line, '#' starts a comment, unknown keys are rejected, and every
-range invariant is checked at parse time.  Missing keys take the documented
-defaults, and the fully resolved configuration is echoed next to any results
-so a run can always be reproduced.
+range invariant is checked at parse time.  A RunConfig holds the sections the
+pipeline consumes (`seir.EpidemicParams`, `rules.AmbiguityConfig`,
+`plan.PlannerConfig`) next to the run's own fields; the config keys are the
+fields of those sections and of the run, in that order, so each default lives
+in one dataclass.  Each section is built once from its keys and checks them
+itself.  The fully resolved configuration is echoed next to any results so a
+run can always be reproduced.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 from .errors import ConfigError, DomainError
 from .grid import GridSpec
@@ -22,31 +26,10 @@ from .sim import SWEEPABLE, PerturbationSpec, sweep_params
 
 @dataclass
 class RunConfig:
-    # epidemic model
-    N: int = 1000
-    mu: float = 10.0
-    beta: float = 0.025
-    alpha0: float = 0.9
-    l_C: float = 0.5
-    l_D: float = 1.0 / 3.0
-    Q: float = 2.0
-    k_R: float = 500.0
-    W: float = 1000.0
-    L: int = 5
-    M: int = 5
-    lam: float = 0.95          # config key: lambda
-    T: int = 12
-    # discretization and ambiguity
-    Y: int = 10
-    delta: float = 0.05
-    k: float = 1000.0
-    # planner
-    backend: str = "drmdp-enumerate"
-    niter: int = 50
-    seed: int = 0
-    inner_method: str = "parametric"
-    early_stop: bool = True
-    robust_budget: float = 0.5
+    params: EpidemicParams = field(default_factory=EpidemicParams)
+    Y: int = 10                # discretization level
+    ambiguity: AmbiguityConfig = field(default_factory=AmbiguityConfig)
+    planner: PlannerConfig = field(default_factory=PlannerConfig)
     # simulation scenarios
     radius: float = 0.5
     perturb_direction: str = "high-infective"
@@ -58,27 +41,9 @@ class RunConfig:
     # execution
     threads: int = 1
 
-    def params(self) -> EpidemicParams:
-        return EpidemicParams(N=self.N, mu=self.mu, beta=self.beta,
-                              alpha0=self.alpha0, l_C=self.l_C, l_D=self.l_D,
-                              Q=self.Q, k_R=self.k_R, W=self.W, L=self.L,
-                              M=self.M, lam=self.lam, T=self.T)
-
-    def ambiguity(self) -> AmbiguityConfig:
-        return AmbiguityConfig(delta=self.delta, k=self.k)
-
-    def planner_kwargs(self) -> dict:
-        return dict(backend=self.backend, niter=self.niter, seed=self.seed,
-                    inner_method=self.inner_method, early_stop=self.early_stop,
-                    robust_budget=self.robust_budget)
-
     def perturbation(self) -> PerturbationSpec:
         return PerturbationSpec(radius=self.radius, direction=self.perturb_direction,
-                                seed=self.seed)
-
-
-_KEY_TO_FIELD = {"lambda": "lam"}
-_FIELD_TO_KEY = {"lam": "lambda"}
+                                seed=self.planner.seed)
 
 
 def _parse_bool(raw: str) -> bool:
@@ -104,14 +69,32 @@ def _parse_list(raw: str) -> tuple[float, ...]:
     return values
 
 
-# Each key is parsed by the type of its default (type() tells bool from int).
-_PARSERS = {f.name: {bool: _parse_bool, int: int, float: _parse_float, str: str,
-                     tuple: _parse_list}[type(f.default)] for f in fields(RunConfig)}
+def _key_table() -> dict[str, tuple[str | None, str, object]]:
+    """key -> (section field or None for the run's own, field, parser), in
+    RunConfig field order with each section's fields in place.  Each key is
+    parsed by the type of its default (type() tells bool from int)."""
+    parsers = {bool: _parse_bool, int: int, float: _parse_float, str: str,
+               tuple: _parse_list}
+    table = {}
+    for f in fields(_DEFAULT):
+        value = getattr(_DEFAULT, f.name)
+        entries = ([(f.name, g.name, getattr(value, g.name)) for g in fields(value)]
+                   if is_dataclass(value) else [(None, f.name, value)])
+        for section, name, dflt in entries:
+            key = "lambda" if name == "lam" else name
+            table[key] = (section, name, parsers[type(dflt)])
+    return table
+
+
+_DEFAULT = RunConfig()
+_KEYS = _key_table()
 
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     """Parse key = value lines into a validated RunConfig."""
-    values: dict[str, object] = {}
+    own: dict[str, object] = {}
+    sections: dict[str, dict[str, object]] = {}
+    seen: set[str] = set()
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -121,32 +104,40 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
                               f"got {rawline.strip()!r}")
         key, _, raw = line.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        name = _KEY_TO_FIELD.get(key, key)
-        if name not in _PARSERS:
+        if key not in _KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        if name in values:
+        if key in seen:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
+        seen.add(key)
+        section, name, parse = _KEYS[key]
         try:
-            values[name] = _PARSERS[name](raw)
+            value = parse(raw.strip())
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}")
+        (sections.setdefault(section, {}) if section else own)[name] = value
 
-    cfg = RunConfig(**values)
+    try:
+        for section, kw in sections.items():
+            own[section] = replace(getattr(_DEFAULT, section), **kw)
+    except DomainError as exc:
+        raise ConfigError(f"{source}: {exc}")
+    cfg = replace(_DEFAULT, **own)
     _validate(cfg, source)
     return cfg
 
 
 def parse_config(path: str) -> RunConfig:
-    with open(path) as fh:
-        return parse_config_text(fh.read(), source=path)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read config: {exc}")
+    return parse_config_text(text, source=path)
 
 
 def _validate(cfg: RunConfig, source: str) -> None:
+    """The run's own checks; each section checked its keys when built."""
     try:
-        params = cfg.params()
-        cfg.ambiguity()
-        PlannerConfig(**cfg.planner_kwargs())
         cfg.perturbation()
         GridSpec(cfg.Y)
     except DomainError as exc:
@@ -164,7 +155,7 @@ def _validate(cfg: RunConfig, source: str) -> None:
         raise ConfigError(f"{source}: sweep_param must be one of {SWEEPABLE}")
     for value in cfg.sweep_values:
         try:
-            sweep_params(params, cfg.sweep_param, value)
+            sweep_params(cfg.params, cfg.sweep_param, value)
         except DomainError as exc:
             raise ConfigError(f"{source}: sweep_values entry {cfg.sweep_param} = "
                               f"{value!r}: {exc}")
@@ -176,9 +167,8 @@ def resolved_text(cfg: RunConfig) -> str:
     Floats are written with repr, so parse_config_text reads back the same
     configuration."""
     lines = []
-    for f in fields(RunConfig):
-        key = _FIELD_TO_KEY.get(f.name, f.name)
-        val = getattr(cfg, f.name)
+    for key, (section, name, _) in _KEYS.items():
+        val = getattr(getattr(cfg, section) if section else cfg, name)
         if isinstance(val, tuple):
             val = ",".join(repr(float(v)) for v in val)
         elif isinstance(val, bool):

@@ -36,7 +36,7 @@ STOP_TOL = 1e-7
 STOP_PATIENCE = 10
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlannerConfig:
     backend: str = "drmdp-enumerate"
     niter: int = 50

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .backup import worst_case_shift
+from .backup import shift_mass, worst_case_shift
 from .errors import DomainError
 from .grid import SparseDistribution
 from .model import EpidemicModel, lattice_state_index
@@ -59,30 +59,22 @@ class TrueKernel:
             elif self.spec.direction == "high-infective":
                 out = worst_case_shift(nominal, self.model.grid, self.spec.radius)
             else:
-                out = self._random_shift(nominal, idx, ai)
+                rng = np.random.default_rng((self.spec.seed, idx, ai))
+                out = random_shift(nominal, self.spec.radius, rng)
             self._cache[key] = out
         return self._cache[key]
 
-    def _random_shift(self, row: SparseDistribution, idx: int, ai: int):
-        if len(row) <= 1:
-            return row
-        rng = np.random.default_rng((self.spec.seed, idx, ai))
-        probs = row.probs.copy()
-        move = self.spec.radius / 2.0
-        order = rng.permutation(len(probs))
-        donors = [i for i in order if probs[i] > 0][: max(1, len(probs) // 2)]
-        receivers = [i for i in order[::-1] if i not in donors]
-        for d in donors:
-            if move <= 0 or not receivers:
-                break
-            take = min(move, probs[d])
-            r = receivers[0]
-            room = 1.0 - probs[r]
-            take = min(take, room)
-            probs[d] -= take
-            probs[r] += take
-            move -= take
-        return SparseDistribution(row.indices.copy(), probs, normalize=True)
+
+def random_shift(row: SparseDistribution, budget: float,
+                 rng: np.random.Generator) -> SparseDistribution:
+    """Move up to budget/2 mass from up to half the entries, drawn in a random
+    order among the positive ones, to one other entry drawn from the rest."""
+    if len(row) <= 1:
+        return row
+    order = rng.permutation(len(row))
+    donors = order[row.probs[order] > 0][: max(1, len(row) // 2)]
+    receiver = next(i for i in order[::-1] if i not in donors)
+    return shift_mass(row, donors, receiver, budget)
 
 
 def build_true_kernel(model: EpidemicModel, spec: PerturbationSpec) -> TrueKernel:

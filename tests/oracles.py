@@ -15,6 +15,10 @@ of a quantity that `epiplan` computes another way.
 * `mccormick_four_row_backup` — the McCormick MIP with all four box-envelope
   rows per product, which `backup.drmdp_backup_mccormick` writes on the
   binding side only.
+* `worst_case_shift_loop`, `random_shift_loop` — donor-by-donor loops that
+  move perturbation mass one entry at a time, capping each step at the
+  receiver's room, which `backup.worst_case_shift` and `sim.random_shift`
+  compute as one cumulative-sum take (`backup.shift_mass`).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from epiplan.errors import DomainError, SolverError
+from epiplan.grid import Grid, SparseDistribution
 from epiplan.lp import LinearProgram, MixedIntegerProgram, _Canonical, solve_lp, solve_mip
 from epiplan.rules import DecisionRuleCoefficients, design_matrix, mean_bounds
 from epiplan.seir import Action
@@ -239,3 +244,61 @@ def mccormick_four_row_backup(
         raise SolverError(f"envelope MIP unexpectedly {sol.status}")
     action = Action(int(round(sol.x[ia[0]])), int(round(sol.x[ia[1]])))
     return float(sol.objective + coeffs.eps[0]), action
+
+
+def worst_case_shift_loop(row: SparseDistribution, grid: Grid,
+                          budget: float) -> SparseDistribution:
+    """Move up to budget/2 mass from low- to high-infective successors, one
+    (donor, receiver) pair at a time, each step capped by the donor's mass
+    and the receiver's room."""
+    if budget <= 0.0 or len(row) <= 1:
+        return row
+    p_I = grid.coords[row.indices][:, 2]
+    probs = row.probs.copy()
+    donors = sorted(range(len(probs)), key=lambda i: (p_I[i], row.indices[i]))
+    receivers = sorted(range(len(probs)), key=lambda i: (-p_I[i], row.indices[i]))
+    move = budget / 2.0
+    di, ri = 0, 0
+    while move > 1e-15 and di < len(donors) and ri < len(receivers):
+        d, r = donors[di], receivers[ri]
+        if p_I[d] >= p_I[r]:
+            break
+        take = min(move, probs[d], 1.0 - probs[r])
+        if take <= 1e-18:
+            if probs[d] <= 1e-18:
+                di += 1
+            else:
+                ri += 1
+            continue
+        probs[d] -= take
+        probs[r] += take
+        move -= take
+        if probs[d] <= 1e-18:
+            di += 1
+        if probs[r] >= 1.0 - 1e-18:
+            ri += 1
+    return SparseDistribution(row.indices.copy(), probs, normalize=True)
+
+
+def random_shift_loop(row: SparseDistribution, budget: float,
+                      rng: np.random.Generator) -> SparseDistribution:
+    """Move up to budget/2 mass from up to half the positive entries, in a
+    random order, to the receivers drawn from the rest, one donor at a time."""
+    if len(row) <= 1:
+        return row
+    probs = row.probs.copy()
+    move = budget / 2.0
+    order = rng.permutation(len(probs))
+    donors = [i for i in order if probs[i] > 0][: max(1, len(probs) // 2)]
+    receivers = [i for i in order[::-1] if i not in donors]
+    for d in donors:
+        if move <= 0 or not receivers:
+            break
+        take = min(move, probs[d])
+        r = receivers[0]
+        room = 1.0 - probs[r]
+        take = min(take, room)
+        probs[d] -= take
+        probs[r] += take
+        move -= take
+    return SparseDistribution(row.indices.copy(), probs, normalize=True)

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import os
 import re
 import subprocess
@@ -39,7 +40,51 @@ def test_runtime_imports_no_third_party_module_but_numpy():
     assert done.stdout.strip() == "['epiplan', 'numpy']"
 
 
+# What resolved.cfg holds for the defaults: every key, in this order, written
+# in this form.  A change here changes every config hash.
+DEFAULT_RESOLVED = """\
+N = 1000
+mu = 10.0
+beta = 0.025
+alpha0 = 0.9
+l_C = 0.5
+l_D = 0.3333333333333333
+Q = 2.0
+k_R = 500.0
+W = 1000.0
+L = 5
+M = 5
+lambda = 0.95
+T = 12
+Y = 10
+delta = 0.05
+k = 1000.0
+backend = drmdp-enumerate
+niter = 50
+seed = 0
+inner_method = parametric
+early_stop = true
+robust_budget = 0.5
+radius = 0.5
+perturb_direction = high-infective
+nseeds = 10
+p_S1_list = 0.6,0.7
+p_E1 = 0.1
+sweep_param = Q
+sweep_values = 0.5,2.0,50.0
+threads = 1
+"""
+
+
 class TestParseConfig:
+    def test_default_resolved_text_is_golden(self):
+        assert resolved_text(RunConfig()) == DEFAULT_RESOLVED
+
+    def test_planner_section_is_frozen(self):
+        cfg = RunConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.planner.seed = 1
+
     def test_empty_gives_defaults(self):
         cfg = parse_config_text("")
         assert cfg == RunConfig()
@@ -52,8 +97,8 @@ class TestParseConfig:
     def test_basic_assignments(self):
         cfg = parse_config_text("Y = 30\nN = 300\nlambda = 0.9\n# comment\n")
         assert cfg.Y == 30
-        assert cfg.N == 300
-        assert cfg.lam == 0.9
+        assert cfg.params.N == 300
+        assert cfg.params.lam == 0.9
 
     def test_range_error_names_key(self):
         with pytest.raises(ConfigError) as err:
@@ -87,7 +132,7 @@ class TestParseConfig:
         cfg = parse_config_text(
             "p_S1_list = 0.6, 0.7\nearly_stop = false\nsweep_values = 1,2,3\n")
         assert cfg.p_S1_list == (0.6, 0.7)
-        assert cfg.early_stop is False
+        assert cfg.planner.early_stop is False
         assert cfg.sweep_values == (1.0, 2.0, 3.0)
 
     @pytest.mark.parametrize("text, key", [
@@ -193,6 +238,18 @@ class TestDispatch:
         assert dispatch([command]) == 1
         assert "invalid choice" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
+    def test_unreadable_config_exits_1(self, tmp_path, capsys, kind):
+        path = tmp_path / "run.cfg"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "undecodable":
+            path.write_bytes(b"\xff\xfeY = 2\n")
+        out = tmp_path / "out"
+        assert dispatch(["--config", str(path), "--out", str(out), "solve"]) == 1
+        assert f"{path}: cannot read config: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_exit_code(self, tmp_path):
         path = write_cfg(tmp_path, "lambda = 7\n")
         assert dispatch(["--config", path, "--out", str(tmp_path), "solve"]) == 1
@@ -286,7 +343,7 @@ class TestDispatch:
         out = tmp_path / "out"
         out.mkdir()
         cfg = parse_config_text(TOY)
-        key = EpidemicModel(cfg.params(), cfg.Y, cfg.ambiguity()).key()
+        key = EpidemicModel(cfg.params, cfg.Y, cfg.ambiguity).key()
         stale, text = out / f"kernels_{key}.csv", "state,y_V,y_R,successor,prob\n0,0,0,0,1.0\n"
         stale.write_text(text)
         loaded, compiled = [], []
@@ -380,14 +437,29 @@ class TestDispatch:
                                       early_stop=False, robust_budget=0.25)
                         for b in backends]
 
-    def test_cli_overrides(self, tmp_path):
+    def test_cli_overrides(self, tmp_path, capsys):
         path = write_cfg(tmp_path, TOY)
         out = str(tmp_path / "ovr")
         assert dispatch(["--config", path, "--out", out, "--backend", "nominal",
                          "--seed", "3", "solve"]) == 0
-        resolved = open(os.path.join(out, "resolved.cfg")).read()
-        assert "backend = nominal" in resolved
-        assert "seed = 3" in resolved
+        # The file's keys and the two overrides, every other key at its
+        # default, in the order and form of DEFAULT_RESOLVED.
+        expected = DEFAULT_RESOLVED
+        for line in ["N = 10", "Y = 2", "T = 3", "L = 1", "M = 1", "Q = 0.5",
+                     "k_R = 0.5", "W = 2.0", "niter = 5", "nseeds = 2",
+                     "p_S1_list = 0.5", "p_E1 = 0.5", "backend = nominal",
+                     "seed = 3"]:
+            key = line.split(" = ")[0]
+            expected, n = re.subn(rf"^{key} = .*$", line, expected, flags=re.M)
+            assert n == 1
+        assert open(os.path.join(out, "resolved.cfg")).read() == expected
+        capsys.readouterr()
+        bad = str(tmp_path / "bad")
+        assert dispatch(["--config", path, "--out", bad, "--backend", "magic",
+                         "solve"]) == 1
+        err = capsys.readouterr().err
+        assert "<cli>:" in err and "'magic'" in err
+        assert not os.path.exists(bad)
 
     def test_determinism_end_to_end(self, tmp_path):
         path = write_cfg(tmp_path, TOY)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from epiplan import Action, DomainError, EpidemicParams
-from epiplan.grid import SparseDistribution
+from epiplan.backup import worst_case_shift
+from epiplan.grid import GridSpec, SparseDistribution, build_grid
 from epiplan.model import EpidemicModel, lattice_state_index
 from epiplan.plan import PlannerConfig, backward_dp, rtdp
 from epiplan.rules import AmbiguityConfig
@@ -11,9 +12,11 @@ from epiplan.sim import (
     aggregate_infectives,
     build_true_kernel,
     compare_models,
+    random_shift,
     run_episode,
     sensitivity_sweep,
 )
+from oracles import random_shift_loop, worst_case_shift_loop
 
 
 def sim_model(N=10, Y=2, T=4, L=1, M=1, delta=0.05, k=1000.0, **kw):
@@ -53,8 +56,6 @@ class TestTrueKernel:
                     assert l1 <= 0.5 + 1e-9
 
     def test_matches_worst_case_shift(self):
-        from epiplan.backup import worst_case_shift
-
         model = sim_model(N=20, Y=3)
         kern = build_true_kernel(model, PerturbationSpec(radius=0.5))
         idx = model.grid.index_of(1, 1, 1)
@@ -63,6 +64,37 @@ class TestTrueKernel:
         expect = worst_case_shift(model.rows(idx)[model.action_index(a)],
                                   model.grid, 0.5)
         np.testing.assert_allclose(row.probs, expect.probs, atol=0)
+
+    @pytest.mark.parametrize("direction", ["high-infective", "random"])
+    def test_shift_matches_the_loop_oracle(self, direction):
+        # Random rows on the Y=3 lattice: up to nine entries, so ties at the
+        # top p_I are common, about a quarter of the entries zero, one-entry
+        # rows, and budgets 0, 2 and in between.
+        grid = build_grid(GridSpec(3))
+        rng = np.random.default_rng(7)
+        ties = moved = 0
+        for case in range(400):
+            size = int(rng.integers(1, 10))
+            idx = rng.choice(grid.n_corners, size=size, replace=False)
+            probs = rng.random(size) * (rng.random(size) > 0.25)
+            probs[probs.argmax()] += 0.1
+            row = SparseDistribution(idx, probs, normalize=True)
+            budget = float(rng.choice([0.0, 2.0, rng.uniform(0.0, 2.0)]))
+            if direction == "high-infective":
+                got = worst_case_shift(row, grid, budget)
+                ref = worst_case_shift_loop(row, grid, budget)
+            else:
+                got = random_shift(row, budget, np.random.default_rng(case))
+                ref = random_shift_loop(row, budget, np.random.default_rng(case))
+            np.testing.assert_array_equal(got.indices, ref.indices)
+            assert np.abs(got.probs - ref.probs).sum() <= 1e-15
+            # The loop caps each step at the receiver's room, 1 - p_r, and
+            # that rounding can leave an ulp on a donor it empties.
+            np.testing.assert_array_equal(got.probs > 1e-15, ref.probs > 1e-15)
+            p_I = grid.coords[row.indices][:, 2]
+            ties += np.sum(p_I == p_I.max()) > 1
+            moved += np.abs(got.probs - row.probs).sum() > 0.1
+        assert ties > 100 and moved > 100
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -100,10 +100,14 @@ def _multiplier_block(eta_L: np.ndarray, eta_U: np.ndarray, v: np.ndarray,
 
     maximize  q - w'eta_U + u'eta_L
     s.t.      q - w_j + u_j <= v_j,  w_j + u_j <= k   (rows 2j and 2j + 1)
-              q free,  w, u >= 0.
+              q >= min(v) - k,  w, u >= 0.
 
-    v already carries the discount.  Every other entry is zero, with bounds
-    [0, inf), for the caller to fill.
+    The bound on q cuts off no optimum: u_j <= k and w_j >= 0, so every row
+    admits q = min(v) - k, and q, with cost +1 and in no other row, can be
+    raised from any point below it.  It lets the simplex shift q instead of
+    splitting it, which leaves every right side nonnegative, so the LP starts
+    at its slack basis.  v already carries the discount.  Every other entry
+    is zero, with bounds [0, inf), for the caller to fill.
     """
     m = len(v)
     c = np.zeros(n)
@@ -121,7 +125,7 @@ def _multiplier_block(eta_L: np.ndarray, eta_U: np.ndarray, v: np.ndarray,
     A[2 * js + 1, 1 + m + js] = 1.0
     b[2 * js + 1] = k
     lb = np.zeros(n)
-    lb[0] = -np.inf
+    lb[0] = v.min() - k
     return c, A, b, lb, np.full(n, np.inf)
 
 

@@ -1,8 +1,14 @@
 """Dense linear and mixed-integer programming, sized for per-state subproblems.
 
-The LP solver is a two-phase primal simplex on a dense tableau.  Entering
+The LP solver is a primal simplex on a dense tableau.  It starts from the
+slack basis: every <= row with a nonnegative right side (after bounds are
+shifted out) and every >= row with a negative one has a unit slack column,
+and only the other rows get an artificial column and a phase 1.  Entering
 columns follow Dantzig's rule with ties broken by lowest index, switching to
-Bland's rule after 10*(rows+cols) iterations so cycling cannot occur.  The MIP
+Bland's rule after 10*(rows+cols) iterations so cycling cannot occur.  A
+pivot updates only the rows whose entry in the pivot column is nonzero; the
+others would change by exactly zero, so this is the dense update's result bit
+for bit (`tests/oracles.dense_solve_lp`).  The MIP
 solver wraps it in best-first branch and bound, branching on the most
 fractional integer variable.  The root LP is solved once and is the first
 node, so a MIP makes one LP solve per node: `Solution.nodes` counts them and
@@ -98,73 +104,53 @@ class Solution:
 
 
 class _Canonical:
-    """min c'y, A y == b, y >= 0 plus bookkeeping to map back to the original."""
+    """min c'y, A y == b, y >= 0 plus bookkeeping to map back to the original.
+
+    Each variable gives one column in order: x = lo + y when lo is finite
+    (plus a row y <= hi - lo when hi is too), x = hi - y when only hi is, and
+    a free x = y+ - y- gives the pair y+, y- of adjacent columns.
+    """
 
     def __init__(self, lp: LinearProgram):
-        n = lp.n_vars
-        sign = 1.0 if lp.sense == "min" else -1.0
-        self.back: list[tuple[int, float, float]] = []  # (orig var, scale, shift)
-        shift = np.zeros(n)
-        extra_rows: list[tuple[int, str, float]] = []   # (canonical col, rel, rhs)
+        lo, hi = lp.lb, lp.ub
+        has_lo, has_hi = np.isfinite(lo), np.isfinite(hi)
+        self.free = ~has_lo & ~has_hi
+        self.scale = np.where(has_hi & ~has_lo, -1.0, 1.0)
+        self.shift = np.where(has_lo, lo, np.where(has_hi, hi, 0.0))
+        width = 1 + self.free
+        self.start = np.cumsum(width) - width   # first column of each variable
+        cols = np.repeat(np.arange(lp.n_vars), width)
+        col_scale = self.scale[cols]
+        col_scale[self.start[self.free] + 1] = -1.0
+        self.sign = 1.0 if lp.sense == "min" else -1.0
+        self.n_struct = len(cols)
+        self.offset = float(lp.c @ self.shift)
 
-        A_cols: list[np.ndarray] = []
-        c_list: list[float] = []
-        for j in range(n):
-            lo, hi = lp.lb[j], lp.ub[j]
-            col = lp.A[:, j]
-            if np.isfinite(lo):
-                # x = lo + y
-                shift[j] = lo
-                A_cols.append(col)
-                c_list.append(sign * lp.c[j])
-                self.back.append((j, 1.0, lo))
-                if np.isfinite(hi):
-                    extra_rows.append((len(A_cols) - 1, "<=", hi - lo))
-            elif np.isfinite(hi):
-                # x = hi - y
-                shift[j] = hi
-                A_cols.append(-col)
-                c_list.append(-sign * lp.c[j])
-                self.back.append((j, -1.0, hi))
-            else:
-                # free: x = y+ - y-
-                A_cols.append(col)
-                c_list.append(sign * lp.c[j])
-                self.back.append((j, 1.0, 0.0))
-                A_cols.append(-col)
-                c_list.append(-sign * lp.c[j])
-                self.back.append((j, -1.0, 0.0))
-
-        self.n_struct = len(A_cols)
-        A = np.column_stack(A_cols) if A_cols else np.zeros((lp.n_rows, 0))
-        b = lp.b - lp.A @ shift
-        self.offset = float(lp.c @ shift)
-
-        rows = [A]
-        rels = list(lp.rel)
-        rhs = list(b)
-        for unit_idx, rel, val in extra_rows:
-            row = np.zeros(self.n_struct)
-            row[unit_idx] = 1.0
-            rows.append(row.reshape(1, -1))
-            rels.append(rel)
-            rhs.append(val)
-        self.A = np.vstack(rows)
-        self.rel = rels
-        self.b = np.array(rhs)
-        self.c = np.array(c_list)
-        self.sign = sign
-        self.n_orig = n
+        boxed = np.flatnonzero(has_lo & has_hi)
+        bound_rows = np.zeros((len(boxed), self.n_struct))
+        bound_rows[np.arange(len(boxed)), self.start[boxed]] = 1.0
+        self.A = np.vstack([lp.A[:, cols] * col_scale, bound_rows])
+        self.rel = list(lp.rel) + ["<="] * len(boxed)
+        self.b = np.concatenate([lp.b - lp.A @ self.shift, hi[boxed] - lo[boxed]])
+        self.c = self.sign * lp.c[cols] * col_scale
 
     def restore(self, y: np.ndarray) -> np.ndarray:
-        x = np.zeros(self.n_orig)
-        consumed = np.zeros(self.n_orig, dtype=bool)
-        for col, (j, scale, shift) in enumerate(self.back):
-            if not consumed[j]:
-                x[j] = shift
-                consumed[j] = True
-            x[j] += scale * y[col]
+        x = self.shift + self.scale * y[self.start]
+        x[self.free] -= y[self.start[self.free] + 1]
         return x
+
+
+def _pivot(T: np.ndarray, rhs: np.ndarray, i: int, j: int) -> None:
+    """Pivot on T[i, j], updating only the rows with a nonzero factor: every
+    other row would change by exactly zero."""
+    piv = T[i, j]
+    T[i] /= piv
+    rhs[i] /= piv
+    rows = np.flatnonzero(T[:, j])
+    rows = rows[rows != i]
+    factor = T[rows, j]
+    T[rows] -= factor[:, None] * T[i]
+    rhs[rows] -= factor * rhs[i]
 
 
 def solve_lp(lp: LinearProgram) -> Solution:
@@ -172,48 +158,32 @@ def solve_lp(lp: LinearProgram) -> Solution:
     can = _Canonical(lp)
     m, n = can.A.shape
 
-    # Equality form with slack/surplus columns, rhs made nonnegative.
-    A = can.A.copy()
+    # Equality form: a slack (+1) or surplus (-1) column per inequality row,
+    # then rows negated so the rhs is nonnegative.
+    rel = np.array(can.rel, dtype=object)
+    ineq = np.flatnonzero(rel != "==")
+    slack = np.zeros((m, len(ineq)))
+    slack[ineq, np.arange(len(ineq))] = np.where(rel[ineq] == "<=", 1.0, -1.0)
     b = can.b.copy()
-    rel = list(can.rel)
-    slack_cols = []
-    for i, r in enumerate(rel):
-        if r == "<=":
-            col = np.zeros(m)
-            col[i] = 1.0
-            slack_cols.append(col)
-        elif r == ">=":
-            col = np.zeros(m)
-            col[i] = -1.0
-            slack_cols.append(col)
-    A = np.hstack([A] + [c.reshape(-1, 1) for c in slack_cols]) if slack_cols else A
-    n_total = A.shape[1]
-
     neg = b < 0
-    A[neg] *= -1.0
     b[neg] *= -1.0
+    T = np.hstack([can.A, slack])
+    T[neg] *= -1.0
+    n_total = T.shape[1]
 
-    # Initial basis: unit slack columns where available, artificials elsewhere.
+    # Initial basis: slack columns that are +1 after the sign flip, and an
+    # artificial column for every other row.
     basis = np.full(m, -1, dtype=np.int64)
-    slack_at = n
-    for i, r in enumerate(rel):
-        if r in ("<=", ">="):
-            if A[i, slack_at] == 1.0:
-                basis[i] = slack_at
-            slack_at += 1
-    art_cols = []
-    for i in range(m):
-        if basis[i] == -1:
-            col = np.zeros(m)
-            col[i] = 1.0
-            art_cols.append(col)
-            basis[i] = n_total + len(art_cols) - 1
-    n_art = len(art_cols)
+    unit = T[ineq, n + np.arange(len(ineq))] == 1.0
+    basis[ineq[unit]] = n + np.flatnonzero(unit)
+    art_rows = np.flatnonzero(basis < 0)
+    n_art = len(art_rows)
+    basis[art_rows] = n_total + np.arange(n_art)
     if n_art:
-        A = np.hstack([A] + [c.reshape(-1, 1) for c in art_cols])
-
-    T = A.astype(np.float64)
-    rhs = b.astype(np.float64)
+        art = np.zeros((m, n_art))
+        art[art_rows, np.arange(n_art)] = 1.0
+        T = np.hstack([T, art])
+    rhs = b.copy()
     iterations = 0
 
     def run_simplex(cost: np.ndarray, allowed: np.ndarray) -> str:
@@ -231,24 +201,16 @@ def solve_lp(lp: LinearProgram) -> Solution:
             else:
                 enter = int(cand[0])  # Bland: lowest eligible index
             col = T[:, enter]
-            pos = col > _TOL
-            if not pos.any():
+            pos = np.flatnonzero(col > _TOL)
+            if len(pos) == 0:
                 return "unbounded"
-            ratios = np.full(len(rhs), np.inf)
-            ratios[pos] = rhs[pos] / col[pos]
-            best = float(ratios.min())
-            ties = np.where(ratios <= best + 1e-12)[0]
+            ratios = rhs[pos] / col[pos]
+            ties = pos[ratios <= ratios.min() + 1e-12]
             if local_iter <= bland_after:
                 leave = int(ties[0])
             else:
                 leave = int(ties[np.argmin(basis[ties])])
-            piv = T[leave, enter]
-            T[leave] /= piv
-            rhs[leave] /= piv
-            factor = T[:, enter].copy()
-            factor[leave] = 0.0
-            T[:] -= np.outer(factor, T[leave])
-            rhs[:] -= factor * rhs[leave]
+            _pivot(T, rhs, leave, enter)
             r = r - r[enter] * T[leave]
             basis[leave] = enter
             local_iter += 1
@@ -260,30 +222,19 @@ def solve_lp(lp: LinearProgram) -> Solution:
         phase1_cost = np.zeros(T.shape[1])
         phase1_cost[n_total:] = 1.0
         allowed = np.ones(T.shape[1], dtype=bool)
-        status = run_simplex(phase1_cost, allowed)
+        run_simplex(phase1_cost, allowed)  # bounded below by zero
         art_level = float(phase1_cost[basis] @ rhs)
         if art_level > 1e-9 * (1.0 + float(np.abs(b).max(initial=0.0))):
             return Solution(status="infeasible", iterations=iterations)
         # Drive remaining artificials out of the basis or drop their rows.
         keep_rows = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] >= n_total:
-                pivot_col = -1
-                for j in range(n_total):
-                    if abs(T[i, j]) > _TOL:
-                        pivot_col = j
-                        break
-                if pivot_col == -1:
-                    keep_rows[i] = False
-                    continue
-                piv = T[i, pivot_col]
-                T[i] /= piv
-                rhs[i] /= piv
-                factor = T[:, pivot_col].copy()
-                factor[i] = 0.0
-                T[:] -= np.outer(factor, T[i])
-                rhs[:] -= factor * rhs[i]
-                basis[i] = pivot_col
+        for i in np.flatnonzero(basis >= n_total):
+            nonzero = np.flatnonzero(np.abs(T[i, :n_total]) > _TOL)
+            if len(nonzero) == 0:
+                keep_rows[i] = False
+                continue
+            _pivot(T, rhs, i, int(nonzero[0]))
+            basis[i] = nonzero[0]
         if not keep_rows.all():
             T = T[keep_rows]
             rhs = rhs[keep_rows]

@@ -154,12 +154,13 @@ def episode_rows(rec: EpisodeRecord, backend: str, kernel: str, p_S1: float,
 def compare_models(
     model: EpidemicModel,
     pcfg: PlannerConfig,
-    backends: tuple[str, ...] = ("drmdp-enumerate", "nominal", "robust"),
-    p_S1_list: tuple[float, ...] = (0.6, 0.7),
-    p_E1: float = 0.1,
-    kernels: tuple[str, ...] = ("nominal", "perturbed"),
-    pspec: PerturbationSpec = PerturbationSpec(),
-    nseeds: int = 10,
+    *,
+    backends: tuple[str, ...],
+    p_S1_list: tuple[float, ...],
+    p_E1: float,
+    kernels: tuple[str, ...],
+    pspec: PerturbationSpec,
+    nseeds: int,
 ):
     """Backends x initial conditions x kernels, every cell seeded and averaged.
 
@@ -167,7 +168,8 @@ def compare_models(
     compiles (or loaded from a kernel cache) serve them all.  Each backend
     plans with pcfg, its backend replaced.  Returns (episode_rows,
     summary_rows); the initial infective share is the remainder
-    1 - p_S(1) - p_E(1).
+    1 - p_S(1) - p_E(1).  Every argument after pcfg is required, so the
+    run config is their one source of defaults.
     """
     true_kernels = {
         "nominal": build_true_kernel(model, replace(pspec, radius=0.0)),
@@ -226,12 +228,14 @@ def sensitivity_sweep(
     pcfg: PlannerConfig,
     param: str,
     values: tuple[float, ...],
-    nseeds: int = 5,
-    pspec: PerturbationSpec = PerturbationSpec(),
-    scenario: tuple[float, float, float] = (0.7, 0.1, 0.2),
+    *,
+    nseeds: int,
+    pspec: PerturbationSpec,
+    scenario: tuple[float, float, float],
 ):
     """Stage-wise infection shares as one model constant sweeps over values
-    (see sweep_params), each planned with pcfg."""
+    (see sweep_params), each planned with pcfg; like compare_models, it takes
+    its run settings from the run config, with no defaults of its own."""
     rows = []
     for value in values:
         model = EpidemicModel(sweep_params(params, param, value), Y, acfg)

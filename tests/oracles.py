@@ -12,6 +12,9 @@ of a quantity that `epiplan` computes another way.
   closed-form solve (`backup.inner_value_parametric`).
 * `lp_duality_check` — the textbook dual of any LP, solved with the same
   simplex, to check strong duality of `lp.solve_lp`.
+* `dense_solve_lp` — the simplex with a dense rank-1 update of every row on
+  every pivot and a column-at-a-time setup, which `lp.solve_lp` restricts to
+  the rows a pivot changes and builds with array operations.
 * `mccormick_four_row_backup` — the McCormick MIP with all four box-envelope
   rows per product, which `backup.drmdp_backup_mccormick` writes on the
   binding side only.
@@ -31,7 +34,15 @@ import numpy as np
 
 from epiplan.errors import DomainError, SolverError
 from epiplan.grid import Grid, SparseDistribution
-from epiplan.lp import LinearProgram, MixedIntegerProgram, _Canonical, solve_lp, solve_mip
+from epiplan.lp import (
+    _TOL,
+    LinearProgram,
+    MixedIntegerProgram,
+    Solution,
+    _Canonical,
+    solve_lp,
+    solve_mip,
+)
 from epiplan.rules import DecisionRuleCoefficients, design_matrix, mean_bounds
 from epiplan.seir import Action
 
@@ -164,6 +175,217 @@ def lp_duality_check(lp: LinearProgram, tol: float = 1e-6) -> DualityReport:
         gap=float(gap),
         ok=bool(gap <= tol * (1.0 + abs(primal_folded))),
     )
+
+
+class _LoopCanonical:
+    """The column-at-a-time canonical form `dense_solve_lp` solves: the same
+    columns, rows and bookkeeping as `lp._Canonical`."""
+
+    def __init__(self, lp: LinearProgram):
+        n = lp.n_vars
+        sign = 1.0 if lp.sense == "min" else -1.0
+        self.back: list[tuple[int, float, float]] = []  # (orig var, scale, shift)
+        shift = np.zeros(n)
+        extra_rows: list[tuple[int, str, float]] = []   # (canonical col, rel, rhs)
+
+        A_cols: list[np.ndarray] = []
+        c_list: list[float] = []
+        for j in range(n):
+            lo, hi = lp.lb[j], lp.ub[j]
+            col = lp.A[:, j]
+            if np.isfinite(lo):
+                # x = lo + y
+                shift[j] = lo
+                A_cols.append(col)
+                c_list.append(sign * lp.c[j])
+                self.back.append((j, 1.0, lo))
+                if np.isfinite(hi):
+                    extra_rows.append((len(A_cols) - 1, "<=", hi - lo))
+            elif np.isfinite(hi):
+                # x = hi - y
+                shift[j] = hi
+                A_cols.append(-col)
+                c_list.append(-sign * lp.c[j])
+                self.back.append((j, -1.0, hi))
+            else:
+                # free: x = y+ - y-
+                A_cols.append(col)
+                c_list.append(sign * lp.c[j])
+                self.back.append((j, 1.0, 0.0))
+                A_cols.append(-col)
+                c_list.append(-sign * lp.c[j])
+                self.back.append((j, -1.0, 0.0))
+
+        self.n_struct = len(A_cols)
+        A = np.column_stack(A_cols) if A_cols else np.zeros((lp.n_rows, 0))
+        b = lp.b - lp.A @ shift
+        self.offset = float(lp.c @ shift)
+
+        rows = [A]
+        rels = list(lp.rel)
+        rhs = list(b)
+        for unit_idx, rel, val in extra_rows:
+            row = np.zeros(self.n_struct)
+            row[unit_idx] = 1.0
+            rows.append(row.reshape(1, -1))
+            rels.append(rel)
+            rhs.append(val)
+        self.A = np.vstack(rows)
+        self.rel = rels
+        self.b = np.array(rhs)
+        self.c = np.array(c_list)
+        self.sign = sign
+        self.n_orig = n
+
+    def restore(self, y: np.ndarray) -> np.ndarray:
+        x = np.zeros(self.n_orig)
+        consumed = np.zeros(self.n_orig, dtype=bool)
+        for col, (j, scale, shift) in enumerate(self.back):
+            if not consumed[j]:
+                x[j] = shift
+                consumed[j] = True
+            x[j] += scale * y[col]
+        return x
+
+
+def dense_solve_lp(lp: LinearProgram) -> Solution:
+    """Two-phase primal simplex with a rank-1 update of every tableau row on
+    every pivot, and a setup built one column at a time; the pivot rule is
+    `lp.solve_lp`'s, so both pivot alike and agree bit for bit."""
+    can = _LoopCanonical(lp)
+    m, n = can.A.shape
+
+    # Equality form with slack/surplus columns, rhs made nonnegative.
+    A = can.A.copy()
+    b = can.b.copy()
+    rel = list(can.rel)
+    slack_cols = []
+    for i, r in enumerate(rel):
+        if r == "<=":
+            col = np.zeros(m)
+            col[i] = 1.0
+            slack_cols.append(col)
+        elif r == ">=":
+            col = np.zeros(m)
+            col[i] = -1.0
+            slack_cols.append(col)
+    A = np.hstack([A] + [c.reshape(-1, 1) for c in slack_cols]) if slack_cols else A
+    n_total = A.shape[1]
+
+    neg = b < 0
+    A[neg] *= -1.0
+    b[neg] *= -1.0
+
+    # Initial basis: unit slack columns where available, artificials elsewhere.
+    basis = np.full(m, -1, dtype=np.int64)
+    slack_at = n
+    for i, r in enumerate(rel):
+        if r in ("<=", ">="):
+            if A[i, slack_at] == 1.0:
+                basis[i] = slack_at
+            slack_at += 1
+    art_cols = []
+    for i in range(m):
+        if basis[i] == -1:
+            col = np.zeros(m)
+            col[i] = 1.0
+            art_cols.append(col)
+            basis[i] = n_total + len(art_cols) - 1
+    n_art = len(art_cols)
+    if n_art:
+        A = np.hstack([A] + [c.reshape(-1, 1) for c in art_cols])
+
+    T = A.astype(np.float64)
+    rhs = b.astype(np.float64)
+    iterations = 0
+
+    def run_simplex(cost: np.ndarray, allowed: np.ndarray) -> str:
+        nonlocal iterations
+        r = cost - cost[basis] @ T
+        bland_after = 10 * (m + T.shape[1])
+        hard_cap = 200 * (m + T.shape[1]) + 10_000
+        local_iter = 0
+        while True:
+            cand = np.where(allowed & (r < -_TOL))[0]
+            if len(cand) == 0:
+                return "optimal"
+            if local_iter <= bland_after:
+                enter = int(cand[np.argmin(r[cand])])
+            else:
+                enter = int(cand[0])  # Bland: lowest eligible index
+            col = T[:, enter]
+            pos = col > _TOL
+            if not pos.any():
+                return "unbounded"
+            ratios = np.full(len(rhs), np.inf)
+            ratios[pos] = rhs[pos] / col[pos]
+            best = float(ratios.min())
+            ties = np.where(ratios <= best + 1e-12)[0]
+            if local_iter <= bland_after:
+                leave = int(ties[0])
+            else:
+                leave = int(ties[np.argmin(basis[ties])])
+            piv = T[leave, enter]
+            T[leave] /= piv
+            rhs[leave] /= piv
+            factor = T[:, enter].copy()
+            factor[leave] = 0.0
+            T[:] -= np.outer(factor, T[leave])
+            rhs[:] -= factor * rhs[leave]
+            r = r - r[enter] * T[leave]
+            basis[leave] = enter
+            local_iter += 1
+            iterations += 1
+            if local_iter > hard_cap:
+                raise SolverError("simplex iteration cap exceeded")
+
+    if n_art:
+        phase1_cost = np.zeros(T.shape[1])
+        phase1_cost[n_total:] = 1.0
+        allowed = np.ones(T.shape[1], dtype=bool)
+        status = run_simplex(phase1_cost, allowed)
+        art_level = float(phase1_cost[basis] @ rhs)
+        if art_level > 1e-9 * (1.0 + float(np.abs(b).max(initial=0.0))):
+            return Solution(status="infeasible", iterations=iterations)
+        # Drive remaining artificials out of the basis or drop their rows.
+        keep_rows = np.ones(m, dtype=bool)
+        for i in range(m):
+            if basis[i] >= n_total:
+                pivot_col = -1
+                for j in range(n_total):
+                    if abs(T[i, j]) > _TOL:
+                        pivot_col = j
+                        break
+                if pivot_col == -1:
+                    keep_rows[i] = False
+                    continue
+                piv = T[i, pivot_col]
+                T[i] /= piv
+                rhs[i] /= piv
+                factor = T[:, pivot_col].copy()
+                factor[i] = 0.0
+                T[:] -= np.outer(factor, T[i])
+                rhs[:] -= factor * rhs[i]
+                basis[i] = pivot_col
+        if not keep_rows.all():
+            T = T[keep_rows]
+            rhs = rhs[keep_rows]
+            basis = basis[keep_rows]
+            m = len(rhs)
+
+    cost2 = np.zeros(T.shape[1])
+    cost2[: len(can.c)] = can.c
+    allowed = np.ones(T.shape[1], dtype=bool)
+    allowed[n_total:] = False
+    status = run_simplex(cost2, allowed)
+    if status == "unbounded":
+        return Solution(status="unbounded", iterations=iterations)
+
+    y = np.zeros(T.shape[1])
+    y[basis] = rhs
+    x = can.restore(y[: can.n_struct])
+    obj = float(lp.c @ x)
+    return Solution(status="optimal", objective=obj, x=x, iterations=iterations)
 
 
 def _mccormick_rows(n_vars, zi, ai, wi, a_hi, w_hi):

@@ -15,7 +15,7 @@ from epiplan.backup import (
     worst_case_shift,
 )
 from epiplan.grid import GridSpec, SparseDistribution, build_grid, discretize_kernel
-from epiplan.lp import solve_lp
+from epiplan.lp import LinearProgram, _Canonical, solve_lp
 from epiplan.model import EpidemicModel
 from epiplan.rules import (
     AmbiguityConfig,
@@ -550,7 +550,56 @@ def test_mips_write_the_inner_lp_block(monkeypatch):
         assert not lp.A[:2 * m, n:].any()
         np.testing.assert_array_equal(lp.b[:2 * m], inner.b)
         assert lp.rel[:2 * m] == inner.rel
-    assert (inner.lb[0], inner.ub[0]) == (-np.inf, np.inf)
+    assert (inner.lb[0], inner.ub[0]) == (lam * v[coeffs.support].min() - k, np.inf)
+
+
+def test_q_bound_keeps_the_optimum_and_the_slack_basis(monkeypatch):
+    """q >= min(v) - k cuts off no optimum of the inner LP or the McCormick
+    MIP, and leaves both with nonnegative canonical right sides, so neither
+    needs an artificial column."""
+    programs = []
+    solve_mip = backup.solve_mip
+
+    def recording_solve_mip(mip):
+        programs.append(mip)
+        return solve_mip(mip)
+
+    def q_free(lp):
+        lb = lp.lb.copy()
+        lb[0] = -np.inf
+        return LinearProgram(lp.sense, lp.c, lp.A, lp.rel, lp.b, lb=lb, ub=lp.ub)
+
+    monkeypatch.setattr(backup, "solve_mip", recording_solve_mip)
+    model = EpidemicModel(EpidemicParams(N=60, L=2, M=2), 4, AmbiguityConfig())
+    rng = np.random.default_rng(8)
+    states = model.grid.in_S_indices()
+    cases = 0
+    for trial in range(24):
+        coeffs = model.rules(int(states[trial % len(states)]))
+        if trial % 6 == 0:  # one successor
+            coeffs = replace(coeffs, support=coeffs.support[:1],
+                             mean=coeffs.mean[:, :1])
+        v = -rng.random(model.grid.n_corners) * 1e3
+        if trial % 4 == 1:  # tied successor values
+            v[coeffs.support] = v[coeffs.support[0]]
+        k = (0.0, 1e6, model.acfg.k)[trial % 3]
+        vs = model.lam * v[coeffs.support]
+        programs.clear()
+        drmdp_backup_mccormick(coeffs, v, model.lam, k, L=2, M=2)
+        (mip,) = programs
+        inner = inner_dual_program(coeffs.mean[0] - coeffs.delta,
+                                   coeffs.mean[0] + coeffs.delta, vs, k)
+        for lp, solve in ((inner, solve_lp),
+                          (mip.lp, lambda p: solve_mip(replace(mip, lp=p)))):
+            assert lp.lb[0] == vs.min() - k, trial
+            can = _Canonical(lp)
+            assert set(can.rel) == {"<="} and (can.b >= 0.0).all(), trial
+            bounded, free = solve(lp), solve(q_free(lp))
+            assert bounded.status == free.status == "optimal", trial
+            tol = 1e-9 * (1.0 + abs(free.objective))
+            assert abs(bounded.objective - free.objective) <= tol, trial
+            cases += 1
+    assert cases == 48
 
 
 @dataclass

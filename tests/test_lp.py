@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from epiplan import DomainError
+from epiplan import DomainError, EpidemicParams, backup
 from epiplan import lp as lp_module
 from epiplan.lp import (
     LinearProgram,
@@ -12,7 +12,9 @@ from epiplan.lp import (
     solve_lp,
     solve_mip,
 )
-from oracles import lp_duality_check
+from epiplan.model import EpidemicModel
+from epiplan.rules import AmbiguityConfig
+from oracles import dense_solve_lp, lp_duality_check
 
 
 def vertex_enumeration_max(c, A, b):
@@ -47,6 +49,101 @@ def random_mip(rng):
                          np.full(n_cont, 3.0)])
     lp = LinearProgram("max", c, A, ["<="] * m, b, lb=np.zeros(n), ub=ub)
     return MixedIntegerProgram(lp, np.array([True] * n_int + [False] * n_cont))
+
+
+def random_mixed_lp(rng):
+    """An LP with every kind of bound: [lo, inf), free, (-inf, hi] and
+    [lo, hi] variables, <=, >= and == rows, rhs of both signs and a sparse
+    integer A.  Half of them have rows through an integer point, some tight
+    and one == row repeated at twice the scale, so phase 1 ends degenerate
+    with artificials left in the basis; the rest have a random rhs, and some
+    of those are infeasible and some unbounded."""
+    n = int(rng.integers(1, 7))
+    m = int(rng.integers(0, 6))
+    kind = rng.integers(0, 4, n)
+    lo = rng.integers(-2, 3, n).astype(float)
+    hi = np.where(kind == 3, lo + rng.integers(0, 4, n), rng.integers(-2, 3, n))
+    lo[(kind == 1) | (kind == 2)] = -np.inf
+    hi[kind < 2] = np.inf
+    A = rng.integers(-3, 4, (m, n)).astype(float)
+    A[rng.random((m, n)) < 0.3] = 0.0
+    rel = [str(r) for r in rng.choice(["<=", ">=", "=="], m)]
+    if m and rng.random() < 0.5:
+        x0 = np.clip(rng.integers(-2, 3, n), lo, hi)
+        gap = rng.integers(0, 2, m) * np.array([{"<=": 1, ">=": -1, "==": 0}[r]
+                                                 for r in rel])
+        A = np.vstack([A, 2.0 * A[:1]])
+        rel.append("==")
+        b = A @ x0 + np.append(gap, 0.0)
+    else:
+        b = rng.normal(size=m) * 2.0
+    sense = "max" if rng.random() < 0.5 else "min"
+    return LinearProgram(sense, rng.normal(size=n), A, rel, b, lb=lo, ub=hi)
+
+
+def assert_same_solution(got, want, label):
+    assert got.status == want.status, label
+    assert got.iterations == want.iterations, label
+    assert got.nodes == want.nodes, label
+    assert got.objective == want.objective, label
+    if want.x is None:
+        assert got.x is None, label
+    else:
+        np.testing.assert_array_equal(got.x, want.x, err_msg=str(label))
+
+
+class TestDenseOracle:
+    """solve_lp against the dense simplex it replaced: every pivot, and so
+    every status, point, objective and pivot count, is the same."""
+
+    def test_mixed_bounds_and_relations(self):
+        rng = np.random.default_rng(71)
+        statuses = set()
+        for trial in range(400):
+            lp = random_mixed_lp(rng)
+            want = dense_solve_lp(lp)
+            assert_same_solution(solve_lp(lp), want, trial)
+            statuses.add(want.status)
+        assert statuses == {"optimal", "infeasible", "unbounded"}
+
+    def test_branch_and_bound_nodes(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        for trial in range(25):
+            mip = random_mip(rng)
+            with monkeypatch.context() as patched:
+                patched.setattr(lp_module, "solve_lp", dense_solve_lp)
+                want = solve_mip(mip)
+            assert_same_solution(solve_mip(mip), want, trial)
+
+    def test_backup_programs(self, monkeypatch):
+        # The programs the backups write: the inner LP and both action MIPs
+        # of fitted rules.
+        mips = []
+        real_solve_mip = backup.solve_mip
+
+        def recording_solve_mip(mip):
+            mips.append(mip)
+            return real_solve_mip(mip)
+
+        monkeypatch.setattr(backup, "solve_mip", recording_solve_mip)
+        model = EpidemicModel(EpidemicParams(N=60, L=2, M=2), 4, AmbiguityConfig())
+        rng = np.random.default_rng(5)
+        lam, k = model.lam, model.acfg.k
+        for idx in model.grid.in_S_indices()[::3]:
+            coeffs = model.rules(int(idx))
+            v = -rng.random(model.grid.n_corners) * 1e3
+            backup.drmdp_backup_mccormick(coeffs, v, lam, k, L=2, M=2)
+            backup.drmdp_backup_unary(coeffs, v, lam, k, L=2, M=2)
+            inner = backup.inner_dual_program(coeffs.mean[0] - coeffs.delta,
+                                              coeffs.mean[0] + coeffs.delta,
+                                              lam * v[coeffs.support], k)
+            assert_same_solution(solve_lp(inner), dense_solve_lp(inner), idx)
+        assert len(mips) > 10
+        for trial, mip in enumerate(mips):
+            with monkeypatch.context() as patched:
+                patched.setattr(lp_module, "solve_lp", dense_solve_lp)
+                want = real_solve_mip(mip)
+            assert_same_solution(real_solve_mip(mip), want, trial)
 
 
 class TestSolveLp:
@@ -119,6 +216,7 @@ class TestSolveLp:
             c = rng.normal(size=n)
             lp = LinearProgram("max", c, A, ["<="] * m, b)
             sol = solve_lp(lp)
+            assert_same_solution(sol, dense_solve_lp(lp), solved)
             oracle = vertex_enumeration_max(c, A, b)
             if sol.status == "optimal":
                 assert oracle is not None

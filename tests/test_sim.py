@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -162,7 +164,7 @@ class TestCompare:
         acfg = AmbiguityConfig(0.05, 1000.0)
         kwargs = dict(backends=("nominal", "drmdp-enumerate"),
                       p_S1_list=(0.5,), p_E1=0.5, kernels=("nominal", "perturbed"),
-                      nseeds=3)
+                      pspec=PerturbationSpec(), nseeds=3)
         pcfg = PlannerConfig(niter=8)
         eps1, sum1 = compare_models(EpidemicModel(params, 2, acfg), pcfg, **kwargs)
         eps2, sum2 = compare_models(EpidemicModel(params, 2, acfg), pcfg, **kwargs)
@@ -182,7 +184,17 @@ class TestCompare:
         with pytest.raises(DomainError):
             compare_models(EpidemicModel(params, 2, AmbiguityConfig(0.05, 1000.0)),
                            PlannerConfig(niter=1), backends=("nominal",),
-                           p_S1_list=(0.61,), p_E1=0.1, nseeds=1)
+                           p_S1_list=(0.61,), p_E1=0.1, kernels=("nominal",),
+                           pspec=PerturbationSpec(), nseeds=1)
+
+    def test_run_settings_are_required_keywords(self):
+        # The run config is the one source of these settings: neither entry
+        # point carries defaults that could drift from it.
+        for fn, first in ((compare_models, "backends"), (sensitivity_sweep, "nseeds")):
+            params = list(inspect.signature(fn).parameters.values())
+            run = params[[p.name for p in params].index(first):]
+            assert all(p.kind is p.KEYWORD_ONLY for p in run), fn.__name__
+            assert all(p.default is p.empty for p in params), fn.__name__
 
 
 def decision_stages(T: int) -> int:
@@ -194,7 +206,8 @@ class TestSensitivity:
         params = EpidemicParams(N=10, T=3, L=1, M=1)
         with pytest.raises(DomainError):
             sensitivity_sweep(params, 2, AmbiguityConfig(0.05, 1000.0),
-                              PlannerConfig(), "sigma", (1.0,), nseeds=1)
+                              PlannerConfig(), "sigma", (1.0,), nseeds=1,
+                              pspec=PerturbationSpec(), scenario=(0.7, 0.1, 0.2))
 
     def test_rows_and_aggregate(self):
         params = EpidemicParams(N=10, mu=10.0, beta=0.025, alpha0=0.9, l_C=0.5,
@@ -202,12 +215,14 @@ class TestSensitivity:
                                 lam=0.95, T=3)
         acfg = AmbiguityConfig(0.05, 1000.0)
         rows = sensitivity_sweep(params, 5, acfg, PlannerConfig(niter=5), "W",
-                                 (0.5, 5.0), nseeds=2, scenario=(0.6, 0.2, 0.2))
+                                 (0.5, 5.0), nseeds=2, pspec=PerturbationSpec(),
+                                 scenario=(0.6, 0.2, 0.2))
         assert {r["value"] for r in rows} == {0.5, 5.0}
         agg = aggregate_infectives(rows, "W", 0.5)
         assert agg >= 0.0
         # mu_beta sweep runs through the product path
         rows2 = sensitivity_sweep(params, 5, acfg, PlannerConfig(niter=3),
                                   "mu_beta", (0.25,), nseeds=1,
+                                  pspec=PerturbationSpec(),
                                   scenario=(0.6, 0.2, 0.2))
         assert rows2

@@ -251,31 +251,31 @@ def drmdp_backup_mccormick(
     iz = np.full(z_cost.shape, -1)
     iz[used] = 2 * m + 3 + np.arange(int(used.sum()))
     n = 2 * m + 3 + int(used.sum())
-    n_rows = 2 * m + 2 * int((z_cost > 0.0).sum()) + int((z_cost < 0.0).sum())
+    # Envelope rows follow the block in (action, successor, product) order:
+    # two for a positive cost, one for a negative one.
+    i, j, s = np.nonzero(used.transpose(1, 2, 0))
+    z, up = iz[s, i, j], z_cost[s, i, j] > 0.0
+    imult, h, col_a = 1 + s * m + j, np.array(a_hi)[i], np.array(ia)[i]
+    n_env = np.where(up, 2, 1)
+    r = 2 * m + np.cumsum(n_env) - n_env
+    n_rows = 2 * m + int(n_env.sum())
 
     c, A, b, lb, ub = _multiplier_block(mean[0] - coeffs.delta, mean[0] + coeffs.delta,
                                         v, k, n, n_rows)
     c[list(ia)] = coeffs.eps[1:]
     c[iz[used]] = z_cost[used]
-    r = 2 * m
-    for i in range(2):
-        for j in range(m):
-            for s, imult in ((0, 1 + j), (1, 1 + m + j)):
-                z = iz[s, i, j]
-                if z < 0:
-                    continue
-                if z_cost[s, i, j] > 0.0:  # pushed up: z <= a_hi*w, z <= k*a
-                    A[r, z] = 1.0
-                    A[r, imult] = -a_hi[i]
-                    A[r + 1, z] = 1.0
-                    A[r + 1, ia[i]] = -k
-                    r += 2
-                else:  # pushed down: z >= a_hi*w + k*a - a_hi*k
-                    A[r, imult] = a_hi[i]
-                    A[r, ia[i]] = k
-                    A[r, z] = -1.0
-                    b[r] = a_hi[i] * k
-                    r += 1
+    # Pushed up: z <= a_hi*w and z <= k*a.
+    ru = r[up]
+    A[ru, z[up]] = 1.0
+    A[ru, imult[up]] = -h[up]
+    A[ru + 1, z[up]] = 1.0
+    A[ru + 1, col_a[up]] = -k
+    # Pushed down: z >= a_hi*w + k*a - a_hi*k.
+    rd, dn = r[~up], ~up
+    A[rd, imult[dn]] = h[dn]
+    A[rd, col_a[dn]] = k
+    A[rd, z[dn]] = -1.0
+    b[rd] = h[dn] * k
     ub[list(ia)] = a_hi
     integer = np.zeros(n, dtype=bool)
     integer[list(ia)] = True

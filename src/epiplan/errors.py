@@ -9,6 +9,15 @@ class DomainError(EpiplanError):
     """An argument is outside the operation's documented domain."""
 
 
+class RowError(DomainError):
+    """A row of a block of distributions is not one; row is its position."""
+
+    def __init__(self, row: int, reason: str):
+        super().__init__(f"row {row}: {reason}")
+        self.row = row
+        self.reason = reason
+
+
 class UnderdeterminedError(EpiplanError):
     """A regression has too few distinct design points to identify its coefficients."""
 

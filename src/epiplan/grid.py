@@ -12,7 +12,8 @@ only reweights the exposure count, so the atoms of every exposure count are
 pushed once and each action's row is a weighted sum of those pushes.  The
 weights are affine inside each simplex, so the atoms that share one, which
 differ only in their recovery count, are pushed together as their total mass
-at their mean point.
+at their mean point.  A state's rows come out as one block of flat arrays,
+renormalized and checked at once (``SparseDistribution.block``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, RowError
 from .seir import (
     ENTRY_TOL,
     JOINT_TOL,
@@ -68,7 +69,10 @@ class GridSpec:
 
 
 class SparseDistribution:
-    """Probability mass over corner indices; indices unique and ascending."""
+    """Probability mass over corner indices; indices unique and ascending.
+
+    The constructor checks one row; ``block`` checks many rows at once.
+    """
 
     __slots__ = ("indices", "probs")
 
@@ -85,13 +89,70 @@ class SparseDistribution:
             raise DomainError("negative probability entry")
         total = probs.sum()
         if normalize:
-            if total <= 0:
+            if not total > 0:  # NaN fails too
                 raise DomainError("cannot normalize empty distribution")
             probs = probs / total
         elif not abs(total - 1.0) <= 1e-9:  # NaN fails too
             raise DomainError(f"probabilities sum to {total}, not 1")
         self.indices = indices
         self.probs = probs
+
+    @classmethod
+    def block(cls, indices: np.ndarray, probs: np.ndarray, offsets: np.ndarray,
+              normalize: bool = False) -> list[SparseDistribution]:
+        """The rows held at [offsets[r], offsets[r+1]) of flat indices and probs.
+
+        The whole block is checked at once for what the constructor checks
+        of one row, except that each row's indices must already ascend
+        strictly.  A row that fails raises RowError naming the first such
+        row and the constructor's reason.  The rows are views of one
+        read-only buffer.
+        """
+        indices = np.array(indices, dtype=np.int64)
+        probs = np.array(probs, dtype=np.float64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        lengths = np.diff(offsets)
+        if (indices.shape != probs.shape or indices.ndim != 1 or offsets.ndim != 1
+                or len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != len(indices)
+                or np.any(lengths < 0)):
+            raise DomainError("indices and probs must be matching 1-d arrays "
+                              "split by offsets rising from 0 to their length")
+        n_rows = len(lengths)
+        row_of = np.repeat(np.arange(n_rows), lengths)
+        unordered = np.zeros(n_rows, dtype=bool)
+        unordered[row_of[1:][(np.diff(indices) <= 0) & (row_of[1:] == row_of[:-1])]] = True
+        # reduceat over the starts of the non-empty rows: each segment then
+        # runs to the next non-empty row, so it is exactly its own row.
+        lowest, total = np.full(n_rows, np.inf), np.zeros(n_rows)
+        filled = lengths > 0
+        if filled.any():
+            lowest[filled] = np.minimum.reduceat(probs, offsets[:-1][filled])
+            total[filled] = np.add.reduceat(probs, offsets[:-1][filled])
+        negative = lowest < -1e-15
+        # Written as "not within" so that NaN fails too.
+        off = ~(total > 0) if normalize else ~(np.abs(total - 1.0) <= 1e-9)
+        bad = unordered | negative | off
+        if bad.any():
+            r = int(np.argmax(bad))
+            if unordered[r]:
+                reason = "successor indices not strictly ascending"
+            elif negative[r]:
+                reason = "negative probability entry"
+            elif normalize:
+                reason = "cannot normalize empty distribution"
+            else:
+                reason = f"probabilities sum to {total[r]}, not 1"
+            raise RowError(r, reason)
+        if normalize:
+            probs /= np.repeat(total, lengths)
+        indices.flags.writeable = False
+        probs.flags.writeable = False
+        rows = []
+        for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
+            row = cls.__new__(cls)
+            row.indices, row.probs = indices[lo:hi], probs[lo:hi]
+            rows.append(row)
+        return rows
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -215,8 +276,9 @@ def discretize_kernel(
     continuous), and each mean is clamped into its segment, where prefix
     differences of tiny masses could move it.
 
-    Corner masses below ENTRY_TOL are dropped and each row is renormalized.
-    Invalid corners (fractions summing past 1) self-loop with probability one.
+    Corner masses below ENTRY_TOL are dropped, and the state's rows are
+    renormalized and checked as one block.  Invalid corners (fractions
+    summing past 1) self-loop with probability one.
     """
     n_rows = (params.L + 1) * (params.M + 1)
     if not grid.in_S[corner_index]:
@@ -247,7 +309,8 @@ def discretize_kernel(
 
     # The exposure probability of each y_R; it does not depend on y_V.
     phis = [exposure_prob(params, state, Action(0, y_R)) for y_R in range(params.M + 1)]
-    rows: list[SparseDistribution] = []
+    # The kept entries of every row, in action order, for one block.
+    indices, masses, lengths = [], [], []
     for y_V in range(params.L + 1):
         trials = vaccination_trials(params, n_S, y_V)
         marginals = [binomial_row(trials, phi) for phi in phis]
@@ -286,19 +349,22 @@ def discretize_kernel(
         K = np.bincount((idx - first + (b * width)[:, None]).ravel(),
                         weights=(wts * seg_mass[:, None]).ravel(),
                         minlength=len(kB) * width).reshape(len(kB), width)
-        for row_mass in pB @ K:
-            support = np.nonzero(row_mass >= ENTRY_TOL)[0]
-            rows.append(SparseDistribution(first + support, row_mass[support],
-                                           normalize=True))
-    return rows
+        row_mass = pB @ K
+        keep = row_mass >= ENTRY_TOL
+        indices.append(first + np.nonzero(keep)[1])
+        masses.append(row_mass[keep])
+        lengths.append(keep.sum(axis=1))
+    offsets = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
+    return SparseDistribution.block(np.concatenate(indices), np.concatenate(masses),
+                                    offsets, normalize=True)
 
 
 def cache_key(params: EpidemicParams, Y: int, delta: float) -> str:
     """Content hash identifying a compiled kernel/rule cache.
 
-    The payload names the push and pmf schemes, so that rows written by an
-    earlier push or binomial law, which differ from a fresh compile in their
-    last bits, miss.
+    The payload names the push, row-normalization and pmf schemes, so that
+    rows written by an earlier push, normalization or binomial law, which
+    differ from a fresh compile in their last bits, miss.
     """
     payload = "|".join(
         f"{k}={getattr(params, k)!r}"
@@ -307,5 +373,5 @@ def cache_key(params: EpidemicParams, Y: int, delta: float) -> str:
     )
     payload += f"|Y={Y}|delta={delta!r}"
     payload += f"|tols={MARGINAL_TOL!r},{JOINT_TOL!r},{ENTRY_TOL!r}"
-    payload += "|push=segment-moments|pmf=mode-ratio"
+    payload += "|push=segment-moments|norm=block|pmf=mode-ratio"
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

@@ -4,6 +4,11 @@ Compilation is per state and on demand, since trajectory-driven planners only
 touch a sliver of the grid.  Everything compiled is cached in memory; the
 kernel rows can be persisted to a NumPy record array keyed by a content hash
 of the configuration, and the rules are refit when it is loaded.
+
+A state's kernel rows are one block, checked once as a whole, whether the
+push built it or the cache file held it; hydrating the state from it takes
+array operations only: the rewards are one expression over the design
+matrix, whose rank the model checks once, when it is built.
 """
 
 from __future__ import annotations
@@ -14,10 +19,11 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .backup import worst_case_shift
-from .errors import CacheError, DomainError
+from .errors import CacheError, DomainError, RowError
 from .grid import Grid, GridSpec, SparseDistribution, build_grid, cache_key, discretize_kernel
-from .rules import AmbiguityConfig, DecisionRuleCoefficients, design_matrix, fit_affine, fit_rules, mean_bounds
-from .seir import Action, EpidemicParams, nominal_reward
+from .rules import (AmbiguityConfig, DecisionRuleCoefficients, fit_affine, fit_rules,
+                    mean_bounds, rule_design)
+from .seir import Action, EpidemicParams, stage_rewards
 
 
 # One record per stored kernel entry; action indexes model.actions.  A cache
@@ -34,7 +40,7 @@ class EpidemicModel:
         self.grid: Grid = build_grid(GridSpec(Y))
         self.acfg = acfg
         self.actions: list[Action] = params.actions()
-        self.design = design_matrix(self.actions)  # (n_actions, 3) rows (1, y_V, y_R)
+        self.design = rule_design(self.actions)  # (n_actions, 3) rows (1, y_V, y_R)
         self._rows: dict[int, list[SparseDistribution]] = {}
         self._rewards: dict[int, np.ndarray] = {}
         self._rules: dict[int, DecisionRuleCoefficients] = {}
@@ -63,14 +69,14 @@ class EpidemicModel:
         """Hydrate one state from its kernel rows: rewards and fitted rules."""
         self._rows[idx] = rows
         self._rewards[idx] = self._reward_vector(idx)
-        self._rules[idx] = fit_rules(self.actions, rows,
-                                     list(self._rewards[idx]), self.acfg)
+        self._rules[idx] = fit_rules(self.design, rows, self._rewards[idx], self.acfg)
 
     def _reward_vector(self, idx: int) -> np.ndarray:
+        """nominal_reward of every action, from the design's level columns."""
         if not self.grid.in_S[idx]:
             return np.zeros(len(self.actions))
-        state = self.grid.state_of(idx)
-        return np.array([nominal_reward(self.params, state, a) for a in self.actions])
+        X = self.design
+        return stage_rewards(self.params, self.grid.state_of(idx), X[:, 1], X[:, 2])
 
     def rows(self, idx: int) -> list[SparseDistribution]:
         self.compile_state(idx)
@@ -183,6 +189,8 @@ class EpidemicModel:
         _RECORD (nothing in it is unpickled), or an index is off its range,
         the records are out of order, a state misses an action, or a row is
         not a distribution (a negative entry, or a sum off one by > 1e-9).
+        The rows are checked as one block, and each state is handed its
+        slice of it.
         """
         kpath = self._cache_path(directory)
         if not os.path.exists(kpath):
@@ -209,17 +217,14 @@ class EpidemicModel:
         states = np.unique(row_id // n_a)
         if not np.array_equal(ids, (states[:, None] * n_a + np.arange(n_a)).ravel()):
             raise CacheError(f"{kpath}: a state does not list every action")
-        bounds, prob = np.append(starts, len(rec)).tolist(), rec["prob"]
+        try:
+            rows = SparseDistribution.block(succ, rec["prob"], np.append(starts, len(rec)))
+        except RowError as exc:
+            a = self.actions[exc.row % n_a]
+            raise CacheError(f"{kpath}: row of state {states[exc.row // n_a]}, action "
+                             f"({a.y_V}, {a.y_R}): {exc.reason}") from None
         for b, idx in enumerate(states.tolist()):
-            rows = []
-            for ai, a in enumerate(self.actions):
-                lo, hi = bounds[b * n_a + ai], bounds[b * n_a + ai + 1]
-                try:
-                    rows.append(SparseDistribution(succ[lo:hi], prob[lo:hi]))
-                except DomainError as exc:
-                    raise CacheError(f"{kpath}: row of state {idx}, action "
-                                     f"({a.y_V}, {a.y_R}): {exc}") from None
-            self._store(idx, rows)
+            self._store(idx, rows[b * n_a:(b + 1) * n_a])
         return True
 
 

@@ -65,6 +65,17 @@ def design_matrix(actions: list[Action]) -> np.ndarray:
     return np.array([[1.0, a.y_V, a.y_R] for a in actions])
 
 
+def rule_design(actions: list[Action]) -> np.ndarray:
+    """The design_matrix of actions that fit_rules fits over, checked to
+    identify an affine rule: at least 3 distinct, non-collinear actions."""
+    X = design_matrix(actions)
+    if len({(a.y_V, a.y_R) for a in actions}) < 3 or np.linalg.matrix_rank(X) < 3:
+        raise UnderdeterminedError(
+            "need at least 3 distinct, non-collinear actions to fit rules"
+        )
+    return X
+
+
 def fit_affine(X: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Coefficients (3, ...) of the least-squares affine rule for targets,
     whose first axis runs over the actions whose design_matrix is X."""
@@ -73,27 +84,22 @@ def fit_affine(X: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 def fit_rules(
-    actions: list[Action],
+    X: np.ndarray,
     kernels: list[SparseDistribution],
-    rewards: list[float],
+    rewards: np.ndarray,
     cfg: AmbiguityConfig,
 ) -> DecisionRuleCoefficients:
     """Fit the mean and reward rules for one state from its per-action rows.
 
-    kernels and rewards are aligned with actions.  Rows are zero-padded onto
-    the union support.
+    X is the rule_design of the actions, checked once by its caller; kernels
+    and rewards are aligned with its rows.  Rows are zero-padded onto the
+    union support.
     """
-    if len(kernels) != len(actions) or len(rewards) != len(actions):
+    if len(kernels) != len(X) or len(rewards) != len(X):
         raise DomainError("kernels and rewards must align with actions")
-    X = design_matrix(actions)
-    if len({(a.y_V, a.y_R) for a in actions}) < 3 or np.linalg.matrix_rank(X) < 3:
-        raise UnderdeterminedError(
-            "need at least 3 distinct, non-collinear actions to fit rules"
-        )
-
     succ = np.concatenate([row.indices for row in kernels])
     support = np.unique(succ)
-    P = np.zeros((len(actions), len(support)))
+    P = np.zeros((len(X), len(support)))
     P[np.repeat(np.arange(len(kernels)), [len(row) for row in kernels]),
       np.searchsorted(support, succ)] = np.concatenate([row.probs for row in kernels])
 

@@ -232,8 +232,14 @@ def nominal_reward(
 ) -> float:
     """Stage reward: minus vaccination, intervention, and expected infection costs."""
     _check_action(params, action)
+    return stage_rewards(params, state, action.y_V, action.y_R)
+
+
+def stage_rewards(params: EpidemicParams, state: ContinuousState, y_V, y_R):
+    """nominal_reward at levels y_V and y_R, given as numbers or as arrays
+    of levels in range; each entry takes the same operations either way."""
     n_S, n_E, n_I = state.counts(params.N)
-    c_V = params.Q * (action.y_V / params.L) * n_S
-    c_R = params.k_R * action.y_R
+    c_V = params.Q * (y_V / params.L) * n_S
+    c_R = params.k_R * y_R
     c_I = params.W * (n_I + n_E * params.rho_C - n_I * params.rho_D)
     return -(c_V + c_R + c_I)

@@ -18,6 +18,9 @@ of a quantity that `epiplan` computes another way.
 * `mccormick_four_row_backup` — the McCormick MIP with all four box-envelope
   rows per product, which `backup.drmdp_backup_mccormick` writes on the
   binding side only.
+* `mccormick_binding_program_loop` — that binding-side program with its
+  envelope rows written in a loop, which `backup.drmdp_backup_mccormick`
+  writes with array indexing.
 * `worst_case_shift_loop`, `random_shift_loop` — donor-by-donor loops that
   move perturbation mass one entry at a time, capping each step at the
   receiver's room, which `backup.worst_case_shift` and `sim.random_shift`
@@ -32,6 +35,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
+from epiplan.backup import _multiplier_block
 from epiplan.errors import DomainError, SolverError
 from epiplan.grid import Grid, SparseDistribution
 from epiplan.lp import (
@@ -466,6 +470,55 @@ def mccormick_four_row_backup(
         raise SolverError(f"envelope MIP unexpectedly {sol.status}")
     action = Action(int(round(sol.x[ia[0]])), int(round(sol.x[ia[1]])))
     return float(sol.objective + coeffs.eps[0]), action
+
+
+def mccormick_binding_program_loop(
+    coeffs: DecisionRuleCoefficients,
+    v_next: np.ndarray,
+    lam: float,
+    k: float,
+    L: int,
+    M: int,
+) -> LinearProgram:
+    """The LP relaxation of backup.drmdp_backup_mccormick's MIP, its envelope
+    rows written one (action, successor, product) at a time."""
+    v = lam * v_next[coeffs.support]
+    m = len(v)
+    mean = coeffs.mean
+    ia = (2 * m + 1, 2 * m + 2)
+    a_hi = (float(L), float(M))
+    z_cost = np.stack([-mean[1:], mean[1:]])
+    used = z_cost != 0.0
+    iz = np.full(z_cost.shape, -1)
+    iz[used] = 2 * m + 3 + np.arange(int(used.sum()))
+    n = 2 * m + 3 + int(used.sum())
+    n_rows = 2 * m + 2 * int((z_cost > 0.0).sum()) + int((z_cost < 0.0).sum())
+
+    c, A, b, lb, ub = _multiplier_block(mean[0] - coeffs.delta, mean[0] + coeffs.delta,
+                                        v, k, n, n_rows)
+    c[list(ia)] = coeffs.eps[1:]
+    c[iz[used]] = z_cost[used]
+    r = 2 * m
+    for i in range(2):
+        for j in range(m):
+            for s, imult in ((0, 1 + j), (1, 1 + m + j)):
+                z = iz[s, i, j]
+                if z < 0:
+                    continue
+                if z_cost[s, i, j] > 0.0:  # pushed up: z <= a_hi*w, z <= k*a
+                    A[r, z] = 1.0
+                    A[r, imult] = -a_hi[i]
+                    A[r + 1, z] = 1.0
+                    A[r + 1, ia[i]] = -k
+                    r += 2
+                else:  # pushed down: z >= a_hi*w + k*a - a_hi*k
+                    A[r, imult] = a_hi[i]
+                    A[r, ia[i]] = k
+                    A[r, z] = -1.0
+                    b[r] = a_hi[i] * k
+                    r += 1
+    ub[list(ia)] = a_hi
+    return LinearProgram("max", c, A, ["<="] * n_rows, b, lb=lb, ub=ub)
 
 
 def worst_case_shift_loop(row: SparseDistribution, grid: Grid,

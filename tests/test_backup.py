@@ -23,9 +23,14 @@ from epiplan.rules import (
     design_matrix,
     fit_rules,
     mean_bounds,
+    rule_design,
 )
 from epiplan.seir import nominal_reward
-from oracles import inner_primal_oracle, mccormick_four_row_backup
+from oracles import (
+    inner_primal_oracle,
+    mccormick_binding_program_loop,
+    mccormick_four_row_backup,
+)
 
 
 def constant_coeffs(support, center, delta, reward=0.0):
@@ -351,7 +356,8 @@ class TestActionBackends:
             kernels.append(SparseDistribution(support, row))
         # rows are affine only pre-normalization; refit targets from the rows
         rewards = [-(5.0 + 2.0 * a.y_V + 3.0 * a.y_R) for a in actions]
-        coeffs = fit_rules(actions, kernels, rewards, AmbiguityConfig(delta, 1.0))
+        coeffs = fit_rules(rule_design(actions), kernels, rewards,
+                           AmbiguityConfig(delta, 1.0))
         return actions, coeffs
 
     def test_single_action_space_all_equal(self):
@@ -433,6 +439,38 @@ class TestActionBackends:
             assert lps[-1].n_vars == 2 * m + 3 + 2 * slopes, trial
         assert len(lps) == 24
         assert zero_slopes > 0
+
+    def test_envelope_rows_equal_the_loop_oracle(self, monkeypatch):
+        # The array-indexed envelope rows against the per-(action, successor,
+        # product) loop, entry by entry, on fitted rules with zero slopes,
+        # signs of both kinds and single-level action axes.
+        lps = []
+        real_solve_mip = backup.solve_mip
+
+        def capture(mip):
+            lps.append(mip.lp)
+            return real_solve_mip(mip)
+
+        monkeypatch.setattr(backup, "solve_mip", capture)
+        rng = np.random.default_rng(43)
+        zero_slopes = signs = 0
+        for trial in range(24):
+            m = int(rng.integers(1, 8))
+            _, coeffs = self.affine_fitted(rng, m, L=2, M=2, delta=rng.random() * 0.1)
+            coeffs.mean[1:][rng.random((2, m)) < 0.3] = 0.0
+            zero_slopes += int((coeffs.mean[1:] == 0.0).sum())
+            signs += bool((coeffs.mean[1:] > 0).any() and (coeffs.mean[1:] < 0).any())
+            L, M = [(2, 2), (0, 2), (2, 0), (1, 3)][trial % 4]
+            v = -rng.random(m) * 10.0 ** rng.integers(0, 4)
+            k = float(rng.choice([0.0, 1.0, 50.0, 1e3]))
+            drmdp_backup_mccormick(coeffs, v, 0.95, k, L=L, M=M)
+            want = mccormick_binding_program_loop(coeffs, v, 0.95, k, L=L, M=M)
+            got = lps[-1]
+            for name in ("c", "A", "b", "lb", "ub"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
+                                              err_msg=f"{name}, trial {trial}")
+            assert got.rel == want.rel
+        assert zero_slopes > 0 and signs > 0
 
     def test_k_zero_collapses_to_support_minimum(self):
         rng = np.random.default_rng(7)
@@ -621,7 +659,8 @@ def full_space_check(grid, actions, kernels, rewards, action, v_full, cfg, lam,
     value over its own support); the report flags any difference instead of
     hiding it.
     """
-    restricted = fit_rules(list(actions), list(kernels), list(rewards), cfg)
+    restricted = fit_rules(rule_design(list(actions)), list(kernels), list(rewards),
+                           cfg)
     val_r = inner_lp_value(restricted, action, v_full, lam, cfg.k)
 
     eta_L, eta_U = np.zeros(grid.n_corners), np.zeros(grid.n_corners)

@@ -1,7 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from epiplan import Action, ContinuousState, DomainError, EpidemicParams
+from epiplan import grid as grid_module
+from epiplan.errors import RowError
 from epiplan.grid import (
     Grid,
     GridSpec,
@@ -268,6 +272,84 @@ class TestSparseDistribution:
         assert d.dot(vals) == pytest.approx(3.0)
 
 
+def random_block(rng, n_rows=40):
+    """Flat (indices, probs, offsets) of rows with ascending random supports."""
+    rows = []
+    for _ in range(n_rows):
+        idx = np.sort(rng.choice(500, size=int(rng.integers(1, 60)), replace=False))
+        probs = rng.random(len(idx)) * 10.0 ** rng.integers(-13, 1, size=len(idx))
+        rows.append((idx, probs))
+    offsets = np.concatenate([[0], np.cumsum([len(i) for i, _ in rows])])
+    return (np.concatenate([i for i, _ in rows]), np.concatenate([p for _, p in rows]),
+            offsets)
+
+
+class TestBlock:
+    def test_matches_per_row_constructor(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            indices, probs, offsets = random_block(rng)
+            block = SparseDistribution.block(indices, probs, offsets, normalize=True)
+            assert len(block) == len(offsets) - 1
+            for row, lo, hi in zip(block, offsets[:-1], offsets[1:]):
+                ref = SparseDistribution(indices[lo:hi], probs[lo:hi], normalize=True)
+                np.testing.assert_array_equal(row.indices, ref.indices)
+                assert np.abs(row.probs - ref.probs).sum() <= 1e-15
+
+    def test_unnormalized_rows_kept_bit_for_bit(self):
+        indices, probs, offsets = random_block(np.random.default_rng(6))
+        totals = np.add.reduceat(probs, offsets[:-1])
+        probs = probs / np.repeat(totals, np.diff(offsets))
+        rows = SparseDistribution.block(indices, probs, offsets)
+        np.testing.assert_array_equal(np.concatenate([r.probs for r in rows]), probs)
+        assert SparseDistribution.block([], [], [0]) == []
+
+    def test_rows_are_read_only_views_of_one_buffer(self):
+        indices, probs, offsets = random_block(np.random.default_rng(7))
+        rows = SparseDistribution.block(indices, probs, offsets, normalize=True)
+        base = rows[0].probs.base
+        assert base is not None and all(r.probs.base is base for r in rows)
+        with pytest.raises(ValueError):
+            rows[1].probs[0] = 0.5
+        with pytest.raises(ValueError):
+            rows[1].indices[0] = 0
+        probs[:] = 0.0  # the caller's arrays are not the buffer
+        assert rows[0].probs.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("indices, probs, normalize, reason", [
+        ([0, 1, 2, 4, 3], [0.5, 0.5, 1.0, 0.5, 0.5], False, "not strictly ascending"),
+        ([0, 1, 2, 3, 3], [0.5, 0.5, 1.0, 0.5, 0.5], False, "not strictly ascending"),
+        ([0, 1, 2, 3, 4], [0.5, 0.5, 1.0, 1.5, -0.5], False, "negative"),
+        ([0, 1, 2, 3, 4], [0.5, 0.5, 1.0, 0.5, 0.6], False, "sum to 1.1"),
+        ([0, 1, 2, 3, 4], [0.5, 0.5, 1.0, 0.5, np.nan], False, "sum to nan"),
+        ([0, 1, 2, 3, 4], [0.5, 0.5, 1.0, 0.0, 0.0], True, "cannot normalize"),
+        ([0, 1, 2, 3, 4], [0.5, 0.5, 1.0, 0.5, np.nan], True, "cannot normalize"),
+    ])
+    def test_first_bad_row_named(self, indices, probs, normalize, reason):
+        # Rows [0, 1] and [2] are distributions; row 2 holds the fault, and
+        # a fourth, empty row fails too but comes later.
+        offsets = [0, 2, 3, 5, 5]
+        with pytest.raises(RowError, match=f"row 2: .*{re.escape(reason)}") as err:
+            SparseDistribution.block(indices, probs, offsets, normalize=normalize)
+        assert err.value.row == 2
+        with pytest.raises(RowError, match="row 3: "):
+            SparseDistribution.block(indices[:3] + [3], probs[:3] + [1.0],
+                                     [0, 2, 3, 4, 4], normalize=normalize)
+
+    @pytest.mark.parametrize("offsets", [[0, 2], [1, 3], [0, 3, 2], []])
+    def test_offsets_must_split_the_arrays(self, offsets):
+        with pytest.raises(DomainError, match="offsets"):
+            SparseDistribution.block([0, 1, 2], [0.5, 0.5, 1.0], offsets)
+
+    def test_push_row_below_entry_tol_raises(self, monkeypatch):
+        # With every corner mass under the drop threshold a row is empty,
+        # and the push fails instead of returning it.
+        monkeypatch.setattr(grid_module, "ENTRY_TOL", 2.0)
+        g = build_grid(GridSpec(3))
+        with pytest.raises(DomainError, match="cannot normalize"):
+            discretize_kernel(g, toy_params(N=9), g.index_of(1, 1, 1))
+
+
 class TestDiscretizeKernel:
     def test_absorbing_outside_S(self):
         g = build_grid(GridSpec(2))
@@ -405,11 +487,15 @@ class TestRewardAndSupport:
         assert np.all(model.rewards(idx) == 0.0)
 
     def test_discrete_reward_matches_seir(self):
-        model = EpidemicModel(toy_params(), 2, AmbiguityConfig())
-        idx = model.grid.index_of(1, 1, 0)
-        state = model.grid.state_of(idx)
-        assert list(model.rewards(idx)) == [nominal_reward(model.params, state, a)
-                                            for a in model.actions]
+        # Every simplex state of a grid whose corners do not land on whole
+        # persons (N = 10, Y = 3), and level fractions that do not round
+        # exactly (L = 3): the array rewards equal the scalar ones bit for bit.
+        params = toy_params(N=10, L=3, M=4, Q=0.3, k_R=0.7, W=1.1)
+        model = EpidemicModel(params, 3, AmbiguityConfig())
+        for idx in model.grid.in_S_indices():
+            state = model.grid.state_of(int(idx))
+            want = [nominal_reward(params, state, a) for a in model.actions]
+            assert model.rewards(int(idx)).tolist() == want, idx
 
     def test_disease_free_support_is_self(self):
         g = build_grid(GridSpec(2))
@@ -434,8 +520,8 @@ class TestCacheKey:
         assert cache_key(toy_params(), 5, 0.05) == cache_key(toy_params(), 5, 0.05)
 
     def test_per_atom_push_caches_miss(self):
-        # The keys the per-atom push and then the log-factorial binomial law
-        # gave this configuration: their rows differ from the current ones in
-        # the last bits, so they must not load.
+        # The keys the per-atom push, then the log-factorial binomial law,
+        # then per-row normalization gave this configuration: their rows
+        # differ from the current ones in the last bits, so they must not load.
         key = cache_key(toy_params(), 2, 0.05)
-        assert key not in ("286f24f0de12e5d6", "22a2cc61b4ac4f66")
+        assert key not in ("286f24f0de12e5d6", "22a2cc61b4ac4f66", "b9c5273309ff5e7b")

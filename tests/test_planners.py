@@ -328,6 +328,32 @@ def _cut_row_short(rec):
     return np.delete(rec, int(np.flatnonzero(row[1:] == row[:-1])[0]) + 1)
 
 
+def _bad_rows(edit, rows=(0,)):
+    """A corruption that applies edit to the probabilities of some rows with
+    several entries (rows picks them, in record order, among those rows),
+    and names the first one, as the error should."""
+    def corrupt(kpath):
+        rec = np.load(kpath)
+        row_id = rec["state"].astype(np.int64) * 1000 + rec["action"]
+        ids, starts, counts = np.unique(row_id, return_index=True, return_counts=True)
+        long = np.flatnonzero(counts > 1)[list(rows)]
+        for r in long:
+            seg = slice(starts[r], starts[r] + counts[r])
+            rec["prob"][seg] = edit(rec["prob"][seg])
+        np.save(kpath, rec)
+        first = starts[long[0]]
+        a = toy_model(N=4, T=3).actions[rec["action"][first]]
+        return f"row of state {rec['state'][first]}, action ({a.y_V}, {a.y_R})"
+    return corrupt
+
+
+def _set_first(value):
+    def edit(probs):
+        probs[0] = value
+        return probs
+    return edit
+
+
 def _save_archive(kpath):
     rec = np.load(kpath)
     with open(kpath, "wb") as fh:
@@ -389,16 +415,30 @@ class TestModelBundle:
                      id="plain-text"),
         pytest.param(_save_objects, id="object-dtype"),
         pytest.param(_save_archive, id="npz-archive"),
+        pytest.param(_bad_rows(_set_first(-1e-3)), id="negative-probability"),
+        pytest.param(_bad_rows(_set_first(np.nan)), id="nan-probability"),
+        pytest.param(_bad_rows(lambda probs: probs * 1.5, rows=(1, -1)),
+                     id="full-row-sum-off-one"),
     ])
     def test_corrupt_cache_raises(self, tmp_path, corrupt):
+        # A corruption of one row returns the text naming that row's state
+        # and action, which the error must carry after the file name.
         model = toy_model(N=4, T=3)
         model.compile_state(model.grid.index_of(1, 1, 0))
         model.compile_state(model.grid.index_of(2, 0, 0))
         kpath = model.save_cache(str(tmp_path))[0]
-        corrupt(kpath)
-        with pytest.raises(CacheError, match=re.escape(kpath)):
+        names_row = corrupt(kpath)
+        match = re.escape(kpath) + (f".*{re.escape(names_row)}" if names_row else "")
+        with pytest.raises(CacheError, match=match):
             toy_model(N=4, T=3).load_cache(str(tmp_path))
         assert UNPICKLED == []
+
+    def test_empty_cache_loads_nothing(self, tmp_path):
+        model = toy_model(N=4, T=3)
+        model.save_cache(str(tmp_path))
+        fresh = toy_model(N=4, T=3)
+        assert fresh.load_cache(str(tmp_path))
+        assert fresh._rows == {} and fresh._rewards == {} and fresh._rules == {}
 
     def test_parallel_compile_matches_serial(self):
         # Pool workers return only rows; this process refits rewards and

@@ -10,6 +10,7 @@ from epiplan.rules import (
     fit_affine,
     fit_rules,
     mean_bounds,
+    rule_design,
 )
 
 
@@ -36,7 +37,7 @@ class TestFitRules:
         kernels = affine_instance(actions, support, c0, c1, c2)
         rewards = [-(1.0 + 2.0 * a.y_V + 3.0 * a.y_R) for a in actions]
         cfg = AmbiguityConfig(delta=0.0, k=10.0)
-        coeffs = fit_rules(actions, kernels, rewards, cfg)
+        coeffs = fit_rules(rule_design(actions), kernels, rewards, cfg)
         np.testing.assert_allclose(coeffs.mean[0], c0, atol=1e-8)
         np.testing.assert_allclose(coeffs.mean[1], c1, atol=1e-8)
         np.testing.assert_allclose(coeffs.mean[2], c2, atol=1e-8)
@@ -48,7 +49,8 @@ class TestFitRules:
         support = np.array([0, 5])
         kernels = [SparseDistribution(support, np.array([0.4, 0.6])) for _ in actions]
         rewards = [-7.0] * len(actions)
-        coeffs = fit_rules(actions, kernels, rewards, AmbiguityConfig(0.05, 1.0))
+        coeffs = fit_rules(rule_design(actions), kernels, rewards,
+                           AmbiguityConfig(0.05, 1.0))
         np.testing.assert_allclose(coeffs.mean[1:], 0.0, atol=1e-8)
         assert coeffs.delta == 0.05
         np.testing.assert_allclose(coeffs.eps[1:], 0.0, atol=1e-8)
@@ -66,26 +68,24 @@ class TestFitRules:
         for row in raw:
             kernels.append(SparseDistribution(support, row))
         rewards = list(-rng.random(len(actions)) * 100)
-        coeffs = fit_rules(actions, kernels, rewards, AmbiguityConfig(0.02, 1.0))
+        coeffs = fit_rules(rule_design(actions), kernels, rewards,
+                           AmbiguityConfig(0.02, 1.0))
         resid = raw - X @ coeffs.mean
         np.testing.assert_allclose(X.T @ resid, 0.0, atol=1e-7)
         resid_r = np.asarray(rewards) - X @ coeffs.eps
         np.testing.assert_allclose(X.T @ resid_r, 0.0, atol=1e-7)
 
     def test_underdetermined_rejected(self):
-        support = np.array([0])
-        kernels = [SparseDistribution(support, np.array([1.0]))] * 2
         with pytest.raises(UnderdeterminedError):
-            fit_rules([Action(0, 0), Action(1, 0)], kernels, [0.0, 0.0],
-                      AmbiguityConfig(0.0, 1.0))
+            rule_design([Action(0, 0), Action(1, 0)])
+        with pytest.raises(UnderdeterminedError):
+            rule_design([Action(0, 0), Action(1, 0), Action(1, 0)])
 
     def test_collinear_actions_rejected(self):
         # Three distinct actions on one line cannot identify both slopes.
         actions = [Action(0, 0), Action(1, 1), Action(2, 2)]
-        support = np.array([0])
-        kernels = [SparseDistribution(support, np.array([1.0]))] * 3
         with pytest.raises(UnderdeterminedError):
-            fit_rules(actions, kernels, [0.0, 0.0, 0.0], AmbiguityConfig(0.0, 1.0))
+            rule_design(actions)
 
     def test_order_independent(self):
         rng = np.random.default_rng(4)
@@ -96,10 +96,10 @@ class TestFitRules:
         kernels = [SparseDistribution(support, r) for r in raw]
         rewards = list(-rng.random(len(actions)))
         cfg = AmbiguityConfig(0.01, 1.0)
-        a = fit_rules(actions, kernels, rewards, cfg)
+        a = fit_rules(rule_design(actions), kernels, rewards, cfg)
         perm = rng.permutation(len(actions))
-        b = fit_rules([actions[i] for i in perm], [kernels[i] for i in perm],
-                      [rewards[i] for i in perm], cfg)
+        b = fit_rules(rule_design([actions[i] for i in perm]),
+                      [kernels[i] for i in perm], [rewards[i] for i in perm], cfg)
         np.testing.assert_allclose(a.mean, b.mean, atol=1e-10)
         np.testing.assert_allclose(a.eps, b.eps, atol=1e-10)
 
@@ -113,7 +113,7 @@ class TestFitRules:
         for _ in actions:
             idx = rng.choice(40, size=int(rng.integers(1, 8)), replace=False)
             kernels.append(SparseDistribution(idx, rng.random(len(idx)), normalize=True))
-        coeffs = fit_rules(actions, kernels, [0.0] * len(actions),
+        coeffs = fit_rules(rule_design(actions), kernels, [0.0] * len(actions),
                            AmbiguityConfig(0.0, 1.0))
         support = sorted({int(s) for row in kernels for s in row.indices})
         pos = {s: j for j, s in enumerate(support)}
@@ -133,7 +133,7 @@ class TestEtaBounds:
         c1 = np.array([0.05, -0.05])
         c2 = np.array([-0.02, 0.02])
         kernels = affine_instance(actions, support, c0, c1, c2)
-        coeffs = fit_rules(actions, kernels, [0.0] * len(actions),
+        coeffs = fit_rules(rule_design(actions), kernels, [0.0] * len(actions),
                            AmbiguityConfig(0.0, 1.0))
         eta_L, eta_U = mean_bounds(coeffs, design_matrix(actions))
         rows = np.array([row.probs for row in kernels])
@@ -145,7 +145,7 @@ class TestEtaBounds:
         support = np.array([1, 2])
         kernels = affine_instance(actions, support, np.array([0.6, 0.4]),
                                   np.array([0.01, -0.01]), np.array([0.0, 0.0]))
-        coeffs = fit_rules(actions, kernels, [0.0] * len(actions),
+        coeffs = fit_rules(rule_design(actions), kernels, [0.0] * len(actions),
                            AmbiguityConfig(0.1, 1.0))
         eta_L, eta_U = mean_bounds(coeffs, design_matrix(actions))
         assert eta_U.shape == (len(actions), 2)
@@ -177,7 +177,8 @@ class TestRewardRule:
         support = np.array([0])
         kernels = [SparseDistribution(support, np.array([1.0]))] * len(actions)
         rewards = [-(10.0 + 4.0 * a.y_V + 6.0 * a.y_R) for a in actions]
-        coeffs = fit_rules(actions, kernels, rewards, AmbiguityConfig(0.0, 1.0))
+        coeffs = fit_rules(rule_design(actions), kernels, rewards,
+                           AmbiguityConfig(0.0, 1.0))
         np.testing.assert_allclose(design_matrix(actions) @ coeffs.eps, rewards,
                                    rtol=0, atol=1e-8)
 
@@ -188,7 +189,8 @@ class TestRewardRule:
         y = -rng.random(len(actions)) * 50
         support = np.array([0])
         kernels = [SparseDistribution(support, np.array([1.0]))] * len(actions)
-        coeffs = fit_rules(actions, kernels, list(y), AmbiguityConfig(0.0, 1.0))
+        coeffs = fit_rules(rule_design(actions), kernels, list(y),
+                           AmbiguityConfig(0.0, 1.0))
         beta = np.linalg.lstsq(X, y, rcond=None)[0]
         np.testing.assert_allclose(X @ coeffs.eps, X @ beta, rtol=0, atol=1e-6)
 

@@ -17,7 +17,10 @@ against (tests/oracles.py, tests/test_acceptance.py).
 Action selection is then either explicit enumeration, or a single
 mixed-integer program that appends action columns to the same block and
 linearizes the action-times-multiplier products with box envelopes (a
-relaxation) or with per-level indicator variables (exact).
+relaxation).  A second MIP linearizes them with per-level indicator
+variables; it is exact, and kept as the oracle the tests and perfbench hold
+the other back-ends against.  Every program written here is in
+`lp.solve_lp`'s form: max, <= rows, finite lower bounds, b - A lb >= 0.
 """
 
 from __future__ import annotations
@@ -135,7 +138,7 @@ def inner_dual_program(eta_L: np.ndarray, eta_U: np.ndarray, v: np.ndarray,
     problem at one action's mean bounds, without its reward term."""
     m = len(v)
     c, A, b, lb, ub = _multiplier_block(eta_L, eta_U, v, k, 1 + 2 * m, 2 * m)
-    return LinearProgram("max", c, A, ["<="] * (2 * m), b, lb=lb, ub=ub)
+    return LinearProgram(c, A, b, lb=lb, ub=ub)
 
 
 def inner_value_parametric(
@@ -280,7 +283,7 @@ def drmdp_backup_mccormick(
     integer = np.zeros(n, dtype=bool)
     integer[list(ia)] = True
 
-    lp = LinearProgram("max", c, A, ["<="] * n_rows, b, lb=lb, ub=ub)
+    lp = LinearProgram(c, A, b, lb=lb, ub=ub)
     sol = solve_mip(MixedIntegerProgram(lp, integer))
     if sol.status != "optimal":
         raise SolverError(f"envelope MIP unexpectedly {sol.status}")
@@ -296,68 +299,63 @@ def drmdp_backup_unary(
     L: int,
     M: int,
 ) -> tuple[float, Action]:
-    """Exact MIP: one indicator per action level linearizes each product.
+    """Exact MIP: one indicator per nonzero action level linearizes each
+    product.  No planner back-end uses it: it is the exactness oracle that
+    the tests and perfbench check the other back-ends against.
 
-    With d = u - w in [-k, k], the objective is
-    q + mean(a)'d - delta*1'(w + u) + r(a), and mean(a)'d is affine in the
-    products psi * d_j of each level indicator psi with each d_j.  Each
-    product gets the two rows that bind in its objective direction, so it
-    equals psi * d_j at the optimum and the MIP equals the enumeration backup.
+    Action i is at level tau when its indicator psi_tau is 1 and at zero
+    when all are 0 (sum psi <= 1), so a_i = sum tau * psi_tau and the reward
+    eps_i * a_i is a cost on the indicators.  With d = u - w in [-k, k], the
+    objective is q + mean(a)'d - delta*1'(w + u) + r(a), and mean(a)'d is
+    affine in the products psi_tau * d_j.  Each product with a nonzero cost
+    gets a column z = s * psi_tau * d_j, s the sign of its cost, with cost
+    |cost| and bound z >= -k, and the two rows z <= s*d_j + k(1 - psi_tau)
+    and z <= k*psi_tau; pushed up, z equals s * psi_tau * d_j at the
+    optimum, so the MIP equals the enumeration backup.  Every row is <= and
+    every bound finite, and branching keeps the program in solve_lp's form.
     """
     v = lam * v_next[coeffs.support]
     m = len(v)
     mean = coeffs.mean
-    ia = (2 * m + 1, 2 * m + 2)
-    a_hi = (L, M)
-    # Indicator columns of the levels 0..a_hi of each action follow the
-    # actions; the product columns z follow them from column iz0.
-    ipsi = (2 * m + 3 + np.arange(L + 1), 2 * m + 4 + L + np.arange(M + 1))
-    iz0 = 2 * m + 5 + L + M
-    # Products psi(i, tau) * d_j for tau >= 1 with nonzero cost mean[1+i, j]*tau,
-    # ordered by action, level, successor.
-    cost, psi, js = [], [], []
-    for i in range(2):
-        z_cost = np.arange(1, a_hi[i] + 1)[:, None] * mean[1 + i]
-        lvl, j = np.nonzero(z_cost)
-        cost.append(z_cost[lvl, j])
-        psi.append(ipsi[i][1 + lvl])
-        js.append(j)
-    cost, psi, js = (np.concatenate(x) for x in (cost, psi, js))
+    # The indicators of levels 1..L of y_V, then 1..M of y_R, follow the
+    # block from column 2m + 1; the product columns follow them.
+    level = np.concatenate([np.arange(1, L + 1), np.arange(1, M + 1)])
+    axis = np.repeat([0, 1], [L, M])
+    ipsi = 2 * m + 1 + np.arange(L + M)
+    # Products psi * d_j with nonzero cost mean[1+i, j]*tau, ordered by
+    # action, level, successor.
+    z_cost = level[:, None] * mean[1 + axis]
+    p, js = np.nonzero(z_cost)
+    cost = z_cost[p, js]
+    iz0 = 2 * m + 1 + L + M
     iz = iz0 + np.arange(len(cost))
     n = iz0 + len(cost)
-    n_rows = 2 * m + 4 + 2 * len(cost)
+    n_rows = 2 * m + 2 + 2 * len(cost)
 
     c, A, b, lb, ub = _multiplier_block(mean[0] - coeffs.delta, mean[0] + coeffs.delta,
                                         v, k, n, n_rows)
-    c[list(ia)] = coeffs.eps[1:]
-    c[iz] = cost
-    for i in range(2):
-        r = 2 * m + 2 * i
-        A[r, ipsi[i]] = 1.0         # one level per action
-        b[r] = 1.0
-        A[r + 1, ipsi[i]] = np.arange(a_hi[i] + 1)  # a_i = sum of tau * psi
-        A[r + 1, ia[i]] = -1.0
-    # A positive cost pushes z up: z <= d_j + k(1 - psi) and z <= k psi; a
-    # negative one pushes it down: z >= d_j - k(1 - psi) and z >= -k psi.
-    r = 2 * m + 4 + 2 * np.arange(len(cost))
+    c[ipsi] = coeffs.eps[1 + axis] * level
+    c[iz] = np.abs(cost)
+    A[2 * m + axis, ipsi] = 1.0     # at most one level per action
+    b[2 * m:2 * m + 2] = 1.0
+    # z <= s*(u_j - w_j) + k(1 - psi) and z <= k psi.
+    r = 2 * m + 2 + 2 * np.arange(len(cost))
     sign = np.sign(cost)
-    A[r, iz] = sign
+    A[r, iz] = 1.0
     A[r, 1 + m + js] = -sign
     A[r, 1 + js] = sign
-    A[r, psi] = k
+    A[r, ipsi[p]] = k
     b[r] = k
-    A[r + 1, iz] = sign
-    A[r + 1, psi] = -k
-    ub[list(ia)] = a_hi
-    lb[iz] = -np.inf
-    ub[2 * m + 3:iz0] = 1.0
+    A[r + 1, iz] = 1.0
+    A[r + 1, ipsi[p]] = -k
+    lb[iz] = -k
+    ub[ipsi] = 1.0
     integer = np.zeros(n, dtype=bool)
-    integer[2 * m + 3:iz0] = True
+    integer[ipsi] = True
 
-    rel = ["<="] * (2 * m) + ["=="] * 4 + ["<="] * (2 * len(cost))
-    lp = LinearProgram("max", c, A, rel, b, lb=lb, ub=ub)
-    sol = solve_mip(MixedIntegerProgram(lp, integer))
+    sol = solve_mip(MixedIntegerProgram(LinearProgram(c, A, b, lb=lb, ub=ub), integer))
     if sol.status != "optimal":
         raise SolverError(f"indicator MIP unexpectedly {sol.status}")
-    action = Action(int(round(sol.x[ia[0]])), int(round(sol.x[ia[1]])))
+    on = np.round(sol.x[ipsi]) * level
+    action = Action(int(on[axis == 0].sum()), int(on[axis == 1].sum()))
     return float(sol.objective + coeffs.eps[0]), action

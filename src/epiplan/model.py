@@ -136,9 +136,10 @@ class EpidemicModel:
         """Compile many states, optionally across processes.
 
         The pool starts at most one worker per state to compile and per CPU.
-        Each worker builds its own model once and returns only the kernel rows
-        of the states it is handed; this process stores them through _store,
-        as compile_state does, so both routes give the same rows and rules.
+        Each worker builds the grid once and returns each state's kernel rows
+        as flat (indices, probs, offsets) arrays; this process checks them as
+        one block and stores them through _store, as compile_state does, so
+        both routes give the same rows and rules.
         """
         todo = [int(i) for i in indices if int(i) not in self._rows]
         if not todo:
@@ -149,11 +150,11 @@ class EpidemicModel:
                 self.compile_state(i)
             return
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
-                                 initargs=(self.params, self.grid.Y, self.acfg)) as pool:
+                                 initargs=(self.params, self.grid.Y)) as pool:
             chunks = pool.map(_compile_in_worker, todo,
                               chunksize=max(1, len(todo) // (4 * workers)))
-            for idx, rows in chunks:
-                self._store(idx, rows)
+            for idx, indices, probs, offsets in chunks:
+                self._store(idx, SparseDistribution.block(indices, probs, offsets))
 
     def compile_all(self, workers: int = 1) -> None:
         self.compile_states(self.grid.in_S_indices(), workers=workers)
@@ -228,18 +229,21 @@ class EpidemicModel:
         return True
 
 
-# The model a pool worker compiles with, built once by _init_worker.
-_worker_model: EpidemicModel | None = None
+# The grid and parameters a pool worker pushes with, set once by _init_worker.
+_worker_push: tuple[Grid, EpidemicParams] | None = None
 
 
-def _init_worker(params: EpidemicParams, Y: int, acfg: AmbiguityConfig) -> None:
-    global _worker_model
-    _worker_model = EpidemicModel(params, Y, acfg)
+def _init_worker(params: EpidemicParams, Y: int) -> None:
+    global _worker_push
+    _worker_push = (build_grid(GridSpec(Y)), params)
 
 
-def _compile_in_worker(idx: int) -> tuple[int, list[SparseDistribution]]:
-    m = _worker_model
-    return idx, discretize_kernel(m.grid, m.params, idx)
+def _compile_in_worker(idx: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """One state's kernel rows as flat indices and probs split at offsets."""
+    rows = discretize_kernel(*_worker_push, idx)
+    offsets = np.cumsum([0] + [len(row) for row in rows])
+    return (idx, np.concatenate([row.indices for row in rows]),
+            np.concatenate([row.probs for row in rows]), offsets)
 
 
 def lattice_state_index(model: EpidemicModel, p_S: float, p_E: float, p_I: float) -> int:

@@ -22,13 +22,13 @@ from .backup import (
     best_action_over_rows,
     drmdp_backup_enumerate,
     drmdp_backup_mccormick,
-    drmdp_backup_unary,
+    drmdp_backup_unary,  # noqa: F401  perfbench/layers.py traces plan.drmdp_backup_unary
 )
 from .errors import DomainError
 from .model import EpidemicModel
 from .seir import Action
 
-BACKENDS = ("nominal", "robust", "drmdp-enumerate", "drmdp-mccormick", "drmdp-unary")
+BACKENDS = ("nominal", "robust", "drmdp-enumerate", "drmdp-mccormick")
 
 # Early stop: RTDP ends once the root value has moved by less than STOP_TOL
 # for STOP_PATIENCE consecutive sweeps.
@@ -135,9 +135,6 @@ def backup_state(model: EpidemicModel, idx: int, t: int, v_next, cfg: PlannerCon
     if cfg.backend == "drmdp-mccormick":
         return drmdp_backup_mccormick(coeffs, v_next, lam, k,
                                       L=model.params.L, M=model.params.M)
-    if cfg.backend == "drmdp-unary":
-        return drmdp_backup_unary(coeffs, v_next, lam, k,
-                                  L=model.params.L, M=model.params.M)
     raise DomainError(f"unknown backend {cfg.backend!r}")
 
 

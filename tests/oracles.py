@@ -10,11 +10,16 @@ of a quantity that `epiplan` computes another way.
   vectors, the primal of the multiplier LP (`backup.inner_dual_program`,
   solved by `backup.drmdp_backup_enumerate` with method "lp") and of its
   closed-form solve (`backup.inner_value_parametric`).
-* `lp_duality_check` — the textbook dual of any LP, solved with the same
-  simplex, to check strong duality of `lp.solve_lp`.
-* `dense_solve_lp` — the simplex with a dense rank-1 update of every row on
-  every pivot and a column-at-a-time setup, which `lp.solve_lp` restricts to
-  the rows a pivot changes and builds with array operations.
+* `lp_duality_check` — the textbook dual of any LP, solved with the
+  two-phase reference simplex, to check strong duality of `lp.solve_lp`.
+* `dense_solve_lp` — the general two-phase reference simplex: `GeneralLP`
+  programs (max or min, `<=`, `>=` and `==` rows, free and upper-only
+  columns) with a dense rank-1 update of every row on every pivot and a
+  column-at-a-time setup.  On the one form `lp.solve_lp` accepts (max,
+  `<=` rows, finite lower bounds, a feasible slack basis) it pivots as that
+  solver does, which restricts the update to the rows a pivot changes and
+  builds with array operations; `dense_solve_mip` is `lp.solve_mip` with
+  every node solved by it, for MIPs outside that form.
 * `mccormick_four_row_backup` — the McCormick MIP with all four box-envelope
   rows per product, which `backup.drmdp_backup_mccormick` writes on the
   binding side only.
@@ -35,18 +40,11 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 
+from epiplan import lp as lp_module
 from epiplan.backup import _multiplier_block
 from epiplan.errors import DomainError, SolverError
 from epiplan.grid import Grid, SparseDistribution
-from epiplan.lp import (
-    _TOL,
-    LinearProgram,
-    MixedIntegerProgram,
-    Solution,
-    _Canonical,
-    solve_lp,
-    solve_mip,
-)
+from epiplan.lp import _TOL, LinearProgram, MixedIntegerProgram, Solution, solve_lp
 from epiplan.rules import DecisionRuleCoefficients, design_matrix, mean_bounds
 from epiplan.seir import Action
 
@@ -69,6 +67,54 @@ def binomial_pmf(n: int, p: float, k: int) -> float:
         ctx.prec = 50
         q = Decimal(p)
         return float(math.comb(n, k) * q**k * (1 - q) ** (n - k))
+
+
+@dataclass
+class GeneralLP:
+    """max or min of c'x subject to rows of A x <=, >= or == b and bounds
+    lb <= x <= ub that may be infinite: the programs `dense_solve_lp` solves.
+    `lp.LinearProgram` is the case max with every row <=.
+    """
+
+    sense: str
+    c: np.ndarray
+    A: np.ndarray
+    rel: list[str]
+    b: np.ndarray
+    lb: np.ndarray | None = None
+    ub: np.ndarray | None = None
+
+    def __post_init__(self) -> None:
+        self.c = np.asarray(self.c, dtype=np.float64)
+        self.A = np.asarray(self.A, dtype=np.float64).reshape(-1, len(self.c))
+        self.b = np.asarray(self.b, dtype=np.float64)
+        n = len(self.c)
+        self.lb = np.zeros(n) if self.lb is None else np.asarray(self.lb, dtype=np.float64)
+        self.ub = (np.full(n, np.inf) if self.ub is None
+                   else np.asarray(self.ub, dtype=np.float64))
+        if self.sense not in ("max", "min"):
+            raise DomainError(f"sense must be 'max' or 'min', got {self.sense!r}")
+        if self.A.shape != (len(self.b), n) or len(self.rel) != len(self.b):
+            raise DomainError("A, rel and b inconsistent with c")
+        if any(r not in ("<=", ">=", "==") for r in self.rel):
+            raise DomainError("relations must be <=, >= or ==")
+        if np.any(self.lb > self.ub):
+            raise DomainError("variable lower bound exceeds upper bound")
+
+    @property
+    def n_vars(self) -> int:
+        return len(self.c)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.b)
+
+
+def general(lp: LinearProgram | GeneralLP) -> GeneralLP:
+    """lp as a GeneralLP: max, every row <=."""
+    if isinstance(lp, GeneralLP):
+        return lp
+    return GeneralLP("max", lp.c, lp.A, ["<="] * lp.n_rows, lp.b, lp.lb, lp.ub)
 
 
 def inner_primal_oracle(
@@ -104,8 +150,7 @@ def inner_primal_oracle(
         A[1 + m + j, j] = -1.0
         A[1 + m + j, m + j] = -1.0
         b[1 + m + j] = -eta_L[0, j]
-    lp = LinearProgram("min", c, A, rel, b)
-    res = solve_lp(lp)
+    res = dense_solve_lp(GeneralLP("min", c, A, rel, b))
     if res.status != "optimal":
         raise SolverError(f"inner primal unexpectedly {res.status}")
     value = float(X[0] @ coeffs.eps) + res.objective
@@ -123,18 +168,19 @@ class DualityReport:
     ok: bool = False
 
 
-def lp_duality_check(lp: LinearProgram, tol: float = 1e-6) -> DualityReport:
+def lp_duality_check(lp: LinearProgram | GeneralLP, tol: float = 1e-6) -> DualityReport:
     """Build the textbook dual and verify both optima agree.
 
-    The primal is first folded to max c'x, Ax <= b, x >= 0 (shifting bounds,
-    splitting free variables, doubling equalities), whose dual is
-    min b'y, A'y >= c, y >= 0.
+    The primal is solved by `lp.solve_lp` when it is a LinearProgram, by
+    `dense_solve_lp` otherwise.  It is then folded to max c'x, Ax <= b,
+    x >= 0 (shifting bounds, splitting free variables, doubling equalities),
+    whose dual min b'y, A'y >= c, y >= 0 `dense_solve_lp` solves.
     """
-    primal = solve_lp(lp)
+    primal = solve_lp(lp) if isinstance(lp, LinearProgram) else dense_solve_lp(lp)
     if primal.status != "optimal":
         return DualityReport(status=f"skipped-{primal.status}")
 
-    can = _Canonical(lp)  # min form: c_can = sign * original
+    can = _LoopCanonical(general(lp))  # min form: c_can = sign * original
     A_rows = []
     b_rows = []
     for i, r in enumerate(can.rel):
@@ -153,7 +199,7 @@ def lp_duality_check(lp: LinearProgram, tol: float = 1e-6) -> DualityReport:
     b = np.array(b_rows)
     c_max = -can.c  # canonical is min; the folded primal maximizes -c_can
 
-    dual = LinearProgram(
+    dual = GeneralLP(
         sense="min",
         c=b,
         A=A.T,
@@ -162,7 +208,7 @@ def lp_duality_check(lp: LinearProgram, tol: float = 1e-6) -> DualityReport:
         lb=np.zeros(len(b)),
         ub=np.full(len(b), np.inf),
     )
-    dual_sol = solve_lp(dual)
+    dual_sol = dense_solve_lp(dual)
     if dual_sol.status != "optimal":
         return DualityReport(status=f"skipped-dual-{dual_sol.status}",
                              primal_objective=primal.objective)
@@ -182,10 +228,12 @@ def lp_duality_check(lp: LinearProgram, tol: float = 1e-6) -> DualityReport:
 
 
 class _LoopCanonical:
-    """The column-at-a-time canonical form `dense_solve_lp` solves: the same
-    columns, rows and bookkeeping as `lp._Canonical`."""
+    """min c'y, A y (<=, >=, ==) b, y >= 0, built one column at a time: x =
+    lo + y when lo is finite (plus a row y <= hi - lo when hi is too), x =
+    hi - y when only hi is, and a free x = y+ - y- as two adjacent columns.
+    On a LinearProgram it has the columns and rows of `lp._Canonical`."""
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: GeneralLP):
         n = lp.n_vars
         sign = 1.0 if lp.sense == "min" else -1.0
         self.back: list[tuple[int, float, float]] = []  # (orig var, scale, shift)
@@ -252,11 +300,12 @@ class _LoopCanonical:
         return x
 
 
-def dense_solve_lp(lp: LinearProgram) -> Solution:
+def dense_solve_lp(lp: LinearProgram | GeneralLP) -> Solution:
     """Two-phase primal simplex with a rank-1 update of every tableau row on
-    every pivot, and a setup built one column at a time; the pivot rule is
-    `lp.solve_lp`'s, so both pivot alike and agree bit for bit."""
-    can = _LoopCanonical(lp)
+    every pivot, and a setup built one column at a time.  A program in
+    `lp.solve_lp`'s form needs no phase 1, and the pivot rule is that
+    solver's, so on it both pivot alike and agree bit for bit."""
+    can = _LoopCanonical(general(lp))
     m, n = can.A.shape
 
     # Equality form with slack/surplus columns, rhs made nonnegative.
@@ -392,6 +441,17 @@ def dense_solve_lp(lp: LinearProgram) -> Solution:
     return Solution(status="optimal", objective=obj, x=x, iterations=iterations)
 
 
+def dense_solve_mip(mip: MixedIntegerProgram) -> Solution:
+    """`lp.solve_mip` with `dense_solve_lp` solving every node, so it takes
+    max, <= programs with free columns or negative right sides."""
+    fast = lp_module.solve_lp
+    lp_module.solve_lp = dense_solve_lp
+    try:
+        return lp_module.solve_mip(mip)
+    finally:
+        lp_module.solve_lp = fast
+
+
 def _mccormick_rows(n_vars, zi, ai, wi, a_hi, w_hi):
     """Four box-envelope rows tying column zi to the product of ai in
     [0, a_hi] and wi in [0, w_hi]."""
@@ -463,9 +523,8 @@ def mccormick_four_row_backup(
     integer = np.zeros(n, dtype=bool)
     integer[list(ia)] = True
 
-    lp = LinearProgram("max", c, np.vstack(rows), ["<="] * len(rhs),
-                       np.array(rhs), lb=lb, ub=ub)
-    sol = solve_mip(MixedIntegerProgram(lp, integer))
+    lp = LinearProgram(c, np.vstack(rows), np.array(rhs), lb=lb, ub=ub)
+    sol = dense_solve_mip(MixedIntegerProgram(lp, integer))
     if sol.status != "optimal":
         raise SolverError(f"envelope MIP unexpectedly {sol.status}")
     action = Action(int(round(sol.x[ia[0]])), int(round(sol.x[ia[1]])))
@@ -518,7 +577,7 @@ def mccormick_binding_program_loop(
                     b[r] = a_hi[i] * k
                     r += 1
     ub[list(ia)] = a_hi
-    return LinearProgram("max", c, A, ["<="] * n_rows, b, lb=lb, ub=ub)
+    return LinearProgram(c, A, b, lb=lb, ub=ub)
 
 
 def worst_case_shift_loop(row: SparseDistribution, grid: Grid,

@@ -9,7 +9,9 @@ run:
 * the batched parametric solve equals the LP route, action by action;
 * at L = M = 1 the unary MIP equals enumeration and McCormick bounds both
   from above;
-* random LPs pass the textbook strong-duality check.
+* random LPs pass the textbook strong-duality check;
+* every action enumeration picks in backward induction is a corner of the
+  action box.
 
 All tolerances are 1e-6 relative to 1 + |value|.
 """
@@ -25,8 +27,10 @@ from epiplan.backup import (
     inner_value_parametric,
 )
 from epiplan.lp import LinearProgram
-from epiplan.rules import DecisionRuleCoefficients, design_matrix, mean_bounds
-from epiplan.seir import Action
+from epiplan.model import EpidemicModel
+from epiplan.plan import PlannerConfig, backward_dp
+from epiplan.rules import AmbiguityConfig, DecisionRuleCoefficients, design_matrix, mean_bounds
+from epiplan.seir import Action, EpidemicParams
 from oracles import inner_primal_oracle, lp_duality_check
 
 TOL = 1e-6
@@ -67,7 +71,7 @@ def instances():
         c = rng.normal(size=n)
         A = rng.normal(size=(mrows, n))
         b = rng.random(mrows) + 0.5
-        lps.append(LinearProgram("max", c, A, ["<="] * mrows, b))
+        lps.append(LinearProgram(c, A, b))
     out["lps"] = lps
     return out
 
@@ -108,3 +112,18 @@ def test_strong_duality_of_random_lps():
             assert rep.ok, (trial, rep)
             checked += 1
     assert checked == 6  # the other four draws are unbounded
+
+
+def test_enumeration_argmax_is_a_corner():
+    # For fixed multipliers the backup objective is affine in the action and
+    # the multiplier polytope does not depend on it, so the backup value is
+    # convex in the action and the first maximizer in action order is a
+    # vertex of [0, L] x [0, M].  Backward induction at N=100, Y=5, L=M=2,
+    # T=5.
+    L = M = 2
+    model = EpidemicModel(EpidemicParams(N=100, L=L, M=M, T=5), 5, AmbiguityConfig())
+    table = backward_dp(model, PlannerConfig(backend="drmdp-enumerate"))
+    assert len(table.actions) == 4 * len(model.grid.in_S_indices())
+    off_corner = {key: a for key, a in table.actions.items()
+                  if a.y_V not in (0, L) or a.y_R not in (0, M)}
+    assert off_corner == {}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from epiplan import Action, EpidemicParams, backup
+from epiplan import lp as lp_module
 from epiplan.errors import DomainError, SolverError
 from epiplan.backup import (
     best_action_over_rows,
@@ -17,6 +18,7 @@ from epiplan.backup import (
 from epiplan.grid import GridSpec, SparseDistribution, build_grid, discretize_kernel
 from epiplan.lp import LinearProgram, _Canonical, solve_lp
 from epiplan.model import EpidemicModel
+from epiplan.plan import PlannerConfig, backward_dp
 from epiplan.rules import (
     AmbiguityConfig,
     DecisionRuleCoefficients,
@@ -27,6 +29,8 @@ from epiplan.rules import (
 )
 from epiplan.seir import nominal_reward
 from oracles import (
+    dense_solve_lp,
+    dense_solve_mip,
     inner_primal_oracle,
     mccormick_binding_program_loop,
     mccormick_four_row_backup,
@@ -469,7 +473,6 @@ class TestActionBackends:
             for name in ("c", "A", "b", "lb", "ub"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
                                               err_msg=f"{name}, trial {trial}")
-            assert got.rel == want.rel
         assert zero_slopes > 0 and signs > 0
 
     def test_k_zero_collapses_to_support_minimum(self):
@@ -587,14 +590,14 @@ def test_mips_write_the_inner_lp_block(monkeypatch):
         np.testing.assert_array_equal(lp.A[:2 * m, :n], inner.A)
         assert not lp.A[:2 * m, n:].any()
         np.testing.assert_array_equal(lp.b[:2 * m], inner.b)
-        assert lp.rel[:2 * m] == inner.rel
     assert (inner.lb[0], inner.ub[0]) == (lam * v[coeffs.support].min() - k, np.inf)
 
 
 def test_q_bound_keeps_the_optimum_and_the_slack_basis(monkeypatch):
     """q >= min(v) - k cuts off no optimum of the inner LP or the McCormick
-    MIP, and leaves both with nonnegative canonical right sides, so neither
-    needs an artificial column."""
+    MIP, and leaves both with nonnegative canonical right sides, so both
+    start at the slack basis.  With q free they are outside solve_lp's form,
+    and the general reference simplex solves them."""
     programs = []
     solve_mip = backup.solve_mip
 
@@ -605,7 +608,7 @@ def test_q_bound_keeps_the_optimum_and_the_slack_basis(monkeypatch):
     def q_free(lp):
         lb = lp.lb.copy()
         lb[0] = -np.inf
-        return LinearProgram(lp.sense, lp.c, lp.A, lp.rel, lp.b, lb=lb, ub=lp.ub)
+        return LinearProgram(lp.c, lp.A, lp.b, lb=lb, ub=lp.ub)
 
     monkeypatch.setattr(backup, "solve_mip", recording_solve_mip)
     model = EpidemicModel(EpidemicParams(N=60, L=2, M=2), 4, AmbiguityConfig())
@@ -627,17 +630,55 @@ def test_q_bound_keeps_the_optimum_and_the_slack_basis(monkeypatch):
         (mip,) = programs
         inner = inner_dual_program(coeffs.mean[0] - coeffs.delta,
                                    coeffs.mean[0] + coeffs.delta, vs, k)
-        for lp, solve in ((inner, solve_lp),
-                          (mip.lp, lambda p: solve_mip(replace(mip, lp=p)))):
+        for lp, solve, reference in (
+                (inner, solve_lp, dense_solve_lp),
+                (mip.lp, lambda p: solve_mip(replace(mip, lp=p)),
+                 lambda p: dense_solve_mip(replace(mip, lp=p)))):
             assert lp.lb[0] == vs.min() - k, trial
-            can = _Canonical(lp)
-            assert set(can.rel) == {"<="} and (can.b >= 0.0).all(), trial
-            bounded, free = solve(lp), solve(q_free(lp))
+            assert (_Canonical(lp).b >= 0.0).all(), trial
+            bounded, free = solve(lp), reference(q_free(lp))
             assert bounded.status == free.status == "optimal", trial
             tol = 1e-9 * (1.0 + abs(free.objective))
             assert abs(bounded.objective - free.objective) <= tol, trial
             cases += 1
     assert cases == 48
+
+
+def test_backend_programs_are_in_the_lp_form(monkeypatch):
+    """Every LP the back-ends hand the simplex, root or branch-and-bound
+    node, is in solve_lp's form: finite lower bounds and b - A lb >= 0.
+    Checked over McCormick and inner-LP backward induction and over unary
+    backups on fitted rules; both MIPs branch."""
+    solved, nodes = [], []
+    real_solve_lp, real_solve_mip = lp_module.solve_lp, backup.solve_mip
+
+    def checked_solve_lp(lp):
+        assert np.isfinite(lp.lb).all()
+        assert (lp.b - lp.A @ lp.lb >= 0.0).all()
+        solved.append(lp)
+        return real_solve_lp(lp)
+
+    def counting_solve_mip(mip):
+        sol = real_solve_mip(mip)
+        nodes.append(sol.nodes)
+        return sol
+
+    monkeypatch.setattr(lp_module, "solve_lp", checked_solve_lp)
+    monkeypatch.setattr(backup, "solve_lp", checked_solve_lp)
+    monkeypatch.setattr(backup, "solve_mip", counting_solve_mip)
+    model = EpidemicModel(EpidemicParams(N=60, L=2, M=2, T=3), 4, AmbiguityConfig())
+    backward_dp(model, PlannerConfig(backend="drmdp-enumerate", inner_method="lp"))
+    inner = len(solved)
+    assert inner > 0 and nodes == []
+    backward_dp(model, PlannerConfig(backend="drmdp-mccormick"))
+    assert len(solved) - inner == sum(nodes) > len(nodes)
+    solved.clear()
+    nodes.clear()
+    rng = np.random.default_rng(3)
+    for idx in model.grid.in_S_indices():
+        v = -rng.random(model.grid.n_corners) * 1e3
+        drmdp_backup_unary(model.rules(int(idx)), v, model.lam, model.acfg.k, L=2, M=2)
+    assert len(solved) == sum(nodes) > len(nodes)
 
 
 @dataclass

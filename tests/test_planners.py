@@ -172,8 +172,7 @@ class TestBackwardDp:
         probe = toy_model(N=4, Y=2, T=3, L=1, M=1, delta=0.05)
         for idx in probe.grid.in_S_indices():
             assert probe.penalty_slack(int(idx)) == pytest.approx(0.0, abs=1e-9)
-        for backend in ("nominal", "robust", "drmdp-enumerate",
-                        "drmdp-mccormick", "drmdp-unary"):
+        for backend in BACKENDS:
             model = toy_model(N=4, Y=2, T=3, L=1, M=1, delta=0.05)
             init = model.grid.index_of(*init_lattice)
             cfg = PlannerConfig(backend=backend, niter=200, seed=0)
@@ -222,8 +221,7 @@ class TestTableHelpers:
         assert act == expect_act
         assert val == pytest.approx(expect_val)
 
-    @pytest.mark.parametrize("backend", ["nominal", "robust", "drmdp-enumerate",
-                                         "drmdp-mccormick", "drmdp-unary"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_lookup_and_dense_values_back_up_identically(self, backend):
         # A lookup is read on the successor support only, so it must give
         # the same backup as the dense array over every corner.
@@ -451,6 +449,26 @@ class TestModelBundle:
         for i in idxs:
             assert_same_state(serial, parallel, i)
 
+    def test_pool_rows_are_one_read_only_block(self, monkeypatch):
+        # A real two-process pool: every state's rows come back as read-only
+        # views of one buffer, as a serial compile's do, bit for bit.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        serial = toy_model(N=6, Y=2, T=3)
+        pooled = toy_model(N=6, Y=2, T=3)
+        idxs = [int(i) for i in serial.grid.in_S_indices()]
+        serial.compile_states(idxs)
+        pooled.compile_states(idxs, workers=2)
+        for i in idxs:
+            for model in (serial, pooled):
+                rows = model.rows(i)
+                for name in ("indices", "probs"):
+                    arrays = [getattr(row, name) for row in rows]
+                    assert not any(a.flags.writeable for a in arrays), (i, name)
+                    assert len({id(a.base) for a in arrays}) == 1, (i, name)
+            for ra, rb in zip(serial.rows(i), pooled.rows(i)):
+                assert ra.indices.tobytes() == rb.indices.tobytes(), i
+                assert ra.probs.tobytes() == rb.probs.tobytes(), i
+
     def test_compile_pool_is_capped(self, monkeypatch):
         # The pool is faked: it records its size and compiles in-process.
         started = []
@@ -470,7 +488,7 @@ class TestModelBundle:
                 return map(fn, items)
 
         monkeypatch.setattr(model_module, "ProcessPoolExecutor", InProcessPool)
-        monkeypatch.setattr(model_module, "_worker_model", None)
+        monkeypatch.setattr(model_module, "_worker_push", None)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         serial = toy_model(N=6, Y=2, T=3)
         pooled = toy_model(N=6, Y=2, T=3)

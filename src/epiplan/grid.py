@@ -7,13 +7,15 @@ corners.  Transition laws over continuous atoms are pushed onto the corners
 through those weights, giving a finite kernel.  Corners whose fractions exceed
 1 are unreachable population mixes and absorb with probability one.
 
-The push runs once per state and vaccination level: the intervention level
-only reweights the exposure count, so the atoms of every exposure count are
-pushed once and each action's row is a weighted sum of those pushes.  The
-weights are affine inside each simplex, so the atoms that share one, which
-differ only in their recovery count, are pushed together as their total mass
-at their mean point.  A state's rows come out as one block of flat arrays,
-renormalized and checked at once (``SparseDistribution.block``).
+The push runs once per state: the intervention level only reweights the
+exposure count, so the atoms of every (vaccination level, exposure count)
+pair are pushed once and each action's row is a weighted sum of those
+pushes.  The weights are affine inside each simplex, so the atoms of one pair
+that share one, which differ only in their (incubation, recovery) counts, are
+pushed together as their total mass at their mean point; prefix tables over
+the (C, D) plane give each region's mass and mean in O(1).  A state's rows
+come out as one block of flat arrays, renormalized and checked at once
+(``SparseDistribution.block``).
 """
 
 from __future__ import annotations
@@ -245,11 +247,52 @@ def build_grid(spec: GridSpec) -> Grid:
     return Grid(spec)
 
 
+def _cell_of(counts: np.ndarray, N: int, Y: int) -> np.ndarray:
+    """The cell index locate_many gives the fractions counts/N."""
+    return np.minimum(counts * Y // N, Y - 1)
+
+
 def _frac_numerator(counts: np.ndarray, N: int, Y: int) -> np.ndarray:
     """N times the fractional part locate_many gives the fractions counts/N,
     exactly: (counts*Y) mod N, except N where the cell index is clamped at Y-1."""
-    scaled = counts * Y
-    return scaled - np.minimum(scaled // N, Y - 1) * N
+    return counts * Y - _cell_of(counts, N, Y) * N
+
+
+def _cell_counts(cells: np.ndarray, N: int, Y: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first and last count in each cell; a cell past Y-1 is empty."""
+    first = np.where(cells < Y, -(-cells * N // Y), N + 1)
+    last = np.where(cells < Y - 1, -(-(cells + 1) * N // Y) - 1, N)
+    return first, last
+
+
+def _suffix_sums(p_cd: np.ndarray) -> np.ndarray:
+    """Suffix sums over d of each row's mass, c-moment and v-moment.
+
+    With c the C index and d the D index, v = c + n_D - 1 - d runs over
+    0..n_C + n_D - 2.  S[:, c, d] sums d' >= d of row c, and is zero at
+    d = n_D, so the sum of row c up to v is S[:, c, clip(c + n_D - 1 - v)].
+    """
+    n_C, n_D = p_cd.shape
+    c = np.arange(n_C)[:, None]
+    S = np.zeros((3, n_C, n_D + 1))
+    terms = np.stack([p_cd, p_cd * c, p_cd * (c + n_D - 1 - np.arange(n_D))])
+    S[..., :n_D] = np.cumsum(terms[..., ::-1], axis=-1)[..., ::-1]
+    return S
+
+
+def _prefix_columns(S: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """T[:, c1, i], the sum over c < c1 of S[:, c, d[c, i]] with d clipped
+    into 0..n_D: one gather from the suffix sums and one sum over c."""
+    n_C, n_D = S.shape[1], S.shape[2] - 1
+    T = np.zeros((3, n_C + 1, d.shape[1]))
+    np.cumsum(S[:, np.arange(n_C)[:, None], np.clip(d, 0, n_D)], axis=1, out=T[:, 1:])
+    return T
+
+
+def _at(T: np.ndarray, c: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """T[:, c, i] for a table from _prefix_columns (a flat take is faster
+    than the broadcast fancy index)."""
+    return T.reshape(3, -1).take(c * T.shape[2] + i, axis=1)
 
 
 def discretize_kernel(
@@ -258,23 +301,27 @@ def discretize_kernel(
     """All kernel rows of one corner, one per action in ``params.actions()`` order.
 
     Each row is the exact atom law of ``seir.transition_pmf`` pushed onto the
-    grid corners, computed once per vaccination level y_V: the atoms of every
-    exposure count b that some y_R can draw are pushed into K[b, corner], and
+    grid corners.  The atoms of every vaccination level y_V and exposure
+    count b that some y_R can draw are pushed into K[(y_V, b), corner], and
     the row of (y_V, y_R) is pB(y_R) @ K.  JOINT_TOL applies to the
     action-free (C, D) factor, so the atoms kept are a superset of the
     per-action table's.
 
-    The atoms are pushed as segment moments.  For fixed (y_V, b, C) only the
-    recovery count D varies, and the successor moves along the p_I axis with
-    its p_S and p_E fractional parts (f0, f1) fixed, so it changes simplex
-    only where p_I crosses j, j + f0 or j + f1 (in units of 1/Y).  The
-    barycentric weights are affine on each closed simplex, so the atoms
-    between two such breakpoints push as their total mass placed at their
-    mean; prefix sums over D of the mass and of its first moment give both.
-    The breakpoints are found in integer arithmetic, so an atom on one is
-    assigned to a side exactly (either side is right: the interpolation is
-    continuous), and each mean is clamped into its segment, where prefix
-    differences of tiny masses could move it.
+    The atoms of one (y_V, b) differ only in (C, D), and are pushed as
+    simplex-region moments.  In c = C - C0 and v = C - D - V_min (C0 and
+    V_min the smallest values) the p_E cell is a c range for each b, the p_I
+    cell a v range, the same for every b, and with the p_S fractional part
+    f0 fixed by b, f0 >= f1 holds for c >= c_A, f0 >= f2 for v <= v_B, and
+    f1 >= f2 for c + v <= w.  So each (p_E cell, p_I cell) box splits into at
+    most six regions, each inside one simplex: the rectangles where f0 lies
+    between f1 and f2, and the two quadrants where it does not, each cut by
+    the anti-diagonal.  The barycentric weights are affine on each closed
+    simplex, so a region's atoms push as their total mass placed at their
+    mean, read in O(1) from prefix tables built from ``_suffix_sums``.  The
+    thresholds are integer arithmetic, so an atom on one is assigned to a
+    side exactly (either side is right: the interpolation is continuous),
+    and each mean is clamped into its box, where differences of tiny masses
+    could move it.  The means of every (y_V, b) are located in one call.
 
     Corner masses below ENTRY_TOL are dropped, and the state's rows are
     renormalized and checked as one block.  Invalid corners (fractions
@@ -282,81 +329,110 @@ def discretize_kernel(
     """
     n_rows = (params.L + 1) * (params.M + 1)
     if not grid.in_S[corner_index]:
-        row = SparseDistribution(np.array([corner_index]), np.array([1.0]))
-        return [row] * n_rows
+        return SparseDistribution.block(np.full(n_rows, corner_index), np.ones(n_rows),
+                                        np.arange(n_rows + 1))
     state = grid.state_of(corner_index)
     N, Y = params.N, grid.Y
     n_S, n_E, n_I = state.counts(N)
 
     kC, pC = binomial_row(n_E, params.rho_C)
     kD, pD = binomial_row(n_I, params.rho_D)
+    if np.any(np.diff(kC) != 1) or np.any(np.diff(kD) != 1):
+        raise DomainError("the C and D supports must be integer ranges")
     n_C, n_D = len(kC), len(kD)
+    n_V = n_C + n_D - 1
     p_cd = pC[:, None] * pD[None, :]
     p_cd[p_cd < JOINT_TOL] = 0.0
     p_cd /= p_cd.sum()
-    # Successor I counts, descending along D; prefix mass and first moment.
-    I_next = n_I + kC[:, None] - kD[None, :]
-    mass_upto = np.zeros((n_C, n_D + 1))
-    moment_upto = np.zeros((n_C, n_D + 1))
-    np.cumsum(p_cd, axis=1, out=mass_upto[:, 1:])
-    np.cumsum(p_cd * I_next, axis=1, out=moment_upto[:, 1:])
-    # The p_I cells each C's D range spans, padded to a common count; each
-    # cell [j, j+1) splits at j + min(f0, f1) and j + max(f0, f1).
-    cell_lo = np.minimum(I_next[:, -1] * Y // N, Y - 1)
-    cell_hi = np.minimum(I_next[:, 0] * Y // N, Y - 1)
-    cell_start = (cell_lo[:, None] + np.arange(int((cell_hi - cell_lo).max()) + 1)) * N
-    c_axis = np.arange(n_C)[None, :, None]
+    S = _suffix_sums(p_cd)
 
-    # The exposure probability of each y_R; it does not depend on y_V.
+    # Every (y_V, b) pair of the state, and each y_V's exposure marginals;
+    # the exposure probability of each y_R does not depend on y_V.
     phis = [exposure_prob(params, state, Action(0, y_R)) for y_R in range(params.M + 1)]
-    # The kept entries of every row, in action order, for one block.
-    indices, masses, lengths = [], [], []
+    kBs, pBs, trials = [], [], []
     for y_V in range(params.L + 1):
-        trials = vaccination_trials(params, n_S, y_V)
-        marginals = [binomial_row(trials, phi) for phi in phis]
+        n_trials = vaccination_trials(params, n_S, y_V)
+        marginals = [binomial_row(n_trials, phi) for phi in phis]
         kB = np.unique(np.concatenate([k for k, _ in marginals]))
         pB = np.zeros((len(phis), len(kB)))
         for r, (k, p) in enumerate(marginals):
             pB[r, np.searchsorted(kB, k)] = p / p.sum()
+        kBs.append(kB)
+        pBs.append(pB)
+        trials.append(np.full(len(kB), n_trials))
+    b = np.concatenate(kBs)
+    S_next = np.concatenate(trials) - b
+    f0 = _frac_numerator(S_next, N, Y)[:, None, None]
+    # Successor E and I counts at c = 0 and v = 0; E falls with c, I rises with v.
+    E_top = n_E + b - kC[0]
+    I_low = n_I + kC[0] - kD[-1]
+    # The boxes cover counts up to N only.  Where the rounded counts sum past
+    # N, n_E + n_I can exceed it, and an atom with I above N must not be
+    # dropped.  (S and E stay within N: b > 0 needs p_I > 0, and then
+    # n_S + n_E <= N.)
+    c_kept, d_kept = np.nonzero(p_cd)
+    if n_I + (kC[c_kept] - kD[d_kept]).max() > N:
+        raise DomainError("point outside the unit cube")
 
-        S_next = trials - kB                          # (nB,)
-        E_next = n_E + kB[:, None] - kC[None, :]      # (nB, nC)
-        # N times the p_S and p_E fractional parts, fixed along each line.
-        f0 = _frac_numerator(S_next, N, Y)[:, None, None]
-        f1 = _frac_numerator(E_next, N, Y)[:, :, None]
-        # Segment bounds on N*Y*p_I, ascending along the last axis; a last
-        # count of zero atoms above closes the top segment.
-        start = np.broadcast_to(cell_start, E_next.shape + cell_start.shape[1:])
-        bounds = np.stack([start, start + np.minimum(f0, f1), start + np.maximum(f0, f1)],
-                          axis=-1).reshape(*E_next.shape, -1)
-        # The atoms at or above a bound are those with I_next * Y >= bound,
-        # that is D <= n_I + C - ceil(bound / Y): a prefix of kD.
-        d_max = n_I + kC[None, :, None] + (-bounds // Y)
-        above = np.searchsorted(kD, d_max.ravel(), side="right").reshape(d_max.shape)
-        above = np.concatenate([above, np.zeros_like(above[..., :1])], axis=-1)
-        hi, lo = above[..., :-1], above[..., 1:]   # segment atoms: D index in [lo, hi)
-        seg_mass = mass_upto[c_axis, hi] - mass_upto[c_axis, lo]
-        b, c, s = np.nonzero(seg_mass > 0.0)
-        lo, hi, seg_mass = lo[b, c, s], hi[b, c, s], seg_mass[b, c, s]
-        mean_I = np.clip((moment_upto[c, hi] - moment_upto[c, lo]) / seg_mass,
-                         I_next[c, hi - 1], I_next[c, lo])
+    # The p_E cells of each pair, padded to a common count, and the p_I cells;
+    # boxes are indexed (pair, p_E cell, p_I cell).
+    j_lo = _cell_of(E_top - (n_C - 1), N, Y)
+    j = (j_lo[:, None] + np.arange(int((_cell_of(E_top, N, Y) - j_lo).max()) + 1))[..., None]
+    k = np.arange(_cell_of(I_low, N, Y), _cell_of(I_low + n_V - 1, N, Y) + 1)
+    E_first, E_last = _cell_counts(j, N, Y)
+    I_first, I_last = _cell_counts(k, N, Y)
+    # Each box's half-open c range [lo, hi) with its cut c_A, and its v range
+    # with its cut v_B, as (lo, cut, hi).
+    c_cut = np.clip(E_top[:, None, None, None]
+                    - np.stack([E_last, (f0 + j * N) // Y, E_first - 1], axis=-1), 0, n_C)
+    v_cut = np.clip(np.stack(np.broadcast_arrays(I_first - 1, (f0 + k * N) // Y, I_last),
+                             axis=-1) - I_low + 1, 0, n_V)
+    for cut in (c_cut, v_cut):
+        cut[..., 1] = np.clip(cut[..., 1], cut[..., 0], cut[..., 2])
+    # The 2-D prefix sums at every v cut: F[:, c1, i] sums c < c1 and
+    # v < v_cols[i].  F at the 3 x 3 cuts gives the four quadrants.
+    c = np.arange(n_C)[:, None]
+    v_cols, v_at = np.unique(v_cut, return_inverse=True)
+    v_at = v_at.reshape(v_cut.shape)
+    F = _prefix_columns(S, c + n_D - v_cols)
+    # quads[..., x, y]: x = 0 where f1 > f0, 1 where f0 >= f1; y = 0 where
+    # f0 >= f2, 1 where f2 > f0.
+    quads = np.diff(np.diff(_at(F, c_cut[..., :, None], v_at[..., None, :]),
+                            axis=-2), axis=-1)
+    # The quadrant with f0 >= f1 and f0 >= f2, and the one with f1 > f0 and
+    # f2 > f0, each split where c + v <= w: whole rows [c0, ca), then rows
+    # [ca, cb) cut by the anti-diagonal, whose sums G[:, c1, i] over c < c1
+    # of row c up to v = w_cols[i] - c are taken at every w.
+    c0, c1 = c_cut[..., [1, 0]], c_cut[..., [2, 1]]
+    v0, v1 = v_at[..., [0, 1]], v_at[..., [1, 2]]
+    w = (E_top[:, None, None] - I_low + (k - j) * N // Y)[..., None]
+    ca = np.clip(w - v_cut[..., [1, 2]] + 2, c0, c1)
+    cb = np.clip(w - v_cut[..., [0, 1]] + 1, ca, c1)
+    w_cols, w_at = np.unique(w, return_inverse=True)
+    w_at = w_at.reshape(w.shape)
+    G = _prefix_columns(S, 2 * c + n_D - 1 - w_cols)
+    below = (_at(F, ca, v1) - _at(F, c0, v1) + _at(F, c0, v0) - _at(F, cb, v0)
+             + _at(G, cb, w_at) - _at(G, ca, w_at))
+    regions = np.concatenate([below, quads[..., [1, 0], [0, 1]] - below,
+                              quads[..., [0, 1], [0, 1]]], axis=-1)
+    hit = np.nonzero(regions[0] > 0.0)
+    pair, jj, kk, _ = hit
+    mass = regions[0][hit]
+    mean_c = np.clip(regions[1][hit] / mass, c_cut[pair, jj, 0, 0], c_cut[pair, jj, 0, 2] - 1)
+    mean_v = np.clip(regions[2][hit] / mass, v_cut[pair, 0, kk, 0], v_cut[pair, 0, kk, 2] - 1)
 
-        points = np.stack([S_next[b], E_next[b, c], mean_I], axis=1) / N
-        idx, wts = grid.locate_many(points)[:2]
-        # K spans only the corner indices reached, from first to last.
-        first = int(idx.min())
-        width = int(idx.max()) - first + 1
-        K = np.bincount((idx - first + (b * width)[:, None]).ravel(),
-                        weights=(wts * seg_mass[:, None]).ravel(),
-                        minlength=len(kB) * width).reshape(len(kB), width)
-        row_mass = pB @ K
-        keep = row_mass >= ENTRY_TOL
-        indices.append(first + np.nonzero(keep)[1])
-        masses.append(row_mass[keep])
-        lengths.append(keep.sum(axis=1))
-    offsets = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
-    return SparseDistribution.block(np.concatenate(indices), np.concatenate(masses),
-                                    offsets, normalize=True)
+    points = np.stack([S_next[pair], E_top[pair] - mean_c, I_low + mean_v], axis=1) / N
+    idx, wts = grid.locate_many(points)[:2]
+    corners, col = np.unique(idx, return_inverse=True)
+    K = np.bincount((pair[:, None] * len(corners) + col.reshape(idx.shape)).ravel(),
+                    weights=(wts * mass[:, None]).ravel(),
+                    minlength=len(b) * len(corners)).reshape(len(b), len(corners))
+    bounds = np.cumsum([0] + [len(kB) for kB in kBs])
+    row_mass = np.vstack([pB @ K[lo:hi] for pB, lo, hi in zip(pBs, bounds[:-1], bounds[1:])])
+    keep = row_mass >= ENTRY_TOL
+    offsets = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return SparseDistribution.block(corners[np.nonzero(keep)[1]], row_mass[keep], offsets,
+                                    normalize=True)
 
 
 def cache_key(params: EpidemicParams, Y: int, delta: float) -> str:
@@ -373,5 +449,5 @@ def cache_key(params: EpidemicParams, Y: int, delta: float) -> str:
     )
     payload += f"|Y={Y}|delta={delta!r}"
     payload += f"|tols={MARGINAL_TOL!r},{JOINT_TOL!r},{ENTRY_TOL!r}"
-    payload += "|push=segment-moments|norm=block|pmf=mode-ratio"
+    payload += "|push=plane-moments|norm=block|pmf=mode-ratio"
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

@@ -11,9 +11,12 @@ run:
   from above;
 * random LPs pass the textbook strong-duality check;
 * every action enumeration picks in backward induction is a corner of the
-  action box.
+  action box;
+* McCormick backward induction bounds enumeration's from above, strictly
+  somewhere, with the same root value.
 
-All tolerances are 1e-6 relative to 1 + |value|.
+All tolerances are 1e-6 relative to 1 + |value|, except the McCormick gap's
+1e-9.
 """
 
 from functools import cache
@@ -27,7 +30,7 @@ from epiplan.backup import (
     inner_value_parametric,
 )
 from epiplan.lp import LinearProgram
-from epiplan.model import EpidemicModel
+from epiplan.model import EpidemicModel, lattice_state_index
 from epiplan.plan import PlannerConfig, backward_dp
 from epiplan.rules import AmbiguityConfig, DecisionRuleCoefficients, design_matrix, mean_bounds
 from epiplan.seir import Action, EpidemicParams
@@ -114,16 +117,39 @@ def test_strong_duality_of_random_lps():
     assert checked == 6  # the other four draws are unbounded
 
 
+@cache
+def dp_mip_small():
+    """The model of the dp-mip-small size (N=100, Y=5, L=M=2, T=5) and its
+    backward induction under enumeration."""
+    model = EpidemicModel(EpidemicParams(N=100, L=2, M=2, T=5), 5, AmbiguityConfig())
+    return model, backward_dp(model, PlannerConfig(backend="drmdp-enumerate"))
+
+
 def test_enumeration_argmax_is_a_corner():
     # For fixed multipliers the backup objective is affine in the action and
     # the multiplier polytope does not depend on it, so the backup value is
     # convex in the action and the first maximizer in action order is a
-    # vertex of [0, L] x [0, M].  Backward induction at N=100, Y=5, L=M=2,
-    # T=5.
-    L = M = 2
-    model = EpidemicModel(EpidemicParams(N=100, L=L, M=M, T=5), 5, AmbiguityConfig())
-    table = backward_dp(model, PlannerConfig(backend="drmdp-enumerate"))
+    # vertex of [0, L] x [0, M].
+    model, table = dp_mip_small()
+    L, M = model.params.L, model.params.M
     assert len(table.actions) == 4 * len(model.grid.in_S_indices())
     off_corner = {key: a for key, a in table.actions.items()
                   if a.y_V not in (0, L) or a.y_R not in (0, M)}
     assert off_corner == {}
+
+
+def test_mccormick_gap_at_dp_mip_small():
+    # The McCormick MIP relaxes the bilinear products, so its backward
+    # induction bounds enumeration's from above.  The gap is real: some
+    # entries sit strictly above (83 of the 864 by more than 1e-9 relative,
+    # where it picks the interior level (1, 0) at 43 of the 224 simplex
+    # entries), while the root value agrees.
+    model, exact = dp_mip_small()
+    relaxed = backward_dp(model, PlannerConfig(backend="drmdp-mccormick"))
+    assert len(exact.values) == len(relaxed.values) == 864
+    gaps = {key: (relaxed.values[key] - e) / (1.0 + abs(e))
+            for key, e in exact.values.items()}
+    assert min(gaps.values()) >= -1e-9
+    assert sum(g > 1e-9 for g in gaps.values()) >= 1
+    root = (lattice_state_index(model, 0.6, 0.2, 0.2), 1)
+    assert abs(gaps[root]) <= 1e-9

@@ -359,6 +359,48 @@ class TestDiscretizeKernel:
         assert len(rows) == len(p.actions())
         assert all(as_dict(row) == {idx: 1.0} for row in rows)
 
+    def test_outside_S_rows_are_one_read_only_block(self):
+        # One self-loop row per action, each its own object, all views of
+        # one read-only buffer, as every in-simplex state's rows are.
+        g = build_grid(GridSpec(2))
+        p = toy_params(N=6)
+        idx = g.index_of(2, 1, 0)  # fractions sum to 1.5
+        rows = discretize_kernel(g, p, idx)
+        assert len(rows) == len(p.actions())
+        assert len({id(row) for row in rows}) == len(rows)
+        assert all(as_dict(row) == {idx: 1.0} for row in rows)
+        for row in rows:
+            assert not row.probs.flags.writeable and not row.indices.flags.writeable
+            assert row.probs.base is rows[0].probs.base is not None
+        with pytest.raises(ValueError):
+            rows[0].probs[0] = 0.5
+
+    @pytest.mark.parametrize("N, Y, lattice", [(3, 2, (0, 1, 1)), (7, 4, (0, 2, 2))])
+    def test_successor_outside_the_cube_raises(self, N, Y, lattice):
+        # Rounded counts (0, 2, 2) of N = 3, or (0, 4, 4) of N = 7, sum past
+        # N, so some kept atom has more infectives than the population.
+        g = build_grid(GridSpec(Y))
+        with pytest.raises(DomainError, match="outside the unit cube"):
+            discretize_kernel(g, EpidemicParams(N=N, L=1, M=1), g.index_of(*lattice))
+
+    def test_gapped_support_raises(self, monkeypatch):
+        # The push reads the (C, D) law as a table over integer ranges, so a
+        # C or D support with a hole must fail loudly.
+        g = build_grid(GridSpec(3))
+        p = toy_params(N=30)
+        idx = g.index_of(1, 1, 1)
+        for rho in (p.rho_C, p.rho_D):
+            def gapped(n, prob, rho=rho):
+                k, pmf = binomial_row(n, prob)
+                if prob == rho:  # drop an interior entry of this draw's row
+                    keep = np.arange(len(k)) != len(k) // 2
+                    return k[keep], pmf[keep]
+                return k, pmf
+
+            monkeypatch.setattr(grid_module, "binomial_row", gapped)
+            with pytest.raises(DomainError, match="integer ranges"):
+                discretize_kernel(g, p, idx)
+
     def test_disease_free_self_loop(self):
         g = build_grid(GridSpec(2))
         p = toy_params()
@@ -408,7 +450,7 @@ class TestDiscretizeKernel:
         if exercises is not None:
             assert exercises(successor_counts(g, p, idx), N, Y)
         rows = discretize_kernel(g, p, idx)
-        # Against the same law pushed atom by atom, only the segment moments
+        # Against the same law pushed atom by atom, only the region moments
         # differ; against the per-action tables the truncation differs too
         # (the README bounds that at 1.75e-11 over the rtdp-default states).
         for atoms, tol in ((action_free_atoms, 1e-12), (transition_atoms, 1.7e-11)):
@@ -420,7 +462,8 @@ class TestDiscretizeKernel:
 
     def test_push_locates_far_fewer_points_than_atoms(self, monkeypatch):
         # The default initial state pushes about 1.5 M atoms; they must reach
-        # locate_many as segment means, not one by one.
+        # locate_many in one call, as at most six region means per
+        # (p_E cell, p_I cell) box of each (y_V, b), not one by one.
         g = build_grid(GridSpec(10))
         p = EpidemicParams()
         idx = g.index_of(7, 1, 2)
@@ -437,14 +480,25 @@ class TestDiscretizeKernel:
         # paired with each (C, D) pair whose action-free mass is kept.
         state = g.state_of(idx)
         _, n_E, n_I = state.counts(p.N)
-        p_cd = np.outer(binomial_row(n_E, p.rho_C)[1], binomial_row(n_I, p.rho_D)[1])
-        n_cd = np.count_nonzero(p_cd >= JOINT_TOL)
-        atoms = sum(
-            len(np.unique(np.concatenate([transition_pmf(p, state, Action(y_V, y_R)).draws[:, 0]
-                                          for y_R in range(p.M + 1)]))) * n_cd
-            for y_V in range(p.L + 1))
+        kC, pC = binomial_row(n_E, p.rho_C)
+        kD, pD = binomial_row(n_I, p.rho_D)
+        n_cd = np.count_nonzero(np.outer(pC, pD) >= JOINT_TOL)
+        exposures = [np.unique(np.concatenate(
+            [transition_pmf(p, state, Action(y_V, y_R)).draws[:, 0]
+             for y_R in range(p.M + 1)])) for y_V in range(p.L + 1)]
+        atoms = sum(len(kB) for kB in exposures) * n_cd
         assert atoms > 1_000_000
-        assert 0 < sum(located) < atoms / 20
+
+        # The cells the successor p_E fractions of each b, and the p_I
+        # fractions, span.
+        def cells(lo, hi):
+            return min(hi * g.Y // p.N, g.Y - 1) - min(lo * g.Y // p.N, g.Y - 1) + 1
+
+        p_I_cells = cells(n_I + kC[0] - kD[-1], n_I + kC[-1] - kD[0])
+        bound = sum(6 * cells(n_E + b - kC[-1], n_E + b - kC[0]) * p_I_cells
+                    for kB in exposures for b in kB.tolist())
+        assert len(located) == 1
+        assert 0 < located[0] <= bound < atoms / 200
 
     def test_full_vaccination_rows_equal(self):
         # y_V = L leaves no susceptible to expose, so y_R changes nothing.
@@ -521,7 +575,9 @@ class TestCacheKey:
 
     def test_per_atom_push_caches_miss(self):
         # The keys the per-atom push, then the log-factorial binomial law,
-        # then per-row normalization gave this configuration: their rows
-        # differ from the current ones in the last bits, so they must not load.
+        # then per-row normalization, then the segment push gave this
+        # configuration: their rows differ from the current ones in the last
+        # bits, so they must not load.
         key = cache_key(toy_params(), 2, 0.05)
-        assert key not in ("286f24f0de12e5d6", "22a2cc61b4ac4f66", "b9c5273309ff5e7b")
+        assert key not in ("286f24f0de12e5d6", "22a2cc61b4ac4f66", "b9c5273309ff5e7b",
+                           "5483712e4944b2b2")

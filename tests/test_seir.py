@@ -119,6 +119,17 @@ class TestBinomialRow:
     def test_kept_mass_sums_to_one(self, n, p):
         assert abs(binomial_row(n, p)[1].sum() - 1.0) <= 1e-9
 
+    def test_support_is_an_integer_range(self):
+        # The pmf is unimodal, so the entries kept above MARGINAL_TOL form one
+        # run around the mode; grid.discretize_kernel relies on it.
+        ns = [1, 2, 3, 7, 10, 33, 100, 999, 1000, 12_345, 100_000]
+        ps = [1e-300, 1e-12, 1e-6, 1e-3, 0.3, 0.5 - 1e-9, 0.5, 0.5 + 1e-9, 0.7,
+              1 - 1e-3, 1 - 1e-6, 1 - 1e-12]
+        for n in ns:
+            for p in ps:
+                ks = binomial_row(n, p)[0]
+                assert len(ks) >= 1 and np.all(np.diff(ks) == 1), (n, p)
+
     def test_fallback_keeps_the_mode(self, monkeypatch):
         # With a tolerance above every entry, only the most likely count stays.
         monkeypatch.setattr(seir, "MARGINAL_TOL", 1.0)

@@ -77,7 +77,8 @@ def shift_mass(row: SparseDistribution, donors: np.ndarray, receiver: int,
     take = np.minimum(have, np.maximum(budget / 2.0 - before, 0.0))
     probs[donors] -= take
     probs[receiver] += take.sum()
-    return SparseDistribution(row.indices.copy(), probs, normalize=True)
+    probs /= probs.sum()
+    return SparseDistribution.block(row.indices, probs, [0, len(probs)])[0]
 
 
 def worst_case_shift(row: SparseDistribution, grid: Grid, budget: float) -> SparseDistribution:

@@ -19,7 +19,7 @@ from dataclasses import replace
 
 from .config import RunConfig, _validate, config_hash, parse_config, resolved_text
 from .errors import ConfigError, DomainError, EpiplanError
-from .model import EpidemicModel, lattice_state_index
+from .model import EpidemicModel, initial_state_index
 from .plan import backward_dp, rtdp, table_rows
 from .sim import EPISODE_HEADER, aggregate_infectives, compare_models, sensitivity_sweep
 
@@ -73,12 +73,6 @@ def _model(cfg: RunConfig) -> EpidemicModel:
     return EpidemicModel(cfg.params, cfg.Y, cfg.ambiguity)
 
 
-def _init_index(cfg: RunConfig, model: EpidemicModel) -> int:
-    p_S1 = cfg.p_S1_list[0]
-    p_I1 = round(1.0 - p_S1 - cfg.p_E1, 12)
-    return lattice_state_index(model, p_S1, cfg.p_E1, p_I1)
-
-
 def _cmd_compile(cfg: RunConfig, outdir: str, verbose: bool) -> int:
     model = _model(cfg)
     t0 = time.time()
@@ -96,7 +90,7 @@ def _cmd_solve(cfg: RunConfig, outdir: str, use_dp: bool) -> int:
     model = _model(cfg)
     model.load_cache(outdir)
     pcfg = cfg.planner
-    init = _init_index(cfg, model)
+    init = initial_state_index(model, cfg.p_S1_list[0], cfg.p_E1)
     t0 = time.time()
     if use_dp:
         table = backward_dp(model, pcfg)
@@ -148,12 +142,10 @@ def _cmd_compare(cfg: RunConfig, outdir: str) -> int:
 
 
 def _cmd_sensitivity(cfg: RunConfig, outdir: str) -> int:
-    p_S1 = cfg.p_S1_list[0]
-    scenario = (p_S1, cfg.p_E1, round(1.0 - p_S1 - cfg.p_E1, 12))
     rows = sensitivity_sweep(cfg.params, cfg.Y, cfg.ambiguity, cfg.planner,
                              cfg.sweep_param, cfg.sweep_values,
                              nseeds=cfg.nseeds, pspec=cfg.perturbation(),
-                             scenario=scenario)
+                             scenario=(cfg.p_S1_list[0], cfg.p_E1))
     header = ["param", "value", "seed", "stage", "pct_infective"]
     emit_results({"sensitivity": (header, rows)}, outdir, cfg,
                  list(range(cfg.nseeds)))

@@ -39,25 +39,6 @@ from .seir import (
     vaccination_trials,
 )
 
-# The six axis orderings in lexicographic order; labels 0..5 name the simplexes.
-_PERMUTATIONS = np.array(
-    [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]], dtype=np.int64
-)
-
-
-def _label_of_code() -> np.ndarray:
-    """Simplex label of each comparison code 4*(f0>=f1) + 2*(f0>=f2) + (f1>=f2).
-
-    Codes 2 and 5 would be cyclic orders and never occur; they map to -1.
-    """
-    lut = np.full(8, -1, dtype=np.int64)
-    for label, order in enumerate(_PERMUTATIONS):
-        rank = np.argsort(order)
-        lut[4 * (rank[0] < rank[1]) + 2 * (rank[0] < rank[2]) + (rank[1] < rank[2])] = label
-    return lut
-
-
-_LABEL_OF_CODE = _label_of_code()
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -73,42 +54,22 @@ class GridSpec:
 class SparseDistribution:
     """Probability mass over corner indices; indices unique and ascending.
 
-    The constructor checks one row; ``block`` checks many rows at once.
+    Rows are made only by ``block``, which checks many rows at once.
     """
 
     __slots__ = ("indices", "probs")
-
-    def __init__(self, indices: np.ndarray, probs: np.ndarray, normalize: bool = False):
-        indices = np.asarray(indices, dtype=np.int64)
-        probs = np.asarray(probs, dtype=np.float64)
-        if indices.shape != probs.shape or indices.ndim != 1:
-            raise DomainError("indices and probs must be matching 1-d arrays")
-        order = np.argsort(indices, kind="stable")
-        indices, probs = indices[order], probs[order]
-        if len(indices) > 1 and np.any(np.diff(indices) == 0):
-            raise DomainError("duplicate successor indices")
-        if np.any(probs < -1e-15):
-            raise DomainError("negative probability entry")
-        total = probs.sum()
-        if normalize:
-            if not total > 0:  # NaN fails too
-                raise DomainError("cannot normalize empty distribution")
-            probs = probs / total
-        elif not abs(total - 1.0) <= 1e-9:  # NaN fails too
-            raise DomainError(f"probabilities sum to {total}, not 1")
-        self.indices = indices
-        self.probs = probs
 
     @classmethod
     def block(cls, indices: np.ndarray, probs: np.ndarray, offsets: np.ndarray,
               normalize: bool = False) -> list[SparseDistribution]:
         """The rows held at [offsets[r], offsets[r+1]) of flat indices and probs.
 
-        The whole block is checked at once for what the constructor checks
-        of one row, except that each row's indices must already ascend
-        strictly.  A row that fails raises RowError naming the first such
-        row and the constructor's reason.  The rows are views of one
-        read-only buffer.
+        The whole block is checked at once: each row's indices must ascend
+        strictly, no entry may be below -1e-15, and each row must sum to one
+        within 1e-9 or, with normalize, to a positive total, by which it is
+        then divided.  A row that fails raises RowError naming the first
+        such row and its reason.  The rows are views of one read-only
+        buffer.
         """
         indices = np.array(indices, dtype=np.int64)
         probs = np.array(probs, dtype=np.float64)
@@ -178,12 +139,16 @@ class Grid:
         self.coords = self.lattice / Y
         self.in_S = self.lattice.sum(axis=1) <= Y
         # Index offsets of the four simplex vertices from a cell's low corner,
-        # per comparison code: one axis stride more at each step of the path.
+        # per comparison code 4*(f0>=f1) + 2*(f0>=f2) + (f1>=f2).  The path
+        # steps along the axes in descending order of their fractional parts,
+        # ties to the lower axis, so each axis steps at its rank in that
+        # order, and vertex v adds the stride of every axis ranked below v.
+        # The cyclic codes 2 and 5 never occur.
+        code = np.arange(8)
+        b01, b02, b12 = code >> 2 & 1, code >> 1 & 1, code & 1
+        rank = np.stack([2 - b01 - b02, 1 + b01 - b12, b02 + b12], axis=1)
         strides = np.array([side * side, side, 1], dtype=np.int64)
-        self._vertex_offsets = np.zeros((8, 4), dtype=np.int64)
-        for code, label in enumerate(_LABEL_OF_CODE):
-            if label >= 0:
-                self._vertex_offsets[code, 1:] = np.cumsum(strides[_PERMUTATIONS[label]])
+        self._vertex_offsets = (rank[:, None, :] < np.arange(4)[:, None]) @ strides
 
     @property
     def Y(self) -> int:
@@ -214,9 +179,9 @@ class Grid:
     def locate_many(self, points: np.ndarray):
         """Vectorized barycentric location of points inside the unit cube.
 
-        Returns (corner_indices (n,4), weights (n,4), simplex_labels (n,)).
-        The simplex follows the fractional parts sorted in descending order,
-        ties going to the lower axis.
+        Returns (corner_indices (n,4), weights (n,4)).  The simplex follows
+        the fractional parts sorted in descending order, ties going to the
+        lower axis.
         """
         pts = np.asarray(points, dtype=np.float64)
         if np.any(pts < -1e-12) or np.any(pts > 1.0 + 1e-12):
@@ -239,12 +204,7 @@ class Grid:
         weights[:, 3] = lo
 
         base = (cell[:, 0] * side + cell[:, 1]) * side + cell[:, 2]
-        idx = base[:, None] + self._vertex_offsets[code]
-        return idx, weights, _LABEL_OF_CODE[code]
-
-
-def build_grid(spec: GridSpec) -> Grid:
-    return Grid(spec)
+        return base[:, None] + self._vertex_offsets[code], weights
 
 
 def _cell_of(counts: np.ndarray, N: int, Y: int) -> np.ndarray:
@@ -422,7 +382,7 @@ def discretize_kernel(
     mean_v = np.clip(regions[2][hit] / mass, v_cut[pair, 0, kk, 0], v_cut[pair, 0, kk, 2] - 1)
 
     points = np.stack([S_next[pair], E_top[pair] - mean_c, I_low + mean_v], axis=1) / N
-    idx, wts = grid.locate_many(points)[:2]
+    idx, wts = grid.locate_many(points)
     corners, col = np.unique(idx, return_inverse=True)
     K = np.bincount((pair[:, None] * len(corners) + col.reshape(idx.shape)).ravel(),
                     weights=(wts * mass[:, None]).ravel(),
@@ -435,19 +395,21 @@ def discretize_kernel(
                                     normalize=True)
 
 
-def cache_key(params: EpidemicParams, Y: int, delta: float) -> str:
-    """Content hash identifying a compiled kernel/rule cache.
+def cache_key(params: EpidemicParams, Y: int) -> str:
+    """Content hash identifying a compiled kernel cache.
 
-    The payload names the push, row-normalization and pmf schemes, so that
-    rows written by an earlier push, normalization or binomial law, which
-    differ from a fresh compile in their last bits, miss.
+    The payload holds only what the rows depend on: the parameters of the
+    transition law, the grid size, the truncation tolerances, and the push,
+    row-normalization and pmf schemes, so that rows written by an earlier
+    push, normalization or binomial law, which differ from a fresh compile in
+    their last bits, miss.  Rewards and rules are rebuilt by the loading
+    model, so its cost, horizon and ambiguity settings are not in the key.
     """
     payload = "|".join(
         f"{k}={getattr(params, k)!r}"
-        for k in ("N", "mu", "beta", "alpha0", "l_C", "l_D", "Q", "k_R", "W",
-                  "L", "M", "lam", "T")
+        for k in ("N", "mu", "beta", "alpha0", "l_C", "l_D", "L", "M")
     )
-    payload += f"|Y={Y}|delta={delta!r}"
+    payload += f"|Y={Y}"
     payload += f"|tols={MARGINAL_TOL!r},{JOINT_TOL!r},{ENTRY_TOL!r}"
     payload += "|push=plane-moments|norm=block|pmf=mode-ratio"
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

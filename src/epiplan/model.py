@@ -18,12 +18,12 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .backup import worst_case_shift
+from .backup import inner_value_parametric, worst_case_shift
 from .errors import CacheError, DomainError, RowError
-from .grid import Grid, GridSpec, SparseDistribution, build_grid, cache_key, discretize_kernel
+from .grid import Grid, GridSpec, SparseDistribution, cache_key, discretize_kernel
 from .rules import (AmbiguityConfig, DecisionRuleCoefficients, fit_affine, fit_rules,
                     mean_bounds, rule_design)
-from .seir import Action, EpidemicParams, stage_rewards
+from .seir import Action, ContinuousState, EpidemicParams, stage_rewards
 
 
 # One record per stored kernel entry; action indexes model.actions.  A cache
@@ -37,7 +37,7 @@ class EpidemicModel:
 
     def __init__(self, params: EpidemicParams, Y: int, acfg: AmbiguityConfig):
         self.params = params
-        self.grid: Grid = build_grid(GridSpec(Y))
+        self.grid = Grid(GridSpec(Y))
         self.acfg = acfg
         self.actions: list[Action] = params.actions()
         self.design = rule_design(self.actions)  # (n_actions, 3) rows (1, y_V, y_R)
@@ -56,7 +56,7 @@ class EpidemicModel:
         return self.params.T
 
     def key(self) -> str:
-        return cache_key(self.params, self.grid.Y, self.acfg.delta)
+        return cache_key(self.params, self.grid.Y)
 
     def action_index(self, action: Action) -> int:
         return action.y_V * (self.params.M + 1) + action.y_R
@@ -124,16 +124,15 @@ class EpidemicModel:
         the planner k per unit of unavoidable violation.  Planner-agreement
         guarantees assume this is zero (the ambiguity set is nonempty).
         """
-        from .backup import inner_value_parametric
-
         coeffs = self.rules(idx)
         eta_L, eta_U = mean_bounds(coeffs, self.design)
         vals = inner_value_parametric(eta_L, eta_U, np.zeros(len(coeffs.support)),
                                       self.acfg.k)
         return max(0.0, float(vals.max()))
 
-    def compile_states(self, indices, workers: int = 1) -> None:
-        """Compile many states, optionally across processes.
+    def compile_all(self, workers: int = 1) -> None:
+        """Compile every simplex state not yet compiled, optionally across
+        processes.
 
         The pool starts at most one worker per state to compile and per CPU.
         Each worker builds the grid once and returns each state's kernel rows
@@ -141,7 +140,7 @@ class EpidemicModel:
         one block and stores them through _store, as compile_state does, so
         both routes give the same rows and rules.
         """
-        todo = [int(i) for i in indices if int(i) not in self._rows]
+        todo = [i for i in self.grid.in_S_indices().tolist() if i not in self._rows]
         if not todo:
             return
         workers = min(workers, len(todo), os.cpu_count() or 1)
@@ -155,9 +154,6 @@ class EpidemicModel:
                               chunksize=max(1, len(todo) // (4 * workers)))
             for idx, indices, probs, offsets in chunks:
                 self._store(idx, SparseDistribution.block(indices, probs, offsets))
-
-    def compile_all(self, workers: int = 1) -> None:
-        self.compile_states(self.grid.in_S_indices(), workers=workers)
 
     # -- persistence ---------------------------------------------------------
 
@@ -235,7 +231,7 @@ _worker_push: tuple[Grid, EpidemicParams] | None = None
 
 def _init_worker(params: EpidemicParams, Y: int) -> None:
     global _worker_push
-    _worker_push = (build_grid(GridSpec(Y)), params)
+    _worker_push = (Grid(GridSpec(Y)), params)
 
 
 def _compile_in_worker(idx: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
@@ -248,10 +244,15 @@ def _compile_in_worker(idx: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarra
 
 def lattice_state_index(model: EpidemicModel, p_S: float, p_E: float, p_I: float) -> int:
     """Corner index of an initial condition, which must sit on the lattice."""
-    from .seir import ContinuousState
-
     state = ContinuousState(p_S, p_E, p_I)
     idx = model.grid.state_index(state)
     if not model.grid.in_S[idx]:
         raise DomainError(f"initial state {state} is outside the simplex")
     return idx
+
+
+def initial_state_index(model: EpidemicModel, p_S1: float, p_E1: float) -> int:
+    """Corner index of the initial condition whose infective share is the
+    remainder 1 - p_S1 - p_E1 (rounded to 12 places, so that lattice
+    fractions land on the lattice)."""
+    return lattice_state_index(model, p_S1, p_E1, round(1.0 - p_S1 - p_E1, 12))

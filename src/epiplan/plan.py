@@ -76,8 +76,9 @@ class PolicyTrace:
 
 
 class ValueTable:
-    """Values keyed by (state index, stage); missing entries fall back to the
-    stage-reward bound, absorbing states and the terminal stage to zero.
+    """Values keyed by (state index, stage), stored for simplex states before
+    the horizon only.  lookup reads a missing entry as the stage-reward
+    bound, which is zero outside the simplex, and the terminal stage as zero.
 
     actions holds the argmax action backward_dp chose for each simplex
     entry; RTDP, whose entries are backed up against values that later
@@ -87,12 +88,6 @@ class ValueTable:
         self.T = T
         self.values: dict[tuple[int, int], float] = {}
         self.actions: dict[tuple[int, int], Action] = {}
-
-    def set(self, idx: int, t: int, value: float) -> None:
-        self.values[(idx, t)] = value
-
-    def get(self, idx: int, t: int):
-        return self.values.get((idx, t))
 
     def lookup(self, model: EpidemicModel, idx: int, t: int) -> float:
         if t >= self.T:
@@ -166,11 +161,11 @@ def rtdp(model: EpidemicModel, init_idx: int, cfg: PlannerConfig):
         for t in range(1, model.T):
             value, action = backup_state(model, idx, t,
                                          table.lookup_fn(model, t + 1), cfg)
-            table.set(idx, t, value)
+            table.values[(idx, t)] = value
             trace.steps.append(TraceStep(it, t, idx, action, value))
             if t < model.T - 1:
                 idx = _sample_next(model, idx, action, rng)
-        root = table.get(init_idx, 1)
+        root = table.values[(init_idx, 1)]
         if cfg.early_stop and prev_root is not None:
             stable = stable + 1 if abs(root - prev_root) < STOP_TOL else 0
             if stable >= STOP_PATIENCE:
@@ -195,22 +190,20 @@ def backward_dp(model: EpidemicModel, cfg: PlannerConfig) -> ValueTable:
     """Stage-by-stage backup of every simplex state from the horizon down,
     recording each simplex entry's value and argmax action.
 
-    States outside the simplex keep value zero at every stage.
+    States outside the simplex are not stored; they are worth zero at every
+    stage, in the dense values and through ValueTable.lookup alike.
     """
     table = ValueTable(model.T)
     in_s = model.grid.in_S_indices()
-    off_s = np.nonzero(~model.grid.in_S)[0]
     dense = np.zeros(model.grid.n_corners)  # values at stage t+1
     for t in range(model.T - 1, 0, -1):
         new_dense = np.zeros(model.grid.n_corners)
         for idx in in_s:
             i = int(idx)
             value, action = backup_state(model, i, t, dense, cfg)
-            table.set(i, t, value)
+            table.values[(i, t)] = value
             table.actions[(i, t)] = action
             new_dense[i] = value
-        for idx in off_s:
-            table.set(int(idx), t, 0.0)
         dense = new_dense
     return table
 
@@ -223,10 +216,8 @@ def table_rows(model: EpidemicModel, table: ValueTable, cfg: PlannerConfig):
     included), else the greedy action against the stored values (RTDP).
     """
     out = []
-    for (idx, t) in sorted(table.values):
-        if t >= model.T or not model.grid.in_S[idx]:
-            action = Action(0, 0)
-        elif (idx, t) in table.actions:
+    for (idx, t), value in sorted(table.values.items()):
+        if (idx, t) in table.actions:
             action = table.actions[(idx, t)]
         else:
             action, _ = greedy_action(model, table, idx, t, cfg)
@@ -237,7 +228,7 @@ def table_rows(model: EpidemicModel, table: ValueTable, cfg: PlannerConfig):
             "p_S": p_S,
             "p_E": p_E,
             "p_I": p_I,
-            "value": table.get(idx, t),
+            "value": value,
             "y_V": action.y_V,
             "y_R": action.y_R,
         })

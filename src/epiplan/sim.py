@@ -16,7 +16,7 @@ import numpy as np
 from .backup import shift_mass, worst_case_shift
 from .errors import DomainError
 from .grid import SparseDistribution
-from .model import EpidemicModel, lattice_state_index
+from .model import EpidemicModel, initial_state_index
 from .plan import PlannerConfig, ValueTable, greedy_action, rtdp
 from .rules import AmbiguityConfig
 from .seir import Action, EpidemicParams
@@ -178,8 +178,7 @@ def compare_models(
     episodes = []
     summary = []
     for p_S1 in p_S1_list:
-        p_I1 = round(1.0 - p_S1 - p_E1, 12)
-        init = lattice_state_index(model, p_S1, p_E1, p_I1)
+        init = initial_state_index(model, p_S1, p_E1)
         for backend in backends:
             cfg = replace(pcfg, backend=backend)
             table, _ = rtdp(model, init, cfg)
@@ -231,15 +230,16 @@ def sensitivity_sweep(
     *,
     nseeds: int,
     pspec: PerturbationSpec,
-    scenario: tuple[float, float, float],
+    scenario: tuple[float, float],
 ):
     """Stage-wise infection shares as one model constant sweeps over values
-    (see sweep_params), each planned with pcfg; like compare_models, it takes
-    its run settings from the run config, with no defaults of its own."""
+    (see sweep_params), each planned with pcfg from the initial state
+    scenario = (p_S1, p_E1); like compare_models, it takes its run settings
+    from the run config, with no defaults of its own."""
     rows = []
     for value in values:
         model = EpidemicModel(sweep_params(params, param, value), Y, acfg)
-        init = lattice_state_index(model, *scenario)
+        init = initial_state_index(model, *scenario)
         table, _ = rtdp(model, init, pcfg)
         kern = build_true_kernel(model, pspec)
         for seed in range(nseeds):

@@ -30,6 +30,9 @@ of a quantity that `epiplan` computes another way.
   move perturbation mass one entry at a time, capping each step at the
   receiver's room, which `backup.worst_case_shift` and `sim.random_shift`
   compute as one cumulative-sum take (`backup.shift_mass`).
+
+`sparse_row` is not an oracle: it is how the tests write a single kernel row
+in any index order, which the package builds only as blocks of sorted rows.
 """
 
 from __future__ import annotations
@@ -47,6 +50,19 @@ from epiplan.grid import Grid, SparseDistribution
 from epiplan.lp import _TOL, LinearProgram, MixedIntegerProgram, Solution, solve_lp
 from epiplan.rules import DecisionRuleCoefficients, design_matrix, mean_bounds
 from epiplan.seir import Action
+
+
+def sparse_row(indices, probs, normalize: bool = False) -> SparseDistribution:
+    """One row as a one-row SparseDistribution.block, its entries sorted by
+    index first; with normalize, probs are divided by their sum, as
+    backup.shift_mass does."""
+    indices = np.asarray(indices, dtype=np.int64)
+    probs = np.asarray(probs, dtype=np.float64)
+    order = np.argsort(indices, kind="stable")
+    indices, probs = indices[order], probs[order]
+    if normalize:
+        probs = probs / probs.sum()
+    return SparseDistribution.block(indices, probs, [0, len(indices)])[0]
 
 
 def binomial_pmf(n: int, p: float, k: int) -> float:
@@ -611,7 +627,7 @@ def worst_case_shift_loop(row: SparseDistribution, grid: Grid,
             di += 1
         if probs[r] >= 1.0 - 1e-18:
             ri += 1
-    return SparseDistribution(row.indices.copy(), probs, normalize=True)
+    return sparse_row(row.indices, probs, normalize=True)
 
 
 def random_shift_loop(row: SparseDistribution, budget: float,
@@ -635,4 +651,4 @@ def random_shift_loop(row: SparseDistribution, budget: float,
         probs[d] -= take
         probs[r] += take
         move -= take
-    return SparseDistribution(row.indices.copy(), probs, normalize=True)
+    return sparse_row(row.indices, probs, normalize=True)

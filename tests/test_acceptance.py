@@ -141,12 +141,12 @@ def test_enumeration_argmax_is_a_corner():
 def test_mccormick_gap_at_dp_mip_small():
     # The McCormick MIP relaxes the bilinear products, so its backward
     # induction bounds enumeration's from above.  The gap is real: some
-    # entries sit strictly above (83 of the 864 by more than 1e-9 relative,
-    # where it picks the interior level (1, 0) at 43 of the 224 simplex
-    # entries), while the root value agrees.
+    # entries sit strictly above (83 of the 224 simplex entries by more than
+    # 1e-9 relative; it picks the interior level (1, 0) at 43 of the 224),
+    # while the root value agrees.
     model, exact = dp_mip_small()
     relaxed = backward_dp(model, PlannerConfig(backend="drmdp-mccormick"))
-    assert len(exact.values) == len(relaxed.values) == 864
+    assert len(exact.values) == len(relaxed.values) == 224
     gaps = {key: (relaxed.values[key] - e) / (1.0 + abs(e))
             for key, e in exact.values.items()}
     assert min(gaps.values()) >= -1e-9

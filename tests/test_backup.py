@@ -15,7 +15,7 @@ from epiplan.backup import (
     inner_value_parametric,
     worst_case_shift,
 )
-from epiplan.grid import GridSpec, SparseDistribution, build_grid, discretize_kernel
+from epiplan.grid import Grid, GridSpec, discretize_kernel
 from epiplan.lp import LinearProgram, _Canonical, solve_lp
 from epiplan.model import EpidemicModel
 from epiplan.plan import PlannerConfig, backward_dp
@@ -34,6 +34,7 @@ from oracles import (
     inner_primal_oracle,
     mccormick_binding_program_loop,
     mccormick_four_row_backup,
+    sparse_row,
 )
 
 
@@ -135,22 +136,22 @@ def random_batch(rng, n, m):
 
 class TestWorstCaseShift:
     def setup_method(self):
-        self.grid = build_grid(GridSpec(1))
+        self.grid = Grid(GridSpec(1))
         self.low = self.grid.index_of(0, 0, 0)
         self.high = self.grid.index_of(0, 0, 1)
 
     def test_budget_zero_unchanged(self):
-        row = SparseDistribution(np.array([self.low, self.high]), np.array([0.6, 0.4]))
+        row = sparse_row(np.array([self.low, self.high]), np.array([0.6, 0.4]))
         out = worst_case_shift(row, self.grid, 0.0)
         np.testing.assert_array_equal(out.probs, row.probs)
 
     def test_mass_already_at_top(self):
-        row = SparseDistribution(np.array([self.high]), np.array([1.0]))
+        row = sparse_row(np.array([self.high]), np.array([1.0]))
         out = worst_case_shift(row, self.grid, 0.5)
         assert as_dict(out) == {self.high: 1.0}
 
     def test_greedy_transfer(self):
-        row = SparseDistribution(np.array([self.low, self.high]), np.array([0.6, 0.4]))
+        row = sparse_row(np.array([self.low, self.high]), np.array([0.6, 0.4]))
         out = worst_case_shift(row, self.grid, 0.5)
         got = as_dict(out)
         assert got[self.low] == pytest.approx(0.35, abs=1e-12)
@@ -160,13 +161,13 @@ class TestWorstCaseShift:
 
     def test_budget_respected_and_simplex_kept(self):
         rng = np.random.default_rng(2)
-        g = build_grid(GridSpec(3))
+        g = Grid(GridSpec(3))
         for _ in range(40):
             size = int(rng.integers(1, 9))
             idx = rng.choice(g.n_corners, size=size, replace=False)
             pr = rng.random(size)
             pr /= pr.sum()
-            row = SparseDistribution(idx, pr)
+            row = sparse_row(idx, pr)
             budget = float(rng.random() * 2)
             out = worst_case_shift(row, g, budget)
             assert out.probs.sum() == pytest.approx(1.0, abs=1e-9)
@@ -179,12 +180,12 @@ class TestWorstCaseShift:
 
 class TestLevelBackups:
     def test_nominal_matches_hand_enumeration(self):
-        g = build_grid(GridSpec(1))
+        g = Grid(GridSpec(1))
         i0, i1, i2 = 0, 1, 2
         actions = [Action(0, 0), Action(1, 0)]
         rows = [
-            SparseDistribution(np.array([i0, i1]), np.array([0.5, 0.5])),
-            SparseDistribution(np.array([i1, i2]), np.array([0.25, 0.75])),
+            sparse_row(np.array([i0, i1]), np.array([0.5, 0.5])),
+            sparse_row(np.array([i1, i2]), np.array([0.25, 0.75])),
         ]
         rewards = [-1.0, -3.0]
         v = np.zeros(g.n_corners)
@@ -201,29 +202,29 @@ class TestLevelBackups:
     def test_ties_break_lexicographically(self):
         # Ties go to the first given action: the lowest (y_V, y_R) when the
         # actions come in model order.
-        row = SparseDistribution(np.array([0]), np.array([1.0]))
+        row = sparse_row(np.array([0]), np.array([1.0]))
         for actions in ([Action(0, 0), Action(1, 0)], [Action(1, 0), Action(0, 0)]):
             val, act = best_action_over_rows(actions, [row, row], [-5.0, -5.0],
                                              np.zeros(1), 0.9)
             assert act == actions[0]
 
     def test_robust_budget_zero_equals_nominal(self):
-        g = build_grid(GridSpec(1))
+        g = Grid(GridSpec(1))
         actions = [Action(0, 0)]
-        rows = [SparseDistribution(np.array([0, 1]), np.array([0.7, 0.3]))]
+        rows = [sparse_row(np.array([0, 1]), np.array([0.7, 0.3]))]
         v = -np.arange(float(g.n_corners))
         a = best_action_over_rows(actions, rows, [-1.0], v, 0.9)
         b = robust_backup(actions, rows, [-1.0], v, 0.9, g, budget=0.0)
         assert a == b
 
     def test_robust_no_better_when_values_fall_with_infectives(self):
-        g = build_grid(GridSpec(2))
+        g = Grid(GridSpec(2))
         actions = [Action(0, 0), Action(0, 1)]
         lo = g.index_of(1, 0, 0)
         hi = g.index_of(0, 0, 2)
         rows = [
-            SparseDistribution(np.array([lo, hi]), np.array([0.8, 0.2])),
-            SparseDistribution(np.array([lo, hi]), np.array([0.9, 0.1])),
+            sparse_row(np.array([lo, hi]), np.array([0.8, 0.2])),
+            sparse_row(np.array([lo, hi]), np.array([0.9, 0.1])),
         ]
         rewards = [-1.0, -2.0]
         v = np.zeros(g.n_corners)
@@ -357,7 +358,7 @@ class TestActionBackends:
             row = base + s1 * a.y_V + s2 * a.y_R
             row = np.clip(row, 1e-9, None)
             row /= row.sum()
-            kernels.append(SparseDistribution(support, row))
+            kernels.append(sparse_row(support, row))
         # rows are affine only pre-normalization; refit targets from the rows
         rewards = [-(5.0 + 2.0 * a.y_V + 3.0 * a.y_R) for a in actions]
         coeffs = fit_rules(rule_design(actions), kernels, rewards,
@@ -721,7 +722,7 @@ def full_space_check(grid, actions, kernels, rewards, action, v_full, cfg, lam,
 
 class TestFullSpaceCheck:
     def build_toy(self):
-        grid = build_grid(GridSpec(2))
+        grid = Grid(GridSpec(2))
         params = EpidemicParams(N=4, mu=10.0, beta=0.025, alpha0=0.9, l_C=0.5,
                                 l_D=1 / 3, Q=0.5, k_R=0.5, W=1.0, L=2, M=2,
                                 lam=0.95, T=4)

@@ -6,14 +6,7 @@ import pytest
 from epiplan import Action, ContinuousState, DomainError, EpidemicParams
 from epiplan import grid as grid_module
 from epiplan.errors import RowError
-from epiplan.grid import (
-    Grid,
-    GridSpec,
-    SparseDistribution,
-    build_grid,
-    cache_key,
-    discretize_kernel,
-)
+from epiplan.grid import Grid, GridSpec, SparseDistribution, cache_key, discretize_kernel
 from epiplan.model import EpidemicModel
 from epiplan.rules import AmbiguityConfig
 from epiplan.seir import (
@@ -25,7 +18,7 @@ from epiplan.seir import (
     transition_pmf,
     vaccination_trials,
 )
-from oracles import binomial_pmf
+from oracles import binomial_pmf, sparse_row
 
 
 def toy_params(**kw):
@@ -41,15 +34,18 @@ def as_dict(row):
 
 def locate_one(grid, point):
     """Corners and weights of one point, zero-weight corners dropped."""
-    idx, wts, _ = grid.locate_many(np.array([point], dtype=np.float64))
+    idx, wts = grid.locate_many(np.array([point], dtype=np.float64))
     return [(int(c), float(w)) for c, w in zip(idx[0], wts[0]) if w > 0.0]
 
 
 def simplex_vertices(grid, n_points=6_000, seed=0):
     """Lattice offsets of each simplex's corners from its cell's low corner,
-    collected from locate_many on random points of the Y = 1 grid."""
+    collected from locate_many on random points of the Y = 1 grid, each
+    labelled by locate_by_argsort."""
     assert grid.Y == 1
-    idx, _, labels = grid.locate_many(np.random.default_rng(seed).random((n_points, 3)))
+    pts = np.random.default_rng(seed).random((n_points, 3))
+    idx, _ = grid.locate_many(pts)
+    labels = locate_by_argsort(grid, pts)[2]
     verts = {}
     for corners, label in zip(idx, labels):
         verts.setdefault(int(label), set()).update(
@@ -96,7 +92,7 @@ def per_action_push(grid, params, idx, atoms=transition_atoms):
             rows.append((np.array([idx]), np.array([1.0])))
             continue
         points, probs = atoms(params, grid.state_of(idx), a)
-        corners, wts, _ = grid.locate_many(points)
+        corners, wts = grid.locate_many(points)
         mass = np.bincount(corners.ravel(), weights=(wts * probs[:, None]).ravel(),
                            minlength=grid.n_corners)
         support = np.nonzero(mass >= ENTRY_TOL)[0]
@@ -150,17 +146,17 @@ def locate_by_argsort(grid, pts):
 
 class TestBuildGrid:
     def test_unit_grid_counts(self):
-        g = build_grid(GridSpec(1))
+        g = Grid(GridSpec(1))
         assert g.n_corners == 8
         in_s = [tuple(g.lattice[i]) for i in g.in_S_indices()]
         assert sorted(in_s) == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0)]
 
     def test_counts_at_larger_sizes(self):
-        assert build_grid(GridSpec(4)).n_corners == 125
-        assert build_grid(GridSpec(30)).n_corners == 29791
+        assert Grid(GridSpec(4)).n_corners == 125
+        assert Grid(GridSpec(30)).n_corners == 29791
 
     def test_index_bijection(self):
-        g = build_grid(GridSpec(3))
+        g = Grid(GridSpec(3))
         for idx in range(g.n_corners):
             i, j, k = g.lattice[idx]
             assert g.index_of(i, j, k) == idx
@@ -170,7 +166,7 @@ class TestBuildGrid:
             GridSpec(0)
 
     def test_state_index_roundtrip(self):
-        g = build_grid(GridSpec(10))
+        g = Grid(GridSpec(10))
         idx = g.state_index(ContinuousState(0.7, 0.1, 0.2))
         assert tuple(g.coords[idx]) == (0.7, 0.1, 0.2)
         with pytest.raises(DomainError):
@@ -179,13 +175,13 @@ class TestBuildGrid:
 
 class TestLocate:
     def test_exact_corner(self):
-        g = build_grid(GridSpec(2))
+        g = Grid(GridSpec(2))
         [(corner, weight)] = locate_one(g, (0.5, 0.5, 0.0))
         assert weight == 1.0
         assert tuple(g.coords[corner]) == (0.5, 0.5, 0.0)
 
     def test_known_weight_path(self):
-        g = build_grid(GridSpec(1))
+        g = Grid(GridSpec(1))
         got = {tuple(g.lattice[c]): w for c, w in locate_one(g, (0.5, 0.25, 0.125))}
         assert got == pytest.approx(
             {(0, 0, 0): 0.5, (1, 0, 0): 0.25, (1, 1, 0): 0.125, (1, 1, 1): 0.125}
@@ -194,9 +190,9 @@ class TestLocate:
     def test_reconstruction_many_points(self):
         rng = np.random.default_rng(3)
         for Y in (1, 3, 7):
-            g = build_grid(GridSpec(Y))
+            g = Grid(GridSpec(Y))
             pts = rng.random((10_000, 3))
-            idx, wts, _ = g.locate_many(pts)
+            idx, wts = g.locate_many(pts)
             assert np.all(wts >= -1e-15)
             np.testing.assert_allclose(wts.sum(axis=1), 1.0, atol=1e-12)
             recon = (g.coords[idx] * wts[:, :, None]).sum(axis=1)
@@ -204,16 +200,17 @@ class TestLocate:
 
     def test_simplex_labels_equal_volume(self):
         rng = np.random.default_rng(9)
-        g = build_grid(GridSpec(2))
+        g = Grid(GridSpec(2))
         pts = rng.random((60_000, 3))
-        _, _, labels = g.locate_many(pts)
+        idx, _, labels = locate_by_argsort(g, pts)
+        np.testing.assert_array_equal(g.locate_many(pts)[0], idx)
         freq = np.bincount(labels, minlength=6) / len(pts)
         assert np.all(np.abs(freq - 1 / 6) < 0.02)
 
     def test_cube_diagonal_corners_shared_by_all_simplexes(self):
         # The cell's low and high corners sit on every one of the six simplexes;
         # each simplex has exactly four distinct corners.
-        simplexes = simplex_vertices(build_grid(GridSpec(1)))
+        simplexes = simplex_vertices(Grid(GridSpec(1)))
         assert sorted(simplexes) == list(range(6))
         for verts in simplexes.values():
             assert len(verts) == 4
@@ -223,7 +220,7 @@ class TestLocate:
     def test_vertex_membership_counts(self):
         # Face-diagonal corners belong to exactly two of the six simplexes.
         memberships = {}
-        for label, verts in simplex_vertices(build_grid(GridSpec(1))).items():
+        for label, verts in simplex_vertices(Grid(GridSpec(1))).items():
             for v in verts:
                 memberships.setdefault(v, set()).add(label)
         assert len(memberships[(0, 0, 0)]) == 6
@@ -236,38 +233,41 @@ class TestLocate:
     def test_matches_argsort_formula_on_ties(self):
         # Fractional parts tying on two or three axes, or equal to 0, on
         # interior cells and on the top cell, where the cell index is clamped.
-        g = build_grid(GridSpec(4))
+        g = Grid(GridSpec(4))
         levels = [0.0, 0.125, 0.5, 0.875]
         fracs = np.array([(a, b, c) for a in levels for b in levels for c in levels])
         pts = np.concatenate([(cell + fracs) / 4 for cell in
                               ((0, 0, 0), (1, 2, 3), (3, 3, 3))] + [np.ones((1, 3))])
         got = g.locate_many(pts)
-        want = locate_by_argsort(g, pts)
+        want = locate_by_argsort(g, pts)[:2]
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
 
     def test_outside_cube_rejected(self):
-        g = build_grid(GridSpec(2))
+        g = Grid(GridSpec(2))
         with pytest.raises(DomainError):
             g.locate_many(np.array([[1.2, 0.0, 0.0]]))
 
 
 class TestSparseDistribution:
-    def test_sorted_and_validated(self):
-        d = SparseDistribution(np.array([5, 2]), np.array([0.25, 0.75]))
+    # One-row blocks; TestBlock checks many rows at once.
+    def test_unsorted_row_rejected(self):
+        with pytest.raises(RowError, match="not strictly ascending"):
+            SparseDistribution.block([5, 2], [0.25, 0.75], [0, 2])
+        d = sparse_row([5, 2], [0.25, 0.75])
         assert list(d.indices) == [2, 5]
         assert list(d.probs) == [0.75, 0.25]
 
     def test_bad_sum_rejected(self):
         with pytest.raises(DomainError):
-            SparseDistribution(np.array([0, 1]), np.array([0.5, 0.6]))
+            SparseDistribution.block([0, 1], [0.5, 0.6], [0, 2])
 
     def test_duplicate_rejected(self):
         with pytest.raises(DomainError):
-            SparseDistribution(np.array([1, 1]), np.array([0.5, 0.5]))
+            SparseDistribution.block([1, 1], [0.5, 0.5], [0, 2])
 
     def test_dot(self):
-        d = SparseDistribution(np.array([0, 3]), np.array([0.5, 0.5]))
+        d = sparse_row([0, 3], [0.5, 0.5])
         vals = np.array([2.0, 9.0, 9.0, 4.0])
         assert d.dot(vals) == pytest.approx(3.0)
 
@@ -285,16 +285,16 @@ def random_block(rng, n_rows=40):
 
 
 class TestBlock:
-    def test_matches_per_row_constructor(self):
+    def test_matches_per_row_normalization(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             indices, probs, offsets = random_block(rng)
             block = SparseDistribution.block(indices, probs, offsets, normalize=True)
             assert len(block) == len(offsets) - 1
             for row, lo, hi in zip(block, offsets[:-1], offsets[1:]):
-                ref = SparseDistribution(indices[lo:hi], probs[lo:hi], normalize=True)
-                np.testing.assert_array_equal(row.indices, ref.indices)
-                assert np.abs(row.probs - ref.probs).sum() <= 1e-15
+                np.testing.assert_array_equal(row.indices, indices[lo:hi])
+                ref = probs[lo:hi] / probs[lo:hi].sum()
+                assert np.abs(row.probs - ref).sum() <= 1e-15
 
     def test_unnormalized_rows_kept_bit_for_bit(self):
         indices, probs, offsets = random_block(np.random.default_rng(6))
@@ -345,14 +345,14 @@ class TestBlock:
         # With every corner mass under the drop threshold a row is empty,
         # and the push fails instead of returning it.
         monkeypatch.setattr(grid_module, "ENTRY_TOL", 2.0)
-        g = build_grid(GridSpec(3))
+        g = Grid(GridSpec(3))
         with pytest.raises(DomainError, match="cannot normalize"):
             discretize_kernel(g, toy_params(N=9), g.index_of(1, 1, 1))
 
 
 class TestDiscretizeKernel:
     def test_absorbing_outside_S(self):
-        g = build_grid(GridSpec(2))
+        g = Grid(GridSpec(2))
         p = toy_params()
         idx = g.index_of(2, 2, 2)  # fractions sum to 3
         rows = discretize_kernel(g, p, idx)
@@ -362,7 +362,7 @@ class TestDiscretizeKernel:
     def test_outside_S_rows_are_one_read_only_block(self):
         # One self-loop row per action, each its own object, all views of
         # one read-only buffer, as every in-simplex state's rows are.
-        g = build_grid(GridSpec(2))
+        g = Grid(GridSpec(2))
         p = toy_params(N=6)
         idx = g.index_of(2, 1, 0)  # fractions sum to 1.5
         rows = discretize_kernel(g, p, idx)
@@ -379,14 +379,14 @@ class TestDiscretizeKernel:
     def test_successor_outside_the_cube_raises(self, N, Y, lattice):
         # Rounded counts (0, 2, 2) of N = 3, or (0, 4, 4) of N = 7, sum past
         # N, so some kept atom has more infectives than the population.
-        g = build_grid(GridSpec(Y))
+        g = Grid(GridSpec(Y))
         with pytest.raises(DomainError, match="outside the unit cube"):
             discretize_kernel(g, EpidemicParams(N=N, L=1, M=1), g.index_of(*lattice))
 
     def test_gapped_support_raises(self, monkeypatch):
         # The push reads the (C, D) law as a table over integer ranges, so a
         # C or D support with a hole must fail loudly.
-        g = build_grid(GridSpec(3))
+        g = Grid(GridSpec(3))
         p = toy_params(N=30)
         idx = g.index_of(1, 1, 1)
         for rho in (p.rho_C, p.rho_D):
@@ -402,14 +402,14 @@ class TestDiscretizeKernel:
                 discretize_kernel(g, p, idx)
 
     def test_disease_free_self_loop(self):
-        g = build_grid(GridSpec(2))
+        g = Grid(GridSpec(2))
         p = toy_params()
         idx = g.index_of(0, 0, 0)
         assert all(as_dict(row) == {idx: 1.0} for row in discretize_kernel(g, p, idx))
 
     def test_row_matches_atom_enumeration(self):
         # Oracle: enumerate atoms with scalar pmfs, locate each one, accumulate.
-        g = build_grid(GridSpec(2))
+        g = Grid(GridSpec(2))
         p = toy_params(N=4)
         idx = g.index_of(1, 1, 0)  # state (0.5, 0.5, 0)
         a = Action(1, 0)
@@ -444,7 +444,7 @@ class TestDiscretizeKernel:
         pytest.param(8, 4, (0, 4, 0), reaches_top_cell_clamp, id="p_E-reaches-1"),
     ])
     def test_rows_match_per_action_push(self, N, Y, lattice, exercises):
-        g = build_grid(GridSpec(Y))
+        g = Grid(GridSpec(Y))
         p = EpidemicParams(N=N)
         idx = g.index_of(*lattice)
         if exercises is not None:
@@ -464,7 +464,7 @@ class TestDiscretizeKernel:
         # The default initial state pushes about 1.5 M atoms; they must reach
         # locate_many in one call, as at most six region means per
         # (p_E cell, p_I cell) box of each (y_V, b), not one by one.
-        g = build_grid(GridSpec(10))
+        g = Grid(GridSpec(10))
         p = EpidemicParams()
         idx = g.index_of(7, 1, 2)
         located = []
@@ -502,7 +502,7 @@ class TestDiscretizeKernel:
 
     def test_full_vaccination_rows_equal(self):
         # y_V = L leaves no susceptible to expose, so y_R changes nothing.
-        g = build_grid(GridSpec(3))
+        g = Grid(GridSpec(3))
         p = toy_params(N=9)
         rows = discretize_kernel(g, p, g.index_of(1, 1, 1))
         full = [r for a, r in zip(p.actions(), rows) if a.y_V == p.L]
@@ -512,7 +512,7 @@ class TestDiscretizeKernel:
             np.testing.assert_allclose(r.probs, full[0].probs, rtol=0, atol=1e-15)
 
     def test_rows_sum_to_one_random_states(self):
-        g = build_grid(GridSpec(3))
+        g = Grid(GridSpec(3))
         p = toy_params(N=9)
         for idx in g.in_S_indices():
             for row in discretize_kernel(g, p, int(idx)):
@@ -522,7 +522,7 @@ class TestDiscretizeKernel:
     def test_boundary_mass_can_reach_absorbing_corners(self):
         # Atoms near the p_S+p_E+p_I = 1 face may lend weight to corners
         # outside S; that mass must stay there rather than be redistributed.
-        g = build_grid(GridSpec(2))
+        g = Grid(GridSpec(2))
         p = toy_params(N=4)
         idx = g.index_of(1, 0, 1)  # (0.5, 0, 0.5)
         row = row_of(g, p, idx, Action(0, 0))
@@ -552,7 +552,7 @@ class TestRewardAndSupport:
             assert model.rewards(int(idx)).tolist() == want, idx
 
     def test_disease_free_support_is_self(self):
-        g = build_grid(GridSpec(2))
+        g = Grid(GridSpec(2))
         p = toy_params()
         idx = g.index_of(1, 0, 0)
         # No exposed/infectious: every action leaves a point mass on p_E=p_I=0.
@@ -564,20 +564,19 @@ class TestRewardAndSupport:
 
 class TestCacheKey:
     def test_changes_with_params(self):
-        a = cache_key(toy_params(), 5, 0.05)
-        b = cache_key(toy_params(N=5), 5, 0.05)
-        c = cache_key(toy_params(), 6, 0.05)
-        d = cache_key(toy_params(), 5, 0.1)
-        assert len({a, b, c, d}) == 4
+        a = cache_key(toy_params(), 5)
+        b = cache_key(toy_params(N=5), 5)
+        c = cache_key(toy_params(), 6)
+        assert len({a, b, c}) == 3
 
     def test_stable(self):
-        assert cache_key(toy_params(), 5, 0.05) == cache_key(toy_params(), 5, 0.05)
+        assert cache_key(toy_params(), 5) == cache_key(toy_params(), 5)
 
     def test_per_atom_push_caches_miss(self):
         # The keys the per-atom push, then the log-factorial binomial law,
         # then per-row normalization, then the segment push gave this
         # configuration: their rows differ from the current ones in the last
         # bits, so they must not load.
-        key = cache_key(toy_params(), 2, 0.05)
+        key = cache_key(toy_params(), 2)
         assert key not in ("286f24f0de12e5d6", "22a2cc61b4ac4f66", "b9c5273309ff5e7b",
                            "5483712e4944b2b2")

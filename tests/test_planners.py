@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from epiplan import Action, CacheError, DomainError, EpidemicParams
+from epiplan import CacheError, DomainError, EpidemicParams
 from epiplan import model as model_module
 from epiplan import plan
 from epiplan.model import EpidemicModel, lattice_state_index
@@ -69,7 +69,7 @@ class TestRtdp:
         cfg = PlannerConfig(backend="nominal", niter=1, seed=0)
         table, trace = rtdp(model, init, cfg)
         expect = float(model.rewards(init).max())
-        assert table.get(init, 1) == pytest.approx(expect, abs=1e-12)
+        assert table.values[(init, 1)] == pytest.approx(expect, abs=1e-12)
         assert len(trace) == 1
 
     def test_values_nonincreasing_per_state(self):
@@ -95,7 +95,7 @@ class TestRtdp:
         table, _ = rtdp(model, init, cfg)
         dp = backward_dp(model, cfg)
         for (idx, t), val in table.values.items():
-            assert val >= dp.get(idx, t) - 1e-6
+            assert val >= dp.values[(idx, t)] - 1e-6
 
     def test_converges_to_dp_root(self):
         model = toy_model(N=8, Y=2, T=4)
@@ -103,7 +103,7 @@ class TestRtdp:
         cfg = PlannerConfig(backend="nominal", niter=400, seed=0)
         table, _ = rtdp(model, init, cfg)
         dp = backward_dp(model, cfg)
-        assert table.get(init, 1) == pytest.approx(dp.get(init, 1), abs=1e-6)
+        assert table.values[(init, 1)] == pytest.approx(dp.values[(init, 1)], abs=1e-6)
 
     def test_deterministic_under_seed(self):
         model_a = toy_model(N=8, T=4)
@@ -129,15 +129,19 @@ class TestBackwardDp:
         dp = backward_dp(model, cfg)
         for idx in model.grid.in_S_indices():
             expect = float(model.rewards(int(idx)).max())
-            assert dp.get(int(idx), 1) == pytest.approx(expect, abs=1e-12)
+            assert dp.values[(int(idx), 1)] == pytest.approx(expect, abs=1e-12)
 
     def test_absorbing_states_zero_everywhere(self):
+        # Only simplex entries are stored; an absorbing state reads zero
+        # through lookup at every stage.
         model = toy_model(T=4)
         dp = backward_dp(model, PlannerConfig(backend="nominal"))
+        in_s = [int(i) for i in model.grid.in_S_indices()]
+        assert set(dp.values) == {(i, t) for i in in_s for t in range(1, model.T)}
         off = np.nonzero(~model.grid.in_S)[0]
-        for t in range(1, model.T):
-            for idx in off[:5]:
-                assert dp.get(int(idx), t) == 0.0
+        for t in range(1, model.T + 1):
+            for idx in off:
+                assert dp.lookup(model, int(idx), t) == 0.0
 
     def test_matches_recursive_enumeration(self):
         # Oracle: plain memoized expectimax over the sparse successor tree.
@@ -161,7 +165,7 @@ class TestBackwardDp:
 
         for idx in model.grid.in_S_indices():
             for t in (1, 2, 3):
-                assert dp.get(int(idx), t) == pytest.approx(
+                assert dp.values[(int(idx), t)] == pytest.approx(
                     value(int(idx), t), abs=1e-9), (idx, t)
 
     def test_rtdp_matches_dp_for_every_backend(self):
@@ -178,8 +182,8 @@ class TestBackwardDp:
             cfg = PlannerConfig(backend=backend, niter=200, seed=0)
             table, _ = rtdp(model, init, cfg)
             dp = backward_dp(model, cfg)
-            assert table.get(init, 1) == pytest.approx(
-                dp.get(init, 1), abs=1e-6), backend
+            assert table.values[(init, 1)] == pytest.approx(
+                dp.values[(init, 1)], abs=1e-6), backend
 
     def test_empty_ambiguity_set_breaks_heuristic_bound(self):
         # When an affine fit oversubscribes the simplex, the penalized inner
@@ -195,7 +199,7 @@ class TestBackwardDp:
         cfg = PlannerConfig(backend="drmdp-enumerate", niter=200, seed=0)
         table, _ = rtdp(model, init, cfg)
         dp = backward_dp(model, cfg)
-        assert table.get(init, 1) < dp.get(init, 1) - 1e-3
+        assert table.values[(init, 1)] < dp.values[(init, 1)] - 1e-3
 
 
 class TestTableHelpers:
@@ -205,7 +209,7 @@ class TestTableHelpers:
         idx = model.grid.index_of(1, 1, 0)
         assert table.lookup(model, idx, model.T) == 0.0
         assert table.lookup(model, idx, 1) == pytest.approx(model.stage_heuristic(idx))
-        table.set(idx, 1, -4.5)
+        table.values[(idx, 1)] = -4.5
         assert table.lookup(model, idx, 1) == -4.5
         off = model.grid.index_of(2, 2, 2)
         assert table.lookup(model, off, 1) == 0.0
@@ -230,7 +234,7 @@ class TestTableHelpers:
         table = ValueTable(model.T)
         rng = np.random.default_rng(4)
         for idx in model.grid.in_S_indices():
-            table.set(int(idx), 2, -float(rng.random() * 10))
+            table.values[(int(idx), 2)] = -float(rng.random() * 10)
         dense = np.array([table.lookup(model, j, 2) for j in range(model.grid.n_corners)])
         for idx in model.grid.in_S_indices():
             a = backup_state(model, int(idx), 1, table.lookup_fn(model, 2), cfg)
@@ -253,9 +257,11 @@ class TestTableHelpers:
             raise AssertionError("table_rows backed up a recorded entry")
 
         monkeypatch.setattr(plan, "greedy_action", no_backup)
-        for row in table_rows(model, dp, cfg):
+        rows = table_rows(model, dp, cfg)
+        assert len(rows) == len(dp.actions)
+        for row in rows:
             key = (row["state"], row["stage"])
-            expect = dp.actions.get(key, Action(0, 0))
+            expect = dp.actions[key]
             assert (row["y_V"], row["y_R"]) == (expect.y_V, expect.y_R), key
 
     def test_rtdp_table_rows_use_greedy_actions(self):
@@ -264,13 +270,11 @@ class TestTableHelpers:
         init = model.grid.index_of(1, 0, 1)
         table, _ = rtdp(model, init, cfg)
         assert not table.actions
-        checked = 0
-        for row in table_rows(model, table, cfg):
-            if model.grid.in_S[row["state"]] and row["stage"] < model.T:
-                act, _ = greedy_action(model, table, row["state"], row["stage"], cfg)
-                assert (row["y_V"], row["y_R"]) == (act.y_V, act.y_R)
-                checked += 1
-        assert checked >= model.T - 1
+        rows = table_rows(model, table, cfg)
+        assert len(rows) >= model.T - 1
+        for row in rows:
+            act, _ = greedy_action(model, table, row["state"], row["stage"], cfg)
+            assert (row["y_V"], row["y_R"]) == (act.y_V, act.y_R)
 
     def test_table_rows_schema(self):
         model = toy_model(T=2)
@@ -394,6 +398,24 @@ class TestModelBundle:
         for idx in model.grid.in_S_indices():
             assert_same_state(model, fresh, idx)
 
+    def test_cache_loads_across_reward_horizon_and_ambiguity(self, tmp_path):
+        # The rows depend on neither the cost coefficients, the discount and
+        # horizon, nor the ambiguity radius, so a model that differs in all
+        # of them loads the cache, and refits rewards and rules as a fresh
+        # compile of its own does.
+        model = toy_model(N=4, T=3)
+        model.compile_all()
+        model.save_cache(str(tmp_path))
+        other = dict(T=4, delta=0.1, Q=0.7, k_R=0.9, W=3.0, lam=0.9)
+        loaded, fresh = toy_model(N=4, **other), toy_model(N=4, **other)
+        assert loaded.load_cache(str(tmp_path))
+        fresh.compile_all()
+        for idx in model.grid.in_S_indices():
+            for ra, rb in zip(model.rows(idx), loaded.rows(idx)):
+                assert ra.indices.tobytes() == rb.indices.tobytes()
+                assert ra.probs.tobytes() == rb.probs.tobytes()
+            assert_same_state(fresh, loaded, idx)
+
     def test_load_cache_misses_on_other_config(self, tmp_path):
         model = toy_model(N=4, T=3)
         model.compile_state(model.grid.index_of(1, 1, 0))
@@ -444,8 +466,8 @@ class TestModelBundle:
         serial = toy_model(N=6, Y=2, T=3)
         parallel = toy_model(N=6, Y=2, T=3)
         idxs = [int(i) for i in serial.grid.in_S_indices()]
-        serial.compile_states(idxs, workers=1)
-        parallel.compile_states(idxs, workers=2)
+        serial.compile_all(workers=1)
+        parallel.compile_all(workers=2)
         for i in idxs:
             assert_same_state(serial, parallel, i)
 
@@ -456,8 +478,8 @@ class TestModelBundle:
         serial = toy_model(N=6, Y=2, T=3)
         pooled = toy_model(N=6, Y=2, T=3)
         idxs = [int(i) for i in serial.grid.in_S_indices()]
-        serial.compile_states(idxs)
-        pooled.compile_states(idxs, workers=2)
+        serial.compile_all()
+        pooled.compile_all(workers=2)
         for i in idxs:
             for model in (serial, pooled):
                 rows = model.rows(i)
@@ -494,17 +516,21 @@ class TestModelBundle:
         pooled = toy_model(N=6, Y=2, T=3)
         idxs = [int(i) for i in serial.grid.in_S_indices()]
         assert len(idxs) > 3
-        serial.compile_states(idxs)
-        pooled.compile_states(idxs[:2], workers=5000)   # capped by the states
-        pooled.compile_states(idxs, workers=5000)       # capped by the CPUs
-        pooled.compile_states(idxs, workers=5000)       # nothing left to do
+        serial.compile_all()
+        for i in idxs[2:]:
+            pooled.compile_state(i)
+        pooled.compile_all(workers=5000)                # capped by the states
+        capped = toy_model(N=6, Y=2, T=3)
+        capped.compile_all(workers=5000)                # capped by the CPUs
+        capped.compile_all(workers=5000)                # nothing left to do
         assert started == [2, 3]
         for i in idxs:
-            for ra, rb in zip(serial.rows(i), pooled.rows(i)):
-                np.testing.assert_array_equal(ra.indices, rb.indices)
-                np.testing.assert_array_equal(ra.probs, rb.probs)
+            for model in (pooled, capped):
+                for ra, rb in zip(serial.rows(i), model.rows(i)):
+                    np.testing.assert_array_equal(ra.indices, rb.indices)
+                    np.testing.assert_array_equal(ra.probs, rb.probs)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        toy_model(N=6, Y=2, T=3).compile_states(idxs, workers=2)  # serial
+        toy_model(N=6, Y=2, T=3).compile_all(workers=2)  # serial
         assert started == [2, 3]
 
     def test_lattice_state_index(self):

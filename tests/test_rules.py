@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from epiplan import Action, DomainError, UnderdeterminedError
-from epiplan.grid import SparseDistribution
 from epiplan.rules import (
     AmbiguityConfig,
     DecisionRuleCoefficients,
@@ -12,6 +11,7 @@ from epiplan.rules import (
     mean_bounds,
     rule_design,
 )
+from oracles import sparse_row
 
 
 def grid_actions(L=2, M=2):
@@ -23,7 +23,7 @@ def affine_instance(actions, support, c0, c1, c2, delta=0.0):
     kernels = []
     for a in actions:
         probs = c0 + c1 * a.y_V + c2 * a.y_R
-        kernels.append(SparseDistribution(support, probs))
+        kernels.append(sparse_row(support, probs))
     return kernels
 
 
@@ -47,7 +47,7 @@ class TestFitRules:
     def test_constant_targets_zero_slopes(self):
         actions = grid_actions()
         support = np.array([0, 5])
-        kernels = [SparseDistribution(support, np.array([0.4, 0.6])) for _ in actions]
+        kernels = [sparse_row(support, np.array([0.4, 0.6])) for _ in actions]
         rewards = [-7.0] * len(actions)
         coeffs = fit_rules(rule_design(actions), kernels, rewards,
                            AmbiguityConfig(0.05, 1.0))
@@ -66,7 +66,7 @@ class TestFitRules:
         raw = rng.random((len(actions), 5))
         raw /= raw.sum(axis=1, keepdims=True)
         for row in raw:
-            kernels.append(SparseDistribution(support, row))
+            kernels.append(sparse_row(support, row))
         rewards = list(-rng.random(len(actions)) * 100)
         coeffs = fit_rules(rule_design(actions), kernels, rewards,
                            AmbiguityConfig(0.02, 1.0))
@@ -93,7 +93,7 @@ class TestFitRules:
         support = np.arange(4)
         raw = rng.random((len(actions), 4))
         raw /= raw.sum(axis=1, keepdims=True)
-        kernels = [SparseDistribution(support, r) for r in raw]
+        kernels = [sparse_row(support, r) for r in raw]
         rewards = list(-rng.random(len(actions)))
         cfg = AmbiguityConfig(0.01, 1.0)
         a = fit_rules(rule_design(actions), kernels, rewards, cfg)
@@ -112,7 +112,7 @@ class TestFitRules:
         kernels = []
         for _ in actions:
             idx = rng.choice(40, size=int(rng.integers(1, 8)), replace=False)
-            kernels.append(SparseDistribution(idx, rng.random(len(idx)), normalize=True))
+            kernels.append(sparse_row(idx, rng.random(len(idx)), normalize=True))
         coeffs = fit_rules(rule_design(actions), kernels, [0.0] * len(actions),
                            AmbiguityConfig(0.0, 1.0))
         support = sorted({int(s) for row in kernels for s in row.indices})
@@ -175,7 +175,7 @@ class TestRewardRule:
     def test_exact_affine_rewards(self):
         actions = grid_actions()
         support = np.array([0])
-        kernels = [SparseDistribution(support, np.array([1.0]))] * len(actions)
+        kernels = [sparse_row(support, np.array([1.0]))] * len(actions)
         rewards = [-(10.0 + 4.0 * a.y_V + 6.0 * a.y_R) for a in actions]
         coeffs = fit_rules(rule_design(actions), kernels, rewards,
                            AmbiguityConfig(0.0, 1.0))
@@ -188,7 +188,7 @@ class TestRewardRule:
         X = np.array([[1.0, a.y_V, a.y_R] for a in actions])
         y = -rng.random(len(actions)) * 50
         support = np.array([0])
-        kernels = [SparseDistribution(support, np.array([1.0]))] * len(actions)
+        kernels = [sparse_row(support, np.array([1.0]))] * len(actions)
         coeffs = fit_rules(rule_design(actions), kernels, list(y),
                            AmbiguityConfig(0.0, 1.0))
         beta = np.linalg.lstsq(X, y, rcond=None)[0]

@@ -5,8 +5,8 @@ import pytest
 
 from epiplan import Action, DomainError, EpidemicParams
 from epiplan.backup import worst_case_shift
-from epiplan.grid import GridSpec, SparseDistribution, build_grid
-from epiplan.model import EpidemicModel, lattice_state_index
+from epiplan.grid import Grid, GridSpec
+from epiplan.model import EpidemicModel
 from epiplan.plan import PlannerConfig, backward_dp, rtdp
 from epiplan.rules import AmbiguityConfig
 from epiplan.sim import (
@@ -18,7 +18,7 @@ from epiplan.sim import (
     run_episode,
     sensitivity_sweep,
 )
-from oracles import random_shift_loop, worst_case_shift_loop
+from oracles import random_shift_loop, sparse_row, worst_case_shift_loop
 
 
 def sim_model(N=10, Y=2, T=4, L=1, M=1, delta=0.05, k=1000.0, **kw):
@@ -72,7 +72,7 @@ class TestTrueKernel:
         # Random rows on the Y=3 lattice: up to nine entries, so ties at the
         # top p_I are common, about a quarter of the entries zero, one-entry
         # rows, and budgets 0, 2 and in between.
-        grid = build_grid(GridSpec(3))
+        grid = Grid(GridSpec(3))
         rng = np.random.default_rng(7)
         ties = moved = 0
         for case in range(400):
@@ -80,7 +80,7 @@ class TestTrueKernel:
             idx = rng.choice(grid.n_corners, size=size, replace=False)
             probs = rng.random(size) * (rng.random(size) > 0.25)
             probs[probs.argmax()] += 0.1
-            row = SparseDistribution(idx, probs, normalize=True)
+            row = sparse_row(idx, probs, normalize=True)
             budget = float(rng.choice([0.0, 2.0, rng.uniform(0.0, 2.0)]))
             if direction == "high-infective":
                 got = worst_case_shift(row, grid, budget)
@@ -153,7 +153,7 @@ class TestRunEpisode:
                   for s in range(4000)]
         mean = float(np.mean(totals))
         se = float(np.std(totals, ddof=1) / np.sqrt(len(totals)))
-        assert abs(mean - table.get(init, 1)) <= 3.0 * se + 1e-9
+        assert abs(mean - table.values[(init, 1)]) <= 3.0 * se + 1e-9
 
 
 class TestCompare:
@@ -207,7 +207,7 @@ class TestSensitivity:
         with pytest.raises(DomainError):
             sensitivity_sweep(params, 2, AmbiguityConfig(0.05, 1000.0),
                               PlannerConfig(), "sigma", (1.0,), nseeds=1,
-                              pspec=PerturbationSpec(), scenario=(0.7, 0.1, 0.2))
+                              pspec=PerturbationSpec(), scenario=(0.7, 0.1))
 
     def test_rows_and_aggregate(self):
         params = EpidemicParams(N=10, mu=10.0, beta=0.025, alpha0=0.9, l_C=0.5,
@@ -216,7 +216,7 @@ class TestSensitivity:
         acfg = AmbiguityConfig(0.05, 1000.0)
         rows = sensitivity_sweep(params, 5, acfg, PlannerConfig(niter=5), "W",
                                  (0.5, 5.0), nseeds=2, pspec=PerturbationSpec(),
-                                 scenario=(0.6, 0.2, 0.2))
+                                 scenario=(0.6, 0.2))
         assert {r["value"] for r in rows} == {0.5, 5.0}
         agg = aggregate_infectives(rows, "W", 0.5)
         assert agg >= 0.0
@@ -224,5 +224,5 @@ class TestSensitivity:
         rows2 = sensitivity_sweep(params, 5, acfg, PlannerConfig(niter=3),
                                   "mu_beta", (0.25,), nseeds=1,
                                   pspec=PerturbationSpec(),
-                                  scenario=(0.6, 0.2, 0.2))
+                                  scenario=(0.6, 0.2))
         assert rows2

@@ -12,7 +12,6 @@ from .seir import (
     Action,
     ContinuousState,
     EpidemicParams,
-    nominal_reward,
     transition_pmf,
 )
 
@@ -26,6 +25,5 @@ __all__ = [
     "EpiplanError",
     "SolverError",
     "UnderdeterminedError",
-    "nominal_reward",
     "transition_pmf",
 ]

@@ -34,7 +34,6 @@ from .grid import Grid, SparseDistribution
 from .lp import LinearProgram, MixedIntegerProgram, solve_lp, solve_mip
 from .rules import (
     DecisionRuleCoefficients,
-    design_matrix,
     fit_rules,  # noqa: F401  perfbench/layers.py traces backup.fit_rules
     mean_bounds,
 )
@@ -193,17 +192,14 @@ def drmdp_backup_enumerate(
     lam: float,
     k: float,
     method: str,
-    X: np.ndarray | None = None,
+    X: np.ndarray,
 ) -> tuple[float, Action]:
     """Reference backup: the inner problem for every action, then the best.
 
     method "parametric" solves every action in one batched call; "lp" solves
-    the multiplier LP once per action.  X is the design_matrix of actions,
-    built here when the caller does not hold it.  Ties go to the first of the
-    given actions.
+    the multiplier LP once per action.  X is the design_matrix of actions.
+    Ties go to the first of the given actions.
     """
-    if X is None:
-        X = design_matrix(actions)
     eta_L, eta_U = mean_bounds(coeffs, X)
     v = lam * v_next[coeffs.support]
     if method == "parametric":

@@ -15,10 +15,9 @@ import csv
 import os
 import sys
 import time
-from dataclasses import replace
 
-from .config import RunConfig, _validate, config_hash, parse_config, resolved_text
-from .errors import ConfigError, DomainError, EpiplanError
+from .config import RunConfig, config, config_hash, parse_config, resolved_text
+from .errors import ConfigError, EpiplanError
 from .model import EpidemicModel, initial_state_index
 from .plan import backward_dp, rtdp, table_rows
 from .sim import EPISODE_HEADER, aggregate_infectives, compare_models, sensitivity_sweep
@@ -69,12 +68,15 @@ def _check_out(outdir: str) -> None:
         raise ConfigError(f"--out {outdir}: {probe} is not a directory")
 
 
-def _model(cfg: RunConfig) -> EpidemicModel:
-    return EpidemicModel(cfg.params, cfg.Y, cfg.ambiguity)
+def _cached_model(cfg: RunConfig, outdir: str) -> EpidemicModel:
+    """The run's model, hydrated from the kernel cache in outdir if one matches."""
+    model = EpidemicModel(cfg.params, cfg.Y, cfg.ambiguity)
+    model.load_cache(outdir)
+    return model
 
 
 def _cmd_compile(cfg: RunConfig, outdir: str, verbose: bool) -> int:
-    model = _model(cfg)
+    model = EpidemicModel(cfg.params, cfg.Y, cfg.ambiguity)
     t0 = time.time()
     model.compile_all(workers=cfg.threads)
     files = model.save_cache(outdir)
@@ -87,8 +89,7 @@ def _cmd_compile(cfg: RunConfig, outdir: str, verbose: bool) -> int:
 
 
 def _cmd_solve(cfg: RunConfig, outdir: str, use_dp: bool) -> int:
-    model = _model(cfg)
-    model.load_cache(outdir)
+    model = _cached_model(cfg, outdir)
     pcfg = cfg.planner
     init = initial_state_index(model, cfg.p_S1_list[0], cfg.p_E1)
     t0 = time.time()
@@ -106,8 +107,7 @@ def _cmd_solve(cfg: RunConfig, outdir: str, use_dp: bool) -> int:
 
 
 def _cmd_simulate(cfg: RunConfig, outdir: str) -> int:
-    model = _model(cfg)
-    model.load_cache(outdir)
+    model = _cached_model(cfg, outdir)
     episodes, summary = compare_models(
         model, cfg.planner, backends=(cfg.planner.backend,),
         p_S1_list=cfg.p_S1_list[:1], p_E1=cfg.p_E1,
@@ -121,8 +121,7 @@ def _cmd_simulate(cfg: RunConfig, outdir: str) -> int:
 
 
 def _cmd_compare(cfg: RunConfig, outdir: str) -> int:
-    model = _model(cfg)
-    model.load_cache(outdir)
+    model = _cached_model(cfg, outdir)
     episodes, summary = compare_models(
         model, cfg.planner,
         backends=("drmdp-enumerate", "nominal", "robust"),
@@ -184,19 +183,10 @@ def dispatch(argv: list[str]) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        cfg = parse_config(args.config) if args.config else RunConfig()
-        try:
-            if args.seed is not None:
-                cfg.planner = replace(cfg.planner, seed=args.seed)
-            if args.backend is not None:
-                cfg.planner = replace(cfg.planner, backend=args.backend)
-        except DomainError as exc:
-            raise ConfigError(f"<cli>: {exc}")
-        if args.Y is not None:
-            cfg.Y = args.Y
-        if args.threads is not None:
-            cfg.threads = args.threads
-        _validate(cfg, "<cli>")
+        overrides = {key: getattr(args, key) for key in ("seed", "backend", "Y", "threads")
+                     if getattr(args, key) is not None}
+        cfg = config(parse_config(args.config) if args.config else RunConfig(),
+                     overrides, "<cli>")
         _check_out(args.out)
 
         if args.command == "compile":

@@ -5,9 +5,10 @@ range invariant is checked at parse time.  A RunConfig holds the sections the
 pipeline consumes (`seir.EpidemicParams`, `rules.AmbiguityConfig`,
 `plan.PlannerConfig`) next to the run's own fields; the config keys are the
 fields of those sections and of the run, in that order, so each default lives
-in one dataclass.  Each section is built once from its keys and checks them
-itself.  The fully resolved configuration is echoed next to any results so a
-run can always be reproduced.
+in one dataclass.  `config` sets keys, from a file or the command line, on a
+base configuration: each section it touches is rebuilt and checks its keys
+itself, then the run's own checks run.  The fully resolved configuration is
+echoed next to any results so a run can always be reproduced.
 """
 
 from __future__ import annotations
@@ -92,9 +93,7 @@ _KEYS = _key_table()
 
 def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     """Parse key = value lines into a validated RunConfig."""
-    own: dict[str, object] = {}
-    sections: dict[str, dict[str, object]] = {}
-    seen: set[str] = set()
+    values: dict[str, object] = {}
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         line = rawline.split("#", 1)[0].strip()
         if not line:
@@ -106,24 +105,13 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         key = key.strip()
         if key not in _KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-        if key in seen:
+        if key in values:
             raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
-        seen.add(key)
-        section, name, parse = _KEYS[key]
         try:
-            value = parse(raw.strip())
+            values[key] = _KEYS[key][2](raw.strip())
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}")
-        (sections.setdefault(section, {}) if section else own)[name] = value
-
-    try:
-        for section, kw in sections.items():
-            own[section] = replace(getattr(_DEFAULT, section), **kw)
-    except DomainError as exc:
-        raise ConfigError(f"{source}: {exc}")
-    cfg = replace(_DEFAULT, **own)
-    _validate(cfg, source)
-    return cfg
+    return config(_DEFAULT, values, source)
 
 
 def parse_config(path: str) -> RunConfig:
@@ -135,9 +123,21 @@ def parse_config(path: str) -> RunConfig:
     return parse_config_text(text, source=path)
 
 
-def _validate(cfg: RunConfig, source: str) -> None:
-    """The run's own checks; each section checked its keys when built."""
+def config(base: RunConfig, values: dict[str, object], source: str) -> RunConfig:
+    """base with each config key in values set to its parsed value.
+
+    Each section a key names is rebuilt, and so checks its fields; then the
+    run's own checks run.  Every error is a ConfigError naming source.
+    """
+    own: dict[str, object] = {}
+    sections: dict[str, dict[str, object]] = {}
+    for key, value in values.items():
+        section, name, _ = _KEYS[key]
+        (sections.setdefault(section, {}) if section else own)[name] = value
     try:
+        for section, kw in sections.items():
+            own[section] = replace(getattr(base, section), **kw)
+        cfg = replace(base, **own)
         cfg.perturbation()
         GridSpec(cfg.Y)
     except DomainError as exc:
@@ -159,6 +159,7 @@ def _validate(cfg: RunConfig, source: str) -> None:
         except DomainError as exc:
             raise ConfigError(f"{source}: sweep_values entry {cfg.sweep_param} = "
                               f"{value!r}: {exc}")
+    return cfg
 
 
 def resolved_text(cfg: RunConfig) -> str:

@@ -4,8 +4,8 @@ The cube containing all (p_S, p_E, p_I) combinations is cut into Y^3 cells;
 each cell splits into six equal-volume simplexes along coordinate-sorted
 diagonals, so any interior point is a convex combination of at most four cell
 corners.  Transition laws over continuous atoms are pushed onto the corners
-through those weights, giving a finite kernel.  Corners whose fractions exceed
-1 are unreachable population mixes and absorb with probability one.
+through those weights, giving a finite kernel.  Only corners inside the
+population simplex have rows; a rollout that reaches another corner stops.
 
 The push runs once per state: the intervention level only reweights the
 exposure count, so the atoms of every (vaccination level, exposure count)
@@ -284,13 +284,9 @@ def discretize_kernel(
     could move it.  The means of every (y_V, b) are located in one call.
 
     Corner masses below ENTRY_TOL are dropped, and the state's rows are
-    renormalized and checked as one block.  Invalid corners (fractions
-    summing past 1) self-loop with probability one.
+    renormalized and checked as one block.  A corner outside the simplex
+    raises DomainError (``Grid.state_of``).
     """
-    n_rows = (params.L + 1) * (params.M + 1)
-    if not grid.in_S[corner_index]:
-        return SparseDistribution.block(np.full(n_rows, corner_index), np.ones(n_rows),
-                                        np.arange(n_rows + 1))
     state = grid.state_of(corner_index)
     N, Y = params.N, grid.Y
     n_S, n_E, n_I = state.counts(N)

@@ -27,7 +27,7 @@ from .seir import Action, ContinuousState, EpidemicParams, stage_rewards
 
 
 # One record per stored kernel entry; action indexes model.actions.  A cache
-# lists its records in strictly increasing (state, action, successor) order.
+# lists its records in (state, action) order, each row's successors ascending.
 _RECORD = np.dtype([("state", "<i4"), ("action", "<i4"), ("successor", "<i4"),
                     ("prob", "<f8")])
 
@@ -72,9 +72,7 @@ class EpidemicModel:
         self._rules[idx] = fit_rules(self.design, rows, self._rewards[idx], self.acfg)
 
     def _reward_vector(self, idx: int) -> np.ndarray:
-        """nominal_reward of every action, from the design's level columns."""
-        if not self.grid.in_S[idx]:
-            return np.zeros(len(self.actions))
+        """stage_rewards of every action, from the design's level columns."""
         X = self.design
         return stage_rewards(self.params, self.grid.state_of(idx), X[:, 1], X[:, 2])
 
@@ -96,9 +94,6 @@ class EpidemicModel:
             self._shifted[key] = [worst_case_shift(r, self.grid, budget)
                                   for r in self.rows(idx)]
         return self._shifted[key]
-
-    def support(self, idx: int) -> np.ndarray:
-        return self.rules(idx).support
 
     def stage_heuristic(self, idx: int) -> float:
         """Best fitted stage reward over actions; zero outside the simplex.
@@ -184,10 +179,11 @@ class EpidemicModel:
 
         Raises CacheError naming the file when it is not a 1-d array of
         _RECORD (nothing in it is unpickled), or an index is off its range,
-        the records are out of order, a state misses an action, or a row is
-        not a distribution (a negative entry, or a sum off one by > 1e-9).
-        The rows are checked as one block, and each state is handed its
-        slice of it.
+        the records are out of (state, action) order, a state is outside the
+        simplex or misses an action, or a row is not a distribution
+        (successors not ascending, a negative entry, or a sum off one by
+        > 1e-9).  The rows are checked as one block, and each state is
+        handed its slice of it.
         """
         kpath = self._cache_path(directory)
         if not os.path.exists(kpath):
@@ -206,12 +202,13 @@ class EpidemicModel:
             if np.any((col < 0) | (col >= hi)):
                 raise CacheError(f"{kpath}: {name} index off its range [0, {hi})")
         row_id = state.astype(np.int64) * n_a + action
-        d_row, d_succ = np.diff(row_id), np.diff(succ)
-        if np.any((d_row < 0) | ((d_row == 0) & (d_succ <= 0))):
-            raise CacheError(f"{kpath}: records not in strictly increasing "
-                             "(state, action, successor) order")
+        if np.any(np.diff(row_id) < 0):
+            raise CacheError(f"{kpath}: records not in (state, action) order")
         ids, starts = np.unique(row_id, return_index=True)
         states = np.unique(row_id // n_a)
+        outside = states[~self.grid.in_S[states]]
+        if len(outside):
+            raise CacheError(f"{kpath}: state {outside[0]} is outside the population simplex")
         if not np.array_equal(ids, (states[:, None] * n_a + np.arange(n_a)).ravel()):
             raise CacheError(f"{kpath}: a state does not list every action")
         try:

@@ -110,7 +110,7 @@ def backup_state(model: EpidemicModel, idx: int, t: int, v_next, cfg: PlannerCon
     model.actions, the lowest (y_V, y_R).
     """
     if callable(v_next):
-        support = model.support(idx)
+        support = model.rules(idx).support
         values = np.zeros(model.grid.n_corners)
         values[support] = [v_next(int(j)) for j in support]
         v_next = values
@@ -127,10 +127,8 @@ def backup_state(model: EpidemicModel, idx: int, t: int, v_next, cfg: PlannerCon
     if cfg.backend == "drmdp-enumerate":
         return drmdp_backup_enumerate(coeffs, model.actions, v_next, lam, k,
                                       method=cfg.inner_method, X=model.design)
-    if cfg.backend == "drmdp-mccormick":
-        return drmdp_backup_mccormick(coeffs, v_next, lam, k,
-                                      L=model.params.L, M=model.params.M)
-    raise DomainError(f"unknown backend {cfg.backend!r}")
+    return drmdp_backup_mccormick(coeffs, v_next, lam, k,
+                                  L=model.params.L, M=model.params.M)
 
 
 def greedy_action(model: EpidemicModel, table: ValueTable, idx: int, t: int,

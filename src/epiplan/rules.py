@@ -67,9 +67,9 @@ def design_matrix(actions: list[Action]) -> np.ndarray:
 
 def rule_design(actions: list[Action]) -> np.ndarray:
     """The design_matrix of actions that fit_rules fits over, checked to
-    identify an affine rule: at least 3 distinct, non-collinear actions."""
+    have rank 3 (at least 3 distinct, non-collinear actions)."""
     X = design_matrix(actions)
-    if len({(a.y_V, a.y_R) for a in actions}) < 3 or np.linalg.matrix_rank(X) < 3:
+    if np.linalg.matrix_rank(X) < 3:
         raise UnderdeterminedError(
             "need at least 3 distinct, non-collinear actions to fit rules"
         )

@@ -227,17 +227,10 @@ def transition_pmf(
     return TransitionTable(draws=draws, points=points, probs=prob)
 
 
-def nominal_reward(
-    params: EpidemicParams, state: ContinuousState, action: Action
-) -> float:
-    """Stage reward: minus vaccination, intervention, and expected infection costs."""
-    _check_action(params, action)
-    return stage_rewards(params, state, action.y_V, action.y_R)
-
-
 def stage_rewards(params: EpidemicParams, state: ContinuousState, y_V, y_R):
-    """nominal_reward at levels y_V and y_R, given as numbers or as arrays
-    of levels in range; each entry takes the same operations either way."""
+    """Stage reward: minus vaccination, intervention, and expected infection
+    costs, at levels y_V and y_R given as numbers or as arrays of levels in
+    range; each entry takes the same operations either way."""
     n_S, n_E, n_I = state.counts(params.N)
     c_V = params.Q * (y_V / params.L) * n_S
     c_R = params.k_R * y_R

@@ -9,7 +9,8 @@ stage-wise infection curves, and stage-wise mean actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from .rules import AmbiguityConfig
 from .seir import Action, EpidemicParams
 
 SWEEPABLE = ("Q", "k_R", "mu_beta", "W", "alpha0")
+
+TrueKernel = Callable[[int, Action], SparseDistribution]  # (state index, action) -> row
 
 
 @dataclass(frozen=True)
@@ -41,30 +44,6 @@ class PerturbationSpec:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
-class TrueKernel:
-    """Lazily perturbed kernel rows; deterministic per (state, action)."""
-
-    def __init__(self, model: EpidemicModel, spec: PerturbationSpec):
-        self.model = model
-        self.spec = spec
-        self._cache: dict[tuple[int, int], SparseDistribution] = {}
-
-    def row(self, idx: int, action: Action) -> SparseDistribution:
-        ai = self.model.action_index(action)
-        key = (idx, ai)
-        if key not in self._cache:
-            nominal = self.model.rows(idx)[ai]
-            if self.spec.radius == 0.0:
-                out = nominal
-            elif self.spec.direction == "high-infective":
-                out = worst_case_shift(nominal, self.model.grid, self.spec.radius)
-            else:
-                rng = np.random.default_rng((self.spec.seed, idx, ai))
-                out = random_shift(nominal, self.spec.radius, rng)
-            self._cache[key] = out
-        return self._cache[key]
-
-
 def random_shift(row: SparseDistribution, budget: float,
                  rng: np.random.Generator) -> SparseDistribution:
     """Move up to budget/2 mass from up to half the entries, drawn in a random
@@ -78,7 +57,26 @@ def random_shift(row: SparseDistribution, budget: float,
 
 
 def build_true_kernel(model: EpidemicModel, spec: PerturbationSpec) -> TrueKernel:
-    return TrueKernel(model, spec)
+    """The true kernel as a function (state index, action) -> row: the
+    nominal row perturbed by spec, once per (state, action) and
+    deterministically, then cached."""
+    cache: dict[tuple[int, int], SparseDistribution] = {}
+
+    def row(idx: int, action: Action) -> SparseDistribution:
+        ai = model.action_index(action)
+        key = (idx, ai)
+        if key not in cache:
+            nominal = model.rows(idx)[ai]
+            if spec.radius == 0.0:
+                cache[key] = nominal
+            elif spec.direction == "high-infective":
+                cache[key] = worst_case_shift(nominal, model.grid, spec.radius)
+            else:
+                rng = np.random.default_rng((spec.seed, idx, ai))
+                cache[key] = random_shift(nominal, spec.radius, rng)
+        return cache[key]
+
+    return row
 
 
 @dataclass
@@ -101,7 +99,11 @@ def run_episode(
     init_idx: int,
     seed: int,
 ) -> EpisodeRecord:
-    """Greedy rollout against stored values, sampling from the true kernel."""
+    """Greedy rollout against stored values, sampling from the true kernel.
+
+    A state outside the simplex absorbs: it takes action (0, 0), earns 0 and
+    stays, with no kernel row read and no draw made.
+    """
     rng = np.random.default_rng(seed)
     lam = model.lam
     idx = init_idx
@@ -110,12 +112,12 @@ def run_episode(
         if model.grid.in_S[idx]:
             action, _ = greedy_action(model, table, idx, t, cfg)
             reward = float(model.rewards(idx)[model.action_index(action)])
+            row = kernel(idx, action)
+            idx = int(rng.choice(row.indices, p=row.probs))
         else:
-            action, reward = Action(0, 0), 0.0  # absorbing, no dynamics left
+            action, reward = Action(0, 0), 0.0
         actions.append(action)
         rewards.append(reward)
-        row = kernel.row(idx, action)
-        idx = int(rng.choice(row.indices, p=row.probs))
         states.append(idx)
     total = sum(lam ** (t - 1) * r for t, r in enumerate(rewards, start=1))
     coords = model.grid.coords[states]

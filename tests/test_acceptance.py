@@ -81,7 +81,8 @@ def instances():
 
 def test_dual_equals_primal():
     for trial, (coeffs, v, k) in enumerate(instances()["dual_primal"]):
-        dual, _ = drmdp_backup_enumerate(coeffs, [Action(0, 0)], v, LAM, k, method="lp")
+        dual, _ = drmdp_backup_enumerate(coeffs, [Action(0, 0)], v, LAM, k, method="lp",
+                                         X=design_matrix([Action(0, 0)]))
         primal = inner_primal_oracle(coeffs, Action(0, 0), v, LAM, k)
         assert abs(dual - primal) <= TOL * (1.0 + abs(dual)), (trial, dual, primal)
 
@@ -92,14 +93,16 @@ def test_batched_parametric_equals_lp_route():
     for trial, (coeffs, v, k) in enumerate(instances()["parametric_lp"]):
         fast = X @ coeffs.eps + inner_value_parametric(*mean_bounds(coeffs, X), LAM * v, k)
         for a, got in zip(actions, fast):
-            dual, _ = drmdp_backup_enumerate(coeffs, [a], v, LAM, k, method="lp")
+            dual, _ = drmdp_backup_enumerate(coeffs, [a], v, LAM, k, method="lp",
+                                             X=design_matrix([a]))
             assert abs(dual - got) <= TOL * (1.0 + abs(dual)), (trial, a, dual, got)
 
 
 def test_unary_equals_enumeration_below_mccormick():
     actions = [Action(a, b) for a in range(2) for b in range(2)]
     for trial, (coeffs, v, k) in enumerate(instances()["unary_mccormick"]):
-        e, _ = drmdp_backup_enumerate(coeffs, actions, v, LAM, k, method="parametric")
+        e, _ = drmdp_backup_enumerate(coeffs, actions, v, LAM, k, method="parametric",
+                                      X=design_matrix(actions))
         un, _ = drmdp_backup_unary(coeffs, v, LAM, k, L=1, M=1)
         mc, _ = drmdp_backup_mccormick(coeffs, v, LAM, k, L=1, M=1)
         scale = 1.0 + abs(e)
@@ -153,3 +156,25 @@ def test_mccormick_gap_at_dp_mip_small():
     assert sum(g > 1e-9 for g in gaps.values()) >= 1
     root = (lattice_state_index(model, 0.6, 0.2, 0.2), 1)
     assert abs(gaps[root]) <= 1e-9
+
+
+def test_penalty_slack_census():
+    # Planner agreement assumes every ambiguity set is nonempty, that is, zero
+    # penalty slack.  At each benchmark size many states, and every
+    # benchmark's initial state, have positive slack.  Per size: (states with
+    # positive slack, simplex states), the largest slack, and the slack at
+    # initial states, to two decimals.
+    census = [
+        (EpidemicModel(EpidemicParams(), 10, AmbiguityConfig()), (212, 286), 250.0,
+         {(0.7, 0.1, 0.2): 83.25, (0.6, 0.1, 0.3): 69.07}),
+        (dp_mip_small()[0], (29, 56), 183.33, {(0.6, 0.2, 0.2): 54.67}),
+        (EpidemicModel(EpidemicParams(N=300), 8, AmbiguityConfig()), (113, 165), 250.0,
+         {(0.75, 0.125, 0.125): 67.46}),
+    ]
+    for model, positive, largest, at_initial in census:
+        model.compile_all()
+        slack = np.array([model.penalty_slack(int(i)) for i in model.grid.in_S_indices()])
+        assert (int((slack > 0).sum()), len(slack)) == positive
+        assert round(float(slack.max()), 2) == largest
+        for state, want in at_initial.items():
+            assert round(model.penalty_slack(lattice_state_index(model, *state)), 2) == want

@@ -27,7 +27,7 @@ from epiplan.rules import (
     mean_bounds,
     rule_design,
 )
-from epiplan.seir import nominal_reward
+from epiplan.seir import stage_rewards
 from oracles import (
     dense_solve_lp,
     dense_solve_mip,
@@ -80,7 +80,8 @@ def robust_backup(actions, rows, rewards, v, lam, grid, budget=0.5):
 
 def inner_lp_value(coeffs, action, v, lam, k):
     """One action's value through the multiplier-LP route."""
-    return drmdp_backup_enumerate(coeffs, [action], v, lam, k, method="lp")[0]
+    return drmdp_backup_enumerate(coeffs, [action], v, lam, k, method="lp",
+                                  X=design_matrix([action]))[0]
 
 
 def ldr_nominal_backup(coeffs, actions, v, lam):
@@ -371,7 +372,8 @@ class TestActionBackends:
         coeffs = random_coeffs(rng, 4)
         v = -rng.random(4) * 10
         lam, k = 0.95, 100.0
-        e, _ = drmdp_backup_enumerate(coeffs, actions, v, lam, k, method="lp")
+        e, _ = drmdp_backup_enumerate(coeffs, actions, v, lam, k, method="lp",
+                                      X=design_matrix(actions))
         mc, _ = drmdp_backup_mccormick(coeffs, v, lam, k, L=0, M=0)
         un, _ = drmdp_backup_unary(coeffs, v, lam, k, L=0, M=0)
         assert mc == pytest.approx(e, abs=1e-6)
@@ -388,7 +390,8 @@ class TestActionBackends:
             lam = 0.95
             k = float(rng.choice([1.0, 50.0, 1e3]))
             actions = grid_actions(L, M)
-            e, _ = drmdp_backup_enumerate(coeffs, actions, v, lam, k, method="lp")
+            e, _ = drmdp_backup_enumerate(coeffs, actions, v, lam, k, method="lp",
+                                          X=design_matrix(actions))
             un, _ = drmdp_backup_unary(coeffs, v, lam, k, L=L, M=M)
             mc, _ = drmdp_backup_mccormick(coeffs, v, lam, k, L=L, M=M)
             scale = 1.0 + abs(e)
@@ -406,7 +409,7 @@ class TestActionBackends:
             coeffs = model.rules(int(idx))
             v = -rng.random(model.grid.n_corners) * 1e3
             e, _ = drmdp_backup_enumerate(coeffs, model.actions, v, lam, k,
-                                          method="parametric")
+                                          method="parametric", X=design_matrix(model.actions))
             un, _ = drmdp_backup_unary(coeffs, v, lam, k, L=2, M=2)
             mc, _ = drmdp_backup_mccormick(coeffs, v, lam, k, L=2, M=2)
             scale = 1.0 + abs(e)
@@ -488,7 +491,8 @@ class TestActionBackends:
             for a in actions
         ) + lam * v.min()
         for method in ("parametric", "lp"):
-            e, _ = drmdp_backup_enumerate(coeffs, actions, v, lam, 0.0, method=method)
+            e, _ = drmdp_backup_enumerate(coeffs, actions, v, lam, 0.0, method=method,
+                                          X=design_matrix(actions))
             assert e == pytest.approx(expected, abs=1e-8), method
         mc, _ = drmdp_backup_mccormick(coeffs, v, lam, 0.0, L=L, M=M)
         un, _ = drmdp_backup_unary(coeffs, v, lam, 0.0, L=L, M=M)
@@ -505,7 +509,7 @@ class TestActionBackends:
             lam, k = 0.95, 1000.0
             nominal_val, nominal_act = ldr_nominal_backup(coeffs, actions, v, lam)
             e, _ = drmdp_backup_enumerate(coeffs, actions, v, lam, k,
-                                          method="parametric")
+                                          method="parametric", X=design_matrix(actions))
             un, _ = drmdp_backup_unary(coeffs, v, lam, k, L=1, M=2)
             mc, _ = drmdp_backup_mccormick(coeffs, v, lam, k, L=1, M=2)
             scale = 1.0 + abs(nominal_val)
@@ -522,7 +526,7 @@ class TestActionBackends:
             nominal_val, _ = ldr_nominal_backup(coeffs, actions, v, lam)
             for method in ("parametric", "lp"):
                 e, _ = drmdp_backup_enumerate(coeffs, actions, v, lam, k,
-                                              method=method)
+                                              method=method, X=design_matrix(actions))
                 assert e <= nominal_val + 1e-6 * (1.0 + abs(nominal_val)), (trial, method)
 
     def test_enumerate_parametric_method_agrees(self):
@@ -532,9 +536,10 @@ class TestActionBackends:
             coeffs = random_coeffs(rng, m)
             v = -rng.random(m) * 20
             actions = grid_actions(2, 2)
-            a = drmdp_backup_enumerate(coeffs, actions, v, 0.95, 37.0, method="lp")
+            a = drmdp_backup_enumerate(coeffs, actions, v, 0.95, 37.0, method="lp",
+                                       X=design_matrix(actions))
             b = drmdp_backup_enumerate(coeffs, actions, v, 0.95, 37.0,
-                                       method="parametric")
+                                       method="parametric", X=design_matrix(actions))
             assert a[0] == pytest.approx(b[0], rel=1e-9, abs=1e-9)
             assert a[1] == b[1]
 
@@ -547,14 +552,14 @@ class TestActionBackends:
         for actions in (grid_actions(2, 2), list(reversed(grid_actions(2, 2)))):
             for method in ("parametric", "lp"):
                 _, act = drmdp_backup_enumerate(coeffs, actions, v, 0.95, 10.0,
-                                                method=method)
+                                                method=method, X=design_matrix(actions))
                 assert act == actions[0], (method, actions[0])
 
     def test_enumerate_rejects_unknown_method(self):
         coeffs = constant_coeffs([0], [1.0], 0.0)
         with pytest.raises(DomainError):
             drmdp_backup_enumerate(coeffs, [Action(0, 0)], np.zeros(1), 0.9, 1.0,
-                                   method="ternary")
+                                   method="ternary", X=design_matrix([Action(0, 0)]))
 
 
 def test_mips_write_the_inner_lp_block(monkeypatch):
@@ -729,7 +734,7 @@ class TestFullSpaceCheck:
         idx = grid.index_of(1, 1, 0)
         actions = params.actions()
         kernels = discretize_kernel(grid, params, idx)
-        rewards = [nominal_reward(params, grid.state_of(idx), a) for a in actions]
+        rewards = [stage_rewards(params, grid.state_of(idx), a.y_V, a.y_R) for a in actions]
         return grid, params, actions, kernels, rewards
     def test_agreement_with_moderate_penalty(self):
         grid, params, actions, kernels, rewards = self.build_toy()

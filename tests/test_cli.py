@@ -443,14 +443,14 @@ class TestDispatch:
         path = write_cfg(tmp_path, TOY)
         out = str(tmp_path / "ovr")
         assert dispatch(["--config", path, "--out", out, "--backend", "nominal",
-                         "--seed", "3", "solve"]) == 0
-        # The file's keys and the two overrides, every other key at its
-        # default, in the order and form of DEFAULT_RESOLVED.
+                         "--seed", "3", "--Y", "4", "--threads", "2", "solve"]) == 0
+        # The file's keys and the four overrides (Y over the file's), every
+        # other key at its default, in the order and form of DEFAULT_RESOLVED.
         expected = DEFAULT_RESOLVED
-        for line in ["N = 10", "Y = 2", "T = 3", "L = 1", "M = 1", "Q = 0.5",
+        for line in ["N = 10", "Y = 4", "T = 3", "L = 1", "M = 1", "Q = 0.5",
                      "k_R = 0.5", "W = 2.0", "niter = 5", "nseeds = 2",
                      "p_S1_list = 0.5", "p_E1 = 0.5", "backend = nominal",
-                     "seed = 3"]:
+                     "seed = 3", "threads = 2"]:
             key = line.split(" = ")[0]
             expected, n = re.subn(rf"^{key} = .*$", line, expected, flags=re.M)
             assert n == 1

@@ -14,7 +14,7 @@ from epiplan.seir import (
     JOINT_TOL,
     binomial_row,
     exposure_prob,
-    nominal_reward,
+    stage_rewards,
     transition_pmf,
     vaccination_trials,
 )
@@ -88,9 +88,6 @@ def per_action_push(grid, params, idx, atoms=transition_atoms):
     """Reference rows: each action's atoms located one by one and accumulated."""
     rows = []
     for a in params.actions():
-        if not grid.in_S[idx]:
-            rows.append((np.array([idx]), np.array([1.0])))
-            continue
         points, probs = atoms(params, grid.state_of(idx), a)
         corners, wts = grid.locate_many(points)
         mass = np.bincount(corners.ravel(), weights=(wts * probs[:, None]).ravel(),
@@ -351,29 +348,17 @@ class TestBlock:
 
 
 class TestDiscretizeKernel:
-    def test_absorbing_outside_S(self):
-        g = Grid(GridSpec(2))
-        p = toy_params()
-        idx = g.index_of(2, 2, 2)  # fractions sum to 3
-        rows = discretize_kernel(g, p, idx)
-        assert len(rows) == len(p.actions())
-        assert all(as_dict(row) == {idx: 1.0} for row in rows)
-
-    def test_outside_S_rows_are_one_read_only_block(self):
-        # One self-loop row per action, each its own object, all views of
-        # one read-only buffer, as every in-simplex state's rows are.
-        g = Grid(GridSpec(2))
-        p = toy_params(N=6)
-        idx = g.index_of(2, 1, 0)  # fractions sum to 1.5
-        rows = discretize_kernel(g, p, idx)
-        assert len(rows) == len(p.actions())
-        assert len({id(row) for row in rows}) == len(rows)
-        assert all(as_dict(row) == {idx: 1.0} for row in rows)
-        for row in rows:
-            assert not row.probs.flags.writeable and not row.indices.flags.writeable
-            assert row.probs.base is rows[0].probs.base is not None
-        with pytest.raises(ValueError):
-            rows[0].probs[0] = 0.5
+    @pytest.mark.parametrize("lattice", [(2, 2, 2), (2, 1, 0)], ids=["sum-3", "sum-1.5"])
+    def test_outside_S_is_not_compiled(self, lattice):
+        # Only simplex states have rows: the push and the model's compile
+        # refuse a corner whose fractions sum past 1, and store nothing.
+        model = EpidemicModel(toy_params(N=6), 2, AmbiguityConfig())
+        idx = model.grid.index_of(*lattice)
+        with pytest.raises(DomainError, match="outside the population simplex"):
+            discretize_kernel(model.grid, model.params, idx)
+        with pytest.raises(DomainError, match="outside the population simplex"):
+            model.compile_state(idx)
+        assert model._rows == {} and model._rewards == {} and model._rules == {}
 
     @pytest.mark.parametrize("N, Y, lattice", [(3, 2, (0, 1, 1)), (7, 4, (0, 2, 2))])
     def test_successor_outside_the_cube_raises(self, N, Y, lattice):
@@ -431,7 +416,6 @@ class TestDiscretizeKernel:
         assert sum(got.values()) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("N, Y, lattice, exercises", [
-        pytest.param(4, 2, (2, 2, 2), None, id="absorbing"),       # outside S
         pytest.param(9, 3, (3, 0, 0), reaches_top_cell_clamp,    # only susceptibles,
                      id="disease-free"),                          # p_S = 1
         pytest.param(9, 3, (1, 2, 0), None, id="no-infectives"),   # p_I = 0, phi = 0
@@ -535,11 +519,6 @@ class TestDiscretizeKernel:
 
 class TestRewardAndSupport:
     # The discrete stage reward of a corner is the model's reward vector.
-    def test_discrete_reward_outside_S_zero(self):
-        model = EpidemicModel(toy_params(), 2, AmbiguityConfig())
-        idx = model.grid.index_of(2, 2, 1)
-        assert np.all(model.rewards(idx) == 0.0)
-
     def test_discrete_reward_matches_seir(self):
         # Every simplex state of a grid whose corners do not land on whole
         # persons (N = 10, Y = 3), and level fractions that do not round
@@ -548,7 +527,7 @@ class TestRewardAndSupport:
         model = EpidemicModel(params, 3, AmbiguityConfig())
         for idx in model.grid.in_S_indices():
             state = model.grid.state_of(int(idx))
-            want = [nominal_reward(params, state, a) for a in model.actions]
+            want = [stage_rewards(params, state, a.y_V, a.y_R) for a in model.actions]
             assert model.rewards(int(idx)).tolist() == want, idx
 
     def test_disease_free_support_is_self(self):

@@ -349,6 +349,29 @@ def _bad_rows(edit, rows=(0,)):
     return corrupt
 
 
+def _swap_successors(kpath):
+    """Swap the first two successors of the first row with several, and name
+    that row, as the error should."""
+    rec = np.load(kpath)
+    row_id = rec["state"].astype(np.int64) * 1000 + rec["action"]
+    first = int(np.flatnonzero(row_id[1:] == row_id[:-1])[0])
+    rec["successor"][[first, first + 1]] = rec["successor"][[first + 1, first]]
+    np.save(kpath, rec)
+    a = toy_model(N=4, T=3).actions[rec["action"][first]]
+    return f"row of state {rec['state'][first]}, action ({a.y_V}, {a.y_R})"
+
+
+def _state_outside_simplex(kpath):
+    """Move the last state's records to corner (2, 1, 0), whose fractions sum
+    to 1.5, and name it."""
+    rec = np.load(kpath)
+    idx = toy_model(N=4, T=3).grid.index_of(2, 1, 0)
+    assert idx > rec["state"].max()  # the records stay in order
+    rec["state"][rec["state"] == rec["state"][-1]] = idx
+    np.save(kpath, rec)
+    return f"state {idx} is outside the population simplex"
+
+
 def _set_first(value):
     def edit(probs):
         probs[0] = value
@@ -431,6 +454,8 @@ class TestModelBundle:
         pytest.param(_raw(lambda data: b""), id="emptied"),
         pytest.param(_records(lambda rec: rec[rec["action"] != 1]), id="missing-action"),
         pytest.param(_records(lambda rec: rec[::-1]), id="out-of-order"),
+        pytest.param(_swap_successors, id="successors-swapped"),
+        pytest.param(_state_outside_simplex, id="state-outside-simplex"),
         pytest.param(_raw(lambda data: b"state,y_V,y_R,successor,prob\n0,0,0,0,1.0\n"),
                      id="plain-text"),
         pytest.param(_save_objects, id="object-dtype"),

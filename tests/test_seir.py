@@ -8,11 +8,10 @@ from epiplan import (
     ContinuousState,
     DomainError,
     EpidemicParams,
-    nominal_reward,
     transition_pmf,
 )
 from epiplan import seir
-from epiplan.seir import MARGINAL_TOL, binomial_row, exposure_prob
+from epiplan.seir import MARGINAL_TOL, binomial_row, exposure_prob, stage_rewards
 from oracles import binomial_pmf
 
 
@@ -225,13 +224,13 @@ class TestNominalReward:
     def test_disease_free_no_action_is_free(self):
         p = small_params()
         s = ContinuousState(0.6, 0.0, 0.0)
-        assert nominal_reward(p, s, Action(0, 0)) == 0.0
+        assert stage_rewards(p, s, 0, 0) == 0.0
 
     def test_closed_form_example(self):
         p = EpidemicParams(N=100, mu=10, beta=0.025, alpha0=0.9, l_C=0.5,
                            l_D=1 / 3, Q=2, k_R=3, W=1, L=5, M=5, lam=0.95, T=4)
         s = ContinuousState(0.6, 0.1, 0.2)
-        r = nominal_reward(p, s, Action(5, 2))
+        r = stage_rewards(p, s, 5, 2)
         c_I = 20 + 10 * (1 - math.exp(-0.5)) - 20 * (1 - math.exp(-1 / 3))
         assert r == pytest.approx(-(120 + 6 + c_I), abs=1e-9)
         assert r == pytest.approx(-144.265, abs=1e-3)
@@ -239,7 +238,7 @@ class TestNominalReward:
     def test_vaccination_cost_strictly_increasing(self):
         p = small_params(N=100)
         s = ContinuousState(0.5, 0.1, 0.1)
-        rewards = [nominal_reward(p, s, Action(v, 0)) for v in range(p.L + 1)]
+        rewards = [stage_rewards(p, s, v, 0) for v in range(p.L + 1)]
         assert all(a > b for a, b in zip(rewards, rewards[1:]))
 
     def test_components_nonnegative(self):
@@ -249,7 +248,7 @@ class TestNominalReward:
             n = rng.multinomial(100, [0.3, 0.2, 0.2, 0.3])
             s = ContinuousState(n[0] / 100, n[1] / 100, n[2] / 100)
             a = Action(int(rng.integers(0, 6)), int(rng.integers(0, 6)))
-            assert nominal_reward(p, s, a) <= 1e-12
+            assert stage_rewards(p, s, a.y_V, a.y_R) <= 1e-12
 
 
 class TestStateValidation:

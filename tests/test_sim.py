@@ -34,7 +34,7 @@ class TestTrueKernel:
         kern = build_true_kernel(model, PerturbationSpec(radius=0.0))
         idx = model.grid.index_of(1, 1, 0)
         for a in model.actions:
-            row = kern.row(idx, a)
+            row = kern(idx, a)
             nominal = model.rows(idx)[model.action_index(a)]
             np.testing.assert_array_equal(row.indices, nominal.indices)
             np.testing.assert_allclose(row.probs, nominal.probs, atol=0)
@@ -47,7 +47,7 @@ class TestTrueKernel:
             for lat in [(1, 1, 0), (1, 1, 1), (2, 0, 1)]:
                 idx = model.grid.index_of(*lat)
                 for a in model.actions:
-                    row = kern.row(idx, a)
+                    row = kern(idx, a)
                     nominal = model.rows(idx)[model.action_index(a)]
                     assert row.probs.sum() == pytest.approx(1.0, abs=1e-9)
                     assert np.all(row.probs >= -1e-15)
@@ -62,7 +62,7 @@ class TestTrueKernel:
         kern = build_true_kernel(model, PerturbationSpec(radius=0.5))
         idx = model.grid.index_of(1, 1, 1)
         a = Action(0, 0)
-        row = kern.row(idx, a)
+        row = kern(idx, a)
         expect = worst_case_shift(model.rows(idx)[model.action_index(a)],
                                   model.grid, 0.5)
         np.testing.assert_allclose(row.probs, expect.probs, atol=0)
@@ -117,6 +117,29 @@ class TestRunEpisode:
         rec = run_episode(model, table, cfg, kern, init, seed=1)
         assert rec.total_reward == pytest.approx(0.0, abs=1e-9)
         assert all(a == Action(0, 0) for a in rec.actions)
+
+    def test_escape_absorbs_without_compiling(self):
+        # Rows can put mass on corners outside the simplex.  A rollout that
+        # reaches one stays there at action (0, 0) and reward 0, and no rows
+        # are compiled for it.
+        model = sim_model(N=12, Y=3, T=5)
+        init = model.grid.index_of(1, 1, 1)
+        cfg = PlannerConfig(backend="nominal", niter=10, seed=0)
+        table, _ = rtdp(model, init, cfg)
+        kern = build_true_kernel(model, PerturbationSpec(radius=0.5))
+        escaped = 0
+        for seed in range(10):
+            rec = run_episode(model, table, cfg, kern, init, seed=seed)
+            inside = model.grid.in_S[rec.states]
+            if inside.all():
+                continue
+            escaped += 1
+            t = int(np.argmin(inside))  # the first stage outside, from 0
+            assert rec.states[t:] == [rec.states[t]] * (model.T - t)
+            assert rec.actions[t:] == [Action(0, 0)] * (model.T - 1 - t)
+            assert rec.rewards[t:] == [0.0] * (model.T - 1 - t)
+        assert escaped > 0
+        assert model.grid.in_S[sorted(model._rows)].all()
 
     def test_discounting_identity(self):
         model = sim_model(N=12, Y=3, T=5)

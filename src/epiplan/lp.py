@@ -1,22 +1,25 @@
 """Dense linear and mixed-integer programming, sized for per-state subproblems.
 
 Every program has one form: maximize c'x subject to A x <= b and
-lb <= x <= ub, with every lb finite and b - A lb >= 0.  Shifting x = lb + y
-then leaves the slack basis feasible, so the LP solver is a one-phase primal
-simplex on a dense tableau that starts there (Chvatal, *Linear Programming*,
-1983, ch. 2-3); it never reports infeasible.  `solve_lp` raises DomainError
-naming the failed condition for a program outside the form, and so does a
-branch-and-bound node that leaves it.  Entering columns follow Dantzig's rule
-with ties broken by lowest index, switching to Bland's rule after
-10*(rows+cols) iterations so cycling cannot occur.  A pivot updates only the
-rows whose entry in the pivot column is nonzero; the others would change by
-exactly zero, so this is the dense update's result bit for bit
-(`tests/oracles.dense_solve_lp`, the general two-phase reference).  The MIP
-solver wraps it in best-first branch and bound, branching on the most
-fractional integer variable.  The root LP is solved once and is the first
-node, so a MIP makes one LP solve per node: `Solution.nodes` counts them and
-`Solution.iterations` sums their pivots.  Everything is deterministic:
-identical inputs pivot identically.
+lb <= x <= ub, with c, A, b and lb finite and b - A lb >= 0.  Shifting
+x = lb + y then leaves the slack basis feasible, so the LP solver is a
+one-phase primal simplex that starts there (Chvatal, *Linear Programming*,
+1983, ch. 2-3); it never reports infeasible.  `LinearProgram` rejects a
+non-finite c, A or b, and `solve_lp` a program or branch-and-bound node
+outside the form, each with a DomainError naming the failed condition.  The
+simplex keeps one preallocated tableau: a row [A | I | b - A lb] per
+constraint, a row y_j <= ub_j - lb_j per finite ub_j, and the reduced costs
+[-c | 0 | 0] last.  Entering columns follow Dantzig's rule (least reduced
+cost, ties by lowest index), switching to Bland's rule after 10*(rows+cols)
+iterations so cycling cannot occur.  A pivot scales its row, then updates,
+in one rank-1 step, only the rows (cost row and right sides included) whose
+pivot-column entry is nonzero; the others would change by exactly zero, so
+this is the dense update's result bit for bit (`tests/oracles.dense_solve_lp`,
+the general two-phase reference).  The MIP solver wraps it in best-first
+branch and bound, branching on the most fractional integer variable.  The
+root LP is solved once and is the first node, so a MIP makes one LP solve
+per node: `Solution.nodes` counts them and `Solution.iterations` sums their
+pivots.  Everything is deterministic: identical inputs pivot identically.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ _GAP_TOL = 1e-6
 
 @dataclass
 class LinearProgram:
-    """maximize c'x subject to A x <= b and lb <= x <= ub.
+    """maximize c'x subject to A x <= b and lb <= x <= ub; c, A, b finite.
 
     lb defaults to zero and ub to +inf; solve_lp needs lb finite and
     b - A lb >= 0, and ub may be +inf.
@@ -62,8 +65,15 @@ class LinearProgram:
         self.ub = np.asarray(self.ub, dtype=np.float64)
         if self.A.shape != (len(self.b), n):
             raise DomainError("A shape inconsistent with c and b")
-        if np.any(self.lb > self.ub):
-            raise DomainError("variable lower bound exceeds upper bound")
+        for name in ("c", "A", "b"):
+            arr = getattr(self, name)
+            bad = ~np.isfinite(arr)
+            if bad.any():
+                at = tuple(np.argwhere(bad)[0].tolist())
+                raise DomainError(f"LinearProgram needs finite {name}: "
+                                  f"{name}{list(at)} is {arr[at]}")
+        if not (self.lb <= self.ub).all():  # NaN fails too
+            raise DomainError("variable bounds need lb <= ub, neither NaN")
 
     @property
     def n_vars(self) -> int:
@@ -99,83 +109,69 @@ class Solution:
     nodes: int = 0
 
 
-class _Canonical:
-    """The program in y = x - lb >= 0: A y <= b - A lb, plus one row
-    y_j <= ub_j - lb_j per finite ub_j.  Raises DomainError when an lb is not
-    finite or a right side is negative, the two ways the slack basis can fail
-    to be feasible."""
-
-    def __init__(self, lp: LinearProgram):
-        lo, hi = lp.lb, lp.ub
-        if not np.isfinite(lo).all():
-            j = int(np.argmin(np.isfinite(lo)))
-            raise DomainError(f"solve_lp needs finite lower bounds: column {j} has {lo[j]}")
-        b = lp.b - lp.A @ lo
-        short = ~(b >= 0.0)  # NaN fails too
-        if short.any():
-            i = int(np.argmax(short))
-            raise DomainError(f"solve_lp starts at the slack basis, so it needs "
-                              f"b - A lb >= 0: row {i} has {b[i]}")
-        boxed = np.flatnonzero(np.isfinite(hi))
-        bound_rows = np.zeros((len(boxed), lp.n_vars))
-        bound_rows[np.arange(len(boxed)), boxed] = 1.0
-        self.A = np.vstack([lp.A, bound_rows])
-        self.b = np.concatenate([b, hi[boxed] - lo[boxed]])
-
-
-def _pivot(T: np.ndarray, rhs: np.ndarray, i: int, j: int) -> None:
-    """Pivot on T[i, j], updating only the rows with a nonzero factor: every
-    other row would change by exactly zero."""
-    piv = T[i, j]
-    T[i] /= piv
-    rhs[i] /= piv
-    rows = np.flatnonzero(T[:, j])
-    rows = rows[rows != i]
-    factor = T[rows, j]
-    T[rows] -= factor[:, None] * T[i]
-    rhs[rows] -= factor * rhs[i]
-
-
 def solve_lp(lp: LinearProgram) -> Solution:
     """Primal simplex from the slack basis; returns optimal or unbounded."""
-    can = _Canonical(lp)
-    m, n = can.A.shape
-    T = np.hstack([can.A, np.eye(m)])
-    rhs = can.b
+    lo, hi = lp.lb, lp.ub
+    if not np.isfinite(lo).all():
+        j = int(np.argmin(np.isfinite(lo)))
+        raise DomainError(f"solve_lp needs finite lower bounds: column {j} has {lo[j]}")
+    b = lp.b - lp.A @ lo
+    short = ~(b >= 0.0)  # NaN fails too
+    if short.any():
+        i = int(np.argmax(short))
+        raise DomainError(f"solve_lp starts at the slack basis, so it needs "
+                          f"b - A lb >= 0: row {i} has {b[i]}")
+    boxed = np.flatnonzero(np.isfinite(hi))
+    k, n = lp.A.shape
+    m = k + len(boxed)
+    # Rows [A | I | b - A lb], one bound row y_j <= ub_j - lb_j per finite
+    # ub_j, and the reduced costs of minimizing -c'y last: [-c | 0 | 0].
+    T = np.zeros((m + 1, n + m + 1))
+    T[:k, :n] = lp.A
+    T[k + np.arange(len(boxed)), boxed] = 1.0
+    T[np.arange(m), n + np.arange(m)] = 1.0
+    T[:k, -1] = b
+    T[k:m, -1] = hi[boxed] - lo[boxed]
+    T[m, :n] = -lp.c
+    rhs, cost = T[:m, -1], T[m, :-1]
+    ratio = np.empty(m)
     basis = n + np.arange(m)
-    # Reduced costs of minimizing -c'y: the slack basis has zero cost.
-    r = np.concatenate([-lp.c, np.zeros(m)])
-    bland_after = 10 * (m + T.shape[1])
-    hard_cap = 200 * (m + T.shape[1]) + 10_000
+    bland_after = 10 * (2 * m + n)
+    hard_cap = 200 * (2 * m + n) + 10_000
     iterations = 0
     while True:
-        cand = np.flatnonzero(r < -_TOL)
-        if len(cand) == 0:
+        enter = int(cost.argmin())
+        if not cost[enter] < -_TOL:
             break
-        if iterations <= bland_after:
-            enter = int(cand[np.argmin(r[cand])])
-        else:
-            enter = int(cand[0])  # Bland: lowest eligible index
-        col = T[:, enter]
-        pos = np.flatnonzero(col > _TOL)
-        if len(pos) == 0:
+        bland = iterations > bland_after
+        if bland:
+            enter = int((cost < -_TOL).argmax())  # lowest eligible index
+        col = T[:m, enter]
+        ratio.fill(np.inf)
+        np.divide(rhs, col, out=ratio, where=col > _TOL)
+        least = ratio.min(initial=np.inf)
+        if least == np.inf:
             return Solution(status="unbounded", iterations=iterations)
-        ratios = rhs[pos] / col[pos]
-        ties = pos[ratios <= ratios.min() + 1e-12]
-        if iterations <= bland_after:
-            leave = int(ties[0])
+        ties = ratio <= least + 1e-12
+        if bland:
+            ties = ties.nonzero()[0]
+            leave = int(ties[basis[ties].argmin()])
         else:
-            leave = int(ties[np.argmin(basis[ties])])
-        _pivot(T, rhs, leave, enter)
-        r = r - r[enter] * T[leave]
+            leave = int(ties.argmax())
+        # Rows with a zero pivot-column entry would change by exactly zero.
+        row = T[leave]
+        row /= row[enter]
+        rows = T[:, enter].nonzero()[0]
+        rows = rows[rows != leave]
+        T[rows] -= T[rows, enter, None] * row
         basis[leave] = enter
         iterations += 1
         if iterations > hard_cap:
             raise SolverError("simplex iteration cap exceeded")
 
-    y = np.zeros(T.shape[1])
+    y = np.zeros(n + m)
     y[basis] = rhs
-    x = lp.lb + y[:n]
+    x = lo + y[:n]
     return Solution(status="optimal", objective=float(lp.c @ x), x=x,
                     iterations=iterations)
 

@@ -14,12 +14,14 @@ of a quantity that `epiplan` computes another way.
   two-phase reference simplex, to check strong duality of `lp.solve_lp`.
 * `dense_solve_lp` — the general two-phase reference simplex: `GeneralLP`
   programs (max or min, `<=`, `>=` and `==` rows, free and upper-only
-  columns) with a dense rank-1 update of every row on every pivot and a
-  column-at-a-time setup.  On the one form `lp.solve_lp` accepts (max,
-  `<=` rows, finite lower bounds, a feasible slack basis) it pivots as that
-  solver does, which restricts the update to the rows a pivot changes and
-  builds with array operations; `dense_solve_mip` is `lp.solve_mip` with
-  every node solved by it, for MIPs outside that form.
+  columns) with a column-at-a-time setup, the right sides and reduced costs
+  held apart from the tableau, and a dense rank-1 update of every row on
+  every pivot.  On the one form `lp.solve_lp` accepts (max, `<=` rows, finite
+  lower bounds, a feasible slack basis) it pivots as that solver does, which
+  builds one tableau with array operations (rows, right sides and reduced
+  costs together) and updates only the rows a pivot changes;
+  `dense_solve_mip` is `lp.solve_mip` with every node solved by it, for MIPs
+  outside that form.
 * `mccormick_four_row_backup` — the McCormick MIP with all four box-envelope
   rows per product, which `backup.drmdp_backup_mccormick` writes on the
   binding side only.
@@ -247,7 +249,9 @@ class _LoopCanonical:
     """min c'y, A y (<=, >=, ==) b, y >= 0, built one column at a time: x =
     lo + y when lo is finite (plus a row y <= hi - lo when hi is too), x =
     hi - y when only hi is, and a free x = y+ - y- as two adjacent columns.
-    On a LinearProgram it has the columns and rows of `lp._Canonical`."""
+    On a LinearProgram it has the rows and structural columns of
+    `lp.solve_lp`'s tableau: A, then one bound row per finite ub in column
+    order."""
 
     def __init__(self, lp: GeneralLP):
         n = lp.n_vars

@@ -23,6 +23,7 @@ from functools import cache
 
 import numpy as np
 
+from epiplan import lp as lp_module
 from epiplan.backup import (
     drmdp_backup_enumerate,
     drmdp_backup_mccormick,
@@ -141,14 +142,26 @@ def test_enumeration_argmax_is_a_corner():
     assert off_corner == {}
 
 
-def test_mccormick_gap_at_dp_mip_small():
+def test_mccormick_gap_at_dp_mip_small(monkeypatch):
     # The McCormick MIP relaxes the bilinear products, so its backward
     # induction bounds enumeration's from above.  The gap is real: some
     # entries sit strictly above (83 of the 224 simplex entries by more than
     # 1e-9 relative; it picks the interior level (1, 0) at 43 of the 224),
-    # while the root value agrees.
+    # while the root value agrees.  The simplex's path at this size is pinned
+    # too: 260 LP solves (224 roots, 36 branch-and-bound children) and 6,563
+    # pivots.
     model, exact = dp_mip_small()
+    pivots = []
+    real_solve_lp = lp_module.solve_lp
+
+    def counting_solve_lp(lp):
+        sol = real_solve_lp(lp)
+        pivots.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(lp_module, "solve_lp", counting_solve_lp)
     relaxed = backward_dp(model, PlannerConfig(backend="drmdp-mccormick"))
+    assert (len(pivots), sum(pivots)) == (260, 6563)
     assert len(exact.values) == len(relaxed.values) == 224
     gaps = {key: (relaxed.values[key] - e) / (1.0 + abs(e))
             for key, e in exact.values.items()}

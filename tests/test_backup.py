@@ -16,7 +16,7 @@ from epiplan.backup import (
     worst_case_shift,
 )
 from epiplan.grid import Grid, GridSpec, discretize_kernel
-from epiplan.lp import LinearProgram, _Canonical, solve_lp
+from epiplan.lp import LinearProgram, solve_lp
 from epiplan.model import EpidemicModel
 from epiplan.plan import PlannerConfig, backward_dp
 from epiplan.rules import (
@@ -601,9 +601,9 @@ def test_mips_write_the_inner_lp_block(monkeypatch):
 
 def test_q_bound_keeps_the_optimum_and_the_slack_basis(monkeypatch):
     """q >= min(v) - k cuts off no optimum of the inner LP or the McCormick
-    MIP, and leaves both with nonnegative canonical right sides, so both
-    start at the slack basis.  With q free they are outside solve_lp's form,
-    and the general reference simplex solves them."""
+    MIP, and leaves both with b - A lb >= 0, so both start at the slack
+    basis.  With q free they are outside solve_lp's form, and the general
+    reference simplex solves them."""
     programs = []
     solve_mip = backup.solve_mip
 
@@ -641,7 +641,7 @@ def test_q_bound_keeps_the_optimum_and_the_slack_basis(monkeypatch):
                 (mip.lp, lambda p: solve_mip(replace(mip, lp=p)),
                  lambda p: dense_solve_mip(replace(mip, lp=p)))):
             assert lp.lb[0] == vs.min() - k, trial
-            assert (_Canonical(lp).b >= 0.0).all(), trial
+            assert (lp.b - lp.A @ lp.lb >= 0.0).all(), trial
             bounded, free = solve(lp), reference(q_free(lp))
             assert bounded.status == free.status == "optimal", trial
             tol = 1e-9 * (1.0 + abs(free.objective))

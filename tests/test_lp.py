@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -190,6 +191,46 @@ class TestDenseOracle:
             assert_same_solution(real_solve_mip(mip), dense_solve_mip(mip), trial)
 
 
+class TestBackendPrograms:
+    def test_match_dense_and_stay_unchanged(self, monkeypatch):
+        # Every MIP the McCormick and unary back-ends write on a small fitted
+        # model, and every LP they hand the simplex, root or branch-and-bound
+        # child: solve_mip and solve_lp pivot as the dense references do, and
+        # solve_lp leaves c, A, b, lb and ub as they were, since the children
+        # of one MIP share lp.A and lp.b.
+        real_solve_lp, real_solve_mip = lp_module.solve_lp, backup.solve_mip
+        nodes, mips = [], []
+
+        def recording_solve_mip(mip):
+            mips.append(mip)
+            return real_solve_mip(mip)
+
+        def checked_solve_lp(lp):
+            before = [a.copy() for a in (lp.c, lp.A, lp.b, lp.lb, lp.ub)]
+            sol = real_solve_lp(lp)
+            for a, was in zip((lp.c, lp.A, lp.b, lp.lb, lp.ub), before):
+                np.testing.assert_array_equal(a, was)
+            nodes.append((lp, sol))
+            return sol
+
+        monkeypatch.setattr(lp_module, "solve_lp", checked_solve_lp)
+        monkeypatch.setattr(backup, "solve_mip", recording_solve_mip)
+        model = EpidemicModel(EpidemicParams(N=60, L=2, M=2), 4, AmbiguityConfig())
+        rng = np.random.default_rng(13)
+        lam, k = model.lam, model.acfg.k
+        for idx in model.grid.in_S_indices():
+            coeffs = model.rules(int(idx))
+            v = -rng.random(model.grid.n_corners) * 1e3
+            backup.drmdp_backup_mccormick(coeffs, v, lam, k, L=2, M=2)
+            backup.drmdp_backup_unary(coeffs, v, lam, k, L=2, M=2)
+        monkeypatch.undo()
+        assert len(nodes) > len(mips) > 40  # some MIPs branch
+        for trial, (lp, sol) in enumerate(nodes):
+            assert_same_solution(sol, dense_solve_lp(lp), trial)
+        for trial, mip in enumerate(mips):
+            assert_same_solution(solve_mip(mip), dense_solve_mip(mip), trial)
+
+
 class TestSolveLp:
     def test_single_variable(self):
         lp = LinearProgram([1.0], [[1.0]], [3.0])
@@ -304,8 +345,19 @@ class TestSolveLp:
     def test_validation(self):
         with pytest.raises(DomainError):
             LinearProgram([1.0], [[1.0], [2.0]], [1.0])
-        with pytest.raises(DomainError):
-            LinearProgram([1.0], [[1.0]], [1.0], lb=[2.0], ub=[1.0])
+        for lb, ub in (([2.0], [1.0]), ([0.0], [np.nan]), ([np.nan], [1.0])):
+            with pytest.raises(DomainError, match="lb <= ub"):
+                LinearProgram([1.0], [[1.0]], [1.0], lb=lb, ub=ub)
+        # A NaN cost would price as the entering column and a non-finite row
+        # or right side would break the ratio test: each is refused up front,
+        # naming its first bad entry.
+        for args, first in (
+                (([np.nan, 1.0], [[1.0, 1.0]], [1.0]), "c[0] is nan"),
+                (([1.0, 1.0], [[1.0, 1.0], [0.0, -np.inf]], [1.0, 1.0]),
+                 "A[1, 1] is -inf"),
+                (([1.0], [[1.0], [1.0]], [np.inf, np.nan]), "b[0] is inf")):
+            with pytest.raises(DomainError, match=re.escape(first)):
+                LinearProgram(*args)
         with pytest.raises(DomainError):
             GeneralLP("maximize", [1.0], [[1.0]], ["<="], [1.0])
         with pytest.raises(DomainError):

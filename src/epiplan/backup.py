@@ -14,17 +14,22 @@ bounds and rows.  Two inner solvers use the block:
 The penalized mean problem itself is the test oracle both are checked
 against (tests/oracles.py, tests/test_acceptance.py).
 
-Action selection is then either explicit enumeration, or a single
-mixed-integer program that appends action columns to the same block and
-linearizes the action-times-multiplier products with box envelopes (a
-relaxation).  A second MIP linearizes them with per-level indicator
-variables; it is exact, and kept as the oracle the tests and perfbench hold
-the other back-ends against.  Every program written here is in
-`lp.solve_lp`'s form: max, <= rows, finite lower bounds, b - A lb >= 0.
+Action selection is then either explicit enumeration, or the McCormick
+relaxation: box envelopes linearize the action-times-multiplier products,
+and the optimum over the integer action levels is the best of the relaxed
+inner values at each level, each solved in closed form like the parametric
+solve, from kinks and slope steps that do not depend on the values
+(`envelope_kinks`).  That MIP, solved by branch and bound, is the test
+oracle (tests/oracles.py).  A second MIP linearizes the products with
+per-level indicator variables; it is exact, and kept as the oracle the
+tests and perfbench hold the other back-ends against.  The programs written
+here are in `lp.solve_lp`'s form: max, <= rows, finite lower bounds,
+b - A lb >= 0.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -218,6 +223,141 @@ def drmdp_backup_enumerate(
     return float(vals[best]), actions[best]
 
 
+@dataclass(frozen=True)
+class EnvelopeKinks:
+    """One state's envelope-relaxed inner problem at every integer action
+    level, as the slope steps of its objective in q.
+
+    Row n is the level (y_V, y_R) = divmod(n, M + 1), in the order of
+    model.actions.  Its objective is q + base[n] + sum_p step[n, p] *
+    max(0, q - v[succ[n, p]] - offset[n, p]) for q <= min(v) + k, v the
+    discounted successor values: base holds the reward rule at the level
+    plus each successor's term at d <= -k, and only nonzero steps are kept,
+    each row padded to the longest (at least one) with offset +inf and step
+    0.  Nothing in it depends on v.
+    """
+
+    k: float
+    base: np.ndarray
+    offset: np.ndarray
+    succ: np.ndarray
+    step: np.ndarray
+
+
+def envelope_kinks(coeffs: DecisionRuleCoefficients, k: float, L: int,
+                   M: int) -> EnvelopeKinks:
+    """The EnvelopeKinks of the McCormick relaxation over levels 0..L x 0..M.
+
+    The relaxation replaces each product of a level a_i in [0, h_i] (h = L,
+    M) with a multiplier x = w_j or u_j in [0, k] by an envelope column z,
+    and only the envelope side its cost c pushes against binds: z =
+    min(h x, k a) for c > 0, z = max(0, h x + k a - h k) for c < 0.  At a
+    fixed level both are hinges in x:
+
+        c z = c h x - |c| h max(0, x - b),  b = k a / h        (c > 0)
+        c z =       - |c| h max(0, x - b),  b = k (1 - a / h)  (c < 0)
+
+    An axis with a single level (h = 0) has a = 0 and z = 0, and adds
+    nothing.  So successor j's term separates as phi_j(w) + psi_j(u), each
+    concave piecewise-linear with at most two breakpoints, and
+
+        g_j(d) = max{phi_j(w) + psi_j(u) : w, u >= 0, w + u <= k, w - u >= d}
+
+    is concave piecewise-linear in d = q - v_j on [-k, k], constant below -k.
+    Its kinks are among the values of w - u at the vertices cut out by the
+    lines w in {0, b}, u in {0, b} and w + u = k (at most 15).  Between them
+    it is the best of the points where the line w - u = d meets those lines,
+    maximized over every line at or right of d.  Nodes closer than 1e-12 k
+    are merged, so no slope divides by a vanishing gap.
+    """
+    mean = coeffs.mean
+    m = len(coeffs.support)
+    levels = np.array([(a, b) for a in range(L + 1) for b in range(M + 1)], dtype=np.float64)
+    h = np.array([L, M], dtype=np.float64)
+    frac = np.divide(levels, h, out=np.zeros_like(levels), where=h > 0)   # a / h
+    # cost[s, i, j] of a_i * w_j (s = 0) and a_i * u_j (s = 1).
+    cost = np.stack([-mean[1:], mean[1:]]) * (h > 0)[:, None]
+    hinge = np.abs(cost) * h[:, None]
+    alpha = (np.stack([-(mean[0] + coeffs.delta), mean[0] - coeffs.delta])
+             + np.where(cost > 0.0, hinge, 0.0).sum(axis=1))            # (2, m)
+    f = frac[:, None, :, None]
+    brk = np.where(hinge > 0.0, np.where(cost > 0.0, k * f, k - k * f), 0.0)
+    # Breakpoints (level, successor, axis) and hinge slopes (successor,
+    # axis) of each side.
+    bw, bu = brk[:, 0].transpose(0, 2, 1), brk[:, 1].transpose(0, 2, 1)
+    hw, hu = hinge[0].T, hinge[1].T
+
+    def concave(x, slope, brk, hinge):
+        """slope x - sum_i hinge_i max(0, x - brk_i), x (level, successor, ...)."""
+        return (slope[:, None, None] * x
+                - hinge[:, 0, None, None] * np.maximum(x - brk[:, :, 0, None, None], 0.0)
+                - hinge[:, 1, None, None] * np.maximum(x - brk[:, :, 1, None, None], 0.0))
+
+    # Nodes: w - u at the vertices of the lines w = 0, b; u = 0, b and
+    # w + u = k.  A crossing of w = b and u = b' past w + u = k is no vertex;
+    # it is replaced by -k, a node already.
+    n = len(levels)
+    zero = np.zeros((n, m, 1))
+    w_lines, u_lines = np.concatenate([zero, bw], axis=2), np.concatenate([zero, bu], axis=2)
+    crossing = w_lines[..., :, None] - u_lines[..., None, :]
+    inside = w_lines[..., :, None] + u_lines[..., None, :] <= k
+    t = np.sort(np.concatenate([np.where(inside, crossing, -k).reshape(n, m, 9),
+                                2.0 * w_lines - k, k - 2.0 * u_lines], axis=2), axis=2)
+
+    # G at each node: the best of the points (w, u) where the line w - u = t
+    # meets u = 0 or w = 0, w + u = k, w = b and u = b, among those in the
+    # triangle; g(t) is the best G at or right of t.
+    tt, bw3, bu3 = t[:, :, None, :], bw[..., None], bu[..., None]
+    shape = (n, m, 2, t.shape[2])
+    w = np.concatenate([np.maximum(tt, 0.0), (k + tt) / 2.0,
+                        np.broadcast_to(bw3, shape), bu3 + tt], axis=2)
+    u = np.concatenate([np.maximum(-tt, 0.0), (k - tt) / 2.0,
+                        bw3 - tt, np.broadcast_to(bu3, shape)], axis=2)
+    val = concave(w, alpha[0], bw, hw) + concave(u, alpha[1], bu, hu)
+    G = np.where((w >= 0.0) & (u >= 0.0) & (w + u <= k), val, -np.inf).max(axis=2)
+    g = np.maximum.accumulate(G[..., ::-1], axis=2)[..., ::-1]
+
+    # Right slope on each gap, carried over merged nodes; steps at all but
+    # the last node (k), past which d never goes.
+    dt = np.diff(t, axis=2)
+    gap = dt > 1e-12 * k
+    raw = np.where(gap, np.diff(g, axis=2) / np.where(gap, dt, 1.0), 0.0)
+    last = np.maximum.accumulate(np.where(gap, np.arange(dt.shape[2]), -1), axis=2)
+    slope = np.where(last >= 0, np.take_along_axis(raw, np.maximum(last, 0), axis=2), 0.0)
+    step = np.diff(slope, axis=2, prepend=0.0)
+
+    lv, j, node = np.nonzero(step)
+    count = np.bincount(lv, minlength=n)
+    pos = np.arange(len(lv)) - np.repeat(np.cumsum(count) - count, count)
+    width = max(1, int(count.max()))
+    offset = np.full((n, width), np.inf)
+    succ = np.zeros((n, width), dtype=np.int32)
+    steps = np.zeros((n, width))
+    offset[lv, pos] = t[lv, j, node]
+    succ[lv, pos] = j
+    steps[lv, pos] = step[lv, j, node]
+    base = coeffs.eps[0] + levels @ coeffs.eps[1:] + g[:, :, 0].sum(axis=1)
+    return EnvelopeKinks(float(k), base, offset, succ, steps)
+
+
+def envelope_level_values(kinks: EnvelopeKinks, v: np.ndarray) -> np.ndarray:
+    """The relaxed backup value at each level of kinks, for discounted
+    successor values v over the state's support.
+
+    The objective in q is concave piecewise-linear with slope 1 below its
+    first kink, so, as in inner_value_parametric, it is maximized at the
+    first kink where its slope turns nonpositive, or at the right end
+    min(v) + k, and evaluated once there.
+    """
+    at = kinks.offset + v[kinks.succ]
+    order = np.argsort(at, axis=1, kind="stable")
+    slope = 1.0 + np.cumsum(np.take_along_axis(kinks.step, order, axis=1), axis=1)
+    down = slope <= 0.0
+    first = np.take_along_axis(at, order, axis=1)[np.arange(len(at)), np.argmax(down, axis=1)]
+    q = np.minimum(np.where(down.any(axis=1), first, np.inf), v.min() + kinks.k)
+    return q + kinks.base + (kinks.step * np.maximum(q[:, None] - at, 0.0)).sum(axis=1)
+
+
 def drmdp_backup_mccormick(
     coeffs: DecisionRuleCoefficients,
     v_next: np.ndarray,
@@ -225,67 +365,23 @@ def drmdp_backup_mccormick(
     k: float,
     L: int,
     M: int,
+    kinks: EnvelopeKinks | None = None,
 ) -> tuple[float, Action]:
-    """One MIP over integer action levels with box-envelope bilinear terms.
+    """The McCormick MIP's optimum: the largest envelope-relaxed backup over
+    the integer levels 0..L x 0..M, whose only integer columns are the two
+    levels, so fixing them leaves the relaxed LP, solved in closed form.
 
-    The objective is q - w'(mean(a) + delta) + u'(mean(a) - delta) + r(a);
-    the products of each action level a_i in [0, a_hi] with w_j and with u_j
-    (both in [0, k] through w + u <= k) get their own envelope columns z.
-    Each z appears only in the objective and in its own rows, so only the
-    envelope side its cost pushes against can bind: a positive cost keeps
-    z <= a_hi*w and z <= k*a, a negative cost keeps
-    z >= a_hi*w + k*a - a_hi*k (z >= 0 is its bound), and a zero cost drops
-    the column.  On the box the lower envelope never exceeds the upper one,
-    so this has the optimum of the full four-row relaxation.  The envelopes
-    relax the products, so the optimum is an upper bound on the enumeration
-    backup; it is exact when an action axis has a single level.
+    kinks is the state's envelope_kinks(coeffs, k, L, M), built here when
+    not given.  The envelopes are exact at a level's bounds, so at a corner
+    level the value is the enumeration backup's; in between it may lie
+    above, so the optimum is an upper bound on the enumeration backup.  Ties
+    go to the first level in (y_V, y_R) order.
     """
-    v = lam * v_next[coeffs.support]
-    m = len(v)
-    mean = coeffs.mean
-    ia = (2 * m + 1, 2 * m + 2)
-    a_hi = (float(L), float(M))
-    # z_cost[s, i, j]: cost of a_i * w_j (s = 0) or of a_i * u_j (s = 1).
-    z_cost = np.stack([-mean[1:], mean[1:]])
-    used = z_cost != 0.0
-    iz = np.full(z_cost.shape, -1)
-    iz[used] = 2 * m + 3 + np.arange(int(used.sum()))
-    n = 2 * m + 3 + int(used.sum())
-    # Envelope rows follow the block in (action, successor, product) order:
-    # two for a positive cost, one for a negative one.
-    i, j, s = np.nonzero(used.transpose(1, 2, 0))
-    z, up = iz[s, i, j], z_cost[s, i, j] > 0.0
-    imult, h, col_a = 1 + s * m + j, np.array(a_hi)[i], np.array(ia)[i]
-    n_env = np.where(up, 2, 1)
-    r = 2 * m + np.cumsum(n_env) - n_env
-    n_rows = 2 * m + int(n_env.sum())
-
-    c, A, b, lb, ub = _multiplier_block(mean[0] - coeffs.delta, mean[0] + coeffs.delta,
-                                        v, k, n, n_rows)
-    c[list(ia)] = coeffs.eps[1:]
-    c[iz[used]] = z_cost[used]
-    # Pushed up: z <= a_hi*w and z <= k*a.
-    ru = r[up]
-    A[ru, z[up]] = 1.0
-    A[ru, imult[up]] = -h[up]
-    A[ru + 1, z[up]] = 1.0
-    A[ru + 1, col_a[up]] = -k
-    # Pushed down: z >= a_hi*w + k*a - a_hi*k.
-    rd, dn = r[~up], ~up
-    A[rd, imult[dn]] = h[dn]
-    A[rd, col_a[dn]] = k
-    A[rd, z[dn]] = -1.0
-    b[rd] = h[dn] * k
-    ub[list(ia)] = a_hi
-    integer = np.zeros(n, dtype=bool)
-    integer[list(ia)] = True
-
-    lp = LinearProgram(c, A, b, lb=lb, ub=ub)
-    sol = solve_mip(MixedIntegerProgram(lp, integer))
-    if sol.status != "optimal":
-        raise SolverError(f"envelope MIP unexpectedly {sol.status}")
-    action = Action(int(round(sol.x[ia[0]])), int(round(sol.x[ia[1]])))
-    return float(sol.objective + coeffs.eps[0]), action
+    if kinks is None:
+        kinks = envelope_kinks(coeffs, k, L, M)
+    vals = envelope_level_values(kinks, lam * v_next[coeffs.support])
+    best = int(np.argmax(vals))
+    return float(vals[best]), Action(*divmod(best, M + 1))
 
 
 def drmdp_backup_unary(

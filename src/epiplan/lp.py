@@ -20,6 +20,10 @@ branch and bound, branching on the most fractional integer variable.  The
 root LP is solved once and is the first node, so a MIP makes one LP solve
 per node: `Solution.nodes` counts them and `Solution.iterations` sums their
 pivots.  Everything is deterministic: identical inputs pivot identically.
+
+At run time two routes call it: the inner LP of the enumerate back-end with
+inner_method "lp", and the unary MIP oracle `backup.drmdp_backup_unary`.
+The McCormick back-end solves its MIP in closed form instead.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .backup import inner_value_parametric, worst_case_shift
+from .backup import EnvelopeKinks, envelope_kinks, inner_value_parametric, worst_case_shift
 from .errors import CacheError, DomainError, RowError
 from .grid import Grid, GridSpec, SparseDistribution, cache_key, discretize_kernel
 from .rules import (AmbiguityConfig, DecisionRuleCoefficients, fit_affine, fit_rules,
@@ -44,6 +44,7 @@ class EpidemicModel:
         self._rows: dict[int, list[SparseDistribution]] = {}
         self._rewards: dict[int, np.ndarray] = {}
         self._rules: dict[int, DecisionRuleCoefficients] = {}
+        self._kinks: dict[int, EnvelopeKinks] = {}
         self._shifted: dict[tuple[int, float], list[SparseDistribution]] = {}
         self._stage_h: dict[int, float] = {}
 
@@ -87,6 +88,14 @@ class EpidemicModel:
     def rules(self, idx: int) -> DecisionRuleCoefficients:
         self.compile_state(idx)
         return self._rules[idx]
+
+    def kinks(self, idx: int) -> EnvelopeKinks:
+        """The state's McCormick envelope kinks, built on first use from its
+        rules, k, L and M: they do not depend on the values backed up."""
+        if idx not in self._kinks:
+            self._kinks[idx] = envelope_kinks(self.rules(idx), self.acfg.k,
+                                              self.params.L, self.params.M)
+        return self._kinks[idx]
 
     def shifted_rows(self, idx: int, budget: float) -> list[SparseDistribution]:
         key = (idx, budget)

@@ -127,8 +127,8 @@ def backup_state(model: EpidemicModel, idx: int, t: int, v_next, cfg: PlannerCon
     if cfg.backend == "drmdp-enumerate":
         return drmdp_backup_enumerate(coeffs, model.actions, v_next, lam, k,
                                       method=cfg.inner_method, X=model.design)
-    return drmdp_backup_mccormick(coeffs, v_next, lam, k,
-                                  L=model.params.L, M=model.params.M)
+    return drmdp_backup_mccormick(coeffs, v_next, lam, k, L=model.params.L,
+                                  M=model.params.M, kinks=model.kinks(idx))
 
 
 def greedy_action(model: EpidemicModel, table: ValueTable, idx: int, t: int,

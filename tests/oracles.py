@@ -22,12 +22,16 @@ of a quantity that `epiplan` computes another way.
   costs together) and updates only the rows a pivot changes;
   `dense_solve_mip` is `lp.solve_mip` with every node solved by it, for MIPs
   outside that form.
-* `mccormick_four_row_backup` — the McCormick MIP with all four box-envelope
-  rows per product, which `backup.drmdp_backup_mccormick` writes on the
-  binding side only.
-* `mccormick_binding_program_loop` — that binding-side program with its
-  envelope rows written in a loop, which `backup.drmdp_backup_mccormick`
-  writes with array indexing.
+* `mccormick_mip_program`, `mccormick_mip_backup` — the McCormick relaxation
+  as one MIP over the integer action levels, its envelope rows written on
+  the binding side only and solved by branch and bound over `lp.solve_lp`;
+  `backup.drmdp_backup_mccormick` computes its optimum level by level in
+  closed form.
+* `mccormick_four_row_backup` — that MIP with all four box-envelope rows per
+  product.
+* `mccormick_binding_program_loop` — the binding-side program with its
+  envelope rows written in a loop, which `mccormick_mip_program` writes with
+  array indexing.
 * `worst_case_shift_loop`, `random_shift_loop` — donor-by-donor loops that
   move perturbation mass one entry at a time, capping each step at the
   receiver's room, which `backup.worst_case_shift` and `sim.random_shift`
@@ -472,6 +476,91 @@ def dense_solve_mip(mip: MixedIntegerProgram) -> Solution:
         lp_module.solve_lp = fast
 
 
+def mccormick_mip_program(
+    coeffs: DecisionRuleCoefficients,
+    v_next: np.ndarray,
+    lam: float,
+    k: float,
+    L: int,
+    M: int,
+) -> MixedIntegerProgram:
+    """One MIP over integer action levels with box-envelope bilinear terms.
+
+    The objective is q - w'(mean(a) + delta) + u'(mean(a) - delta) + r(a);
+    the products of each action level a_i in [0, a_hi] with w_j and with u_j
+    (both in [0, k] through w + u <= k) get their own envelope columns z.
+    Each z appears only in the objective and in its own rows, so only the
+    envelope side its cost pushes against can bind: a positive cost keeps
+    z <= a_hi*w and z <= k*a, a negative cost keeps
+    z >= a_hi*w + k*a - a_hi*k (z >= 0 is its bound), and a zero cost drops
+    the column.  On the box the lower envelope never exceeds the upper one,
+    so this has the optimum of the full four-row relaxation.  The program is
+    in `lp.solve_lp`'s form, its right sides nonnegative.
+    """
+    v = lam * v_next[coeffs.support]
+    m = len(v)
+    mean = coeffs.mean
+    ia = (2 * m + 1, 2 * m + 2)
+    a_hi = (float(L), float(M))
+    # z_cost[s, i, j]: cost of a_i * w_j (s = 0) or of a_i * u_j (s = 1).
+    z_cost = np.stack([-mean[1:], mean[1:]])
+    used = z_cost != 0.0
+    iz = np.full(z_cost.shape, -1)
+    iz[used] = 2 * m + 3 + np.arange(int(used.sum()))
+    n = 2 * m + 3 + int(used.sum())
+    # Envelope rows follow the block in (action, successor, product) order:
+    # two for a positive cost, one for a negative one.
+    i, j, s = np.nonzero(used.transpose(1, 2, 0))
+    z, up = iz[s, i, j], z_cost[s, i, j] > 0.0
+    imult, h, col_a = 1 + s * m + j, np.array(a_hi)[i], np.array(ia)[i]
+    n_env = np.where(up, 2, 1)
+    r = 2 * m + np.cumsum(n_env) - n_env
+    n_rows = 2 * m + int(n_env.sum())
+
+    c, A, b, lb, ub = _multiplier_block(mean[0] - coeffs.delta, mean[0] + coeffs.delta,
+                                        v, k, n, n_rows)
+    c[list(ia)] = coeffs.eps[1:]
+    c[iz[used]] = z_cost[used]
+    # Pushed up: z <= a_hi*w and z <= k*a.
+    ru = r[up]
+    A[ru, z[up]] = 1.0
+    A[ru, imult[up]] = -h[up]
+    A[ru + 1, z[up]] = 1.0
+    A[ru + 1, col_a[up]] = -k
+    # Pushed down: z >= a_hi*w + k*a - a_hi*k.
+    rd, dn = r[~up], ~up
+    A[rd, imult[dn]] = h[dn]
+    A[rd, col_a[dn]] = k
+    A[rd, z[dn]] = -1.0
+    b[rd] = h[dn] * k
+    ub[list(ia)] = a_hi
+    integer = np.zeros(n, dtype=bool)
+    integer[list(ia)] = True
+    return MixedIntegerProgram(LinearProgram(c, A, b, lb=lb, ub=ub), integer)
+
+
+def mccormick_mip_backup(
+    coeffs: DecisionRuleCoefficients,
+    v_next: np.ndarray,
+    lam: float,
+    k: float,
+    L: int,
+    M: int,
+    kinks=None,
+) -> tuple[float, Action]:
+    """`mccormick_mip_program` solved by `lp.solve_mip` (looked up on the
+    module, so a test can wrap it), plus the reward intercept: the backup
+    value and the action of the optimum branch and bound finds.  kinks is
+    ignored; it lets a planner call this in `drmdp_backup_mccormick`'s
+    place."""
+    m = len(coeffs.support)
+    sol = lp_module.solve_mip(mccormick_mip_program(coeffs, v_next, lam, k, L, M))
+    if sol.status != "optimal":
+        raise SolverError(f"envelope MIP unexpectedly {sol.status}")
+    a_V, a_R = np.round(sol.x[2 * m + 1:2 * m + 3]).astype(int)
+    return float(sol.objective + coeffs.eps[0]), Action(int(a_V), int(a_R))
+
+
 def _mccormick_rows(n_vars, zi, ai, wi, a_hi, w_hi):
     """Four box-envelope rows tying column zi to the product of ai in
     [0, a_hi] and wi in [0, w_hi]."""
@@ -559,8 +648,8 @@ def mccormick_binding_program_loop(
     L: int,
     M: int,
 ) -> LinearProgram:
-    """The LP relaxation of backup.drmdp_backup_mccormick's MIP, its envelope
-    rows written one (action, successor, product) at a time."""
+    """The LP relaxation of `mccormick_mip_program`, its envelope rows
+    written one (action, successor, product) at a time."""
     v = lam * v_next[coeffs.support]
     m = len(v)
     mean = coeffs.mean

@@ -13,10 +13,11 @@ run:
 * every action enumeration picks in backward induction is a corner of the
   action box;
 * McCormick backward induction bounds enumeration's from above, strictly
-  somewhere, with the same root value.
+  somewhere, with the same root value, and equals the MIP it solves in
+  closed form.
 
-All tolerances are 1e-6 relative to 1 + |value|, except the McCormick gap's
-1e-9.
+All tolerances are 1e-6 relative to 1 + |value|, except the McCormick
+tests' 1e-9.
 """
 
 from functools import cache
@@ -24,6 +25,7 @@ from functools import cache
 import numpy as np
 
 from epiplan import lp as lp_module
+from epiplan import plan
 from epiplan.backup import (
     drmdp_backup_enumerate,
     drmdp_backup_mccormick,
@@ -35,7 +37,7 @@ from epiplan.model import EpidemicModel, lattice_state_index
 from epiplan.plan import PlannerConfig, backward_dp
 from epiplan.rules import AmbiguityConfig, DecisionRuleCoefficients, design_matrix, mean_bounds
 from epiplan.seir import Action, EpidemicParams
-from oracles import inner_primal_oracle, lp_duality_check
+from oracles import inner_primal_oracle, lp_duality_check, mccormick_mip_backup
 
 TOL = 1e-6
 LAM = 0.95
@@ -147,9 +149,7 @@ def test_mccormick_gap_at_dp_mip_small(monkeypatch):
     # induction bounds enumeration's from above.  The gap is real: some
     # entries sit strictly above (83 of the 224 simplex entries by more than
     # 1e-9 relative; it picks the interior level (1, 0) at 43 of the 224),
-    # while the root value agrees.  The simplex's path at this size is pinned
-    # too: 260 LP solves (224 roots, 36 branch-and-bound children) and 6,563
-    # pivots.
+    # while the root value agrees.  The closed form solves no LP.
     model, exact = dp_mip_small()
     pivots = []
     real_solve_lp = lp_module.solve_lp
@@ -161,7 +161,7 @@ def test_mccormick_gap_at_dp_mip_small(monkeypatch):
 
     monkeypatch.setattr(lp_module, "solve_lp", counting_solve_lp)
     relaxed = backward_dp(model, PlannerConfig(backend="drmdp-mccormick"))
-    assert (len(pivots), sum(pivots)) == (260, 6563)
+    assert pivots == []
     assert len(exact.values) == len(relaxed.values) == 224
     gaps = {key: (relaxed.values[key] - e) / (1.0 + abs(e))
             for key, e in exact.values.items()}
@@ -169,6 +169,32 @@ def test_mccormick_gap_at_dp_mip_small(monkeypatch):
     assert sum(g > 1e-9 for g in gaps.values()) >= 1
     root = (lattice_state_index(model, 0.6, 0.2, 0.2), 1)
     assert abs(gaps[root]) <= 1e-9
+
+
+def test_mccormick_equals_the_mip_oracle_at_dp_mip_small(monkeypatch):
+    # Backward induction with the closed-form McCormick backup against the
+    # same with the MIP oracle as the back-end: the same action and a value
+    # within 1e-9 relative at every one of the 224 simplex entries.  The
+    # oracle's simplex path at this size is pinned too: 260 LP solves (224
+    # roots, 36 branch-and-bound children) and 6,563 pivots.
+    model, _ = dp_mip_small()
+    closed = backward_dp(model, PlannerConfig(backend="drmdp-mccormick"))
+    pivots = []
+    real_solve_lp = lp_module.solve_lp
+
+    def counting_solve_lp(lp):
+        sol = real_solve_lp(lp)
+        pivots.append(sol.iterations)
+        return sol
+
+    monkeypatch.setattr(lp_module, "solve_lp", counting_solve_lp)
+    monkeypatch.setattr(plan, "drmdp_backup_mccormick", mccormick_mip_backup)
+    mip = backward_dp(model, PlannerConfig(backend="drmdp-mccormick"))
+    assert (len(pivots), sum(pivots)) == (260, 6563)
+    assert sorted(closed.values) == sorted(mip.values) and len(mip.values) == 224
+    for key, want in mip.values.items():
+        assert abs(closed.values[key] - want) <= 1e-9 * (1.0 + abs(want)), key
+        assert closed.actions[key] == mip.actions[key], key
 
 
 def test_penalty_slack_census():

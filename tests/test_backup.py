@@ -3,14 +3,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from epiplan import Action, EpidemicParams, backup
+from epiplan import Action, EpidemicParams, backup, plan
 from epiplan import lp as lp_module
+from epiplan import model as model_module
 from epiplan.errors import DomainError, SolverError
 from epiplan.backup import (
     best_action_over_rows,
     drmdp_backup_enumerate,
     drmdp_backup_mccormick,
     drmdp_backup_unary,
+    envelope_kinks,
+    envelope_level_values,
     inner_dual_program,
     inner_value_parametric,
     worst_case_shift,
@@ -34,6 +37,8 @@ from oracles import (
     inner_primal_oracle,
     mccormick_binding_program_loop,
     mccormick_four_row_backup,
+    mccormick_mip_backup,
+    mccormick_mip_program,
     sparse_row,
 )
 
@@ -416,19 +421,13 @@ class TestActionBackends:
             assert abs(un - e) <= 1e-6 * scale, (idx, un, e)
             assert mc >= e - 1e-6 * scale, (idx, mc, e)
 
-    def test_one_sided_envelopes_equal_four_row_oracle(self, monkeypatch):
+    def test_one_sided_envelopes_equal_four_row_oracle(self):
         # Fitted rules with some slopes exactly zero, and action axes with a
-        # single level: the binding-side MIP has the four-row optimum, and
-        # its LP has two base rows per successor plus two rows per
-        # positive-cost and one per negative-cost envelope column.
+        # single level: the binding-side MIP and the closed form have the
+        # four-row optimum, and the MIP's LP has two base rows per successor
+        # plus two rows per positive-cost and one per negative-cost envelope
+        # column.
         lps = []
-        real_solve_mip = backup.solve_mip
-
-        def capture(mip):
-            lps.append(mip.lp)
-            return real_solve_mip(mip)
-
-        monkeypatch.setattr(backup, "solve_mip", capture)
         rng = np.random.default_rng(41)
         zero_slopes = 0
         for trial in range(24):
@@ -440,26 +439,22 @@ class TestActionBackends:
             v = -rng.random(m) * 10.0 ** rng.integers(0, 4)
             k = float(rng.choice([1.0, 50.0, 1e3]))
             got, _ = drmdp_backup_mccormick(coeffs, v, 0.95, k, L=L, M=M)
+            mip, _ = mccormick_mip_backup(coeffs, v, 0.95, k, L=L, M=M)
             want, _ = mccormick_four_row_backup(coeffs, v, 0.95, k, L=L, M=M)
             assert abs(got - want) <= 1e-9 * (1.0 + abs(want)), trial
+            assert abs(mip - want) <= 1e-9 * (1.0 + abs(want)), trial
+            lps.append(mccormick_mip_program(coeffs, v, 0.95, k, L=L, M=M).lp)
             slopes = int((coeffs.mean[1:] != 0.0).sum())
             assert lps[-1].n_rows == 2 * m + 3 * slopes <= 8 * m + 2, trial
             assert lps[-1].n_vars == 2 * m + 3 + 2 * slopes, trial
         assert len(lps) == 24
         assert zero_slopes > 0
 
-    def test_envelope_rows_equal_the_loop_oracle(self, monkeypatch):
-        # The array-indexed envelope rows against the per-(action, successor,
-        # product) loop, entry by entry, on fitted rules with zero slopes,
-        # signs of both kinds and single-level action axes.
-        lps = []
-        real_solve_mip = backup.solve_mip
-
-        def capture(mip):
-            lps.append(mip.lp)
-            return real_solve_mip(mip)
-
-        monkeypatch.setattr(backup, "solve_mip", capture)
+    def test_envelope_rows_equal_the_loop_oracle(self):
+        # The MIP oracle's array-indexed envelope rows against the
+        # per-(action, successor, product) loop, entry by entry, on fitted
+        # rules with zero slopes, signs of both kinds and single-level
+        # action axes.
         rng = np.random.default_rng(43)
         zero_slopes = signs = 0
         for trial in range(24):
@@ -471,9 +466,8 @@ class TestActionBackends:
             L, M = [(2, 2), (0, 2), (2, 0), (1, 3)][trial % 4]
             v = -rng.random(m) * 10.0 ** rng.integers(0, 4)
             k = float(rng.choice([0.0, 1.0, 50.0, 1e3]))
-            drmdp_backup_mccormick(coeffs, v, 0.95, k, L=L, M=M)
+            got = mccormick_mip_program(coeffs, v, 0.95, k, L=L, M=M).lp
             want = mccormick_binding_program_loop(coeffs, v, 0.95, k, L=L, M=M)
-            got = lps[-1]
             for name in ("c", "A", "b", "lb", "ub"):
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name),
                                               err_msg=f"{name}, trial {trial}")
@@ -563,8 +557,9 @@ class TestActionBackends:
 
 
 def test_mips_write_the_inner_lp_block(monkeypatch):
-    """Both MIPs open with the multiplier LP at the intercept bounds: the same
-    (q, w, u) costs and bounds, and the same first 2m rows and right sides."""
+    """Both MIPs, the McCormick oracle's and the unary one, open with the
+    multiplier LP at the intercept bounds: the same (q, w, u) costs and
+    bounds, and the same first 2m rows and right sides."""
     model = EpidemicModel(EpidemicParams(N=60, L=2, M=2), 4, AmbiguityConfig())
     coeffs = model.rules(int(model.grid.in_S_indices()[7]))
     mean = coeffs.mean.copy()
@@ -574,7 +569,7 @@ def test_mips_write_the_inner_lp_block(monkeypatch):
     m = len(coeffs.support)
     v = -np.random.default_rng(4).random(model.grid.n_corners) * 1e3
     lam, k = model.lam, model.acfg.k
-    programs = []
+    programs = [mccormick_mip_program(coeffs, v, lam, k, L=2, M=2).lp]
     solve_mip = backup.solve_mip
 
     def recording_solve_mip(mip):
@@ -582,7 +577,6 @@ def test_mips_write_the_inner_lp_block(monkeypatch):
         return solve_mip(mip)
 
     monkeypatch.setattr(backup, "solve_mip", recording_solve_mip)
-    drmdp_backup_mccormick(coeffs, v, lam, k, L=2, M=2)
     drmdp_backup_unary(coeffs, v, lam, k, L=2, M=2)
     inner = inner_dual_program(mean[0] - coeffs.delta, mean[0] + coeffs.delta,
                                lam * v[coeffs.support], k)
@@ -599,24 +593,18 @@ def test_mips_write_the_inner_lp_block(monkeypatch):
     assert (inner.lb[0], inner.ub[0]) == (lam * v[coeffs.support].min() - k, np.inf)
 
 
-def test_q_bound_keeps_the_optimum_and_the_slack_basis(monkeypatch):
+def test_q_bound_keeps_the_optimum_and_the_slack_basis():
     """q >= min(v) - k cuts off no optimum of the inner LP or the McCormick
-    MIP, and leaves both with b - A lb >= 0, so both start at the slack
-    basis.  With q free they are outside solve_lp's form, and the general
-    reference simplex solves them."""
-    programs = []
+    MIP oracle, and leaves both with b - A lb >= 0, so both start at the
+    slack basis.  With q free they are outside solve_lp's form, and the
+    general reference simplex solves them."""
     solve_mip = backup.solve_mip
-
-    def recording_solve_mip(mip):
-        programs.append(mip)
-        return solve_mip(mip)
 
     def q_free(lp):
         lb = lp.lb.copy()
         lb[0] = -np.inf
         return LinearProgram(lp.c, lp.A, lp.b, lb=lb, ub=lp.ub)
 
-    monkeypatch.setattr(backup, "solve_mip", recording_solve_mip)
     model = EpidemicModel(EpidemicParams(N=60, L=2, M=2), 4, AmbiguityConfig())
     rng = np.random.default_rng(8)
     states = model.grid.in_S_indices()
@@ -631,9 +619,7 @@ def test_q_bound_keeps_the_optimum_and_the_slack_basis(monkeypatch):
             v[coeffs.support] = v[coeffs.support[0]]
         k = (0.0, 1e6, model.acfg.k)[trial % 3]
         vs = model.lam * v[coeffs.support]
-        programs.clear()
-        drmdp_backup_mccormick(coeffs, v, model.lam, k, L=2, M=2)
-        (mip,) = programs
+        mip = mccormick_mip_program(coeffs, v, model.lam, k, L=2, M=2)
         inner = inner_dual_program(coeffs.mean[0] - coeffs.delta,
                                    coeffs.mean[0] + coeffs.delta, vs, k)
         for lp, solve, reference in (
@@ -651,10 +637,12 @@ def test_q_bound_keeps_the_optimum_and_the_slack_basis(monkeypatch):
 
 
 def test_backend_programs_are_in_the_lp_form(monkeypatch):
-    """Every LP the back-ends hand the simplex, root or branch-and-bound
-    node, is in solve_lp's form: finite lower bounds and b - A lb >= 0.
-    Checked over McCormick and inner-LP backward induction and over unary
-    backups on fitted rules; both MIPs branch."""
+    """Every LP the inner-LP route, the unary MIP and the McCormick MIP
+    oracle hand the simplex, root or branch-and-bound node, is in solve_lp's
+    form: finite lower bounds and b - A lb >= 0.  Checked over inner-LP
+    backward induction, backward induction with the MIP oracle as the
+    McCormick back-end, and unary backups on fitted rules; both MIPs
+    branch."""
     solved, nodes = [], []
     real_solve_lp, real_solve_mip = lp_module.solve_lp, backup.solve_mip
 
@@ -672,6 +660,8 @@ def test_backend_programs_are_in_the_lp_form(monkeypatch):
     monkeypatch.setattr(lp_module, "solve_lp", checked_solve_lp)
     monkeypatch.setattr(backup, "solve_lp", checked_solve_lp)
     monkeypatch.setattr(backup, "solve_mip", counting_solve_mip)
+    monkeypatch.setattr(lp_module, "solve_mip", counting_solve_mip)
+    monkeypatch.setattr(plan, "drmdp_backup_mccormick", mccormick_mip_backup)
     model = EpidemicModel(EpidemicParams(N=60, L=2, M=2, T=3), 4, AmbiguityConfig())
     backward_dp(model, PlannerConfig(backend="drmdp-enumerate", inner_method="lp"))
     inner = len(solved)
@@ -685,6 +675,123 @@ def test_backend_programs_are_in_the_lp_form(monkeypatch):
         v = -rng.random(model.grid.n_corners) * 1e3
         drmdp_backup_unary(model.rules(int(idx)), v, model.lam, model.acfg.k, L=2, M=2)
     assert len(solved) == sum(nodes) > len(nodes)
+
+
+class TestEnvelopeClosedForm:
+    """drmdp_backup_mccormick solves the McCormick MIP one integer level at a
+    time in closed form; here it is held to the MIP oracles, the parametric
+    inner solve at the corner levels, and inputs that would divide by zero
+    or by a vanishing gap."""
+
+    def assert_equals_mip(self, coeffs, v, lam, k, L, M):
+        """The closed form's value within 1e-9 relative of both MIP oracles,
+        and its action the oracle's or one tied with it within that
+        tolerance; returns whether the actions are the same."""
+        got, action = drmdp_backup_mccormick(coeffs, v, lam, k, L=L, M=M)
+        want, want_action = mccormick_mip_backup(coeffs, v, lam, k, L=L, M=M)
+        four, _ = mccormick_four_row_backup(coeffs, v, lam, k, L=L, M=M)
+        tol = 1e-9 * (1.0 + abs(want))
+        assert abs(got - want) <= tol, (got, want)
+        assert abs(got - four) <= tol, (got, four)
+        levels = envelope_level_values(envelope_kinks(coeffs, k, L, M),
+                                       lam * v[coeffs.support])
+        assert levels[want_action.y_V * (M + 1) + want_action.y_R] >= got - tol
+        return action == want_action
+
+    def test_random_fitted_rules_equal_the_mip_oracles(self):
+        model = EpidemicModel(EpidemicParams(N=60, L=2, M=2), 4, AmbiguityConfig())
+        states = model.grid.in_S_indices()
+        rng = np.random.default_rng(31)
+        same = 0
+        for trial in range(36):
+            if trial % 3:
+                coeffs = model.rules(int(states[(7 * trial) % len(states)]))
+                L, M = 2, 2
+                v = -rng.random(model.grid.n_corners) * 10.0 ** rng.integers(1, 4)
+            else:
+                m = int(rng.integers(1, 8))
+                coeffs = random_coeffs(rng, m, adversarial=trial % 2 == 0)
+                L, M = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+                v = -rng.random(m) * 10.0 ** rng.integers(0, 4)
+            k = float(rng.choice([1.0, 50.0, 1e3]))
+            same += self.assert_equals_mip(coeffs, v, 0.95, k, L, M)
+        assert same >= 30  # all 36 at this seed; the rest may tie
+
+    def test_corner_levels_equal_the_parametric_inner_solve(self):
+        # The envelopes are exact at a level's bounds, so at the four corner
+        # levels the relaxed value is the enumeration value; at the others
+        # it is at or above it.
+        model = EpidemicModel(EpidemicParams(N=60, L=2, M=2), 4, AmbiguityConfig())
+        rng = np.random.default_rng(32)
+        above = 0
+        for trial, idx in enumerate(model.grid.in_S_indices()):
+            coeffs = model.rules(int(idx))
+            L, M = [(2, 2), (1, 3), (3, 1), (4, 2)][trial % 4]
+            k = float(rng.choice([1.0, 50.0, 1e3, 1e6]))
+            v = model.lam * -rng.random(model.grid.n_corners)[coeffs.support] * 1e3
+            actions = grid_actions(L, M)
+            X = design_matrix(actions)
+            exact = X @ coeffs.eps + inner_value_parametric(*mean_bounds(coeffs, X), v, k)
+            relaxed = envelope_level_values(envelope_kinks(coeffs, k, L, M), v)
+            corner = np.array([a.y_V in (0, L) and a.y_R in (0, M) for a in actions])
+            scale = 1.0 + np.abs(exact)
+            assert (np.abs(relaxed - exact)[corner] <= 1e-11 * scale[corner]).all(), trial
+            assert (relaxed >= exact - 1e-11 * scale).all(), trial
+            above += int((relaxed > exact + 1e-9 * scale).sum())
+        assert above > 0
+
+    def test_ties_go_to_the_first_level(self):
+        # Zero slopes in the mean and reward rules: every level has the same
+        # value, and the first, (0, 0), wins.
+        coeffs = constant_coeffs(np.arange(3), [0.3, 0.4, 0.2], 0.1, reward=-4.0)
+        v = np.array([-1.0, -6.0, -3.0])
+        vals = envelope_level_values(envelope_kinks(coeffs, 10.0, 2, 2), 0.95 * v)
+        assert (vals == vals[0]).all()
+        assert drmdp_backup_mccormick(coeffs, v, 0.95, 10.0, L=2, M=2)[1] == Action(0, 0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["L=0", "M=0", "L=1,M=3", "k=0", "one successor",
+                                      "zero slopes", "tied values"])
+    def test_degenerate_inputs(self, case):
+        # Single-level axes (h = 0, where a / h is 0 / 0), k = 0 (every node
+        # of g_j at 0, every gap empty), a one-successor support, all-zero
+        # slopes and tied successor values: no error, no RuntimeWarning, and
+        # the MIP oracles' value.
+        rng = np.random.default_rng(33)
+        for trial in range(8):
+            L, M = {"L=0": (0, 2), "M=0": (2, 0), "L=1,M=3": (1, 3)}.get(case, (2, 2))
+            m = 1 if case == "one successor" else int(rng.integers(2, 7))
+            coeffs = random_coeffs(rng, m, adversarial=trial % 2 == 1)
+            if case == "zero slopes":
+                coeffs.mean[1:] = 0.0
+            v = -rng.random(m) * 10.0 ** rng.integers(0, 4)
+            if case == "tied values":
+                v[:] = v[0]
+            k = 0.0 if case == "k=0" else float(rng.choice([1.0, 50.0, 1e3]))
+            self.assert_equals_mip(coeffs, v, 0.95, k, L, M)
+
+    def test_dp_solves_no_lp_and_builds_each_states_kinks_once(self, monkeypatch):
+        # At the dp-mip-small size (56 simplex states, T=5): 224 backups,
+        # 56 kink records, and no LP or MIP solve.
+        solves, builds, backups = [], [], []
+
+        def counting(owner, name, record):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                record.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        for owner in (backup, lp_module):
+            counting(owner, "solve_lp", solves)
+            counting(owner, "solve_mip", solves)
+        counting(model_module, "envelope_kinks", builds)
+        counting(plan, "drmdp_backup_mccormick", backups)
+        model = EpidemicModel(EpidemicParams(N=100, L=2, M=2, T=5), 5, AmbiguityConfig())
+        backward_dp(model, PlannerConfig(backend="drmdp-mccormick"))
+        assert (len(solves), len(builds), len(backups)) == (0, 56, 224)
 
 
 @dataclass

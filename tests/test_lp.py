@@ -14,7 +14,13 @@ from epiplan.lp import (
 )
 from epiplan.model import EpidemicModel
 from epiplan.rules import AmbiguityConfig
-from oracles import GeneralLP, dense_solve_lp, dense_solve_mip, lp_duality_check
+from oracles import (
+    GeneralLP,
+    dense_solve_lp,
+    dense_solve_mip,
+    lp_duality_check,
+    mccormick_mip_program,
+)
 
 
 def vertex_enumeration_max(c, A, b):
@@ -164,8 +170,8 @@ class TestDenseOracle:
             assert_same_solution(solve_mip(mip), dense_solve_mip(mip), trial)
 
     def test_backup_programs(self, monkeypatch):
-        # The programs the backups write: the inner LP and both action MIPs
-        # of fitted rules.
+        # The programs written for backups of fitted rules: the inner LP,
+        # the unary MIP and the McCormick MIP oracle.
         mips = []
         real_solve_mip = backup.solve_mip
 
@@ -180,7 +186,7 @@ class TestDenseOracle:
         for idx in model.grid.in_S_indices()[::3]:
             coeffs = model.rules(int(idx))
             v = -rng.random(model.grid.n_corners) * 1e3
-            backup.drmdp_backup_mccormick(coeffs, v, lam, k, L=2, M=2)
+            mips.append(mccormick_mip_program(coeffs, v, lam, k, L=2, M=2))
             backup.drmdp_backup_unary(coeffs, v, lam, k, L=2, M=2)
             inner = backup.inner_dual_program(coeffs.mean[0] - coeffs.delta,
                                               coeffs.mean[0] + coeffs.delta,
@@ -193,11 +199,11 @@ class TestDenseOracle:
 
 class TestBackendPrograms:
     def test_match_dense_and_stay_unchanged(self, monkeypatch):
-        # Every MIP the McCormick and unary back-ends write on a small fitted
-        # model, and every LP they hand the simplex, root or branch-and-bound
-        # child: solve_mip and solve_lp pivot as the dense references do, and
-        # solve_lp leaves c, A, b, lb and ub as they were, since the children
-        # of one MIP share lp.A and lp.b.
+        # Every MIP the unary back-end and the McCormick MIP oracle write on
+        # a small fitted model, and every LP they hand the simplex, root or
+        # branch-and-bound child: solve_mip and solve_lp pivot as the dense
+        # references do, and solve_lp leaves c, A, b, lb and ub as they
+        # were, since the children of one MIP share lp.A and lp.b.
         real_solve_lp, real_solve_mip = lp_module.solve_lp, backup.solve_mip
         nodes, mips = [], []
 
@@ -221,7 +227,7 @@ class TestBackendPrograms:
         for idx in model.grid.in_S_indices():
             coeffs = model.rules(int(idx))
             v = -rng.random(model.grid.n_corners) * 1e3
-            backup.drmdp_backup_mccormick(coeffs, v, lam, k, L=2, M=2)
+            recording_solve_mip(mccormick_mip_program(coeffs, v, lam, k, L=2, M=2))
             backup.drmdp_backup_unary(coeffs, v, lam, k, L=2, M=2)
         monkeypatch.undo()
         assert len(nodes) > len(mips) > 40  # some MIPs branch

@@ -80,3 +80,19 @@ def test_workload_checks_pass_at_tiny_size(name, tmp_path):
     workloads.check_root(checks, out, None)
     assert checks.failures == []
     assert checks.attempted > 0
+
+
+def test_traced_mccormick_spans_count_the_support(tmp_path):
+    # The tracer reads the support size off the McCormick back-end's first
+    # positional argument; a call that moves the rules elsewhere would drop
+    # backup.support_mean from benchmark runs.
+    pipeline, _ = workloads.WORKLOADS["dp-mip-small"]
+    tracer = spans.Tracer()
+    layers.install(tracer)
+    try:
+        pipeline(workloads.TINY_SIZES["dp-mip-small"], str(tmp_path))
+    finally:
+        tracer.uninstall()
+    traced = [s for s in tracer.spans if s.name == "backup.drmdp_backup_mccormick"]
+    assert traced
+    assert all(s.counts is not None and s.counts["support"] > 0 for s in traced)

@@ -77,12 +77,12 @@ def _cached_model(cfg: RunConfig, outdir: str) -> EpidemicModel:
 
 def _cmd_compile(cfg: RunConfig, outdir: str, verbose: bool) -> int:
     model = EpidemicModel(cfg.params, cfg.Y, cfg.ambiguity)
-    t0 = time.time()
+    t0 = time.perf_counter()
     model.compile_all(workers=cfg.threads)
     files = model.save_cache(outdir)
     if verbose:
         print(f"compiled {len(model.grid.in_S_indices())} states "
-              f"in {time.time() - t0:.1f}s")
+              f"in {time.perf_counter() - t0:.1f}s")
     for f in files:
         print(f)
     return 0
@@ -92,7 +92,7 @@ def _cmd_solve(cfg: RunConfig, outdir: str, use_dp: bool) -> int:
     model = _cached_model(cfg, outdir)
     pcfg = cfg.planner
     init = initial_state_index(model, cfg.p_S1_list[0], cfg.p_E1)
-    t0 = time.time()
+    t0 = time.perf_counter()
     if use_dp:
         table = backward_dp(model, pcfg)
     else:
@@ -102,7 +102,7 @@ def _cmd_solve(cfg: RunConfig, outdir: str, use_dp: bool) -> int:
     emit_results({"values": (header, rows)}, outdir, cfg, [pcfg.seed])
     root = table.lookup(model, init, 1)
     print(f"root value {root:.6f} ({'dp' if use_dp else 'rtdp'}, "
-          f"{time.time() - t0:.1f}s, {len(rows)} entries)")
+          f"{time.perf_counter() - t0:.1f}s, {len(rows)} entries)")
     return 0
 
 

@@ -15,14 +15,15 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from functools import cached_property
 
 import numpy as np
 
 from .backup import EnvelopeKinks, envelope_kinks, inner_value_parametric, worst_case_shift
 from .errors import CacheError, DomainError, RowError
 from .grid import Grid, GridSpec, SparseDistribution, cache_key, discretize_kernel
-from .rules import (AmbiguityConfig, DecisionRuleCoefficients, fit_affine, fit_rules,
-                    mean_bounds, rule_design)
+from .rules import (AmbiguityConfig, DecisionRuleCoefficients, fit_rules, mean_bounds,
+                    rule_design)
 from .seir import Action, ContinuousState, EpidemicParams, stage_rewards
 
 
@@ -46,7 +47,6 @@ class EpidemicModel:
         self._rules: dict[int, DecisionRuleCoefficients] = {}
         self._kinks: dict[int, EnvelopeKinks] = {}
         self._shifted: dict[tuple[int, float], list[SparseDistribution]] = {}
-        self._stage_h: dict[int, float] = {}
 
     @property
     def lam(self) -> float:
@@ -104,21 +104,19 @@ class EpidemicModel:
                                   for r in self.rows(idx)]
         return self._shifted[key]
 
-    def stage_heuristic(self, idx: int) -> float:
-        """Best fitted stage reward over actions; zero outside the simplex.
+    @cached_property
+    def stage_bound(self) -> np.ndarray:
+        """Largest stage reward of every grid corner, zero outside the simplex.
 
-        Needs only the closed-form rewards, so it is cheap at states whose
-        kernels were never compiled.
+        At a simplex state it is the reward of action (0, 0), which pays no
+        vaccination or intervention cost; every cost is nonnegative, so it is
+        rewards(idx).max() bit for bit.  It compiles nothing.
         """
-        if idx in self._stage_h:
-            return self._stage_h[idx]
-        if not self.grid.in_S[idx]:
-            val = 0.0
-        else:
-            X = self.design
-            val = float((X @ fit_affine(X, self._reward_vector(idx))).max())
-        self._stage_h[idx] = val
-        return val
+        bound = np.zeros(self.grid.n_corners)
+        for idx in self.grid.in_S_indices().tolist():
+            bound[idx] = stage_rewards(self.params, self.grid.state_of(idx), 0, 0)
+        bound.flags.writeable = False
+        return bound
 
     def penalty_slack(self, idx: int) -> float:
         """Worst forced mean-bound violation cost over actions, at zero values.

@@ -5,11 +5,13 @@ Both planners share the same one-stage backup dispatch, so any back-end
 Stage indices run 1..T with decisions at 1..T-1; values at stage T are the
 terminal reward (zero).
 
-The trajectory planner initializes values from the stage-reward bound
-h(s, t) = max_a fitted_reward(a), h(s, T) = 0.  With nonpositive rewards this
-bound sits above the true value, so per-state value sequences decrease toward
-the fixed point as sweeps repeat, and greedy action choice keeps exploring
-overvalued states until estimates settle.
+Every backup reads the stage t+1 values as one row of the planner's
+ValueTable.  The trajectory planner starts each row before the horizon at the
+stage-reward bound h(s, t) = max_a reward(s, a) (model.stage_bound), and
+h(s, T) = 0.  With nonpositive rewards this bound sits above the true value,
+so per-state value sequences decrease toward the fixed point as sweeps
+repeat, and greedy action choice keeps exploring overvalued states until
+estimates settle.
 """
 
 from __future__ import annotations
@@ -76,44 +78,42 @@ class PolicyTrace:
 
 
 class ValueTable:
-    """Values keyed by (state index, stage), stored for simplex states before
-    the horizon only.  lookup reads a missing entry as the stage-reward
-    bound, which is zero outside the simplex, and the terminal stage as zero.
+    """Stage values of every grid corner, one dense row per stage: V[t] holds
+    stage t's values.  Rows 1..T-1 start at model.stage_bound (the largest
+    stage reward at a simplex state, zero elsewhere) and row T, the terminal
+    stage, is zero.  store is the only writer: it sets V[t, idx] and records
+    the entry in values, the backed-up (state, stage) entries.
 
     actions holds the argmax action backward_dp chose for each simplex
     entry; RTDP, whose entries are backed up against values that later
     change, records none."""
 
-    def __init__(self, T: int):
-        self.T = T
+    def __init__(self, model: EpidemicModel):
+        self.V = np.tile(model.stage_bound, (model.T + 1, 1))
+        self.V[model.T] = 0.0
         self.values: dict[tuple[int, int], float] = {}
         self.actions: dict[tuple[int, int], Action] = {}
 
-    def lookup(self, model: EpidemicModel, idx: int, t: int) -> float:
-        if t >= self.T:
-            return 0.0
-        stored = self.values.get((idx, t))
-        if stored is not None:
-            return stored
-        return model.stage_heuristic(idx)
+    def store(self, idx: int, t: int, value: float) -> None:
+        self.V[t, idx] = value
+        self.values[(idx, t)] = value
 
-    def lookup_fn(self, model: EpidemicModel, t: int):
-        return lambda idx: self.lookup(model, idx, t)
+    # lookup and lookup_fn take the model only because perfbench/workloads.py
+    # passes it; neither reads it.
+    def lookup(self, model: EpidemicModel, idx: int, t: int) -> float:
+        return float(self.V[t, idx])
+
+    def lookup_fn(self, model: EpidemicModel, t: int) -> np.ndarray:
+        return self.V[t]
 
 
 def backup_state(model: EpidemicModel, idx: int, t: int, v_next, cfg: PlannerConfig):
     """One-stage backup of a single state under the configured back-end.
 
-    v_next gives the stage t+1 values as an array over all grid corners, or
-    as a lookup of one corner (ValueTable.lookup_fn) that is read on the
-    state's successor support only.  Ties go to the first action of
-    model.actions, the lowest (y_V, y_R).
+    v_next holds the stage t+1 values over all grid corners (a ValueTable
+    row); only the state's successor support is read.  Ties go to the first
+    action of model.actions, the lowest (y_V, y_R).
     """
-    if callable(v_next):
-        support = model.rules(idx).support
-        values = np.zeros(model.grid.n_corners)
-        values[support] = [v_next(int(j)) for j in support]
-        v_next = values
     lam = model.lam
     if cfg.backend == "nominal":
         return best_action_over_rows(model.actions, model.rows(idx),
@@ -134,7 +134,7 @@ def backup_state(model: EpidemicModel, idx: int, t: int, v_next, cfg: PlannerCon
 def greedy_action(model: EpidemicModel, table: ValueTable, idx: int, t: int,
                   cfg: PlannerConfig) -> tuple[Action, float]:
     """Best action at (state, stage) against stored values, without writing."""
-    value, action = backup_state(model, idx, t, table.lookup_fn(model, t + 1), cfg)
+    value, action = backup_state(model, idx, t, table.V[t + 1], cfg)
     return action, value
 
 
@@ -148,7 +148,7 @@ def rtdp(model: EpidemicModel, init_idx: int, cfg: PlannerConfig):
     """
     if not model.grid.in_S[init_idx]:
         raise DomainError("initial state must lie inside the population simplex")
-    table = ValueTable(model.T)
+    table = ValueTable(model)
     trace = PolicyTrace()
     rng = np.random.default_rng(cfg.seed)
     prev_root = None
@@ -157,9 +157,8 @@ def rtdp(model: EpidemicModel, init_idx: int, cfg: PlannerConfig):
     for it in range(1, cfg.niter + 1):
         idx = init_idx
         for t in range(1, model.T):
-            value, action = backup_state(model, idx, t,
-                                         table.lookup_fn(model, t + 1), cfg)
-            table.values[(idx, t)] = value
+            value, action = backup_state(model, idx, t, table.V[t + 1], cfg)
+            table.store(idx, t, value)
             trace.steps.append(TraceStep(it, t, idx, action, value))
             if t < model.T - 1:
                 idx = _sample_next(model, idx, action, rng)
@@ -189,20 +188,15 @@ def backward_dp(model: EpidemicModel, cfg: PlannerConfig) -> ValueTable:
     recording each simplex entry's value and argmax action.
 
     States outside the simplex are not stored; they are worth zero at every
-    stage, in the dense values and through ValueTable.lookup alike.
+    stage.
     """
-    table = ValueTable(model.T)
-    in_s = model.grid.in_S_indices()
-    dense = np.zeros(model.grid.n_corners)  # values at stage t+1
+    table = ValueTable(model)
+    in_s = model.grid.in_S_indices().tolist()
     for t in range(model.T - 1, 0, -1):
-        new_dense = np.zeros(model.grid.n_corners)
         for idx in in_s:
-            i = int(idx)
-            value, action = backup_state(model, i, t, dense, cfg)
-            table.values[(i, t)] = value
-            table.actions[(i, t)] = action
-            new_dense[i] = value
-        dense = new_dense
+            value, action = backup_state(model, idx, t, table.V[t + 1], cfg)
+            table.store(idx, t, value)
+            table.actions[(idx, t)] = action
     return table
 
 

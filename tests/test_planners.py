@@ -33,33 +33,41 @@ class TestHeuristic:
     def test_zero_at_horizon(self):
         model = toy_model()
         idx = model.grid.index_of(1, 1, 0)
-        assert ValueTable(model.T).lookup(model, idx, model.T) == 0.0
+        table = ValueTable(model)
+        assert table.lookup(model, idx, model.T) == 0.0
+        assert not table.lookup_fn(model, model.T).any()
 
     def test_disease_free_is_free(self):
         model = toy_model()
         idx = model.grid.index_of(2, 0, 0)
-        assert model.stage_heuristic(idx) == pytest.approx(0.0, abs=1e-8)
+        assert model.stage_bound[idx] == 0.0
+
+    @pytest.mark.parametrize("model", [
+        pytest.param(toy_model(L=2, M=2), id="toy"),
+        pytest.param(EpidemicModel(EpidemicParams(N=100, L=2, M=2, T=5), 5,
+                                   AmbiguityConfig()), id="dp-mip-small"),
+    ])
+    def test_equals_best_reward_bit_for_bit(self, model):
+        bound = model.stage_bound
+        assert model._rows == {}                 # the bound compiles nothing
+        assert bound is model.stage_bound and not bound.flags.writeable
+        for idx in model.grid.in_S_indices().tolist():
+            assert bound[idx] == model.rewards(idx).max(), idx
 
     def test_matches_best_fitted_reward(self):
+        # The fitted reward is affine in the levels, as the reward is, so its
+        # best value agrees with the exact bound up to the fit's rounding.
         model = toy_model(L=2, M=2)
         idx = model.grid.index_of(1, 1, 0)
         coeffs = model.rules(idx)
         expect = (design_matrix(model.actions) @ coeffs.eps).max()
-        assert model.stage_heuristic(idx) == pytest.approx(expect, abs=1e-9)
-
-    def test_cheap_path_matches_fitted_path(self):
-        a = toy_model(L=2, M=2)
-        b = toy_model(L=2, M=2)
-        idx = a.grid.index_of(1, 0, 1)
-        cheap = a.stage_heuristic(idx)          # no kernels compiled
-        b.compile_state(idx)
-        fitted = b.stage_heuristic(idx)
-        assert cheap == pytest.approx(fitted, abs=1e-10)
+        assert model.stage_bound[idx] == pytest.approx(expect, abs=1e-9)
 
     def test_off_simplex_zero(self):
         model = toy_model()
-        idx = model.grid.index_of(2, 2, 2)
-        assert model.stage_heuristic(idx) == 0.0
+        off = ~model.grid.in_S
+        assert off.any() and not model.stage_bound[off].any()
+        assert model._rows == {}
 
 
 class TestRtdp:
@@ -84,7 +92,7 @@ class TestRtdp:
             key = (step.state, step.stage)
             if key in last:
                 assert step.value <= last[key] + 1e-9
-            h = model.stage_heuristic(step.state)
+            h = model.stage_bound[step.state]
             assert step.value <= h + 1e-9
             last[key] = step.value
 
@@ -205,14 +213,47 @@ class TestBackwardDp:
 class TestTableHelpers:
     def test_lookup_fallbacks(self):
         model = toy_model()
-        table = ValueTable(model.T)
+        table = ValueTable(model)
         idx = model.grid.index_of(1, 1, 0)
         assert table.lookup(model, idx, model.T) == 0.0
-        assert table.lookup(model, idx, 1) == pytest.approx(model.stage_heuristic(idx))
-        table.values[(idx, 1)] = -4.5
+        assert table.lookup(model, idx, 1) == model.stage_bound[idx]
+        table.store(idx, 1, -4.5)
         assert table.lookup(model, idx, 1) == -4.5
+        assert table.values == {(idx, 1): -4.5}
         off = model.grid.index_of(2, 2, 2)
         assert table.lookup(model, off, 1) == 0.0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_stored_values_are_what_backups_read(self, backend):
+        # store writes the stage row that lookup, lookup_fn and every backup
+        # read; a backup reads the state's successor support only, so the
+        # bounds the row keeps elsewhere do not enter it.
+        model = toy_model(N=8, T=3)
+        cfg = PlannerConfig(backend=backend)
+        table = ValueTable(model)
+        rng = np.random.default_rng(4)
+        in_s = model.grid.in_S_indices().tolist()
+        stored = {idx: -float(rng.random() * 10) for idx in in_s}
+        for idx, value in stored.items():
+            table.store(idx, 2, value)
+        assert table.values == {(idx, 2): value for idx, value in stored.items()}
+        row = table.lookup_fn(model, 2)
+        for idx, value in stored.items():
+            assert table.lookup(model, idx, 2) == value == row[idx]
+        assert not row[~model.grid.in_S].any()
+        for idx in in_s:
+            support = model.rules(idx).support
+            on_support = np.zeros(model.grid.n_corners)
+            on_support[support] = row[support]
+            got = backup_state(model, idx, 1, row, cfg)
+            assert got == backup_state(model, idx, 1, on_support, cfg), idx
+            assert greedy_action(model, table, idx, 1, cfg) == got[::-1], idx
+        if backend == "nominal":
+            idx = in_s[0]
+            expect = max(r + model.lam * sum(p * stored.get(int(j), 0.0)
+                                             for j, p in zip(kr.indices, kr.probs))
+                         for r, kr in zip(model.rewards(idx), model.rows(idx)))
+            assert backup_state(model, idx, 1, row, cfg)[0] == pytest.approx(expect, abs=1e-12)
 
     def test_greedy_action_consistent_with_backup(self):
         model = toy_model(N=8, T=3)
@@ -224,22 +265,6 @@ class TestTableHelpers:
                                               table.lookup_fn(model, 2), cfg)
         assert act == expect_act
         assert val == pytest.approx(expect_val)
-
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_lookup_and_dense_values_back_up_identically(self, backend):
-        # A lookup is read on the successor support only, so it must give
-        # the same backup as the dense array over every corner.
-        model = toy_model(N=8, T=3)
-        cfg = PlannerConfig(backend=backend)
-        table = ValueTable(model.T)
-        rng = np.random.default_rng(4)
-        for idx in model.grid.in_S_indices():
-            table.values[(int(idx), 2)] = -float(rng.random() * 10)
-        dense = np.array([table.lookup(model, j, 2) for j in range(model.grid.n_corners)])
-        for idx in model.grid.in_S_indices():
-            a = backup_state(model, int(idx), 1, table.lookup_fn(model, 2), cfg)
-            b = backup_state(model, int(idx), 1, dense, cfg)
-            assert a == b, (backend, idx)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_table_rows_read_the_dp_policy(self, backend, monkeypatch):

@@ -7,20 +7,25 @@ corners.  Transition laws over continuous atoms are pushed onto the corners
 through those weights, giving a finite kernel.  Only corners inside the
 population simplex have rows; a rollout that reaches another corner stops.
 
-The push runs once per state: the intervention level only reweights the
-exposure count, so the atoms of every (vaccination level, exposure count)
-pair are pushed once and each action's row is a weighted sum of those
-pushes.  The weights are affine inside each simplex, so the atoms of one pair
-that share one, which differ only in their (incubation, recovery) counts, are
-pushed together as their total mass at their mean point; prefix tables over
-the (C, D) plane give each region's mass and mean in O(1).  A state's rows
-come out as one block of flat arrays, renormalized and checked at once
+The push takes a list of corners.  Within a state the intervention level
+only reweights the exposure count, so the atoms of every (vaccination level,
+exposure count) pair are pushed once and each action's row is a weighted sum
+of those pushes.  The weights are affine inside each simplex, so the atoms of
+one pair that share one, which differ only in their (incubation, recovery)
+counts, are pushed together as their total mass at their mean point; prefix
+tables over the (C, D) plane give each region's mass and mean in O(1).  The
+(C, D) law depends only on the counts (n_E, n_I), so the corners that share
+them are pushed as one group: one set of prefix tables and one point
+location for the pairs of all of them.  Exposure laws, which depend only on
+(n_S, p_I), are built once per call.  A group's rows come out as one block
+of flat arrays, renormalized and checked at once
 (``SparseDistribution.block``).
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,10 +260,43 @@ def _at(T: np.ndarray, c: np.ndarray, i: np.ndarray) -> np.ndarray:
     return T.reshape(3, -1).take(c * T.shape[2] + i, axis=1)
 
 
+def _exposure_laws(params: EpidemicParams, state: ContinuousState, n_S: int
+                   ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """Each vaccination level's exposure counts kB, their marginals pB (one
+    row per intervention level) and its number of trials, once per count.
+
+    The exposure probability of each y_R does not depend on y_V.  Every kept
+    binomial support is one integer run, so a y_V's counts are the covered
+    part of one span, and each row lands in it at one offset.
+    """
+    phis = [exposure_prob(params, state, Action(0, y_R)) for y_R in range(params.M + 1)]
+    kBs, pBs, trials = [], [], []
+    for y_V in range(params.L + 1):
+        n_trials = vaccination_trials(params, n_S, y_V)
+        marginals = [binomial_row(n_trials, phi) for phi in phis]
+        if any(k[-1] - k[0] + 1 != len(k) for k, _ in marginals):
+            raise DomainError("the B supports must be integer ranges")
+        lo = min(int(k[0]) for k, _ in marginals)
+        covered = np.zeros(max(int(k[-1]) for k, _ in marginals) + 1 - lo, dtype=bool)
+        for k, _ in marginals:
+            covered[k[0] - lo:k[-1] + 1 - lo] = True
+        kB = np.flatnonzero(covered) + lo
+        at = np.cumsum(covered) - 1
+        pB = np.zeros((len(phis), len(kB)))
+        for r, (k, p) in enumerate(marginals):
+            start = int(at[k[0] - lo])
+            pB[r, start:start + len(k)] = p / p.sum()
+        kBs.append(kB)
+        pBs.append(pB)
+        trials.append(np.full(len(kB), n_trials))
+    return kBs, pBs, trials
+
+
 def discretize_kernel(
-    grid: Grid, params: EpidemicParams, corner_index: int
-) -> list[SparseDistribution]:
-    """All kernel rows of one corner, one per action in ``params.actions()`` order.
+    grid: Grid, params: EpidemicParams, corner_indices: Sequence[int]
+) -> list[list[SparseDistribution]]:
+    """The kernel rows of each corner, in the order given: one list per
+    corner, one row per action in ``params.actions()`` order.
 
     Each row is the exact atom law of ``seir.transition_pmf`` pushed onto the
     grid corners.  The atoms of every vaccination level y_V and exposure
@@ -266,6 +304,40 @@ def discretize_kernel(
     the row of (y_V, y_R) is pB(y_R) @ K.  JOINT_TOL applies to the
     action-free (C, D) factor, so the atoms kept are a superset of the
     per-action table's.
+
+    The corners with equal counts (n_E, n_I) share their (C, D) law, and are
+    pushed as one group (``_push_group``); the exposure laws of each
+    distinct (n_S, p_I) are built once per call.  A corner outside the
+    simplex raises DomainError (``Grid.state_of``) before any push, and so
+    does a row the push cannot make a distribution, naming its corner and
+    action.
+    """
+    states = {int(i): grid.state_of(int(i)) for i in corner_indices}
+    laws: dict[tuple[int, float], tuple] = {}
+    groups: dict[tuple[int, int], list[tuple[int, tuple]]] = {}
+    for idx, state in states.items():
+        n_S, n_E, n_I = state.counts(params.N)
+        key = (n_S, state.p_I)
+        if key not in laws:
+            laws[key] = _exposure_laws(params, state, n_S)
+        groups.setdefault((n_E, n_I), []).append((idx, laws[key]))
+    actions = params.actions()
+    rows: dict[int, list[SparseDistribution]] = {}
+    for (n_E, n_I), members in groups.items():
+        corners, member_laws = zip(*members)
+        try:
+            rows.update(zip(corners, _push_group(grid, params, n_E, n_I, member_laws)))
+        except RowError as exc:
+            a = actions[exc.row % len(actions)]
+            raise DomainError(f"kernel row of corner {corners[exc.row // len(actions)]}, "
+                              f"action ({a.y_V}, {a.y_R}): {exc.reason}") from None
+    return [rows[int(i)] for i in corner_indices]
+
+
+def _push_group(grid: Grid, params: EpidemicParams, n_E: int, n_I: int,
+                member_laws: Sequence[tuple]) -> list[list[SparseDistribution]]:
+    """The rows of every corner with counts (n_E, n_I), given each one's
+    exposure laws, in one plane-moment pass.
 
     The atoms of one (y_V, b) differ only in (C, D), and are pushed as
     simplex-region moments.  In c = C - C0 and v = C - D - V_min (C0 and
@@ -281,16 +353,15 @@ def discretize_kernel(
     thresholds are integer arithmetic, so an atom on one is assigned to a
     side exactly (either side is right: the interpolation is continuous),
     and each mean is clamped into its box, where differences of tiny masses
-    could move it.  The means of every (y_V, b) are located in one call.
+    could move it.
 
-    Corner masses below ENTRY_TOL are dropped, and the state's rows are
-    renormalized and checked as one block.  A corner outside the simplex
-    raises DomainError (``Grid.state_of``).
+    Only the exposure counts differ between the members, so their (y_V, b)
+    pairs run along one axis, member after member, and the means of all of
+    them are located in one call.  Each member's K and rows are then formed
+    on its own; its corner masses below ENTRY_TOL are dropped, and the
+    group's rows are renormalized and checked as one block.
     """
-    state = grid.state_of(corner_index)
     N, Y = params.N, grid.Y
-    n_S, n_E, n_I = state.counts(N)
-
     kC, pC = binomial_row(n_E, params.rho_C)
     kD, pD = binomial_row(n_I, params.rho_D)
     if np.any(np.diff(kC) != 1) or np.any(np.diff(kD) != 1):
@@ -301,27 +372,6 @@ def discretize_kernel(
     p_cd[p_cd < JOINT_TOL] = 0.0
     p_cd /= p_cd.sum()
     S = _suffix_sums(p_cd)
-
-    # Every (y_V, b) pair of the state, and each y_V's exposure marginals;
-    # the exposure probability of each y_R does not depend on y_V.
-    phis = [exposure_prob(params, state, Action(0, y_R)) for y_R in range(params.M + 1)]
-    kBs, pBs, trials = [], [], []
-    for y_V in range(params.L + 1):
-        n_trials = vaccination_trials(params, n_S, y_V)
-        marginals = [binomial_row(n_trials, phi) for phi in phis]
-        kB = np.unique(np.concatenate([k for k, _ in marginals]))
-        pB = np.zeros((len(phis), len(kB)))
-        for r, (k, p) in enumerate(marginals):
-            pB[r, np.searchsorted(kB, k)] = p / p.sum()
-        kBs.append(kB)
-        pBs.append(pB)
-        trials.append(np.full(len(kB), n_trials))
-    b = np.concatenate(kBs)
-    S_next = np.concatenate(trials) - b
-    f0 = _frac_numerator(S_next, N, Y)[:, None, None]
-    # Successor E and I counts at c = 0 and v = 0; E falls with c, I rises with v.
-    E_top = n_E + b - kC[0]
-    I_low = n_I + kC[0] - kD[-1]
     # The boxes cover counts up to N only.  Where the rounded counts sum past
     # N, n_E + n_I can exceed it, and an atom with I above N must not be
     # dropped.  (S and E stay within N: b > 0 needs p_I > 0, and then
@@ -329,6 +379,13 @@ def discretize_kernel(
     c_kept, d_kept = np.nonzero(p_cd)
     if n_I + (kC[c_kept] - kD[d_kept]).max() > N:
         raise DomainError("point outside the unit cube")
+
+    b = np.concatenate([kB for kBs, _, _ in member_laws for kB in kBs])
+    S_next = np.concatenate([n for _, _, trials in member_laws for n in trials]) - b
+    f0 = _frac_numerator(S_next, N, Y)[:, None, None]
+    # Successor E and I counts at c = 0 and v = 0; E falls with c, I rises with v.
+    E_top = n_E + b - kC[0]
+    I_low = n_I + kC[0] - kD[-1]
 
     # The p_E cells of each pair, padded to a common count, and the p_I cells;
     # boxes are indexed (pair, p_E cell, p_I cell).
@@ -379,16 +436,31 @@ def discretize_kernel(
 
     points = np.stack([S_next[pair], E_top[pair] - mean_c, I_low + mean_v], axis=1) / N
     idx, wts = grid.locate_many(points)
-    corners, col = np.unique(idx, return_inverse=True)
-    K = np.bincount((pair[:, None] * len(corners) + col.reshape(idx.shape)).ravel(),
-                    weights=(wts * mass[:, None]).ravel(),
-                    minlength=len(b) * len(corners)).reshape(len(b), len(corners))
-    bounds = np.cumsum([0] + [len(kB) for kB in kBs])
-    row_mass = np.vstack([pB @ K[lo:hi] for pB, lo, hi in zip(pBs, bounds[:-1], bounds[1:])])
-    keep = row_mass >= ENTRY_TOL
-    offsets = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
-    return SparseDistribution.block(corners[np.nonzero(keep)[1]], row_mass[keep], offsets,
-                                    normalize=True)
+    pushed = wts * mass[:, None]
+
+    # Each member's pairs, and its hits, are one run of the pair axis.
+    n_pairs = [sum(len(kB) for kB in kBs) for kBs, _, _ in member_laws]
+    pair_start = np.cumsum([0] + n_pairs)
+    hit_start = np.searchsorted(pair, pair_start).tolist()
+    successors, probs, lengths = [], [], []
+    for m, (kBs, pBs, _) in enumerate(member_laws):
+        lo, hi = hit_start[m], hit_start[m + 1]
+        corners, col = np.unique(idx[lo:hi], return_inverse=True)
+        K = np.bincount(((pair[lo:hi, None] - pair_start[m]) * len(corners)
+                         + col.reshape(hi - lo, 4)).ravel(),
+                        weights=pushed[lo:hi].ravel(),
+                        minlength=n_pairs[m] * len(corners)).reshape(n_pairs[m], len(corners))
+        bounds = np.cumsum([0] + [len(kB) for kB in kBs])
+        row_mass = np.vstack([pB @ K[a:z] for pB, a, z in zip(pBs, bounds[:-1], bounds[1:])])
+        keep = row_mass >= ENTRY_TOL
+        successors.append(corners[np.nonzero(keep)[1]])
+        probs.append(row_mass[keep])
+        lengths.append(keep.sum(axis=1))
+    offsets = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
+    rows = SparseDistribution.block(np.concatenate(successors), np.concatenate(probs),
+                                    offsets, normalize=True)
+    n_a = (params.L + 1) * (params.M + 1)
+    return [rows[m * n_a:(m + 1) * n_a] for m in range(len(member_laws))]
 
 
 def cache_key(params: EpidemicParams, Y: int) -> str:

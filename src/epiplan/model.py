@@ -1,12 +1,14 @@
 """Compiled planning model: grid, kernel rows, rewards, and fitted rules.
 
 Compilation is per state and on demand, since trajectory-driven planners only
-touch a sliver of the grid.  Everything compiled is cached in memory; the
-kernel rows can be persisted to a NumPy record array keyed by a content hash
-of the configuration, and the rules are refit when it is loaded.
+touch a sliver of the grid; ``compile_all`` compiles every state left at once,
+in one push call, or in one per p_I slice on a process pool.  Everything
+compiled is cached in memory; the kernel rows can be persisted to a NumPy
+record array keyed by a content hash of the configuration, and the rules are
+refit when it is loaded.
 
-A state's kernel rows are one block, checked once as a whole, whether the
-push built it or the cache file held it; hydrating the state from it takes
+Kernel rows come in blocks, each checked once as a whole, whether the push
+built them or the cache file held them; hydrating a state from its rows takes
 array operations only: the rewards are one expression over the design
 matrix, whose rank the model checks once, when it is built.
 """
@@ -64,7 +66,8 @@ class EpidemicModel:
 
     def compile_state(self, idx: int) -> None:
         if idx not in self._rows:
-            self._store(idx, discretize_kernel(self.grid, self.params, idx))
+            [rows] = discretize_kernel(self.grid, self.params, [idx])
+            self._store(idx, rows)
 
     def _store(self, idx: int, rows: list[SparseDistribution]) -> None:
         """Hydrate one state from its kernel rows: rewards and fitted rules."""
@@ -136,26 +139,34 @@ class EpidemicModel:
         """Compile every simplex state not yet compiled, optionally across
         processes.
 
-        The pool starts at most one worker per state to compile and per CPU.
-        Each worker builds the grid once and returns each state's kernel rows
-        as flat (indices, probs, offsets) arrays; this process checks them as
-        one block and stores them through _store, as compile_state does, so
-        both routes give the same rows and rules.
+        Serially, one push call takes every state to compile.  The pool
+        splits them into p_I slices, one per infective count, so that a
+        slice holds whole (n_E, n_I) groups of the push and shares their
+        exposure laws; it starts at most one worker per slice and per CPU.
+        Each worker builds the grid once and returns its slice's kernel rows
+        as flat (indices, probs, offsets) arrays; this process checks each
+        slice as one block and stores its states through _store, as
+        compile_state does, so every route gives the same rows and rules.
         """
         todo = [i for i in self.grid.in_S_indices().tolist() if i not in self._rows]
         if not todo:
             return
-        workers = min(workers, len(todo), os.cpu_count() or 1)
+        slices: dict[int, list[int]] = {}
+        for i in todo:
+            slices.setdefault(self.grid.state_of(i).counts(self.params.N)[2], []).append(i)
+        workers = min(workers, len(slices), os.cpu_count() or 1)
         if workers <= 1:
-            for i in todo:
-                self.compile_state(i)
+            for i, rows in zip(todo, discretize_kernel(self.grid, self.params, todo)):
+                self._store(i, rows)
             return
+        n_a = len(self.actions)
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(self.params, self.grid.Y)) as pool:
-            chunks = pool.map(_compile_in_worker, todo,
-                              chunksize=max(1, len(todo) // (4 * workers)))
-            for idx, indices, probs, offsets in chunks:
-                self._store(idx, SparseDistribution.block(indices, probs, offsets))
+            blocks = pool.map(_compile_in_worker, slices.values())
+            for corners, (indices, probs, offsets) in zip(slices.values(), blocks):
+                rows = SparseDistribution.block(indices, probs, offsets)
+                for m, idx in enumerate(corners):
+                    self._store(idx, rows[m * n_a:(m + 1) * n_a])
 
     # -- persistence ---------------------------------------------------------
 
@@ -238,11 +249,12 @@ def _init_worker(params: EpidemicParams, Y: int) -> None:
     _worker_push = (Grid(GridSpec(Y)), params)
 
 
-def _compile_in_worker(idx: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """One state's kernel rows as flat indices and probs split at offsets."""
-    rows = discretize_kernel(*_worker_push, idx)
+def _compile_in_worker(corners: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kernel rows of a slice of states, in its order, as flat indices
+    and probs split at offsets."""
+    rows = [row for state in discretize_kernel(*_worker_push, corners) for row in state]
     offsets = np.cumsum([0] + [len(row) for row in rows])
-    return (idx, np.concatenate([row.indices for row in rows]),
+    return (np.concatenate([row.indices for row in rows]),
             np.concatenate([row.probs for row in rows]), offsets)
 
 

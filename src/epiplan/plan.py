@@ -187,9 +187,11 @@ def backward_dp(model: EpidemicModel, cfg: PlannerConfig) -> ValueTable:
     """Stage-by-stage backup of every simplex state from the horizon down,
     recording each simplex entry's value and argmax action.
 
-    States outside the simplex are not stored; they are worth zero at every
-    stage.
+    Every simplex state is compiled first, in one push call
+    (``model.compile_all``).  States outside the simplex are not stored;
+    they are worth zero at every stage.
     """
+    model.compile_all()
     table = ValueTable(model)
     in_s = model.grid.in_S_indices().tolist()
     for t in range(model.T - 1, 0, -1):

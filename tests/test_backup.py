@@ -840,7 +840,7 @@ class TestFullSpaceCheck:
                                 lam=0.95, T=4)
         idx = grid.index_of(1, 1, 0)
         actions = params.actions()
-        kernels = discretize_kernel(grid, params, idx)
+        [kernels] = discretize_kernel(grid, params, [idx])
         rewards = [stage_rewards(params, grid.state_of(idx), a.y_V, a.y_R) for a in actions]
         return grid, params, actions, kernels, rewards
     def test_agreement_with_moderate_penalty(self):

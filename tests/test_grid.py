@@ -54,8 +54,9 @@ def simplex_vertices(grid, n_points=6_000, seed=0):
 
 
 def row_of(grid, params, idx, action):
-    """The kernel row of one action, from the per-state push."""
-    return discretize_kernel(grid, params, idx)[params.actions().index(action)]
+    """The kernel row of one action, from a one-corner push."""
+    [rows] = discretize_kernel(grid, params, [idx])
+    return rows[params.actions().index(action)]
 
 
 def transition_atoms(params, state, action):
@@ -343,8 +344,15 @@ class TestBlock:
         # and the push fails instead of returning it.
         monkeypatch.setattr(grid_module, "ENTRY_TOL", 2.0)
         g = Grid(GridSpec(3))
+        idx = g.index_of(1, 1, 1)
         with pytest.raises(DomainError, match="cannot normalize"):
-            discretize_kernel(g, toy_params(N=9), g.index_of(1, 1, 1))
+            discretize_kernel(g, toy_params(N=9), [idx])
+        # In a call over many corners the failing row is named by its corner
+        # and action, not by its place in the push's internal block.
+        corners = g.in_S_indices().tolist()
+        with pytest.raises(DomainError, match=rf"corner {corners[0]}, action \(0, 0\): "
+                                              "cannot normalize"):
+            discretize_kernel(g, toy_params(N=9), corners)
 
 
 class TestDiscretizeKernel:
@@ -355,7 +363,7 @@ class TestDiscretizeKernel:
         model = EpidemicModel(toy_params(N=6), 2, AmbiguityConfig())
         idx = model.grid.index_of(*lattice)
         with pytest.raises(DomainError, match="outside the population simplex"):
-            discretize_kernel(model.grid, model.params, idx)
+            discretize_kernel(model.grid, model.params, [idx])
         with pytest.raises(DomainError, match="outside the population simplex"):
             model.compile_state(idx)
         assert model._rows == {} and model._rewards == {} and model._rules == {}
@@ -366,7 +374,7 @@ class TestDiscretizeKernel:
         # N, so some kept atom has more infectives than the population.
         g = Grid(GridSpec(Y))
         with pytest.raises(DomainError, match="outside the unit cube"):
-            discretize_kernel(g, EpidemicParams(N=N, L=1, M=1), g.index_of(*lattice))
+            discretize_kernel(g, EpidemicParams(N=N, L=1, M=1), [g.index_of(*lattice)])
 
     def test_gapped_support_raises(self, monkeypatch):
         # The push reads the (C, D) law as a table over integer ranges, so a
@@ -384,13 +392,30 @@ class TestDiscretizeKernel:
 
             monkeypatch.setattr(grid_module, "binomial_row", gapped)
             with pytest.raises(DomainError, match="integer ranges"):
-                discretize_kernel(g, p, idx)
+                discretize_kernel(g, p, [idx])
+
+    def test_gapped_exposure_support_raises(self, monkeypatch):
+        # Each exposure row is placed at one offset of its y_V's counts, so
+        # a B support with a hole must fail loudly too.
+        g = Grid(GridSpec(3))
+        p = toy_params(N=30)
+
+        def gapped(n, prob):
+            k, pmf = binomial_row(n, prob)
+            if prob not in (p.rho_C, p.rho_D) and len(k) > 2:
+                keep = np.arange(len(k)) != len(k) // 2
+                return k[keep], pmf[keep]
+            return k, pmf
+
+        monkeypatch.setattr(grid_module, "binomial_row", gapped)
+        with pytest.raises(DomainError, match="the B supports must be integer ranges"):
+            discretize_kernel(g, p, [g.index_of(1, 1, 1)])
 
     def test_disease_free_self_loop(self):
         g = Grid(GridSpec(2))
         p = toy_params()
         idx = g.index_of(0, 0, 0)
-        assert all(as_dict(row) == {idx: 1.0} for row in discretize_kernel(g, p, idx))
+        assert all(as_dict(row) == {idx: 1.0} for row in discretize_kernel(g, p, [idx])[0])
 
     def test_row_matches_atom_enumeration(self):
         # Oracle: enumerate atoms with scalar pmfs, locate each one, accumulate.
@@ -433,7 +458,7 @@ class TestDiscretizeKernel:
         idx = g.index_of(*lattice)
         if exercises is not None:
             assert exercises(successor_counts(g, p, idx), N, Y)
-        rows = discretize_kernel(g, p, idx)
+        [rows] = discretize_kernel(g, p, [idx])
         # Against the same law pushed atom by atom, only the region moments
         # differ; against the per-action tables the truncation differs too
         # (the README bounds that at 1.75e-11 over the rtdp-default states).
@@ -459,7 +484,7 @@ class TestDiscretizeKernel:
             return locate(self, points)
 
         monkeypatch.setattr(Grid, "locate_many", counting_locate)
-        discretize_kernel(g, p, idx)
+        discretize_kernel(g, p, [idx])
         # Atoms of a per-level push: each exposure count some y_R draws,
         # paired with each (C, D) pair whose action-free mass is kept.
         state = g.state_of(idx)
@@ -488,7 +513,7 @@ class TestDiscretizeKernel:
         # y_V = L leaves no susceptible to expose, so y_R changes nothing.
         g = Grid(GridSpec(3))
         p = toy_params(N=9)
-        rows = discretize_kernel(g, p, g.index_of(1, 1, 1))
+        [rows] = discretize_kernel(g, p, [g.index_of(1, 1, 1)])
         full = [r for a, r in zip(p.actions(), rows) if a.y_V == p.L]
         assert len(full) == p.M + 1
         for r in full[1:]:
@@ -499,7 +524,7 @@ class TestDiscretizeKernel:
         g = Grid(GridSpec(3))
         p = toy_params(N=9)
         for idx in g.in_S_indices():
-            for row in discretize_kernel(g, p, int(idx)):
+            for row in discretize_kernel(g, p, [int(idx)])[0]:
                 assert row.probs.sum() == pytest.approx(1.0, abs=1e-9)
                 assert np.all(row.probs >= 0)
 
@@ -515,6 +540,96 @@ class TestDiscretizeKernel:
         assert inside_mass > 0.5
         for i in outside:
             assert as_dict(row)[i] >= 0
+
+
+# The CLI tests' TOY config and the dp-mip-small and compile-cache-dp
+# benchmark sizes, as (EpidemicParams arguments, Y).
+PUSH_SIZES = {
+    "toy": (dict(N=10, L=1, M=1, Q=0.5, k_R=0.5, W=2.0, T=3), 2),
+    "dp-mip-small": (dict(N=100, L=2, M=2, T=5), 5),
+    "compile-cache-dp": (dict(N=300, L=5, M=5, T=5), 8),
+}
+
+
+class TestGroupedPush:
+    @pytest.mark.parametrize("size", list(PUSH_SIZES))
+    def test_one_call_equals_one_call_per_corner(self, size):
+        # Every simplex corner in one shuffled call, against each corner in
+        # a call of its own: the same rows bit for bit, in the order given.
+        kw, Y = PUSH_SIZES[size]
+        g, p = Grid(GridSpec(Y)), EpidemicParams(**kw)
+        corners = g.in_S_indices().tolist()
+        np.random.default_rng(1).shuffle(corners)
+        together = discretize_kernel(g, p, corners)
+        assert len(together) == len(corners)
+        for idx, rows in zip(corners, together):
+            [alone] = discretize_kernel(g, p, [idx])
+            assert len(rows) == len(alone) == len(p.actions())
+            for a, b in zip(rows, alone):
+                assert a.indices.tobytes() == b.indices.tobytes(), idx
+                assert a.probs.tobytes() == b.probs.tobytes(), idx
+
+    def test_rows_are_read_only(self):
+        g, p = Grid(GridSpec(3)), toy_params(N=9)
+        assert discretize_kernel(g, p, []) == []
+        for rows in discretize_kernel(g, p, g.in_S_indices()):
+            for row in rows:
+                assert not row.indices.flags.writeable and not row.probs.flags.writeable
+                with pytest.raises(ValueError):
+                    row.probs[0] = 0.5
+
+    def test_corner_outside_the_simplex_is_named(self, monkeypatch):
+        # The corners are checked before any push.
+        g, p = Grid(GridSpec(2)), toy_params(N=6)
+        inside = g.in_S_indices().tolist()
+        outside = g.index_of(2, 1, 0)
+        monkeypatch.setattr(grid_module, "_push_group", None)
+        with pytest.raises(DomainError, match=rf"corner {outside} is outside the population"):
+            discretize_kernel(g, p, inside[:3] + [outside] + inside[3:])
+
+    def test_one_location_per_group(self, monkeypatch):
+        # The corners sharing (n_E, n_I) are located together: 45 groups of
+        # the 165 states at N=300, Y=8.
+        kw, Y = PUSH_SIZES["compile-cache-dp"]
+        g, p = Grid(GridSpec(Y)), EpidemicParams(**kw)
+        located = []
+        locate = Grid.locate_many
+
+        def counting_locate(self, points):
+            located.append(len(points))
+            return locate(self, points)
+
+        monkeypatch.setattr(Grid, "locate_many", counting_locate)
+        corners = g.in_S_indices().tolist()
+        discretize_kernel(g, p, corners)
+        groups = {g.state_of(i).counts(p.N)[1:] for i in corners}
+        assert len(corners) == 165
+        assert len(located) == len(groups) == 45
+
+    @pytest.mark.parametrize("N, M", [(1000, 5), (100_000, 1)],
+                             ids=["overlapping-supports", "disjoint-supports"])
+    def test_exposure_laws_are_the_union_of_supports(self, N, M):
+        # Oracle: each y_V's counts are the union of its rows' supports
+        # (np.unique), and each row is placed by searching it.  Strong
+        # intervention at N = 100,000 leaves a gap between the supports.
+        p = EpidemicParams(N=N, L=2, M=M)
+        state = ContinuousState(0.5, 0.0, 0.5)
+        n_S = state.counts(N)[0]
+        kBs, pBs, trials = grid_module._exposure_laws(p, state, n_S)
+        phis = [exposure_prob(p, state, Action(0, y_R)) for y_R in range(M + 1)]
+        gaps = 0
+        for y_V, (kB, pB, n) in enumerate(zip(kBs, pBs, trials)):
+            n_trials = vaccination_trials(p, n_S, y_V)
+            marginals = [binomial_row(n_trials, phi) for phi in phis]
+            want_k = np.unique(np.concatenate([k for k, _ in marginals]))
+            want_p = np.zeros((len(phis), len(want_k)))
+            for r, (k, pk) in enumerate(marginals):
+                want_p[r, np.searchsorted(want_k, k)] = pk / pk.sum()
+            np.testing.assert_array_equal(kB, want_k)
+            assert pB.tobytes() == want_p.tobytes()
+            np.testing.assert_array_equal(n, np.full(len(kB), n_trials))
+            gaps += int(kB[-1] - kB[0] + 1 != len(kB))
+        assert (gaps > 0) == (N == 100_000)
 
 
 class TestRewardAndSupport:
@@ -535,7 +650,7 @@ class TestRewardAndSupport:
         p = toy_params()
         idx = g.index_of(1, 0, 0)
         # No exposed/infectious: every action leaves a point mass on p_E=p_I=0.
-        for row in discretize_kernel(g, p, idx):
+        for row in discretize_kernel(g, p, [idx])[0]:
             for s in row.indices:
                 lat = g.lattice[s]
                 assert lat[1] == 0 and lat[2] == 0

@@ -176,6 +176,31 @@ class TestBackwardDp:
                 assert dp.values[(int(idx), t)] == pytest.approx(
                     value(int(idx), t), abs=1e-9), (idx, t)
 
+    def test_cold_model_is_pushed_in_one_call(self, monkeypatch):
+        # A cold backward_dp compiles every simplex state before its first
+        # stage, in one push call, not one per state at its first backup;
+        # an RTDP run had compiled some states first, and only the rest are
+        # pushed.
+        calls = []
+        push = model_module.discretize_kernel
+
+        def counting_push(grid, params, corners):
+            calls.append(list(corners))
+            return push(grid, params, corners)
+
+        monkeypatch.setattr(model_module, "discretize_kernel", counting_push)
+        model = toy_model(N=6, Y=2, T=3)
+        in_s = [int(i) for i in model.grid.in_S_indices()]
+        backward_dp(model, PlannerConfig(backend="nominal"))
+        assert calls == [in_s]
+        calls.clear()
+        warm = toy_model(N=6, Y=2, T=3)
+        rtdp(warm, warm.grid.index_of(1, 0, 1), PlannerConfig(backend="nominal", niter=3))
+        assert calls and all(len(c) == 1 for c in calls)
+        lazy = [c[0] for c in calls]
+        backward_dp(warm, PlannerConfig(backend="nominal"))
+        assert calls[len(lazy):] == [[i for i in in_s if i not in lazy]]
+
     def test_rtdp_matches_dp_for_every_backend(self):
         # The agreement guarantee requires a nonempty fitted ambiguity set at
         # every state (zero penalty slack); the instance is chosen to satisfy
@@ -542,8 +567,9 @@ class TestModelBundle:
                 assert ra.probs.tobytes() == rb.probs.tobytes(), i
 
     def test_compile_pool_is_capped(self, monkeypatch):
-        # The pool is faked: it records its size and compiles in-process.
-        started = []
+        # The pool is faked: it records its size and its tasks, and compiles
+        # in-process.  Each task is one p_I slice of the states to compile.
+        started, tasks = [], []
 
         class InProcessPool:
             def __init__(self, max_workers, initializer, initargs):
@@ -556,32 +582,41 @@ class TestModelBundle:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize=1):
-                return map(fn, items)
+            def map(self, fn, items):
+                tasks.append([list(corners) for corners in items])
+                return map(fn, tasks[-1])
 
         monkeypatch.setattr(model_module, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(model_module, "_worker_push", None)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
         serial = toy_model(N=6, Y=2, T=3)
-        pooled = toy_model(N=6, Y=2, T=3)
         idxs = [int(i) for i in serial.grid.in_S_indices()]
-        assert len(idxs) > 3
+        assert len(idxs) == 10
         serial.compile_all()
+        pooled = toy_model(N=6, Y=2, T=3)
         for i in idxs[2:]:
             pooled.compile_state(i)
-        pooled.compile_all(workers=5000)                # capped by the states
+        pooled.compile_all(workers=5000)     # capped by the slices left: 2
         capped = toy_model(N=6, Y=2, T=3)
-        capped.compile_all(workers=5000)                # capped by the CPUs
-        capped.compile_all(workers=5000)                # nothing left to do
-        assert started == [2, 3]
+        capped.compile_all(workers=5000)     # capped by the slices: 3 p_I levels
+        capped.compile_all(workers=5000)     # nothing left to do
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        few_cpus = toy_model(N=6, Y=2, T=3)
+        few_cpus.compile_all(workers=5000)   # capped by the CPUs
+        assert started == [2, 3, 2]
+        assert [sorted(c for corners in task for c in corners) for task in tasks] \
+            == [idxs[:2], idxs, idxs]
+        for task in tasks:
+            for corners in task:
+                assert len({float(serial.grid.coords[c][2]) for c in corners}) == 1
         for i in idxs:
-            for model in (pooled, capped):
+            for model in (pooled, capped, few_cpus):
                 for ra, rb in zip(serial.rows(i), model.rows(i)):
                     np.testing.assert_array_equal(ra.indices, rb.indices)
                     np.testing.assert_array_equal(ra.probs, rb.probs)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         toy_model(N=6, Y=2, T=3).compile_all(workers=2)  # serial
-        assert started == [2, 3]
+        assert started == [2, 3, 2]
 
     def test_lattice_state_index(self):
         model = toy_model(Y=10)

@@ -9,7 +9,8 @@ bounds and rows.  Two inner solvers use the block:
 * the simplex, on the block alone, once per action;
 * a closed-form parametric solve used on hot paths, batched over all actions
   of a state, exact because the dual objective is concave piecewise-linear
-  in q with kinks at 2m+1 points every action shares.
+  in q with kinks at 2m+1 points every action shares, and over states
+  padded to a common support (EnumerateBatch), as backward induction runs it.
 
 The penalized mean problem itself is the test oracle both are checked
 against (tests/oracles.py, tests/test_acceptance.py).
@@ -153,6 +154,7 @@ def inner_value_parametric(
 
     eta_L / eta_U are (n, m): one row of mean bounds per action over the same
     support, and v (m,) carries the discount.  Returns the n optimal values.
+    Leading batch axes are allowed, as in inner_values.
 
     For fixed q the problem separates per successor j into a two-variable LP
     whose value g_j(d), d = q - v_j, is concave in d and, being a max of
@@ -162,28 +164,79 @@ def inner_value_parametric(
     the same points for every action, and is maximized at the first kink
     where its slope turns nonpositive, or at the right end min(v) + k.
     """
+    return inner_values(inner_slopes(eta_L, eta_U), v, k)
+
+
+def inner_slopes(eta_L: np.ndarray,
+                 eta_U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(g0, s1, s2) of the multiplier LP at mean bounds eta_L / eta_U, each
+    shaped like them: per successor and per unit of k, the term's value at
+    d = 0 and its slopes on [-k, 0] and [0, k] (see inner_value_parametric).
+    Nothing in them depends on the successor values."""
     A = -np.asarray(eta_U, dtype=np.float64)  # coefficient of w
     B = np.asarray(eta_L, dtype=np.float64)   # coefficient of u
-    v = np.asarray(v, dtype=np.float64)
 
     # Per unit of k: g(0) = k*g0, g(-k) = k*max(0, A, B), g(k) = k*A, so the
-    # slopes on [-k, 0] and [0, k] are s1 and s2 whatever k is.
-    g0 = np.maximum(np.maximum(A, 0.5 * (A + B)), 0.0)
-    s1 = g0 - np.maximum(np.maximum(A, B), 0.0)
-    s2 = A - g0
-    kinks = np.concatenate([v - k, v])
-    order = np.argsort(kinks, kind="stable")
-    steps = np.concatenate([s1, s2 - s1], axis=1)[:, order]
-    slope = 1.0 + np.cumsum(steps, axis=1)  # right slope after each kink
-    down = slope <= 0.0
-    q = np.where(down.any(axis=1), kinks[order][np.argmax(down, axis=1)], np.inf)
-    q = np.minimum(q, v.min() + k)[:, None]
+    # slopes on [-k, 0] and [0, k] are s1 and s2 whatever k is.  Written in
+    # place, so a stage batch holds no more than the three results.
+    g0 = A + B
+    g0 *= 0.5
+    np.maximum(A, g0, out=g0)
+    np.maximum(g0, 0.0, out=g0)
+    s1 = np.maximum(A, B)
+    np.maximum(s1, 0.0, out=s1)
+    np.subtract(g0, s1, out=s1)
+    s2 = np.subtract(A, g0, out=A)
+    return g0, s1, s2
+
+
+def inner_values(slopes: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 v: np.ndarray, k: float) -> np.ndarray:
+    """The multiplier LP's optimal values from its inner_slopes, for a batch.
+
+    slopes are (..., n, m) and v (..., m), with any leading batch axes: one
+    row of n actions per state, each state over its own successor values.
+    Returns (..., n).  A state padded to a wider support gives each padded
+    successor v = +inf and zero slopes: its kinks sort last, its steps are
+    0 and its term is an exact 0, so only the grouping of the final sum
+    over successors changes.
+    """
+    g0, s1, s2 = slopes
+    v = np.asarray(v, dtype=np.float64)
+    lead, (n, m) = v.shape[:-1], g0.shape[-2:]
+    kinks = np.concatenate([v - k, v], axis=-1)
+    order = np.argsort(kinks, axis=-1, kind="stable")
+
+    # The slope steps at every kink, one row of n actions per kink, put in
+    # kink order by one take of whole rows over the flattened batch; rows
+    # holds the flat index of each state's kinks in order.
+    steps = np.empty(lead + (2 * m, n))
+    steps[..., :m, :] = np.swapaxes(s1, -1, -2)
+    np.subtract(s2, s1, out=np.swapaxes(steps[..., m:, :], -1, -2))
+    rows = order + (2 * m * np.arange(int(np.prod(lead)))).reshape(lead + (1,))
+    slope = np.take(steps.reshape(-1, n), rows, axis=0)
+    del steps
+    # The slope right of each kink is 1 + c, c the cumulative step; it is
+    # nonpositive exactly when c <= -1, since 1 + c is exact for c in
+    # [-2, -1/2], so c is compared and the sum 1 + c is never formed.
+    np.cumsum(slope, axis=-2, out=slope)
+    down = slope <= -1.0
+    del slope
+    first = np.take_along_axis(rows, np.argmax(down, axis=-2), axis=-1)
+    q = np.where(down.any(axis=-2), np.take(kinks, first), np.inf)
+    q = np.minimum(q, v.min(axis=-1, keepdims=True) + k)
 
     # g_j at the chosen q from its two affine pieces; clipping d at k also
     # absorbs the one-ulp overshoot of (vmin + k) - v_j at the right end.
-    d = q - v
-    g = k * g0 + s1 * np.clip(d, -k, 0.0) + s2 * np.clip(d, 0.0, k)
-    return q[:, 0] + g.sum(axis=1)
+    d = q[..., None] - v[..., None, :]
+    g = k * g0
+    piece = np.clip(d, -k, 0.0)
+    piece *= s1
+    g += piece
+    np.clip(d, 0.0, k, out=piece)
+    piece *= s2
+    g += piece
+    return q + g.sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +274,66 @@ def drmdp_backup_enumerate(
     vals = X @ coeffs.eps + inner
     best = int(np.argmax(vals))
     return float(vals[best]), actions[best]
+
+
+@dataclass(frozen=True)
+class EnumerateBatch:
+    """States that drmdp_backup_enumerate_batch backs up together, each
+    padded to the widest support among them.
+
+    Row i is state states[i]: support holds its successors and then corner
+    0, pad is 0 on its support and +inf past it, and mean (3, w) and delta
+    (1, w) hold its mean rule and half-width, 0 past its support, so a
+    padded successor has mean bounds 0 and slopes 0.  reward (c, n) is its
+    fitted reward X @ eps at every action.  Nothing in it depends on the
+    values backed up.
+    """
+
+    states: np.ndarray
+    support: np.ndarray
+    pad: np.ndarray
+    mean: np.ndarray
+    delta: np.ndarray
+    reward: np.ndarray
+
+
+def enumerate_batch(states: Sequence[int], rules: Sequence[DecisionRuleCoefficients],
+                    X: np.ndarray) -> EnumerateBatch:
+    """The EnumerateBatch of states with the given rules, X the
+    design_matrix of the actions."""
+    c, w = len(rules), max(len(coeffs.support) for coeffs in rules)
+    support = np.zeros((c, w), dtype=np.intp)
+    pad = np.full((c, w), np.inf)
+    mean = np.zeros((c, 3, w))
+    delta = np.zeros((c, 1, w))
+    reward = np.empty((c, len(X)))
+    for i, coeffs in enumerate(rules):
+        m = len(coeffs.support)
+        support[i, :m] = coeffs.support
+        pad[i, :m] = 0.0
+        mean[i, :, :m] = coeffs.mean
+        delta[i, :, :m] = coeffs.delta
+        reward[i] = X @ coeffs.eps
+    return EnumerateBatch(np.asarray(states), support, pad, mean, delta, reward)
+
+
+def drmdp_backup_enumerate_batch(batch: EnumerateBatch, v_next: np.ndarray, lam: float,
+                                 k: float, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """drmdp_backup_enumerate with method "parametric" at every state of
+    batch: (values, indices of the best rows of X), ties to the first.
+
+    The inner solve is inner_value_parametric's, over the padded batch; a
+    state's value can differ from its own backup's only in the grouping of
+    the sum over its successors.
+    """
+    v = lam * v_next[batch.support]
+    v += batch.pad
+    center = X @ batch.mean               # center -/+ delta: rules.mean_bounds
+    slopes = inner_slopes(center - batch.delta, center + batch.delta)
+    del center
+    vals = batch.reward + inner_values(slopes, v, k)
+    best = np.argmax(vals, axis=1)
+    return vals[np.arange(len(vals)), best], best
 
 
 @dataclass(frozen=True)

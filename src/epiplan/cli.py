@@ -94,6 +94,7 @@ def _cmd_solve(cfg: RunConfig, outdir: str, use_dp: bool) -> int:
     init = initial_state_index(model, cfg.p_S1_list[0], cfg.p_E1)
     t0 = time.perf_counter()
     if use_dp:
+        model.compile_all(workers=cfg.threads)
         table = backward_dp(model, pcfg)
     else:
         table, _ = rtdp(model, init, pcfg)

@@ -2,6 +2,9 @@
 
 Both planners share the same one-stage backup dispatch, so any back-end
 (nominal, worst-case-shifted, or the mean-ambiguous family) plugs into either.
+Backward induction with the enumeration back-end and its parametric inner
+solve backs up a stage's states in padded batches of similar support size
+instead, through the same inner solve.
 Stage indices run 1..T with decisions at 1..T-1; values at stage T are the
 terminal reward (zero).
 
@@ -21,10 +24,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backup import (
+    EnumerateBatch,
     best_action_over_rows,
     drmdp_backup_enumerate,
+    drmdp_backup_enumerate_batch,
     drmdp_backup_mccormick,
     drmdp_backup_unary,  # noqa: F401  perfbench/layers.py traces plan.drmdp_backup_unary
+    enumerate_batch,
 )
 from .errors import DomainError
 from .model import EpidemicModel
@@ -36,6 +42,13 @@ BACKENDS = ("nominal", "robust", "drmdp-enumerate", "drmdp-mccormick")
 # for STOP_PATIENCE consecutive sweeps.
 STOP_TOL = 1e-7
 STOP_PATIENCE = 10
+
+# Most (action, successor) entries in one backward_dp batch of
+# drmdp-enumerate states.  A batch backup holds about seven arrays of this
+# many floats at once, so the budget bounds the memory a stage adds.  On a
+# 2-vCPU VM at N=300, Y=8, T=5 the DP ran fastest near 16,384 (0.037 s);
+# 4,096 took 1.5x as long, 65,536 1.1x and one batch of all 165 states 3.6x.
+BATCH_ENTRIES = 16384
 
 
 @dataclass(frozen=True)
@@ -86,17 +99,21 @@ class ValueTable:
 
     actions holds the argmax action backward_dp chose for each simplex
     entry; RTDP, whose entries are backed up against values that later
-    change, records none."""
+    change, records none.  greedy holds the greedy_action results against
+    the current values, keyed by (state, stage, planner config); store
+    clears it."""
 
     def __init__(self, model: EpidemicModel):
         self.V = np.tile(model.stage_bound, (model.T + 1, 1))
         self.V[model.T] = 0.0
         self.values: dict[tuple[int, int], float] = {}
         self.actions: dict[tuple[int, int], Action] = {}
+        self.greedy: dict[tuple[int, int, PlannerConfig], tuple[Action, float]] = {}
 
     def store(self, idx: int, t: int, value: float) -> None:
         self.V[t, idx] = value
         self.values[(idx, t)] = value
+        self.greedy.clear()
 
     # lookup and lookup_fn take the model only because perfbench/workloads.py
     # passes it; neither reads it.
@@ -133,9 +150,14 @@ def backup_state(model: EpidemicModel, idx: int, t: int, v_next, cfg: PlannerCon
 
 def greedy_action(model: EpidemicModel, table: ValueTable, idx: int, t: int,
                   cfg: PlannerConfig) -> tuple[Action, float]:
-    """Best action at (state, stage) against stored values, without writing."""
-    value, action = backup_state(model, idx, t, table.V[t + 1], cfg)
-    return action, value
+    """Best action at (state, stage) against stored values, without writing
+    them; recorded in table.greedy, so each is backed up once until the
+    table next changes."""
+    key = (idx, t, cfg)
+    if key not in table.greedy:
+        value, action = backup_state(model, idx, t, table.V[t + 1], cfg)
+        table.greedy[key] = (action, value)
+    return table.greedy[key]
 
 
 def rtdp(model: EpidemicModel, init_idx: int, cfg: PlannerConfig):
@@ -188,18 +210,54 @@ def backward_dp(model: EpidemicModel, cfg: PlannerConfig) -> ValueTable:
     recording each simplex entry's value and argmax action.
 
     Every simplex state is compiled first, in one push call
-    (``model.compile_all``).  States outside the simplex are not stored;
-    they are worth zero at every stage.
+    (``model.compile_all``).  With drmdp-enumerate and the parametric inner
+    solve, a stage is backed up in batches of states of similar support
+    size (_enumerate_batches), a few array passes each; every other
+    back-end backs up one state at a time with backup_state.  States
+    outside the simplex are not stored; they are worth zero at every stage.
     """
     model.compile_all()
     table = ValueTable(model)
     in_s = model.grid.in_S_indices().tolist()
+    batches = (_enumerate_batches(model, in_s)
+               if cfg.backend == "drmdp-enumerate" and cfg.inner_method == "parametric"
+               else None)
     for t in range(model.T - 1, 0, -1):
-        for idx in in_s:
-            value, action = backup_state(model, idx, t, table.V[t + 1], cfg)
+        v_next = table.V[t + 1]
+        if batches is None:
+            backed = [(idx, *backup_state(model, idx, t, v_next, cfg)) for idx in in_s]
+        else:
+            backed = [entry for batch in batches
+                      for entry in _backup_batch(model, batch, v_next)]
+        for idx, value, action in backed:
             table.store(idx, t, value)
             table.actions[(idx, t)] = action
     return table
+
+
+def _enumerate_batches(model: EpidemicModel, states: list[int]) -> list[EnumerateBatch]:
+    """states cut into EnumerateBatches in order of support size, each
+    holding at most BATCH_ENTRIES (action, successor) entries unless one
+    state alone holds more.  Sorting keeps the padding small: at N=300, Y=8
+    supports run from 1 to 70 successors, 25 on average."""
+    n = len(model.actions)
+    groups: list[list[int]] = []
+    for idx in sorted(states, key=lambda i: len(model.rules(i).support)):
+        width = len(model.rules(idx).support)    # the widest yet: sizes ascend
+        if groups and (len(groups[-1]) + 1) * n * width <= BATCH_ENTRIES:
+            groups[-1].append(idx)
+        else:
+            groups.append([idx])
+    return [enumerate_batch(g, [model.rules(i) for i in g], model.design) for g in groups]
+
+
+def _backup_batch(model: EpidemicModel, batch: EnumerateBatch,
+                  v_next: np.ndarray) -> list[tuple[int, float, Action]]:
+    """(state, value, action) of every state of batch against v_next."""
+    values, best = drmdp_backup_enumerate_batch(batch, v_next, model.lam, model.acfg.k,
+                                                model.design)
+    return [(idx, value, model.actions[b]) for idx, value, b
+            in zip(batch.states.tolist(), values.tolist(), best.tolist())]
 
 
 def table_rows(model: EpidemicModel, table: ValueTable, cfg: PlannerConfig):

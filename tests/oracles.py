@@ -32,6 +32,11 @@ of a quantity that `epiplan` computes another way.
 * `mccormick_binding_program_loop` — the binding-side program with its
   envelope rows written in a loop, which `mccormick_mip_program` writes with
   array indexing.
+* `inner_value_parametric_one_state` — the closed-form inner solve written
+  for one state, its slope steps laid out per action and put in kink order
+  by fancy indexing; `backup.inner_values` lays them out per kink so that
+  it can take a batch of states, and must give these values bit for bit on
+  a batch of one.
 * `worst_case_shift_loop`, `random_shift_loop` — donor-by-donor loops that
   move perturbation mass one entry at a time, capping each step at the
   receiver's room, which `backup.worst_case_shift` and `sim.random_shift`
@@ -687,6 +692,27 @@ def mccormick_binding_program_loop(
                     r += 1
     ub[list(ia)] = a_hi
     return LinearProgram(c, A, b, lb=lb, ub=ub)
+
+
+def inner_value_parametric_one_state(eta_L: np.ndarray, eta_U: np.ndarray,
+                                     v: np.ndarray, k: float) -> np.ndarray:
+    """backup.inner_value_parametric for (n, m) bounds and (m,) values, one
+    state at a time: the first kink where the slope turns nonpositive, or
+    the right end min(v) + k, evaluated once."""
+    A, B = -eta_U, eta_L
+    g0 = np.maximum(np.maximum(A, 0.5 * (A + B)), 0.0)
+    s1 = g0 - np.maximum(np.maximum(A, B), 0.0)
+    s2 = A - g0
+    kinks = np.concatenate([v - k, v])
+    order = np.argsort(kinks, kind="stable")
+    steps = np.concatenate([s1, s2 - s1], axis=1)[:, order]
+    slope = 1.0 + np.cumsum(steps, axis=1)
+    down = slope <= 0.0
+    q = np.where(down.any(axis=1), kinks[order][np.argmax(down, axis=1)], np.inf)
+    q = np.minimum(q, v.min() + k)[:, None]
+    d = q - v
+    g = k * g0 + s1 * np.clip(d, -k, 0.0) + s2 * np.clip(d, 0.0, k)
+    return q[:, 0] + g.sum(axis=1)
 
 
 def worst_case_shift_loop(row: SparseDistribution, grid: Grid,

@@ -15,7 +15,9 @@ from epiplan.backup import (
     envelope_kinks,
     envelope_level_values,
     inner_dual_program,
+    inner_slopes,
     inner_value_parametric,
+    inner_values,
     worst_case_shift,
 )
 from epiplan.grid import Grid, GridSpec, discretize_kernel
@@ -35,6 +37,7 @@ from oracles import (
     dense_solve_lp,
     dense_solve_mip,
     inner_primal_oracle,
+    inner_value_parametric_one_state,
     mccormick_binding_program_loop,
     mccormick_four_row_backup,
     mccormick_mip_backup,
@@ -298,6 +301,38 @@ class TestInnerProblem:
             alone = [inner_value_parametric(eta_L[i:i + 1], eta_U[i:i + 1], v, k)[0]
                      for i in range(n)]
             np.testing.assert_array_equal(got, alone)
+
+    def test_one_state_is_the_one_state_arithmetic(self):
+        # On one state the batched kernel does the one-state solve's
+        # arithmetic, in another layout: the same values bit for bit.
+        rng = np.random.default_rng(8)
+        for trial in range(100):
+            n, m = int(rng.integers(1, 37)), int(rng.integers(1, 61))
+            eta_L, eta_U, v = random_batch(rng, n, m)
+            k = float(rng.choice([0.0, 0.25, 1.0, 1e3, 1e6]))
+            np.testing.assert_array_equal(
+                inner_value_parametric(eta_L, eta_U, v, k),
+                inner_value_parametric_one_state(eta_L, eta_U, v, k), err_msg=str(trial))
+
+    def test_padded_batch_equals_states_alone(self):
+        # States of different support sizes padded to the widest (v = +inf,
+        # bounds 0) and solved together: the widest is solved bit for bit,
+        # the others up to the grouping of their sums over successors.
+        rng = np.random.default_rng(9)
+        for trial in range(30):
+            n, k = int(rng.integers(1, 37)), float(rng.choice([0.25, 1.0, 1e3]))
+            sizes = [1, 60] + [int(x) for x in rng.integers(1, 61, size=4)]
+            states = [random_batch(rng, n, m) for m in sizes]
+            eta_L, eta_U = np.zeros((2, len(sizes), n, 60))
+            v = np.full((len(sizes), 60), np.inf)
+            for i, (lo, hi, vi) in enumerate(states):
+                eta_L[i, :, :len(vi)], eta_U[i, :, :len(vi)], v[i, :len(vi)] = lo, hi, vi
+            got = inner_values(inner_slopes(eta_L, eta_U), v, k)
+            for i, (lo, hi, vi) in enumerate(states):
+                alone = inner_value_parametric(lo, hi, vi, k)
+                if len(vi) in (1, 60):
+                    np.testing.assert_array_equal(got[i], alone, err_msg=str(trial))
+                assert np.all(np.abs(got[i] - alone) <= 1e-12 * (1.0 + np.abs(alone))), trial
 
     def test_parametric_solution_is_dual_feasible(self):
         rng = np.random.default_rng(11)

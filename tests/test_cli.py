@@ -319,6 +319,28 @@ class TestDispatch:
         out = str(tmp_path / "out")
         assert dispatch(["--config", path, "--out", out, "solve", "--dp"]) == 0
 
+    def test_solve_dp_compiles_on_the_configured_threads(self, tmp_path, monkeypatch):
+        # solve --dp compiles every state up front with --threads workers, as
+        # compile does; the pool's rows are the serial ones bit for bit, so
+        # values.csv is byte-identical.
+        path = write_cfg(tmp_path, TOY)
+        seen = []
+        compile_all = EpidemicModel.compile_all
+
+        def recording_compile_all(model, workers=1):
+            seen.append(workers)
+            compile_all(model, workers)
+
+        monkeypatch.setattr(EpidemicModel, "compile_all", recording_compile_all)
+        values = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads-{threads}"
+            assert dispatch(["--config", path, "--out", str(out), "--threads", threads,
+                             "solve", "--dp"]) == 0
+            values.append((out / "values.csv").read_bytes())
+        assert seen == [1, 1, 2, 1]       # the CLI's call, then backward_dp's
+        assert values[0] == values[1]
+
     def test_compile_then_solve_reuses_cache(self, tmp_path):
         path = write_cfg(tmp_path, TOY)
         out = str(tmp_path / "out")

@@ -1,3 +1,4 @@
+import functools
 import os
 import re
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 
 from epiplan import CacheError, DomainError, EpidemicParams
+from epiplan import backup
 from epiplan import model as model_module
 from epiplan import plan
+from epiplan.backup import drmdp_backup_enumerate, drmdp_backup_enumerate_batch, enumerate_batch
 from epiplan.model import EpidemicModel, lattice_state_index
 from epiplan.plan import (
     BACKENDS,
@@ -19,6 +22,7 @@ from epiplan.plan import (
     table_rows,
 )
 from epiplan.rules import AmbiguityConfig, design_matrix
+from oracles import inner_value_parametric_one_state
 
 
 def toy_model(N=4, Y=2, T=3, L=1, M=1, delta=0.02, k=1000.0, **kw):
@@ -235,6 +239,112 @@ class TestBackwardDp:
         assert table.values[(init, 1)] < dp.values[(init, 1)] - 1e-3
 
 
+def per_state_dp(model, cfg):
+    """backward_dp with one backup_state call per (state, stage): every
+    back-end's route but the batched drmdp-enumerate one."""
+    model.compile_all()
+    table = ValueTable(model)
+    in_s = model.grid.in_S_indices().tolist()
+    for t in range(model.T - 1, 0, -1):
+        for idx in in_s:
+            value, action = backup_state(model, idx, t, table.V[t + 1], cfg)
+            table.store(idx, t, value)
+            table.actions[(idx, t)] = action
+    return table
+
+
+@functools.cache
+def sized_model(size):
+    """A compiled model at the CLI tests' TOY size or a benchmark workload's
+    size; shared, as nothing the tests run changes it after compiling."""
+    if size == "toy":
+        model = toy_model(N=10, Y=2, T=3, L=1, M=1)
+    else:
+        N, Y, L = {"dp-mip-small": (100, 5, 2), "compile-cache-dp": (300, 8, 5)}[size]
+        model = EpidemicModel(EpidemicParams(N=N, L=L, M=L, T=5), Y, AmbiguityConfig())
+    model.compile_all()
+    return model
+
+
+def assert_same_policy(table, ref, rel=1e-12):
+    """Same entries and actions as ref, values within rel * (1 + |v|)."""
+    assert table.actions == ref.actions
+    assert table.values.keys() == ref.values.keys()
+    for key, v in ref.values.items():
+        assert abs(table.values[key] - v) <= rel * (1.0 + abs(v)), key
+        assert table.V[key[1], key[0]] == table.values[key]
+
+
+class TestStageBatches:
+    @pytest.mark.parametrize("size", ["toy", "dp-mip-small", "compile-cache-dp"])
+    def test_equals_per_state_loop(self, size):
+        model = sized_model(size)
+        cfg = PlannerConfig()
+        assert_same_policy(backward_dp(model, cfg), per_state_dp(model, cfg))
+
+    @pytest.mark.parametrize("budget", [1, 10**9], ids=["one-state", "all-states"])
+    def test_independent_of_batching(self, budget, monkeypatch):
+        # One state per batch pads nothing, so every value is its own
+        # backup's bit for bit; one batch of all states pads up to 70.
+        model = sized_model("compile-cache-dp")
+        cfg = PlannerConfig()
+        ref = per_state_dp(model, cfg)
+        monkeypatch.setattr(plan, "BATCH_ENTRIES", budget)
+        in_s = model.grid.in_S_indices().tolist()
+        batches = plan._enumerate_batches(model, in_s)
+        assert len(batches) == (len(in_s) if budget == 1 else 1)
+        assert sorted(i for b in batches for i in b.states.tolist()) == in_s
+        dp = backward_dp(model, cfg)
+        assert_same_policy(dp, ref)
+        if budget == 1:
+            np.testing.assert_array_equal(dp.V, ref.V)
+            assert dp.values == ref.values
+
+    def test_narrow_state_beside_the_widest(self):
+        model = sized_model("compile-cache-dp")
+        in_s = model.grid.in_S_indices().tolist()
+        size = {idx: len(model.rules(idx).support) for idx in in_s}
+        pair = [min(in_s, key=size.get), max(in_s, key=size.get)]
+        assert [size[i] for i in pair] == [1, 70]
+        v_next = per_state_dp(model, PlannerConfig()).V[2]
+        X, lam, k = model.design, model.lam, model.acfg.k
+        batch = enumerate_batch(pair, [model.rules(i) for i in pair], X)
+        values, best = drmdp_backup_enumerate_batch(batch, v_next, lam, k, X)
+        for idx, value, b in zip(pair, values, best):
+            solo, action = drmdp_backup_enumerate(model.rules(idx), model.actions, v_next,
+                                                  lam, k, method="parametric", X=X)
+            assert abs(value - solo) <= 1e-15 * abs(solo), idx
+            assert model.actions[b] == action
+        assert values[1] == solo                  # the widest is not padded
+
+    @pytest.mark.parametrize("backend, inner, size", [
+        ("nominal", "parametric", "dp-mip-small"),
+        ("robust", "parametric", "dp-mip-small"),
+        ("drmdp-mccormick", "parametric", "dp-mip-small"),
+        ("drmdp-enumerate", "lp", "toy"),
+    ])
+    def test_other_routes_back_up_one_state_at_a_time(self, backend, inner, size):
+        model = sized_model(size)
+        cfg = PlannerConfig(backend=backend, inner_method=inner)
+        dp, ref = backward_dp(model, cfg), per_state_dp(model, cfg)
+        np.testing.assert_array_equal(dp.V, ref.V)
+        assert dp.values == ref.values and dp.actions == ref.actions
+
+    def test_rtdp_runs_the_one_state_arithmetic(self, monkeypatch):
+        # RTDP backs up one state at a time through the batched kernel; its
+        # trace and root are those of the one-state solve, bit for bit.
+        def run():
+            model = toy_model(N=8, Y=2, T=4, L=2, M=2, delta=0.05)
+            init = model.grid.index_of(1, 1, 0)
+            table, trace = rtdp(model, init, PlannerConfig(niter=30, early_stop=False))
+            return table.values[(init, 1)], [(s.state, s.stage, s.action, s.value)
+                                             for s in trace.steps]
+
+        got = run()
+        monkeypatch.setattr(backup, "inner_value_parametric", inner_value_parametric_one_state)
+        assert got == run()
+
+
 class TestTableHelpers:
     def test_lookup_fallbacks(self):
         model = toy_model()
@@ -279,6 +389,28 @@ class TestTableHelpers:
                                              for j, p in zip(kr.indices, kr.probs))
                          for r, kr in zip(model.rewards(idx), model.rows(idx)))
             assert backup_state(model, idx, 1, row, cfg)[0] == pytest.approx(expect, abs=1e-12)
+
+    def test_greedy_action_is_backed_up_once_per_table_state(self, monkeypatch):
+        model = toy_model(N=8, T=3)
+        cfg = PlannerConfig(backend="nominal")
+        table = backward_dp(model, cfg)
+        backups = []
+        backup_one = plan.backup_state
+
+        def counting(model, idx, t, v_next, cfg):
+            backups.append((idx, t))
+            return backup_one(model, idx, t, v_next, cfg)
+
+        monkeypatch.setattr(plan, "backup_state", counting)
+        idx = model.grid.index_of(1, 1, 0)
+        first = greedy_action(model, table, idx, 1, cfg)
+        assert greedy_action(model, table, idx, 1, cfg) == first
+        assert backups == [(idx, 1)]
+        greedy_action(model, table, idx, 1, PlannerConfig(backend="robust"))
+        assert backups == [(idx, 1)] * 2
+        table.store(idx, 2, -1.0)                  # the values changed
+        greedy_action(model, table, idx, 1, cfg)
+        assert backups == [(idx, 1)] * 3 and len(table.greedy) == 1
 
     def test_greedy_action_consistent_with_backup(self):
         model = toy_model(N=8, T=3)

@@ -3,7 +3,7 @@ import inspect
 import numpy as np
 import pytest
 
-from epiplan import Action, DomainError, EpidemicParams
+from epiplan import Action, DomainError, EpidemicParams, plan
 from epiplan.backup import worst_case_shift
 from epiplan.grid import Grid, GridSpec
 from epiplan.model import EpidemicModel
@@ -164,6 +164,29 @@ class TestRunEpisode:
         a = run_episode(model, table, cfg, kern, init, seed=7)
         b = run_episode(model, table, cfg, kern, init, seed=7)
         assert a == b
+
+    def test_rollouts_back_up_each_entry_once(self, monkeypatch):
+        # Episodes on one planned table share its greedy actions: a
+        # (state, stage) entry is backed up when a rollout first reaches it.
+        model = sim_model(N=12, Y=3, T=5)
+        init = model.grid.index_of(1, 1, 1)
+        cfg = PlannerConfig(backend="drmdp-enumerate", niter=10, seed=0)
+        table, _ = rtdp(model, init, cfg)
+        kern = build_true_kernel(model, PerturbationSpec(radius=0.5))
+        backups = []
+        backup_one = plan.backup_state
+
+        def counting(model, idx, t, v_next, cfg):
+            backups.append((idx, t))
+            return backup_one(model, idx, t, v_next, cfg)
+
+        monkeypatch.setattr(plan, "backup_state", counting)
+        records = [run_episode(model, table, cfg, kern, init, seed) for seed in range(20)]
+        visited = {(s, t) for rec in records for t, s in enumerate(rec.states[:-1], start=1)
+                   if model.grid.in_S[s]}
+        assert sorted(backups) == sorted(visited)
+        assert [run_episode(model, table, cfg, kern, init, 3)] == records[3:4]
+        assert len(backups) == len(visited)
 
     def test_mean_total_approaches_dp_value(self):
         # Monte Carlo under the nominal kernel with the DP-optimal policy.

@@ -11,6 +11,10 @@ bounds and rows.  Two inner solvers use the block:
   of a state, exact because the dual objective is concave piecewise-linear
   in q with kinks at 2m+1 points every action shares, and over states
   padded to a common support (EnumerateBatch), as backward induction runs it.
+  What it reads that does not depend on the values, the slopes, their steps
+  at the kinks and the fitted rewards, is formed once (EnumerateTerms): per
+  state by the model (`state_terms`, kept by `EpidemicModel.terms`), per
+  chunk and stage by the batches.
 
 The penalized mean problem itself is the test oracle both are checked
 against (tests/oracles.py, tests/test_acceptance.py).
@@ -164,21 +168,42 @@ def inner_value_parametric(
     the same points for every action, and is maximized at the first kink
     where its slope turns nonpositive, or at the right end min(v) + k.
     """
-    return inner_values(inner_slopes(eta_L, eta_U), v, k)
+    return inner_values(enumerate_terms(eta_L, eta_U, k), v)
 
 
-def inner_slopes(eta_L: np.ndarray,
-                 eta_U: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(g0, s1, s2) of the multiplier LP at mean bounds eta_L / eta_U, each
-    shaped like them: per successor and per unit of k, the term's value at
-    d = 0 and its slopes on [-k, 0] and [0, k] (see inner_value_parametric).
-    Nothing in them depends on the successor values."""
+@dataclass(frozen=True)
+class EnumerateTerms:
+    """What the parametric inner solve reads that does not depend on the
+    successor values, for one state or for a batch of states padded to a
+    common support (any leading batch axes).
+
+    Per action and successor, kg0 (..., n, m) is the term's value k*g0 at
+    d = 0, and s1 and s2 its slopes on [-k, 0] and [0, k] (see
+    inner_value_parametric).  steps (..., 2m + 1, n) holds the slope steps
+    one row of n actions per kink: s1 at the kinks v - k (rows :m), s2 - s1
+    at the kinks v (rows m:2m), and -inf at a sentinel kink +inf.  reward
+    (..., n) is the fitted reward X @ eps a backup adds at every action, or
+    None where only the inner problem is solved.
+    """
+
+    k: float
+    kg0: np.ndarray
+    s1: np.ndarray
+    s2: np.ndarray
+    steps: np.ndarray
+    reward: np.ndarray | None = None
+
+
+def enumerate_terms(eta_L: np.ndarray, eta_U: np.ndarray, k: float,
+                    reward: np.ndarray | None = None) -> EnumerateTerms:
+    """The EnumerateTerms of the multiplier LP at mean bounds eta_L / eta_U
+    (..., n, m) and penalty k, carrying reward."""
     A = -np.asarray(eta_U, dtype=np.float64)  # coefficient of w
     B = np.asarray(eta_L, dtype=np.float64)   # coefficient of u
 
     # Per unit of k: g(0) = k*g0, g(-k) = k*max(0, A, B), g(k) = k*A, so the
     # slopes on [-k, 0] and [0, k] are s1 and s2 whatever k is.  Written in
-    # place, so a stage batch holds no more than the three results.
+    # place, so a stage batch holds no more than the results.
     g0 = A + B
     g0 *= 0.5
     np.maximum(A, g0, out=g0)
@@ -187,55 +212,60 @@ def inner_slopes(eta_L: np.ndarray,
     np.maximum(s1, 0.0, out=s1)
     np.subtract(g0, s1, out=s1)
     s2 = np.subtract(A, g0, out=A)
-    return g0, s1, s2
+    n, m = s1.shape[-2:]
+    steps = np.empty(s1.shape[:-2] + (2 * m + 1, n))
+    steps[..., :m, :] = np.swapaxes(s1, -1, -2)
+    np.subtract(s2, s1, out=np.swapaxes(steps[..., m:2 * m, :], -1, -2))
+    steps[..., 2 * m, :] = -np.inf
+    g0 *= k
+    return EnumerateTerms(float(k), g0, s1, s2, steps, reward)
 
 
-def inner_values(slopes: tuple[np.ndarray, np.ndarray, np.ndarray],
-                 v: np.ndarray, k: float) -> np.ndarray:
-    """The multiplier LP's optimal values from its inner_slopes, for a batch.
+def inner_values(terms: EnumerateTerms, v: np.ndarray) -> np.ndarray:
+    """The multiplier LP's optimal values from its EnumerateTerms, for a batch.
 
-    slopes are (..., n, m) and v (..., m), with any leading batch axes: one
+    terms are (..., n, m) and v (..., m), with any leading batch axes: one
     row of n actions per state, each state over its own successor values.
     Returns (..., n).  A state padded to a wider support gives each padded
-    successor v = +inf and zero slopes: its kinks sort last, its steps are
-    0 and its term is an exact 0, so only the grouping of the final sum
-    over successors changes.
+    successor v = +inf and zero slopes: its kinks sort last but for the
+    sentinel, its steps are 0 and its term is an exact 0, so only the
+    grouping of the final sum over successors changes.
     """
-    g0, s1, s2 = slopes
+    k = terms.k
     v = np.asarray(v, dtype=np.float64)
-    lead, (n, m) = v.shape[:-1], g0.shape[-2:]
-    kinks = np.concatenate([v - k, v], axis=-1)
-    order = np.argsort(kinks, axis=-1, kind="stable")
-
-    # The slope steps at every kink, one row of n actions per kink, put in
-    # kink order by one take of whole rows over the flattened batch; rows
-    # holds the flat index of each state's kinks in order.
-    steps = np.empty(lead + (2 * m, n))
-    steps[..., :m, :] = np.swapaxes(s1, -1, -2)
-    np.subtract(s2, s1, out=np.swapaxes(steps[..., m:, :], -1, -2))
-    rows = order + (2 * m * np.arange(int(np.prod(lead)))).reshape(lead + (1,))
-    slope = np.take(steps.reshape(-1, n), rows, axis=0)
-    del steps
-    # The slope right of each kink is 1 + c, c the cumulative step; it is
-    # nonpositive exactly when c <= -1, since 1 + c is exact for c in
-    # [-2, -1/2], so c is compared and the sum 1 + c is never formed.
-    np.cumsum(slope, axis=-2, out=slope)
-    down = slope <= -1.0
-    del slope
-    first = np.take_along_axis(rows, np.argmax(down, axis=-2), axis=-1)
-    q = np.where(down.any(axis=-2), np.take(kinks, first), np.inf)
+    # The kinks in order, the sentinel +inf last.  The slope right of each
+    # is 1 + c, c the cumulative step; it is nonpositive exactly when
+    # c <= -1, since 1 + c is exact for c in [-2, -1/2], so c is compared
+    # and the sum 1 + c is never formed.  The sentinel's step -inf makes
+    # every slope turn there, at q = +inf, cut to the right end below.
+    kinks = np.concatenate([v - k, v, np.full(v.shape[:-1] + (1,), np.inf)], axis=-1)
+    order = kinks.argsort(axis=-1, kind="stable")
+    if v.ndim == 1:
+        # One state: its kinks index the rows of steps directly.
+        slope = terms.steps[order]
+        np.cumsum(slope, axis=0, out=slope)
+        q = kinks[order[(slope <= -1.0).argmax(axis=0)]]
+    else:
+        # Rows in kink order by one take of whole rows over the flattened
+        # batch; rows holds the flat index of each state's kinks in order.
+        lead, n = v.shape[:-1], terms.steps.shape[-1]
+        rows = order + (kinks.shape[-1] * np.arange(int(np.prod(lead)))).reshape(lead + (1,))
+        slope = np.take(terms.steps.reshape(-1, n), rows, axis=0)
+        np.cumsum(slope, axis=-2, out=slope)
+        down = slope <= -1.0
+        del slope
+        q = np.take(kinks, np.take_along_axis(rows, down.argmax(axis=-2), axis=-1))
     q = np.minimum(q, v.min(axis=-1, keepdims=True) + k)
 
     # g_j at the chosen q from its two affine pieces; clipping d at k also
     # absorbs the one-ulp overshoot of (vmin + k) - v_j at the right end.
     d = q[..., None] - v[..., None, :]
-    g = k * g0
-    piece = np.clip(d, -k, 0.0)
-    piece *= s1
-    g += piece
-    np.clip(d, 0.0, k, out=piece)
-    piece *= s2
-    g += piece
+    g = d.clip(-k, 0.0)
+    g *= terms.s1
+    g += terms.kg0
+    d.clip(0.0, k, out=d)
+    d *= terms.s2
+    g += d
     return q + g.sum(axis=-1)
 
 
@@ -251,29 +281,40 @@ def drmdp_backup_enumerate(
     k: float,
     method: str,
     X: np.ndarray,
+    terms: EnumerateTerms | None = None,
 ) -> tuple[float, Action]:
     """Reference backup: the inner problem for every action, then the best.
 
     method "parametric" solves every action in one batched call; "lp" solves
     the multiplier LP once per action.  X is the design_matrix of actions.
-    Ties go to the first of the given actions.
+    terms is the state's state_terms(coeffs, X, k), which the parametric
+    solve reads; it is built here when not given.  Ties go to the first of
+    the given actions.
     """
-    eta_L, eta_U = mean_bounds(coeffs, X)
     v = lam * v_next[coeffs.support]
     if method == "parametric":
-        inner = inner_value_parametric(eta_L, eta_U, v, k)
+        if terms is None:
+            terms = state_terms(coeffs, X, k)
+        vals = terms.reward + inner_values(terms, v)
     elif method == "lp":
         inner = np.empty(len(X))
-        for i, (lo, hi) in enumerate(zip(eta_L, eta_U)):
+        for i, (lo, hi) in enumerate(zip(*mean_bounds(coeffs, X))):
             sol = solve_lp(inner_dual_program(lo, hi, v, k))
             if sol.status != "optimal":
                 raise SolverError(f"inner LP unexpectedly {sol.status}")
             inner[i] = sol.objective
+        vals = X @ coeffs.eps + inner
     else:
         raise DomainError(f"unknown inner method {method!r}")
-    vals = X @ coeffs.eps + inner
     best = int(np.argmax(vals))
     return float(vals[best]), actions[best]
+
+
+def state_terms(coeffs: DecisionRuleCoefficients, X: np.ndarray,
+                k: float) -> EnumerateTerms:
+    """The EnumerateTerms of one state's backup: its mean bounds and fitted
+    reward at the actions whose design_matrix is X, and penalty k."""
+    return enumerate_terms(*mean_bounds(coeffs, X), k, X @ coeffs.eps)
 
 
 @dataclass(frozen=True)
@@ -328,10 +369,12 @@ def drmdp_backup_enumerate_batch(batch: EnumerateBatch, v_next: np.ndarray, lam:
     """
     v = lam * v_next[batch.support]
     v += batch.pad
-    center = X @ batch.mean               # center -/+ delta: rules.mean_bounds
-    slopes = inner_slopes(center - batch.delta, center + batch.delta)
-    del center
-    vals = batch.reward + inner_values(slopes, v, k)
+    eta_U = X @ batch.mean                # center -/+ delta: rules.mean_bounds
+    eta_L = eta_U - batch.delta
+    eta_U += batch.delta
+    terms = enumerate_terms(eta_L, eta_U, k, batch.reward)
+    del eta_L, eta_U
+    vals = terms.reward + inner_values(terms, v)
     best = np.argmax(vals, axis=1)
     return vals[np.arange(len(vals)), best], best
 

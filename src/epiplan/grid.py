@@ -24,7 +24,6 @@ of flat arrays, renormalized and checked at once
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -480,4 +479,6 @@ def cache_key(params: EpidemicParams, Y: int) -> str:
     payload += f"|Y={Y}"
     payload += f"|tols={MARGINAL_TOL!r},{JOINT_TOL!r},{ENTRY_TOL!r}"
     payload += "|push=plane-moments|norm=block|pmf=mode-ratio"
+    import hashlib  # loaded only when a cache is keyed
+
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

@@ -16,12 +16,12 @@ matrix, whose rank the model checks once, when it is built.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import cached_property
 
 import numpy as np
 
-from .backup import EnvelopeKinks, envelope_kinks, inner_value_parametric, worst_case_shift
+from .backup import (EnumerateTerms, EnvelopeKinks, envelope_kinks, inner_value_parametric,
+                     state_terms, worst_case_shift)
 from .errors import CacheError, DomainError, RowError
 from .grid import Grid, GridSpec, SparseDistribution, cache_key, discretize_kernel
 from .rules import (AmbiguityConfig, DecisionRuleCoefficients, fit_rules, mean_bounds,
@@ -48,6 +48,7 @@ class EpidemicModel:
         self._rewards: dict[int, np.ndarray] = {}
         self._rules: dict[int, DecisionRuleCoefficients] = {}
         self._kinks: dict[int, EnvelopeKinks] = {}
+        self._terms: dict[int, EnumerateTerms] = {}
         self._shifted: dict[tuple[int, float], list[SparseDistribution]] = {}
 
     @property
@@ -99,6 +100,14 @@ class EpidemicModel:
             self._kinks[idx] = envelope_kinks(self.rules(idx), self.acfg.k,
                                               self.params.L, self.params.M)
         return self._kinks[idx]
+
+    def terms(self, idx: int) -> EnumerateTerms:
+        """The state's enumeration-backup terms (backup.state_terms), built on
+        first use from its rules, the design and k: they do not depend on the
+        values backed up."""
+        if idx not in self._terms:
+            self._terms[idx] = state_terms(self.rules(idx), self.design, self.acfg.k)
+        return self._terms[idx]
 
     def shifted_rows(self, idx: int, budget: float) -> list[SparseDistribution]:
         key = (idx, budget)
@@ -159,6 +168,8 @@ class EpidemicModel:
             for i, rows in zip(todo, discretize_kernel(self.grid, self.params, todo)):
                 self._store(i, rows)
             return
+        from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
+
         n_a = len(self.actions)
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(self.params, self.grid.Y)) as pool:

@@ -4,7 +4,11 @@ Both planners share the same one-stage backup dispatch, so any back-end
 (nominal, worst-case-shifted, or the mean-ambiguous family) plugs into either.
 Backward induction with the enumeration back-end and its parametric inner
 solve backs up a stage's states in padded batches of similar support size
-instead, through the same inner solve.
+instead, through the same inner solve.  A single-state backup with that
+back-end reads the state's inner-solve terms, recorded by the model on first
+use (EpidemicModel.terms), and the trajectory planner records each row it
+samples successors from as a DrawTable, so a revisited step recomputes
+neither.
 Stage indices run 1..T with decisions at 1..T-1; values at stage T are the
 terminal reward (zero).
 
@@ -71,6 +75,27 @@ class PlannerConfig:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.robust_budget <= 2.0:
             raise DomainError(f"robust_budget must be in [0, 2], got {self.robust_budget}")
+
+
+@dataclass(frozen=True)
+class DrawTable:
+    """A discrete law recorded for repeated draws: the values and the
+    cumulative sums Generator.choice(values, p=probs) forms from probs, so
+    that draw gives that call's draw bit for bit."""
+
+    values: np.ndarray
+    cdf: np.ndarray
+
+    @classmethod
+    def of(cls, values: np.ndarray, probs: np.ndarray) -> DrawTable:
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        return cls(values, cdf)
+
+    def draw(self, rng: np.random.Generator) -> int:
+        """rng.choice(values, p=probs): the value at the first cumulative
+        sum above one uniform variate."""
+        return int(self.values[self.cdf.searchsorted(rng.random(), side="right")])
 
 
 @dataclass
@@ -142,8 +167,9 @@ def backup_state(model: EpidemicModel, idx: int, t: int, v_next, cfg: PlannerCon
     coeffs = model.rules(idx)
     k = model.acfg.k
     if cfg.backend == "drmdp-enumerate":
+        terms = model.terms(idx) if cfg.inner_method == "parametric" else None
         return drmdp_backup_enumerate(coeffs, model.actions, v_next, lam, k,
-                                      method=cfg.inner_method, X=model.design)
+                                      method=cfg.inner_method, X=model.design, terms=terms)
     return drmdp_backup_mccormick(coeffs, v_next, lam, k, L=model.params.L,
                                   M=model.params.M, kinks=model.kinks(idx))
 
@@ -173,6 +199,7 @@ def rtdp(model: EpidemicModel, init_idx: int, cfg: PlannerConfig):
     table = ValueTable(model)
     trace = PolicyTrace()
     rng = np.random.default_rng(cfg.seed)
+    draws: dict[tuple[int, int], DrawTable | None] = {}
     prev_root = None
     stable = 0
 
@@ -183,7 +210,7 @@ def rtdp(model: EpidemicModel, init_idx: int, cfg: PlannerConfig):
             table.store(idx, t, value)
             trace.steps.append(TraceStep(it, t, idx, action, value))
             if t < model.T - 1:
-                idx = _sample_next(model, idx, action, rng)
+                idx = _sample_next(model, idx, action, rng, draws)
         root = table.values[(init_idx, 1)]
         if cfg.early_stop and prev_root is not None:
             stable = stable + 1 if abs(root - prev_root) < STOP_TOL else 0
@@ -194,15 +221,21 @@ def rtdp(model: EpidemicModel, init_idx: int, cfg: PlannerConfig):
 
 
 def _sample_next(model: EpidemicModel, idx: int, action: Action,
-                 rng: np.random.Generator) -> int:
-    row = model.rows(idx)[model.action_index(action)]
-    mask = model.grid.in_S[row.indices]
-    if not mask.any():
-        return idx
-    probs = row.probs[mask]
-    probs = probs / probs.sum()
-    choices = row.indices[mask]
-    return int(rng.choice(choices, p=probs))
+                 rng: np.random.Generator,
+                 draws: dict[tuple[int, int], DrawTable | None]) -> int:
+    """A successor drawn from the nominal row of action at idx, restricted
+    to the simplex and renormalized; idx itself, with no draw, when no
+    successor is in the simplex.  Each row's DrawTable, or None, is
+    recorded in draws on first use."""
+    key = (idx, model.action_index(action))
+    if key not in draws:
+        row = model.rows(idx)[key[1]]
+        mask = model.grid.in_S[row.indices]
+        probs = row.probs[mask]
+        draws[key] = (DrawTable.of(row.indices[mask], probs / probs.sum())
+                      if mask.any() else None)
+    table = draws[key]
+    return idx if table is None else table.draw(rng)
 
 
 def backward_dp(model: EpidemicModel, cfg: PlannerConfig) -> ValueTable:

@@ -4,13 +4,14 @@ Planning always happens against the nominal model; episodes then roll the
 system forward under a "true" kernel that may sit anywhere within an L1 ball
 around the nominal rows.  This reproduces the comparison protocol: plan once
 per back-end, simulate many seeded episodes per kernel, and aggregate totals,
-stage-wise infection curves, and stage-wise mean actions.
+stage-wise infection curves, and stage-wise mean actions.  The true kernel
+keeps each row it builds next to its DrawTable, so episodes that revisit a
+(state, action) draw from it without renormalizing the row again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -18,13 +19,11 @@ from .backup import shift_mass, worst_case_shift
 from .errors import DomainError
 from .grid import SparseDistribution
 from .model import EpidemicModel, initial_state_index
-from .plan import PlannerConfig, ValueTable, greedy_action, rtdp
+from .plan import DrawTable, PlannerConfig, ValueTable, greedy_action, rtdp
 from .rules import AmbiguityConfig
 from .seir import Action, EpidemicParams
 
 SWEEPABLE = ("Q", "k_R", "mu_beta", "W", "alpha0")
-
-TrueKernel = Callable[[int, Action], SparseDistribution]  # (state index, action) -> row
 
 
 @dataclass(frozen=True)
@@ -56,27 +55,42 @@ def random_shift(row: SparseDistribution, budget: float,
     return shift_mass(row, donors, receiver, budget)
 
 
-def build_true_kernel(model: EpidemicModel, spec: PerturbationSpec) -> TrueKernel:
-    """The true kernel as a function (state index, action) -> row: the
-    nominal row perturbed by spec, once per (state, action) and
-    deterministically, then cached."""
-    cache: dict[tuple[int, int], SparseDistribution] = {}
+class TrueKernel:
+    """The true kernel: called as (state index, action) -> row, each row the
+    nominal one perturbed by spec, once per (state, action) and
+    deterministically, then cached next to its DrawTable."""
 
-    def row(idx: int, action: Action) -> SparseDistribution:
-        ai = model.action_index(action)
+    def __init__(self, model: EpidemicModel, spec: PerturbationSpec):
+        self.model, self.spec = model, spec
+        self._rows: dict[tuple[int, int], tuple[SparseDistribution, DrawTable]] = {}
+
+    def _entry(self, idx: int, action: Action) -> tuple[SparseDistribution, DrawTable]:
+        ai = self.model.action_index(action)
         key = (idx, ai)
-        if key not in cache:
-            nominal = model.rows(idx)[ai]
+        if key not in self._rows:
+            spec, nominal = self.spec, self.model.rows(idx)[ai]
             if spec.radius == 0.0:
-                cache[key] = nominal
+                row = nominal
             elif spec.direction == "high-infective":
-                cache[key] = worst_case_shift(nominal, model.grid, spec.radius)
+                row = worst_case_shift(nominal, self.model.grid, spec.radius)
             else:
                 rng = np.random.default_rng((spec.seed, idx, ai))
-                cache[key] = random_shift(nominal, spec.radius, rng)
-        return cache[key]
+                row = random_shift(nominal, spec.radius, rng)
+            self._rows[key] = (row, DrawTable.of(row.indices, row.probs))
+        return self._rows[key]
 
-    return row
+    def __call__(self, idx: int, action: Action) -> SparseDistribution:
+        return self._entry(idx, action)[0]
+
+    def draw(self, idx: int, action: Action, rng: np.random.Generator) -> int:
+        """A successor drawn from the row: rng.choice(row.indices,
+        p=row.probs), bit for bit."""
+        return self._entry(idx, action)[1].draw(rng)
+
+
+def build_true_kernel(model: EpidemicModel, spec: PerturbationSpec) -> TrueKernel:
+    """The true kernel of model under spec."""
+    return TrueKernel(model, spec)
 
 
 @dataclass
@@ -112,8 +126,7 @@ def run_episode(
         if model.grid.in_S[idx]:
             action, _ = greedy_action(model, table, idx, t, cfg)
             reward = float(model.rewards(idx)[model.action_index(action)])
-            row = kernel(idx, action)
-            idx = int(rng.choice(row.indices, p=row.probs))
+            idx = kernel.draw(idx, action, rng)
         else:
             action, reward = Action(0, 0), 0.0
         actions.append(action)

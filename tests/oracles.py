@@ -37,6 +37,16 @@ of a quantity that `epiplan` computes another way.
   by fancy indexing; `backup.inner_values` lays them out per kink so that
   it can take a batch of states, and must give these values bit for bit on
   a batch of one.
+* `inner_values_unrecorded`, `drmdp_backup_enumerate_unrecorded`,
+  `drmdp_backup_enumerate_batch_unrecorded` — the enumeration backup with
+  its slopes and slope steps formed on every call, for one state or a
+  padded batch; `backup.state_terms` and the stage batches form them once
+  per state or per chunk (`backup.EnumerateTerms`), which must give these
+  values and actions bit for bit.
+* `sample_next_choice`, `kernel_draw_choice` — RTDP's and the rollouts'
+  successor draws made by `Generator.choice` from rows renormalized on
+  every call; `plan.DrawTable` records each row's cumulative sums once and
+  must draw the same successors from the same random streams.
 * `worst_case_shift_loop`, `random_shift_loop` — donor-by-donor loops that
   move perturbation mass one entry at a time, capping each step at the
   receiver's room, which `backup.worst_case_shift` and `sim.random_shift`
@@ -771,3 +781,70 @@ def random_shift_loop(row: SparseDistribution, budget: float,
         probs[r] += take
         move -= take
     return sparse_row(row.indices, probs, normalize=True)
+
+
+def inner_values_unrecorded(eta_L: np.ndarray, eta_U: np.ndarray, v: np.ndarray,
+                            k: float) -> np.ndarray:
+    """backup.inner_value_parametric with any leading batch axes, every
+    slope and slope step formed on the call: the steps laid out one row per
+    kink, put in kink order by one take over the flattened batch."""
+    A, B = -np.asarray(eta_U, dtype=np.float64), np.asarray(eta_L, dtype=np.float64)
+    g0 = np.maximum(np.maximum(A, 0.5 * (A + B)), 0.0)
+    s1 = g0 - np.maximum(np.maximum(A, B), 0.0)
+    s2 = A - g0
+    v = np.asarray(v, dtype=np.float64)
+    lead, (n, m) = v.shape[:-1], g0.shape[-2:]
+    kinks = np.concatenate([v - k, v], axis=-1)
+    order = np.argsort(kinks, axis=-1, kind="stable")
+    steps = np.empty(lead + (2 * m, n))
+    steps[..., :m, :] = np.swapaxes(s1, -1, -2)
+    steps[..., m:, :] = np.swapaxes(s2 - s1, -1, -2)
+    rows = order + (2 * m * np.arange(int(np.prod(lead)))).reshape(lead + (1,))
+    down = np.cumsum(np.take(steps.reshape(-1, n), rows, axis=0), axis=-2) <= -1.0
+    first = np.take_along_axis(rows, np.argmax(down, axis=-2), axis=-1)
+    q = np.where(down.any(axis=-2), np.take(kinks, first), np.inf)
+    q = np.minimum(q, v.min(axis=-1, keepdims=True) + k)
+    d = q[..., None] - v[..., None, :]
+    g = k * g0 + s1 * np.clip(d, -k, 0.0) + s2 * np.clip(d, 0.0, k)
+    return q + g.sum(axis=-1)
+
+
+def drmdp_backup_enumerate_unrecorded(coeffs: DecisionRuleCoefficients, actions, v_next,
+                                      lam: float, k: float, X: np.ndarray,
+                                      inner=inner_values_unrecorded) -> tuple[float, Action]:
+    """backup.drmdp_backup_enumerate with method "parametric", its mean
+    bounds, rewards and inner terms formed on the call."""
+    eta_L, eta_U = mean_bounds(coeffs, X)
+    vals = X @ coeffs.eps + inner(eta_L, eta_U, lam * v_next[coeffs.support], k)
+    best = int(np.argmax(vals))
+    return float(vals[best]), actions[best]
+
+
+def drmdp_backup_enumerate_batch_unrecorded(batch, v_next, lam: float, k: float,
+                                            X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """backup.drmdp_backup_enumerate_batch with the batch's inner terms
+    formed on the call."""
+    v = lam * v_next[batch.support] + batch.pad
+    center = X @ batch.mean
+    vals = batch.reward + inner_values_unrecorded(center - batch.delta,
+                                                  center + batch.delta, v, k)
+    best = np.argmax(vals, axis=1)
+    return vals[np.arange(len(vals)), best], best
+
+
+def sample_next_choice(model, idx: int, action: Action, rng: np.random.Generator,
+                       draws=None) -> int:
+    """plan._sample_next by Generator.choice over the in-simplex successors,
+    renormalized on every call; draws is not read."""
+    row = model.rows(idx)[model.action_index(action)]
+    mask = model.grid.in_S[row.indices]
+    if not mask.any():
+        return idx
+    probs = row.probs[mask]
+    return int(rng.choice(row.indices[mask], p=probs / probs.sum()))
+
+
+def kernel_draw_choice(kernel, idx: int, action: Action, rng: np.random.Generator) -> int:
+    """sim.TrueKernel.draw by Generator.choice over the kernel's row."""
+    row = kernel(idx, action)
+    return int(rng.choice(row.indices, p=row.probs))

@@ -12,12 +12,13 @@ from epiplan.backup import (
     drmdp_backup_enumerate,
     drmdp_backup_mccormick,
     drmdp_backup_unary,
+    enumerate_terms,
     envelope_kinks,
     envelope_level_values,
     inner_dual_program,
-    inner_slopes,
     inner_value_parametric,
     inner_values,
+    state_terms,
     worst_case_shift,
 )
 from epiplan.grid import Grid, GridSpec, discretize_kernel
@@ -36,8 +37,10 @@ from epiplan.seir import stage_rewards
 from oracles import (
     dense_solve_lp,
     dense_solve_mip,
+    drmdp_backup_enumerate_unrecorded,
     inner_primal_oracle,
     inner_value_parametric_one_state,
+    inner_values_unrecorded,
     mccormick_binding_program_loop,
     mccormick_four_row_backup,
     mccormick_mip_backup,
@@ -327,7 +330,7 @@ class TestInnerProblem:
             v = np.full((len(sizes), 60), np.inf)
             for i, (lo, hi, vi) in enumerate(states):
                 eta_L[i, :, :len(vi)], eta_U[i, :, :len(vi)], v[i, :len(vi)] = lo, hi, vi
-            got = inner_values(inner_slopes(eta_L, eta_U), v, k)
+            got = inner_values(enumerate_terms(eta_L, eta_U, k), v)
             for i, (lo, hi, vi) in enumerate(states):
                 alone = inner_value_parametric(lo, hi, vi, k)
                 if len(vi) in (1, 60):
@@ -381,6 +384,67 @@ class TestInnerProblem:
         assert mean.sum() == pytest.approx(1.0, abs=1e-8)
         assert np.all(mean >= -1e-9)
         assert np.all(slack >= -1e-9)
+
+
+def same_bits(a, b) -> bool:
+    return np.asarray(a, dtype=np.float64).tobytes() == np.asarray(b, dtype=np.float64).tobytes()
+
+
+class TestRecordedTerms:
+    """The enumeration backup reading a state's EnumerateTerms, recorded
+    once, against the route that forms them on every call (oracles)."""
+
+    @pytest.mark.parametrize("case", ["random", "adversarial", "tie-heavy", "k=0",
+                                      "one successor"])
+    def test_recorded_backup_is_the_unrecorded_one(self, case):
+        rng = np.random.default_rng(21)
+        for trial in range(60):
+            L, M = int(rng.integers(0, 4)), int(rng.integers(1, 4))
+            actions = grid_actions(L, M)
+            X = design_matrix(actions)
+            m = 1 if case == "one successor" else int(rng.integers(1, 61))
+            coeffs = random_coeffs(rng, m, adversarial=case == "adversarial")
+            v_next = -rng.random(m) * 10.0 ** rng.integers(0, 7)
+            if case == "tie-heavy":
+                # Few distinct successor values, and rules whose slopes
+                # vanish, so that kinks coincide and every action ties.
+                v_next = rng.choice(v_next[:2], size=m)
+                coeffs.mean[1:] = 0.0
+                coeffs.eps[1:] = 0.0
+            k = 0.0 if case == "k=0" else float(rng.choice([0.25, 1.0, 1e3, 1e6]))
+            terms = state_terms(coeffs, X, k)
+            ref = drmdp_backup_enumerate_unrecorded(coeffs, actions, v_next, 0.95, k, X)
+            for got in (drmdp_backup_enumerate(coeffs, actions, v_next, 0.95, k,
+                                               method="parametric", X=X, terms=terms),
+                        drmdp_backup_enumerate(coeffs, actions, v_next, 0.95, k,
+                                               method="parametric", X=X)):
+                assert same_bits(got[0], ref[0]) and got[1] == ref[1], (case, trial)
+            if case == "tie-heavy":
+                assert ref[1] == actions[0]
+            # The same record read again, against other values.
+            v_next = -rng.random(m) * 10.0 ** rng.integers(0, 7)
+            got = drmdp_backup_enumerate(coeffs, actions, v_next, 0.95, k,
+                                         method="parametric", X=X, terms=terms)
+            ref = drmdp_backup_enumerate_unrecorded(coeffs, actions, v_next, 0.95, k, X)
+            assert same_bits(got[0], ref[0]) and got[1] == ref[1], (case, trial)
+
+    def test_batched_terms_are_the_unrecorded_solve(self):
+        # Padded batches, as the stage batches build them: +inf values and
+        # zero bounds past each state's support.
+        rng = np.random.default_rng(22)
+        for trial in range(40):
+            n, w = int(rng.integers(1, 37)), int(rng.integers(1, 61))
+            c = int(rng.integers(1, 6))
+            eta_L, eta_U = np.zeros((2, c, n, w))
+            v = np.full((c, w), np.inf)
+            for i in range(c):
+                m = int(rng.integers(1, w + 1))
+                eta_L[i, :, :m], eta_U[i, :, :m], v[i, :m] = random_batch(rng, n, m)
+            k = float(rng.choice([0.0, 0.25, 1.0, 1e3]))
+            got = inner_values(enumerate_terms(eta_L, eta_U, k), v)
+            assert same_bits(got, inner_values_unrecorded(eta_L, eta_U, v, k)), trial
+            one = inner_values(enumerate_terms(eta_L[0], eta_U[0], k), v[0])
+            assert same_bits(one, inner_values_unrecorded(eta_L[0], eta_U[0], v[0], k)), trial
 
 
 class TestActionBackends:

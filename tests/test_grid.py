@@ -86,23 +86,42 @@ def action_free_atoms(params, state, action):
     return points, probs
 
 
+def exact_group_sums(values, groups, n_groups):
+    """math.fsum of the values of each group 0..n_groups-1, bit for bit, for
+    nonnegative values that are 0 or at least 2**-969.
+
+    Each value is an integer mantissa M < 2**53 times 2**(e - 53) (np.frexp),
+    split into halves of 27 and 26 bits.  Per (group, exponent), each half's
+    sum is an integer below 2**53 while there are fewer than 2**26 values,
+    so np.bincount adds it exactly in float64; scaled back by np.ldexp
+    (exactly, as the bound on the values keeps every partial normal), one
+    math.fsum per group of its partials is the exact sum, correctly rounded.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    mant, exp = np.frexp(values)
+    assert len(values) < 2**26 and np.all((values == 0.0) | (exp >= -968))
+    high = np.floor(np.ldexp(mant, 27))               # M >> 26
+    low = np.ldexp(mant, 53) - np.ldexp(high, 26)     # M mod 2**26
+    e_min = np.min(exp, initial=0)
+    span = np.max(exp, initial=0) - e_min + 1
+    key = np.asarray(groups, dtype=np.int64) * span + (exp - e_min)
+    partials = [np.ldexp(np.bincount(key, weights=half, minlength=n_groups * span)
+                         .reshape(n_groups, span), np.arange(e_min, e_min + span) - shift)
+                for half, shift in ((high, 27), (low, 53))]
+    return np.array([math.fsum(part) for part in np.hstack(partials).tolist()])
+
+
 def per_action_push(grid, params, idx, atoms=transition_atoms):
     """Reference rows: each action's atoms located one by one, and each
-    corner's mass, and then the row's, summed exactly (math.fsum)."""
+    corner's mass, and then the row's, summed exactly (exact_group_sums,
+    math.fsum)."""
     rows = []
     for a in params.actions():
         points, probs = atoms(params, grid.state_of(idx), a)
         corners, wts = grid.locate_many(points)
-        assert grid.n_corners <= np.iinfo(np.int16).max
-        corner = corners.ravel().astype(np.int16)     # sorted by radix sort
-        order = np.argsort(corner, kind="stable")
-        corner = corner[order]
-        terms = (wts * probs[:, None]).ravel()[order]
-        cut = np.flatnonzero(np.diff(corner)) + 1
-        mass = np.array([math.fsum(part.tolist()) for part in np.split(terms, cut)])
-        keep = mass >= ENTRY_TOL
-        support = corner[np.concatenate(([0], cut))][keep]
-        rows.append((support, mass[keep] / math.fsum(mass[keep])))
+        mass = exact_group_sums((wts * probs[:, None]).ravel(), corners.ravel(), grid.n_corners)
+        support = np.flatnonzero(mass >= ENTRY_TOL)
+        rows.append((support, mass[support] / math.fsum(mass[support])))
     return rows
 
 
@@ -148,6 +167,25 @@ def locate_by_argsort(grid, pts):
     perms = [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]]
     label = np.array([perms.index(list(o)) for o in order])
     return idx, weights, label
+
+
+@pytest.mark.parametrize("spread", ["unit", "wide", "sparse"])
+def test_exact_group_sums_are_fsum(spread):
+    # Bit for bit math.fsum per group: uniform values, values spread over
+    # 590 decades, and tiny values with zeros among them.
+    rng = np.random.default_rng(17)
+    for trial in range(100):
+        n, groups = int(rng.integers(1, 3000)), int(rng.integers(1, 40))
+        if spread == "unit":
+            x = rng.random(n)
+        elif spread == "wide":
+            x = 10.0 ** rng.uniform(-290.0, 300.0, n)
+        else:
+            x = rng.random(n) * 10.0 ** rng.integers(-40, 1, n)
+            x[rng.random(n) < 0.3] = 0.0
+        g = rng.integers(0, groups, n)
+        got = exact_group_sums(x, g, groups)
+        assert got.tolist() == [math.fsum(x[g == i].tolist()) for i in range(groups)], trial
 
 
 class TestBuildGrid:

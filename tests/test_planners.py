@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import os
 import re
@@ -6,7 +7,6 @@ import numpy as np
 import pytest
 
 from epiplan import CacheError, DomainError, EpidemicParams
-from epiplan import backup
 from epiplan import model as model_module
 from epiplan import plan
 from epiplan.backup import drmdp_backup_enumerate, drmdp_backup_enumerate_batch, enumerate_batch
@@ -22,7 +22,11 @@ from epiplan.plan import (
     table_rows,
 )
 from epiplan.rules import AmbiguityConfig, design_matrix
-from oracles import inner_value_parametric_one_state
+from oracles import (
+    drmdp_backup_enumerate_batch_unrecorded,
+    drmdp_backup_enumerate_unrecorded,
+    inner_value_parametric_one_state,
+)
 
 
 def toy_model(N=4, Y=2, T=3, L=1, M=1, delta=0.02, k=1000.0, **kw):
@@ -330,8 +334,26 @@ class TestStageBatches:
         np.testing.assert_array_equal(dp.V, ref.V)
         assert dp.values == ref.values and dp.actions == ref.actions
 
+    def test_stage_batches_equal_the_unrecorded_route(self, monkeypatch):
+        # Each chunk's terms are formed once per stage; the tables are those
+        # of the route that forms them inside the solve, bit for bit.
+        model = sized_model("compile-cache-dp")
+        cfg = PlannerConfig()
+        got = backward_dp(model, cfg)
+        calls = []
+
+        def unrecorded(*args):
+            calls.append(1)
+            return drmdp_backup_enumerate_batch_unrecorded(*args)
+
+        monkeypatch.setattr(plan, "drmdp_backup_enumerate_batch", unrecorded)
+        ref = backward_dp(model, cfg)
+        assert calls
+        assert got.V.tobytes() == ref.V.tobytes()
+        assert got.values == ref.values and got.actions == ref.actions
+
     def test_rtdp_runs_the_one_state_arithmetic(self, monkeypatch):
-        # RTDP backs up one state at a time through the batched kernel; its
+        # RTDP backs up one state at a time from its recorded terms; its
         # trace and root are those of the one-state solve, bit for bit.
         def run():
             model = toy_model(N=8, Y=2, T=4, L=2, M=2, delta=0.05)
@@ -340,8 +362,12 @@ class TestStageBatches:
             return table.values[(init, 1)], [(s.state, s.stage, s.action, s.value)
                                              for s in trace.steps]
 
+        def one_state(coeffs, actions, v_next, lam, k, method, X, terms=None):
+            return drmdp_backup_enumerate_unrecorded(coeffs, actions, v_next, lam, k, X,
+                                                     inner=inner_value_parametric_one_state)
+
         got = run()
-        monkeypatch.setattr(backup, "inner_value_parametric", inner_value_parametric_one_state)
+        monkeypatch.setattr(plan, "drmdp_backup_enumerate", one_state)
         assert got == run()
 
 
@@ -718,7 +744,9 @@ class TestModelBundle:
                 tasks.append([list(corners) for corners in items])
                 return map(fn, tasks[-1])
 
-        monkeypatch.setattr(model_module, "ProcessPoolExecutor", InProcessPool)
+        # compile_all imports the pool class from concurrent.futures when it
+        # starts one, so the fake replaces it there.
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(model_module, "_worker_push", None)
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
         serial = toy_model(N=6, Y=2, T=3)

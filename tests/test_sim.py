@@ -1,4 +1,5 @@
 import inspect
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ import pytest
 from epiplan import Action, DomainError, EpidemicParams, plan
 from epiplan.backup import worst_case_shift
 from epiplan.grid import Grid, GridSpec
-from epiplan.model import EpidemicModel
-from epiplan.plan import PlannerConfig, backward_dp, rtdp
+from epiplan.backup import drmdp_backup_enumerate
+from epiplan.model import EpidemicModel, lattice_state_index
+from epiplan.plan import DrawTable, PlannerConfig, backup_state, backward_dp, rtdp
 from epiplan.rules import AmbiguityConfig
 from epiplan.sim import (
     PerturbationSpec,
+    TrueKernel,
     aggregate_infectives,
     build_true_kernel,
     compare_models,
@@ -18,7 +21,14 @@ from epiplan.sim import (
     run_episode,
     sensitivity_sweep,
 )
-from oracles import random_shift_loop, sparse_row, worst_case_shift_loop
+from oracles import (
+    drmdp_backup_enumerate_unrecorded,
+    kernel_draw_choice,
+    random_shift_loop,
+    sample_next_choice,
+    sparse_row,
+    worst_case_shift_loop,
+)
 
 
 def sim_model(N=10, Y=2, T=4, L=1, M=1, delta=0.05, k=1000.0, **kw):
@@ -105,6 +115,97 @@ class TestTrueKernel:
             PerturbationSpec(direction="sideways")
         with pytest.raises(DomainError, match="seed must be >= 0"):
             PerturbationSpec(seed=-1)
+
+
+class TestRecordedRoutes:
+    """RTDP and the rollouts with their recorded backup terms and draw
+    tables, against the routes that form them on every step (oracles)."""
+
+    def test_draw_tables_replicate_generator_choice(self):
+        # 10,000 draws over 200 rows, one of them a single successor, rows
+        # with zero entries among them: each draw is Generator.choice's, and
+        # both leave the stream at the same point.
+        rng = np.random.default_rng(41)
+        for trial in range(200):
+            m = 1 if trial == 0 else int(rng.integers(1, 60))
+            values = np.sort(rng.choice(2000, size=m, replace=False))
+            probs = rng.random(m) ** 4
+            probs[rng.random(m) < 0.2] = 0.0
+            probs[rng.integers(m)] += 0.5
+            probs /= probs.sum()
+            table = DrawTable.of(values, probs)
+            for seed in range(50):
+                ours, theirs = (np.random.default_rng((trial, seed)) for _ in range(2))
+                assert table.draw(ours) == int(theirs.choice(values, p=probs)), (trial, seed)
+                assert ours.random() == theirs.random()
+
+    def test_sample_next_records_rows_without_a_draw(self):
+        # A row with no successor in the simplex makes no draw and stays; a
+        # one-successor row draws once, as Generator.choice does.
+        rows = sparse_row([3, 5], [0.25, 0.75]), sparse_row([2, 6], [0.5, 0.5])
+        model = SimpleNamespace(rows=lambda idx: rows, action_index=lambda a: a.y_R,
+                                grid=SimpleNamespace(in_S=np.arange(8) % 2 == 0))
+        draws = {}
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        assert plan._sample_next(model, 4, Action(0, 0), rng, draws) == 4
+        assert rng.bit_generator.state == state and draws == {(4, 0): None}
+        ref = np.random.default_rng(5)
+        for _ in range(3):
+            got = plan._sample_next(model, 4, Action(0, 1), rng, draws)
+            assert got == sample_next_choice(model, 4, Action(0, 1), ref) in (2, 6)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert set(draws) == {(4, 0), (4, 1)}
+        one = SimpleNamespace(rows=lambda idx: rows[:1], action_index=lambda a: 0,
+                              grid=SimpleNamespace(in_S=np.arange(8) < 4))
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        assert plan._sample_next(one, 4, Action(0, 0), rng, {}) == 3
+        assert sample_next_choice(one, 4, Action(0, 0), ref) == 3
+        assert rng.random() == ref.random()
+
+    def test_rtdp_default_equals_the_unrecorded_route(self, monkeypatch):
+        # The rtdp-default benchmark pipeline: RTDP (50 sweeps) and 10
+        # rollouts under the perturbed kernel.  Every backed-up entry reads
+        # the same value and action from its record as from the unrecorded
+        # route; the tables, trace and episodes are the same bit for bit.
+        model = EpidemicModel(EpidemicParams(N=1000, L=5, M=5, T=12), 10, AmbiguityConfig())
+        init = lattice_state_index(model, 0.7, 0.1, 0.2)
+        cfg = PlannerConfig(niter=50, early_stop=False)
+
+        def run():
+            table, trace = rtdp(model, init, cfg)
+            kern = build_true_kernel(model, PerturbationSpec(radius=0.5))
+            return table, trace, [run_episode(model, table, cfg, kern, init, seed)
+                                  for seed in range(10)]
+
+        table, trace, episodes = run()
+        X, lam, k = model.design, model.lam, model.acfg.k
+        assert len(table.values) > 100
+        for idx, t in sorted(table.values):
+            v_next = table.V[t + 1]
+            got = backup_state(model, idx, t, v_next, cfg)
+            ref = drmdp_backup_enumerate_unrecorded(model.rules(idx), model.actions, v_next,
+                                                    lam, k, X)
+            assert np.float64(got[0]).tobytes() == np.float64(ref[0]).tobytes()
+            assert got[1] == ref[1], (idx, t)
+            assert drmdp_backup_enumerate(model.rules(idx), model.actions, v_next, lam, k,
+                                          method="parametric", X=X) == got
+
+        calls = []
+
+        def unrecorded(coeffs, actions, v_next, lam, k, method, X, terms=None):
+            calls.append(method)
+            return drmdp_backup_enumerate_unrecorded(coeffs, actions, v_next, lam, k, X)
+
+        monkeypatch.setattr(plan, "drmdp_backup_enumerate", unrecorded)
+        monkeypatch.setattr(plan, "_sample_next", sample_next_choice)
+        monkeypatch.setattr(TrueKernel, "draw", kernel_draw_choice)
+        ref_table, ref_trace, ref_episodes = run()
+        assert len(calls) > len(trace)
+        assert table.V.tobytes() == ref_table.V.tobytes()
+        assert table.values == ref_table.values
+        assert trace.steps == ref_trace.steps
+        assert episodes == ref_episodes
 
 
 class TestRunEpisode:

@@ -24,8 +24,11 @@ relaxation: box envelopes linearize the action-times-multiplier products,
 and the optimum over the integer action levels is the best of the relaxed
 inner values at each level, each solved in closed form like the parametric
 solve, from kinks and slope steps that do not depend on the values
-(`envelope_kinks`).  That MIP, solved by branch and bound, is the test
-oracle (tests/oracles.py).  A second MIP linearizes the products with
+(EnvelopeKinks).  They are built for a chunk of states at once
+(`envelope_kinks`), which backward induction backs up together, padded as
+the enumeration batches are; a single-state backup is a chunk of one.  The
+relaxation's MIP, solved by branch and bound, is the test oracle
+(tests/oracles.py).  A second MIP linearizes the products with
 per-level indicator variables; it is exact, and kept as the oracle the
 tests and perfbench hold the other back-ends against.  The programs written
 here are in `lp.solve_lp`'s form: max, <= rows, finite lower bounds,
@@ -338,20 +341,30 @@ class EnumerateBatch:
     reward: np.ndarray
 
 
+def _padded_support(rules: Sequence[DecisionRuleCoefficients]) -> tuple[np.ndarray, np.ndarray]:
+    """(support, pad) of states with the given rules, padded to the widest
+    support: row i holds state i's successors and then corner 0, and pad is
+    0 on its successors and +inf past them."""
+    c, w = len(rules), max(len(coeffs.support) for coeffs in rules)
+    support = np.zeros((c, w), dtype=np.intp)
+    pad = np.full((c, w), np.inf)
+    for i, coeffs in enumerate(rules):
+        support[i, :len(coeffs.support)] = coeffs.support
+        pad[i, :len(coeffs.support)] = 0.0
+    return support, pad
+
+
 def enumerate_batch(states: Sequence[int], rules: Sequence[DecisionRuleCoefficients],
                     X: np.ndarray) -> EnumerateBatch:
     """The EnumerateBatch of states with the given rules, X the
     design_matrix of the actions."""
-    c, w = len(rules), max(len(coeffs.support) for coeffs in rules)
-    support = np.zeros((c, w), dtype=np.intp)
-    pad = np.full((c, w), np.inf)
+    support, pad = _padded_support(rules)
+    c, w = support.shape
     mean = np.zeros((c, 3, w))
     delta = np.zeros((c, 1, w))
     reward = np.empty((c, len(X)))
     for i, coeffs in enumerate(rules):
         m = len(coeffs.support)
-        support[i, :m] = coeffs.support
-        pad[i, :m] = 0.0
         mean[i, :, :m] = coeffs.mean
         delta[i, :, :m] = coeffs.delta
         reward[i] = X @ coeffs.eps
@@ -379,30 +392,42 @@ def drmdp_backup_enumerate_batch(batch: EnumerateBatch, v_next: np.ndarray, lam:
     return vals[np.arange(len(vals)), best], best
 
 
+# Nodes of each successor's envelope term g_j (see envelope_kinks): the 9
+# crossings of the lines w in {0, b} with u in {0, b}, and the 6 crossings
+# of w + u = k with them.
+ENVELOPE_NODES = 15
+
+
 @dataclass(frozen=True)
 class EnvelopeKinks:
-    """One state's envelope-relaxed inner problem at every integer action
-    level, as the slope steps of its objective in q.
+    """A chunk of states' envelope-relaxed inner problems at every integer
+    action level, as the slope steps of their objectives in q.
 
-    Row n is the level (y_V, y_R) = divmod(n, M + 1), in the order of
-    model.actions.  Its objective is q + base[n] + sum_p step[n, p] *
-    max(0, q - v[succ[n, p]] - offset[n, p]) for q <= min(v) + k, v the
-    discounted successor values: base holds the reward rule at the level
+    Row i is state states[i]: support holds its successors, and pad is 0 on
+    them and +inf past them.  Level n is (y_V, y_R) = divmod(n, M + 1), in
+    the order of model.actions.  State i's objective at level n is q +
+    base[i, n] + sum_p step[i, n, p] * max(0, q - v[succ[i, n, p]] -
+    offset[i, n, p]) for q <= min(v) + k, v its discounted successor values
+    and succ indexing its support: base holds the reward rule at the level
     plus each successor's term at d <= -k, and only nonzero steps are kept,
-    each row padded to the longest (at least one) with offset +inf and step
-    0.  Nothing in it depends on v.
+    in (successor, node) order, every row padded to the chunk's longest (at
+    least one) with offset +inf and step 0.  Nothing in it depends on v.
     """
 
     k: float
+    states: np.ndarray
+    support: np.ndarray
+    pad: np.ndarray
     base: np.ndarray
     offset: np.ndarray
     succ: np.ndarray
     step: np.ndarray
 
 
-def envelope_kinks(coeffs: DecisionRuleCoefficients, k: float, L: int,
-                   M: int) -> EnvelopeKinks:
-    """The EnvelopeKinks of the McCormick relaxation over levels 0..L x 0..M.
+def envelope_kinks(states: Sequence[int], rules: Sequence[DecisionRuleCoefficients],
+                   k: float, L: int, M: int) -> EnvelopeKinks:
+    """The EnvelopeKinks of the McCormick relaxation over levels 0..L x 0..M
+    of states with the given rules.
 
     The relaxation replaces each product of a level a_i in [0, h_i] (h = L,
     M) with a multiplier x = w_j or u_j in [0, k] by an envelope column z,
@@ -421,33 +446,44 @@ def envelope_kinks(coeffs: DecisionRuleCoefficients, k: float, L: int,
 
     is concave piecewise-linear in d = q - v_j on [-k, k], constant below -k.
     Its kinks are among the values of w - u at the vertices cut out by the
-    lines w in {0, b}, u in {0, b} and w + u = k (at most 15).  Between them
-    it is the best of the points where the line w - u = d meets those lines,
-    maximized over every line at or right of d.  Nodes closer than 1e-12 k
-    are merged, so no slope divides by a vanishing gap.
+    lines w in {0, b}, u in {0, b} and w + u = k (ENVELOPE_NODES).  Between
+    them it is the best of the points where the line w - u = d meets those
+    lines, maximized over every line at or right of d.  Nodes closer than
+    1e-12 k are merged, so no slope divides by a vanishing gap.
+
+    Every step before the layout works per (level, successor), so the
+    states' successors lie end to end on one successor axis; each state's
+    record is the one it gets alone, padded to the chunk.
     """
-    mean = coeffs.mean
-    m = len(coeffs.support)
+    c, sizes = len(rules), [len(coeffs.support) for coeffs in rules]
+    support, pad = _padded_support(rules)
+    first = np.cumsum(sizes) - sizes                  # each state's first successor
+    owner = np.repeat(np.arange(c), sizes)            # each successor's state
+    mean = np.concatenate([coeffs.mean for coeffs in rules], axis=1)
+    delta = np.repeat([coeffs.delta for coeffs in rules], sizes)
+    m = len(owner)
     levels = np.array([(a, b) for a in range(L + 1) for b in range(M + 1)], dtype=np.float64)
     h = np.array([L, M], dtype=np.float64)
     frac = np.divide(levels, h, out=np.zeros_like(levels), where=h > 0)   # a / h
     # cost[s, i, j] of a_i * w_j (s = 0) and a_i * u_j (s = 1).
     cost = np.stack([-mean[1:], mean[1:]]) * (h > 0)[:, None]
     hinge = np.abs(cost) * h[:, None]
-    alpha = (np.stack([-(mean[0] + coeffs.delta), mean[0] - coeffs.delta])
+    alpha = (np.stack([-(mean[0] + delta), mean[0] - delta])
              + np.where(cost > 0.0, hinge, 0.0).sum(axis=1))            # (2, m)
     f = frac[:, None, :, None]
     brk = np.where(hinge > 0.0, np.where(cost > 0.0, k * f, k - k * f), 0.0)
     # Breakpoints (level, successor, axis) and hinge slopes (successor,
     # axis) of each side.
     bw, bu = brk[:, 0].transpose(0, 2, 1), brk[:, 1].transpose(0, 2, 1)
-    hw, hu = hinge[0].T, hinge[1].T
+    sides = ((alpha[0], bw, hinge[0].T), (alpha[1], bu, hinge[1].T))
 
-    def concave(x, slope, brk, hinge):
-        """slope x - sum_i hinge_i max(0, x - brk_i), x (level, successor, ...)."""
-        return (slope[:, None, None] * x
-                - hinge[:, 0, None, None] * np.maximum(x - brk[:, :, 0, None, None], 0.0)
-                - hinge[:, 1, None, None] * np.maximum(x - brk[:, :, 1, None, None], 0.0))
+    def concave(x, side):
+        """phi (side 0) or psi (side 1) at x (level, successor, node or 1):
+        slope x - sum_i hinge_i max(0, x - brk_i)."""
+        slope, brk, hinge = sides[side]
+        return (slope[:, None] * x
+                - hinge[:, 0, None] * np.maximum(x - brk[:, :, 0, None], 0.0)
+                - hinge[:, 1, None] * np.maximum(x - brk[:, :, 1, None], 0.0))
 
     # Nodes: w - u at the vertices of the lines w = 0, b; u = 0, b and
     # w + u = k.  A crossing of w = b and u = b' past w + u = k is no vertex;
@@ -459,19 +495,26 @@ def envelope_kinks(coeffs: DecisionRuleCoefficients, k: float, L: int,
     inside = w_lines[..., :, None] + u_lines[..., None, :] <= k
     t = np.sort(np.concatenate([np.where(inside, crossing, -k).reshape(n, m, 9),
                                 2.0 * w_lines - k, k - 2.0 * u_lines], axis=2), axis=2)
+    del crossing, inside
 
-    # G at each node: the best of the points (w, u) where the line w - u = t
-    # meets u = 0 or w = 0, w + u = k, w = b and u = b, among those in the
-    # triangle; g(t) is the best G at or right of t.
-    tt, bw3, bu3 = t[:, :, None, :], bw[..., None], bu[..., None]
-    shape = (n, m, 2, t.shape[2])
-    w = np.concatenate([np.maximum(tt, 0.0), (k + tt) / 2.0,
-                        np.broadcast_to(bw3, shape), bu3 + tt], axis=2)
-    u = np.concatenate([np.maximum(-tt, 0.0), (k - tt) / 2.0,
-                        bw3 - tt, np.broadcast_to(bu3, shape)], axis=2)
-    val = concave(w, alpha[0], bw, hw) + concave(u, alpha[1], bu, hu)
-    G = np.where((w >= 0.0) & (u >= 0.0) & (w + u <= k), val, -np.inf).max(axis=2)
+    def families():
+        """The points (w, u) where the line w - u = t meets u = 0 or w = 0,
+        w + u = k, w = b and u = b; on w = b (u = b) phi (psi) takes one
+        value per level and successor."""
+        yield np.maximum(t, 0.0), np.maximum(-t, 0.0)
+        yield (k + t) / 2.0, (k - t) / 2.0
+        for i in range(2):
+            yield bw[..., i, None], bw[..., i, None] - t
+            yield bu[..., i, None] + t, bu[..., i, None]
+
+    # G at each node: the best of those points in the triangle, one family
+    # at a time; g(t) is the best G at or right of t.
+    G = np.full(t.shape, -np.inf)
+    for w, u in families():
+        val = concave(w, 0) + concave(u, 1)
+        np.maximum(G, np.where((w >= 0.0) & (u >= 0.0) & (w + u <= k), val, -np.inf), out=G)
     g = np.maximum.accumulate(G[..., ::-1], axis=2)[..., ::-1]
+    del G
 
     # Right slope on each gap, carried over merged nodes; steps at all but
     # the last node (k), past which d never goes.
@@ -480,38 +523,69 @@ def envelope_kinks(coeffs: DecisionRuleCoefficients, k: float, L: int,
     raw = np.where(gap, np.diff(g, axis=2) / np.where(gap, dt, 1.0), 0.0)
     last = np.maximum.accumulate(np.where(gap, np.arange(dt.shape[2]), -1), axis=2)
     slope = np.where(last >= 0, np.take_along_axis(raw, np.maximum(last, 0), axis=2), 0.0)
+    del dt, gap, raw, last
     step = np.diff(slope, axis=2, prepend=0.0)
 
+    # Each (state, level) row keeps its nonzero steps in (successor, node)
+    # order, the order nonzero lists them in for a fixed level.
     lv, j, node = np.nonzero(step)
-    count = np.bincount(lv, minlength=n)
-    pos = np.arange(len(lv)) - np.repeat(np.cumsum(count) - count, count)
+    row = owner[j] * n + lv
+    order = np.argsort(row, kind="stable")
+    row, lv, j, node = row[order], lv[order], j[order], node[order]
+    count = np.bincount(row, minlength=c * n)
+    pos = np.arange(len(row)) - np.repeat(np.cumsum(count) - count, count)
     width = max(1, int(count.max()))
-    offset = np.full((n, width), np.inf)
-    succ = np.zeros((n, width), dtype=np.int32)
-    steps = np.zeros((n, width))
-    offset[lv, pos] = t[lv, j, node]
-    succ[lv, pos] = j
-    steps[lv, pos] = step[lv, j, node]
-    base = coeffs.eps[0] + levels @ coeffs.eps[1:] + g[:, :, 0].sum(axis=1)
-    return EnvelopeKinks(float(k), base, offset, succ, steps)
+    offset = np.full((c * n, width), np.inf)
+    succ = np.zeros((c * n, width), dtype=np.int32)
+    steps = np.zeros((c * n, width))
+    offset[row, pos] = t[lv, j, node]
+    succ[row, pos] = j - first[owner[j]]
+    steps[row, pos] = step[lv, j, node]
+    base = np.empty((c, n))
+    for i, coeffs in enumerate(rules):
+        base[i] = (coeffs.eps[0] + levels @ coeffs.eps[1:]
+                   + g[:, first[i]:first[i] + sizes[i], 0].sum(axis=1))
+    shape = (c, n, width)
+    return EnvelopeKinks(float(k), np.asarray(states), support, pad, base,
+                         offset.reshape(shape), succ.reshape(shape), steps.reshape(shape))
 
 
 def envelope_level_values(kinks: EnvelopeKinks, v: np.ndarray) -> np.ndarray:
-    """The relaxed backup value at each level of kinks, for discounted
-    successor values v over the state's support.
+    """The relaxed backup value (c, n) at each state and level of kinks, for
+    discounted successor values v (c, S) over each state's support, +inf
+    past it.
 
     The objective in q is concave piecewise-linear with slope 1 below its
     first kink, so, as in inner_value_parametric, it is maximized at the
     first kink where its slope turns nonpositive, or at the right end
-    min(v) + k, and evaluated once there.
+    min(v) + k, and evaluated once there.  A padded kink sorts after every
+    real one with step 0, and adds an exact 0 to the objective.
     """
-    at = kinks.offset + v[kinks.succ]
-    order = np.argsort(at, axis=1, kind="stable")
-    slope = 1.0 + np.cumsum(np.take_along_axis(kinks.step, order, axis=1), axis=1)
+    at = kinks.offset + np.take_along_axis(v[:, None, :], kinks.succ, axis=2)
+    order = np.argsort(at, axis=2, kind="stable")
+    slope = 1.0 + np.cumsum(np.take_along_axis(kinks.step, order, axis=2), axis=2)
     down = slope <= 0.0
-    first = np.take_along_axis(at, order, axis=1)[np.arange(len(at)), np.argmax(down, axis=1)]
-    q = np.minimum(np.where(down.any(axis=1), first, np.inf), v.min() + kinks.k)
-    return q + kinks.base + (kinks.step * np.maximum(q[:, None] - at, 0.0)).sum(axis=1)
+    turn = np.take_along_axis(order, down.argmax(axis=2)[..., None], axis=2)
+    first = np.take_along_axis(at, turn, axis=2)[..., 0]
+    q = np.minimum(np.where(down.any(axis=2), first, np.inf),
+                   v.min(axis=1, keepdims=True) + kinks.k)
+    return q + kinks.base + (kinks.step * np.maximum(q[..., None] - at, 0.0)).sum(axis=2)
+
+
+def drmdp_backup_mccormick_batch(kinks: EnvelopeKinks, v_next: np.ndarray,
+                                 lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """drmdp_backup_mccormick at every state of kinks: (values, indices of
+    the best levels), ties to the first.
+
+    A state's optimal q and level are its own; padded to a wider row, its
+    value can differ from its own backup's only in the grouping of the sum
+    over its kinks.
+    """
+    v = lam * v_next[kinks.support]
+    v += kinks.pad
+    vals = envelope_level_values(kinks, v)
+    best = np.argmax(vals, axis=1)
+    return vals[np.arange(len(vals)), best], best
 
 
 def drmdp_backup_mccormick(
@@ -527,17 +601,17 @@ def drmdp_backup_mccormick(
     the integer levels 0..L x 0..M, whose only integer columns are the two
     levels, so fixing them leaves the relaxed LP, solved in closed form.
 
-    kinks is the state's envelope_kinks(coeffs, k, L, M), built here when
-    not given.  The envelopes are exact at a level's bounds, so at a corner
-    level the value is the enumeration backup's; in between it may lie
-    above, so the optimum is an upper bound on the enumeration backup.  Ties
-    go to the first level in (y_V, y_R) order.
+    kinks is the state's batch of one, envelope_kinks([idx], [coeffs], k,
+    L, M); one is built here when not given.  The envelopes are exact at a
+    level's bounds, so at a corner level the value is the enumeration
+    backup's; in between it may lie above, so the optimum is an upper bound
+    on the enumeration backup.  Ties go to the first level in (y_V, y_R)
+    order.
     """
     if kinks is None:
-        kinks = envelope_kinks(coeffs, k, L, M)
-    vals = envelope_level_values(kinks, lam * v_next[coeffs.support])
-    best = int(np.argmax(vals))
-    return float(vals[best]), Action(*divmod(best, M + 1))
+        kinks = envelope_kinks([-1], [coeffs], k, L, M)   # no state of a model
+    values, best = drmdp_backup_mccormick_batch(kinks, v_next, lam)
+    return float(values[0]), Action(*divmod(int(best[0]), M + 1))
 
 
 def drmdp_backup_unary(

@@ -94,10 +94,12 @@ class EpidemicModel:
         return self._rules[idx]
 
     def kinks(self, idx: int) -> EnvelopeKinks:
-        """The state's McCormick envelope kinks, built on first use from its
-        rules, k, L and M: they do not depend on the values backed up."""
+        """The state's McCormick envelope kinks as a batch of one, built on
+        first use from its rules, k, L and M: they do not depend on the
+        values backed up.  Backward induction builds its own, a chunk of
+        states at a time, and keeps none."""
         if idx not in self._kinks:
-            self._kinks[idx] = envelope_kinks(self.rules(idx), self.acfg.k,
+            self._kinks[idx] = envelope_kinks([idx], [self.rules(idx)], self.acfg.k,
                                               self.params.L, self.params.M)
         return self._kinks[idx]
 

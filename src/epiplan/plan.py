@@ -3,12 +3,12 @@
 Both planners share the same one-stage backup dispatch, so any back-end
 (nominal, worst-case-shifted, or the mean-ambiguous family) plugs into either.
 Backward induction with the enumeration back-end and its parametric inner
-solve backs up a stage's states in padded batches of similar support size
-instead, through the same inner solve.  A single-state backup with that
-back-end reads the state's inner-solve terms, recorded by the model on first
-use (EpidemicModel.terms), and the trajectory planner records each row it
-samples successors from as a DrawTable, so a revisited step recomputes
-neither.
+solve, or with the McCormick back-end, backs up a stage's states in padded
+batches of similar support size instead, through the same closed forms.  A
+single-state backup with either back-end reads what the model records for
+the state on first use (EpidemicModel.terms, EpidemicModel.kinks: a batch of
+one), and the trajectory planner records each row it samples successors
+from as a DrawTable, so a revisited step recomputes neither.
 Stage indices run 1..T with decisions at 1..T-1; values at stage T are the
 terminal reward (zero).
 
@@ -28,13 +28,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backup import (
+    ENVELOPE_NODES,
     EnumerateBatch,
+    EnvelopeKinks,
     best_action_over_rows,
     drmdp_backup_enumerate,
     drmdp_backup_enumerate_batch,
     drmdp_backup_mccormick,
+    drmdp_backup_mccormick_batch,
     drmdp_backup_unary,  # noqa: F401  perfbench/layers.py traces plan.drmdp_backup_unary
     enumerate_batch,
+    envelope_kinks,
 )
 from .errors import DomainError
 from .model import EpidemicModel
@@ -47,11 +51,16 @@ BACKENDS = ("nominal", "robust", "drmdp-enumerate", "drmdp-mccormick")
 STOP_TOL = 1e-7
 STOP_PATIENCE = 10
 
-# Most (action, successor) entries in one backward_dp batch of
-# drmdp-enumerate states.  A batch backup holds about seven arrays of this
-# many floats at once, so the budget bounds the memory a stage adds.  On a
-# 2-vCPU VM at N=300, Y=8, T=5 the DP ran fastest near 16,384 (0.037 s);
-# 4,096 took 1.5x as long, 65,536 1.1x and one batch of all 165 states 3.6x.
+# Most entries in one backward_dp batch (see _chunks): (action, successor)
+# entries of drmdp-enumerate states, (level, successor, node) entries of a
+# drmdp-mccormick kink build.  Either works on a dozen or fewer arrays of
+# at most this many floats at once, so the budget bounds the memory a batch
+# adds.  On a 2-vCPU VM at N=300, Y=8, T=5 the enumerate DP ran fastest
+# near 16,384 (0.037 s); 4,096 took 1.5x as long, 65,536 1.1x and one batch
+# of all 165 states 3.6x.
+# At N=100, Y=5, T=5 the McCormick DP took 0.023 s at 16,384 (the largest
+# chunk's build peaked at 1.7 MB), 1.6x as long at 4,096, 0.95x at 32,768
+# (2.9 MB) and 1.3x in one chunk of all 56 states (11 MB).
 BATCH_ENTRIES = 16384
 
 
@@ -245,16 +254,23 @@ def backward_dp(model: EpidemicModel, cfg: PlannerConfig) -> ValueTable:
     Every simplex state is compiled first, in one push call
     (``model.compile_all``).  With drmdp-enumerate and the parametric inner
     solve, a stage is backed up in batches of states of similar support
-    size (_enumerate_batches), a few array passes each; every other
-    back-end backs up one state at a time with backup_state.  States
-    outside the simplex are not stored; they are worth zero at every stage.
+    size (_enumerate_batches), a few array passes each.  With
+    drmdp-mccormick, the kink records are built once per call, a chunk of
+    states of similar support size at a time (_mccormick_batches), and a
+    stage is one padded level-value pass per chunk; the model keeps none of
+    them.  The nominal and robust back-ends and the LP inner solve back up
+    one state at a time with backup_state.  States outside the simplex are
+    not stored; they are worth zero at every stage.
     """
     model.compile_all()
     table = ValueTable(model)
     in_s = model.grid.in_S_indices().tolist()
-    batches = (_enumerate_batches(model, in_s)
-               if cfg.backend == "drmdp-enumerate" and cfg.inner_method == "parametric"
-               else None)
+    if cfg.backend == "drmdp-mccormick":
+        batches = _mccormick_batches(model, in_s)
+    elif cfg.backend == "drmdp-enumerate" and cfg.inner_method == "parametric":
+        batches = _enumerate_batches(model, in_s)
+    else:
+        batches = None
     for t in range(model.T - 1, 0, -1):
         v_next = table.V[t + 1]
         if batches is None:
@@ -268,27 +284,44 @@ def backward_dp(model: EpidemicModel, cfg: PlannerConfig) -> ValueTable:
     return table
 
 
-def _enumerate_batches(model: EpidemicModel, states: list[int]) -> list[EnumerateBatch]:
-    """states cut into EnumerateBatches in order of support size, each
-    holding at most BATCH_ENTRIES (action, successor) entries unless one
-    state alone holds more.  Sorting keeps the padding small: at N=300, Y=8
-    supports run from 1 to 70 successors, 25 on average."""
-    n = len(model.actions)
+def _chunks(model: EpidemicModel, states: list[int], unit: int) -> list[list[int]]:
+    """states cut into chunks in order of support size.  A chunk of c
+    states, the widest with w successors, counts c * w * unit entries, and
+    holds at most BATCH_ENTRIES unless one state alone holds more.  Sorting
+    keeps the padding small: at N=300, Y=8 supports run from 1 to 70
+    successors, 25 on average."""
+    width = {idx: len(model.rules(idx).support) for idx in states}
     groups: list[list[int]] = []
-    for idx in sorted(states, key=lambda i: len(model.rules(i).support)):
-        width = len(model.rules(idx).support)    # the widest yet: sizes ascend
-        if groups and (len(groups[-1]) + 1) * n * width <= BATCH_ENTRIES:
+    for idx in sorted(states, key=width.get):   # the widest yet: sizes ascend
+        if groups and (len(groups[-1]) + 1) * unit * width[idx] <= BATCH_ENTRIES:
             groups[-1].append(idx)
         else:
             groups.append([idx])
-    return [enumerate_batch(g, [model.rules(i) for i in g], model.design) for g in groups]
+    return groups
 
 
-def _backup_batch(model: EpidemicModel, batch: EnumerateBatch,
+def _enumerate_batches(model: EpidemicModel, states: list[int]) -> list[EnumerateBatch]:
+    """states cut into EnumerateBatches, (action, successor) entries."""
+    return [enumerate_batch(g, [model.rules(i) for i in g], model.design)
+            for g in _chunks(model, states, len(model.actions))]
+
+
+def _mccormick_batches(model: EpidemicModel, states: list[int]) -> list[EnvelopeKinks]:
+    """states cut into EnvelopeKinks, (level, successor, node) entries: a
+    chunk's kink build works on arrays of at most that many."""
+    k, L, M = model.acfg.k, model.params.L, model.params.M
+    return [envelope_kinks(g, [model.rules(i) for i in g], k, L, M)
+            for g in _chunks(model, states, len(model.actions) * ENVELOPE_NODES)]
+
+
+def _backup_batch(model: EpidemicModel, batch: EnumerateBatch | EnvelopeKinks,
                   v_next: np.ndarray) -> list[tuple[int, float, Action]]:
     """(state, value, action) of every state of batch against v_next."""
-    values, best = drmdp_backup_enumerate_batch(batch, v_next, model.lam, model.acfg.k,
-                                                model.design)
+    if isinstance(batch, EnumerateBatch):
+        values, best = drmdp_backup_enumerate_batch(batch, v_next, model.lam, model.acfg.k,
+                                                    model.design)
+    else:
+        values, best = drmdp_backup_mccormick_batch(batch, v_next, model.lam)
     return [(idx, value, model.actions[b]) for idx, value, b
             in zip(batch.states.tolist(), values.tolist(), best.tolist())]
 

@@ -43,6 +43,19 @@ of a quantity that `epiplan` computes another way.
   padded batch; `backup.state_terms` and the stage batches form them once
   per state or per chunk (`backup.EnumerateTerms`), which must give these
   values and actions bit for bit.
+* `envelope_kinks_one_state`, `envelope_level_values_one_state` — the
+  McCormick back-end's kink record and level values for one state, each row
+  padded to the state's longest; `backup.envelope_kinks` builds the records
+  of a chunk of states on one successor axis and `backup.envelope_level_values`
+  takes the chunk padded to its longest row, which must give these records
+  bit for bit and these values within the grouping of the final sum.
+* `drmdp_backup_mccormick_one_state` — the McCormick backup from those two,
+  which a batch of one (`backup.drmdp_backup_mccormick`) must give bit for
+  bit.
+* `per_state_dp` — backward induction with one `plan.backup_state` call per
+  (state, stage), the route every back-end took before the stage batches;
+  `plan.backward_dp` backs up `drmdp-enumerate` (parametric) and
+  `drmdp-mccormick` stages in padded batches instead.
 * `sample_next_choice`, `kernel_draw_choice` — RTDP's and the rollouts'
   successor draws made by `Generator.choice` from rows renormalized on
   every call; `plan.DrawTable` records each row's cumulative sums once and
@@ -54,6 +67,8 @@ of a quantity that `epiplan` computes another way.
 
 `sparse_row` is not an oracle: it is how the tests write a single kernel row
 in any index order, which the package builds only as blocks of sorted rows.
+Nor is `assert_record_is_the_oracles`, the check that a row of a chunk's
+`backup.EnvelopeKinks` holds `envelope_kinks_one_state`'s record.
 """
 
 from __future__ import annotations
@@ -65,6 +80,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 
 from epiplan import lp as lp_module
+from epiplan import plan as plan_module
 from epiplan.backup import _multiplier_block
 from epiplan.errors import DomainError, SolverError
 from epiplan.grid import Grid, SparseDistribution
@@ -848,3 +864,182 @@ def kernel_draw_choice(kernel, idx: int, action: Action, rng: np.random.Generato
     """sim.TrueKernel.draw by Generator.choice over the kernel's row."""
     row = kernel(idx, action)
     return int(rng.choice(row.indices, p=row.probs))
+
+
+@dataclass(frozen=True)
+class StateKinks:
+    """One state's envelope-relaxed inner problem at every integer action
+    level, as the slope steps of its objective in q.
+
+    Row n is the level (y_V, y_R) = divmod(n, M + 1), in the order of
+    model.actions.  Its objective is q + base[n] + sum_p step[n, p] *
+    max(0, q - v[succ[n, p]] - offset[n, p]) for q <= min(v) + k, v the
+    discounted successor values: base holds the reward rule at the level
+    plus each successor's term at d <= -k, and only nonzero steps are kept,
+    each row padded to the longest (at least one) with offset +inf and step
+    0.  Nothing in it depends on v.
+    """
+
+    k: float
+    base: np.ndarray
+    offset: np.ndarray
+    succ: np.ndarray
+    step: np.ndarray
+
+
+def envelope_kinks_one_state(coeffs: DecisionRuleCoefficients, k: float, L: int,
+                             M: int) -> StateKinks:
+    """The StateKinks of the McCormick relaxation over levels 0..L x 0..M.
+
+    The relaxation replaces each product of a level a_i in [0, h_i] (h = L,
+    M) with a multiplier x = w_j or u_j in [0, k] by an envelope column z,
+    and only the envelope side its cost c pushes against binds: z =
+    min(h x, k a) for c > 0, z = max(0, h x + k a - h k) for c < 0.  At a
+    fixed level both are hinges in x:
+
+        c z = c h x - |c| h max(0, x - b),  b = k a / h        (c > 0)
+        c z =       - |c| h max(0, x - b),  b = k (1 - a / h)  (c < 0)
+
+    An axis with a single level (h = 0) has a = 0 and z = 0, and adds
+    nothing.  So successor j's term separates as phi_j(w) + psi_j(u), each
+    concave piecewise-linear with at most two breakpoints, and
+
+        g_j(d) = max{phi_j(w) + psi_j(u) : w, u >= 0, w + u <= k, w - u >= d}
+
+    is concave piecewise-linear in d = q - v_j on [-k, k], constant below -k.
+    Its kinks are among the values of w - u at the vertices cut out by the
+    lines w in {0, b}, u in {0, b} and w + u = k (at most 15).  Between them
+    it is the best of the points where the line w - u = d meets those lines,
+    maximized over every line at or right of d.  Nodes closer than 1e-12 k
+    are merged, so no slope divides by a vanishing gap.
+    """
+    mean = coeffs.mean
+    m = len(coeffs.support)
+    levels = np.array([(a, b) for a in range(L + 1) for b in range(M + 1)], dtype=np.float64)
+    h = np.array([L, M], dtype=np.float64)
+    frac = np.divide(levels, h, out=np.zeros_like(levels), where=h > 0)   # a / h
+    # cost[s, i, j] of a_i * w_j (s = 0) and a_i * u_j (s = 1).
+    cost = np.stack([-mean[1:], mean[1:]]) * (h > 0)[:, None]
+    hinge = np.abs(cost) * h[:, None]
+    alpha = (np.stack([-(mean[0] + coeffs.delta), mean[0] - coeffs.delta])
+             + np.where(cost > 0.0, hinge, 0.0).sum(axis=1))            # (2, m)
+    f = frac[:, None, :, None]
+    brk = np.where(hinge > 0.0, np.where(cost > 0.0, k * f, k - k * f), 0.0)
+    # Breakpoints (level, successor, axis) and hinge slopes (successor,
+    # axis) of each side.
+    bw, bu = brk[:, 0].transpose(0, 2, 1), brk[:, 1].transpose(0, 2, 1)
+    hw, hu = hinge[0].T, hinge[1].T
+
+    def concave(x, slope, brk, hinge):
+        """slope x - sum_i hinge_i max(0, x - brk_i), x (level, successor, ...)."""
+        return (slope[:, None, None] * x
+                - hinge[:, 0, None, None] * np.maximum(x - brk[:, :, 0, None, None], 0.0)
+                - hinge[:, 1, None, None] * np.maximum(x - brk[:, :, 1, None, None], 0.0))
+
+    # Nodes: w - u at the vertices of the lines w = 0, b; u = 0, b and
+    # w + u = k.  A crossing of w = b and u = b' past w + u = k is no vertex;
+    # it is replaced by -k, a node already.
+    n = len(levels)
+    zero = np.zeros((n, m, 1))
+    w_lines, u_lines = np.concatenate([zero, bw], axis=2), np.concatenate([zero, bu], axis=2)
+    crossing = w_lines[..., :, None] - u_lines[..., None, :]
+    inside = w_lines[..., :, None] + u_lines[..., None, :] <= k
+    t = np.sort(np.concatenate([np.where(inside, crossing, -k).reshape(n, m, 9),
+                                2.0 * w_lines - k, k - 2.0 * u_lines], axis=2), axis=2)
+
+    # G at each node: the best of the points (w, u) where the line w - u = t
+    # meets u = 0 or w = 0, w + u = k, w = b and u = b, among those in the
+    # triangle; g(t) is the best G at or right of t.
+    tt, bw3, bu3 = t[:, :, None, :], bw[..., None], bu[..., None]
+    shape = (n, m, 2, t.shape[2])
+    w = np.concatenate([np.maximum(tt, 0.0), (k + tt) / 2.0,
+                        np.broadcast_to(bw3, shape), bu3 + tt], axis=2)
+    u = np.concatenate([np.maximum(-tt, 0.0), (k - tt) / 2.0,
+                        bw3 - tt, np.broadcast_to(bu3, shape)], axis=2)
+    val = concave(w, alpha[0], bw, hw) + concave(u, alpha[1], bu, hu)
+    G = np.where((w >= 0.0) & (u >= 0.0) & (w + u <= k), val, -np.inf).max(axis=2)
+    g = np.maximum.accumulate(G[..., ::-1], axis=2)[..., ::-1]
+
+    # Right slope on each gap, carried over merged nodes; steps at all but
+    # the last node (k), past which d never goes.
+    dt = np.diff(t, axis=2)
+    gap = dt > 1e-12 * k
+    raw = np.where(gap, np.diff(g, axis=2) / np.where(gap, dt, 1.0), 0.0)
+    last = np.maximum.accumulate(np.where(gap, np.arange(dt.shape[2]), -1), axis=2)
+    slope = np.where(last >= 0, np.take_along_axis(raw, np.maximum(last, 0), axis=2), 0.0)
+    step = np.diff(slope, axis=2, prepend=0.0)
+
+    lv, j, node = np.nonzero(step)
+    count = np.bincount(lv, minlength=n)
+    pos = np.arange(len(lv)) - np.repeat(np.cumsum(count) - count, count)
+    width = max(1, int(count.max()))
+    offset = np.full((n, width), np.inf)
+    succ = np.zeros((n, width), dtype=np.int32)
+    steps = np.zeros((n, width))
+    offset[lv, pos] = t[lv, j, node]
+    succ[lv, pos] = j
+    steps[lv, pos] = step[lv, j, node]
+    base = coeffs.eps[0] + levels @ coeffs.eps[1:] + g[:, :, 0].sum(axis=1)
+    return StateKinks(float(k), base, offset, succ, steps)
+
+
+def envelope_level_values_one_state(kinks: StateKinks, v: np.ndarray) -> np.ndarray:
+    """The relaxed backup value at each level of kinks, for discounted
+    successor values v over the state's support.
+
+    The objective in q is concave piecewise-linear with slope 1 below its
+    first kink, so, as in inner_value_parametric, it is maximized at the
+    first kink where its slope turns nonpositive, or at the right end
+    min(v) + k, and evaluated once there.
+    """
+    at = kinks.offset + v[kinks.succ]
+    order = np.argsort(at, axis=1, kind="stable")
+    slope = 1.0 + np.cumsum(np.take_along_axis(kinks.step, order, axis=1), axis=1)
+    down = slope <= 0.0
+    first = np.take_along_axis(at, order, axis=1)[np.arange(len(at)), np.argmax(down, axis=1)]
+    q = np.minimum(np.where(down.any(axis=1), first, np.inf), v.min() + kinks.k)
+    return q + kinks.base + (kinks.step * np.maximum(q[:, None] - at, 0.0)).sum(axis=1)
+
+
+def drmdp_backup_mccormick_one_state(coeffs: DecisionRuleCoefficients, v_next: np.ndarray,
+                                     lam: float, k: float, L: int, M: int,
+                                     kinks=None) -> tuple[float, Action]:
+    """backup.drmdp_backup_mccormick from envelope_kinks_one_state and
+    envelope_level_values_one_state, the record built on every call; kinks
+    is ignored, so that a planner can call this in its place."""
+    vals = envelope_level_values_one_state(envelope_kinks_one_state(coeffs, k, L, M),
+                                           lam * v_next[coeffs.support])
+    best = int(np.argmax(vals))
+    return float(vals[best]), Action(*divmod(best, M + 1))
+
+
+def per_state_dp(model, cfg):
+    """plan.backward_dp with one plan.backup_state call per (state, stage),
+    looked up on the module, so a test can wrap it or the back-end it
+    calls."""
+    model.compile_all()
+    table = plan_module.ValueTable(model)
+    in_s = model.grid.in_S_indices().tolist()
+    for t in range(model.T - 1, 0, -1):
+        for idx in in_s:
+            value, action = plan_module.backup_state(model, idx, t, table.V[t + 1], cfg)
+            table.store(idx, t, value)
+            table.actions[(idx, t)] = action
+    return table
+
+
+def assert_record_is_the_oracles(kinks, i, coeffs, k, L, M):
+    """Row i of a chunk's EnvelopeKinks holds the one-state oracle's record
+    bit for bit, padded with successor 0 (value +inf), offset +inf and step
+    0."""
+    want = envelope_kinks_one_state(coeffs, k, L, M)
+    m, w = len(coeffs.support), want.offset.shape[1]
+    assert kinks.support[i, :m].tobytes() == coeffs.support.astype(np.intp).tobytes()
+    assert (kinks.support[i, m:] == 0).all() and (kinks.pad[i, m:] == np.inf).all()
+    assert (kinks.pad[i, :m] == 0.0).all()
+    assert kinks.base[i].tobytes() == want.base.tobytes()
+    for got, ref, fill in ((kinks.offset[i], want.offset, np.inf),
+                           (kinks.succ[i], want.succ, 0), (kinks.step[i], want.step, 0.0)):
+        assert got.dtype == ref.dtype
+        assert got[:, :w].tobytes() == ref.tobytes()
+        assert (got[:, w:] == fill).all()

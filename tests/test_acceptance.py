@@ -37,7 +37,7 @@ from epiplan.model import EpidemicModel, lattice_state_index
 from epiplan.plan import PlannerConfig, backward_dp
 from epiplan.rules import AmbiguityConfig, DecisionRuleCoefficients, design_matrix, mean_bounds
 from epiplan.seir import Action, EpidemicParams
-from oracles import inner_primal_oracle, lp_duality_check, mccormick_mip_backup
+from oracles import inner_primal_oracle, lp_duality_check, mccormick_mip_backup, per_state_dp
 
 TOL = 1e-6
 LAM = 0.95
@@ -173,10 +173,11 @@ def test_mccormick_gap_at_dp_mip_small(monkeypatch):
 
 def test_mccormick_equals_the_mip_oracle_at_dp_mip_small(monkeypatch):
     # Backward induction with the closed-form McCormick backup against the
-    # same with the MIP oracle as the back-end: the same action and a value
-    # within 1e-9 relative at every one of the 224 simplex entries.  The
-    # oracle's simplex path at this size is pinned too: 260 LP solves (224
-    # roots, 36 branch-and-bound children) and 6,563 pivots.
+    # same, one backup_state per entry, with the MIP oracle as the back-end:
+    # the same action and a value within 1e-9 relative at every one of the
+    # 224 simplex entries.  The oracle's simplex path at this size is pinned
+    # too: 260 LP solves (224 roots, 36 branch-and-bound children) and 6,563
+    # pivots.
     model, _ = dp_mip_small()
     closed = backward_dp(model, PlannerConfig(backend="drmdp-mccormick"))
     pivots = []
@@ -189,7 +190,7 @@ def test_mccormick_equals_the_mip_oracle_at_dp_mip_small(monkeypatch):
 
     monkeypatch.setattr(lp_module, "solve_lp", counting_solve_lp)
     monkeypatch.setattr(plan, "drmdp_backup_mccormick", mccormick_mip_backup)
-    mip = backward_dp(model, PlannerConfig(backend="drmdp-mccormick"))
+    mip = per_state_dp(model, PlannerConfig(backend="drmdp-mccormick"))
     assert (len(pivots), sum(pivots)) == (260, 6563)
     assert sorted(closed.values) == sorted(mip.values) and len(mip.values) == 224
     for key, want in mip.values.items():

@@ -35,9 +35,12 @@ from epiplan.rules import (
 )
 from epiplan.seir import stage_rewards
 from oracles import (
+    assert_record_is_the_oracles,
     dense_solve_lp,
     dense_solve_mip,
     drmdp_backup_enumerate_unrecorded,
+    envelope_kinks_one_state,
+    envelope_level_values_one_state,
     inner_primal_oracle,
     inner_value_parametric_one_state,
     inner_values_unrecorded,
@@ -45,6 +48,7 @@ from oracles import (
     mccormick_four_row_backup,
     mccormick_mip_backup,
     mccormick_mip_program,
+    per_state_dp,
     sparse_row,
 )
 
@@ -73,6 +77,12 @@ def random_coeffs(rng, m, adversarial=False):
     eps = np.array([-rng.random() * 50, -rng.random(), -rng.random()])
     return DecisionRuleCoefficients(support=np.arange(m), mean=mean, delta=delta,
                                     eps=eps)
+
+
+def level_values(coeffs, k, L, M, v):
+    """The relaxed backup value at every level of one state, a batch of
+    one, for discounted values v over its support."""
+    return envelope_level_values(envelope_kinks([0], [coeffs], k, L, M), v[None])[0]
 
 
 def grid_actions(L, M):
@@ -739,9 +749,9 @@ def test_backend_programs_are_in_the_lp_form(monkeypatch):
     """Every LP the inner-LP route, the unary MIP and the McCormick MIP
     oracle hand the simplex, root or branch-and-bound node, is in solve_lp's
     form: finite lower bounds and b - A lb >= 0.  Checked over inner-LP
-    backward induction, backward induction with the MIP oracle as the
-    McCormick back-end, and unary backups on fitted rules; both MIPs
-    branch."""
+    backward induction, backward induction one state at a time with the MIP
+    oracle as the McCormick back-end, and unary backups on fitted rules;
+    both MIPs branch."""
     solved, nodes = [], []
     real_solve_lp, real_solve_mip = lp_module.solve_lp, backup.solve_mip
 
@@ -765,7 +775,9 @@ def test_backend_programs_are_in_the_lp_form(monkeypatch):
     backward_dp(model, PlannerConfig(backend="drmdp-enumerate", inner_method="lp"))
     inner = len(solved)
     assert inner > 0 and nodes == []
-    backward_dp(model, PlannerConfig(backend="drmdp-mccormick"))
+    # One backup_state per entry: backward_dp calls no one-state back-end
+    # for McCormick.
+    per_state_dp(model, PlannerConfig(backend="drmdp-mccormick"))
     assert len(solved) - inner == sum(nodes) > len(nodes)
     solved.clear()
     nodes.clear()
@@ -792,8 +804,7 @@ class TestEnvelopeClosedForm:
         tol = 1e-9 * (1.0 + abs(want))
         assert abs(got - want) <= tol, (got, want)
         assert abs(got - four) <= tol, (got, four)
-        levels = envelope_level_values(envelope_kinks(coeffs, k, L, M),
-                                       lam * v[coeffs.support])
+        levels = level_values(coeffs, k, L, M, lam * v[coeffs.support])
         assert levels[want_action.y_V * (M + 1) + want_action.y_R] >= got - tol
         return action == want_action
 
@@ -831,7 +842,7 @@ class TestEnvelopeClosedForm:
             actions = grid_actions(L, M)
             X = design_matrix(actions)
             exact = X @ coeffs.eps + inner_value_parametric(*mean_bounds(coeffs, X), v, k)
-            relaxed = envelope_level_values(envelope_kinks(coeffs, k, L, M), v)
+            relaxed = level_values(coeffs, k, L, M, v)
             corner = np.array([a.y_V in (0, L) and a.y_R in (0, M) for a in actions])
             scale = 1.0 + np.abs(exact)
             assert (np.abs(relaxed - exact)[corner] <= 1e-11 * scale[corner]).all(), trial
@@ -844,7 +855,7 @@ class TestEnvelopeClosedForm:
         # value, and the first, (0, 0), wins.
         coeffs = constant_coeffs(np.arange(3), [0.3, 0.4, 0.2], 0.1, reward=-4.0)
         v = np.array([-1.0, -6.0, -3.0])
-        vals = envelope_level_values(envelope_kinks(coeffs, 10.0, 2, 2), 0.95 * v)
+        vals = level_values(coeffs, 10.0, 2, 2, 0.95 * v)
         assert (vals == vals[0]).all()
         assert drmdp_backup_mccormick(coeffs, v, 0.95, 10.0, L=2, M=2)[1] == Action(0, 0)
 
@@ -869,16 +880,46 @@ class TestEnvelopeClosedForm:
             k = 0.0 if case == "k=0" else float(rng.choice([1.0, 50.0, 1e3]))
             self.assert_equals_mip(coeffs, v, 0.95, k, L, M)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", ["random", "k=0", "L=0", "M=0", "L=1,M=3"])
+    def test_chunk_records_equal_the_one_state_oracle(self, case):
+        # Random and adversarial states of 1 to 9 successors in one chunk,
+        # with k = 0 and single-level axes (h = 0): each state's record is
+        # the one-state oracle's bit for bit, and its padded level values
+        # are the oracle's within the grouping of the sum over its kinks
+        # (the stage-batch contract, 1e-12 relative).
+        rng = np.random.default_rng(34)
+        L, M = {"L=0": (0, 2), "M=0": (2, 0), "L=1,M=3": (1, 3)}.get(case, (2, 2))
+        for trial in range(4):
+            rules = [random_coeffs(rng, int(rng.integers(1, 10)), adversarial=i % 2 == 1)
+                     for i in range(6)]
+            k = 0.0 if case == "k=0" else float(rng.choice([1.0, 50.0, 1e3]))
+            kinks = envelope_kinks(list(range(6)), rules, k, L, M)
+            assert kinks.offset.shape[:2] == (6, (L + 1) * (M + 1))
+            v = -rng.random((6, kinks.support.shape[1])) * 10.0 ** rng.integers(0, 4)
+            v += kinks.pad
+            got = envelope_level_values(kinks, v)
+            for i, coeffs in enumerate(rules):
+                assert_record_is_the_oracles(kinks, i, coeffs, k, L, M)
+                m = len(coeffs.support)
+                want = envelope_level_values_one_state(
+                    envelope_kinks_one_state(coeffs, k, L, M), v[i, :m])
+                assert (np.abs(got[i] - want) <= 1e-12 * (1.0 + np.abs(want))).all(), (trial, i)
+                if k == 0.0:
+                    assert (kinks.step[i] == 0.0).all()
+
     def test_dp_solves_no_lp_and_builds_each_states_kinks_once(self, monkeypatch):
-        # At the dp-mip-small size (56 simplex states, T=5): 224 backups,
-        # 56 kink records, and no LP or MIP solve.
+        # At the dp-mip-small size (56 simplex states, T=5): every state's
+        # kinks built once, in one chunk of the stage batches, which back up
+        # all 224 entries with no one-state backup and no LP or MIP solve,
+        # and leave no record on the model.
         solves, builds, backups = [], [], []
 
         def counting(owner, name, record):
             real = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
-                record.append(name)
+                record.append(args[0])
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, wrapper)
@@ -886,11 +927,15 @@ class TestEnvelopeClosedForm:
         for owner in (backup, lp_module):
             counting(owner, "solve_lp", solves)
             counting(owner, "solve_mip", solves)
+        counting(plan, "envelope_kinks", builds)
         counting(model_module, "envelope_kinks", builds)
         counting(plan, "drmdp_backup_mccormick", backups)
         model = EpidemicModel(EpidemicParams(N=100, L=2, M=2, T=5), 5, AmbiguityConfig())
-        backward_dp(model, PlannerConfig(backend="drmdp-mccormick"))
-        assert (len(solves), len(builds), len(backups)) == (0, 56, 224)
+        table = backward_dp(model, PlannerConfig(backend="drmdp-mccormick"))
+        states = sorted(idx for chunk in builds for idx in chunk)
+        assert states == model.grid.in_S_indices().tolist() and len(states) == 56
+        assert (len(solves), len(backups), len(table.values)) == (0, 0, 224)
+        assert model._kinks == {}
 
 
 @dataclass

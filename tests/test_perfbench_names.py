@@ -85,12 +85,15 @@ def test_workload_checks_pass_at_tiny_size(name, tmp_path):
 def test_traced_mccormick_spans_count_the_support(tmp_path):
     # The tracer reads the support size off the McCormick back-end's first
     # positional argument; a call that moves the rules elsewhere would drop
-    # backup.support_mean from benchmark runs.
+    # backup.support_mean from benchmark runs.  Backward induction backs up
+    # its stages in chunks without calling it, so the spans are those of the
+    # root check's greedy backup, a batch of one.
     pipeline, _ = workloads.WORKLOADS["dp-mip-small"]
     tracer = spans.Tracer()
     layers.install(tracer)
     try:
-        pipeline(workloads.TINY_SIZES["dp-mip-small"], str(tmp_path))
+        out = pipeline(workloads.TINY_SIZES["dp-mip-small"], str(tmp_path))
+        workloads.check_root(workloads.Checks(), out, None)
     finally:
         tracer.uninstall()
     traced = [s for s in tracer.spans if s.name == "backup.drmdp_backup_mccormick"]

@@ -9,7 +9,15 @@ import pytest
 from epiplan import CacheError, DomainError, EpidemicParams
 from epiplan import model as model_module
 from epiplan import plan
-from epiplan.backup import drmdp_backup_enumerate, drmdp_backup_enumerate_batch, enumerate_batch
+from epiplan.backup import (
+    drmdp_backup_enumerate,
+    drmdp_backup_enumerate_batch,
+    drmdp_backup_mccormick,
+    drmdp_backup_mccormick_batch,
+    enumerate_batch,
+    envelope_kinks,
+    envelope_level_values,
+)
 from epiplan.model import EpidemicModel, lattice_state_index
 from epiplan.plan import (
     BACKENDS,
@@ -23,9 +31,14 @@ from epiplan.plan import (
 )
 from epiplan.rules import AmbiguityConfig, design_matrix
 from oracles import (
+    assert_record_is_the_oracles,
     drmdp_backup_enumerate_batch_unrecorded,
     drmdp_backup_enumerate_unrecorded,
+    drmdp_backup_mccormick_one_state,
+    envelope_kinks_one_state,
+    envelope_level_values_one_state,
     inner_value_parametric_one_state,
+    per_state_dp,
 )
 
 
@@ -243,20 +256,6 @@ class TestBackwardDp:
         assert table.values[(init, 1)] < dp.values[(init, 1)] - 1e-3
 
 
-def per_state_dp(model, cfg):
-    """backward_dp with one backup_state call per (state, stage): every
-    back-end's route but the batched drmdp-enumerate one."""
-    model.compile_all()
-    table = ValueTable(model)
-    in_s = model.grid.in_S_indices().tolist()
-    for t in range(model.T - 1, 0, -1):
-        for idx in in_s:
-            value, action = backup_state(model, idx, t, table.V[t + 1], cfg)
-            table.store(idx, t, value)
-            table.actions[(idx, t)] = action
-    return table
-
-
 @functools.cache
 def sized_model(size):
     """A compiled model at the CLI tests' TOY size or a benchmark workload's
@@ -324,7 +323,6 @@ class TestStageBatches:
     @pytest.mark.parametrize("backend, inner, size", [
         ("nominal", "parametric", "dp-mip-small"),
         ("robust", "parametric", "dp-mip-small"),
-        ("drmdp-mccormick", "parametric", "dp-mip-small"),
         ("drmdp-enumerate", "lp", "toy"),
     ])
     def test_other_routes_back_up_one_state_at_a_time(self, backend, inner, size):
@@ -368,6 +366,133 @@ class TestStageBatches:
 
         got = run()
         monkeypatch.setattr(plan, "drmdp_backup_enumerate", one_state)
+        assert got == run()
+
+
+def mccormick_sized_model(size):
+    """sized_model, and an L=M=5 model on a small N (36 levels)."""
+    if size == "L=M=5":
+        model = EpidemicModel(EpidemicParams(N=60, L=5, M=5, T=4), 4, AmbiguityConfig())
+        model.compile_all()
+        return model
+    return sized_model(size)
+
+
+@functools.cache
+def mccormick_per_state_dp(size):
+    """per_state_dp with drmdp-mccormick on mccormick_sized_model(size)."""
+    return per_state_dp(mccormick_sized_model(size), PlannerConfig(backend="drmdp-mccormick"))
+
+
+class TestMcCormickStageBatches:
+    """backward_dp with drmdp-mccormick builds each chunk's kink records once
+    (plan._mccormick_batches) and backs up each stage one padded pass per
+    chunk; RTDP, greedy_action and backup_state use a batch of one."""
+
+    @pytest.mark.parametrize("size", ["toy", "dp-mip-small", "compile-cache-dp", "L=M=5"])
+    def test_records_equal_the_one_state_oracle(self, size):
+        model = mccormick_sized_model(size)
+        k, L, M = model.acfg.k, model.params.L, model.params.M
+        in_s = model.grid.in_S_indices().tolist()
+        seen = []
+        for kinks in plan._mccormick_batches(model, in_s):
+            for i, idx in enumerate(kinks.states.tolist()):
+                assert_record_is_the_oracles(kinks, i, model.rules(idx), k, L, M)
+                seen.append(idx)
+        assert sorted(seen) == in_s
+        # The batch of one that backup_state reads, and its level values.
+        rng = np.random.default_rng(5)
+        for idx in in_s[::7]:
+            coeffs, one = model.rules(idx), model.kinks(idx)
+            assert_record_is_the_oracles(one, 0, coeffs, k, L, M)
+            ref = envelope_kinks_one_state(coeffs, k, L, M)
+            assert one.offset.shape[2] == ref.offset.shape[1]      # not padded
+            v = -rng.random(len(coeffs.support)) * 1e3
+            want = envelope_level_values_one_state(ref, v)
+            assert envelope_level_values(one, v[None])[0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("size", ["toy", "dp-mip-small", "compile-cache-dp", "L=M=5"])
+    def test_equals_per_state_loop(self, size):
+        # Bit for bit at dp-mip-small; elsewhere the padded sum over a
+        # state's kinks may group differently.
+        model = mccormick_sized_model(size)
+        dp = backward_dp(model, PlannerConfig(backend="drmdp-mccormick"))
+        ref = mccormick_per_state_dp(size)
+        assert_same_policy(dp, ref)
+        if size == "dp-mip-small":
+            np.testing.assert_array_equal(dp.V, ref.V)
+            assert dp.V.tobytes() == ref.V.tobytes()
+            assert dp.values == ref.values and dp.actions == ref.actions
+
+    @pytest.mark.parametrize("size, budget", [
+        ("dp-mip-small", 1), ("dp-mip-small", 10**9), ("compile-cache-dp", 1)],
+        ids=["dp-mip-small-one-state", "dp-mip-small-all-states", "compile-cache-dp-one-state"])
+    def test_independent_of_batching(self, size, budget, monkeypatch):
+        # One state per chunk pads nothing, so every value is its own
+        # backup's bit for bit; one chunk of all states pads every row to
+        # the longest.  (One chunk of the 165 compile-cache-dp states would
+        # build on 263 MB of arrays.)
+        model = sized_model(size)
+        cfg = PlannerConfig(backend="drmdp-mccormick")
+        ref = mccormick_per_state_dp(size)
+        monkeypatch.setattr(plan, "BATCH_ENTRIES", budget)
+        in_s = model.grid.in_S_indices().tolist()
+        batches = plan._mccormick_batches(model, in_s)
+        assert len(batches) == (len(in_s) if budget == 1 else 1)
+        dp = backward_dp(model, cfg)
+        assert_same_policy(dp, ref)
+        if budget == 1:
+            assert dp.V.tobytes() == ref.V.tobytes()
+            assert dp.values == ref.values
+
+    def test_narrow_state_beside_the_widest(self):
+        model = sized_model("compile-cache-dp")
+        k, L, M, lam = model.acfg.k, model.params.L, model.params.M, model.lam
+        in_s = model.grid.in_S_indices().tolist()
+        size = {idx: len(model.rules(idx).support) for idx in in_s}
+        pair = [min(in_s, key=size.get), max(in_s, key=size.get)]
+        assert [size[i] for i in pair] == [1, 70]
+        v_next = mccormick_per_state_dp("compile-cache-dp").V[2]
+        kinks = envelope_kinks(pair, [model.rules(i) for i in pair], k, L, M)
+        assert kinks.offset.shape[2] == model.kinks(pair[1]).offset.shape[2]
+        values, best = drmdp_backup_mccormick_batch(kinks, v_next, lam)
+        for idx, value, b in zip(pair, values, best):
+            solo, action = drmdp_backup_mccormick(model.rules(idx), v_next, lam, k, L, M,
+                                                  kinks=model.kinks(idx))
+            assert abs(value - solo) <= 1e-15 * abs(solo), idx
+            assert model.actions[b] == action
+        assert values[1] == solo                  # the widest is not padded
+
+    def test_backward_dp_backs_up_no_state_alone(self, monkeypatch):
+        calls = []
+        real = plan.backup_state
+
+        def spy(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(plan, "backup_state", spy)
+        model = toy_model(N=8, Y=2, T=4, L=2, M=2, delta=0.05)
+        table = backward_dp(model, PlannerConfig(backend="drmdp-mccormick"))
+        assert calls == [] and len(table.values) == 3 * len(model.grid.in_S_indices())
+        assert model._kinks == {}                 # the DP keeps no records on the model
+        backward_dp(model, PlannerConfig(backend="nominal"))
+        assert calls
+
+    def test_rtdp_runs_the_one_state_arithmetic(self, monkeypatch):
+        # RTDP backs up one state at a time, a batch of one; its trace and
+        # root are those of the one-state record and level values, bit for
+        # bit.
+        def run():
+            model = toy_model(N=8, Y=2, T=4, L=2, M=2, delta=0.05)
+            init = model.grid.index_of(1, 1, 0)
+            cfg = PlannerConfig(backend="drmdp-mccormick", niter=30, early_stop=False)
+            table, trace = rtdp(model, init, cfg)
+            return table.values[(init, 1)], [(s.state, s.stage, s.action, s.value)
+                                             for s in trace.steps]
+
+        got = run()
+        monkeypatch.setattr(plan, "drmdp_backup_mccormick", drmdp_backup_mccormick_one_state)
         assert got == run()
 
 

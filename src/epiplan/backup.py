@@ -1,5 +1,11 @@
 """One-stage value backups: nominal, worst-case-shifted, and mean-ambiguous.
 
+Every back-end backs up a batch of states from a record of what does not
+depend on the values.  The nominal and worst-case-shifted backups record
+their states' kernel rows, nominal or shifted, as flat segments
+(RowBatch), and take each expectation as one segment sum; a single-state
+backup builds a batch of one on every call.
+
 The mean-ambiguous backup prices one action against the worst transition
 distribution whose mean lies near action-dependent bounds, with violations
 charged at k per unit.  Dualizing that inner problem gives a small LP in the
@@ -57,21 +63,50 @@ from .seir import Action
 # Nominal and worst-case-shifted backups
 
 
-def best_action_over_rows(
-    actions: Sequence[Action],
-    rows: Sequence[SparseDistribution],
-    rewards: Sequence[float],
-    v: np.ndarray,
-    lam: float,
-) -> tuple[float, Action]:
-    """max_a r(a) + lam * E_row(a)[V] over corner values v; ties go to the
-    first of the given actions."""
-    best_val, best_a = -np.inf, None
-    for a, row, r in zip(actions, rows, rewards):
-        val = r + lam * row.dot(v)
-        if val > best_val:
-            best_val, best_a = val, a
-    return best_val, best_a
+@dataclass(frozen=True)
+class RowBatch:
+    """States whose kernel rows row_backup_batch backs up together, as flat
+    segments.
+
+    The rows of state states[i] at its n actions are rows i*n .. i*n + n - 1,
+    and row r holds probs over the corners indices from starts[r] up to the
+    next row's start (the last row to the end).  reward (c, n) is each
+    state's stage reward at every action.  Nothing in it depends on the
+    values backed up.
+    """
+
+    states: np.ndarray
+    indices: np.ndarray
+    probs: np.ndarray
+    starts: np.ndarray
+    reward: np.ndarray
+
+
+def row_batch(states: Sequence[int], rows: Sequence[Sequence[SparseDistribution]],
+              rewards: Sequence[np.ndarray]) -> RowBatch:
+    """The RowBatch of states with the given kernel rows, nominal or
+    shifted, one per action, and the rewards of those actions."""
+    flat = [row for state_rows in rows for row in state_rows]
+    sizes = np.fromiter(map(len, flat), dtype=np.intp, count=len(flat))
+    return RowBatch(np.asarray(states), np.concatenate([row.indices for row in flat]),
+                    np.concatenate([row.probs for row in flat]),
+                    sizes.cumsum() - sizes, np.reshape(rewards, (len(states), -1)))
+
+
+def row_backup_batch(batch: RowBatch, v_next: np.ndarray,
+                     lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """max_a reward(a) + lam * E_row(a)[v_next] at every state of batch:
+    (values, indices of the best actions), ties to the first.
+
+    Each expectation is one segment of np.add.reduceat, summed over its row
+    alone, so a state's values do not depend on the batch it is in.  Rows
+    are never empty (SparseDistribution.block rejects them), so no segment
+    runs into the next row.
+    """
+    expect = np.add.reduceat(batch.probs * v_next[batch.indices], batch.starts)
+    vals = batch.reward + lam * expect.reshape(batch.reward.shape)
+    best = np.argmax(vals, axis=1)
+    return vals[np.arange(len(vals)), best], best
 
 
 def shift_mass(row: SparseDistribution, donors: np.ndarray, receiver: int,

@@ -1,14 +1,17 @@
 """Planners: trajectory-driven value iteration and full backward induction.
 
-Both planners share the same one-stage backup dispatch, so any back-end
-(nominal, worst-case-shifted, or the mean-ambiguous family) plugs into either.
-Backward induction with the enumeration back-end and its parametric inner
-solve, or with the McCormick back-end, backs up a stage's states in padded
-batches of similar support size instead, through the same closed forms.  A
-single-state backup with either back-end reads what the model records for
-the state on first use (EpidemicModel.terms, EpidemicModel.kinks: a batch of
-one), and the trajectory planner records each row it samples successors
-from as a DrawTable, so a revisited step recomputes neither.
+Both planners share the same one-stage back-ends (nominal, worst-case-shifted,
+or the mean-ambiguous family), so any of them plugs into either.  Each
+back-end has one record of what does not depend on the values and one batch
+backup of it.  Backward induction cuts the states into chunks of similar
+support size once per run and backs up each stage a chunk at a time; only
+the LP inner solve backs up one state at a time.  A single-state backup
+(backup_state) runs the same arithmetic on one state: the nominal and
+robust back-ends build the state's rows into a batch of one on every call,
+and the mean-ambiguous ones read what the model records for the state on
+first use (EpidemicModel.terms, EpidemicModel.kinks: a batch of one).  The
+trajectory planner records each row it samples successors from as a
+DrawTable, so a revisited step does not recompute it.
 Stage indices run 1..T with decisions at 1..T-1; values at stage T are the
 terminal reward (zero).
 
@@ -23,6 +26,7 @@ estimates settle.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +35,7 @@ from .backup import (
     ENVELOPE_NODES,
     EnumerateBatch,
     EnvelopeKinks,
-    best_action_over_rows,
+    RowBatch,
     drmdp_backup_enumerate,
     drmdp_backup_enumerate_batch,
     drmdp_backup_mccormick,
@@ -39,6 +43,8 @@ from .backup import (
     drmdp_backup_unary,  # noqa: F401  perfbench/layers.py traces plan.drmdp_backup_unary
     enumerate_batch,
     envelope_kinks,
+    row_backup_batch,
+    row_batch,
 )
 from .errors import DomainError
 from .model import EpidemicModel
@@ -52,12 +58,12 @@ STOP_TOL = 1e-7
 STOP_PATIENCE = 10
 
 # Most entries in one backward_dp batch (see _chunks): (action, successor)
-# entries of drmdp-enumerate states, (level, successor, node) entries of a
-# drmdp-mccormick kink build.  Either works on a dozen or fewer arrays of
-# at most this many floats at once, so the budget bounds the memory a batch
-# adds.  On a 2-vCPU VM at N=300, Y=8, T=5 the enumerate DP ran fastest
-# near 16,384 (0.037 s); 4,096 took 1.5x as long, 65,536 1.1x and one batch
-# of all 165 states 3.6x.
+# entries of drmdp-enumerate states and of nominal and robust rows,
+# (level, successor, node) entries of a drmdp-mccormick kink build.  Each
+# works on a dozen or fewer arrays of at most this many floats at once, so
+# the budget bounds the memory a batch adds.  On a 2-vCPU VM at N=300, Y=8,
+# T=5 the enumerate DP ran fastest near 16,384 (0.037 s); 4,096 took 1.5x
+# as long, 65,536 1.1x and one batch of all 165 states 3.6x.
 # At N=100, Y=5, T=5 the McCormick DP took 0.023 s at 16,384 (the largest
 # chunk's build peaked at 1.7 MB), 1.6x as long at 4,096, 0.95x at 32,768
 # (2.9 MB) and 1.3x in one chunk of all 56 states (11 MB).
@@ -124,29 +130,61 @@ class PolicyTrace:
         return len(self.steps)
 
 
+class _Entries(Mapping):
+    """A read-only view of some (state, stage) entries of a ValueTable: those
+    where held(at) is set, at = (stage, state) indexing its arrays (Ellipsis
+    for all of them), in sorted (state, stage) order, each read(at).  It
+    copies nothing, so every later store shows through."""
+
+    def __init__(self, shape: tuple[int, int], held: Callable, read: Callable):
+        self._shape, self._held, self._read = shape, held, read
+
+    def __getitem__(self, key: tuple[int, int]):
+        idx, t = key
+        if not (0 <= t < self._shape[0] and 0 <= idx < self._shape[1]
+                and self._held((t, idx))):
+            raise KeyError(key)
+        return self._read((t, idx))
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        idx, t = np.nonzero(self._held(...).T)
+        return zip(idx.tolist(), t.tolist())
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self._held(...)))
+
+
 class ValueTable:
     """Stage values of every grid corner, one dense row per stage: V[t] holds
     stage t's values.  Rows 1..T-1 start at model.stage_bound (the largest
     stage reward at a simplex state, zero elsewhere) and row T, the terminal
-    stage, is zero.  store is the only writer: it sets V[t, idx] and records
-    the entry in values, the backed-up (state, stage) entries.
+    stage, is zero.  backed[t, idx] marks the entries backed up, and
+    best[t, idx] the index into model.actions of the argmax action
+    backward_dp chose there; RTDP, whose entries are backed up against
+    values that later change, records -1.  store is the only writer of the
+    three.
 
-    actions holds the argmax action backward_dp chose for each simplex
-    entry; RTDP, whose entries are backed up against values that later
-    change, records none.  greedy holds the greedy_action results against
-    the current values, keyed by (state, stage, planner config); store
-    clears it."""
+    values and actions are read-only (state, stage) mappings over them: the
+    backed-up entries' values, and the recorded entries' actions.  greedy
+    holds the greedy_action results against the current values, keyed by
+    (state, stage, planner config); store clears it."""
 
     def __init__(self, model: EpidemicModel):
-        self.V = np.tile(model.stage_bound, (model.T + 1, 1))
-        self.V[model.T] = 0.0
-        self.values: dict[tuple[int, int], float] = {}
-        self.actions: dict[tuple[int, int], Action] = {}
+        self.V = V = np.tile(model.stage_bound, (model.T + 1, 1))
+        V[model.T] = 0.0
+        self.backed = np.zeros(V.shape, dtype=bool)
+        self.best = best = np.full(V.shape, -1, dtype=np.intp)
+        self.values = _Entries(V.shape, self.backed.__getitem__, lambda at: float(V[at]))
+        self.actions = _Entries(V.shape, lambda at: best[at] >= 0,
+                                lambda at: model.actions[best[at]])
         self.greedy: dict[tuple[int, int, PlannerConfig], tuple[Action, float]] = {}
 
-    def store(self, idx: int, t: int, value: float) -> None:
-        self.V[t, idx] = value
-        self.values[(idx, t)] = value
+    def store(self, t: int, states, values, best=None) -> None:
+        """Stage t's values at states, one index or an array of them, and
+        the indices of their best actions, or none (-1)."""
+        self.V[t, states] = values
+        self.backed[t, states] = True
+        self.best[t, states] = -1 if best is None else best
         self.greedy.clear()
 
     # lookup and lookup_fn take the model only because perfbench/workloads.py
@@ -163,16 +201,13 @@ def backup_state(model: EpidemicModel, idx: int, t: int, v_next, cfg: PlannerCon
 
     v_next holds the stage t+1 values over all grid corners (a ValueTable
     row); only the state's successor support is read.  Ties go to the first
-    action of model.actions, the lowest (y_V, y_R).
+    action of model.actions, the lowest (y_V, y_R).  The nominal and robust
+    back-ends back up the state's RowBatch of one, built on every call.
     """
     lam = model.lam
-    if cfg.backend == "nominal":
-        return best_action_over_rows(model.actions, model.rows(idx),
-                                     model.rewards(idx), v_next, lam)
-    if cfg.backend == "robust":
-        rows = model.shifted_rows(idx, cfg.robust_budget)
-        return best_action_over_rows(model.actions, rows, model.rewards(idx),
-                                     v_next, lam)
+    if cfg.backend in ("nominal", "robust"):
+        values, best = row_backup_batch(_row_batch(model, [idx], cfg), v_next, lam)
+        return float(values[0]), model.actions[int(best[0])]
     coeffs = model.rules(idx)
     k = model.acfg.k
     if cfg.backend == "drmdp-enumerate":
@@ -216,11 +251,11 @@ def rtdp(model: EpidemicModel, init_idx: int, cfg: PlannerConfig):
         idx = init_idx
         for t in range(1, model.T):
             value, action = backup_state(model, idx, t, table.V[t + 1], cfg)
-            table.store(idx, t, value)
+            table.store(t, idx, value)
             trace.steps.append(TraceStep(it, t, idx, action, value))
             if t < model.T - 1:
                 idx = _sample_next(model, idx, action, rng, draws)
-        root = table.values[(init_idx, 1)]
+        root = table.V[1, init_idx]
         if cfg.early_stop and prev_root is not None:
             stable = stable + 1 if abs(root - prev_root) < STOP_TOL else 0
             if stable >= STOP_PATIENCE:
@@ -252,35 +287,29 @@ def backward_dp(model: EpidemicModel, cfg: PlannerConfig) -> ValueTable:
     recording each simplex entry's value and argmax action.
 
     Every simplex state is compiled first, in one push call
-    (``model.compile_all``).  With drmdp-enumerate and the parametric inner
-    solve, a stage is backed up in batches of states of similar support
-    size (_enumerate_batches), a few array passes each.  With
-    drmdp-mccormick, the kink records are built once per call, a chunk of
-    states of similar support size at a time (_mccormick_batches), and a
-    stage is one padded level-value pass per chunk; the model keeps none of
-    them.  The nominal and robust back-ends and the LP inner solve back up
-    one state at a time with backup_state.  States outside the simplex are
-    not stored; they are worth zero at every stage.
+    (``model.compile_all``).  The states are then cut once into chunks of
+    similar support size, each recorded for its back-end (_batches), and
+    each stage is backed up one chunk at a time, a few array passes each:
+    the nominal and robust back-ends' rows as segment sums, drmdp-enumerate's
+    parametric solve over padded terms, drmdp-mccormick's kink records
+    built once per call.  The model keeps none of them.  Only the LP inner
+    solve backs up one state at a time, with backup_state.  States outside
+    the simplex are not stored; they are worth zero at every stage.
     """
     model.compile_all()
     table = ValueTable(model)
     in_s = model.grid.in_S_indices().tolist()
-    if cfg.backend == "drmdp-mccormick":
-        batches = _mccormick_batches(model, in_s)
-    elif cfg.backend == "drmdp-enumerate" and cfg.inner_method == "parametric":
-        batches = _enumerate_batches(model, in_s)
-    else:
-        batches = None
+    lp = cfg.backend == "drmdp-enumerate" and cfg.inner_method == "lp"
+    batches = None if lp else _batches(model, in_s, cfg)
     for t in range(model.T - 1, 0, -1):
         v_next = table.V[t + 1]
         if batches is None:
-            backed = [(idx, *backup_state(model, idx, t, v_next, cfg)) for idx in in_s]
+            for idx in in_s:
+                value, action = backup_state(model, idx, t, v_next, cfg)
+                table.store(t, idx, value, model.action_index(action))
         else:
-            backed = [entry for batch in batches
-                      for entry in _backup_batch(model, batch, v_next)]
-        for idx, value, action in backed:
-            table.store(idx, t, value)
-            table.actions[(idx, t)] = action
+            for batch in batches:
+                table.store(t, batch.states, *_backup_batch(model, batch, v_next))
     return table
 
 
@@ -300,30 +329,44 @@ def _chunks(model: EpidemicModel, states: list[int], unit: int) -> list[list[int
     return groups
 
 
-def _enumerate_batches(model: EpidemicModel, states: list[int]) -> list[EnumerateBatch]:
-    """states cut into EnumerateBatches, (action, successor) entries."""
-    return [enumerate_batch(g, [model.rules(i) for i in g], model.design)
-            for g in _chunks(model, states, len(model.actions))]
+def _batches(model: EpidemicModel, states: list[int],
+             cfg: PlannerConfig) -> list[RowBatch | EnumerateBatch | EnvelopeKinks]:
+    """states cut into chunks (_chunks), each recorded for cfg's back-end.
+    A RowBatch or EnumerateBatch counts (action, successor) entries, and a
+    kink build (level, successor, node) entries: it works on arrays of at
+    most that many."""
+    n = len(model.actions)
+    if cfg.backend == "drmdp-mccormick":
+        k, L, M = model.acfg.k, model.params.L, model.params.M
+        return [envelope_kinks(g, [model.rules(i) for i in g], k, L, M)
+                for g in _chunks(model, states, n * ENVELOPE_NODES)]
+    if cfg.backend == "drmdp-enumerate":
+        return [enumerate_batch(g, [model.rules(i) for i in g], model.design)
+                for g in _chunks(model, states, n)]
+    return [_row_batch(model, g, cfg) for g in _chunks(model, states, n)]
 
 
-def _mccormick_batches(model: EpidemicModel, states: list[int]) -> list[EnvelopeKinks]:
-    """states cut into EnvelopeKinks, (level, successor, node) entries: a
-    chunk's kink build works on arrays of at most that many."""
-    k, L, M = model.acfg.k, model.params.L, model.params.M
-    return [envelope_kinks(g, [model.rules(i) for i in g], k, L, M)
-            for g in _chunks(model, states, len(model.actions) * ENVELOPE_NODES)]
-
-
-def _backup_batch(model: EpidemicModel, batch: EnumerateBatch | EnvelopeKinks,
-                  v_next: np.ndarray) -> list[tuple[int, float, Action]]:
-    """(state, value, action) of every state of batch against v_next."""
-    if isinstance(batch, EnumerateBatch):
-        values, best = drmdp_backup_enumerate_batch(batch, v_next, model.lam, model.acfg.k,
-                                                    model.design)
+def _row_batch(model: EpidemicModel, states: list[int], cfg: PlannerConfig) -> RowBatch:
+    """The RowBatch of states: their nominal rows, or with the robust
+    back-end their rows shifted within cfg.robust_budget.  A state's rows
+    lie on its rules' support, so each holds at most its width."""
+    if cfg.backend == "robust":
+        rows = [model.shifted_rows(idx, cfg.robust_budget) for idx in states]
     else:
-        values, best = drmdp_backup_mccormick_batch(batch, v_next, model.lam)
-    return [(idx, value, model.actions[b]) for idx, value, b
-            in zip(batch.states.tolist(), values.tolist(), best.tolist())]
+        rows = [model.rows(idx) for idx in states]
+    return row_batch(states, rows, [model.rewards(idx) for idx in states])
+
+
+def _backup_batch(model: EpidemicModel, batch: RowBatch | EnumerateBatch | EnvelopeKinks,
+                  v_next: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values of every state of batch against v_next, and the indices
+    into model.actions of their best actions."""
+    if isinstance(batch, RowBatch):
+        return row_backup_batch(batch, v_next, model.lam)
+    if isinstance(batch, EnumerateBatch):
+        return drmdp_backup_enumerate_batch(batch, v_next, model.lam, model.acfg.k,
+                                            model.design)
+    return drmdp_backup_mccormick_batch(batch, v_next, model.lam)
 
 
 def table_rows(model: EpidemicModel, table: ValueTable, cfg: PlannerConfig):
@@ -334,10 +377,9 @@ def table_rows(model: EpidemicModel, table: ValueTable, cfg: PlannerConfig):
     included), else the greedy action against the stored values (RTDP).
     """
     out = []
-    for (idx, t), value in sorted(table.values.items()):
-        if (idx, t) in table.actions:
-            action = table.actions[(idx, t)]
-        else:
+    for (idx, t), value in table.values.items():
+        action = table.actions.get((idx, t))
+        if action is None:
             action, _ = greedy_action(model, table, idx, t, cfg)
         p_S, p_E, p_I = model.grid.coords[idx]
         out.append({

@@ -54,8 +54,13 @@ of a quantity that `epiplan` computes another way.
   bit.
 * `per_state_dp` — backward induction with one `plan.backup_state` call per
   (state, stage), the route every back-end took before the stage batches;
-  `plan.backward_dp` backs up `drmdp-enumerate` (parametric) and
-  `drmdp-mccormick` stages in padded batches instead.
+  `plan.backward_dp` backs up every back-end's stages a chunk of states at a
+  time instead, but for the LP inner solve.
+* `best_action_over_rows`, `per_row_backup_state` — the nominal and robust
+  backups with one `SparseDistribution.dot` per kernel row;
+  `backup.row_backup_batch` takes every row of a chunk of states as one
+  segment sum (`np.add.reduceat`), which must give these values within
+  2e-15·(1+|value|) and these actions.
 * `sample_next_choice`, `kernel_draw_choice` — RTDP's and the rollouts'
   successor draws made by `Generator.choice` from rows renormalized on
   every call; `plan.DrawTable` records each row's cumulative sums once and
@@ -1023,9 +1028,29 @@ def per_state_dp(model, cfg):
     for t in range(model.T - 1, 0, -1):
         for idx in in_s:
             value, action = plan_module.backup_state(model, idx, t, table.V[t + 1], cfg)
-            table.store(idx, t, value)
-            table.actions[(idx, t)] = action
+            table.store(t, idx, value, model.action_index(action))
     return table
+
+
+def best_action_over_rows(actions, rows, rewards, v: np.ndarray,
+                          lam: float) -> tuple[float, Action]:
+    """max_a r(a) + lam * E_row(a)[V] over corner values v, one
+    SparseDistribution.dot per row; ties go to the first of the given
+    actions."""
+    best_val, best_a = -np.inf, None
+    for a, row, r in zip(actions, rows, rewards):
+        val = r + lam * row.dot(v)
+        if val > best_val:
+            best_val, best_a = val, a
+    return best_val, best_a
+
+
+def per_row_backup_state(model, idx: int, t: int, v_next: np.ndarray, cfg):
+    """plan.backup_state with the nominal and robust back-ends backed up by
+    best_action_over_rows, over the model's nominal or shifted rows."""
+    rows = (model.shifted_rows(idx, cfg.robust_budget) if cfg.backend == "robust"
+            else model.rows(idx))
+    return best_action_over_rows(model.actions, rows, model.rewards(idx), v_next, model.lam)
 
 
 def assert_record_is_the_oracles(kinks, i, coeffs, k, L, M):

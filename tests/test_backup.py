@@ -8,7 +8,6 @@ from epiplan import lp as lp_module
 from epiplan import model as model_module
 from epiplan.errors import DomainError, SolverError
 from epiplan.backup import (
-    best_action_over_rows,
     drmdp_backup_enumerate,
     drmdp_backup_mccormick,
     drmdp_backup_unary,
@@ -36,6 +35,7 @@ from epiplan.rules import (
 from epiplan.seir import stage_rewards
 from oracles import (
     assert_record_is_the_oracles,
+    best_action_over_rows,
     dense_solve_lp,
     dense_solve_mip,
     drmdp_backup_enumerate_unrecorded,

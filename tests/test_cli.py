@@ -11,7 +11,7 @@ from epiplan import ConfigError, sim
 from epiplan.cli import build_parser, dispatch, emit_results
 from epiplan.config import RunConfig, config_hash, parse_config_text, resolved_text
 from epiplan.model import EpidemicModel
-from epiplan.plan import PlannerConfig
+from epiplan.plan import BACKENDS, PlannerConfig
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
                       "README.md")
@@ -493,6 +493,13 @@ class TestDispatch:
         a = open(os.path.join(out_a, "episodes.csv"), "rb").read()
         b = open(os.path.join(out_b, "episodes.csv"), "rb").read()
         assert a == b
+
+
+def test_readme_backend_table_lists_every_backend():
+    text = open(README).read()
+    table = re.search(r"## Planner backends\n+((?:\|.*\n)+)", text).group(1)
+    documented = re.findall(r"^\| `([^`]+)` \|", table, re.M)
+    assert documented == list(BACKENDS)
 
 
 def test_readme_command_line_lists_every_subcommand():

@@ -30,6 +30,7 @@ from epiplan.plan import (
     table_rows,
 )
 from epiplan.rules import AmbiguityConfig, design_matrix
+from epiplan.seir import Action
 from oracles import (
     assert_record_is_the_oracles,
     drmdp_backup_enumerate_batch_unrecorded,
@@ -38,6 +39,7 @@ from oracles import (
     envelope_kinks_one_state,
     envelope_level_values_one_state,
     inner_value_parametric_one_state,
+    per_row_backup_state,
     per_state_dp,
 )
 
@@ -258,10 +260,13 @@ class TestBackwardDp:
 
 @functools.cache
 def sized_model(size):
-    """A compiled model at the CLI tests' TOY size or a benchmark workload's
-    size; shared, as nothing the tests run changes it after compiling."""
+    """A compiled model at the CLI tests' TOY size, a benchmark workload's
+    size or the defaults (N=1000, Y=10, T=12); shared, as nothing the tests
+    run changes it after compiling."""
     if size == "toy":
         model = toy_model(N=10, Y=2, T=3, L=1, M=1)
+    elif size == "default":
+        model = EpidemicModel(EpidemicParams(), 10, AmbiguityConfig())
     else:
         N, Y, L = {"dp-mip-small": (100, 5, 2), "compile-cache-dp": (300, 8, 5)}[size]
         model = EpidemicModel(EpidemicParams(N=N, L=L, M=L, T=5), Y, AmbiguityConfig())
@@ -294,7 +299,7 @@ class TestStageBatches:
         ref = per_state_dp(model, cfg)
         monkeypatch.setattr(plan, "BATCH_ENTRIES", budget)
         in_s = model.grid.in_S_indices().tolist()
-        batches = plan._enumerate_batches(model, in_s)
+        batches = plan._batches(model, in_s, cfg)
         assert len(batches) == (len(in_s) if budget == 1 else 1)
         assert sorted(i for b in batches for i in b.states.tolist()) == in_s
         dp = backward_dp(model, cfg)
@@ -321,8 +326,6 @@ class TestStageBatches:
         assert values[1] == solo                  # the widest is not padded
 
     @pytest.mark.parametrize("backend, inner, size", [
-        ("nominal", "parametric", "dp-mip-small"),
-        ("robust", "parametric", "dp-mip-small"),
         ("drmdp-enumerate", "lp", "toy"),
     ])
     def test_other_routes_back_up_one_state_at_a_time(self, backend, inner, size):
@@ -369,6 +372,84 @@ class TestStageBatches:
         assert got == run()
 
 
+# Row sums against one dot per row: the contract on nominal and robust values.
+ROW_SUM_REL = 2e-15
+
+
+class TestRowSumStages:
+    """backward_dp with nominal and robust backs up each stage a chunk of
+    states at a time, every kernel row one segment sum (backup.RowBatch);
+    RTDP, greedy_action and backup_state build a chunk of one."""
+
+    @pytest.mark.parametrize("backend", ["nominal", "robust"])
+    def test_stage_batches_equal_the_one_state_loop(self, backend):
+        # Each row is its own segment in a chunk of one and in a stage
+        # chunk, so the tables are the same bit for bit.
+        model = sized_model("dp-mip-small")
+        cfg = PlannerConfig(backend=backend)
+        dp, ref = backward_dp(model, cfg), per_state_dp(model, cfg)
+        np.testing.assert_array_equal(dp.V, ref.V)
+        assert dp.values == ref.values and dp.actions == ref.actions
+
+    @pytest.mark.parametrize("size", ["toy", "dp-mip-small", "compile-cache-dp", "default"])
+    @pytest.mark.parametrize("backend", ["nominal", "robust"])
+    def test_equals_the_per_row_oracle(self, backend, size, monkeypatch):
+        model = sized_model(size)
+        cfg = PlannerConfig(backend=backend)
+        dp = backward_dp(model, cfg)
+        monkeypatch.setattr(plan, "backup_state", per_row_backup_state)
+        assert_same_policy(dp, per_state_dp(model, cfg), rel=ROW_SUM_REL)
+
+    @pytest.mark.parametrize("budget", [1, 10**9], ids=["one-state", "all-states"])
+    @pytest.mark.parametrize("backend", ["nominal", "robust"])
+    def test_independent_of_batching(self, backend, budget, monkeypatch):
+        model = sized_model("compile-cache-dp")
+        cfg = PlannerConfig(backend=backend)
+        ref = per_state_dp(model, cfg)
+        monkeypatch.setattr(plan, "BATCH_ENTRIES", budget)
+        in_s = model.grid.in_S_indices().tolist()
+        batches = plan._batches(model, in_s, cfg)
+        assert len(batches) == (len(in_s) if budget == 1 else 1)
+        assert sorted(i for b in batches for i in b.states.tolist()) == in_s
+        dp = backward_dp(model, cfg)
+        assert dp.V.tobytes() == ref.V.tobytes()
+        assert dp.values == ref.values and dp.actions == ref.actions
+
+    def test_only_the_lp_inner_solve_backs_up_one_state_at_a_time(self, monkeypatch):
+        calls = []
+        real = plan.backup_state
+
+        def spy(model, idx, t, v_next, cfg):
+            calls.append((cfg.backend, cfg.inner_method))
+            return real(model, idx, t, v_next, cfg)
+
+        monkeypatch.setattr(plan, "backup_state", spy)
+        model = toy_model(N=8, Y=2, T=4, L=2, M=2, delta=0.05)
+        for backend in BACKENDS:
+            for inner in ("parametric", "lp"):
+                backward_dp(model, PlannerConfig(backend=backend, inner_method=inner))
+        assert set(calls) == {("drmdp-enumerate", "lp")}
+        assert len(calls) == 3 * len(model.grid.in_S_indices())
+
+    @pytest.mark.parametrize("backend", ["nominal", "robust"])
+    def test_rtdp_runs_the_per_row_route(self, backend, monkeypatch):
+        def run():
+            model = toy_model(N=8, Y=2, T=4, L=2, M=2, delta=0.05)
+            init = model.grid.index_of(1, 1, 0)
+            cfg = PlannerConfig(backend=backend, niter=30, early_stop=False)
+            table, trace = rtdp(model, init, cfg)
+            return table.V[1, init], trace.steps
+
+        root, steps = run()
+        monkeypatch.setattr(plan, "backup_state", per_row_backup_state)
+        want_root, want = run()
+        assert [(s.iteration, s.stage, s.state, s.action) for s in steps] == \
+               [(s.iteration, s.stage, s.state, s.action) for s in want]
+        for got, ref in zip(steps, want):
+            assert abs(got.value - ref.value) <= ROW_SUM_REL * (1.0 + abs(ref.value))
+        assert abs(root - want_root) <= ROW_SUM_REL * (1.0 + abs(want_root))
+
+
 def mccormick_sized_model(size):
     """sized_model, and an L=M=5 model on a small N (36 levels)."""
     if size == "L=M=5":
@@ -386,7 +467,7 @@ def mccormick_per_state_dp(size):
 
 class TestMcCormickStageBatches:
     """backward_dp with drmdp-mccormick builds each chunk's kink records once
-    (plan._mccormick_batches) and backs up each stage one padded pass per
+    (plan._batches) and backs up each stage one padded pass per
     chunk; RTDP, greedy_action and backup_state use a batch of one."""
 
     @pytest.mark.parametrize("size", ["toy", "dp-mip-small", "compile-cache-dp", "L=M=5"])
@@ -395,7 +476,7 @@ class TestMcCormickStageBatches:
         k, L, M = model.acfg.k, model.params.L, model.params.M
         in_s = model.grid.in_S_indices().tolist()
         seen = []
-        for kinks in plan._mccormick_batches(model, in_s):
+        for kinks in plan._batches(model, in_s, PlannerConfig(backend="drmdp-mccormick")):
             for i, idx in enumerate(kinks.states.tolist()):
                 assert_record_is_the_oracles(kinks, i, model.rules(idx), k, L, M)
                 seen.append(idx)
@@ -437,7 +518,7 @@ class TestMcCormickStageBatches:
         ref = mccormick_per_state_dp(size)
         monkeypatch.setattr(plan, "BATCH_ENTRIES", budget)
         in_s = model.grid.in_S_indices().tolist()
-        batches = plan._mccormick_batches(model, in_s)
+        batches = plan._batches(model, in_s, cfg)
         assert len(batches) == (len(in_s) if budget == 1 else 1)
         dp = backward_dp(model, cfg)
         assert_same_policy(dp, ref)
@@ -476,7 +557,7 @@ class TestMcCormickStageBatches:
         table = backward_dp(model, PlannerConfig(backend="drmdp-mccormick"))
         assert calls == [] and len(table.values) == 3 * len(model.grid.in_S_indices())
         assert model._kinks == {}                 # the DP keeps no records on the model
-        backward_dp(model, PlannerConfig(backend="nominal"))
+        backward_dp(model, PlannerConfig(inner_method="lp"))
         assert calls
 
     def test_rtdp_runs_the_one_state_arithmetic(self, monkeypatch):
@@ -503,7 +584,7 @@ class TestTableHelpers:
         idx = model.grid.index_of(1, 1, 0)
         assert table.lookup(model, idx, model.T) == 0.0
         assert table.lookup(model, idx, 1) == model.stage_bound[idx]
-        table.store(idx, 1, -4.5)
+        table.store(1, idx, -4.5)
         assert table.lookup(model, idx, 1) == -4.5
         assert table.values == {(idx, 1): -4.5}
         off = model.grid.index_of(2, 2, 2)
@@ -521,7 +602,7 @@ class TestTableHelpers:
         in_s = model.grid.in_S_indices().tolist()
         stored = {idx: -float(rng.random() * 10) for idx in in_s}
         for idx, value in stored.items():
-            table.store(idx, 2, value)
+            table.store(2, idx, value)
         assert table.values == {(idx, 2): value for idx, value in stored.items()}
         row = table.lookup_fn(model, 2)
         for idx, value in stored.items():
@@ -559,7 +640,7 @@ class TestTableHelpers:
         assert backups == [(idx, 1)]
         greedy_action(model, table, idx, 1, PlannerConfig(backend="robust"))
         assert backups == [(idx, 1)] * 2
-        table.store(idx, 2, -1.0)                  # the values changed
+        table.store(2, idx, -1.0)                  # the values changed
         greedy_action(model, table, idx, 1, cfg)
         assert backups == [(idx, 1)] * 3 and len(table.greedy) == 1
 
@@ -617,6 +698,40 @@ class TestTableHelpers:
         assert rows
         assert set(rows[0]) == {"stage", "state", "p_S", "p_E", "p_I",
                                 "value", "y_V", "y_R"}
+
+
+class TestValueTableArrays:
+    @pytest.mark.parametrize("planner", ["rtdp", "backward_dp"])
+    def test_mappings_read_the_arrays(self, planner):
+        model = toy_model(N=8, Y=2, T=4)
+        cfg = PlannerConfig(backend="nominal", niter=20)
+        if planner == "rtdp":
+            table, _ = rtdp(model, model.grid.index_of(1, 1, 0), cfg)
+        else:
+            table = backward_dp(model, cfg)
+        idx, t = np.nonzero(table.backed.T)
+        keys = list(zip(idx.tolist(), t.tolist()))
+        assert list(table.values) == keys == sorted(keys)
+        assert len(table.values) == int(table.backed.sum()) > 0
+        assert dict(table.values) == {(i, s): float(table.V[s, i]) for i, s in keys}
+        acted = [(i, s) for i, s in keys if table.best[s, i] >= 0]
+        assert list(table.actions) == acted and len(table.actions) == len(acted)
+        assert dict(table.actions) == {(i, s): model.actions[table.best[s, i]]
+                                       for i, s in acted}
+        assert (table.best[~table.backed] == -1).all()
+        if planner == "rtdp":
+            assert not table.actions
+        else:
+            assert acted == keys
+        missing = (int(np.flatnonzero(~model.grid.in_S)[0]), 1)
+        assert missing not in table.values and missing not in table.actions
+        assert (keys[0][0], model.T + 5) not in table.values
+        with pytest.raises(KeyError):
+            table.values[missing]
+        with pytest.raises(TypeError):
+            table.values[keys[0]] = 0.0
+        with pytest.raises(TypeError):
+            table.actions[keys[0]] = Action(0, 0)
 
 
 UNPICKLED = []

@@ -4,7 +4,7 @@ Every back-end backs up a batch of states from a record of what does not
 depend on the values.  The nominal and worst-case-shifted backups record
 their states' kernel rows, nominal or shifted, as flat segments
 (RowBatch), and take each expectation as one segment sum; a single-state
-backup builds a batch of one on every call.
+backup builds a batch of one on every call, from views of the state's rows.
 
 The mean-ambiguous backup prices one action against the worst transition
 distribution whose mean lies near action-dependent bounds, with violations
@@ -49,7 +49,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, SolverError
-from .grid import Grid, SparseDistribution
+from .grid import Grid, RowBlock, SparseDistribution
 from .lp import LinearProgram, MixedIntegerProgram, solve_lp, solve_mip
 from .rules import (
     DecisionRuleCoefficients,
@@ -82,15 +82,15 @@ class RowBatch:
     reward: np.ndarray
 
 
-def row_batch(states: Sequence[int], rows: Sequence[Sequence[SparseDistribution]],
+def row_batch(states: Sequence[int], rows: Sequence[RowBlock],
               rewards: Sequence[np.ndarray]) -> RowBatch:
     """The RowBatch of states with the given kernel rows, nominal or
-    shifted, one per action, and the rewards of those actions."""
-    flat = [row for state_rows in rows for row in state_rows]
-    sizes = np.fromiter(map(len, flat), dtype=np.intp, count=len(flat))
-    return RowBatch(np.asarray(states), np.concatenate([row.indices for row in flat]),
-                    np.concatenate([row.probs for row in flat]),
-                    sizes.cumsum() - sizes, np.reshape(rewards, (len(states), -1)))
+    shifted, a RowBlock of one row per action for each, and the rewards of
+    those actions.  A batch of one holds views of its state's rows; a
+    larger one joins them."""
+    [block] = rows if len(rows) == 1 else [RowBlock.join(rows)]
+    return RowBatch(np.asarray(states), block.indices, block.probs, block.offsets[:-1],
+                    np.reshape(rewards, (len(states), -1)))
 
 
 def row_backup_batch(batch: RowBatch, v_next: np.ndarray,

@@ -17,14 +17,19 @@ tables over the (C, D) plane give each region's mass and mean in O(1).  The
 (C, D) law depends only on the counts (n_E, n_I), so the corners that share
 them are pushed as one group: one set of prefix tables and one point
 location for the pairs of all of them.  Exposure laws, which depend only on
-(n_S, p_I), are built once per call.  A group's rows come out as one block
-of flat arrays, renormalized and checked at once
+(n_S, p_I), are built once per call, the binomial laws of every action in
+one array pass (``seir.binomial_rows``).
+
+Kernel rows are held flat: a RowBlock is (indices, probs, row offsets), and a
+row (SparseDistribution) is a read-only view of it made on demand.  The push
+returns its call's rows as one KernelBlock, the RowBlock of its corners in
+the order given, each group's rows renormalized and checked at once
 (``SparseDistribution.block``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +42,7 @@ from .seir import (
     Action,
     ContinuousState,
     EpidemicParams,
-    binomial_row,
+    binomial_rows,
     exposure_prob,
     transition_pmf,  # noqa: F401  perfbench/layers.py traces grid.transition_pmf
     vaccination_trials,
@@ -56,28 +61,34 @@ class GridSpec:
 
 
 class SparseDistribution:
-    """Probability mass over corner indices; indices unique and ascending.
+    """A read-only view of one kernel row: probability mass over corner
+    indices, unique and ascending.
 
-    Rows are made only by ``block``, which checks many rows at once.
+    Rows are held flat, in a RowBlock, and these views are made on demand;
+    ``block`` checks many rows at once and returns them as one.
     """
 
     __slots__ = ("indices", "probs")
 
-    @classmethod
-    def block(cls, indices: np.ndarray, probs: np.ndarray, offsets: np.ndarray,
-              normalize: bool = False) -> list[SparseDistribution]:
-        """The rows held at [offsets[r], offsets[r+1]) of flat indices and probs.
+    def __init__(self, indices: np.ndarray, probs: np.ndarray):
+        self.indices, self.probs = indices, probs
+
+    @staticmethod
+    def block(indices: np.ndarray, probs: np.ndarray, offsets: np.ndarray,
+              normalize: bool = False) -> RowBlock:
+        """The rows held at [offsets[r], offsets[r+1]) of flat indices and
+        probs, as one RowBlock.
 
         The whole block is checked at once: each row's indices must ascend
         strictly, no entry may be below -1e-15, and each row must sum to one
         within 1e-9 or, with normalize, to a positive total, by which it is
         then divided.  A row that fails raises RowError naming the first
-        such row and its reason.  The rows are views of one read-only
-        buffer.
+        such row and its reason.  The block holds read-only copies of
+        indices and probs.
         """
         indices = np.array(indices, dtype=np.int64)
         probs = np.array(probs, dtype=np.float64)
-        offsets = np.asarray(offsets, dtype=np.int64)
+        offsets = np.array(offsets, dtype=np.int64)
         lengths = np.diff(offsets)
         if (indices.shape != probs.shape or indices.ndim != 1 or offsets.ndim != 1
                 or len(offsets) == 0 or offsets[0] != 0 or offsets[-1] != len(indices)
@@ -112,14 +123,9 @@ class SparseDistribution:
             raise RowError(r, reason)
         if normalize:
             probs /= np.repeat(total, lengths)
-        indices.flags.writeable = False
-        probs.flags.writeable = False
-        rows = []
-        for lo, hi in zip(offsets[:-1].tolist(), offsets[1:].tolist()):
-            row = cls.__new__(cls)
-            row.indices, row.probs = indices[lo:hi], probs[lo:hi]
-            rows.append(row)
-        return rows
+        for a in (indices, probs, offsets):
+            a.flags.writeable = False
+        return RowBlock(indices, probs, offsets)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -127,6 +133,69 @@ class SparseDistribution:
     def dot(self, values: np.ndarray) -> float:
         """Expectation of per-corner values under this distribution."""
         return float(np.dot(self.probs, values[self.indices]))
+
+
+class RowBlock(Sequence):
+    """Kernel rows held flat: row r puts probs[offsets[r]:offsets[r+1]] on
+    the corners indices[offsets[r]:offsets[r+1]], and offsets[0] is 0.
+
+    Only ``SparseDistribution.block`` checks rows; a RowBlock holds what it
+    is given.  Indexing a row makes a SparseDistribution view of it, and
+    slicing a run of rows a RowBlock of views, so no row object is kept.
+    """
+
+    __slots__ = ("indices", "probs", "offsets")
+
+    def __init__(self, indices: np.ndarray, probs: np.ndarray, offsets: np.ndarray):
+        self.indices, self.probs, self.offsets = indices, probs, offsets
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, r):
+        if isinstance(r, slice):
+            start, stop, step = r.indices(len(self))
+            if step != 1:
+                raise DomainError("a RowBlock slices runs of rows only")
+            stop = max(start, stop)
+            lo, hi = self.offsets[start], self.offsets[stop]
+            return RowBlock(self.indices[lo:hi], self.probs[lo:hi],
+                            self.offsets[start:stop + 1] - lo)
+        r = range(len(self))[r]
+        lo, hi = self.offsets[r], self.offsets[r + 1]
+        return SparseDistribution(self.indices[lo:hi], self.probs[lo:hi])
+
+    @staticmethod
+    def join(parts: Iterable[RowBlock | SparseDistribution]) -> RowBlock:
+        """Rows, and runs of rows given as RowBlocks, in order, copied into
+        one read-only RowBlock."""
+        parts = list(parts)
+        lengths = [np.diff(p.offsets) if isinstance(p, RowBlock) else [len(p)] for p in parts]
+        arrays = (np.concatenate([np.zeros(0, np.int64)] + [p.indices for p in parts]),
+                  np.concatenate([np.zeros(0)] + [p.probs for p in parts]),
+                  np.append(0, np.cumsum(np.concatenate([[]] + lengths), dtype=np.int64)))
+        for a in arrays:
+            a.flags.writeable = False
+        return RowBlock(*arrays)
+
+
+class KernelBlock(Sequence):
+    """The kernel rows of some corners as one RowBlock: the rows of
+    corners[m], one per action in ``params.actions()`` order, are rows
+    m*n_actions .. (m+1)*n_actions - 1.  Indexing a corner's place gives
+    its rows, a RowBlock of views."""
+
+    __slots__ = ("corners", "rows", "n_actions")
+
+    def __init__(self, corners: np.ndarray, rows: RowBlock, n_actions: int):
+        self.corners, self.rows, self.n_actions = corners, rows, n_actions
+
+    def __len__(self) -> int:
+        return len(self.corners)
+
+    def __getitem__(self, m: int) -> RowBlock:
+        m = range(len(self))[m]
+        return self.rows[m * self.n_actions:(m + 1) * self.n_actions]
 
 
 class Grid:
@@ -264,38 +333,38 @@ def _exposure_laws(params: EpidemicParams, state: ContinuousState, n_S: int
     """Each vaccination level's exposure counts kB, their marginals pB (one
     row per intervention level) and its number of trials, once per count.
 
-    The exposure probability of each y_R does not depend on y_V.  Every kept
+    The exposure probability of each y_R does not depend on y_V, so the laws
+    of every (y_V, y_R) come from one ``binomial_rows`` call.  Every kept
     binomial support is one integer run, so a y_V's counts are the covered
-    part of one span, and each row lands in it at one offset.
+    part of its span, and each row, divided by the sum of its own run, lands
+    in them at one offset.
     """
     phis = [exposure_prob(params, state, Action(0, y_R)) for y_R in range(params.M + 1)]
+    ns = [vaccination_trials(params, n_S, y_V) for y_V in range(params.L + 1)]
+    pmf, keep = binomial_rows(np.array(ns), np.array(phis))
+    first = np.argmax(keep, axis=-1)
+    end = keep.shape[-1] - np.argmax(keep[..., ::-1], axis=-1)
+    if np.any(keep.sum(axis=-1) != end - first):
+        raise DomainError("the B supports must be integer ranges")
+    sums = [row[a:z].sum() for row, a, z in
+            zip(pmf.reshape(-1, pmf.shape[-1]), first.ravel().tolist(), end.ravel().tolist())]
+    lo, hi = int(first.min()), int(end.max())
+    keep = keep[..., lo:hi]
+    marginals = np.where(keep, pmf[..., lo:hi] / np.reshape(sums, first.shape + (1,)), 0.0)
     kBs, pBs, trials = [], [], []
-    for y_V in range(params.L + 1):
-        n_trials = vaccination_trials(params, n_S, y_V)
-        marginals = [binomial_row(n_trials, phi) for phi in phis]
-        if any(k[-1] - k[0] + 1 != len(k) for k, _ in marginals):
-            raise DomainError("the B supports must be integer ranges")
-        lo = min(int(k[0]) for k, _ in marginals)
-        covered = np.zeros(max(int(k[-1]) for k, _ in marginals) + 1 - lo, dtype=bool)
-        for k, _ in marginals:
-            covered[k[0] - lo:k[-1] + 1 - lo] = True
-        kB = np.flatnonzero(covered) + lo
-        at = np.cumsum(covered) - 1
-        pB = np.zeros((len(phis), len(kB)))
-        for r, (k, p) in enumerate(marginals):
-            start = int(at[k[0] - lo])
-            pB[r, start:start + len(k)] = p / p.sum()
-        kBs.append(kB)
-        pBs.append(pB)
-        trials.append(np.full(len(kB), n_trials))
+    for y_V, n_trials in enumerate(ns):
+        covered = keep[y_V].any(axis=0)
+        kBs.append(np.flatnonzero(covered) + lo)
+        # C order: the bits of pB @ K depend on its layout.
+        pBs.append(np.ascontiguousarray(marginals[y_V][:, covered]))
+        trials.append(np.full(len(kBs[-1]), n_trials))
     return kBs, pBs, trials
 
 
-def discretize_kernel(
-    grid: Grid, params: EpidemicParams, corner_indices: Sequence[int]
-) -> list[list[SparseDistribution]]:
-    """The kernel rows of each corner, in the order given: one list per
-    corner, one row per action in ``params.actions()`` order.
+def discretize_kernel(grid: Grid, params: EpidemicParams,
+                      corner_indices: Sequence[int]) -> KernelBlock:
+    """The kernel rows of each corner, in the order given, as one
+    KernelBlock: one row per action in ``params.actions()`` order.
 
     Each row is the exact atom law of ``seir.transition_pmf`` pushed onto the
     grid corners.  The atoms of every vaccination level y_V and exposure
@@ -306,12 +375,15 @@ def discretize_kernel(
 
     The corners with equal counts (n_E, n_I) share their (C, D) law, and are
     pushed as one group (``_push_group``); the exposure laws of each
-    distinct (n_S, p_I) are built once per call.  A corner outside the
-    simplex raises DomainError (``Grid.state_of``) before any push, and so
-    does a row the push cannot make a distribution, naming its corner and
-    action.
+    distinct (n_S, p_I) are built once per call.  Each group's rows are
+    renormalized and checked as one block, and the corners' rows are joined
+    in the order given (a lone corner keeps its group's block).  A corner
+    outside the simplex raises DomainError
+    (``Grid.state_of``) before any push, and so does a row the push cannot
+    make a distribution, naming its corner and action.
     """
-    states = {int(i): grid.state_of(int(i)) for i in corner_indices}
+    corners = np.array(corner_indices, dtype=np.int64).reshape(-1)
+    states = {i: grid.state_of(i) for i in corners.tolist()}
     laws: dict[tuple[int, float], tuple] = {}
     groups: dict[tuple[int, int], list[tuple[int, tuple]]] = {}
     for idx, state in states.items():
@@ -321,22 +393,29 @@ def discretize_kernel(
             laws[key] = _exposure_laws(params, state, n_S)
         groups.setdefault((n_E, n_I), []).append((idx, laws[key]))
     actions = params.actions()
-    rows: dict[int, list[SparseDistribution]] = {}
+    n_a = len(actions)
+    rows: dict[int, RowBlock] = {}
     for (n_E, n_I), members in groups.items():
-        corners, member_laws = zip(*members)
+        member_corners, member_laws = zip(*members)
+        successors, probs, lengths = _push_group(grid, params, n_E, n_I, member_laws)
         try:
-            rows.update(zip(corners, _push_group(grid, params, n_E, n_I, member_laws)))
+            block = SparseDistribution.block(successors, probs, np.append(0, np.cumsum(lengths)),
+                                             normalize=True)
         except RowError as exc:
-            a = actions[exc.row % len(actions)]
-            raise DomainError(f"kernel row of corner {corners[exc.row // len(actions)]}, "
+            a = actions[exc.row % n_a]
+            raise DomainError(f"kernel row of corner {member_corners[exc.row // n_a]}, "
                               f"action ({a.y_V}, {a.y_R}): {exc.reason}") from None
-    return [rows[int(i)] for i in corner_indices]
+        rows.update((idx, block[m * n_a:(m + 1) * n_a]) for m, idx in enumerate(member_corners))
+    if len(corners) == 1:
+        return KernelBlock(corners, block, n_a)
+    return KernelBlock(corners, RowBlock.join(rows[i] for i in corners.tolist()), n_a)
 
 
 def _push_group(grid: Grid, params: EpidemicParams, n_E: int, n_I: int,
-                member_laws: Sequence[tuple]) -> list[list[SparseDistribution]]:
+                member_laws: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows of every corner with counts (n_E, n_I), given each one's
-    exposure laws, in one plane-moment pass.
+    exposure laws, in one plane-moment pass, as flat successors and
+    masses, not yet renormalized, and the length of each row.
 
     The atoms of one (y_V, b) differ only in (C, D), and are pushed as
     simplex-region moments.  In c = C - C0 and v = C - D - V_min (C0 and
@@ -357,12 +436,13 @@ def _push_group(grid: Grid, params: EpidemicParams, n_E: int, n_I: int,
     Only the exposure counts differ between the members, so their (y_V, b)
     pairs run along one axis, member after member, and the means of all of
     them are located in one call.  Each member's K and rows are then formed
-    on its own; its corner masses below ENTRY_TOL are dropped, and the
-    group's rows are renormalized and checked as one block.
+    on its own, over the corners it hits, found by marking them on the
+    grid; its corner masses below ENTRY_TOL are dropped.
     """
     N, Y = params.N, grid.Y
-    kC, pC = binomial_row(n_E, params.rho_C)
-    kD, pD = binomial_row(n_I, params.rho_D)
+    pmf, keep = binomial_rows(np.array([n_E, n_I]), np.array([params.rho_C, params.rho_D]))
+    kC, kD = np.flatnonzero(keep[0, 0]), np.flatnonzero(keep[1, 1])
+    pC, pD = pmf[0, 0, kC], pmf[1, 1, kD]
     if np.any(np.diff(kC) != 1) or np.any(np.diff(kD) != 1):
         raise DomainError("the C and D supports must be integer ranges")
     n_C, n_D = len(kC), len(kD)
@@ -441,12 +521,17 @@ def _push_group(grid: Grid, params: EpidemicParams, n_E: int, n_I: int,
     n_pairs = [sum(len(kB) for kB in kBs) for kBs, _, _ in member_laws]
     pair_start = np.cumsum([0] + n_pairs)
     hit_start = np.searchsorted(pair, pair_start).tolist()
+    marked = np.zeros(grid.n_corners, dtype=bool)
+    column = np.empty(grid.n_corners, dtype=np.int64)
     successors, probs, lengths = [], [], []
     for m, (kBs, pBs, _) in enumerate(member_laws):
         lo, hi = hit_start[m], hit_start[m + 1]
-        corners, col = np.unique(idx[lo:hi], return_inverse=True)
+        marked[idx[lo:hi]] = True
+        corners = np.flatnonzero(marked)
+        marked[corners] = False
+        column[corners] = np.arange(len(corners))
         K = np.bincount(((pair[lo:hi, None] - pair_start[m]) * len(corners)
-                         + col.reshape(hi - lo, 4)).ravel(),
+                         + column[idx[lo:hi]]).ravel(),
                         weights=pushed[lo:hi].ravel(),
                         minlength=n_pairs[m] * len(corners)).reshape(n_pairs[m], len(corners))
         bounds = np.cumsum([0] + [len(kB) for kB in kBs])
@@ -455,11 +540,7 @@ def _push_group(grid: Grid, params: EpidemicParams, n_E: int, n_I: int,
         successors.append(corners[np.nonzero(keep)[1]])
         probs.append(row_mass[keep])
         lengths.append(keep.sum(axis=1))
-    offsets = np.concatenate([[0], np.cumsum(np.concatenate(lengths))])
-    rows = SparseDistribution.block(np.concatenate(successors), np.concatenate(probs),
-                                    offsets, normalize=True)
-    n_a = (params.L + 1) * (params.M + 1)
-    return [rows[m * n_a:(m + 1) * n_a] for m in range(len(member_laws))]
+    return np.concatenate(successors), np.concatenate(probs), np.concatenate(lengths)
 
 
 def cache_key(params: EpidemicParams, Y: int) -> str:

@@ -7,15 +7,20 @@ compiled is cached in memory; the kernel rows can be persisted to a NumPy
 record array keyed by a content hash of the configuration, and the rules are
 refit when it is loaded.
 
-Kernel rows come in blocks, each checked once as a whole, whether the push
-built them or the cache file held them; hydrating a state from its rows takes
-array operations only: the rewards are one expression over the design
-matrix, whose rank the model checks once, when it is built.
+The kernel rows are kept as flat blocks (``grid.KernelBlock``), one per push
+call, pool slice or cache load, each checked once as a whole; each compiled
+state is indexed to its block and its place in it, and its rows are read-only
+views made on demand (``rows``), so no row object is kept.  A block is
+hydrated as it comes in: the rewards of its states are one array, and their
+rules are fitted a run of states at a time (``rules.fit_rule_block``) with
+the solve of the model's design, whose rank the model checks once, when it
+is built.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Iterator, Mapping
 from functools import cached_property
 
 import numpy as np
@@ -23,16 +28,44 @@ import numpy as np
 from .backup import (EnumerateTerms, EnvelopeKinks, envelope_kinks, inner_value_parametric,
                      state_terms, worst_case_shift)
 from .errors import CacheError, DomainError, RowError
-from .grid import Grid, GridSpec, SparseDistribution, cache_key, discretize_kernel
-from .rules import (AmbiguityConfig, DecisionRuleCoefficients, fit_rules, mean_bounds,
-                    rule_design)
-from .seir import Action, ContinuousState, EpidemicParams, stage_rewards
+from .grid import (Grid, GridSpec, KernelBlock, RowBlock, SparseDistribution, cache_key,
+                   discretize_kernel)
+from .rules import (
+    AmbiguityConfig,
+    DecisionRuleCoefficients,
+    fit_rule_block,
+    fit_rules,  # noqa: F401  perfbench/layers.py traces model.fit_rules
+    mean_bounds,
+    rule_design,
+)
+from .seir import Action, ContinuousState, EpidemicParams, count_rewards
 
 
 # One record per stored kernel entry; action indexes model.actions.  A cache
 # lists its records in (state, action) order, each row's successors ascending.
 _RECORD = np.dtype([("state", "<i4"), ("action", "<i4"), ("successor", "<i4"),
                     ("prob", "<f8")])
+
+
+class _RowViews(Mapping):
+    """A read-only state -> rows mapping over a model's blocks: each compiled
+    state's rows, a RowBlock of views made on demand.  The package reads rows
+    through EpidemicModel.rows; this mapping is kept as ``_rows`` only
+    because perfbench/workloads.py reads it (.items(), .get(), len(), and
+    each row's .indices and .probs)."""
+
+    def __init__(self, place: dict[int, tuple[KernelBlock, int]]):
+        self._place = place
+
+    def __getitem__(self, idx: int) -> RowBlock:
+        block, m = self._place[idx]
+        return block[m]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._place)
+
+    def __len__(self) -> int:
+        return len(self._place)
 
 
 class EpidemicModel:
@@ -44,12 +77,15 @@ class EpidemicModel:
         self.acfg = acfg
         self.actions: list[Action] = params.actions()
         self.design = rule_design(self.actions)  # (n_actions, 3) rows (1, y_V, y_R)
-        self._rows: dict[int, list[SparseDistribution]] = {}
+        # Each compiled state's block and its place in it.
+        self._place: dict[int, tuple[KernelBlock, int]] = {}
+        # _rows views _place only because perfbench/workloads.py reads it.
+        self._rows = _RowViews(self._place)
         self._rewards: dict[int, np.ndarray] = {}
         self._rules: dict[int, DecisionRuleCoefficients] = {}
         self._kinks: dict[int, EnvelopeKinks] = {}
         self._terms: dict[int, EnumerateTerms] = {}
-        self._shifted: dict[tuple[int, float], list[SparseDistribution]] = {}
+        self._shifted: dict[tuple[int, float], RowBlock] = {}
 
     @property
     def lam(self) -> float:
@@ -66,24 +102,38 @@ class EpidemicModel:
         return action.y_V * (self.params.M + 1) + action.y_R
 
     def compile_state(self, idx: int) -> None:
-        if idx not in self._rows:
-            [rows] = discretize_kernel(self.grid, self.params, [idx])
-            self._store(idx, rows)
+        if idx not in self._place:
+            self._keep(discretize_kernel(self.grid, self.params, [idx]))
 
-    def _store(self, idx: int, rows: list[SparseDistribution]) -> None:
-        """Hydrate one state from its kernel rows: rewards and fitted rules."""
-        self._rows[idx] = rows
-        self._rewards[idx] = self._reward_vector(idx)
-        self._rules[idx] = fit_rules(self.design, rows, self._rewards[idx], self.acfg)
+    def _keep(self, block: KernelBlock) -> None:
+        """Index each state of block to its place in it, and hydrate them
+        all: their rewards as one array (every action's, from the design's
+        level columns), and their rules fitted Y + 1 states at a time, so
+        that the fit's marks hold at most (Y + 1)^4 cells.  Every route
+        stores through here, so a state gets the same rows, rewards and
+        rules whichever block it comes in."""
+        n, run, X = len(self.actions), self.grid.Y + 1, self.design
+        rewards = count_rewards(self.params, *self._counts(block.corners)[..., None],
+                                X[:, 1], X[:, 2])
+        rules = [coeffs for lo in range(0, len(block), run)
+                 for coeffs in fit_rule_block(X, block.rows[lo * n:(lo + run) * n],
+                                              rewards[lo:lo + run], self.acfg.delta)]
+        for m, (idx, coeffs) in enumerate(zip(block.corners.tolist(), rules)):
+            self._place[idx] = (block, m)
+            self._rewards[idx] = rewards[m]
+            self._rules[idx] = coeffs
 
-    def _reward_vector(self, idx: int) -> np.ndarray:
-        """stage_rewards of every action, from the design's level columns."""
-        X = self.design
-        return stage_rewards(self.params, self.grid.state_of(idx), X[:, 1], X[:, 2])
+    def _counts(self, states: np.ndarray) -> np.ndarray:
+        """The (n_S, n_E, n_I) counts of simplex states, one column each,
+        rounded as ContinuousState.counts rounds them."""
+        return np.rint(self.params.N * self.grid.coords[states]).T
 
-    def rows(self, idx: int) -> list[SparseDistribution]:
+    def rows(self, idx: int) -> RowBlock:
+        """The state's kernel rows, one per action: read-only views of its
+        block."""
         self.compile_state(idx)
-        return self._rows[idx]
+        block, m = self._place[idx]
+        return block[m]
 
     def rewards(self, idx: int) -> np.ndarray:
         self.compile_state(idx)
@@ -111,11 +161,13 @@ class EpidemicModel:
             self._terms[idx] = state_terms(self.rules(idx), self.design, self.acfg.k)
         return self._terms[idx]
 
-    def shifted_rows(self, idx: int, budget: float) -> list[SparseDistribution]:
+    def shifted_rows(self, idx: int, budget: float) -> RowBlock:
+        """The state's rows, each shifted within budget
+        (backup.worst_case_shift), joined once into a block of their own."""
         key = (idx, budget)
         if key not in self._shifted:
-            self._shifted[key] = [worst_case_shift(r, self.grid, budget)
-                                  for r in self.rows(idx)]
+            self._shifted[key] = RowBlock.join([worst_case_shift(r, self.grid, budget)
+                                                for r in self.rows(idx)])
         return self._shifted[key]
 
     @cached_property
@@ -127,8 +179,8 @@ class EpidemicModel:
         rewards(idx).max() bit for bit.  It compiles nothing.
         """
         bound = np.zeros(self.grid.n_corners)
-        for idx in self.grid.in_S_indices().tolist():
-            bound[idx] = stage_rewards(self.params, self.grid.state_of(idx), 0, 0)
+        inside = self.grid.in_S_indices()
+        bound[inside] = count_rewards(self.params, *self._counts(inside), 0, 0)
         bound.flags.writeable = False
         return bound
 
@@ -150,16 +202,16 @@ class EpidemicModel:
         """Compile every simplex state not yet compiled, optionally across
         processes.
 
-        Serially, one push call takes every state to compile.  The pool
-        splits them into p_I slices, one per infective count, so that a
-        slice holds whole (n_E, n_I) groups of the push and shares their
-        exposure laws; it starts at most one worker per slice and per CPU.
-        Each worker builds the grid once and returns its slice's kernel rows
-        as flat (indices, probs, offsets) arrays; this process checks each
-        slice as one block and stores its states through _store, as
-        compile_state does, so every route gives the same rows and rules.
+        Serially, one push call takes every state to compile, and its block
+        is kept.  The pool splits them into p_I slices, one per infective
+        count, so that a slice holds whole (n_E, n_I) groups of the push and
+        shares their exposure laws; it starts at most one worker per slice
+        and per CPU.  Each worker builds the grid once and returns its
+        slice's block as flat (indices, probs, offsets) arrays; this process
+        checks each as one block and keeps it, as compile_state does, so
+        every route gives the same rows and rules.
         """
-        todo = [i for i in self.grid.in_S_indices().tolist() if i not in self._rows]
+        todo = [i for i in self.grid.in_S_indices().tolist() if i not in self._place]
         if not todo:
             return
         slices: dict[int, list[int]] = {}
@@ -167,19 +219,16 @@ class EpidemicModel:
             slices.setdefault(self.grid.state_of(i).counts(self.params.N)[2], []).append(i)
         workers = min(workers, len(slices), os.cpu_count() or 1)
         if workers <= 1:
-            for i, rows in zip(todo, discretize_kernel(self.grid, self.params, todo)):
-                self._store(i, rows)
+            self._keep(discretize_kernel(self.grid, self.params, todo))
             return
         from concurrent.futures import ProcessPoolExecutor  # loaded only for a pool
 
-        n_a = len(self.actions)
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                                  initargs=(self.params, self.grid.Y)) as pool:
             blocks = pool.map(_compile_in_worker, slices.values())
-            for corners, (indices, probs, offsets) in zip(slices.values(), blocks):
-                rows = SparseDistribution.block(indices, probs, offsets)
-                for m, idx in enumerate(corners):
-                    self._store(idx, rows[m * n_a:(m + 1) * n_a])
+            for corners, arrays in zip(slices.values(), blocks):
+                self._keep(KernelBlock(np.array(corners, dtype=np.int64),
+                                       SparseDistribution.block(*arrays), len(self.actions)))
 
     # -- persistence ---------------------------------------------------------
 
@@ -187,21 +236,21 @@ class EpidemicModel:
         return os.path.join(directory, f"kernels_{self.key()}.npy")
 
     def save_cache(self, directory: str) -> list[str]:
-        """Write the kernel rows as one record array named by config hash.
+        """Write the kernel rows as one record array named by config hash,
+        gathered from the states' blocks in state order.
 
         The rules are not stored: load_cache refits them from the rows.
         """
         os.makedirs(directory, exist_ok=True)
         kpath = self._cache_path(directory)
-        states, n_a = sorted(self._rows), len(self.actions)
-        rows = [row for idx in states for row in self._rows[idx]]
-        lens = [len(row) for row in rows]
-        rec = np.zeros(sum(lens), dtype=_RECORD)
-        if rows:
-            rec["state"] = np.repeat(np.repeat(states, n_a), lens)
-            rec["action"] = np.repeat(np.tile(np.arange(n_a), len(states)), lens)
-            rec["successor"] = np.concatenate([row.indices for row in rows])
-            rec["prob"] = np.concatenate([row.probs for row in rows])
+        states, n_a = sorted(self._place), len(self.actions)
+        rows = RowBlock.join(self.rows(idx) for idx in states)
+        lengths = np.diff(rows.offsets)
+        rec = np.zeros(len(rows.indices), dtype=_RECORD)
+        rec["state"] = np.repeat(np.repeat(states, n_a), lengths)
+        rec["action"] = np.repeat(np.tile(np.arange(n_a), len(states)), lengths)
+        rec["successor"] = rows.indices
+        rec["prob"] = rows.probs
         np.save(kpath, rec)
         return [kpath]
 
@@ -213,8 +262,8 @@ class EpidemicModel:
         the records are out of (state, action) order, a state is outside the
         simplex or misses an action, or a row is not a distribution
         (successors not ascending, a negative entry, or a sum off one by
-        > 1e-9).  The rows are checked as one block, and each state is
-        handed its slice of it.
+        > 1e-9).  The rows are checked as one block, which is kept less the
+        states already compiled, so that each state's rows are held once.
         """
         kpath = self._cache_path(directory)
         if not os.path.exists(kpath):
@@ -233,10 +282,12 @@ class EpidemicModel:
             if np.any((col < 0) | (col >= hi)):
                 raise CacheError(f"{kpath}: {name} index off its range [0, {hi})")
         row_id = state.astype(np.int64) * n_a + action
-        if np.any(np.diff(row_id) < 0):
+        step = np.diff(row_id, prepend=-1)
+        if np.any(step < 0):
             raise CacheError(f"{kpath}: records not in (state, action) order")
-        ids, starts = np.unique(row_id, return_index=True)
-        states = np.unique(row_id // n_a)
+        starts = np.flatnonzero(step)
+        ids = row_id[starts]
+        states = np.unique(ids // n_a)
         outside = states[~self.grid.in_S[states]]
         if len(outside):
             raise CacheError(f"{kpath}: state {outside[0]} is outside the population simplex")
@@ -248,8 +299,11 @@ class EpidemicModel:
             a = self.actions[exc.row % n_a]
             raise CacheError(f"{kpath}: row of state {states[exc.row // n_a]}, action "
                              f"({a.y_V}, {a.y_R}): {exc.reason}") from None
-        for b, idx in enumerate(states.tolist()):
-            self._store(idx, rows[b * n_a:(b + 1) * n_a])
+        block = KernelBlock(states, rows, n_a)
+        new = [m for m, idx in enumerate(states.tolist()) if idx not in self._place]
+        if len(new) < len(states):
+            block = KernelBlock(states[new], RowBlock.join(block[m] for m in new), n_a)
+        self._keep(block)
         return True
 
 
@@ -265,10 +319,8 @@ def _init_worker(params: EpidemicParams, Y: int) -> None:
 def _compile_in_worker(corners: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The kernel rows of a slice of states, in its order, as flat indices
     and probs split at offsets."""
-    rows = [row for state in discretize_kernel(*_worker_push, corners) for row in state]
-    offsets = np.cumsum([0] + [len(row) for row in rows])
-    return (np.concatenate([row.indices for row in rows]),
-            np.concatenate([row.probs for row in rows]), offsets)
+    rows = discretize_kernel(*_worker_push, corners).rows
+    return rows.indices, rows.probs, rows.offsets
 
 
 def lattice_state_index(model: EpidemicModel, p_S: float, p_E: float, p_I: float) -> int:

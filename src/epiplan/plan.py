@@ -7,7 +7,7 @@ backup of it.  Backward induction cuts the states into chunks of similar
 support size once per run and backs up each stage a chunk at a time; only
 the LP inner solve backs up one state at a time.  A single-state backup
 (backup_state) runs the same arithmetic on one state: the nominal and
-robust back-ends build the state's rows into a batch of one on every call,
+robust back-ends build a batch of one from views of the state's rows,
 and the mean-ambiguous ones read what the model records for the state on
 first use (EpidemicModel.terms, EpidemicModel.kinks: a batch of one).  The
 trajectory planner records each row it samples successors from as a
@@ -202,7 +202,8 @@ def backup_state(model: EpidemicModel, idx: int, t: int, v_next, cfg: PlannerCon
     v_next holds the stage t+1 values over all grid corners (a ValueTable
     row); only the state's successor support is read.  Ties go to the first
     action of model.actions, the lowest (y_V, y_R).  The nominal and robust
-    back-ends back up the state's RowBatch of one, built on every call.
+    back-ends back up the state's RowBatch of one, built on every call from
+    views of its nominal or shifted rows.
     """
     lam = model.lam
     if cfg.backend in ("nominal", "robust"):

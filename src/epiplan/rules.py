@@ -4,17 +4,20 @@ For one grid state, every action's kernel row and stage reward are summarized
 by affine maps of the action: a nominal mean for each successor, widened by
 +/- delta into the ambiguity set's lower and upper mean bounds, and an affine
 stage reward.  The fits are ordinary least squares over the full action set,
-solved by normal equations with a tiny ridge for conditioning.
+solved by normal equations with a tiny ridge for conditioning.  The design is
+the same at every state, so the mean rules of many states are fitted from
+their flat kernel rows at once, with its solve formed once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, UnderdeterminedError
-from .grid import SparseDistribution
+from .grid import RowBlock, SparseDistribution
 from .seir import Action
 
 _RIDGE = 1e-10
@@ -76,35 +79,62 @@ def rule_design(actions: list[Action]) -> np.ndarray:
     return X
 
 
-def fit_affine(X: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Coefficients (3, ...) of the least-squares affine rule for targets,
-    whose first axis runs over the actions whose design_matrix is X."""
-    XtX = X.T @ X + _RIDGE * np.eye(X.shape[1])
-    return np.linalg.solve(XtX, X.T @ np.asarray(targets, dtype=np.float64))
+def fit_rule_block(X: np.ndarray, rows: RowBlock, rewards: np.ndarray,
+                   delta: float) -> list[DecisionRuleCoefficients]:
+    """Fit the mean and reward rules of consecutive states from their rows.
+
+    X is the rule_design of the n actions; the rows of state m, one per
+    action, are rows m*n .. m*n + n - 1 of rows, and rewards (c, n) holds
+    each state's rewards.  Each state's support is the union of its rows'
+    successors, found by marking (state, successor) keys.  Each mean
+    coefficient is the sum over the state's actions, in order, of the
+    design's solve (X'X + ridge I)^-1 X' times the action's mass:
+    np.bincount adds the flat entries onto the support in entry order, so
+    no zero-padded matrix is formed and a state's rules are the same to the
+    last bit whichever states it is fitted with.  The reward rules are one
+    stacked solve, each state's normal equations with its own right-hand
+    side: rewards run to 1e5 and more, and a solve with many right-hand
+    sides at once moves them in the last bits.
+    """
+    n, c = len(X), len(rewards)
+    if len(rows) != c * n or np.shape(rewards) != (c, n):
+        raise DomainError("kernels and rewards must align with actions")
+    normal = X.T @ X + _RIDGE * np.eye(X.shape[1])
+    hat = np.linalg.solve(normal, X.T)
+    state, action = np.divmod(np.repeat(np.arange(c * n), np.diff(rows.offsets)), n)
+    span = int(rows.indices.max(initial=0)) + 1
+    key = state * span + rows.indices
+    marked = np.zeros(c * span, dtype=bool)
+    marked[key] = True
+    support = np.flatnonzero(marked)
+    column = np.empty(c * span, dtype=np.int64)
+    column[support] = np.arange(len(support))
+    mean = [np.bincount(column[key], weights=h[action] * rows.probs, minlength=len(support))
+            for h in hat]
+    eps = np.linalg.solve(normal, X.T @ np.asarray(rewards)[..., None])[..., 0]
+    split = np.searchsorted(support, np.arange(1, c) * span).tolist()
+    return [DecisionRuleCoefficients(support=support[lo:hi] - m * span,
+                                     mean=np.stack([a[lo:hi] for a in mean]), delta=delta,
+                                     eps=eps[m])
+            for m, (lo, hi) in enumerate(zip([0] + split, split + [len(support)]))]
 
 
 def fit_rules(
     X: np.ndarray,
-    kernels: list[SparseDistribution],
+    kernels: Sequence[SparseDistribution],
     rewards: np.ndarray,
     cfg: AmbiguityConfig,
 ) -> DecisionRuleCoefficients:
-    """Fit the mean and reward rules for one state from its per-action rows.
+    """Fit the mean and reward rules for one state from its per-action rows:
+    fit_rule_block on a block of one.
 
-    X is the rule_design of the actions, checked once by its caller; kernels
-    and rewards are aligned with its rows.  Rows are zero-padded onto the
-    union support.
+    X is the rule_design of the actions; kernels and rewards are aligned
+    with its rows.
     """
     if len(kernels) != len(X) or len(rewards) != len(X):
         raise DomainError("kernels and rewards must align with actions")
-    succ = np.concatenate([row.indices for row in kernels])
-    support = np.unique(succ)
-    P = np.zeros((len(X), len(support)))
-    P[np.repeat(np.arange(len(kernels)), [len(row) for row in kernels]),
-      np.searchsorted(support, succ)] = np.concatenate([row.probs for row in kernels])
-
-    return DecisionRuleCoefficients(support=support, mean=fit_affine(X, P),
-                                    delta=cfg.delta, eps=fit_affine(X, rewards))
+    [coeffs] = fit_rule_block(X, RowBlock.join(kernels), np.reshape(rewards, (1, -1)), cfg.delta)
+    return coeffs
 
 
 def mean_bounds(coeffs: DecisionRuleCoefficients,

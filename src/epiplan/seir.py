@@ -148,27 +148,58 @@ def exposure_prob(params: EpidemicParams, state: ContinuousState, action: Action
 def binomial_row(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
     """Support values and pmf of Bin(n, p), keeping entries with mass >= MARGINAL_TOL.
 
-    The row is built from the ratio pmf[k+1]/pmf[k] = (n-k)/(k+1) * p/(1-p),
+    The row of ``binomial_rows`` for the one pair (n, p).
+    """
+    pmf, keep = binomial_rows(np.array([n]), np.array([p]))
+    ks = np.flatnonzero(keep[0, 0])
+    return ks, pmf[0, 0, ks]
+
+
+def binomial_rows(ns: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pmfs of Bin(n, p) for every n of ns and p of ps, as an array
+    (len(ns), len(ps), max(ns) + 1) that is zero past each n, and the mask
+    of the entries kept: those with mass >= MARGINAL_TOL, or the mode where
+    none is.
+
+    Each row is built from the ratio pmf[k]/pmf[k-1] = (n+1-k)/k * p/(1-p),
     starting at 1.0 on the mode and multiplying outwards, then divided by its
     sum.  Every factor away from the mode is at most 1, so nothing overflows.
+    The products run along each row from its own mode, and each row is
+    summed over its own 0..n alone (a padded sum would change its last
+    bits), so a row is the same to the last bit whichever rows it is built
+    with.
     """
-    if p == 0.0:
-        return np.array([0]), np.array([1.0])
-    if p == 1.0:
-        return np.array([n]), np.array([1.0])
-    mode = min(n, math.floor((n + 1) * p))
-    k = np.arange(1.0, n + 1)
-    ratio = (n + 1 - k) / k * (p / (1.0 - p))  # pmf[k] / pmf[k-1], k = 1..n
-    pmf = np.ones(n + 1)
-    np.cumprod(ratio[mode:], out=pmf[mode + 1:])
-    if mode:
-        np.cumprod(1.0 / ratio[mode - 1::-1], out=pmf[mode - 1::-1])
-    pmf /= pmf.sum()
+    ns, ps = np.asarray(ns, dtype=np.int64), np.asarray(ps, dtype=np.float64)
+    n, p = ns[:, None, None], ps[None, :, None]
+    width = int(ns.max()) + 1
+    k = np.arange(1.0, width)
+    c = np.arange(width)
+    ratio = np.ones((len(ns), len(ps), width))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # pmf[c] / pmf[c-1] at c = 1..n; inf where p = 1, and junk past n.
+        ratio[..., 1:] = (n + 1 - k) / k * (p / (1.0 - p))
+    mode = np.minimum(n, np.floor((n + 1) * p).astype(np.int64))
+    # Above the mode each entry is the running product of the ratios from
+    # the mode up, below it of their reciprocals from the mode down, each
+    # run over the columns some row needs; the ones before a row's mode
+    # leave each product's roundings those of a product started there.
+    pmf = np.zeros(ratio.shape)
+    lo, top = int(mode.min()), int(mode.max())
+    c_up = c[lo:]
+    pmf[..., lo:] = np.cumprod(np.where((c_up > mode) & (c_up <= n), ratio[..., lo:], 1.0),
+                               axis=-1)
+    down = np.ones(ratio.shape[:-1] + (top + 1,))
+    np.divide(1.0, ratio[..., 1:top + 1], out=down[..., :top], where=c[:top] < mode)
+    below = c[:top + 1] < mode
+    pmf[..., :top + 1][below] = np.cumprod(down[..., ::-1], axis=-1)[..., ::-1][below]
+    pmf[np.broadcast_to(c > n, pmf.shape)] = 0.0
+    last = np.broadcast_to(n, mode.shape).ravel().tolist()
+    pmf /= np.reshape([row[:m + 1].sum() for row, m in zip(pmf.reshape(-1, width), last)],
+                      mode.shape)
     keep = pmf >= MARGINAL_TOL
-    if not keep.any():
-        keep[int(np.argmax(pmf))] = True
-    ks = np.flatnonzero(keep)
-    return ks, pmf[ks]
+    i, j = np.nonzero(~keep.any(axis=-1))
+    keep[i, j, np.argmax(pmf[i, j], axis=-1)] = True
+    return pmf, keep
 
 
 @dataclass
@@ -231,7 +262,13 @@ def stage_rewards(params: EpidemicParams, state: ContinuousState, y_V, y_R):
     """Stage reward: minus vaccination, intervention, and expected infection
     costs, at levels y_V and y_R given as numbers or as arrays of levels in
     range; each entry takes the same operations either way."""
-    n_S, n_E, n_I = state.counts(params.N)
+    return count_rewards(params, *state.counts(params.N), y_V, y_R)
+
+
+def count_rewards(params: EpidemicParams, n_S, n_E, n_I, y_V, y_R):
+    """stage_rewards at compartment counts given as numbers or as arrays of
+    whole numbers, broadcast against the levels: each entry takes the same
+    operations as at one state."""
     c_V = params.Q * (y_V / params.L) * n_S
     c_R = params.k_R * y_R
     c_I = params.W * (n_I + n_E * params.rho_C - n_I * params.rho_D)

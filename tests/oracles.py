@@ -6,6 +6,15 @@ of a quantity that `epiplan` computes another way.
 * `binomial_pmf` — the exact scalar binomial law, in 50-digit decimal
   arithmetic, that `seir.binomial_row` computes by a ratio recurrence and
   truncates.
+* `binomial_row_alone` — that ratio recurrence for one (n, p), as
+  `seir.binomial_row` ran it before `seir.binomial_rows` built the rows of
+  many pairs at once, which must give these rows bit for bit.
+* `fit_affine`, `fit_rules_per_state` — the rule fit of one state as a
+  dense least-squares solve: its rows zero-padded onto the union support
+  and one normal-equations solve per state; `rules.fit_rule_block` fits
+  many states from their flat rows with the design's solve formed once
+  (`rules.rule_hat`), which must give these supports exactly and these
+  coefficients within the README's block-hydration bound.
 * `inner_primal_oracle` — the penalized worst-mean problem solved over mean
   vectors, the primal of the multiplier LP (`backup.inner_dual_program`,
   solved by `backup.drmdp_backup_enumerate` with method "lp") and of its
@@ -90,8 +99,8 @@ from epiplan.backup import _multiplier_block
 from epiplan.errors import DomainError, SolverError
 from epiplan.grid import Grid, SparseDistribution
 from epiplan.lp import _TOL, LinearProgram, MixedIntegerProgram, Solution, solve_lp
-from epiplan.rules import DecisionRuleCoefficients, design_matrix, mean_bounds
-from epiplan.seir import Action
+from epiplan.rules import _RIDGE, DecisionRuleCoefficients, design_matrix, mean_bounds
+from epiplan.seir import MARGINAL_TOL, Action
 
 
 def sparse_row(indices, probs, normalize: bool = False) -> SparseDistribution:
@@ -105,6 +114,50 @@ def sparse_row(indices, probs, normalize: bool = False) -> SparseDistribution:
     if normalize:
         probs = probs / probs.sum()
     return SparseDistribution.block(indices, probs, [0, len(indices)])[0]
+
+
+def fit_affine(X: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Coefficients (3, ...) of the least-squares affine rule for targets,
+    whose first axis runs over the actions whose design_matrix is X."""
+    XtX = X.T @ X + _RIDGE * np.eye(X.shape[1])
+    return np.linalg.solve(XtX, X.T @ np.asarray(targets, dtype=np.float64))
+
+
+def fit_rules_per_state(X: np.ndarray, kernels, rewards, delta: float
+                        ) -> DecisionRuleCoefficients:
+    """The mean and reward rules of one state from its per-action rows,
+    zero-padded onto the union support, each fitted by one dense solve."""
+    succ = np.concatenate([row.indices for row in kernels])
+    support = np.unique(succ)
+    P = np.zeros((len(X), len(support)))
+    P[np.repeat(np.arange(len(kernels)), [len(row) for row in kernels]),
+      np.searchsorted(support, succ)] = np.concatenate([row.probs for row in kernels])
+    return DecisionRuleCoefficients(support=support, mean=fit_affine(X, P), delta=delta,
+                                    eps=fit_affine(X, rewards))
+
+
+def binomial_row_alone(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The kept support and pmf of Bin(n, p) from the ratio recurrence of
+    one row: 1.0 at the mode, cumulative products outwards, divided by the
+    row's sum, entries below MARGINAL_TOL dropped (the mode kept if none
+    is left)."""
+    if p == 0.0:
+        return np.array([0]), np.array([1.0])
+    if p == 1.0:
+        return np.array([n]), np.array([1.0])
+    mode = min(n, math.floor((n + 1) * p))
+    k = np.arange(1.0, n + 1)
+    ratio = (n + 1 - k) / k * (p / (1.0 - p))  # pmf[k] / pmf[k-1], k = 1..n
+    pmf = np.ones(n + 1)
+    np.cumprod(ratio[mode:], out=pmf[mode + 1:])
+    if mode:
+        np.cumprod(1.0 / ratio[mode - 1::-1], out=pmf[mode - 1::-1])
+    pmf /= pmf.sum()
+    keep = pmf >= MARGINAL_TOL
+    if not keep.any():
+        keep[int(np.argmax(pmf))] = True
+    ks = np.flatnonzero(keep)
+    return ks, pmf[ks]
 
 
 def binomial_pmf(n: int, p: float, k: int) -> float:

@@ -14,12 +14,13 @@ from epiplan.seir import (
     ENTRY_TOL,
     JOINT_TOL,
     binomial_row,
+    binomial_rows,
     exposure_prob,
     stage_rewards,
     transition_pmf,
     vaccination_trials,
 )
-from oracles import binomial_pmf, sparse_row
+from oracles import binomial_pmf, binomial_row_alone, sparse_row
 
 
 def toy_params(**kw):
@@ -346,7 +347,7 @@ class TestBlock:
         probs = probs / np.repeat(totals, np.diff(offsets))
         rows = SparseDistribution.block(indices, probs, offsets)
         np.testing.assert_array_equal(np.concatenate([r.probs for r in rows]), probs)
-        assert SparseDistribution.block([], [], [0]) == []
+        assert list(SparseDistribution.block([], [], [0])) == []
 
     def test_rows_are_read_only_views_of_one_buffer(self):
         indices, probs, offsets = random_block(np.random.default_rng(7))
@@ -422,6 +423,19 @@ class TestDiscretizeKernel:
         with pytest.raises(DomainError, match="outside the unit cube"):
             discretize_kernel(g, EpidemicParams(N=N, L=1, M=1), [g.index_of(*lattice)])
 
+    @staticmethod
+    def gapped_laws(gap):
+        """binomial_rows with an interior kept entry dropped from each row of
+        three or more entries whose success probability gap(p) picks."""
+        def laws(ns, ps):
+            pmf, keep = binomial_rows(ns, ps)
+            for i, j in np.argwhere(keep.sum(axis=-1) > 2):
+                if gap(ps[j]):
+                    kept = np.flatnonzero(keep[i, j])
+                    keep[i, j, kept[len(kept) // 2]] = False
+            return pmf, keep
+        return laws
+
     def test_gapped_support_raises(self, monkeypatch):
         # The push reads the (C, D) law as a table over integer ranges, so a
         # C or D support with a hole must fail loudly.
@@ -429,14 +443,8 @@ class TestDiscretizeKernel:
         p = toy_params(N=30)
         idx = g.index_of(1, 1, 1)
         for rho in (p.rho_C, p.rho_D):
-            def gapped(n, prob, rho=rho):
-                k, pmf = binomial_row(n, prob)
-                if prob == rho:  # drop an interior entry of this draw's row
-                    keep = np.arange(len(k)) != len(k) // 2
-                    return k[keep], pmf[keep]
-                return k, pmf
-
-            monkeypatch.setattr(grid_module, "binomial_row", gapped)
+            monkeypatch.setattr(grid_module, "binomial_rows",
+                                self.gapped_laws(lambda prob, rho=rho: prob == rho))
             with pytest.raises(DomainError, match="integer ranges"):
                 discretize_kernel(g, p, [idx])
 
@@ -445,15 +453,8 @@ class TestDiscretizeKernel:
         # a B support with a hole must fail loudly too.
         g = Grid(GridSpec(3))
         p = toy_params(N=30)
-
-        def gapped(n, prob):
-            k, pmf = binomial_row(n, prob)
-            if prob not in (p.rho_C, p.rho_D) and len(k) > 2:
-                keep = np.arange(len(k)) != len(k) // 2
-                return k[keep], pmf[keep]
-            return k, pmf
-
-        monkeypatch.setattr(grid_module, "binomial_row", gapped)
+        monkeypatch.setattr(grid_module, "binomial_rows",
+                            self.gapped_laws(lambda prob: prob not in (p.rho_C, p.rho_D)))
         with pytest.raises(DomainError, match="the B supports must be integer ranges"):
             discretize_kernel(g, p, [g.index_of(1, 1, 1)])
 
@@ -618,7 +619,7 @@ class TestGroupedPush:
 
     def test_rows_are_read_only(self):
         g, p = Grid(GridSpec(3)), toy_params(N=9)
-        assert discretize_kernel(g, p, []) == []
+        assert list(discretize_kernel(g, p, [])) == []
         for rows in discretize_kernel(g, p, g.in_S_indices()):
             for row in rows:
                 assert not row.indices.flags.writeable and not row.probs.flags.writeable
@@ -657,8 +658,9 @@ class TestGroupedPush:
                              ids=["overlapping-supports", "disjoint-supports"])
     def test_exposure_laws_are_the_union_of_supports(self, N, M):
         # Oracle: each y_V's counts are the union of its rows' supports
-        # (np.unique), and each row is placed by searching it.  Strong
-        # intervention at N = 100,000 leaves a gap between the supports.
+        # (np.unique), each row, built alone, is placed by searching it.
+        # Strong intervention at N = 100,000 leaves a gap between the
+        # supports.
         p = EpidemicParams(N=N, L=2, M=M)
         state = ContinuousState(0.5, 0.0, 0.5)
         n_S = state.counts(N)[0]
@@ -667,7 +669,7 @@ class TestGroupedPush:
         gaps = 0
         for y_V, (kB, pB, n) in enumerate(zip(kBs, pBs, trials)):
             n_trials = vaccination_trials(p, n_S, y_V)
-            marginals = [binomial_row(n_trials, phi) for phi in phis]
+            marginals = [binomial_row_alone(n_trials, phi) for phi in phis]
             want_k = np.unique(np.concatenate([k for k, _ in marginals]))
             want_p = np.zeros((len(phis), len(want_k)))
             for r, (k, pk) in enumerate(marginals):

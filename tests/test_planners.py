@@ -415,6 +415,20 @@ class TestRowSumStages:
         assert dp.V.tobytes() == ref.V.tobytes()
         assert dp.values == ref.values and dp.actions == ref.actions
 
+    @pytest.mark.parametrize("backend", ["nominal", "robust"])
+    def test_batch_of_one_views_the_rows(self, backend):
+        # backup_state's batch of one holds the state's own rows, nominal or
+        # shifted, as views: nothing is copied on a call.
+        model = sized_model("dp-mip-small")
+        cfg = PlannerConfig(backend=backend)
+        idx = int(model.grid.in_S_indices()[20])
+        batch = plan._row_batch(model, [idx], cfg)
+        rows = (model.shifted_rows(idx, cfg.robust_budget) if backend == "robust"
+                else model.rows(idx))
+        for got, held in ((batch.indices, rows.indices), (batch.probs, rows.probs)):
+            assert np.shares_memory(got, held)
+        assert batch.starts.tolist() == rows.offsets[:-1].tolist()
+
     def test_only_the_lp_inner_solve_backs_up_one_state_at_a_time(self, monkeypatch):
         calls = []
         real = plan.backup_state
@@ -839,15 +853,31 @@ def _save_objects(kpath):
 
 def assert_same_state(a, b, idx):
     """Rows, rewards and rules of one state agree bit for bit."""
-    for ra, rb in zip(a.rows(idx), b.rows(idx)):
-        np.testing.assert_array_equal(ra.indices, rb.indices)
-        np.testing.assert_array_equal(ra.probs, rb.probs)
-    np.testing.assert_array_equal(a.rewards(idx), b.rewards(idx))
+    ra, rb = a.rows(idx), b.rows(idx)
+    assert len(ra) == len(rb) == len(a.actions)
+    for name in ("indices", "probs", "offsets"):
+        assert getattr(ra, name).tobytes() == getattr(rb, name).tobytes(), (idx, name)
+    assert a.rewards(idx).tobytes() == b.rewards(idx).tobytes(), idx
     ca, cb = a.rules(idx), b.rules(idx)
-    np.testing.assert_array_equal(ca.support, cb.support)
-    np.testing.assert_array_equal(ca.mean, cb.mean)
-    np.testing.assert_array_equal(ca.eps, cb.eps)
+    for name in ("support", "mean", "eps"):
+        x, y = getattr(ca, name), getattr(cb, name)
+        assert x.shape == y.shape and x.tobytes() == y.tobytes(), (idx, name)
     assert ca.delta == cb.delta
+
+
+# (parameters, Y) of the toy, the benchmark workloads' and the default size.
+ROUTE_SIZES = {
+    "toy": (dict(N=6, L=1, M=1, T=3), 2),
+    "dp-mip-small": (dict(N=100, L=2, M=2, T=5), 5),
+    "compile-cache-dp": (dict(N=300, L=5, M=5, T=5), 8),
+    "default": (dict(), 10),
+}
+
+
+def held_entries(model):
+    """Kernel entries held by the model's distinct blocks."""
+    blocks = {id(block): block for block, _ in model._place.values()}
+    return sum(len(block.rows.indices) for block in blocks.values())
 
 
 class TestModelBundle:
@@ -886,6 +916,68 @@ class TestModelBundle:
                 assert ra.indices.tobytes() == rb.indices.tobytes()
                 assert ra.probs.tobytes() == rb.probs.tobytes()
             assert_same_state(fresh, loaded, idx)
+
+    @pytest.mark.parametrize("size", list(ROUTE_SIZES))
+    def test_every_route_hydrates_the_same_state(self, size, tmp_path, monkeypatch):
+        # A state's rows, rewards and rules are the same bytes whichever
+        # block it comes in: its own push, one serial push of every state,
+        # a pool slice, or the cache file of all of them.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        kw, Y = ROUTE_SIZES[size]
+        alone, serial, pooled, loaded = (EpidemicModel(EpidemicParams(**kw), Y,
+                                                       AmbiguityConfig()) for _ in range(4))
+        states = alone.grid.in_S_indices().tolist()
+        for idx in states:
+            alone.compile_state(idx)
+        serial.compile_all()
+        pooled.compile_all(workers=2)
+        serial.save_cache(str(tmp_path))
+        assert loaded.load_cache(str(tmp_path))
+        assert len({id(block) for block, _ in pooled._place.values()}) > 1
+        for model in (serial, pooled, loaded):
+            assert sorted(model._rows) == states
+            assert held_entries(model) == held_entries(alone)
+            for idx in states:
+                assert_same_state(alone, model, idx)
+
+    def test_load_into_a_compiled_model_keeps_one_copy(self, tmp_path):
+        # The states already compiled keep their rows; the cache's block is
+        # kept less those states, so every state's rows are held once.
+        model = toy_model(N=6, Y=2, T=3)
+        model.compile_all()
+        model.save_cache(str(tmp_path))
+        part = toy_model(N=6, Y=2, T=3)
+        states = part.grid.in_S_indices().tolist()
+        for idx in states[:4]:
+            part.compile_state(idx)
+        before = {idx: part.rows(idx).probs for idx in states[:4]}
+        assert part.load_cache(str(tmp_path))
+        assert sorted(part._rows) == states
+        for idx, probs in before.items():
+            assert np.shares_memory(part.rows(idx).probs, probs)
+        [block] = {id(part._place[idx][0]): part._place[idx][0] for idx in states[4:]}.values()
+        assert block.corners.tolist() == states[4:]
+        assert held_entries(part) == held_entries(model)
+        for idx in states:
+            assert_same_state(model, part, idx)
+
+    def test_rows_mapping_is_read_only_views(self):
+        # perfbench/workloads.py reads model._rows: .items(), .get(), len(),
+        # and each row's .indices and .probs.
+        model = toy_model(N=6, Y=2, T=3)
+        states = model.grid.in_S_indices().tolist()[:3]
+        for idx in states:
+            model.compile_state(idx)
+        rows = model._rows
+        assert len(rows) == 3 and rows.get(model.grid.n_corners) is None
+        for idx, state_rows in rows.items():
+            assert len(state_rows) == len(model.actions)
+            for row, want in zip(state_rows, model.rows(idx)):
+                assert row.indices.tobytes() == want.indices.tobytes()
+                assert row.probs.tobytes() == want.probs.tobytes()
+                assert not row.probs.flags.writeable and not row.indices.flags.writeable
+        with pytest.raises(TypeError):
+            rows[states[0]] = None
 
     def test_load_cache_misses_on_other_config(self, tmp_path):
         model = toy_model(N=4, T=3)

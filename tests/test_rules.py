@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
-from epiplan import Action, DomainError, UnderdeterminedError
+from epiplan import Action, DomainError, EpidemicParams, UnderdeterminedError
+from epiplan.grid import RowBlock
+from epiplan.model import EpidemicModel
 from epiplan.rules import (
     AmbiguityConfig,
     DecisionRuleCoefficients,
     design_matrix,
-    fit_affine,
+    fit_rule_block,
     fit_rules,
     mean_bounds,
+    _RIDGE,
     rule_design,
 )
-from oracles import sparse_row
+from oracles import fit_rules_per_state, sparse_row
 
 
 def grid_actions(L=2, M=2):
@@ -105,8 +108,10 @@ class TestFitRules:
 
 
     def test_union_support_matches_entry_loop(self):
-        # Rows over different, overlapping supports: the union support and the
-        # zero-padded mean fit equal the per-entry loop's bit for bit.
+        # Rows over different, overlapping supports: the union support, and
+        # each coefficient as the sum over actions, in order, of the design's
+        # solve times the zero-padded mass, equal the per-entry loop's bit
+        # for bit.
         rng = np.random.default_rng(8)
         actions = grid_actions()
         kernels = []
@@ -121,8 +126,13 @@ class TestFitRules:
         for i, row in enumerate(kernels):
             for s, pr in zip(row.indices, row.probs):
                 P[i, pos[int(s)]] = pr
+        X = design_matrix(actions)
+        hat = np.linalg.solve(X.T @ X + _RIDGE * np.eye(3), X.T)
+        mean = np.zeros((3, len(support)))
+        for a in range(len(actions)):
+            mean += hat[:, a:a + 1] * P[a]
         np.testing.assert_array_equal(coeffs.support, support)
-        np.testing.assert_array_equal(coeffs.mean, fit_affine(design_matrix(actions), P))
+        assert coeffs.mean.tobytes() == mean.tobytes()
 
 
 class TestEtaBounds:
@@ -207,3 +217,62 @@ class TestAmbiguityConfig:
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(DomainError, match=f"{field} must be finite"):
             AmbiguityConfig(**{field: value})
+
+
+# (parameters, Y) of the toy, the benchmark workloads' and the default size.
+BLOCK_SIZES = {
+    "toy": (dict(N=6, L=1, M=1, T=3), 2),
+    "dp-mip-small": (dict(N=100, L=2, M=2, T=5), 5),
+    "compile-cache-dp": (dict(N=300, L=5, M=5, T=5), 8),
+    "default": (dict(), 10),
+}
+# README contract (block hydration): the mean rules of the block fit are
+# within this of the per-state dense fit; 4.2e-15 was the largest measured.
+BLOCK_MEAN_TOL = 1e-14
+
+
+class TestBlockFit:
+    @pytest.mark.parametrize("size", list(BLOCK_SIZES))
+    def test_block_fit_matches_the_per_state_fit(self, size):
+        # Every state of a model, hydrated a block at a time, against the
+        # dense per-state fit: the same support and reward rule to the bit,
+        # and the mean rule within BLOCK_MEAN_TOL.
+        kw, Y = BLOCK_SIZES[size]
+        model = EpidemicModel(EpidemicParams(**kw), Y, AmbiguityConfig())
+        model.compile_all()
+        worst = 0.0
+        for idx in model.grid.in_S_indices().tolist():
+            got = model.rules(idx)
+            want = fit_rules_per_state(model.design, model.rows(idx), model.rewards(idx),
+                                       model.acfg.delta)
+            assert got.support.tobytes() == want.support.tobytes(), idx
+            assert got.eps.tobytes() == want.eps.tobytes(), idx
+            worst = max(worst, float(np.abs(got.mean - want.mean).max()))
+        assert worst <= BLOCK_MEAN_TOL
+
+    def test_a_state_fits_the_same_in_any_block(self):
+        # Rows of three states fitted together, in both orders, and each
+        # alone: the same rules bit for bit.
+        model = EpidemicModel(EpidemicParams(N=100, L=2, M=2, T=5), 5, AmbiguityConfig())
+        states = model.grid.in_S_indices().tolist()[5:8]
+        for idx in states:
+            model.compile_state(idx)
+        n = len(model.actions)
+        for order in (states, states[::-1]):
+            rows = RowBlock.join(model.rows(idx) for idx in order)
+            rewards = np.stack([model.rewards(idx) for idx in order])
+            fitted = fit_rule_block(model.design, rows, rewards, model.acfg.delta)
+            assert len(fitted) == len(rows) // n == 3
+            for idx, got in zip(order, fitted):
+                want = model.rules(idx)
+                for name in ("support", "mean", "eps"):
+                    assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_misaligned_block_rejected(self):
+        model = EpidemicModel(EpidemicParams(N=30, L=1, M=1, T=3), 2, AmbiguityConfig())
+        idx = int(model.grid.in_S_indices()[3])
+        rows = model.rows(idx)
+        with pytest.raises(DomainError, match="align"):
+            fit_rule_block(model.design, rows[:-1], model.rewards(idx)[None], 0.05)
+        with pytest.raises(DomainError, match="align"):
+            fit_rule_block(model.design, rows, np.stack([model.rewards(idx)] * 2), 0.05)

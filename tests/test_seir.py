@@ -11,8 +11,8 @@ from epiplan import (
     transition_pmf,
 )
 from epiplan import seir
-from epiplan.seir import MARGINAL_TOL, binomial_row, exposure_prob, stage_rewards
-from oracles import binomial_pmf
+from epiplan.seir import MARGINAL_TOL, binomial_row, binomial_rows, exposure_prob, stage_rewards
+from oracles import binomial_pmf, binomial_row_alone
 
 
 def small_params(**kw):
@@ -128,6 +128,27 @@ class TestBinomialRow:
             for p in ps:
                 ks = binomial_row(n, p)[0]
                 assert len(ks) >= 1 and np.all(np.diff(ks) == 1), (n, p)
+
+    def test_rows_of_many_pairs_equal_each_row_alone(self):
+        # binomial_rows builds the rows of every (n, p) pair at once, padded
+        # to the largest n: each must be the one-row ratio recurrence's bit
+        # for bit, and zero past its n, with certain outcomes, a mode at
+        # either end, and random pairs among them.
+        rng = np.random.default_rng(11)
+        ns = np.r_[[0, 1, 7, 40, 299, 300, 1000], rng.integers(0, 2000, size=6)]
+        ps = np.r_[[0.0, 1e-9, 0.05, self.DEFAULT.rho_C, self.DEFAULT.rho_D, 0.5, 0.97,
+                    1 - 1e-15, 1.0], rng.random(6)]
+        pmf, keep = binomial_rows(ns, ps)
+        assert pmf.shape == keep.shape == (len(ns), len(ps), ns.max() + 1)
+        for i, n in enumerate(ns.tolist()):
+            for j, p in enumerate(ps.tolist()):
+                ks, probs = binomial_row_alone(n, p)
+                assert np.flatnonzero(keep[i, j]).tolist() == ks.tolist(), (n, p)
+                assert pmf[i, j, ks].tobytes() == probs.tobytes(), (n, p)
+                assert not pmf[i, j, n + 1:].any()
+                alone = binomial_row(n, p)
+                assert alone[0].tolist() == ks.tolist()
+                assert alone[1].tobytes() == probs.tobytes(), (n, p)
 
     def test_fallback_keeps_the_mode(self, monkeypatch):
         # With a tolerance above every entry, only the most likely count stays.

@@ -5,6 +5,11 @@ depend on the values.  The nominal and worst-case-shifted backups record
 their states' kernel rows, nominal or shifted, as flat segments
 (RowBatch), and take each expectation as one segment sum; a single-state
 backup builds a batch of one on every call, from views of the state's rows.
+The shift stays in the (s, a)-rectangular L1 ball around each row (Iyengar
+2005; Nilim & El Ghaoui 2005) and moves mass toward the row's
+highest-infective successor, whatever the values; it works on a block of
+rows in one pass (worst_case_shift, shift_mass), each row's sums taken over
+its own entries.
 
 The mean-ambiguous backup prices one action against the worst transition
 distribution whose mean lies near action-dependent bounds, with violations
@@ -109,34 +114,74 @@ def row_backup_batch(batch: RowBatch, v_next: np.ndarray,
     return vals[np.arange(len(vals)), best], best
 
 
-def shift_mass(row: SparseDistribution, donors: np.ndarray, receiver: int,
-               budget: float) -> SparseDistribution:
-    """Take up to budget/2 mass from the entries `donors` of row, in order,
-    and add all of it to entry `receiver`.
+def _segment_sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The sum of each segment values[starts[i]:starts[i] + counts[i]], bit
+    for bit what ndarray.sum gives on the segment alone: numpy adds fewer
+    than 8 entries in order, which one cumulative sum over the short segments
+    padded with zeros reproduces, and 8 or more pairwise, which only a sum
+    over the segment's own slice does (as seir.binomial_rows sums its rows)."""
+    sums = np.empty(len(counts))
+    short = counts < 8
+    cols = np.arange(8)
+    held = cols < counts[short, None]
+    padded = np.zeros(held.shape)
+    padded[held] = values[(starts[short, None] + cols)[held]]
+    sums[short] = np.cumsum(padded, axis=1)[:, -1]
+    sums[~short] = [values[lo:lo + n].sum()
+                    for lo, n in zip(starts[~short].tolist(), counts[~short].tolist())]
+    return sums
 
+
+def shift_mass(rows: RowBlock, donors: np.ndarray, receivers: np.ndarray,
+               budget: float) -> RowBlock:
+    """Take up to budget/2 mass from each row's donor entries, in the order
+    given, add all of it to the row's receiver, and divide the row by its
+    sum; a row of one entry is left as it is.
+
+    donors are flat positions into rows.probs, each row's together and the
+    rows in order; receivers holds one flat position per row, none a donor.
     The receiver's room, 1 - p_receiver, is the mass of every other entry, so
-    it takes whatever is moved; the result stays a distribution within L1
-    distance `budget` of the input.
+    it takes whatever is moved; each row stays a distribution within L1
+    distance `budget` of its input.  Every row's running and total sums are
+    taken over its own entries alone, so a row comes out the same to the
+    last bit whichever rows it is shifted with; the result is checked once
+    as a block (SparseDistribution.block).
     """
-    probs = row.probs.copy()
+    lengths = np.diff(rows.offsets)
+    probs = rows.probs.copy()
     have = probs[donors]
-    before = np.concatenate(([0.0], np.cumsum(have)[:-1]))  # taken by earlier donors
+    row = np.searchsorted(rows.offsets, donors, side="right") - 1
+    counts = np.bincount(row, minlength=len(lengths))
+    first = np.cumsum(counts) - counts
+    rank = np.arange(len(donors)) - np.repeat(first, counts)
+    # Each row's donors, in order, after a zero column: the running sum at
+    # column j is the mass taken by the row's first j donors, in order.
+    padded = np.zeros((len(lengths), counts.max(initial=0) + 1))
+    padded[row, rank + 1] = have
+    before = np.cumsum(padded, axis=1)[row, rank]
     take = np.minimum(have, np.maximum(budget / 2.0 - before, 0.0))
     probs[donors] -= take
-    probs[receiver] += take.sum()
-    probs /= probs.sum()
-    return SparseDistribution.block(row.indices, probs, [0, len(probs)])[0]
+    probs[receivers] += _segment_sums(take, first, counts)
+    total = np.where(lengths > 1, _segment_sums(probs, rows.offsets[:-1], lengths), 1.0)
+    probs /= np.repeat(total, lengths)
+    return SparseDistribution.block(rows.indices, probs, rows.offsets)
 
 
-def worst_case_shift(row: SparseDistribution, grid: Grid, budget: float) -> SparseDistribution:
-    """Move up to budget/2 mass from low-infective successors, lowest p_I
-    first, to the highest-infective one (lowest index among ties)."""
-    if budget <= 0.0 or len(row) <= 1:
-        return row
-    p_I = grid.coords[row.indices][:, 2]
-    order = np.argsort(p_I, kind="stable")  # by (p_I, index): indices ascend
-    n_low = int(np.searchsorted(p_I[order], p_I.max()))
-    return shift_mass(row, order[:n_low], order[n_low], budget)
+def worst_case_shift(rows: RowBlock, grid: Grid, budget: float) -> RowBlock:
+    """Move up to budget/2 mass in each row from its low-infective
+    successors, lowest p_I first, to its highest-infective one (lowest index
+    among ties): one sort of every entry by (row, p_I, index).  At budget 0
+    the rows themselves are returned."""
+    if budget <= 0.0:
+        return rows
+    lengths = np.diff(rows.offsets)
+    row = np.repeat(np.arange(len(lengths)), lengths)
+    p_I = grid.coords[rows.indices, 2]
+    order = np.lexsort((rows.indices, p_I, row))
+    p_I = p_I[order]
+    low = p_I < p_I[rows.offsets[1:] - 1][row]  # each row's top p_I sorts last
+    n_low = np.bincount(row[low], minlength=len(lengths))
+    return shift_mass(rows, order[low], order[rows.offsets[:-1] + n_low], budget)
 
 
 # ---------------------------------------------------------------------------

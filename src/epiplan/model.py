@@ -14,7 +14,9 @@ views made on demand (``rows``), so no row object is kept.  A block is
 hydrated as it comes in: the rewards of its states are one array, and their
 rules are fitted a run of states at a time (``rules.fit_rule_block``) with
 the solve of the model's design, whose rank the model checks once, when it
-is built.
+is built.  A state's rows shifted toward high-infective successors
+(``shifted_rows``) are one block too, made on first use at each budget and
+kept, for the robust back-end and the perturbed kernel of ``sim`` alike.
 """
 
 from __future__ import annotations
@@ -162,12 +164,13 @@ class EpidemicModel:
         return self._terms[idx]
 
     def shifted_rows(self, idx: int, budget: float) -> RowBlock:
-        """The state's rows, each shifted within budget
-        (backup.worst_case_shift), joined once into a block of their own."""
+        """The state's rows, each shifted within budget by one block call of
+        backup.worst_case_shift, made on first use and kept: the one store of
+        shifted rows, which the robust back-end plans on and sim.TrueKernel's
+        perturbed rows view.  At budget 0 they are the nominal views."""
         key = (idx, budget)
         if key not in self._shifted:
-            self._shifted[key] = RowBlock.join([worst_case_shift(r, self.grid, budget)
-                                                for r in self.rows(idx)])
+            self._shifted[key] = worst_case_shift(self.rows(idx), self.grid, budget)
         return self._shifted[key]
 
     @cached_property

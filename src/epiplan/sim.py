@@ -5,8 +5,11 @@ system forward under a "true" kernel that may sit anywhere within an L1 ball
 around the nominal rows.  This reproduces the comparison protocol: plan once
 per back-end, simulate many seeded episodes per kernel, and aggregate totals,
 stage-wise infection curves, and stage-wise mean actions.  The true kernel
-keeps each row it builds next to its DrawTable, so episodes that revisit a
-(state, action) draw from it without renormalizing the row again.
+records a DrawTable per (state, action) it draws from, so episodes that
+revisit one draw without renormalizing its row again.  Its high-infective
+rows are views of the model's shifted rows (``EpidemicModel.shifted_rows``),
+the store the robust back-end plans on, so at equal budgets the two share
+one copy.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .backup import shift_mass, worst_case_shift
+from .backup import shift_mass
+from .backup import worst_case_shift  # noqa: F401  perfbench/layers.py traces sim.worst_case_shift
 from .errors import DomainError
-from .grid import SparseDistribution
+from .grid import RowBlock, SparseDistribution
 from .model import EpidemicModel, initial_state_index
 from .plan import DrawTable, PlannerConfig, ValueTable, greedy_action, rtdp
 from .rules import AmbiguityConfig
@@ -52,40 +56,39 @@ def random_shift(row: SparseDistribution, budget: float,
     order = rng.permutation(len(row))
     donors = order[row.probs[order] > 0][: max(1, len(row) // 2)]
     receiver = next(i for i in order[::-1] if i not in donors)
-    return shift_mass(row, donors, receiver, budget)
+    one = RowBlock(row.indices, row.probs, np.array([0, len(row)]))
+    return shift_mass(one, donors, np.array([receiver]), budget)[0]
 
 
 class TrueKernel:
     """The true kernel: called as (state index, action) -> row, each row the
-    nominal one perturbed by spec, once per (state, action) and
-    deterministically, then cached next to its DrawTable."""
+    nominal one perturbed by spec, deterministically.  High-infective rows
+    are views of the model's shifted rows at spec.radius, random ones are
+    shifted on the call from a stream seeded by (seed, state, action); the
+    kernel keeps only the DrawTable of each (state, action) it draws from."""
 
     def __init__(self, model: EpidemicModel, spec: PerturbationSpec):
         self.model, self.spec = model, spec
-        self._rows: dict[tuple[int, int], tuple[SparseDistribution, DrawTable]] = {}
+        self._tables: dict[tuple[int, int], DrawTable] = {}
 
-    def _entry(self, idx: int, action: Action) -> tuple[SparseDistribution, DrawTable]:
-        ai = self.model.action_index(action)
-        key = (idx, ai)
-        if key not in self._rows:
-            spec, nominal = self.spec, self.model.rows(idx)[ai]
-            if spec.radius == 0.0:
-                row = nominal
-            elif spec.direction == "high-infective":
-                row = worst_case_shift(nominal, self.model.grid, spec.radius)
-            else:
-                rng = np.random.default_rng((spec.seed, idx, ai))
-                row = random_shift(nominal, spec.radius, rng)
-            self._rows[key] = (row, DrawTable.of(row.indices, row.probs))
-        return self._rows[key]
+    def _row(self, idx: int, ai: int) -> SparseDistribution:
+        spec = self.spec
+        if spec.direction == "random" and spec.radius > 0.0:
+            rng = np.random.default_rng((spec.seed, idx, ai))
+            return random_shift(self.model.rows(idx)[ai], spec.radius, rng)
+        return self.model.shifted_rows(idx, spec.radius)[ai]
 
     def __call__(self, idx: int, action: Action) -> SparseDistribution:
-        return self._entry(idx, action)[0]
+        return self._row(idx, self.model.action_index(action))
 
     def draw(self, idx: int, action: Action, rng: np.random.Generator) -> int:
         """A successor drawn from the row: rng.choice(row.indices,
         p=row.probs), bit for bit."""
-        return self._entry(idx, action)[1].draw(rng)
+        key = (idx, self.model.action_index(action))
+        if key not in self._tables:
+            row = self._row(*key)
+            self._tables[key] = DrawTable.of(row.indices, row.probs)
+        return self._tables[key].draw(rng)
 
 
 def build_true_kernel(model: EpidemicModel, spec: PerturbationSpec) -> TrueKernel:

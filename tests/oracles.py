@@ -78,6 +78,10 @@ of a quantity that `epiplan` computes another way.
   move perturbation mass one entry at a time, capping each step at the
   receiver's room, which `backup.worst_case_shift` and `sim.random_shift`
   compute as one cumulative-sum take (`backup.shift_mass`).
+* `shift_mass_row`, `worst_case_shift_row`, `random_shift_row` — the shift
+  one row at a time, each row's take and sum formed over its own entries;
+  `backup.shift_mass` and `backup.worst_case_shift` shift a block of rows in
+  one pass, and must give these rows byte for byte.
 
 `sparse_row` is not an oracle: it is how the tests write a single kernel row
 in any index order, which the package builds only as blocks of sorted rows.
@@ -831,6 +835,49 @@ def worst_case_shift_loop(row: SparseDistribution, grid: Grid,
         if probs[r] >= 1.0 - 1e-18:
             ri += 1
     return sparse_row(row.indices, probs, normalize=True)
+
+
+def shift_mass_row(row: SparseDistribution, donors: np.ndarray, receiver: int,
+                   budget: float) -> SparseDistribution:
+    """Take up to budget/2 mass from the entries `donors` of row, in order,
+    and add all of it to entry `receiver`.
+
+    The receiver's room, 1 - p_receiver, is the mass of every other entry, so
+    it takes whatever is moved; the result stays a distribution within L1
+    distance `budget` of the input.
+    """
+    probs = row.probs.copy()
+    have = probs[donors]
+    before = np.concatenate(([0.0], np.cumsum(have)[:-1]))  # taken by earlier donors
+    take = np.minimum(have, np.maximum(budget / 2.0 - before, 0.0))
+    probs[donors] -= take
+    probs[receiver] += take.sum()
+    probs /= probs.sum()
+    return SparseDistribution.block(row.indices, probs, [0, len(probs)])[0]
+
+
+def worst_case_shift_row(row: SparseDistribution, grid: Grid,
+                         budget: float) -> SparseDistribution:
+    """Move up to budget/2 mass from low-infective successors, lowest p_I
+    first, to the highest-infective one (lowest index among ties)."""
+    if budget <= 0.0 or len(row) <= 1:
+        return row
+    p_I = grid.coords[row.indices][:, 2]
+    order = np.argsort(p_I, kind="stable")  # by (p_I, index): indices ascend
+    n_low = int(np.searchsorted(p_I[order], p_I.max()))
+    return shift_mass_row(row, order[:n_low], order[n_low], budget)
+
+
+def random_shift_row(row: SparseDistribution, budget: float,
+                     rng: np.random.Generator) -> SparseDistribution:
+    """Move up to budget/2 mass from up to half the entries, drawn in a random
+    order among the positive ones, to one other entry drawn from the rest."""
+    if len(row) <= 1:
+        return row
+    order = rng.permutation(len(row))
+    donors = order[row.probs[order] > 0][: max(1, len(row) // 2)]
+    receiver = next(i for i in order[::-1] if i not in donors)
+    return shift_mass_row(row, donors, receiver, budget)
 
 
 def random_shift_loop(row: SparseDistribution, budget: float,

@@ -20,7 +20,7 @@ from epiplan.backup import (
     state_terms,
     worst_case_shift,
 )
-from epiplan.grid import Grid, GridSpec, discretize_kernel
+from epiplan.grid import Grid, GridSpec, RowBlock, discretize_kernel
 from epiplan.lp import LinearProgram, solve_lp
 from epiplan.model import EpidemicModel
 from epiplan.plan import PlannerConfig, backward_dp
@@ -94,8 +94,9 @@ def as_dict(row):
 
 
 def robust_backup(actions, rows, rewards, v, lam, grid, budget=0.5):
-    """Nominal backup evaluated on adversarially shifted kernel rows."""
-    shifted = [worst_case_shift(r, grid, budget) for r in rows]
+    """Nominal backup evaluated on adversarially shifted kernel rows, shifted
+    as one block."""
+    shifted = worst_case_shift(RowBlock.join(rows), grid, budget)
     return best_action_over_rows(actions, shifted, rewards, v, lam)
 
 
@@ -156,6 +157,11 @@ def random_batch(rng, n, m):
     return eta_L, eta_U, v
 
 
+def shift_one(row, grid, budget):
+    """worst_case_shift of a block of one row."""
+    return worst_case_shift(RowBlock.join([row]), grid, budget)[0]
+
+
 class TestWorstCaseShift:
     def setup_method(self):
         self.grid = Grid(GridSpec(1))
@@ -164,17 +170,17 @@ class TestWorstCaseShift:
 
     def test_budget_zero_unchanged(self):
         row = sparse_row(np.array([self.low, self.high]), np.array([0.6, 0.4]))
-        out = worst_case_shift(row, self.grid, 0.0)
+        out = shift_one(row, self.grid, 0.0)
         np.testing.assert_array_equal(out.probs, row.probs)
 
     def test_mass_already_at_top(self):
         row = sparse_row(np.array([self.high]), np.array([1.0]))
-        out = worst_case_shift(row, self.grid, 0.5)
+        out = shift_one(row, self.grid, 0.5)
         assert as_dict(out) == {self.high: 1.0}
 
     def test_greedy_transfer(self):
         row = sparse_row(np.array([self.low, self.high]), np.array([0.6, 0.4]))
-        out = worst_case_shift(row, self.grid, 0.5)
+        out = shift_one(row, self.grid, 0.5)
         got = as_dict(out)
         assert got[self.low] == pytest.approx(0.35, abs=1e-12)
         assert got[self.high] == pytest.approx(0.65, abs=1e-12)
@@ -191,7 +197,7 @@ class TestWorstCaseShift:
             pr /= pr.sum()
             row = sparse_row(idx, pr)
             budget = float(rng.random() * 2)
-            out = worst_case_shift(row, g, budget)
+            out = shift_one(row, g, budget)
             assert out.probs.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(out.probs >= -1e-15)
             base, got = as_dict(row), as_dict(out)

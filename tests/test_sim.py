@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from epiplan import Action, DomainError, EpidemicParams, plan
+from epiplan import model as model_module
+from epiplan import sim as sim_module
 from epiplan.backup import worst_case_shift
-from epiplan.grid import Grid, GridSpec
+from epiplan.grid import Grid, GridSpec, RowBlock
 from epiplan.backup import drmdp_backup_enumerate
 from epiplan.model import EpidemicModel, lattice_state_index
 from epiplan.plan import DrawTable, PlannerConfig, backup_state, backward_dp, rtdp
@@ -25,9 +27,11 @@ from oracles import (
     drmdp_backup_enumerate_unrecorded,
     kernel_draw_choice,
     random_shift_loop,
+    random_shift_row,
     sample_next_choice,
     sparse_row,
     worst_case_shift_loop,
+    worst_case_shift_row,
 )
 
 
@@ -73,31 +77,83 @@ class TestTrueKernel:
         idx = model.grid.index_of(1, 1, 1)
         a = Action(0, 0)
         row = kern(idx, a)
-        expect = worst_case_shift(model.rows(idx)[model.action_index(a)],
-                                  model.grid, 0.5)
+        expect = worst_case_shift_row(model.rows(idx)[model.action_index(a)],
+                                      model.grid, 0.5)
         np.testing.assert_allclose(row.probs, expect.probs, atol=0)
+
+    def test_perturbed_rows_view_the_robust_store(self):
+        # The high-infective rows are the model's shifted rows at the radius,
+        # the ones the robust back-end plans on, not a copy of them.
+        model = sim_model(N=20, Y=3)
+        kern = build_true_kernel(model, PerturbationSpec(radius=0.5))
+        idx = model.grid.index_of(1, 1, 1)
+        store = model.shifted_rows(idx, 0.5)
+        for a in model.actions:
+            row, ai = kern(idx, a), model.action_index(a)
+            assert np.shares_memory(row.probs, store[ai].probs)
+            assert np.shares_memory(row.indices, store[ai].indices)
+
+    def test_compare_shifts_each_state_once(self, monkeypatch):
+        # With robust_budget equal to the radius, the robust planner and the
+        # perturbed rollouts read one store: every (state, budget) is shifted
+        # once, and the rollouts shift nothing on a route of their own.
+        real, shifted = model_module.worst_case_shift, []
+
+        def counting(rows, grid, budget):
+            shifted.append((rows.indices.ctypes.data, budget))
+            return real(rows, grid, budget)
+
+        def forbidden(*args):
+            raise AssertionError("sim shifted a row itself")
+
+        monkeypatch.setattr(model_module, "worst_case_shift", counting)
+        monkeypatch.setattr(sim_module, "worst_case_shift", forbidden)
+        model = sim_model(N=20, Y=3, T=5)
+        episodes, _ = compare_models(
+            model, PlannerConfig(niter=8, robust_budget=0.5), backends=("robust",),
+            p_S1_list=(2 / 3,), p_E1=0.0, kernels=("nominal", "perturbed"),
+            pspec=PerturbationSpec(radius=0.5), nseeds=4)
+        assert episodes
+        assert len(shifted) == len(set(shifted))
+        assert {budget for _, budget in shifted} == {0.0, 0.5}
 
     @pytest.mark.parametrize("direction", ["high-infective", "random"])
     def test_shift_matches_the_loop_oracle(self, direction):
-        # Random rows on the Y=3 lattice: up to nine entries, so ties at the
-        # top p_I are common, about a quarter of the entries zero, one-entry
-        # rows, and budgets 0, 2 and in between.
+        # Random rows on the Y=3 lattice: 1 to 12 entries, so that rows and
+        # runs of donors fall on both sides of numpy's switch from an in-order
+        # to a pairwise sum at 8 entries, ties at the top p_I are common,
+        # about a quarter of the entries are zero, and budgets are 0, 2 and
+        # in between.  High-infective rows are shifted a whole block of 1 to
+        # 8 rows at a time, at one budget per block; random rows one at a
+        # time.  Every row is the per-row oracle's byte for byte, and the
+        # loop oracle's within rounding.
         grid = Grid(GridSpec(3))
         rng = np.random.default_rng(7)
-        ties = moved = 0
-        for case in range(400):
-            size = int(rng.integers(1, 10))
-            idx = rng.choice(grid.n_corners, size=size, replace=False)
-            probs = rng.random(size) * (rng.random(size) > 0.25)
-            probs[probs.argmax()] += 0.1
-            row = sparse_row(idx, probs, normalize=True)
+        checked = []  # (input row, shifted, per-row oracle, loop oracle)
+        while len(checked) < 400:
+            rows = []
+            for _ in range(int(rng.integers(1, 9))):
+                size = int(rng.integers(1, 13))
+                idx = rng.choice(grid.n_corners, size=size, replace=False)
+                probs = rng.random(size) * (rng.random(size) > 0.25)
+                probs[probs.argmax()] += 0.1
+                rows.append(sparse_row(idx, probs, normalize=True))
             budget = float(rng.choice([0.0, 2.0, rng.uniform(0.0, 2.0)]))
             if direction == "high-infective":
-                got = worst_case_shift(row, grid, budget)
-                ref = worst_case_shift_loop(row, grid, budget)
-            else:
-                got = random_shift(row, budget, np.random.default_rng(case))
-                ref = random_shift_loop(row, budget, np.random.default_rng(case))
+                block = worst_case_shift(RowBlock.join(rows), grid, budget)
+                checked += [(row, got, worst_case_shift_row(row, grid, budget),
+                             worst_case_shift_loop(row, grid, budget))
+                            for row, got in zip(rows, block)]
+                continue
+            for row in rows:
+                case = len(checked)
+                checked.append((row, *(fn(row, budget, np.random.default_rng(case))
+                                       for fn in (random_shift, random_shift_row,
+                                                  random_shift_loop))))
+        ties = moved = long_rows = long_runs = 0
+        for row, got, exact, ref in checked:
+            assert got.indices.tobytes() == exact.indices.tobytes()
+            assert got.probs.tobytes() == exact.probs.tobytes()
             np.testing.assert_array_equal(got.indices, ref.indices)
             assert np.abs(got.probs - ref.probs).sum() <= 1e-15
             # The loop caps each step at the receiver's room, 1 - p_r, and
@@ -106,7 +162,10 @@ class TestTrueKernel:
             p_I = grid.coords[row.indices][:, 2]
             ties += np.sum(p_I == p_I.max()) > 1
             moved += np.abs(got.probs - row.probs).sum() > 0.1
-        assert ties > 100 and moved > 100
+            long_rows += len(row) >= 8
+            long_runs += np.sum(p_I < p_I.max()) >= 8
+        assert ties > 100 and moved > 100 and long_rows > 50
+        assert direction == "random" or long_runs > 20
 
     def test_validation(self):
         with pytest.raises(DomainError):

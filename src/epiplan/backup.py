@@ -115,21 +115,11 @@ def row_backup_batch(batch: RowBatch, v_next: np.ndarray,
 
 
 def _segment_sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The sum of each segment values[starts[i]:starts[i] + counts[i]], bit
-    for bit what ndarray.sum gives on the segment alone: numpy adds fewer
-    than 8 entries in order, which one cumulative sum over the short segments
-    padded with zeros reproduces, and 8 or more pairwise, which only a sum
-    over the segment's own slice does (as seir.binomial_rows sums its rows)."""
-    sums = np.empty(len(counts))
-    short = counts < 8
-    cols = np.arange(8)
-    held = cols < counts[short, None]
-    padded = np.zeros(held.shape)
-    padded[held] = values[(starts[short, None] + cols)[held]]
-    sums[short] = np.cumsum(padded, axis=1)[:, -1]
-    sums[~short] = [values[lo:lo + n].sum()
-                    for lo, n in zip(starts[~short].tolist(), counts[~short].tolist())]
-    return sums
+    """The sum of each segment values[starts[i]:starts[i] + counts[i]], each
+    taken by ndarray.sum over the segment's own slice (as seir.binomial_rows
+    sums its rows), so bit for bit what the segment gives summed alone."""
+    return np.array([values[lo:lo + n].sum()
+                     for lo, n in zip(starts.tolist(), counts.tolist())], dtype=float)
 
 
 def shift_mass(rows: RowBlock, donors: np.ndarray, receivers: np.ndarray,

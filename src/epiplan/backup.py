@@ -61,7 +61,7 @@ from .rules import (
     fit_rules,  # noqa: F401  perfbench/layers.py traces backup.fit_rules
     mean_bounds,
 )
-from .seir import Action
+from .seir import Action, segment_sums
 
 
 # ---------------------------------------------------------------------------
@@ -114,14 +114,6 @@ def row_backup_batch(batch: RowBatch, v_next: np.ndarray,
     return vals[np.arange(len(vals)), best], best
 
 
-def _segment_sums(values: np.ndarray, starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The sum of each segment values[starts[i]:starts[i] + counts[i]], each
-    taken by ndarray.sum over the segment's own slice (as seir.binomial_rows
-    sums its rows), so bit for bit what the segment gives summed alone."""
-    return np.array([values[lo:lo + n].sum()
-                     for lo, n in zip(starts.tolist(), counts.tolist())], dtype=float)
-
-
 def shift_mass(rows: RowBlock, donors: np.ndarray, receivers: np.ndarray,
                budget: float) -> RowBlock:
     """Take up to budget/2 mass from each row's donor entries, in the order
@@ -151,8 +143,8 @@ def shift_mass(rows: RowBlock, donors: np.ndarray, receivers: np.ndarray,
     before = np.cumsum(padded, axis=1)[row, rank]
     take = np.minimum(have, np.maximum(budget / 2.0 - before, 0.0))
     probs[donors] -= take
-    probs[receivers] += _segment_sums(take, first, counts)
-    total = np.where(lengths > 1, _segment_sums(probs, rows.offsets[:-1], lengths), 1.0)
+    probs[receivers] += segment_sums(take, first, counts)
+    total = np.where(lengths > 1, segment_sums(probs, rows.offsets[:-1], lengths), 1.0)
     probs /= np.repeat(total, lengths)
     return SparseDistribution.block(rows.indices, probs, rows.offsets)
 

@@ -7,24 +7,14 @@ corners.  Transition laws over continuous atoms are pushed onto the corners
 through those weights, giving a finite kernel.  Only corners inside the
 population simplex have rows; a rollout that reaches another corner stops.
 
-The push takes a list of corners.  Within a state the intervention level
-only reweights the exposure count, so the atoms of every (vaccination level,
-exposure count) pair are pushed once and each action's row is a weighted sum
-of those pushes.  The weights are affine inside each simplex, so the atoms of
-one pair that share one, which differ only in their (incubation, recovery)
-counts, are pushed together as their total mass at their mean point; prefix
-tables over the (C, D) plane give each region's mass and mean in O(1).  The
-(C, D) law depends only on the counts (n_E, n_I), so the corners that share
-them are pushed as one group: one set of prefix tables and one point
-location for the pairs of all of them.  Exposure laws, which depend only on
-(n_S, p_I), are built once per call, the binomial laws of every action in
-one array pass (``seir.binomial_rows``).
-
-Kernel rows are held flat: a RowBlock is (indices, probs, row offsets), and a
-row (SparseDistribution) is a read-only view of it made on demand.  The push
-returns its call's rows as one KernelBlock, the RowBlock of its corners in
-the order given, each group's rows renormalized and checked at once
-(``SparseDistribution.block``).
+The push (``discretize_kernel``) takes a list of corners.  Within a state
+the intervention level only reweights the exposure count, so the atoms of
+every (vaccination level, exposure count) pair are pushed once and each
+action's row is a weighted sum of those pushes; the atoms of one pair in one
+simplex are pushed as their total mass at their mean point, read from prefix
+tables over the (C, D) plane.  Kernel rows are held flat: a RowBlock is
+(indices, probs, row offsets), and a row (SparseDistribution) is a read-only
+view of it made on demand.
 """
 
 from __future__ import annotations
@@ -35,18 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RowError
-from .seir import (
-    ENTRY_TOL,
-    JOINT_TOL,
-    MARGINAL_TOL,
-    Action,
-    ContinuousState,
-    EpidemicParams,
-    binomial_rows,
-    exposure_prob,
-    transition_pmf,  # noqa: F401  perfbench/layers.py traces grid.transition_pmf
-    vaccination_trials,
-)
+from .seir import (ENTRY_TOL, JOINT_TOL, MARGINAL_TOL, Action, ContinuousState, EpidemicParams,
+                   binomial_rows, exposure_prob, segment_sums, vaccination_trials)
+from .seir import transition_pmf  # noqa: F401  perfbench/layers.py traces grid.transition_pmf
 
 
 @dataclass(frozen=True)
@@ -61,12 +42,8 @@ class GridSpec:
 
 
 class SparseDistribution:
-    """A read-only view of one kernel row: probability mass over corner
-    indices, unique and ascending.
-
-    Rows are held flat, in a RowBlock, and these views are made on demand;
-    ``block`` checks many rows at once and returns them as one.
-    """
+    """A read-only view of one kernel row, made on demand from a RowBlock:
+    probability mass over corner indices, unique and ascending."""
 
     __slots__ = ("indices", "probs")
 
@@ -77,15 +54,11 @@ class SparseDistribution:
     def block(indices: np.ndarray, probs: np.ndarray, offsets: np.ndarray,
               normalize: bool = False) -> RowBlock:
         """The rows held at [offsets[r], offsets[r+1]) of flat indices and
-        probs, as one RowBlock.
-
-        The whole block is checked at once: each row's indices must ascend
-        strictly, no entry may be below -1e-15, and each row must sum to one
-        within 1e-9 or, with normalize, to a positive total, by which it is
-        then divided.  A row that fails raises RowError naming the first
-        such row and its reason.  The block holds read-only copies of
-        indices and probs.
-        """
+        probs, as one RowBlock of read-only copies, all checked at once: each
+        row's indices must ascend strictly, no entry may be below -1e-15, and
+        each row must sum to one within 1e-9 or, with normalize, to a
+        positive total, by which it is then divided.  A row that fails raises
+        RowError naming the first such row and its reason."""
         indices = np.array(indices, dtype=np.int64)
         probs = np.array(probs, dtype=np.float64)
         offsets = np.array(offsets, dtype=np.int64)
@@ -137,12 +110,9 @@ class SparseDistribution:
 
 class RowBlock(Sequence):
     """Kernel rows held flat: row r puts probs[offsets[r]:offsets[r+1]] on
-    the corners indices[offsets[r]:offsets[r+1]], and offsets[0] is 0.
-
-    Only ``SparseDistribution.block`` checks rows; a RowBlock holds what it
-    is given.  Indexing a row makes a SparseDistribution view of it, and
-    slicing a run of rows a RowBlock of views, so no row object is kept.
-    """
+    the corners indices[offsets[r]:offsets[r+1]], and offsets[0] is 0.  It
+    holds what it is given (``SparseDistribution.block`` checks rows); a row
+    or run of rows taken from it is a view, so no row object is kept."""
 
     __slots__ = ("indices", "probs", "offsets")
 
@@ -180,10 +150,9 @@ class RowBlock(Sequence):
 
 
 class KernelBlock(Sequence):
-    """The kernel rows of some corners as one RowBlock: the rows of
-    corners[m], one per action in ``params.actions()`` order, are rows
-    m*n_actions .. (m+1)*n_actions - 1.  Indexing a corner's place gives
-    its rows, a RowBlock of views."""
+    """The kernel rows of some corners as one RowBlock: corners[m] has rows
+    m*n_actions .. (m+1)*n_actions - 1, one per action in ``params.actions()``
+    order, and indexing m gives them as a RowBlock of views."""
 
     __slots__ = ("corners", "rows", "n_actions")
 
@@ -250,12 +219,9 @@ class Grid:
         return np.nonzero(self.in_S)[0]
 
     def locate_many(self, points: np.ndarray):
-        """Vectorized barycentric location of points inside the unit cube.
-
-        Returns (corner_indices (n,4), weights (n,4)).  The simplex follows
-        the fractional parts sorted in descending order, ties going to the
-        lower axis.
-        """
+        """Vectorized barycentric location of points inside the unit cube:
+        (corner_indices (n,4), weights (n,4)).  The simplex follows the
+        fractional parts sorted in descending order, ties to the lower axis."""
         pts = np.asarray(points, dtype=np.float64)
         if np.any(pts < -1e-12) or np.any(pts > 1.0 + 1e-12):
             raise DomainError("point outside the unit cube")
@@ -298,67 +264,109 @@ def _cell_counts(cells: np.ndarray, N: int, Y: int) -> tuple[np.ndarray, np.ndar
     return first, last
 
 
-def _suffix_sums(p_cd: np.ndarray) -> np.ndarray:
-    """Suffix sums over d of each row's mass, c-moment and v-moment.
+def _suffix_sums(N: int, EI: np.ndarray, pmf: np.ndarray, C0: np.ndarray, D0: np.ndarray,
+                 n_C: np.ndarray, n_D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Suffix sums over d of the masses, c-moments and v-moments of the (C, D)
+    laws of counts EI, each law's rows from row top, then a row of zeros: with
+    c = C - C0, d = D - D0, the sum of row c up to v = c + n_D - 1 - d is
+    S[:, top + c, clip(d)].  Padding past n_D is summed first, as zeros."""
+    row = np.repeat(np.arange(len(EI)), n_C)
+    top = np.cumsum(n_C) - n_C
+    c, d = np.arange(len(row)) - top[row], np.arange(n_D.max())
+    pD = pmf[np.arange(len(EI))[:, None], 1, np.minimum(D0[:, None] + d, pmf.shape[-1] - 1)]
+    pD[d >= n_D[:, None]] = 0.0
+    p_cd = pmf[row, 0, C0[row] + c][:, None] * pD[row]
+    p_cd[p_cd < JOINT_TOL] = 0.0
+    sizes = n_C * n_D
+    p_cd /= np.repeat(segment_sums(p_cd[d < n_D[row, None]], np.cumsum(sizes) - sizes, sizes),
+                      n_C)[:, None]
+    # The boxes cover counts up to N; a successor's I passes it where the
+    # rounded counts do (S, E cannot: b > 0 needs p_I > 0, so n_S + n_E <= N).
+    reach = np.maximum.reduceat(np.where(p_cd > 0.0, c[:, None] - d, -len(d)).max(axis=1), top)
+    if np.any(EI[:, 1] + C0 - D0 + reach > N):
+        raise DomainError("point outside the unit cube")
+    c = c[:, None]
+    terms = np.stack([p_cd, p_cd * c, p_cd * np.maximum(c + n_D[row, None] - 1 - d, 0)])
+    S = np.zeros((3, len(row) + 1, len(d) + 1))
+    S[:, :-1, :-1] = np.cumsum(terms[..., ::-1], axis=-1)[..., ::-1]
+    return top, S
 
-    With c the C index and d the D index, v = c + n_D - 1 - d runs over
-    0..n_C + n_D - 2.  S[:, c, d] sums d' >= d of row c, and is zero at
-    d = n_D, so the sum of row c up to v is S[:, c, clip(c + n_D - 1 - v)].
-    """
-    n_C, n_D = p_cd.shape
-    c = np.arange(n_C)[:, None]
-    S = np.zeros((3, n_C, n_D + 1))
-    terms = np.stack([p_cd, p_cd * c, p_cd * (c + n_D - 1 - np.arange(n_D))])
-    S[..., :n_D] = np.cumsum(terms[..., ::-1], axis=-1)[..., ::-1]
-    return S
 
-
-def _prefix_columns(S: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """T[:, c1, i], the sum over c < c1 of S[:, c, d[c, i]] with d clipped
-    into 0..n_D: one gather from the suffix sums and one sum over c."""
-    n_C, n_D = S.shape[1], S.shape[2] - 1
-    T = np.zeros((3, n_C + 1, d.shape[1]))
-    np.cumsum(S[:, np.arange(n_C)[:, None], np.clip(d, 0, n_D)], axis=1, out=T[:, 1:])
+def _prefix_tables(S: np.ndarray, top: np.ndarray, n_C: np.ndarray, n_D: np.ndarray,
+                   groups: np.ndarray, cols: np.ndarray, slope: int) -> np.ndarray:
+    """T[:, c1, i], the sum over c < c1 of S[:, top[g] + c, d] at
+    d = clip(slope * c + n_D[g] - cols[i]), g = groups[i], by one gather and
+    one sum over c; past its n_C[g] rows a column adds S's last row, zeros."""
+    c = np.arange(n_C[groups].max())[:, None]
+    T = np.zeros((3, len(c) + 1, len(groups)))
+    rows = np.where(c < n_C[groups], top[groups] + c, -1)
+    np.cumsum(S[:, rows, np.clip(slope * c + n_D[groups] - cols, 0, n_D[groups])], axis=1,
+              out=T[:, 1:])
     return T
 
 
 def _at(T: np.ndarray, c: np.ndarray, i: np.ndarray) -> np.ndarray:
-    """T[:, c, i] for a table from _prefix_columns (a flat take is faster
-    than the broadcast fancy index)."""
+    """T[:, c, i], by a flat take (faster than the broadcast fancy index)."""
     return T.reshape(3, -1).take(c * T.shape[2] + i, axis=1)
 
 
-def _exposure_laws(params: EpidemicParams, state: ContinuousState, n_S: int
-                   ) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
-    """Each vaccination level's exposure counts kB, their marginals pB (one
-    row per intervention level) and its number of trials, once per count.
+def _columns(groups: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The distinct (group, value) pairs, as their groups and values, and
+    the place of each pair among them, shaped as values."""
+    lo, span = values.min(), np.ptp(values) + 1
+    key = groups * span + (values - lo)
+    present = np.bincount(key.ravel()) > 0
+    cols = np.flatnonzero(present)
+    return cols // span, cols % span + lo, (np.cumsum(present) - 1)[key]
 
-    The exposure probability of each y_R does not depend on y_V, so the laws
-    of every (y_V, y_R) come from one ``binomial_rows`` call.  Every kept
-    binomial support is one integer run, so a y_V's counts are the covered
-    part of its span, and each row, divided by the sum of its own run, lands
-    in them at one offset.
-    """
-    phis = [exposure_prob(params, state, Action(0, y_R)) for y_R in range(params.M + 1)]
-    ns = [vaccination_trials(params, n_S, y_V) for y_V in range(params.L + 1)]
-    pmf, keep = binomial_rows(np.array(ns), np.array(phis))
-    first = np.argmax(keep, axis=-1)
-    end = keep.shape[-1] - np.argmax(keep[..., ::-1], axis=-1)
-    if np.any(keep.sum(axis=-1) != end - first):
-        raise DomainError("the B supports must be integer ranges")
-    sums = [row[a:z].sum() for row, a, z in
-            zip(pmf.reshape(-1, pmf.shape[-1]), first.ravel().tolist(), end.ravel().tolist())]
-    lo, hi = int(first.min()), int(end.max())
-    keep = keep[..., lo:hi]
-    marginals = np.where(keep, pmf[..., lo:hi] / np.reshape(sums, first.shape + (1,)), 0.0)
-    kBs, pBs, trials = [], [], []
-    for y_V, n_trials in enumerate(ns):
-        covered = keep[y_V].any(axis=0)
-        kBs.append(np.flatnonzero(covered) + lo)
-        # C order: the bits of pB @ K depend on its layout.
-        pBs.append(np.ascontiguousarray(marginals[y_V][:, covered]))
-        trials.append(np.full(len(kBs[-1]), n_trials))
-    return kBs, pBs, trials
+
+# Entries per run (_runs): (n_S, p_I)'s exposure laws count (L+1)(M+1)(n_S+1),
+# a pushed corner its boxes (at most its (y_V, b) pairs times the cells its
+# (C, D) law spans), plus the law's n_C (n_D + 1) suffix sums where it is new.
+# The dp-mip-small compile (N=100, Y=5) took 3 runs, 0.013 s and 2.4 MB.
+PUSH_ENTRIES = 1 << 13
+
+
+def _runs(costs: Sequence[int]) -> list[int]:
+    """Where runs of consecutive items start, then their end: the items
+    whose running cost falls in one multiple of PUSH_ENTRIES are a run."""
+    step = np.cumsum(costs) // PUSH_ENTRIES
+    cuts = np.flatnonzero(step[1:] != step[:-1]) + 1
+    return [0, *cuts.tolist(), len(step)] if len(step) else [0]
+
+
+def _exposure_laws(params: EpidemicParams, states: Sequence[ContinuousState],
+                   counts: Sequence[tuple[int, int, int]]) -> list[tuple[list, list, list]]:
+    """Each state's exposure laws, built once per (n_S, p_I) in runs by n_S,
+    each by one ``binomial_rows`` call: per vaccination level, the counts kB
+    (the covered part of its span, every kept support being one integer run),
+    their marginals pB, one row per y_R over its own run, and the trials."""
+    keys = sorted({(n_S, state.p_I): state for state, (n_S, _, _) in zip(states, counts)}.items())
+    bounds = _runs([(params.L + 1) * (params.M + 1) * (n_S + 1) for (n_S, _), _ in keys])
+    laws = {}
+    for run in (keys[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])):
+        ns = np.array([[vaccination_trials(params, n_S, y_V) for y_V in range(params.L + 1)]
+                       for (n_S, _), _ in run])
+        phis = np.array([[exposure_prob(params, state, Action(0, y_R))
+                          for y_R in range(params.M + 1)] for _, state in run])
+        pmf, keep = binomial_rows(ns[:, :, None], phis[:, None, :])
+        first = np.argmax(keep, axis=-1)
+        end = keep.shape[-1] - np.argmax(keep[..., ::-1], axis=-1)
+        if np.any(keep.sum(axis=-1) != end - first):
+            raise DomainError("the B supports must be integer ranges")
+        sums = segment_sums(pmf.ravel(), (np.arange(first.size) * keep.shape[-1]
+                                          + first.ravel()), (end - first).ravel())
+        lo, keep = int(first.min()), keep[..., :end.max()]
+        marginals = np.where(keep[..., lo:], pmf[..., lo:keep.shape[-1]]
+                             / sums.reshape(first.shape + (1,)), 0.0)
+        for (key, _), covered, marginal, trials in zip(run, keep[..., lo:].any(axis=-2),
+                                                       marginals, ns.tolist()):
+            ats = [np.flatnonzero(row) for row in covered]
+            # C order: the bits of pB @ K depend on its layout.
+            laws[key] = ([at + lo for at in ats],
+                         [np.ascontiguousarray(m[:, at]) for m, at in zip(marginal, ats)],
+                         [np.full(len(at), n) for at, n in zip(ats, trials)])
+    return [laws[n_S, state.p_I] for state, (n_S, _, _) in zip(states, counts)]
 
 
 def discretize_kernel(grid: Grid, params: EpidemicParams,
@@ -367,158 +375,76 @@ def discretize_kernel(grid: Grid, params: EpidemicParams,
     KernelBlock: one row per action in ``params.actions()`` order.
 
     Each row is the exact atom law of ``seir.transition_pmf`` pushed onto the
-    grid corners.  The atoms of every vaccination level y_V and exposure
-    count b that some y_R can draw are pushed into K[(y_V, b), corner], and
-    the row of (y_V, y_R) is pB(y_R) @ K.  JOINT_TOL applies to the
-    action-free (C, D) factor, so the atoms kept are a superset of the
-    per-action table's.
+    grid corners: the atoms of every vaccination level y_V and exposure count
+    b some y_R can draw go into K[(y_V, b), corner], and the row of (y_V, y_R)
+    is pB(y_R) @ K.  JOINT_TOL applies to the action-free (C, D) factor.
 
-    The corners with equal counts (n_E, n_I) share their (C, D) law, and are
-    pushed as one group (``_push_group``); the exposure laws of each
-    distinct (n_S, p_I) are built once per call.  Each group's rows are
-    renormalized and checked as one block, and the corners' rows are joined
-    in the order given (a lone corner keeps its group's block).  A corner
-    outside the simplex raises DomainError
-    (``Grid.state_of``) before any push, and so does a row the push cannot
-    make a distribution, naming its corner and action.
+    The laws are built once per call.  The corners are pushed in runs of the
+    order given (``_runs``, ``_push_batch``), each run's rows renormalized,
+    checked and appended to the call's block, which grows in place.  A corner
+    outside the simplex raises DomainError before any push, and so does a
+    row that cannot be made a distribution, naming its corner and action.
     """
     corners = np.array(corner_indices, dtype=np.int64).reshape(-1)
-    states = {i: grid.state_of(i) for i in corners.tolist()}
-    laws: dict[tuple[int, float], tuple] = {}
-    groups: dict[tuple[int, int], list[tuple[int, tuple]]] = {}
-    for idx, state in states.items():
-        n_S, n_E, n_I = state.counts(params.N)
-        key = (n_S, state.p_I)
-        if key not in laws:
-            laws[key] = _exposure_laws(params, state, n_S)
-        groups.setdefault((n_E, n_I), []).append((idx, laws[key]))
-    actions = params.actions()
-    n_a = len(actions)
-    rows: dict[int, RowBlock] = {}
-    for (n_E, n_I), members in groups.items():
-        member_corners, member_laws = zip(*members)
-        successors, probs, lengths = _push_group(grid, params, n_E, n_I, member_laws)
-        try:
-            block = SparseDistribution.block(successors, probs, np.append(0, np.cumsum(lengths)),
-                                             normalize=True)
-        except RowError as exc:
-            a = actions[exc.row % n_a]
-            raise DomainError(f"kernel row of corner {member_corners[exc.row // n_a]}, "
-                              f"action ({a.y_V}, {a.y_R}): {exc.reason}") from None
-        rows.update((idx, block[m * n_a:(m + 1) * n_a]) for m, idx in enumerate(member_corners))
-    if len(corners) == 1:
-        return KernelBlock(corners, block, n_a)
-    return KernelBlock(corners, RowBlock.join(rows[i] for i in corners.tolist()), n_a)
-
-
-def _push_group(grid: Grid, params: EpidemicParams, n_E: int, n_I: int,
-                member_laws: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of every corner with counts (n_E, n_I), given each one's
-    exposure laws, in one plane-moment pass, as flat successors and
-    masses, not yet renormalized, and the length of each row.
-
-    The atoms of one (y_V, b) differ only in (C, D), and are pushed as
-    simplex-region moments.  In c = C - C0 and v = C - D - V_min (C0 and
-    V_min the smallest values) the p_E cell is a c range for each b, the p_I
-    cell a v range, the same for every b, and with the p_S fractional part
-    f0 fixed by b, f0 >= f1 holds for c >= c_A, f0 >= f2 for v <= v_B, and
-    f1 >= f2 for c + v <= w.  So each (p_E cell, p_I cell) box splits into at
-    most six regions, each inside one simplex: the rectangles where f0 lies
-    between f1 and f2, and the two quadrants where it does not, each cut by
-    the anti-diagonal.  The barycentric weights are affine on each closed
-    simplex, so a region's atoms push as their total mass placed at their
-    mean, read in O(1) from prefix tables built from ``_suffix_sums``.  The
-    thresholds are integer arithmetic, so an atom on one is assigned to a
-    side exactly (either side is right: the interpolation is continuous),
-    and each mean is clamped into its box, where differences of tiny masses
-    could move it.
-
-    Only the exposure counts differ between the members, so their (y_V, b)
-    pairs run along one axis, member after member, and the means of all of
-    them are located in one call.  Each member's K and rows are then formed
-    on its own, over the corners it hits, found by marking them on the
-    grid; its corner masses below ENTRY_TOL are dropped.
-    """
-    N, Y = params.N, grid.Y
-    pmf, keep = binomial_rows(np.array([n_E, n_I]), np.array([params.rho_C, params.rho_D]))
-    kC, kD = np.flatnonzero(keep[0, 0]), np.flatnonzero(keep[1, 1])
-    pC, pD = pmf[0, 0, kC], pmf[1, 1, kD]
-    if np.any(np.diff(kC) != 1) or np.any(np.diff(kD) != 1):
+    states = [grid.state_of(i) for i in corners.tolist()]
+    counts = [state.counts(params.N) for state in states]
+    member_laws = _exposure_laws(params, states, counts)
+    planes: dict[tuple[int, int], int] = {}
+    plane = np.array([planes.setdefault((n_E, n_I), len(planes)) for _, n_E, n_I in counts],
+                     dtype=np.int64)
+    EI = np.array(list(planes), dtype=np.int64).reshape(-1, 2)
+    pmf, keep = binomial_rows(EI, [params.rho_C, params.rho_D])
+    first, n_kept = np.argmax(keep, axis=-1), keep.sum(axis=-1)
+    if np.any(keep.shape[-1] - np.argmax(keep[..., ::-1], axis=-1) - first != n_kept):
         raise DomainError("the C and D supports must be integer ranges")
-    n_C, n_D = len(kC), len(kD)
-    n_V = n_C + n_D - 1
-    p_cd = pC[:, None] * pD[None, :]
-    p_cd[p_cd < JOINT_TOL] = 0.0
-    p_cd /= p_cd.sum()
-    S = _suffix_sums(p_cd)
-    # The boxes cover counts up to N only.  Where the rounded counts sum past
-    # N, n_E + n_I can exceed it, and an atom with I above N must not be
-    # dropped.  (S and E stay within N: b > 0 needs p_I > 0, and then
-    # n_S + n_E <= N.)
-    c_kept, d_kept = np.nonzero(p_cd)
-    if n_I + (kC[c_kept] - kD[d_kept]).max() > N:
-        raise DomainError("point outside the unit cube")
+    (C0, D0), (n_C, n_D) = first.T, n_kept.T
+    I_low = EI[:, 1] + C0 - (D0 + n_D - 1)
+    boxes = (((n_C - 1) * grid.Y // params.N + 2) * (_cell_of(
+        I_low + n_C + n_D - 2, params.N, grid.Y) - _cell_of(I_low, params.N, grid.Y) + 1))
+    pairs = np.array([sum(len(kB) for kB in kBs) for kBs, _, _ in member_laws], dtype=np.int64)
+    new = np.append(True, plane[1:] != plane[:-1])
+    bounds = _runs(pairs * boxes[plane] + new * (n_C * (n_D + 1))[plane])
+    n_a = (params.L + 1) * (params.M + 1)
+    indices, probs, lengths = np.zeros(0, np.int64), np.zeros(0), [np.zeros(0, np.int64)]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        try:
+            block = SparseDistribution.block(*_push_batch(
+                grid, params, plane[lo:hi], (EI, pmf, C0, D0, n_C, n_D), member_laws[lo:hi]),
+                normalize=True)
+        except RowError as exc:
+            a = params.actions()[exc.row % n_a]
+            raise DomainError(f"kernel row of corner {corners[lo + exc.row // n_a]}, "
+                              f"action ({a.y_V}, {a.y_R}): {exc.reason}") from None
+        # No view of indices or probs exists yet, so each grows by realloc.
+        end = len(indices)
+        for flat, part in ((indices, block.indices), (probs, block.probs)):
+            flat.resize(end + len(part), refcheck=False)
+            flat[end:] = part
+        lengths.append(np.diff(block.offsets))
+    offsets = np.append(0, np.cumsum(np.concatenate(lengths)))
+    for a in (indices, probs, offsets):
+        a.flags.writeable = False
+    return KernelBlock(corners, RowBlock(indices, probs, offsets), n_a)
 
+
+def _push_batch(grid: Grid, params: EpidemicParams, plane: np.ndarray, laws: tuple,
+                member_laws: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of corners whose (C, D) laws are rows plane of laws, with
+    these exposure laws, as flat successors and masses split at offsets.
+    The (y_V, b) pairs of all corners run along one axis, and their region
+    means are located at once; each corner's K and rows are then formed over
+    the corners it hits, marked on the grid, dropping masses below ENTRY_TOL."""
+    used = np.array(sorted(set(plane.tolist())))
+    plane = np.searchsorted(used, plane)
+    n_pairs = [sum(len(kB) for kB in kBs) for kBs, _, _ in member_laws]
     b = np.concatenate([kB for kBs, _, _ in member_laws for kB in kBs])
-    S_next = np.concatenate([n for _, _, trials in member_laws for n in trials]) - b
-    f0 = _frac_numerator(S_next, N, Y)[:, None, None]
-    # Successor E and I counts at c = 0 and v = 0; E falls with c, I rises with v.
-    E_top = n_E + b - kC[0]
-    I_low = n_I + kC[0] - kD[-1]
-
-    # The p_E cells of each pair, padded to a common count, and the p_I cells;
-    # boxes are indexed (pair, p_E cell, p_I cell).
-    j_lo = _cell_of(E_top - (n_C - 1), N, Y)
-    j = (j_lo[:, None] + np.arange(int((_cell_of(E_top, N, Y) - j_lo).max()) + 1))[..., None]
-    k = np.arange(_cell_of(I_low, N, Y), _cell_of(I_low + n_V - 1, N, Y) + 1)
-    E_first, E_last = _cell_counts(j, N, Y)
-    I_first, I_last = _cell_counts(k, N, Y)
-    # Each box's half-open c range [lo, hi) with its cut c_A, and its v range
-    # with its cut v_B, as (lo, cut, hi).
-    c_cut = np.clip(E_top[:, None, None, None]
-                    - np.stack([E_last, (f0 + j * N) // Y, E_first - 1], axis=-1), 0, n_C)
-    v_cut = np.clip(np.stack(np.broadcast_arrays(I_first - 1, (f0 + k * N) // Y, I_last),
-                             axis=-1) - I_low + 1, 0, n_V)
-    for cut in (c_cut, v_cut):
-        cut[..., 1] = np.clip(cut[..., 1], cut[..., 0], cut[..., 2])
-    # The 2-D prefix sums at every v cut: F[:, c1, i] sums c < c1 and
-    # v < v_cols[i].  F at the 3 x 3 cuts gives the four quadrants.
-    c = np.arange(n_C)[:, None]
-    v_cols, v_at = np.unique(v_cut, return_inverse=True)
-    v_at = v_at.reshape(v_cut.shape)
-    F = _prefix_columns(S, c + n_D - v_cols)
-    # quads[..., x, y]: x = 0 where f1 > f0, 1 where f0 >= f1; y = 0 where
-    # f0 >= f2, 1 where f2 > f0.
-    quads = np.diff(np.diff(_at(F, c_cut[..., :, None], v_at[..., None, :]),
-                            axis=-2), axis=-1)
-    # The quadrant with f0 >= f1 and f0 >= f2, and the one with f1 > f0 and
-    # f2 > f0, each split where c + v <= w: whole rows [c0, ca), then rows
-    # [ca, cb) cut by the anti-diagonal, whose sums G[:, c1, i] over c < c1
-    # of row c up to v = w_cols[i] - c are taken at every w.
-    c0, c1 = c_cut[..., [1, 0]], c_cut[..., [2, 1]]
-    v0, v1 = v_at[..., [0, 1]], v_at[..., [1, 2]]
-    w = (E_top[:, None, None] - I_low + (k - j) * N // Y)[..., None]
-    ca = np.clip(w - v_cut[..., [1, 2]] + 2, c0, c1)
-    cb = np.clip(w - v_cut[..., [0, 1]] + 1, ca, c1)
-    w_cols, w_at = np.unique(w, return_inverse=True)
-    w_at = w_at.reshape(w.shape)
-    G = _prefix_columns(S, 2 * c + n_D - 1 - w_cols)
-    below = (_at(F, ca, v1) - _at(F, c0, v1) + _at(F, c0, v0) - _at(F, cb, v0)
-             + _at(G, cb, w_at) - _at(G, ca, w_at))
-    regions = np.concatenate([below, quads[..., [1, 0], [0, 1]] - below,
-                              quads[..., [0, 1], [0, 1]]], axis=-1)
-    hit = np.nonzero(regions[0] > 0.0)
-    pair, jj, kk, _ = hit
-    mass = regions[0][hit]
-    mean_c = np.clip(regions[1][hit] / mass, c_cut[pair, jj, 0, 0], c_cut[pair, jj, 0, 2] - 1)
-    mean_v = np.clip(regions[2][hit] / mass, v_cut[pair, 0, kk, 0], v_cut[pair, 0, kk, 2] - 1)
-
-    points = np.stack([S_next[pair], E_top[pair] - mean_c, I_low + mean_v], axis=1) / N
+    pair, mass, points = _region_means(
+        params.N, grid.Y, [x[used] for x in laws], np.repeat(plane, n_pairs), b,
+        np.concatenate([n for _, _, trials in member_laws for n in trials]) - b)
     idx, wts = grid.locate_many(points)
     pushed = wts * mass[:, None]
 
-    # Each member's pairs, and its hits, are one run of the pair axis.
-    n_pairs = [sum(len(kB) for kB in kBs) for kBs, _, _ in member_laws]
+    # Each corner's pairs, and its hits, are one run of the pair axis.
     pair_start = np.cumsum([0] + n_pairs)
     hit_start = np.searchsorted(pair, pair_start).tolist()
     marked = np.zeros(grid.n_corners, dtype=bool)
@@ -540,19 +466,97 @@ def _push_group(grid: Grid, params: EpidemicParams, n_E: int, n_I: int,
         successors.append(corners[np.nonzero(keep)[1]])
         probs.append(row_mass[keep])
         lengths.append(keep.sum(axis=1))
-    return np.concatenate(successors), np.concatenate(probs), np.concatenate(lengths)
+    return (np.concatenate(successors), np.concatenate(probs),
+            np.append(0, np.cumsum(np.concatenate(lengths))))
+
+
+def _region_means(N: int, Y: int, laws: Sequence[np.ndarray], g: np.ndarray, b: np.ndarray,
+                  S_next: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The pair, mass and mean point of each nonempty simplex region of pairs
+    (y_V, b) with S_next susceptibles left and (C, D) law g of laws.
+
+    In c = C - C0 and v = C - D - V_min (C0 and V_min the smallest values)
+    the p_E cell is a c range for each b, the p_I cell a v range, and with
+    the p_S fractional part f0 fixed by b, f0 >= f1 holds for c >= c_A,
+    f0 >= f2 for v <= v_B, and f1 >= f2 for c + v <= w.  So each (p_E cell,
+    p_I cell) box splits into at most six regions, each in one simplex (the
+    rectangles where f0 lies between f1 and f2, and the two quadrants where
+    it does not, each cut by the anti-diagonal), where the weights are
+    affine: a region's atoms push as their mass at their mean, read from
+    prefix tables.  The thresholds are integer arithmetic, so an atom on one
+    goes to one side exactly (either is right), and each mean is clamped.
+    """
+    EI, _, C0, D0, n_C, n_D = laws
+    n_V = n_C + n_D - 1
+    # Successor E and I counts at c = 0 and v = 0; E falls with c, I rises with v.
+    E_top = EI[g, 0] + b - C0[g]
+    I_low = EI[:, 1] + C0 - (D0 + n_D - 1)
+    # Each pair's boxes, (p_E cell, p_I cell) in order: the p_E cells its c
+    # range spans, and the p_I cells the v range of its law spans.
+    j_lo = _cell_of(E_top - (n_C[g] - 1), N, Y)
+    k_lo = _cell_of(I_low, N, Y)
+    n_k = (_cell_of(I_low + n_V - 1, N, Y) - k_lo + 1)[g]
+    n_box = (_cell_of(E_top, N, Y) - j_lo + 1) * n_k
+    box = np.repeat(np.arange(len(g)), n_box)
+    r = np.arange(len(box)) - np.repeat(np.cumsum(n_box) - n_box, n_box)
+    j, k = j_lo[box] + r // n_k[box], k_lo[g[box]] + r % n_k[box]
+    f0, E_top, I_low, g = _frac_numerator(S_next, N, Y)[box], E_top[box], I_low[g[box]], g[box]
+    E_first, E_last = _cell_counts(j, N, Y)
+    I_first, I_last = _cell_counts(k, N, Y)
+    # Each box's half-open c range [lo, hi) with its cut c_A, and its v range
+    # with its cut v_B, as (lo, cut, hi).
+    c_cut = np.clip(E_top[:, None] - np.stack([E_last, (f0 + j * N) // Y, E_first - 1], axis=-1),
+                    0, n_C[g, None])
+    v_cut = np.clip(np.stack([I_first - 1, (f0 + k * N) // Y, I_last], axis=-1)
+                    - I_low[:, None] + 1, 0, n_V[g, None])
+    for cut in (c_cut, v_cut):
+        cut[:, 1] = np.clip(cut[:, 1], cut[:, 0], cut[:, 2])
+    w = (E_top - I_low + (k - j) * N // Y)[:, None]
+    del j, k, f0, E_first, E_last, I_first, I_last
+    top, S = _suffix_sums(N, *laws)
+    # The 2-D prefix sums at every v cut: F[:, c1, i] sums c < c1 and
+    # v < v of column i.  F at the 3 x 3 cuts gives the four quadrants.
+    groups, v, v_at = _columns(g[:, None], v_cut)
+    F = _prefix_tables(S, top, n_C, n_D, groups, v, 1)
+    # quads[..., x, y]: x = 0 where f1 > f0, 1 where f0 >= f1; y = 0 where
+    # f0 >= f2, 1 where f2 > f0.
+    quads = _at(F, c_cut[:, :, None], v_at[:, None, :])
+    quads = quads[..., 1:, :] - quads[..., :-1, :]
+    quads = quads[..., 1:] - quads[..., :-1]
+    # The quadrant with f0 >= f1 and f0 >= f2, and the one with f1 > f0 and
+    # f2 > f0, each split where c + v <= w: whole rows [c0, ca), then rows
+    # [ca, cb) cut by the anti-diagonal, whose sums G[:, c1, i] over c < c1
+    # of row c up to v = w - c are taken at every w.
+    c0, c1 = c_cut[:, [1, 0]], c_cut[:, [2, 1]]
+    v0, v1 = v_at[:, [0, 1]], v_at[:, [1, 2]]
+    ca = np.clip(w - v_cut[:, [1, 2]] + 2, c0, c1)
+    cb = np.clip(w - v_cut[:, [0, 1]] + 1, ca, c1)
+    groups, w, w_at = _columns(g[:, None], w)
+    G = _prefix_tables(S, top, n_C, n_D, groups, w + 1, 2)
+    del S
+    below = _at(F, ca, v1)
+    below -= _at(F, c0, v1)
+    below += _at(F, c0, v0)
+    below -= _at(F, cb, v0)
+    below += _at(G, cb, w_at)
+    below -= _at(G, ca, w_at)
+    del F, G
+    regions = np.concatenate([below, quads[..., [1, 0], [0, 1]] - below,
+                              quads[..., [0, 1], [0, 1]]], axis=-1)
+    hit = np.nonzero(regions[0] > 0.0)
+    at, mass = hit[0], regions[0][hit]
+    mean_c = np.clip(regions[1][hit] / mass, c_cut[at, 0], c_cut[at, 2] - 1)
+    mean_v = np.clip(regions[2][hit] / mass, v_cut[at, 0], v_cut[at, 2] - 1)
+    return box[at], mass, np.stack([S_next[box[at]], E_top[at] - mean_c, I_low[at] + mean_v],
+                                   axis=1) / N
 
 
 def cache_key(params: EpidemicParams, Y: int) -> str:
-    """Content hash identifying a compiled kernel cache.
-
-    The payload holds only what the rows depend on: the parameters of the
-    transition law, the grid size, the truncation tolerances, and the push,
-    row-normalization and pmf schemes, so that rows written by an earlier
-    push, normalization or binomial law, which differ from a fresh compile in
-    their last bits, miss.  Rewards and rules are rebuilt by the loading
-    model, so its cost, horizon and ambiguity settings are not in the key.
-    """
+    """Content hash of what kernel rows depend on: the transition law's
+    parameters, the grid size, the truncation tolerances and the push,
+    normalization and pmf schemes, so that rows of an earlier scheme, which
+    differ in their last bits, miss.  The loading model rebuilds rewards and
+    rules, so cost, horizon and ambiguity settings are not in the key."""
     payload = "|".join(
         f"{k}={getattr(params, k)!r}"
         for k in ("N", "mu", "beta", "alpha0", "l_C", "l_D", "L", "M")

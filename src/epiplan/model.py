@@ -202,19 +202,16 @@ class EpidemicModel:
         return max(0.0, float(vals.max()))
 
     def compile_all(self, workers: int = 1) -> None:
-        """Compile every simplex state not yet compiled, optionally across
-        processes.
-
-        Serially, one push call takes every state to compile, and its block
-        is kept.  The pool splits them into p_I slices, one per infective
-        count, so that a slice holds whole (n_E, n_I) groups of the push and
-        shares their exposure laws; it starts at most one worker per slice
-        and per CPU.  Each worker builds the grid once and returns its
-        slice's block as flat (indices, probs, offsets) arrays; this process
-        checks each as one block and keeps it, as compile_state does, so
-        every route gives the same rows and rules.
+        """Compile every simplex state not yet compiled, in (p_E, p_I) order
+        so that states sharing a (C, D) law are pushed together: serially in
+        one push call, or on a pool of at most one worker per CPU and per p_I
+        slice (one per infective count).  Each worker builds the grid once
+        and returns its slice's block as flat (indices, probs, offsets)
+        arrays; this process checks each as one block and keeps it, as
+        compile_state does, so every route gives the same rows and rules.
         """
-        todo = [i for i in self.grid.in_S_indices().tolist() if i not in self._place]
+        todo = sorted((i for i in self.grid.in_S_indices().tolist() if i not in self._place),
+                      key=lambda i: self.grid.lattice[i, 1:].tolist())
         if not todo:
             return
         slices: dict[int, list[int]] = {}

@@ -1,18 +1,16 @@
 """Stochastic SEIR population dynamics: exact transition laws and stage costs.
 
 The population of size N is tracked through fractions (p_S, p_E, p_I); the
-recovered fraction is implicit.  One period of disease progression draws three
-independent binomial counts (new exposures, new infectious, new recoveries)
-whose success probabilities depend on the control action: a vaccination level
-y_V that immediately removes susceptibles, and an intervention level y_R that
-scales the contact rate down.  ``binomial_row`` evaluates each binomial law by
-its term ratio outwards from the mode, which needs no log-factorials.
-
-Only the exposure count B depends on the action: y_V sets its number of trials
-and y_R its success probability.  The (C, D) counts have the same law under
-every action, which is what lets ``grid.discretize_kernel`` push all rows of a
-state at once.  ``transition_pmf`` gives the per-action atom table and is the
-reference that push is tested against.
+recovered fraction is implicit.  One period draws three independent binomial
+counts (new exposures, new infectious, new recoveries).  Only the exposure
+count B depends on the action: a vaccination level y_V removes susceptibles,
+setting its number of trials, and an intervention level y_R scales the
+contact rate down, setting its success probability; so the (C, D) counts
+have one law under every action, which lets ``grid.discretize_kernel`` push
+all rows of a state at once.  ``binomial_rows`` evaluates binomial laws by
+their term ratio outwards from the mode, which needs no log-factorials.
+``transition_pmf`` gives the per-action atom table the push is tested
+against.
 """
 
 from __future__ import annotations
@@ -146,35 +144,28 @@ def exposure_prob(params: EpidemicParams, state: ContinuousState, action: Action
 
 
 def binomial_row(n: int, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Support values and pmf of Bin(n, p), keeping entries with mass >= MARGINAL_TOL.
-
-    The row of ``binomial_rows`` for the one pair (n, p).
-    """
-    pmf, keep = binomial_rows(np.array([n]), np.array([p]))
-    ks = np.flatnonzero(keep[0, 0])
-    return ks, pmf[0, 0, ks]
+    """Support values and pmf of Bin(n, p), keeping entries with mass >=
+    MARGINAL_TOL: the row of ``binomial_rows`` for the one pair (n, p)."""
+    pmf, keep = binomial_rows([n], [p])
+    ks = np.flatnonzero(keep[0])
+    return ks, pmf[0, ks]
 
 
-def binomial_rows(ns: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pmfs of Bin(n, p) for every n of ns and p of ps, as an array
-    (len(ns), len(ps), max(ns) + 1) that is zero past each n, and the mask
-    of the entries kept: those with mass >= MARGINAL_TOL, or the mode where
-    none is.
+def binomial_rows(ns, ps) -> tuple[np.ndarray, np.ndarray]:
+    """The pmfs of Bin(n, p) for ns and ps broadcast together, along a last
+    axis of max(ns) + 1 counts, zero past each n, and the mask of the
+    entries kept: those with mass >= MARGINAL_TOL, or the mode where none is.
 
     Each row is built from the ratio pmf[k]/pmf[k-1] = (n+1-k)/k * p/(1-p),
-    starting at 1.0 on the mode and multiplying outwards, then divided by its
-    sum.  Every factor away from the mode is at most 1, so nothing overflows.
-    The products run along each row from its own mode, and each row is
-    summed over its own 0..n alone (a padded sum would change its last
-    bits), so a row is the same to the last bit whichever rows it is built
-    with.
-    """
+    from 1.0 on its mode outwards (every factor away from the mode is at
+    most 1, so nothing overflows), then divided by its sum over its own 0..n
+    (``segment_sums``), so it is the same to the last bit whatever it is
+    built with."""
     ns, ps = np.asarray(ns, dtype=np.int64), np.asarray(ps, dtype=np.float64)
-    n, p = ns[:, None, None], ps[None, :, None]
-    width = int(ns.max()) + 1
-    k = np.arange(1.0, width)
-    c = np.arange(width)
-    ratio = np.ones((len(ns), len(ps), width))
+    n, p = ns[..., None], ps[..., None]
+    width = int(ns.max(initial=0)) + 1
+    k, c = np.arange(1.0, width), np.arange(width)
+    ratio = np.ones(np.broadcast_shapes(ns.shape, ps.shape) + (width,))
     with np.errstate(divide="ignore", invalid="ignore"):
         # pmf[c] / pmf[c-1] at c = 1..n; inf where p = 1, and junk past n.
         ratio[..., 1:] = (n + 1 - k) / k * (p / (1.0 - p))
@@ -184,7 +175,7 @@ def binomial_rows(ns: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarra
     # run over the columns some row needs; the ones before a row's mode
     # leave each product's roundings those of a product started there.
     pmf = np.zeros(ratio.shape)
-    lo, top = int(mode.min()), int(mode.max())
+    lo, top = int(mode.min(initial=width - 1)), int(mode.max(initial=0))
     c_up = c[lo:]
     pmf[..., lo:] = np.cumprod(np.where((c_up > mode) & (c_up <= n), ratio[..., lo:], 1.0),
                                axis=-1)
@@ -193,21 +184,39 @@ def binomial_rows(ns: np.ndarray, ps: np.ndarray) -> tuple[np.ndarray, np.ndarra
     below = c[:top + 1] < mode
     pmf[..., :top + 1][below] = np.cumprod(down[..., ::-1], axis=-1)[..., ::-1][below]
     pmf[np.broadcast_to(c > n, pmf.shape)] = 0.0
-    last = np.broadcast_to(n, mode.shape).ravel().tolist()
-    pmf /= np.reshape([row[:m + 1].sum() for row, m in zip(pmf.reshape(-1, width), last)],
-                      mode.shape)
+    pmf /= segment_sums(pmf.ravel(), np.arange(0, pmf.size, width),
+                        np.broadcast_to(n, mode.shape).ravel() + 1).reshape(mode.shape)
     keep = pmf >= MARGINAL_TOL
-    i, j = np.nonzero(~keep.any(axis=-1))
-    keep[i, j, np.argmax(pmf[i, j], axis=-1)] = True
+    none = np.nonzero(~keep.any(axis=-1))
+    keep[none + (np.argmax(pmf[none], axis=-1),)] = True
     return pmf, keep
+
+
+def segment_sums(values: np.ndarray, starts, counts) -> np.ndarray:
+    """The sum of each segment values[starts[i]:starts[i] + counts[i]], bit
+    for bit what ndarray.sum gives the segment's own slice: the segments of
+    each length are summed as the rows of one C-ordered array, along whose
+    fast axis numpy sums by the same pairwise scheme as along a slice."""
+    starts, counts = np.asarray(starts, dtype=np.int64), np.asarray(counts, dtype=np.int64)
+    if not len(counts):
+        return np.zeros(0)
+    order = np.argsort(counts, kind="stable")
+    n = counts[order]
+    first = np.cumsum(n) - n
+    flat = values[np.repeat(starts[order] - first, n) + np.arange(first[-1] + n[-1])]
+    sums = np.zeros(len(n))
+    cuts = [0, *(np.flatnonzero(n[1:] != n[:-1]) + 1).tolist(), len(n)]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        k = int(n[lo])
+        sums[lo:hi] = flat[first[lo]:first[lo] + (hi - lo) * k].reshape(hi - lo, k).sum(-1)
+    sums[order] = sums.copy()
+    return sums
 
 
 @dataclass
 class TransitionTable:
-    """Sparse joint law of one period: draws, successor fractions, probabilities.
-
-    Rows are sorted lexicographically by (n_B, n_C, n_D).
-    """
+    """Sparse joint law of one period: draws, successor fractions and
+    probabilities, the rows sorted lexicographically by (n_B, n_C, n_D)."""
 
     draws: np.ndarray   # (n, 3) int
     points: np.ndarray  # (n, 3) float, successor (p_S, p_E, p_I)
@@ -225,11 +234,9 @@ def vaccination_trials(params: EpidemicParams, n_S: int, y_V: int) -> int:
 def transition_pmf(
     params: EpidemicParams, state: ContinuousState, action: Action
 ) -> TransitionTable:
-    """Exact one-period transition law of one action as a sparse atom table.
-
-    Marginal binomial entries below MARGINAL_TOL and joint products below
-    JOINT_TOL are dropped, then the table is renormalized.
-    """
+    """Exact one-period transition law of one action as a sparse atom table:
+    marginal binomial entries below MARGINAL_TOL and joint products below
+    JOINT_TOL are dropped, then the table is renormalized."""
     _check_action(params, action)
     N = params.N
     n_S, n_E, n_I = state.counts(N)

@@ -3,6 +3,13 @@
 None of these runs in the package: each is a slower, more literal statement
 of a quantity that `epiplan` computes another way.
 
+* `push_group` — the plane-moment push of the corners of one (n_E, n_I),
+  given each one's exposure laws (`grid._exposure_laws`), with its own
+  suffix sums and prefix tables, which `grid.discretize_kernel` pushed group
+  by group before it pushed all groups of a run in one pass: the raw rows
+  (successors, masses and row lengths) must be the batched pass's bit for
+  bit.  Only its `binomial_rows` call is reshaped, to the outer product of
+  the counts and probabilities that function then took.
 * `binomial_pmf` — the exact scalar binomial law, in 50-digit decimal
   arithmetic, that `seir.binomial_row` computes by a ratio recurrence and
   truncates.
@@ -92,6 +99,7 @@ Nor is `assert_record_is_the_oracles`, the check that a row of a chunk's
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
@@ -101,10 +109,10 @@ from epiplan import lp as lp_module
 from epiplan import plan as plan_module
 from epiplan.backup import _multiplier_block
 from epiplan.errors import DomainError, SolverError
-from epiplan.grid import Grid, SparseDistribution
+from epiplan.grid import Grid, SparseDistribution, _cell_counts, _cell_of, _frac_numerator
 from epiplan.lp import _TOL, LinearProgram, MixedIntegerProgram, Solution, solve_lp
 from epiplan.rules import _RIDGE, DecisionRuleCoefficients, design_matrix, mean_bounds
-from epiplan.seir import MARGINAL_TOL, Action
+from epiplan.seir import ENTRY_TOL, JOINT_TOL, MARGINAL_TOL, Action, EpidemicParams, binomial_rows
 
 
 def sparse_row(indices, probs, normalize: bool = False) -> SparseDistribution:
@@ -1168,3 +1176,165 @@ def assert_record_is_the_oracles(kinks, i, coeffs, k, L, M):
         assert got.dtype == ref.dtype
         assert got[:, :w].tobytes() == ref.tobytes()
         assert (got[:, w:] == fill).all()
+
+
+def _suffix_sums(p_cd: np.ndarray) -> np.ndarray:
+    """Suffix sums over d of each row's mass, c-moment and v-moment.
+
+    With c the C index and d the D index, v = c + n_D - 1 - d runs over
+    0..n_C + n_D - 2.  S[:, c, d] sums d' >= d of row c, and is zero at
+    d = n_D, so the sum of row c up to v is S[:, c, clip(c + n_D - 1 - v)].
+    """
+    n_C, n_D = p_cd.shape
+    c = np.arange(n_C)[:, None]
+    S = np.zeros((3, n_C, n_D + 1))
+    terms = np.stack([p_cd, p_cd * c, p_cd * (c + n_D - 1 - np.arange(n_D))])
+    S[..., :n_D] = np.cumsum(terms[..., ::-1], axis=-1)[..., ::-1]
+    return S
+
+
+def _prefix_columns(S: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """T[:, c1, i], the sum over c < c1 of S[:, c, d[c, i]] with d clipped
+    into 0..n_D: one gather from the suffix sums and one sum over c."""
+    n_C, n_D = S.shape[1], S.shape[2] - 1
+    T = np.zeros((3, n_C + 1, d.shape[1]))
+    np.cumsum(S[:, np.arange(n_C)[:, None], np.clip(d, 0, n_D)], axis=1, out=T[:, 1:])
+    return T
+
+
+def _at(T: np.ndarray, c: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """T[:, c, i] for a table from _prefix_columns (a flat take is faster
+    than the broadcast fancy index)."""
+    return T.reshape(3, -1).take(c * T.shape[2] + i, axis=1)
+
+
+def push_group(grid: Grid, params: EpidemicParams, n_E: int, n_I: int,
+                member_laws: Sequence[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of every corner with counts (n_E, n_I), given each one's
+    exposure laws, in one plane-moment pass, as flat successors and
+    masses, not yet renormalized, and the length of each row.
+
+    The atoms of one (y_V, b) differ only in (C, D), and are pushed as
+    simplex-region moments.  In c = C - C0 and v = C - D - V_min (C0 and
+    V_min the smallest values) the p_E cell is a c range for each b, the p_I
+    cell a v range, the same for every b, and with the p_S fractional part
+    f0 fixed by b, f0 >= f1 holds for c >= c_A, f0 >= f2 for v <= v_B, and
+    f1 >= f2 for c + v <= w.  So each (p_E cell, p_I cell) box splits into at
+    most six regions, each inside one simplex: the rectangles where f0 lies
+    between f1 and f2, and the two quadrants where it does not, each cut by
+    the anti-diagonal.  The barycentric weights are affine on each closed
+    simplex, so a region's atoms push as their total mass placed at their
+    mean, read in O(1) from prefix tables built from ``_suffix_sums``.  The
+    thresholds are integer arithmetic, so an atom on one is assigned to a
+    side exactly (either side is right: the interpolation is continuous),
+    and each mean is clamped into its box, where differences of tiny masses
+    could move it.
+
+    Only the exposure counts differ between the members, so their (y_V, b)
+    pairs run along one axis, member after member, and the means of all of
+    them are located in one call.  Each member's K and rows are then formed
+    on its own, over the corners it hits, found by marking them on the
+    grid; its corner masses below ENTRY_TOL are dropped.
+    """
+    N, Y = params.N, grid.Y
+    pmf, keep = binomial_rows(np.array([[n_E], [n_I]]), np.array([params.rho_C, params.rho_D]))
+    kC, kD = np.flatnonzero(keep[0, 0]), np.flatnonzero(keep[1, 1])
+    pC, pD = pmf[0, 0, kC], pmf[1, 1, kD]
+    if np.any(np.diff(kC) != 1) or np.any(np.diff(kD) != 1):
+        raise DomainError("the C and D supports must be integer ranges")
+    n_C, n_D = len(kC), len(kD)
+    n_V = n_C + n_D - 1
+    p_cd = pC[:, None] * pD[None, :]
+    p_cd[p_cd < JOINT_TOL] = 0.0
+    p_cd /= p_cd.sum()
+    S = _suffix_sums(p_cd)
+    # The boxes cover counts up to N only.  Where the rounded counts sum past
+    # N, n_E + n_I can exceed it, and an atom with I above N must not be
+    # dropped.  (S and E stay within N: b > 0 needs p_I > 0, and then
+    # n_S + n_E <= N.)
+    c_kept, d_kept = np.nonzero(p_cd)
+    if n_I + (kC[c_kept] - kD[d_kept]).max() > N:
+        raise DomainError("point outside the unit cube")
+
+    b = np.concatenate([kB for kBs, _, _ in member_laws for kB in kBs])
+    S_next = np.concatenate([n for _, _, trials in member_laws for n in trials]) - b
+    f0 = _frac_numerator(S_next, N, Y)[:, None, None]
+    # Successor E and I counts at c = 0 and v = 0; E falls with c, I rises with v.
+    E_top = n_E + b - kC[0]
+    I_low = n_I + kC[0] - kD[-1]
+
+    # The p_E cells of each pair, padded to a common count, and the p_I cells;
+    # boxes are indexed (pair, p_E cell, p_I cell).
+    j_lo = _cell_of(E_top - (n_C - 1), N, Y)
+    j = (j_lo[:, None] + np.arange(int((_cell_of(E_top, N, Y) - j_lo).max()) + 1))[..., None]
+    k = np.arange(_cell_of(I_low, N, Y), _cell_of(I_low + n_V - 1, N, Y) + 1)
+    E_first, E_last = _cell_counts(j, N, Y)
+    I_first, I_last = _cell_counts(k, N, Y)
+    # Each box's half-open c range [lo, hi) with its cut c_A, and its v range
+    # with its cut v_B, as (lo, cut, hi).
+    c_cut = np.clip(E_top[:, None, None, None]
+                    - np.stack([E_last, (f0 + j * N) // Y, E_first - 1], axis=-1), 0, n_C)
+    v_cut = np.clip(np.stack(np.broadcast_arrays(I_first - 1, (f0 + k * N) // Y, I_last),
+                             axis=-1) - I_low + 1, 0, n_V)
+    for cut in (c_cut, v_cut):
+        cut[..., 1] = np.clip(cut[..., 1], cut[..., 0], cut[..., 2])
+    # The 2-D prefix sums at every v cut: F[:, c1, i] sums c < c1 and
+    # v < v_cols[i].  F at the 3 x 3 cuts gives the four quadrants.
+    c = np.arange(n_C)[:, None]
+    v_cols, v_at = np.unique(v_cut, return_inverse=True)
+    v_at = v_at.reshape(v_cut.shape)
+    F = _prefix_columns(S, c + n_D - v_cols)
+    # quads[..., x, y]: x = 0 where f1 > f0, 1 where f0 >= f1; y = 0 where
+    # f0 >= f2, 1 where f2 > f0.
+    quads = np.diff(np.diff(_at(F, c_cut[..., :, None], v_at[..., None, :]),
+                            axis=-2), axis=-1)
+    # The quadrant with f0 >= f1 and f0 >= f2, and the one with f1 > f0 and
+    # f2 > f0, each split where c + v <= w: whole rows [c0, ca), then rows
+    # [ca, cb) cut by the anti-diagonal, whose sums G[:, c1, i] over c < c1
+    # of row c up to v = w_cols[i] - c are taken at every w.
+    c0, c1 = c_cut[..., [1, 0]], c_cut[..., [2, 1]]
+    v0, v1 = v_at[..., [0, 1]], v_at[..., [1, 2]]
+    w = (E_top[:, None, None] - I_low + (k - j) * N // Y)[..., None]
+    ca = np.clip(w - v_cut[..., [1, 2]] + 2, c0, c1)
+    cb = np.clip(w - v_cut[..., [0, 1]] + 1, ca, c1)
+    w_cols, w_at = np.unique(w, return_inverse=True)
+    w_at = w_at.reshape(w.shape)
+    G = _prefix_columns(S, 2 * c + n_D - 1 - w_cols)
+    below = (_at(F, ca, v1) - _at(F, c0, v1) + _at(F, c0, v0) - _at(F, cb, v0)
+             + _at(G, cb, w_at) - _at(G, ca, w_at))
+    regions = np.concatenate([below, quads[..., [1, 0], [0, 1]] - below,
+                              quads[..., [0, 1], [0, 1]]], axis=-1)
+    hit = np.nonzero(regions[0] > 0.0)
+    pair, jj, kk, _ = hit
+    mass = regions[0][hit]
+    mean_c = np.clip(regions[1][hit] / mass, c_cut[pair, jj, 0, 0], c_cut[pair, jj, 0, 2] - 1)
+    mean_v = np.clip(regions[2][hit] / mass, v_cut[pair, 0, kk, 0], v_cut[pair, 0, kk, 2] - 1)
+
+    points = np.stack([S_next[pair], E_top[pair] - mean_c, I_low + mean_v], axis=1) / N
+    idx, wts = grid.locate_many(points)
+    pushed = wts * mass[:, None]
+
+    # Each member's pairs, and its hits, are one run of the pair axis.
+    n_pairs = [sum(len(kB) for kB in kBs) for kBs, _, _ in member_laws]
+    pair_start = np.cumsum([0] + n_pairs)
+    hit_start = np.searchsorted(pair, pair_start).tolist()
+    marked = np.zeros(grid.n_corners, dtype=bool)
+    column = np.empty(grid.n_corners, dtype=np.int64)
+    successors, probs, lengths = [], [], []
+    for m, (kBs, pBs, _) in enumerate(member_laws):
+        lo, hi = hit_start[m], hit_start[m + 1]
+        marked[idx[lo:hi]] = True
+        corners = np.flatnonzero(marked)
+        marked[corners] = False
+        column[corners] = np.arange(len(corners))
+        K = np.bincount(((pair[lo:hi, None] - pair_start[m]) * len(corners)
+                         + column[idx[lo:hi]]).ravel(),
+                        weights=pushed[lo:hi].ravel(),
+                        minlength=n_pairs[m] * len(corners)).reshape(n_pairs[m], len(corners))
+        bounds = np.cumsum([0] + [len(kB) for kB in kBs])
+        row_mass = np.vstack([pB @ K[a:z] for pB, a, z in zip(pBs, bounds[:-1], bounds[1:])])
+        keep = row_mass >= ENTRY_TOL
+        successors.append(corners[np.nonzero(keep)[1]])
+        probs.append(row_mass[keep])
+        lengths.append(keep.sum(axis=1))
+    return np.concatenate(successors), np.concatenate(probs), np.concatenate(lengths)

@@ -20,7 +20,7 @@ from epiplan.seir import (
     transition_pmf,
     vaccination_trials,
 )
-from oracles import binomial_pmf, binomial_row_alone, sparse_row
+from oracles import binomial_pmf, binomial_row_alone, push_group, sparse_row
 
 
 def toy_params(**kw):
@@ -429,10 +429,11 @@ class TestDiscretizeKernel:
         three or more entries whose success probability gap(p) picks."""
         def laws(ns, ps):
             pmf, keep = binomial_rows(ns, ps)
-            for i, j in np.argwhere(keep.sum(axis=-1) > 2):
-                if gap(ps[j]):
-                    kept = np.flatnonzero(keep[i, j])
-                    keep[i, j, kept[len(kept) // 2]] = False
+            ps = np.broadcast_to(ps, keep.shape[:-1])
+            for at in map(tuple, np.argwhere(keep.sum(axis=-1) > 2)):
+                if gap(ps[at]):
+                    kept = np.flatnonzero(keep[at])
+                    keep[at + (kept[len(kept) // 2],)] = False
             return pmf, keep
         return laws
 
@@ -631,28 +632,69 @@ class TestGroupedPush:
         g, p = Grid(GridSpec(2)), toy_params(N=6)
         inside = g.in_S_indices().tolist()
         outside = g.index_of(2, 1, 0)
-        monkeypatch.setattr(grid_module, "_push_group", None)
+        monkeypatch.setattr(grid_module, "_push_batch", None)
         with pytest.raises(DomainError, match=rf"corner {outside} is outside the population"):
             discretize_kernel(g, p, inside[:3] + [outside] + inside[3:])
 
-    def test_one_location_per_group(self, monkeypatch):
-        # The corners sharing (n_E, n_I) are located together: 45 groups of
-        # the 165 states at N=300, Y=8.
+    def test_one_location_per_run(self, monkeypatch):
+        # The corners of a run are located together.  At N=300, Y=8 the 165
+        # states, in (p_E, p_I) order as compile_all gives them, fall into
+        # fewer runs than their 45 (n_E, n_I) values; with a budget past
+        # the whole call, one run locates every region mean at once.
         kw, Y = PUSH_SIZES["compile-cache-dp"]
         g, p = Grid(GridSpec(Y)), EpidemicParams(**kw)
-        located = []
-        locate = Grid.locate_many
+        located, runs = [], []
+        locate, push = Grid.locate_many, grid_module._push_batch
 
         def counting_locate(self, points):
             located.append(len(points))
             return locate(self, points)
 
+        def counting_push(*args):
+            runs.append(len(args[2]))
+            return push(*args)
+
         monkeypatch.setattr(Grid, "locate_many", counting_locate)
-        corners = g.in_S_indices().tolist()
+        monkeypatch.setattr(grid_module, "_push_batch", counting_push)
+        corners = sorted(g.in_S_indices().tolist(), key=lambda i: g.lattice[i, 1:].tolist())
         discretize_kernel(g, p, corners)
         groups = {g.state_of(i).counts(p.N)[1:] for i in corners}
-        assert len(corners) == 165
-        assert len(located) == len(groups) == 45
+        assert len(corners) == sum(runs) == 165 and len(groups) == 45
+        assert len(located) == len(runs) < len(groups)
+        monkeypatch.setattr(grid_module, "PUSH_ENTRIES", 10**9)
+        located.clear()
+        discretize_kernel(g, p, corners)
+        assert len(located) == 1
+
+    @pytest.mark.parametrize("size", list(PUSH_SIZES) + ["default"])
+    def test_runs_equal_the_per_group_push(self, size, monkeypatch):
+        # Oracle: each (n_E, n_I) group pushed on its own, with its own
+        # suffix sums and prefix tables (oracles.push_group), then
+        # renormalized as one block.  Every run of the batched pass must give
+        # the same rows bit for bit: in the call's runs, with corners of
+        # many groups in a run, and with a budget so small that every corner
+        # is a run of its own.  The default size checks every 7th state.
+        kw, Y = PUSH_SIZES.get(size, (dict(N=1000, L=5, M=5), 10))
+        g, p = Grid(GridSpec(Y)), EpidemicParams(**kw)
+        corners = g.in_S_indices().tolist()[::7 if size == "default" else 1]
+        states = [g.state_of(i) for i in corners]
+        counts = [state.counts(p.N) for state in states]
+        laws = grid_module._exposure_laws(p, states, counts)
+        n_a = len(p.actions())
+        want = {}
+        for n_E, n_I in {c[1:] for c in counts}:
+            members = [m for m, c in enumerate(counts) if c[1:] == (n_E, n_I)]
+            successors, probs, lengths = push_group(g, p, n_E, n_I, [laws[m] for m in members])
+            block = SparseDistribution.block(successors, probs, np.append(0, np.cumsum(lengths)),
+                                             normalize=True)
+            want.update((corners[m], block[r * n_a:(r + 1) * n_a]) for r, m in enumerate(members))
+        for budget in (grid_module.PUSH_ENTRIES, 1):
+            monkeypatch.setattr(grid_module, "PUSH_ENTRIES", budget)
+            got = discretize_kernel(g, p, corners)
+            for idx, rows in zip(corners, got):
+                assert rows.indices.tobytes() == want[idx].indices.tobytes(), (budget, idx)
+                assert rows.offsets.tobytes() == want[idx].offsets.tobytes(), (budget, idx)
+                assert rows.probs.tobytes() == want[idx].probs.tobytes(), (budget, idx)
 
     @pytest.mark.parametrize("N, M", [(1000, 5), (100_000, 1)],
                              ids=["overlapping-supports", "disjoint-supports"])
@@ -664,7 +706,7 @@ class TestGroupedPush:
         p = EpidemicParams(N=N, L=2, M=M)
         state = ContinuousState(0.5, 0.0, 0.5)
         n_S = state.counts(N)[0]
-        kBs, pBs, trials = grid_module._exposure_laws(p, state, n_S)
+        [(kBs, pBs, trials)] = grid_module._exposure_laws(p, [state], [state.counts(N)])
         phis = [exposure_prob(p, state, Action(0, y_R)) for y_R in range(M + 1)]
         gaps = 0
         for y_V, (kB, pB, n) in enumerate(zip(kBs, pBs, trials)):
@@ -679,6 +721,20 @@ class TestGroupedPush:
             np.testing.assert_array_equal(n, np.full(len(kB), n_trials))
             gaps += int(kB[-1] - kB[0] + 1 != len(kB))
         assert (gaps > 0) == (N == 100_000)
+
+    def test_exposure_laws_of_many_states_equal_each_alone(self, monkeypatch):
+        # The laws of every distinct (n_S, p_I) are built in runs, padded to
+        # the run's largest n_S: each state's must be the ones it gets alone,
+        # whether all share one run or each is a run of its own.
+        g, p = Grid(GridSpec(10)), EpidemicParams()
+        states = [g.state_of(i) for i in g.in_S_indices().tolist()[::5]]
+        counts = [state.counts(p.N) for state in states]
+        alone = [grid_module._exposure_laws(p, [s], [c])[0] for s, c in zip(states, counts)]
+        for budget in (10**9, 1):
+            monkeypatch.setattr(grid_module, "PUSH_ENTRIES", budget)
+            for got, want in zip(grid_module._exposure_laws(p, states, counts), alone):
+                for a, b in zip(got, want):
+                    assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
 
 
 class TestRewardAndSupport:

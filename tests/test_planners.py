@@ -203,7 +203,8 @@ class TestBackwardDp:
         # A cold backward_dp compiles every simplex state before its first
         # stage, in one push call, not one per state at its first backup;
         # an RTDP run had compiled some states first, and only the rest are
-        # pushed.
+        # pushed.  The states go in (p_E, p_I) order, so that those sharing
+        # a (C, D) law sit together.
         calls = []
         push = model_module.discretize_kernel
 
@@ -213,7 +214,8 @@ class TestBackwardDp:
 
         monkeypatch.setattr(model_module, "discretize_kernel", counting_push)
         model = toy_model(N=6, Y=2, T=3)
-        in_s = [int(i) for i in model.grid.in_S_indices()]
+        in_s = sorted(model.grid.in_S_indices().tolist(),
+                      key=lambda i: model.grid.lattice[i, 1:].tolist())
         backward_dp(model, PlannerConfig(backend="nominal"))
         assert calls == [in_s]
         calls.clear()

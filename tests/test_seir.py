@@ -11,7 +11,8 @@ from epiplan import (
     transition_pmf,
 )
 from epiplan import seir
-from epiplan.seir import MARGINAL_TOL, binomial_row, binomial_rows, exposure_prob, stage_rewards
+from epiplan.seir import (MARGINAL_TOL, binomial_row, binomial_rows, exposure_prob,
+                          segment_sums, stage_rewards)
 from oracles import binomial_pmf, binomial_row_alone
 
 
@@ -138,7 +139,7 @@ class TestBinomialRow:
         ns = np.r_[[0, 1, 7, 40, 299, 300, 1000], rng.integers(0, 2000, size=6)]
         ps = np.r_[[0.0, 1e-9, 0.05, self.DEFAULT.rho_C, self.DEFAULT.rho_D, 0.5, 0.97,
                     1 - 1e-15, 1.0], rng.random(6)]
-        pmf, keep = binomial_rows(ns, ps)
+        pmf, keep = binomial_rows(ns[:, None], ps[None, :])
         assert pmf.shape == keep.shape == (len(ns), len(ps), ns.max() + 1)
         for i, n in enumerate(ns.tolist()):
             for j, p in enumerate(ps.tolist()):
@@ -149,6 +150,20 @@ class TestBinomialRow:
                 alone = binomial_row(n, p)
                 assert alone[0].tolist() == ks.tolist()
                 assert alone[1].tobytes() == probs.tobytes(), (n, p)
+
+    def test_segment_sums_equal_each_slice_summed(self):
+        # Segments of one length are summed as the rows of one array, which
+        # must give each segment's own ndarray.sum bit for bit, around numpy's
+        # pairwise-sum cutoffs (8 entries unrolled, blocks of 128), for
+        # values across 18 orders of magnitude, empty segments included.
+        rng = np.random.default_rng(5)
+        lengths = np.repeat(np.r_[0:10, 127:131], 5)
+        rng.shuffle(lengths)
+        values = np.exp(rng.uniform(np.log(1e-16), np.log(1e2), size=lengths.sum() + 40))
+        starts = np.cumsum(lengths) - lengths + rng.integers(0, 40, size=len(lengths))
+        sums = segment_sums(values, starts, lengths)
+        want = [values[a:a + n].sum() for a, n in zip(starts, lengths)]
+        assert sums.tobytes() == np.array(want).tobytes()
 
     def test_fallback_keeps_the_mode(self, monkeypatch):
         # With a tolerance above every entry, only the most likely count stays.

@@ -338,16 +338,9 @@ def inner_values(terms: EnumerateTerms, v: np.ndarray) -> np.ndarray:
 # Action optimization back-ends
 
 
-def drmdp_backup_enumerate(
-    coeffs: DecisionRuleCoefficients,
-    actions: Sequence[Action],
-    v_next: np.ndarray,
-    lam: float,
-    k: float,
-    method: str,
-    X: np.ndarray,
-    terms: EnumerateTerms | None = None,
-) -> tuple[float, Action]:
+def drmdp_backup_enumerate(coeffs: DecisionRuleCoefficients, actions: Sequence[Action],
+                           v_next: np.ndarray, lam: float, k: float, method: str, X: np.ndarray,
+                           terms: EnumerateTerms | None = None) -> tuple[float, Action]:
     """Reference backup: the inner problem for every action, then the best.
 
     method "parametric" solves every action in one batched call; "lp" solves
@@ -454,10 +447,42 @@ def drmdp_backup_enumerate_batch(batch: EnumerateBatch, v_next: np.ndarray, lam:
     return vals[np.arange(len(vals)), best], best
 
 
-# Nodes of each successor's envelope term g_j (see envelope_kinks): the 9
-# crossings of the lines w in {0, b} with u in {0, b}, and the 6 crossings
-# of w + u = k with them.
+# Most nodes of a successor's envelope term g_j (see envelope_nodes): the 9
+# crossings of w in {0, b} with u in {0, b}, and 6 of w + u = k with them.
 ENVELOPE_NODES = 15
+
+
+def envelope_nodes(k: float, L: int, M: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The breakpoints (level, pattern, axis) of phi and psi and the sorted
+    distinct nodes (level, pattern, D) of g_j (see envelope_kinks), each row
+    padded with its last node, k.
+
+    A breakpoint depends only on the level and the sign of its cost, so the
+    nodes depend only on the level and a successor's sign pattern 3 s_0 +
+    s_1 + 4, s the signs of its u-side costs (0 on an axis with h = 0).  The
+    nodes are w - u at the vertices of the lines w = 0, b; u = 0, b and w +
+    u = k (a crossing of w = b and u = b' past w + u = k is no vertex; it is
+    replaced by -k, a node already), equal ones kept once; envelope_kinks
+    merges near ones.  D depends only on (k, L, M): 1 at k = 0; at k = 1000,
+    5 at L = M = 2 and 9 at L = M = 5.
+    """
+    levels = np.array([(a, b) for a in range(L + 1) for b in range(M + 1)], dtype=np.float64)
+    h, n = np.array([L, M], dtype=np.float64), len(levels)
+    f = np.divide(levels, h, out=np.zeros_like(levels), where=h > 0)[:, None, :, None]  # a / h
+    sign = np.array([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)]).T
+    cost = np.stack([-sign, sign]) * (h > 0)[:, None]                # (side, axis, pattern)
+    brk = np.where(cost != 0.0, np.where(cost > 0.0, k * f, k - k * f), 0.0)
+    bw, bu, zero = brk[:, 0].transpose(0, 2, 1), brk[:, 1].transpose(0, 2, 1), np.zeros((n, 9, 1))
+    w_lines, u_lines = np.concatenate([zero, bw], axis=2), np.concatenate([zero, bu], axis=2)
+    crossing = w_lines[..., :, None] - u_lines[..., None, :]
+    inside = w_lines[..., :, None] + u_lines[..., None, :] <= k
+    t = np.sort(np.concatenate([np.where(inside, crossing, -k).reshape(n, 9, 9),
+                                2.0 * w_lines - k, k - 2.0 * u_lines], axis=2), axis=2)
+    # The last of each run of equal nodes is kept; the rest sort past them as
+    # +inf and are cut, or become the padding k.
+    last = np.concatenate([t[..., 1:] != t[..., :-1], np.full((n, 9, 1), True)], axis=2)
+    width = int(last.sum(axis=2).max())
+    return bw, bu, np.minimum(np.sort(np.where(last, t, np.inf), axis=2)[..., :width], k)
 
 
 @dataclass(frozen=True)
@@ -508,7 +533,7 @@ def envelope_kinks(states: Sequence[int], rules: Sequence[DecisionRuleCoefficien
 
     is concave piecewise-linear in d = q - v_j on [-k, k], constant below -k.
     Its kinks are among the values of w - u at the vertices cut out by the
-    lines w in {0, b}, u in {0, b} and w + u = k (ENVELOPE_NODES).  Between
+    lines w in {0, b}, u in {0, b} and w + u = k (envelope_nodes).  Between
     them it is the best of the points where the line w - u = d meets those
     lines, maximized over every line at or right of d.  Nodes closer than
     1e-12 k are merged, so no slope divides by a vanishing gap.
@@ -523,20 +548,18 @@ def envelope_kinks(states: Sequence[int], rules: Sequence[DecisionRuleCoefficien
     owner = np.repeat(np.arange(c), sizes)            # each successor's state
     mean = np.concatenate([coeffs.mean for coeffs in rules], axis=1)
     delta = np.repeat([coeffs.delta for coeffs in rules], sizes)
-    m = len(owner)
     levels = np.array([(a, b) for a in range(L + 1) for b in range(M + 1)], dtype=np.float64)
-    h = np.array([L, M], dtype=np.float64)
-    frac = np.divide(levels, h, out=np.zeros_like(levels), where=h > 0)   # a / h
+    h, n = np.array([L, M], dtype=np.float64), len(levels)
     # cost[s, i, j] of a_i * w_j (s = 0) and a_i * u_j (s = 1).
     cost = np.stack([-mean[1:], mean[1:]]) * (h > 0)[:, None]
     hinge = np.abs(cost) * h[:, None]
     alpha = (np.stack([-(mean[0] + delta), mean[0] - delta])
              + np.where(cost > 0.0, hinge, 0.0).sum(axis=1))            # (2, m)
-    f = frac[:, None, :, None]
-    brk = np.where(hinge > 0.0, np.where(cost > 0.0, k * f, k - k * f), 0.0)
-    # Breakpoints (level, successor, axis) and hinge slopes (successor,
-    # axis) of each side.
-    bw, bu = brk[:, 0].transpose(0, 2, 1), brk[:, 1].transpose(0, 2, 1)
+    # Breakpoints (level, successor, axis) and nodes (level, successor, D)
+    # of each successor's sign pattern, and hinge slopes (successor, axis)
+    # of each side.
+    pattern = (3.0 * np.sign(cost[1, 0]) + np.sign(cost[1, 1]) + 4.0).astype(np.intp)
+    bw, bu, t = (table[:, pattern] for table in envelope_nodes(k, L, M))
     sides = ((alpha[0], bw, hinge[0].T), (alpha[1], bu, hinge[1].T))
 
     def concave(x, side):
@@ -546,18 +569,6 @@ def envelope_kinks(states: Sequence[int], rules: Sequence[DecisionRuleCoefficien
         return (slope[:, None] * x
                 - hinge[:, 0, None] * np.maximum(x - brk[:, :, 0, None], 0.0)
                 - hinge[:, 1, None] * np.maximum(x - brk[:, :, 1, None], 0.0))
-
-    # Nodes: w - u at the vertices of the lines w = 0, b; u = 0, b and
-    # w + u = k.  A crossing of w = b and u = b' past w + u = k is no vertex;
-    # it is replaced by -k, a node already.
-    n = len(levels)
-    zero = np.zeros((n, m, 1))
-    w_lines, u_lines = np.concatenate([zero, bw], axis=2), np.concatenate([zero, bu], axis=2)
-    crossing = w_lines[..., :, None] - u_lines[..., None, :]
-    inside = w_lines[..., :, None] + u_lines[..., None, :] <= k
-    t = np.sort(np.concatenate([np.where(inside, crossing, -k).reshape(n, m, 9),
-                                2.0 * w_lines - k, k - 2.0 * u_lines], axis=2), axis=2)
-    del crossing, inside
 
     def families():
         """The points (w, u) where the line w - u = t meets u = 0 or w = 0,
@@ -650,15 +661,9 @@ def drmdp_backup_mccormick_batch(kinks: EnvelopeKinks, v_next: np.ndarray,
     return vals[np.arange(len(vals)), best], best
 
 
-def drmdp_backup_mccormick(
-    coeffs: DecisionRuleCoefficients,
-    v_next: np.ndarray,
-    lam: float,
-    k: float,
-    L: int,
-    M: int,
-    kinks: EnvelopeKinks | None = None,
-) -> tuple[float, Action]:
+def drmdp_backup_mccormick(coeffs: DecisionRuleCoefficients, v_next: np.ndarray, lam: float,
+                           k: float, L: int, M: int,
+                           kinks: EnvelopeKinks | None = None) -> tuple[float, Action]:
     """The McCormick MIP's optimum: the largest envelope-relaxed backup over
     the integer levels 0..L x 0..M, whose only integer columns are the two
     levels, so fixing them leaves the relaxed LP, solved in closed form.
@@ -676,14 +681,8 @@ def drmdp_backup_mccormick(
     return float(values[0]), Action(*divmod(int(best[0]), M + 1))
 
 
-def drmdp_backup_unary(
-    coeffs: DecisionRuleCoefficients,
-    v_next: np.ndarray,
-    lam: float,
-    k: float,
-    L: int,
-    M: int,
-) -> tuple[float, Action]:
+def drmdp_backup_unary(coeffs: DecisionRuleCoefficients, v_next: np.ndarray, lam: float,
+                       k: float, L: int, M: int) -> tuple[float, Action]:
     """Exact MIP: one indicator per nonzero action level linearizes each
     product.  No planner back-end uses it: it is the exactness oracle that
     the tests and perfbench check the other back-ends against.

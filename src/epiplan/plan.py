@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backup import (
-    ENVELOPE_NODES,
     EnumerateBatch,
     EnvelopeKinks,
     RowBatch,
@@ -43,6 +42,7 @@ from .backup import (
     drmdp_backup_unary,  # noqa: F401  perfbench/layers.py traces plan.drmdp_backup_unary
     enumerate_batch,
     envelope_kinks,
+    envelope_nodes,
     row_backup_batch,
     row_batch,
 )
@@ -59,14 +59,16 @@ STOP_PATIENCE = 10
 
 # Most entries in one backward_dp batch (see _chunks): (action, successor)
 # entries of drmdp-enumerate states and of nominal and robust rows,
-# (level, successor, node) entries of a drmdp-mccormick kink build.  Each
-# works on a dozen or fewer arrays of at most this many floats at once, so
-# the budget bounds the memory a batch adds.  On a 2-vCPU VM at N=300, Y=8,
-# T=5 the enumerate DP ran fastest near 16,384 (0.037 s); 4,096 took 1.5x
-# as long, 65,536 1.1x and one batch of all 165 states 3.6x.
-# At N=100, Y=5, T=5 the McCormick DP took 0.023 s at 16,384 (the largest
-# chunk's build peaked at 1.7 MB), 1.6x as long at 4,096, 0.95x at 32,768
-# (2.9 MB) and 1.3x in one chunk of all 56 states (11 MB).
+# (level, successor, node) entries of a drmdp-mccormick kink build, whose
+# node axis is the D distinct nodes of backup.envelope_nodes (at most
+# ENVELOPE_NODES).  Each works on a dozen or fewer arrays of at most this
+# many floats at once, so the budget bounds the memory a batch adds.  On a
+# 2-vCPU VM at N=300, Y=8, T=5 the enumerate DP ran fastest near 16,384
+# (0.037 s); 4,096 took 1.5x as long, 65,536 1.1x and one batch of all 165
+# states 3.6x.  At N=100, Y=5, T=5 (D = 5) the McCormick DP took 0.010 s at
+# 16,384 in 4 chunks (the largest chunk's build peaked at 1.2 MB), 1.4x as
+# long at 4,096, 0.9x at 32,768 (1.7 MB) and 1.0x in one chunk of all 56
+# states (3.6 MB).
 BATCH_ENTRIES = 16384
 
 
@@ -334,13 +336,14 @@ def _batches(model: EpidemicModel, states: list[int],
              cfg: PlannerConfig) -> list[RowBatch | EnumerateBatch | EnvelopeKinks]:
     """states cut into chunks (_chunks), each recorded for cfg's back-end.
     A RowBatch or EnumerateBatch counts (action, successor) entries, and a
-    kink build (level, successor, node) entries: it works on arrays of at
-    most that many."""
+    kink build (level, successor, node) entries, D nodes wide (the width of
+    envelope_nodes): it works on arrays of at most that many."""
     n = len(model.actions)
     if cfg.backend == "drmdp-mccormick":
         k, L, M = model.acfg.k, model.params.L, model.params.M
+        width = envelope_nodes(k, L, M)[2].shape[2]
         return [envelope_kinks(g, [model.rules(i) for i in g], k, L, M)
-                for g in _chunks(model, states, n * ENVELOPE_NODES)]
+                for g in _chunks(model, states, n * width)]
     if cfg.backend == "drmdp-enumerate":
         return [enumerate_batch(g, [model.rules(i) for i in g], model.design)
                 for g in _chunks(model, states, n)]

@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -887,18 +888,35 @@ class TestEnvelopeClosedForm:
             self.assert_equals_mip(coeffs, v, 0.95, k, L, M)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("case", ["random", "k=0", "L=0", "M=0", "L=1,M=3"])
+    @pytest.mark.parametrize("case", ["random", "k=0", "L=0", "M=0", "L=1,M=3",
+                                      "zero-slopes"])
     def test_chunk_records_equal_the_one_state_oracle(self, case):
         # Random and adversarial states of 1 to 9 successors in one chunk,
         # with k = 0 and single-level axes (h = 0): each state's record is
         # the one-state oracle's bit for bit, and its padded level values
         # are the oracle's within the grouping of the sum over its kinks
-        # (the stage-batch contract, 1e-12 relative).
+        # (the stage-batch contract, 1e-12 relative).  zero-slopes gives the
+        # chunk's successors every sign pattern of their two slopes (-, 0
+        # or +, 0 being +0.0 or -0.0), each pattern's nodes shared
+        # (backup.envelope_nodes), at L=M=2, L=M=5 and L=1, M=3.
         rng = np.random.default_rng(34)
-        L, M = {"L=0": (0, 2), "M=0": (2, 0), "L=1,M=3": (1, 3)}.get(case, (2, 2))
-        for trial in range(4):
+        sizes = ([(2, 2), (5, 5), (1, 3)] if case == "zero-slopes" else
+                 [{"L=0": (0, 2), "M=0": (2, 0), "L=1,M=3": (1, 3)}.get(case, (2, 2))])
+        signs = np.array([(a, b) for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)]).T
+        for (L, M), trial in itertools.product(sizes, range(4)):
             rules = [random_coeffs(rng, int(rng.integers(1, 10)), adversarial=i % 2 == 1)
                      for i in range(6)]
+            if case == "zero-slopes":
+                turn = 0
+                for i, coeffs in enumerate(rules):
+                    m = len(coeffs.support)
+                    sign = signs[:, (turn + np.arange(m)) % 9]
+                    coeffs.mean[1:] = np.where(sign == 0.0, (-1.0) ** i * 0.0,
+                                               np.abs(coeffs.mean[1:]) * sign)
+                    turn += m
+                slopes = np.concatenate([coeffs.mean[1:] for coeffs in rules], axis=1)
+                patterns = {tuple(col) for col in (np.sign(slopes) + 0.0).T}
+                assert len(patterns) == min(slopes.shape[1], 9)
             k = 0.0 if case == "k=0" else float(rng.choice([1.0, 50.0, 1e3]))
             kinks = envelope_kinks(list(range(6)), rules, k, L, M)
             assert kinks.offset.shape[:2] == (6, (L + 1) * (M + 1))

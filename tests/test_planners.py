@@ -10,6 +10,7 @@ from epiplan import CacheError, DomainError, EpidemicParams
 from epiplan import model as model_module
 from epiplan import plan
 from epiplan.backup import (
+    ENVELOPE_NODES,
     drmdp_backup_enumerate,
     drmdp_backup_enumerate_batch,
     drmdp_backup_mccormick,
@@ -17,6 +18,7 @@ from epiplan.backup import (
     enumerate_batch,
     envelope_kinks,
     envelope_level_values,
+    envelope_nodes,
 )
 from epiplan.model import EpidemicModel, lattice_state_index
 from epiplan.plan import (
@@ -541,6 +543,32 @@ class TestMcCormickStageBatches:
         if budget == 1:
             assert dp.V.tobytes() == ref.V.tobytes()
             assert dp.values == ref.values
+
+    def test_chunks_are_cut_by_the_distinct_node_count(self):
+        # The kink build works on (level, successor, node) arrays D nodes
+        # wide, D the width of envelope_nodes: 1 at k = 0, at most 5 at
+        # L=M=2 and 9 at L=M=5 (k = 1000), never past ENVELOPE_NODES.  At
+        # dp-mip-small each chunk of c states, the widest w successors,
+        # holds c * w * n * D <= BATCH_ENTRIES entries unless it is one
+        # state, and the next state would pass the budget: fewer than the 9
+        # chunks the 15-node count cut.
+        for L, M, most in [(2, 2, 5), (5, 5, 9), (1, 3, 8)]:
+            assert envelope_nodes(0.0, L, M)[2].shape[2] == 1
+            assert 1 < envelope_nodes(1e3, L, M)[2].shape[2] <= most
+            for k in (1.0, 50.0, 1e3):
+                assert envelope_nodes(k, L, M)[2].shape[2] <= ENVELOPE_NODES
+        model = sized_model("dp-mip-small")
+        k, L, M = model.acfg.k, model.params.L, model.params.M
+        n, D = len(model.actions), envelope_nodes(k, L, M)[2].shape[2]
+        in_s = model.grid.in_S_indices().tolist()
+        chunks = plan._batches(model, in_s, PlannerConfig(backend="drmdp-mccormick"))
+        assert 1 < len(chunks) < 9 and D == 5
+        entries = [kinks.support.size * n * D for kinks in chunks]
+        for kinks, size in zip(chunks, entries):
+            assert size <= plan.BATCH_ENTRIES or len(kinks.states) == 1
+        for kinks, after in zip(chunks, chunks[1:]):
+            widest = after.support.shape[1]
+            assert (len(kinks.states) + 1) * widest * n * D > plan.BATCH_ENTRIES
 
     def test_narrow_state_beside_the_widest(self):
         model = sized_model("compile-cache-dp")

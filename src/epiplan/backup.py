@@ -1,15 +1,13 @@
 """One-stage value backups: nominal, worst-case-shifted, and mean-ambiguous.
 
 Every back-end backs up a batch of states from a record of what does not
-depend on the values.  The nominal and worst-case-shifted backups record
-their states' kernel rows, nominal or shifted, as flat segments
-(RowBatch), and take each expectation as one segment sum; a single-state
-backup builds a batch of one on every call, from views of the state's rows.
-The shift stays in the (s, a)-rectangular L1 ball around each row (Iyengar
-2005; Nilim & El Ghaoui 2005) and moves mass toward the row's
-highest-infective successor, whatever the values; it works on a block of
-rows in one pass (worst_case_shift, shift_mass), each row's sums taken over
-its own entries.
+depend on the values.  The nominal and worst-case-shifted backups read a run
+of states' rows, nominal (views of the model's blocks) or shifted, as one
+RowBlock (RowBatch), and take each expectation as one segment sum.  The
+shift stays in the (s, a)-rectangular L1 ball around each row (Iyengar 2005;
+Nilim & El Ghaoui 2005) and moves mass toward the row's highest-infective
+successor, whatever the values, over a block of rows in one pass
+(worst_case_shift, shift_mass), each row's sums over its own entries.
 
 The mean-ambiguous backup prices one action against the worst transition
 distribution whose mean lies near action-dependent bounds, with violations
@@ -37,7 +35,8 @@ inner values at each level, each solved in closed form like the parametric
 solve, from kinks and slope steps that do not depend on the values
 (EnvelopeKinks).  They are built for a chunk of states at once
 (`envelope_kinks`), which backward induction backs up together, padded as
-the enumeration batches are; a single-state backup is a chunk of one.  The
+the enumeration batches are; a single-state backup is a chunk of one.  Each
+reads a table that depends only on (k, L, M) (`envelope_nodes`).  The
 relaxation's MIP, solved by branch and bound, is the test oracle
 (tests/oracles.py).  A second MIP linearizes the products with
 per-level indicator variables; it is exact, and kept as the oracle the
@@ -70,32 +69,13 @@ from .seir import Action, segment_sums
 
 @dataclass(frozen=True)
 class RowBatch:
-    """States whose kernel rows row_backup_batch backs up together, as flat
-    segments.
-
-    The rows of state states[i] at its n actions are rows i*n .. i*n + n - 1,
-    and row r holds probs over the corners indices from starts[r] up to the
-    next row's start (the last row to the end).  reward (c, n) is each
-    state's stage reward at every action.  Nothing in it depends on the
-    values backed up.
-    """
+    """States whose kernel rows, nominal or shifted, row_backup_batch backs up
+    together: states[i] has rows i*n .. i*n + n - 1, one per action, and
+    reward[i] their stage rewards.  Nothing in it depends on the values."""
 
     states: np.ndarray
-    indices: np.ndarray
-    probs: np.ndarray
-    starts: np.ndarray
+    rows: RowBlock
     reward: np.ndarray
-
-
-def row_batch(states: Sequence[int], rows: Sequence[RowBlock],
-              rewards: Sequence[np.ndarray]) -> RowBatch:
-    """The RowBatch of states with the given kernel rows, nominal or
-    shifted, a RowBlock of one row per action for each, and the rewards of
-    those actions.  A batch of one holds views of its state's rows; a
-    larger one joins them."""
-    [block] = rows if len(rows) == 1 else [RowBlock.join(rows)]
-    return RowBatch(np.asarray(states), block.indices, block.probs, block.offsets[:-1],
-                    np.reshape(rewards, (len(states), -1)))
 
 
 def row_backup_batch(batch: RowBatch, v_next: np.ndarray,
@@ -108,7 +88,8 @@ def row_backup_batch(batch: RowBatch, v_next: np.ndarray,
     are never empty (SparseDistribution.block rejects them), so no segment
     runs into the next row.
     """
-    expect = np.add.reduceat(batch.probs * v_next[batch.indices], batch.starts)
+    rows = batch.rows
+    expect = np.add.reduceat(rows.probs * v_next[rows.indices], rows.offsets[:-1])
     vals = batch.reward + lam * expect.reshape(batch.reward.shape)
     best = np.argmax(vals, axis=1)
     return vals[np.arange(len(vals)), best], best
@@ -512,9 +493,9 @@ class EnvelopeKinks:
 
 
 def envelope_kinks(states: Sequence[int], rules: Sequence[DecisionRuleCoefficients],
-                   k: float, L: int, M: int) -> EnvelopeKinks:
+                   k: float, L: int, M: int, nodes: tuple[np.ndarray, ...]) -> EnvelopeKinks:
     """The EnvelopeKinks of the McCormick relaxation over levels 0..L x 0..M
-    of states with the given rules.
+    of states with the given rules; nodes is envelope_nodes(k, L, M).
 
     The relaxation replaces each product of a level a_i in [0, h_i] (h = L,
     M) with a multiplier x = w_j or u_j in [0, k] by an envelope column z,
@@ -559,7 +540,7 @@ def envelope_kinks(states: Sequence[int], rules: Sequence[DecisionRuleCoefficien
     # of each successor's sign pattern, and hinge slopes (successor, axis)
     # of each side.
     pattern = (3.0 * np.sign(cost[1, 0]) + np.sign(cost[1, 1]) + 4.0).astype(np.intp)
-    bw, bu, t = (table[:, pattern] for table in envelope_nodes(k, L, M))
+    bw, bu, t = (table[:, pattern] for table in nodes)
     sides = ((alpha[0], bw, hinge[0].T), (alpha[1], bu, hinge[1].T))
 
     def concave(x, side):
@@ -668,15 +649,14 @@ def drmdp_backup_mccormick(coeffs: DecisionRuleCoefficients, v_next: np.ndarray,
     the integer levels 0..L x 0..M, whose only integer columns are the two
     levels, so fixing them leaves the relaxed LP, solved in closed form.
 
-    kinks is the state's batch of one, envelope_kinks([idx], [coeffs], k,
-    L, M); one is built here when not given.  The envelopes are exact at a
-    level's bounds, so at a corner level the value is the enumeration
-    backup's; in between it may lie above, so the optimum is an upper bound
-    on the enumeration backup.  Ties go to the first level in (y_V, y_R)
-    order.
+    kinks is the state's batch of one (envelope_kinks), built here when not
+    given.  The envelopes are exact at a level's bounds, so at a corner
+    level the value is the enumeration backup's; in between it may lie
+    above, so the optimum is an upper bound on the enumeration backup.  Ties
+    go to the first level in (y_V, y_R) order.
     """
-    if kinks is None:
-        kinks = envelope_kinks([-1], [coeffs], k, L, M)   # no state of a model
+    if kinks is None:   # a chunk of no state of a model
+        kinks = envelope_kinks([-1], [coeffs], k, L, M, envelope_nodes(k, L, M))
     values, best = drmdp_backup_mccormick_batch(kinks, v_next, lam)
     return float(values[0]), Action(*divmod(int(best[0]), M + 1))
 

@@ -327,10 +327,10 @@ def _columns(groups: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, ...]:
 PUSH_ENTRIES = 1 << 13
 
 
-def _runs(costs: Sequence[int]) -> list[int]:
+def _runs(costs: Sequence[int], budget: int) -> list[int]:
     """Where runs of consecutive items start, then their end: the items
-    whose running cost falls in one multiple of PUSH_ENTRIES are a run."""
-    step = np.cumsum(costs) // PUSH_ENTRIES
+    whose running cost falls in one multiple of budget are a run."""
+    step = np.cumsum(costs) // budget
     cuts = np.flatnonzero(step[1:] != step[:-1]) + 1
     return [0, *cuts.tolist(), len(step)] if len(step) else [0]
 
@@ -342,7 +342,7 @@ def _exposure_laws(params: EpidemicParams, states: Sequence[ContinuousState],
     (the covered part of its span, every kept support being one integer run),
     their marginals pB, one row per y_R over its own run, and the trials."""
     keys = sorted({(n_S, state.p_I): state for state, (n_S, _, _) in zip(states, counts)}.items())
-    bounds = _runs([(params.L + 1) * (params.M + 1) * (n_S + 1) for (n_S, _), _ in keys])
+    bounds = _runs([(params.L + 1) * (params.M + 1) * (n + 1) for (n, _), _ in keys], PUSH_ENTRIES)
     laws = {}
     for run in (keys[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])):
         ns = np.array([[vaccination_trials(params, n_S, y_V) for y_V in range(params.L + 1)]
@@ -403,7 +403,7 @@ def discretize_kernel(grid: Grid, params: EpidemicParams,
         I_low + n_C + n_D - 2, params.N, grid.Y) - _cell_of(I_low, params.N, grid.Y) + 1))
     pairs = np.array([sum(len(kB) for kB in kBs) for kBs, _, _ in member_laws], dtype=np.int64)
     new = np.append(True, plane[1:] != plane[:-1])
-    bounds = _runs(pairs * boxes[plane] + new * (n_C * (n_D + 1))[plane])
+    bounds = _runs(pairs * boxes[plane] + new * (n_C * (n_D + 1))[plane], PUSH_ENTRIES)
     n_a = (params.L + 1) * (params.M + 1)
     indices, probs, lengths = np.zeros(0, np.int64), np.zeros(0), [np.zeros(0, np.int64)]
     for lo, hi in zip(bounds[:-1], bounds[1:]):

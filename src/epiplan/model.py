@@ -11,12 +11,12 @@ The kernel rows are kept as flat blocks (``grid.KernelBlock``), one per push
 call, pool slice or cache load, each checked once as a whole; each compiled
 state is indexed to its block and its place in it, and its rows are read-only
 views made on demand (``rows``), so no row object is kept.  A block is
-hydrated as it comes in: the rewards of its states are one array, and their
-rules are fitted a run of states at a time (``rules.fit_rule_block``) with
-the solve of the model's design, whose rank the model checks once, when it
-is built.  A state's rows shifted toward high-infective successors
-(``shifted_rows``) are one block too, made on first use at each budget and
-kept, for the robust back-end and the perturbed kernel of ``sim`` alike.
+hydrated as it comes in: the rewards of its states are one array, kept with
+it (``blocks``), and their rules are fitted a run of states at a time
+(``rules.fit_rule_block``) with the solve of the model's design, whose rank
+the model checks once, when it is built.  A state's rows shifted toward
+high-infective successors (``shifted_rows``) are one block too, made on
+first use at each budget and kept, for one-state robust backups and ``sim``.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .backup import (EnumerateTerms, EnvelopeKinks, envelope_kinks, inner_value_parametric,
-                     state_terms, worst_case_shift)
+from .backup import (EnumerateTerms, EnvelopeKinks, envelope_kinks, envelope_nodes,
+                     inner_value_parametric, state_terms, worst_case_shift)
 from .errors import CacheError, DomainError, RowError
 from .grid import (Grid, GridSpec, KernelBlock, RowBlock, SparseDistribution, cache_key,
                    discretize_kernel)
@@ -79,8 +79,9 @@ class EpidemicModel:
         self.acfg = acfg
         self.actions: list[Action] = params.actions()
         self.design = rule_design(self.actions)  # (n_actions, 3) rows (1, y_V, y_R)
-        # Each compiled state's block and its place in it.
+        # Each compiled state's block and its place in it, and each block.
         self._place: dict[int, tuple[KernelBlock, int]] = {}
+        self._blocks: list[tuple[KernelBlock, np.ndarray]] = []
         # _rows views _place only because perfbench/workloads.py reads it.
         self._rows = _RowViews(self._place)
         self._rewards: dict[int, np.ndarray] = {}
@@ -110,16 +111,17 @@ class EpidemicModel:
     def _keep(self, block: KernelBlock) -> None:
         """Index each state of block to its place in it, and hydrate them
         all: their rewards as one array (every action's, from the design's
-        level columns), and their rules fitted Y + 1 states at a time, so
-        that the fit's marks hold at most (Y + 1)^4 cells.  Every route
-        stores through here, so a state gets the same rows, rewards and
-        rules whichever block it comes in."""
+        level columns), kept with the block, and their rules fitted Y + 1
+        states at a time, so that the fit's marks hold at most (Y + 1)^4
+        cells.  Every route stores through here, so a state gets the same
+        rows, rewards and rules whichever block it comes in."""
         n, run, X = len(self.actions), self.grid.Y + 1, self.design
         rewards = count_rewards(self.params, *self._counts(block.corners)[..., None],
                                 X[:, 1], X[:, 2])
         rules = [coeffs for lo in range(0, len(block), run)
                  for coeffs in fit_rule_block(X, block.rows[lo * n:(lo + run) * n],
                                               rewards[lo:lo + run], self.acfg.delta)]
+        self._blocks.append((block, rewards))
         for m, (idx, coeffs) in enumerate(zip(block.corners.tolist(), rules)):
             self._place[idx] = (block, m)
             self._rewards[idx] = rewards[m]
@@ -129,6 +131,10 @@ class EpidemicModel:
         """The (n_S, n_E, n_I) counts of simplex states, one column each,
         rounded as ContinuousState.counts rounds them."""
         return np.rint(self.params.N * self.grid.coords[states]).T
+
+    def blocks(self) -> list[tuple[KernelBlock, np.ndarray]]:
+        """Every block kept, each compiled state in one, with its rewards."""
+        return list(self._blocks)
 
     def rows(self, idx: int) -> RowBlock:
         """The state's kernel rows, one per action: read-only views of its
@@ -147,13 +153,20 @@ class EpidemicModel:
 
     def kinks(self, idx: int) -> EnvelopeKinks:
         """The state's McCormick envelope kinks as a batch of one, built on
-        first use from its rules, k, L and M: they do not depend on the
-        values backed up.  Backward induction builds its own, a chunk of
-        states at a time, and keeps none."""
+        first use from its rules and the node table: they do not depend on
+        the values.  Backward induction builds its own and keeps none."""
         if idx not in self._kinks:
             self._kinks[idx] = envelope_kinks([idx], [self.rules(idx)], self.acfg.k,
-                                              self.params.L, self.params.M)
+                                              self.params.L, self.params.M, self.node_table)
         return self._kinks[idx]
+
+    @cached_property
+    def node_table(self) -> tuple[np.ndarray, ...]:
+        """backup.envelope_nodes at the model's k, L and M, read-only."""
+        table = envelope_nodes(self.acfg.k, self.params.L, self.params.M)
+        for a in table:
+            a.flags.writeable = False
+        return table
 
     def terms(self, idx: int) -> EnumerateTerms:
         """The state's enumeration-backup terms (backup.state_terms), built on
@@ -166,7 +179,7 @@ class EpidemicModel:
     def shifted_rows(self, idx: int, budget: float) -> RowBlock:
         """The state's rows, each shifted within budget by one block call of
         backup.worst_case_shift, made on first use and kept: the one store of
-        shifted rows, which the robust back-end plans on and sim.TrueKernel's
+        shifted rows, which one-state robust backups read and sim.TrueKernel's
         perturbed rows view.  At budget 0 they are the nominal views."""
         key = (idx, budget)
         if key not in self._shifted:
@@ -237,10 +250,10 @@ class EpidemicModel:
 
     def save_cache(self, directory: str) -> list[str]:
         """Write the kernel rows as one record array named by config hash,
-        gathered from the states' blocks in state order.
-
-        The rules are not stored: load_cache refits them from the rows.
-        """
+        gathered from the states' blocks in state order, into a temporary
+        file renamed over the path: a failed write leaves no part of a file
+        and raises CacheError.  The rules are not stored: load_cache refits
+        them from the rows."""
         os.makedirs(directory, exist_ok=True)
         kpath = self._cache_path(directory)
         states, n_a = sorted(self._place), len(self.actions)
@@ -251,7 +264,16 @@ class EpidemicModel:
         rec["action"] = np.repeat(np.tile(np.arange(n_a), len(states)), lengths)
         rec["successor"] = rows.indices
         rec["prob"] = rows.probs
-        np.save(kpath, rec)
+        tmp = f"{kpath}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "wb") as fh:
+                np.save(fh, rec)
+            os.replace(tmp, kpath)
+        except OSError as exc:
+            raise CacheError(f"{kpath}: not written: {exc}") from None
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
         return [kpath]
 
     def load_cache(self, directory: str) -> bool:

@@ -3,17 +3,16 @@
 Both planners share the same one-stage back-ends (nominal, worst-case-shifted,
 or the mean-ambiguous family), so any of them plugs into either.  Each
 back-end has one record of what does not depend on the values and one batch
-backup of it.  Backward induction cuts the states into chunks of similar
-support size once per run and backs up each stage a chunk at a time; only
-the LP inner solve backs up one state at a time.  A single-state backup
-(backup_state) runs the same arithmetic on one state: the nominal and
-robust back-ends build a batch of one from views of the state's rows,
-and the mean-ambiguous ones read what the model records for the state on
-first use (EpidemicModel.terms, EpidemicModel.kinks: a batch of one).  The
-trajectory planner records each row it samples successors from as a
-DrawTable, so a revisited step does not recompute it.
-Stage indices run 1..T with decisions at 1..T-1; values at stage T are the
-terminal reward (zero).
+backup of it.  Backward induction records the states once per run, runs of
+the model's blocks read in place or chunks of similar support size, and
+backs up each stage a record at a time; only the LP inner solve backs up one
+state at a time.  A single-state backup (backup_state) runs the same
+arithmetic on one state: a batch of one over views of its rows, nominal or
+shifted, or what the model records for it on first use (EpidemicModel.terms,
+EpidemicModel.kinks: a batch of one).  The trajectory planner records each
+row it samples successors from as a DrawTable, so a revisited step does not
+recompute it.  Stage indices run 1..T with decisions at 1..T-1; values at
+stage T are the terminal reward (zero).
 
 Every backup reads the stage t+1 values as one row of the planner's
 ValueTable.  The trajectory planner starts each row before the horizon at the
@@ -42,11 +41,11 @@ from .backup import (
     drmdp_backup_unary,  # noqa: F401  perfbench/layers.py traces plan.drmdp_backup_unary
     enumerate_batch,
     envelope_kinks,
-    envelope_nodes,
     row_backup_batch,
-    row_batch,
+    worst_case_shift,
 )
 from .errors import DomainError
+from .grid import _runs
 from .model import EpidemicModel
 from .seir import Action
 
@@ -57,18 +56,17 @@ BACKENDS = ("nominal", "robust", "drmdp-enumerate", "drmdp-mccormick")
 STOP_TOL = 1e-7
 STOP_PATIENCE = 10
 
-# Most entries in one backward_dp batch (see _chunks): (action, successor)
-# entries of drmdp-enumerate states and of nominal and robust rows,
-# (level, successor, node) entries of a drmdp-mccormick kink build, whose
-# node axis is the D distinct nodes of backup.envelope_nodes (at most
-# ENVELOPE_NODES).  Each works on a dozen or fewer arrays of at most this
-# many floats at once, so the budget bounds the memory a batch adds.  On a
-# 2-vCPU VM at N=300, Y=8, T=5 the enumerate DP ran fastest near 16,384
-# (0.037 s); 4,096 took 1.5x as long, 65,536 1.1x and one batch of all 165
-# states 3.6x.  At N=100, Y=5, T=5 (D = 5) the McCormick DP took 0.010 s at
-# 16,384 in 4 chunks (the largest chunk's build peaked at 1.2 MB), 1.4x as
-# long at 4,096, 0.9x at 32,768 (1.7 MB) and 1.0x in one chunk of all 56
-# states (3.6 MB).
+# Most entries in one backward_dp batch (see _batches): (action, successor)
+# entries of drmdp-enumerate states and of nominal and robust rows (about),
+# (level, successor, node) entries of a drmdp-mccormick kink build, D nodes
+# wide (model.node_table, at most ENVELOPE_NODES).  Each works on a dozen or
+# fewer arrays of at most this many floats at once, so the budget bounds the
+# memory a batch adds.  On a 2-vCPU VM at N=300, Y=8, T=5 the enumerate DP
+# ran fastest near 16,384 (0.037 s); 4,096 took 1.5x as long, 65,536 1.1x and
+# one batch of all 165 states 3.6x.  At N=100, Y=5, T=5 (D = 5) the McCormick
+# DP took 0.010 s at 16,384 in 4 chunks (the largest chunk's build peaked at
+# 1.2 MB), 1.4x as long at 4,096, 0.9x at 32,768 (1.7 MB) and 1.0x in one
+# chunk of all 56 states (3.6 MB).
 BATCH_ENTRIES = 16384
 
 
@@ -204,12 +202,14 @@ def backup_state(model: EpidemicModel, idx: int, t: int, v_next, cfg: PlannerCon
     v_next holds the stage t+1 values over all grid corners (a ValueTable
     row); only the state's successor support is read.  Ties go to the first
     action of model.actions, the lowest (y_V, y_R).  The nominal and robust
-    back-ends back up the state's RowBatch of one, built on every call from
-    views of its nominal or shifted rows.
+    back-ends back up a RowBatch of one over model.rows or model.shifted_rows.
     """
     lam = model.lam
     if cfg.backend in ("nominal", "robust"):
-        values, best = row_backup_batch(_row_batch(model, [idx], cfg), v_next, lam)
+        rows = (model.shifted_rows(idx, cfg.robust_budget) if cfg.backend == "robust"
+                else model.rows(idx))
+        batch = RowBatch(np.array([idx]), rows, model.rewards(idx)[None])
+        values, best = row_backup_batch(batch, v_next, lam)
         return float(values[0]), model.actions[int(best[0])]
     coeffs = model.rules(idx)
     k = model.acfg.k
@@ -290,14 +290,13 @@ def backward_dp(model: EpidemicModel, cfg: PlannerConfig) -> ValueTable:
     recording each simplex entry's value and argmax action.
 
     Every simplex state is compiled first, in one push call
-    (``model.compile_all``).  The states are then cut once into chunks of
-    similar support size, each recorded for its back-end (_batches), and
-    each stage is backed up one chunk at a time, a few array passes each:
-    the nominal and robust back-ends' rows as segment sums, drmdp-enumerate's
-    parametric solve over padded terms, drmdp-mccormick's kink records
-    built once per call.  The model keeps none of them.  Only the LP inner
-    solve backs up one state at a time, with backup_state.  States outside
-    the simplex are not stored; they are worth zero at every stage.
+    (``model.compile_all``).  The states are then recorded once for the
+    back-end (_batches), and each stage is backed up one record at a time, a
+    few array passes each: the nominal and robust back-ends' rows as segment
+    sums, drmdp-enumerate's parametric solve over padded terms,
+    drmdp-mccormick's kink records built once per call.  The model keeps
+    none of them.  Only the LP inner solve backs up one state at a time, with
+    backup_state.  States outside the simplex, worth zero, are not stored.
     """
     model.compile_all()
     table = ValueTable(model)
@@ -317,7 +316,7 @@ def backward_dp(model: EpidemicModel, cfg: PlannerConfig) -> ValueTable:
 
 
 def _chunks(model: EpidemicModel, states: list[int], unit: int) -> list[list[int]]:
-    """states cut into chunks in order of support size.  A chunk of c
+    """states cut into padded chunks in order of support size.  A chunk of c
     states, the widest with w successors, counts c * w * unit entries, and
     holds at most BATCH_ENTRIES unless one state alone holds more.  Sorting
     keeps the padding small: at N=300, Y=8 supports run from 1 to 70
@@ -334,31 +333,29 @@ def _chunks(model: EpidemicModel, states: list[int], unit: int) -> list[list[int
 
 def _batches(model: EpidemicModel, states: list[int],
              cfg: PlannerConfig) -> list[RowBatch | EnumerateBatch | EnvelopeKinks]:
-    """states cut into chunks (_chunks), each recorded for cfg's back-end.
-    A RowBatch or EnumerateBatch counts (action, successor) entries, and a
-    kink build (level, successor, node) entries, D nodes wide (the width of
-    envelope_nodes): it works on arrays of at most that many."""
+    """The records of cfg's back-end: states cut into chunks (_chunks), an
+    EnumerateBatch counting (action, successor) entries and a kink build
+    (level, successor, node) entries, D nodes wide (model.node_table); or,
+    for nominal and robust, every compiled state, each block cut into runs
+    by stored entries (grid._runs), a run's rows and rewards views of the
+    block, shifted by one worst_case_shift call for robust."""
     n = len(model.actions)
     if cfg.backend == "drmdp-mccormick":
-        k, L, M = model.acfg.k, model.params.L, model.params.M
-        width = envelope_nodes(k, L, M)[2].shape[2]
-        return [envelope_kinks(g, [model.rules(i) for i in g], k, L, M)
-                for g in _chunks(model, states, n * width)]
+        k, L, M, nodes = model.acfg.k, model.params.L, model.params.M, model.node_table
+        return [envelope_kinks(g, [model.rules(i) for i in g], k, L, M, nodes)
+                for g in _chunks(model, states, n * nodes[2].shape[2])]
     if cfg.backend == "drmdp-enumerate":
         return [enumerate_batch(g, [model.rules(i) for i in g], model.design)
                 for g in _chunks(model, states, n)]
-    return [_row_batch(model, g, cfg) for g in _chunks(model, states, n)]
-
-
-def _row_batch(model: EpidemicModel, states: list[int], cfg: PlannerConfig) -> RowBatch:
-    """The RowBatch of states: their nominal rows, or with the robust
-    back-end their rows shifted within cfg.robust_budget.  A state's rows
-    lie on its rules' support, so each holds at most its width."""
-    if cfg.backend == "robust":
-        rows = [model.shifted_rows(idx, cfg.robust_budget) for idx in states]
-    else:
-        rows = [model.rows(idx) for idx in states]
-    return row_batch(states, rows, [model.rewards(idx) for idx in states])
+    batches = []
+    for block, rewards in model.blocks():
+        bounds = _runs(np.diff(block.rows.offsets[::n]), BATCH_ENTRIES)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            rows = block.rows[lo * n:hi * n]
+            if cfg.backend == "robust":
+                rows = worst_case_shift(rows, model.grid, cfg.robust_budget)
+            batches.append(RowBatch(block.corners[lo:hi], rows, rewards[lo:hi]))
+    return batches
 
 
 def _backup_batch(model: EpidemicModel, batch: RowBatch | EnumerateBatch | EnvelopeKinks,

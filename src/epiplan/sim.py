@@ -8,8 +8,8 @@ stage-wise infection curves, and stage-wise mean actions.  The true kernel
 records a DrawTable per (state, action) it draws from, so episodes that
 revisit one draw without renormalizing its row again.  Its high-infective
 rows are views of the model's shifted rows (``EpidemicModel.shifted_rows``),
-the store the robust back-end plans on, so at equal budgets the two share
-one copy.
+which the robust back-end's one-state backups (RTDP) read too, so at equal
+budgets the two share one copy.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from epiplan.backup import (
     enumerate_terms,
     envelope_kinks,
     envelope_level_values,
+    envelope_nodes,
     inner_dual_program,
     inner_value_parametric,
     inner_values,
@@ -83,7 +84,8 @@ def random_coeffs(rng, m, adversarial=False):
 def level_values(coeffs, k, L, M, v):
     """The relaxed backup value at every level of one state, a batch of
     one, for discounted values v over its support."""
-    return envelope_level_values(envelope_kinks([0], [coeffs], k, L, M), v[None])[0]
+    return envelope_level_values(envelope_kinks([0], [coeffs], k, L, M,
+                                                envelope_nodes(k, L, M)), v[None])[0]
 
 
 def grid_actions(L, M):
@@ -918,7 +920,7 @@ class TestEnvelopeClosedForm:
                 patterns = {tuple(col) for col in (np.sign(slopes) + 0.0).T}
                 assert len(patterns) == min(slopes.shape[1], 9)
             k = 0.0 if case == "k=0" else float(rng.choice([1.0, 50.0, 1e3]))
-            kinks = envelope_kinks(list(range(6)), rules, k, L, M)
+            kinks = envelope_kinks(list(range(6)), rules, k, L, M, envelope_nodes(k, L, M))
             assert kinks.offset.shape[:2] == (6, (L + 1) * (M + 1))
             v = -rng.random((6, kinks.support.shape[1])) * 10.0 ** rng.integers(0, 4)
             v += kinks.pad

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from epiplan import ConfigError, sim
@@ -359,6 +360,29 @@ class TestDispatch:
         capsys.readouterr()
         assert dispatch(["--config", path, "--out", str(out), "solve"]) == 1
         assert str(kernels) in capsys.readouterr().err
+
+    def test_failed_cache_write_exits_1_and_keeps_the_cache(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # A compile whose write fails part way exits 1 naming the file; the
+        # cache written before stays whole, and solve still reads it.
+        path = write_cfg(tmp_path, TOY)
+        out = tmp_path / "out"
+        assert dispatch(["--config", path, "--out", str(out), "compile"]) == 0
+        kernels = next(out.glob("kernels_*.npy"))
+        data = kernels.read_bytes()
+
+        def full_disk(file, arr, *args, **kwargs):
+            file.write(data[:10])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(np, "save", full_disk)
+        capsys.readouterr()
+        assert dispatch(["--config", path, "--out", str(out), "compile"]) == 1
+        assert str(kernels) in capsys.readouterr().err
+        monkeypatch.undo()
+        assert kernels.read_bytes() == data
+        assert sorted(p.name for p in out.glob("kernels_*")) == [kernels.name]
+        assert dispatch(["--config", path, "--out", str(out), "solve"]) == 0
 
     def test_stale_csv_cache_is_ignored(self, tmp_path, monkeypatch):
         # Caches were once CSV files; one left in --out is neither read nor

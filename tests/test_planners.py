@@ -19,6 +19,8 @@ from epiplan.backup import (
     envelope_kinks,
     envelope_level_values,
     envelope_nodes,
+    row_backup_batch,
+    worst_case_shift,
 )
 from epiplan.model import EpidemicModel, lattice_state_index
 from epiplan.plan import (
@@ -381,9 +383,10 @@ ROW_SUM_REL = 2e-15
 
 
 class TestRowSumStages:
-    """backward_dp with nominal and robust backs up each stage a chunk of
-    states at a time, every kernel row one segment sum (backup.RowBatch);
-    RTDP, greedy_action and backup_state build a chunk of one."""
+    """backward_dp with nominal and robust backs up each stage a run of
+    consecutive states of a model block at a time, every kernel row one
+    segment sum (backup.RowBatch); RTDP, greedy_action and backup_state back
+    up a batch of one."""
 
     @pytest.mark.parametrize("backend", ["nominal", "robust"])
     def test_stage_batches_equal_the_one_state_loop(self, backend):
@@ -420,18 +423,93 @@ class TestRowSumStages:
         assert dp.values == ref.values and dp.actions == ref.actions
 
     @pytest.mark.parametrize("backend", ["nominal", "robust"])
-    def test_batch_of_one_views_the_rows(self, backend):
+    def test_batch_of_one_views_the_rows(self, backend, monkeypatch):
         # backup_state's batch of one holds the state's own rows, nominal or
         # shifted, as views: nothing is copied on a call.
         model = sized_model("dp-mip-small")
         cfg = PlannerConfig(backend=backend)
         idx = int(model.grid.in_S_indices()[20])
-        batch = plan._row_batch(model, [idx], cfg)
+        batches = []
+
+        def spy(batch, v_next, lam):
+            batches.append(batch)
+            return row_backup_batch(batch, v_next, lam)
+
+        monkeypatch.setattr(plan, "row_backup_batch", spy)
+        backup_state(model, idx, 1, np.zeros(model.grid.n_corners), cfg)
+        [batch] = batches
         rows = (model.shifted_rows(idx, cfg.robust_budget) if backend == "robust"
                 else model.rows(idx))
-        for got, held in ((batch.indices, rows.indices), (batch.probs, rows.probs)):
+        assert batch.states.tolist() == [idx]
+        for got, held in ((batch.rows.indices, rows.indices), (batch.rows.probs, rows.probs),
+                          (batch.reward, model.rewards(idx))):
             assert np.shares_memory(got, held)
-        assert batch.starts.tolist() == rows.offsets[:-1].tolist()
+        assert batch.rows.offsets.tolist() == rows.offsets.tolist()
+
+    def test_nominal_records_view_the_model_blocks(self):
+        # Each record's rows and rewards are views of one block the model
+        # keeps, and the records hold every simplex state once.
+        model = sized_model("compile-cache-dp")
+        n = len(model.actions)
+        batches = plan._batches(model, model.grid.in_S_indices().tolist(),
+                                PlannerConfig(backend="nominal"))
+        assert len(batches) > 1
+        for batch in batches:
+            [(block, rewards)] = [(b, r) for b, r in model.blocks()
+                                  if np.shares_memory(batch.rows.probs, b.rows.probs)]
+            assert np.shares_memory(batch.rows.indices, block.rows.indices)
+            assert np.shares_memory(batch.reward, rewards)
+            for m, idx in enumerate(batch.states.tolist()):
+                rows = model.rows(idx)
+                assert batch.rows[m * n:(m + 1) * n].offsets.tolist() == rows.offsets.tolist()
+                assert batch.rows[m * n].probs.tobytes() == rows[0].probs.tobytes()
+                assert batch.reward[m].tobytes() == model.rewards(idx).tobytes()
+        states = np.concatenate([batch.states for batch in batches])
+        assert sorted(states.tolist()) == model.grid.in_S_indices().tolist()
+
+    def test_robust_records_shift_each_run_once(self, monkeypatch):
+        # One worst_case_shift call per record; each record's rows are the
+        # model's shifted rows bit for bit, and the DP fills no per-state
+        # store.
+        model = EpidemicModel(EpidemicParams(N=300, L=5, M=5, T=5), 8, AmbiguityConfig())
+        model.compile_all()
+        cfg = PlannerConfig(backend="robust")
+        calls = []
+
+        def spy(rows, grid, budget):
+            calls.append(len(rows))
+            return worst_case_shift(rows, grid, budget)
+
+        monkeypatch.setattr(plan, "worst_case_shift", spy)
+        in_s = model.grid.in_S_indices().tolist()
+        batches = plan._batches(model, in_s, cfg)
+        assert len(calls) == len(batches) > 1
+        backward_dp(model, cfg)
+        assert model._shifted == {}
+        n = len(model.actions)
+        for batch in batches:
+            for m, idx in enumerate(batch.states.tolist()):
+                got, want = batch.rows[m * n:(m + 1) * n], model.shifted_rows(idx, 0.5)
+                for a in ("indices", "probs", "offsets"):
+                    assert getattr(got, a).tobytes() == getattr(want, a).tobytes(), idx
+
+    @pytest.mark.parametrize("backend", ["nominal", "robust"])
+    def test_partly_warmed_model_gives_the_same_tables(self, backend):
+        # Some states compiled one at a time, the rest by compile_all: more,
+        # smaller runs, the same tables bit for bit.
+        def model():
+            return EpidemicModel(EpidemicParams(N=100, L=2, M=2, T=5), 5, AmbiguityConfig())
+
+        warm = model()
+        for idx in warm.grid.in_S_indices()[::3].tolist():
+            warm.compile_state(idx)
+        warm.compile_all()
+        assert len(warm.blocks()) > 2
+        cfg = PlannerConfig(backend=backend)
+        got, ref = backward_dp(warm, cfg), backward_dp(model(), cfg)
+        assert got.V.tobytes() == ref.V.tobytes()
+        assert got.best.tobytes() == ref.best.tobytes()
+        assert got.values == ref.values and got.actions == ref.actions
 
     def test_only_the_lp_inner_solve_backs_up_one_state_at_a_time(self, monkeypatch):
         calls = []
@@ -544,6 +622,26 @@ class TestMcCormickStageBatches:
             assert dp.V.tobytes() == ref.V.tobytes()
             assert dp.values == ref.values
 
+    def test_one_node_table_per_model(self, monkeypatch):
+        # The node table depends only on (k, L, M): a model builds it once,
+        # read-only, for its DP chunks and its batches of one alike.
+        builds = []
+
+        def counting(k, L, M):
+            builds.append((k, L, M))
+            return envelope_nodes(k, L, M)
+
+        monkeypatch.setattr(model_module, "envelope_nodes", counting)
+        model = EpidemicModel(EpidemicParams(N=100, L=2, M=2, T=5), 5, AmbiguityConfig())
+        backward_dp(model, PlannerConfig(backend="drmdp-mccormick"))
+        for idx in model.grid.in_S_indices()[::5].tolist():
+            model.kinks(idx)
+        k, L, M = model.acfg.k, model.params.L, model.params.M
+        assert builds == [(k, L, M)]
+        for got, want in zip(model.node_table, envelope_nodes(k, L, M)):
+            assert not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
+
     def test_chunks_are_cut_by_the_distinct_node_count(self):
         # The kink build works on (level, successor, node) arrays D nodes
         # wide, D the width of envelope_nodes: 1 at k = 0, at most 5 at
@@ -578,7 +676,8 @@ class TestMcCormickStageBatches:
         pair = [min(in_s, key=size.get), max(in_s, key=size.get)]
         assert [size[i] for i in pair] == [1, 70]
         v_next = mccormick_per_state_dp("compile-cache-dp").V[2]
-        kinks = envelope_kinks(pair, [model.rules(i) for i in pair], k, L, M)
+        kinks = envelope_kinks(pair, [model.rules(i) for i in pair], k, L, M,
+                               model.node_table)
         assert kinks.offset.shape[2] == model.kinks(pair[1]).offset.shape[2]
         values, best = drmdp_backup_mccormick_batch(kinks, v_next, lam)
         for idx, value, b in zip(pair, values, best):
@@ -928,6 +1027,30 @@ class TestModelBundle:
         assert sorted(fresh._rows) == sorted(model._rows)
         for idx in model.grid.in_S_indices():
             assert_same_state(model, fresh, idx)
+
+    def test_failed_save_keeps_the_earlier_cache(self, tmp_path, monkeypatch):
+        # A write that dies part way (a full disk, say) leaves the cache
+        # saved before it byte for byte, loadable, and no other file.
+        model = toy_model(N=4, T=3)
+        model.compile_all()
+        [kpath] = model.save_cache(str(tmp_path))
+        with open(kpath, "rb") as fh:
+            before = fh.read()
+
+        def full_disk(file, arr, *args, **kwargs):
+            file.write(b"\x93NUMPY")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(np, "save", full_disk)
+        with pytest.raises(CacheError, match=re.escape(kpath)):
+            model.save_cache(str(tmp_path))
+        monkeypatch.undo()
+        assert os.listdir(tmp_path) == [os.path.basename(kpath)]
+        with open(kpath, "rb") as fh:
+            assert fh.read() == before
+        fresh = toy_model(N=4, T=3)
+        assert fresh.load_cache(str(tmp_path))
+        assert sorted(fresh._rows) == sorted(model._rows)
 
     def test_cache_loads_across_reward_horizon_and_ambiguity(self, tmp_path):
         # The rows depend on neither the cost coefficients, the discount and
